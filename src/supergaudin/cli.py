@@ -425,7 +425,7 @@ def _pf_to_json(pf):
 @main.command("lax")
 @click.argument("action", type=click.Choice(["expand"]))
 @with_tensor
-@click.option("--k-power", "--k", "kpow", type=click.IntRange(1, 3), default=2, show_default=True)
+@click.option("--k-power", "kpow", type=click.IntRange(1, 3), default=2, show_default=True)
 @click.option("--z", required=True)
 @click.pass_context
 def lax(ctx, action, flavor, q, m, p, n, k, lams, kind, depth, ell, kpow, z):

@@ -56,16 +56,20 @@ class DualitySetup:
         ]
         self.super_tensor = tensor_product(self.super_factors)
         self.classical_tensor = tensor_product(self.classical_factors)
+        self._singular_pair = None
 
     @property
     def ell(self):
         return len(self.partitions)
 
     def singular_pair(self):
-        return (
-            singular_space(self.super_tensor, self.super_weight),
-            singular_space(self.classical_tensor, self.classical_weight),
-        )
+        """(super, classical) singular spaces; computed once per setup."""
+        if self._singular_pair is None:
+            self._singular_pair = (
+                singular_space(self.super_tensor, self.super_weight),
+                singular_space(self.classical_tensor, self.classical_weight),
+            )
+        return self._singular_pair
 
     def describe(self):
         return {

@@ -6,20 +6,41 @@ is assembled honestly from the extended Casimir tensor (with its K terms)
 acting through the iota-twisted generator actions, so the relation between
 the two conventions is something the test suite verifies rather than a
 definition.
+
+Every product of one-slot operators (a Casimir term, a cubic word, a
+one-site Casimir) goes through one sparse core, ``add_word``, which
+applies the column-sparse ``TensorModule.slot_act_sparse`` blocks.
+
+Pair-block store.  The two-site Casimir Omega^{(ij)} does not depend on z,
+so the quadratic Hamiltonians H^i(z) = sum_{j != i} Omega^{(ij)}/(z_i - z_j)
+are rational combinations of stored blocks.  The store is the
+``pair_store`` dict of the tensor itself, so it lives exactly as long as
+the tensor object.  It holds:
+
+- Omega^{(ij)} on a weight space, keyed by (central, levels, min(i, j),
+  max(i, j), weight); Omega^{(ij)} = Omega^{(ji)}, so one entry serves both
+  orders, and ``levels`` is None in the plain convention, which ignores
+  them;
+- its restriction to a subspace, keyed by that key plus the basis vectors.
+
+Callers get fresh copies (``pair_matrix``, ``HamiltonianFamily.matrix``,
+``restricted``), so nothing they mutate reaches the store.
+``QuadraticFamily.restricted`` restricts each Omega^{(ij)} separately, so
+the subspace must be invariant under every Omega^{(ij)}, not just under
+H^i.  Singular spaces always are: each Omega^{(ij)} commutes with the
+diagonal action, raising operators included.
 """
 
 from fractions import Fraction
 
 from .algebra import BasisElement
-from .indices import HalfIndex
 from .linalg import (
+    ColumnSolver,
     SpanBuilder,
     commutator,
-    mat_mul,
     max_abs,
     squarefree_certificate,
 )
-from .modules import TensorModule
 
 K_SYMBOL = "K"
 
@@ -72,53 +93,56 @@ def _iota_diag_correction(gen, level):
     return 0
 
 
-def _slot_block(tensor, op, slot, w, levels, twisted):
-    """Block of a one-slot operator on the w-space; None if zero.
+def _exact(x):
+    """An integral Fraction as an int (cheaper arithmetic); others as is."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
 
-    ``op`` is a BasisElement or the K symbol.  With ``twisted`` the
-    diagonal units act through iota (plain action plus a central scalar).
+
+def add_word(total, tensor, word, w, scale=1, levels=None, twisted=False):
+    """Add scale times a product of one-slot operators on the w-space into
+    the dense rows ``total``; True unless a factor vanishes.
+
+    ``word`` lists (op, slot) left to right as written, slots 0-based; the
+    rightmost factor acts first.  ``op`` is a BasisElement or the K symbol,
+    which acts by the slot's level.  With ``twisted`` the diagonal units at
+    negative indices act through iota (plain action plus a central
+    scalar).  The factors are the column-sparse slot blocks, applied to
+    one basis column at a time; the net weight shift must be zero.
     """
-    d = tensor.dim(w)
-    if op == K_SYMBOL:
-        c = levels[slot]
-        if not c:
-            return None
-        return (w, [[c if i == j else Fraction(0) for j in range(d)] for i in range(d)])
-    res = tensor.slot_act(op, slot, w)
-    if twisted:
-        c = _iota_diag_correction(op, levels[slot])
-        if c:
-            if res is None:
-                return (w, [[c if i == j else Fraction(0) for j in range(d)] for i in range(d)])
-            target, block = res
-            block = [row[:] for row in block]
-            for i in range(d):
-                block[i][i] += c
-            return (target, block)
-    return res
-
-
-def _compose_slots(tensor, ops_and_slots, w, levels, twisted):
-    """Matrix of a product of one-slot operators on the w-space.
-
-    ``ops_and_slots`` lists (op, slot) left to right as written; the
-    rightmost factor acts first.  Returns None if anything vanishes, and
-    requires the net weight shift to be zero.
-    """
-    d = tensor.dim(w)
-    if not d:
-        return None
-    current_w = w
-    block = None
-    for op, slot in reversed(ops_and_slots):
-        res = _slot_block(tensor, op, slot, current_w, levels, twisted)
-        if res is None:
-            return None
-        current_w, step = res
-        block = step if block is None else mat_mul(step, block)
-    if current_w != w:
+    if not tensor.dim(w):
+        return False
+    # each step maps v to scalar * v + cols(v)
+    steps = []
+    cur = w
+    for op, slot in reversed(word):
+        cols = None
+        if op == K_SYMBOL:
+            scalar = levels[slot]
+        else:
+            scalar = _iota_diag_correction(op, levels[slot]) if twisted else 0
+            res = tensor.slot_act_sparse(op, slot, cur)
+            if res is not None:
+                cur, _, cols = res
+        if cols is None and not scalar:
+            return False
+        steps.append((cols, scalar))
+    if cur != w:
         raise ValueError("operator product does not preserve the weight")
-    return block
+    for c in range(tensor.dim(w)):
+        vec = {c: 1}
+        for cols, scalar in steps:
+            nxt = {r: scalar * v for r, v in vec.items()} if scalar else {}
+            if cols is not None:
+                for r, v in vec.items():
+                    for r2, x in cols[r]:
+                        nxt[r2] = nxt.get(r2, 0) + v * x
+            vec = nxt
+        for r, v in vec.items():
+            if v:
+                total[r][c] += scale * v
+    return True
 
 
 def apply_pair_op(tensor, cas, i, j, w, vectors):
@@ -135,25 +159,55 @@ def apply_pair_op(tensor, cas, i, j, w, vectors):
     return [[sum(row[k] * vec[k] for k in range(len(vec))) for row in mat] for vec in vectors]
 
 
+def _pair_key(tensor, cas, i, j, w, levels):
+    if not cas.central:
+        levels = None
+    elif levels is None:
+        levels = tuple(Fraction(f.level) for f in tensor.factors)
+    else:
+        levels = tuple(Fraction(x) for x in levels)
+    return (cas.central, levels, min(i, j), max(i, j), w)
+
+
+def _stored_pair(tensor, cas, i, j, w, levels):
+    """Omega^{(ij)} from the store (shared rows: never mutate), or None."""
+    key = _pair_key(tensor, cas, i, j, w, levels)
+    store = tensor.pair_store
+    if key not in store:
+        lv = key[1]
+        d = tensor.dim(w)
+        total = [[0] * d for _ in range(d)]
+        nonzero = False
+        for coeff, left, right in cas.terms:
+            word = [(left, key[2] - 1), (right, key[3] - 1)]
+            nonzero |= add_word(total, tensor, word, w, _exact(coeff), lv, cas.central)
+        store[key] = [[_exact(x) for x in row] for row in total] if nonzero else None
+    return store[key]
+
+
 def pair_matrix(tensor, cas, i, j, w, levels=None):
-    """Exact matrix of the (i, j) two-site Casimir action on the w-space."""
-    twisted = cas.central
-    if levels is None:
-        levels = [f.level for f in tensor.factors]
-    total = None
-    for coeff, left, right in cas.terms:
-        block = _compose_slots(tensor, [(left, i - 1), (right, j - 1)], w, levels, twisted)
-        if block is None:
-            continue
-        if total is None:
-            total = [[coeff * x for x in row] for row in block]
-        else:
-            for r, row in enumerate(block):
-                trow = total[r]
-                for c, x in enumerate(row):
-                    if x:
-                        trow[c] += coeff * x
-    return total
+    """Exact matrix of the (i, j) two-site Casimir action on the w-space.
+
+    Served from the tensor's pair-block store; returns fresh dense rows, or
+    None when every Casimir term vanishes there.  ``cas`` must be
+    ``casimir(tensor.index_set, central)``: the store keys on its
+    convention only.
+    """
+    block = _stored_pair(tensor, cas, i, j, w, levels)
+    return None if block is None else [row[:] for row in block]
+
+
+def _stored_restriction(tensor, cas, i, j, space, levels):
+    """Omega^{(ij)} restricted to an invariant subspace, from the store."""
+    key = (
+        _pair_key(tensor, cas, i, j, space.weight, levels),
+        tuple(tuple(vec) for vec in space.basis),
+    )
+    store = tensor.pair_store
+    if key not in store:
+        mat = pair_matrix(tensor, cas, i, j, space.weight, levels)
+        store[key] = None if mat is None else restrict_to_basis(mat, space.basis)
+    return store[key]
 
 
 class HamiltonianFamily:
@@ -183,8 +237,7 @@ class HamiltonianFamily:
     def ell(self):
         return len(self.z)
 
-    def matrix(self, i, w):
-        """Exact matrix of the i-th Hamiltonian (1-based) on the w-space."""
+    def _matrix(self, i, w):
         if not 1 <= i <= self.ell:
             raise ValueError("site index out of range")
         key = (i, w)
@@ -192,23 +245,67 @@ class HamiltonianFamily:
             self._cache[key] = self._matrix_fn(i, w)
         return self._cache[key]
 
+    def matrix(self, i, w):
+        """Exact matrix of the i-th Hamiltonian (1-based) on the w-space."""
+        return [row[:] for row in self._matrix(i, w)]
+
     def matrices(self, w):
         return [self.matrix(i, w) for i in range(1, self.ell + 1)]
 
     def restricted(self, i, space):
         """Matrix of the i-th Hamiltonian on an invariant subspace basis."""
-        return restrict_to_basis(self.matrix(i, space.weight), space.basis)
+        return restrict_to_basis(self._matrix(i, space.weight), space.basis)
+
+
+class QuadraticFamily(HamiltonianFamily):
+    """H^i = sum_{j != i} Omega^{(ij)} / (z_i - z_j) over stored pair blocks."""
+
+    def __init__(self, tensor, z, convention, levels):
+        self.cas = casimir(tensor.index_set, central=(convention == "central"))
+        super().__init__(tensor, z, "quadratic", convention, levels, self._assemble)
+
+    def _pole_sum(self, i, d, block_of):
+        total = [[Fraction(0)] * d for _ in range(d)]
+        zi = self.z[i - 1]
+        for j in range(1, self.ell + 1):
+            if j == i:
+                continue
+            block = block_of(j)
+            if block is None:
+                continue
+            scale = 1 / (zi - self.z[j - 1])
+            for trow, brow in zip(total, block):
+                for c, x in enumerate(brow):
+                    if x:
+                        trow[c] += scale * x
+        return total
+
+    def _assemble(self, i, w):
+        return self._pole_sum(
+            i,
+            self.tensor.dim(w),
+            lambda j: _stored_pair(self.tensor, self.cas, i, j, w, self.levels),
+        )
+
+    def restricted(self, i, space):
+        """H^i on a subspace invariant under every Omega^{(ij)} (a singular
+        space, say), combined from stored restricted pair blocks."""
+        if not 1 <= i <= self.ell:
+            raise ValueError("site index out of range")
+        return self._pole_sum(
+            i,
+            space.dim,
+            lambda j: _stored_restriction(self.tensor, self.cas, i, j, space, self.levels),
+        )
 
 
 def restrict_to_basis(mat, basis):
     """Express an operator on the span of basis columns; error if not invariant."""
-    from .linalg import ColumnSolver
-
-    columns = [list(map(Fraction, vec)) for vec in basis]
-    solver = ColumnSolver(columns, nrows=len(mat))
+    solver = ColumnSolver(basis, nrows=len(mat))
     out = [[Fraction(0)] * len(basis) for _ in range(len(basis))]
-    for jcol, vec in enumerate(columns):
-        img = [sum(mat[r][k] * vec[k] for k in range(len(vec))) for r in range(len(mat))]
+    for jcol, vec in enumerate(basis):
+        support = [(k, x) for k, x in enumerate(vec) if x]
+        img = [sum(row[k] * x for k, x in support) for row in mat]
         coords = solver.solve(img)
         if coords is None:
             raise ValueError("subspace is not invariant under the operator")
@@ -221,31 +318,10 @@ def quadratic_family(tensor, z, convention="plain", levels=None):
     """The quadratic Hamiltonians H^i = sum_{j != i} Omega^{(ij)} / (z_i - z_j)."""
     if convention not in ("plain", "central"):
         raise ValueError("convention must be plain or central")
-    cas = casimir(tensor.index_set, central=(convention == "central"))
     if levels is None:
         levels = [f.level for f in tensor.factors]
     levels = [Fraction(x) for x in levels]
-    zf = tuple(Fraction(x) for x in z)
-
-    def matrix_fn(i, w):
-        d = tensor.dim(w)
-        total = [[Fraction(0)] * d for _ in range(d)]
-        for j in range(1, len(zf) + 1):
-            if j == i:
-                continue
-            block = pair_matrix(tensor, cas, i, j, w, levels=levels)
-            if block is None:
-                continue
-            scale = 1 / (zf[i - 1] - zf[j - 1])
-            for r in range(d):
-                trow = total[r]
-                brow = block[r]
-                for c in range(d):
-                    if brow[c]:
-                        trow[c] += scale * brow[c]
-        return total
-
-    return HamiltonianFamily(tensor, zf, "quadratic", convention, levels, matrix_fn)
+    return QuadraticFamily(tensor, z, convention, levels)
 
 
 def _cubic_sign(r, s, t):
@@ -280,16 +356,8 @@ def cubic_family(tensor, z, kind):
         d = tensor.dim(w)
         total = [[Fraction(0)] * d for _ in range(d)]
 
-        def accumulate(ops, scale):
-            block = _compose_slots(tensor, ops, w, levels, False)
-            if block is None:
-                return
-            for r in range(d):
-                trow = total[r]
-                brow = block[r]
-                for c in range(d):
-                    if brow[c]:
-                        trow[c] += scale * brow[c]
+        def accumulate(word, scale):
+            add_word(total, tensor, word, w, scale)
 
         i0 = i - 1
         for r in members:

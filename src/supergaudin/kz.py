@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .algebra import BasisElement
-from .gaudin import casimir, pair_matrix
+from .gaudin import casimir, pair_matrix, quadratic_family
 from .linalg import commutator, mat_scale, mat_sub, max_abs
 
 DIAGONAL_CLEARANCE = 1e-3
@@ -44,17 +44,16 @@ class KZSystem:
         cas = casimir(tensor.index_set, central=(convention == "central"))
         d = self.dim
         zero = [[Fraction(0)] * d for _ in range(d)]
+        # Omega^{(ij)} = Omega^{(ji)}: one block per unordered pair, both keys
         self._pairs = {}
+        self._pairs_float = {}
         for i in range(1, self.ell + 1):
-            for j in range(1, self.ell + 1):
-                if i == j:
-                    continue
+            for j in range(i + 1, self.ell + 1):
                 block = pair_matrix(tensor, cas, i, j, mu, levels=self.levels)
-                self._pairs[(i, j)] = block if block is not None else zero
-        self._pairs_float = {
-            key: np.array([[float(x) for x in row] for row in block], dtype=complex)
-            for key, block in self._pairs.items()
-        }
+                block = block if block is not None else zero
+                fblock = np.array([[float(x) for x in row] for row in block], dtype=complex)
+                self._pairs[(i, j)] = self._pairs[(j, i)] = block
+                self._pairs_float[(i, j)] = self._pairs_float[(j, i)] = fblock
         self._raising_float = []
         for a, b in tensor.index_set.simple_pairs():
             res = tensor.act(BasisElement(a, b), mu)
@@ -63,21 +62,13 @@ class KZSystem:
                     np.array([[float(x) for x in row] for row in res[1]], dtype=complex)
                 )
 
+    def family(self, z):
+        """The exact quadratic family at rational points, from the pair store."""
+        return quadratic_family(self.tensor, z, self.convention, self.levels)
+
     def hamiltonian_exact(self, i, z):
         """Exact H^i at rational points."""
-        z = [Fraction(x) for x in z]
-        d = self.dim
-        total = [[Fraction(0)] * d for _ in range(d)]
-        for j in range(1, self.ell + 1):
-            if j == i:
-                continue
-            scale = 1 / (z[i - 1] - z[j - 1])
-            block = self._pairs[(i, j)]
-            for r in range(d):
-                for c in range(d):
-                    if block[r][c]:
-                        total[r][c] += scale * block[r][c]
-        return total
+        return self.family(z).matrix(i, self.mu)
 
     def hamiltonian_float(self, i, z):
         total = np.zeros((self.dim, self.dim), dtype=complex)
@@ -238,6 +229,7 @@ def flatness_residual(system, point, h=None):
         if len(set(z)) != len(z):
             raise ValueError("point lies on a diagonal")
         kappa = Fraction(system.kappa)
+        hs = system.family(z).matrices(system.mu)
         worst = Fraction(0)
         for i in range(1, ell + 1):
             for j in range(1, ell + 1):
@@ -246,8 +238,8 @@ def flatness_residual(system, point, h=None):
                 # d/dz_i of H^j picks the single term Omega^{(ji)}/(z_j-z_i)
                 di_hj = mat_scale(system._pairs[(j, i)], 1 / (z[j - 1] - z[i - 1]) ** 2)
                 dj_hi = mat_scale(system._pairs[(i, j)], 1 / (z[i - 1] - z[j - 1]) ** 2)
-                hi = system.hamiltonian_exact(i, z)
-                hj = system.hamiltonian_exact(j, z)
+                hi = hs[i - 1]
+                hj = hs[j - 1]
                 resid = mat_sub(mat_sub(di_hj, dj_hi), mat_scale(commutator(hi, hj), 1 / kappa))
                 worst = max(worst, max_abs(resid))
         return worst

@@ -12,23 +12,12 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import BasisElement
-from .linalg import mat_mul
+from .gaudin import add_word, cubic_family, quadratic_family
+from .linalg import is_zero_matrix, mat_add, mat_eye, mat_mul, mat_scale, mat_zeros
 
 MAX_ORDER = 3
 
 CONST = ("c",)
-
-
-def _mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def _mat_scale(A, c):
-    return [[c * x for x in row] for row in A]
-
-
-def _is_zero(A):
-    return all(not x for row in A for x in row)
 
 
 class RationalFunctionPF:
@@ -49,7 +38,7 @@ class RationalFunctionPF:
                 i, r = key
                 if not (0 <= i < len(self.z)) or not (1 <= r <= MAX_ORDER):
                     raise ValueError("bad partial-fraction key %r" % (key,))
-            if not _is_zero(val):
+            if not is_zero_matrix(val):
                 clean[key] = val
         self.terms = clean
 
@@ -59,11 +48,11 @@ class RationalFunctionPF:
     def __add__(self, other):
         terms = {k: v for k, v in self.terms.items()}
         for k, v in other.terms.items():
-            terms[k] = _mat_add(terms[k], v) if k in terms else v
+            terms[k] = mat_add(terms[k], v) if k in terms else v
         return RationalFunctionPF(self.z, terms)
 
     def scale(self, c):
-        return RationalFunctionPF(self.z, {k: _mat_scale(v, c) for k, v in self.terms.items()})
+        return RationalFunctionPF(self.z, {k: mat_scale(v, c) for k, v in self.terms.items()})
 
     def derivative(self):
         """d/du: constants die, (u - z_i)^{-r} -> -r (u - z_i)^{-r-1}."""
@@ -74,7 +63,7 @@ class RationalFunctionPF:
             i, r = key
             if r + 1 > MAX_ORDER:
                 raise ValueError("derivative exceeds pole order %d" % MAX_ORDER)
-            terms[(i, r + 1)] = _mat_scale(val, -r)
+            terms[(i, r + 1)] = mat_scale(val, -r)
         return RationalFunctionPF(self.z, terms)
 
     def mul(self, other):
@@ -82,7 +71,7 @@ class RationalFunctionPF:
         out = {}
 
         def put(key, val):
-            out[key] = _mat_add(out[key], val) if key in out else val
+            out[key] = mat_add(out[key], val) if key in out else val
 
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
@@ -107,13 +96,13 @@ class RationalFunctionPF:
                             Fraction((-1) ** (a - r) * comb(a + b - r - 1, a - r))
                             / w ** (a + b - r)
                         )
-                        put((i, r), _mat_scale(prod, coeff))
+                        put((i, r), mat_scale(prod, coeff))
                     for s in range(1, b + 1):
                         coeff = (
                             Fraction((-1) ** (b - s) * comb(a + b - s - 1, b - s))
                             / (-w) ** (a + b - s)
                         )
-                        put((j, s), _mat_scale(prod, coeff))
+                        put((j, s), mat_scale(prod, coeff))
         return RationalFunctionPF(self.z, out)
 
     def eval(self, u):
@@ -122,8 +111,8 @@ class RationalFunctionPF:
         total = None
         for key, val in self.terms.items():
             c = Fraction(1) if key == CONST else 1 / (u - self.z[key[0]]) ** key[1]
-            scaled = _mat_scale(val, c)
-            total = scaled if total is None else _mat_add(total, scaled)
+            scaled = mat_scale(val, c)
+            total = scaled if total is None else mat_add(total, scaled)
         return total
 
     def __eq__(self, other):
@@ -134,7 +123,7 @@ class RationalFunctionPF:
             a = self.terms.get(k)
             b = other.terms.get(k)
             if a is None or b is None:
-                if not _is_zero(a if a is not None else b):
+                if not is_zero_matrix(a if a is not None else b):
                     return False
             elif a != b:
                 return False
@@ -177,10 +166,6 @@ class DiffOpPoly:
         return self.coeffs.get(degree, RationalFunctionPF(self.z))
 
 
-def _identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def _lax_entry(tensor, a, b, z, w):
     """The (a, b) Lax entry as a DiffOpPoly from the w-space.
 
@@ -195,13 +180,13 @@ def _lax_entry(tensor, a, b, z, w):
         res = tensor.slot_act(gen, slot, w)
         if res is None:
             continue
-        poles[(slot, 1)] = _mat_scale(res[1], -sign)
+        poles[(slot, 1)] = mat_scale(res[1], -sign)
     coeffs = {}
     if poles:
         coeffs[0] = RationalFunctionPF(z, poles)
     if a == b:
         d = tensor.dim(w)
-        coeffs[1] = RationalFunctionPF(z, {CONST: _identity(d)})
+        coeffs[1] = RationalFunctionPF(z, {CONST: mat_eye(d)})
     if not coeffs:
         return None
     return target, DiffOpPoly(z, coeffs)
@@ -248,71 +233,50 @@ def lax_str_expansion(tensor, z, k):
     return out
 
 
-def _slot_product(tensor, ops_slots, w):
-    """Exact matrix of a product of slot operators on the w-space (or None)."""
-    block = None
-    cur = w
-    for gen, slot in reversed(ops_slots):
-        res = tensor.slot_act(gen, slot, cur)
-        if res is None:
-            return None
-        cur, step = res
-        block = step if block is None else mat_mul(step, block)
-    if cur != w:
-        raise ValueError("slot product does not preserve the weight")
-    return block
-
-
-def _acc(total, block, scale=1):
-    if block is None:
-        return total
-    scaled = _mat_scale(block, scale) if scale != 1 else block
-    return scaled if total is None else _mat_add(total, scaled)
+def _site_sum(tensor, signed_words, w):
+    """sum of sign * (one-slot word) over the given words, as dense rows."""
+    d = tensor.dim(w)
+    total = mat_zeros(d, d)
+    for sign, word in signed_words:
+        add_word(total, tensor, word, w, sign)
+    return total
 
 
 def _site_quadratic(tensor, slot, w):
     """sum_{r,s} (-1)^{2s} E_{r,s} E_{s,r} on one slot."""
     members = list(tensor.index_set)
-    total = None
-    for r in members:
-        for s in members:
-            sign = -1 if s.parity else 1
-            block = _slot_product(
-                tensor, [(BasisElement(r, s), slot), (BasisElement(s, r), slot)], w
-            )
-            total = _acc(total, block, sign)
-    return total
+    return _site_sum(
+        tensor,
+        [
+            (-1 if s.parity else 1, [(BasisElement(r, s), slot), (BasisElement(s, r), slot)])
+            for r in members
+            for s in members
+        ],
+        w,
+    )
 
 
 def _site_trace(tensor, slot, w):
     """sum_r E_r on one slot."""
-    members = list(tensor.index_set)
-    total = None
-    for r in members:
-        block = _slot_product(tensor, [(BasisElement(r, r), slot)], w)
-        total = _acc(total, block)
-    return total
+    return _site_sum(tensor, [(1, [(BasisElement(r, r), slot)]) for r in tensor.index_set], w)
 
 
 def _site_cubic(tensor, slot, w):
     """sum_{r,s,t} (-1)^{2(s+t)} E_{r,s} E_{s,t} E_{t,r} on one slot."""
     members = list(tensor.index_set)
-    total = None
-    for r in members:
-        for s in members:
-            for t in members:
-                sign = -1 if (s.parity ^ t.parity) else 1
-                block = _slot_product(
-                    tensor,
-                    [
-                        (BasisElement(r, s), slot),
-                        (BasisElement(s, t), slot),
-                        (BasisElement(t, r), slot),
-                    ],
-                    w,
-                )
-                total = _acc(total, block, sign)
-    return total
+    return _site_sum(
+        tensor,
+        [
+            (
+                -1 if (s.parity ^ t.parity) else 1,
+                [(BasisElement(r, s), slot), (BasisElement(s, t), slot), (BasisElement(t, r), slot)],
+            )
+            for r in members
+            for s in members
+            for t in members
+        ],
+        w,
+    )
 
 
 def str_identity(index_set):
@@ -323,52 +287,40 @@ def str_identity(index_set):
 def s22_closed(tensor, z, w):
     """The degree-two closed form: per site, 2 H^i simple poles plus the
     one-site quadratic Casimir and trace at the double pole."""
-    from .gaudin import quadratic_family
-
     z = tuple(Fraction(x) for x in z)
-    d = tensor.dim(w)
     fam = quadratic_family(tensor, z)
     terms = {}
     for i in range(len(z)):
-        terms[(i, 1)] = _mat_scale(fam.matrix(i + 1, w), 2)
-        dbl = _acc(_site_quadratic(tensor, i, w), _site_trace(tensor, i, w))
-        if dbl is None:
-            dbl = [[Fraction(0)] * d for _ in range(d)]
-        terms[(i, 2)] = dbl
+        terms[(i, 1)] = mat_scale(fam.matrix(i + 1, w), 2)
+        terms[(i, 2)] = mat_add(_site_quadratic(tensor, i, w), _site_trace(tensor, i, w))
     return RationalFunctionPF(z, terms)
 
 
 def s33_closed(tensor, z, w):
     """The degree-three closed form assembled from the cubic Hamiltonians."""
-    from .gaudin import cubic_family, quadratic_family
-
     z = tuple(Fraction(x) for x in z)
-    d = tensor.dim(w)
     ell = len(z)
     famH = quadratic_family(tensor, z)
     famC = cubic_family(tensor, z, "C")
     famD = cubic_family(tensor, z, "D")
     sid = str_identity(tensor.index_set)
+    traces = [_site_trace(tensor, i, w) for i in range(ell)]
     terms = {}
     for i in range(ell):
-        s1 = _mat_scale(famC.matrix(i + 1, w), 3)
-        s2 = _mat_scale(famD.matrix(i + 1, w), 3)
+        s1 = mat_scale(famC.matrix(i + 1, w), 3)
+        s2 = mat_scale(famD.matrix(i + 1, w), 3)
         for j in range(ell):
             if j == i:
                 continue
-            tr_i = _site_trace(tensor, i, w)
-            tr_j = _site_trace(tensor, j, w)
-            if tr_i is not None and tr_j is not None:
-                s2 = _mat_add(
-                    s2, _mat_scale(mat_mul(tr_i, tr_j), Fraction(-2) / (z[i] - z[j]))
-                )
-        s2 = _mat_add(s2, _mat_scale(famH.matrix(i + 1, w), 2 * sid + 3))
-        s3 = _acc(None, _site_cubic(tensor, i, w))
-        s3 = _acc(s3, _site_quadratic(tensor, i, w), 3)
-        s3 = _acc(s3, _site_trace(tensor, i, w), 2)
-        if s3 is None:
-            s3 = [[Fraction(0)] * d for _ in range(d)]
-        terms[(i, 1)] = _mat_scale(s1, -1)
-        terms[(i, 2)] = _mat_scale(s2, -1)
-        terms[(i, 3)] = _mat_scale(s3, -1)
+            s2 = mat_add(
+                s2, mat_scale(mat_mul(traces[i], traces[j]), Fraction(-2) / (z[i] - z[j]))
+            )
+        s2 = mat_add(s2, mat_scale(famH.matrix(i + 1, w), 2 * sid + 3))
+        s3 = mat_add(
+            _site_cubic(tensor, i, w),
+            mat_add(mat_scale(_site_quadratic(tensor, i, w), 3), mat_scale(traces[i], 2)),
+        )
+        terms[(i, 1)] = mat_scale(s1, -1)
+        terms[(i, 2)] = mat_scale(s2, -1)
+        terms[(i, 3)] = mat_scale(s3, -1)
     return RationalFunctionPF(z, terms)

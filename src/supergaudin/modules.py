@@ -61,41 +61,6 @@ class WeightModule:
             return None
         return (target, block)
 
-    def act_element(self, x, w, vectors):
-        """Apply an AlgebraElement to column vectors of the w-space.
-
-        Returns a dict target_weight -> list of columns.  The central
-        coefficient acts by the module level.
-        """
-        out = {}
-        ncols = len(vectors)
-        if x.central:
-            scale = x.central * self.level
-            if scale:
-                out[w] = [[scale * v for v in col] for col in vectors]
-        for gen, coeff in x.basis_terms():
-            res = self.act(gen, w)
-            if res is None:
-                continue
-            target, block = res
-            cols = [
-                [coeff * sum(block[i][k] * col[k] for k in range(len(col))) for i in range(len(block))]
-                for col in vectors
-            ]
-            if target in out:
-                out[target] = [
-                    [a + b for a, b in zip(c1, c2)] for c1, c2 in zip(out[target], cols)
-                ]
-            else:
-                out[target] = cols
-        for key in [k for k, cols in out.items() if all(not v for col in cols for v in col)]:
-            del out[key]
-        return out
-
-
-def _matvec(block, vec):
-    return [sum(row[k] * vec[k] for k in range(len(vec))) for row in block]
-
 
 class NaturalModule(WeightModule):
     """The natural module: one basis vector per index, weight e(i)."""
@@ -151,6 +116,8 @@ class TensorModule(WeightModule):
         self._block_cache = {}
         self._sparse_cache = {}
         self._sum_cache = {}
+        # z-independent two-site blocks, filled by gaudin (see its docstring)
+        self.pair_store = {}
 
     def basis_tuples(self, w):
         return self._basis.get(w, [])
@@ -234,14 +201,6 @@ class TensorModule(WeightModule):
         if out is None or not any(out):
             return None
         return target, out
-
-    def slot_apply(self, gen, slot, w, vectors):
-        """Apply gen^{(slot)} to columns of the w-space."""
-        res = self.slot_act(gen, slot, w)
-        if res is None:
-            return None
-        target, block = res
-        return target, [_matvec(block, v) for v in vectors]
 
     def _block(self, gen, w):
         # diagonal action Delta(gen) = sum over slots

@@ -82,6 +82,19 @@ def test_lax_expand():
     assert doc["matches"] is True
 
 
+def test_lax_flavor_k_is_the_classical_rank():
+    # --k belongs to the flavor options; the Lax power is --k-power only
+    res = run(
+        "--json", "lax", "expand", "--flavor", "classical", "--k", "3",
+        "--ell", "2", "--factor-kind", "natural", "--z", "0,1",
+    )
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["k"] == 2
+    assert len(doc["weights"]) == 6  # e_a + e_b over the three gl(3) indices
+    assert doc["matches"] is True
+
+
 def test_kz_commands():
     path = json.dumps([[[0, 0], [1, 0]], [[0, 0.5], [2, 0]]])
     res = run(
