@@ -208,17 +208,6 @@ def supercommutator(x, y, central=False):
     return AlgebraElement(terms, cent)
 
 
-def assoc_mul(x, y):
-    """Associative product of the matrix-unit parts (central parts dropped)."""
-    terms = {}
-    for (r1, c1), a in x.terms.items():
-        for (r2, c2), b in y.terms.items():
-            if c1 == r2:
-                key = (r1, c2)
-                terms[key] = terms.get(key, Fraction(0)) + a * b
-    return AlgebraElement(terms)
-
-
 def supertrace(x):
     """Supertrace of the matrix-unit part: sum of (-1)^{parity} diagonal."""
     out = Fraction(0)

@@ -1,6 +1,7 @@
 """Content-addressed disk cache with atomic replacement.
 
-Keys are hashes of the construction inputs; values are JSON documents.
+Keys are hashes of the construction inputs, the package version and the
+realization format; values are JSON documents.
 Writers race safely: each store writes a temporary file in the cache
 directory and os.replace()s it into place, so concurrent processes always
 read complete documents.  Corrupt entries are dropped with a warning and
@@ -24,8 +25,17 @@ def default_cache_dir():
 
 
 def content_key(obj):
-    """Stable hash of a JSON-serializable description."""
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    """Stable hash of a JSON-serializable description.
+
+    The package version and the realization format are folded in, so an
+    entry written by other code (another basis, another encoding) is a
+    miss rather than a stale hit.
+    """
+    from . import __version__
+    from .modules import REALIZATION_FORMAT
+
+    stamped = {"format": REALIZATION_FORMAT, "key": obj, "version": __version__}
+    blob = json.dumps(stamped, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 

@@ -316,14 +316,5 @@ class SpanBuilder:
         self.pivots.insert(pos, piv)
         return True
 
-    def contains(self, vec):
-        vec = clear_denominators(list(vec))
-        for row, piv in zip(self.rows, self.pivots):
-            v = vec[piv]
-            if v:
-                p = row[piv]
-                vec = [a * p - b * v for a, b in zip(vec, row)]
-        return not any(vec)
-
     def basis(self):
         return [list(r) for r in self.rows]

@@ -222,15 +222,39 @@ class TensorModule(WeightModule):
 
 
 class ExplicitModule(WeightModule):
-    """A module given by explicit dims and off-diagonal blocks."""
+    """A module given by explicit dims and off-diagonal blocks.
 
-    def __init__(self, index_set, level, dims, blocks, provenance, labels=None):
-        self.index_set = index_set
-        self.level = Fraction(level)
-        self._dims = {w: d for w, d in dims.items() if d}
-        self._blocks = blocks
-        self.provenance = provenance
-        self.labels = labels or {}
+    Immutable once built: polynomial modules are memoized process-wide and
+    each one is the parent of the larger shapes built from it, so a
+    mutation would reach every descendant.  ``highest_weight``, ``shape``
+    and ``depth`` describe the realization when it has them (else None).
+    """
+
+    def __init__(
+        self,
+        index_set,
+        level,
+        dims,
+        blocks,
+        provenance,
+        labels=None,
+        highest_weight=None,
+        shape=None,
+        depth=None,
+    ):
+        init = object.__setattr__
+        init(self, "index_set", index_set)
+        init(self, "level", Fraction(level))
+        init(self, "_dims", {w: d for w, d in dims.items() if d})
+        init(self, "_blocks", blocks)
+        init(self, "provenance", provenance)
+        init(self, "labels", labels or {})
+        init(self, "highest_weight", highest_weight)
+        init(self, "shape", shape)
+        init(self, "depth", depth)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExplicitModule is immutable")
 
     def _block(self, gen, w):
         return self._blocks.get((gen.key(), w))
@@ -244,6 +268,23 @@ def _position(index_set):
     return {h.doubled: i for i, h in enumerate(index_set)}
 
 
+def deficit_height(index_set, xi, w):
+    """Height of xi - w in the simple-root cone; None if outside."""
+    members = list(index_set)
+    diff = xi - w
+    total = 0
+    partial = 0
+    for h in members[:-1]:
+        partial += diff(h)
+        if partial < 0:
+            return None
+        total += partial
+    partial += diff(members[-1])
+    if partial != 0 or diff.level != 0:
+        return None
+    return total
+
+
 class _VermaBuilder:
     """PBW machinery for ordinary (full Borel) Verma modules.
 
@@ -251,6 +292,8 @@ class _VermaBuilder:
     canonical order (root height, then row position); products are applied
     left to right onto the highest weight vector, so position 0 acts last.
     Normal ordering is the usual straightening recursion, memoized.
+    Coefficients are plain ints: the structure constants are integers and
+    weight coefficients are integers, so no Fraction is ever needed.
     """
 
     def __init__(self, index_set, xi):
@@ -286,12 +329,13 @@ class _VermaBuilder:
         if memo_key not in self._bracket_memo:
             x = AlgebraElement({key1: 1})
             y = AlgebraElement({key2: 1})
-            self._bracket_memo[memo_key] = supercommutator(x, y)
+            terms = supercommutator(x, y).terms
+            self._bracket_memo[memo_key] = {k: int(v) for k, v in terms.items() if v}
         return self._bracket_memo[memo_key]
 
-    def _elem_act(self, elem, mono):
+    def _elem_act(self, terms, mono):
         out = {}
-        for (r, c), coeff in elem.terms.items():
+        for (r, c), coeff in terms.items():
             for mm, v in self.act((r, c), mono).items():
                 val = coeff * v
                 if val:
@@ -311,9 +355,9 @@ class _VermaBuilder:
         if not mono:
             if r == c:
                 val = self.xi(r)
-                out = {(): Fraction(val)} if val else {}
+                out = {(): val} if val else {}
             elif self.pos[r] > self.pos[c]:
-                out = {(self.gen_index[key],): Fraction(1)}
+                out = {(self.gen_index[key],): 1}
             else:
                 out = {}
         else:
@@ -333,11 +377,11 @@ class _VermaBuilder:
     def insert(self, g, mono):
         """Normal-ordered product of generator g with an ordered monomial."""
         if not mono or g < mono[0]:
-            return {(g,) + mono: Fraction(1)}
+            return {(g,) + mono: 1}
         if g == mono[0]:
             if self.gen_parity[g]:
                 return {}
-            return {(g,) + mono: Fraction(1)}
+            return {(g,) + mono: 1}
         memo_key = (g, mono)
         cached = self._ins_memo.get(memo_key)
         if cached is not None:
@@ -370,22 +414,6 @@ class _VermaBuilder:
             frontier = nxt
         return out
 
-    def deficit_height(self, w):
-        """Height of xi - w in the simple-root cone; None if outside."""
-        members = list(self.index_set)
-        diff = self.xi - w
-        total = 0
-        partial = 0
-        for h in members[:-1]:
-            partial += diff(h)
-            if partial < 0:
-                return None
-            total += partial
-        partial += diff(members[-1])
-        if partial != 0 or diff.level != 0:
-            return None
-        return total
-
 
 class _TruncatedVerma(WeightModule):
     """Span of the PBW monomials of length <= depth.
@@ -412,11 +440,11 @@ class _TruncatedVerma(WeightModule):
         self._index = {
             w: {mono: i for i, mono in enumerate(monos)} for w, monos in self.labels.items()
         }
-        self.complete = {
-            w
-            for w in self.labels
-            if (lambda h: h is not None and h <= depth)(self._builder.deficit_height(w))
-        }
+        self.complete = set()
+        for w in self.labels:
+            h = deficit_height(index_set, xi, w)
+            if h is not None and h <= depth:
+                self.complete.add(w)
         self._block_cache = {}
 
     def act(self, gen, w):
@@ -475,31 +503,38 @@ def gram_matrix(verma, w):
 
     <M v | N v> = the coefficient of the empty monomial in omega(M) N v,
     where omega reverses the monomial and transposes each factor with the
-    star-structure signs.
+    star-structure signs.  For each right monomial N the partial states
+    omega(M[:t]) N v are memoized by the prefix M[:t]: the sorted
+    monomials of a weight space share prefixes, so each state is computed
+    once and every left monomial only extends the longest stored prefix.
+    The arithmetic is the same exact arithmetic as letter by letter.
     """
     builder = verma._builder
     monos = verma.labels[w]
+    omegas = [
+        {k: int(v) for k, v in star_omega(AlgebraElement({key: 1})).terms.items()}
+        for key in builder.gens
+    ]
     gram = [[Fraction(0)] * len(monos) for _ in range(len(monos))]
     for j, right in enumerate(monos):
-        vec = {right: Fraction(1)}
-        results = {}
+        states = {(): {right: 1}}
         for i, left in enumerate(monos):
-            cur = dict(vec)
-            for g in left:
-                key = builder.gens[g]
-                omega_elem = star_omega(AlgebraElement({key: 1}))
-                nxt = {}
-                for mono, coeff in cur.items():
-                    for mm, v in builder._elem_act(omega_elem, mono).items():
-                        val = coeff * v
-                        if val:
-                            nxt[mm] = nxt.get(mm, 0) + val
+            cur = states[()]
+            for t in range(1, len(left) + 1):
+                prefix = left[:t]
+                nxt = states.get(prefix)
+                if nxt is None:
+                    nxt = {}
+                    for mono, coeff in cur.items():
+                        for mm, v in builder._elem_act(omegas[left[t - 1]], mono).items():
+                            val = coeff * v
+                            if val:
+                                nxt[mm] = nxt.get(mm, 0) + val
+                    states[prefix] = nxt
                 cur = nxt
                 if not cur:
                     break
-            results[i] = cur.get((), Fraction(0))
-        for i in range(len(monos)):
-            gram[i][j] = Fraction(results[i])
+            gram[i][j] = Fraction(cur.get((), 0))
     return gram
 
 
@@ -628,11 +663,9 @@ def irreducible_truncated(index_set, xi, depth):
                         wrote = wrote or bool(coords[rr])
                 if wrote:
                     blocks[(gen.key(), w)] = block
-    module = ExplicitModule(index_set, xi.level, dims, blocks, "irreducible")
-    module.highest_weight = xi
-    module.depth = depth
-    module.grams = grams
-    return module
+    return ExplicitModule(
+        index_set, xi.level, dims, blocks, "irreducible", highest_weight=xi, depth=depth
+    )
 
 
 class SingularSpace:
@@ -684,16 +717,32 @@ def polynomial_highest_weight(index_set, lam):
     raise ValueError("unsupported flavor for polynomial modules")
 
 
+# Bumped whenever a realization changes basis or encoding; disk-cache keys
+# include it.  2: polynomial modules built by the Pieri recursion.
+REALIZATION_FORMAT = 2
+
 _POLY_CACHE = {}
 
 
 def polynomial_module(index_set, lam):
-    """Irreducible polynomial module as a cyclic submodule of a tensor power.
+    """Irreducible polynomial module V_lam, built by the Pieri recursion.
 
-    Realized inside the |lam|-th tensor power of the natural module: take
-    the first echelon basis vector of the singular space at the hook
-    weight of lam and close it under the simple lowering operators.
-    Results are memoized (modules are immutable once built).
+    Let lam^- be lam with the last box of its last row removed.  V_lam is
+    realized as the cyclic submodule of V_{lam^-} (x) V (V the natural
+    module; V alone when |lam| = 1) generated by the singular vector at
+    the hook weight of lam, closed under the simple lowering operators.
+
+    Polynomial gl(m|n)-modules are completely reducible, and the Pieri
+    rule holds with multiplicity one: V_{lam^-} (x) V is the direct sum of
+    the V_nu over the hook shapes nu obtained from lam^- by adding one box
+    (Sergeev 1984; Berele and Regev, Adv. Math. 64, 1987).  An irreducible
+    summand holds singular vectors only at its highest weight, and
+    distinct hook shapes have distinct hook weights, so the singular space
+    at the hook weight of lam is exactly 1-dimensional; the build checks
+    this and raises RuntimeError otherwise.  The parent comes from the
+    memo, so the recursion costs one small build per shape instead of a
+    realization inside the |lam|-th tensor power, whose dimension is
+    (m + n)^|lam|.  Results are memoized; modules are immutable.
     """
     cache_key = (index_set, lam)
     if cache_key in _POLY_CACHE:
@@ -708,11 +757,17 @@ def _build_polynomial_module(index_set, lam):
     size = lam.size
     if size == 0:
         raise ValueError("the empty partition labels the trivial module")
-    nat = NaturalModule(index_set)
-    amb = TensorModule([nat] * size)
+    factors = [NaturalModule(index_set)]
+    if size > 1:
+        parts = list(lam.parts)
+        parts[-1] -= 1
+        factors.insert(0, polynomial_module(index_set, Partition(parts)))
+    amb = TensorModule(factors)
     sing = singular_space(amb, hw)
-    if not sing.dim:
-        raise RuntimeError("no highest weight vector found at %r" % (hw,))
+    if sing.dim != 1:
+        raise RuntimeError(
+            "singular space at %r has dimension %d; the Pieri rule gives 1" % (hw, sing.dim)
+        )
     spans = {hw: SpanBuilder(amb.dim(hw))}
     spans[hw].add(sing.basis[0])
     frontier = [(hw, list(sing.basis[0]))]
@@ -760,12 +815,9 @@ def _build_polynomial_module(index_set, lam):
                         wrote = wrote or bool(cval)
                 if wrote:
                     blocks[(gen.key(), w)] = sub
-    module = ExplicitModule(index_set, 0, dims, blocks, "polynomial")
-    module.highest_weight = hw
-    module.shape = lam
-    module.ambient = amb
-    module.embeddings = bases
-    return module
+    return ExplicitModule(
+        index_set, 0, dims, blocks, "polynomial", highest_weight=hw, shape=lam
+    )
 
 
 def truncate_module(module, smaller):

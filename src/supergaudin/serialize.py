@@ -6,20 +6,12 @@ from fractions import Fraction
 
 from .indices import IndexSet
 from .modules import ExplicitModule
+from .partitions import Partition
 from .weights import Weight
 
 
 def frac_str(x):
     return str(Fraction(x))
-
-
-def parse_frac(s):
-    return Fraction(s)
-
-
-def complex_pair(c):
-    c = complex(c)
-    return [c.real, c.imag]
 
 
 def matrix_triplets(mat):
@@ -81,13 +73,24 @@ def module_to_json(module):
                             "triplets": trip,
                         }
                     )
-    return {
+    doc = {
         "index_set": index_set_to_json(module.index_set),
         "level": frac_str(module.level),
         "provenance": module.provenance,
         "weights": wj,
         "actions": actions,
     }
+    # what truncation_check needs to rebuild the realization, when known
+    hw = getattr(module, "highest_weight", None)
+    if hw is not None:
+        doc["highest_weight"] = hw.to_json()
+    shape = getattr(module, "shape", None)
+    if shape is not None:
+        doc["shape"] = list(shape.parts)
+    depth = getattr(module, "depth", None)
+    if depth is not None:
+        doc["depth"] = depth
+    return doc
 
 
 def module_from_json(obj):
@@ -107,8 +110,17 @@ def module_from_json(obj):
         blocks[(gen_key, w)] = matrix_from_triplets(
             act["triplets"], dims.get(target, 0), dims[w]
         )
+    hw = obj.get("highest_weight")
+    shape = obj.get("shape")
     return ExplicitModule(
-        index_set, Fraction(obj["level"]), dims, blocks, obj["provenance"]
+        index_set,
+        Fraction(obj["level"]),
+        dims,
+        blocks,
+        obj["provenance"],
+        highest_weight=None if hw is None else Weight.from_json(hw),
+        shape=None if shape is None else Partition(shape),
+        depth=obj.get("depth"),
     )
 
 

@@ -31,6 +31,7 @@ from .indices import IndexSet
 from .linalg import charpoly, commutator, is_zero_matrix, mat_add, mat_sub, poly_shift
 from .modules import (
     NaturalModule,
+    deficit_height as _deficit_height,
     irreducible_truncated,
     polynomial_module,
     singular_space,
@@ -186,22 +187,6 @@ def check_modules(seed, m=1, n=1, max_boxes=3, **_):
     return {"name": "modules", "passed": not bad, "cases": count, "failures": bad}
 
 
-def _deficit_height(index_set, xi, w):
-    members = list(index_set)
-    diff = xi - w
-    total = 0
-    partial = 0
-    for h in members[:-1]:
-        partial += diff(h)
-        if partial < 0:
-            return None
-        total += partial
-    partial += diff(members[-1])
-    if partial != 0 or diff.level != 0:
-        return None
-    return total
-
-
 def check_duality(seed, m=1, n=1, max_boxes=3, ell_max=3, **_):
     """Quadratic spectrum equality across the correspondence."""
     rng = random.Random(seed)
@@ -307,9 +292,8 @@ def check_central_shift(seed, **_):
     mods = []
     for d, parts in ((1, (1,)), (2, (1, 1))):
         xi = unitarizable_weight(GeneralizedPartition(parts), 1, 0, 1, 1)
-        mod = irreducible_truncated(iset, xi, 3)
-        mod.level = Fraction(d)
-        mods.append(mod)
+        # the Verma builder reads only the coefficients; the level rides along
+        mods.append(irreducible_truncated(iset, Weight(xi.coeffs, d), 3))
     tensor = tensor_product(mods)
     levels = [Fraction(1), Fraction(2)]
     z = _sample_z(rng, 2)

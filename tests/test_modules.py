@@ -280,3 +280,17 @@ def test_polynomial_embedding_is_invariant():
     pm = polynomial_module(GL21, Partition([2]))
     assert pm.total_dim == sum(_oracle_dims(Partition([2]), 2, 1).values())
     assert pm.level == 0
+
+
+def test_modules_reject_attribute_assignment():
+    pm = polynomial_module(GL21, Partition([2, 1]))
+    with pytest.raises(AttributeError, match="immutable"):
+        pm.level = Fraction(3)
+    with pytest.raises(AttributeError, match="immutable"):
+        pm.highest_weight = eps(1)
+    assert pm.level == 0
+    # the memo hands out the same, unchanged object
+    assert polynomial_module(GL21, Partition([2, 1])) is pm
+    irr = irreducible_truncated(GL11, eps(1) + eps("1/2"), 2)
+    with pytest.raises(AttributeError, match="immutable"):
+        irr.depth = 5

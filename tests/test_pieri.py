@@ -1,0 +1,183 @@
+"""Pieri-recursive polynomial modules and the prefix-shared Gram form.
+
+Polynomial modules are built as the cyclic submodule of V_{lam^-} (x) V
+generated at the hook weight of lam.  The properties below check the
+result against the tableau oracle and the superalgebra relations, check
+the Pieri rule behind the construction (every singular space of
+V_{lam^-} (x) V is 1-dimensional and sits at the hook weight of a shape
+lam^- + one box), and check ``gram_matrix`` against the letter-by-letter
+reference it replaced.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from supergaudin import modules
+from supergaudin.algebra import AlgebraElement, star_omega
+from supergaudin.indices import IndexSet
+from supergaudin.modules import (
+    NaturalModule,
+    gram_matrix,
+    polynomial_highest_weight,
+    polynomial_module,
+    singular_space,
+    tensor_product,
+    verma_truncated,
+)
+from supergaudin.partitions import Partition, all_partitions
+from supergaudin.verify import _oracle_dims
+from supergaudin.weights import Weight
+
+from test_modules import relations_hold
+
+# (index set, m, n) with the oracle's hook parameters; classical gl(3)
+# carries lam' on its three half-odd indices, the (0|3)-hook case
+POLY_FLAVORS = {
+    "gl(1|1)": (IndexSet.gl(0, 1, 0, 1), 1, 1),
+    "gl(2|1)": (IndexSet.gl(0, 2, 0, 1), 2, 1),
+    "gl(1|2)": (IndexSet.gl(0, 1, 0, 2), 1, 2),
+    "gl(3)": (IndexSet.classical(0, 3), 0, 3),
+}
+VERMA_FLAVORS = {
+    "gl(2|1)": IndexSet.gl(0, 2, 0, 1),
+    "gl(2|2)": IndexSet.gl(0, 2, 0, 2),
+    "gl(3)": IndexSet.classical(0, 3),
+    "gl(1|1) with p = q = 1": IndexSet.gl(1, 1, 1, 1),
+}
+
+
+def dims_of(module):
+    return {w: module.dim(w) for w in module.weights()}
+
+
+def minus_box(lam):
+    parts = list(lam.parts)
+    parts[-1] -= 1
+    return Partition(parts)
+
+
+def plus_boxes(lam):
+    """Every partition obtained from lam by adding one box."""
+    parts = list(lam.parts)
+    out = []
+    for i in range(len(parts) + 1):
+        grown = parts + [0]
+        grown[i] += 1
+        if i == 0 or grown[i] <= grown[i - 1]:
+            out.append(Partition(grown))
+    return out
+
+
+@st.composite
+def hook_shapes(draw, max_size=4):
+    name = draw(st.sampled_from(sorted(POLY_FLAVORS)))
+    iset, m, n = POLY_FLAVORS[name]
+    shapes = [lam for lam in all_partitions(max_size, 1) if lam.hook_ok(m, n)]
+    return iset, m, n, draw(st.sampled_from(shapes))
+
+
+@settings(max_examples=25, deadline=None)
+@given(hook_shapes())
+def test_pieri_module_matches_oracle_and_relations(case):
+    iset, m, n, lam = case
+    module = polynomial_module(iset, lam)
+    assert dims_of(module) == _oracle_dims(lam, m, n)
+    assert module.highest_weight == polynomial_highest_weight(iset, lam)
+    assert module.shape == lam
+    assert relations_hold(module)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hook_shapes())
+def test_singular_spaces_of_parent_times_natural_follow_pieri(case):
+    iset, m, n, lam = case
+    if lam.size == 1:
+        parent_factors = [NaturalModule(iset)]
+        parent_shape = Partition()
+    else:
+        parent_shape = minus_box(lam)
+        parent_factors = [polynomial_module(iset, parent_shape), NaturalModule(iset)]
+    tensor = tensor_product(parent_factors)
+    hw = polynomial_highest_weight(iset, lam)
+    assert singular_space(tensor, hw).dim == 1
+    found = {}
+    for w in tensor.weights():
+        d = singular_space(tensor, w).dim
+        if d:
+            found[w] = d
+    expected = {
+        polynomial_highest_weight(iset, nu): 1
+        for nu in plus_boxes(parent_shape)
+        if nu.hook_ok(m, n)
+    }
+    if lam.size == 1:
+        # the natural module alone: one singular vector, at e(first index)
+        expected = {hw: 1}
+    assert found == expected
+
+
+def reference_gram(verma, w):
+    """Letter-by-letter contravariant form, one letter of omega(M) at a time."""
+    builder = verma._builder
+    monos = verma.labels[w]
+    gram = [[Fraction(0)] * len(monos) for _ in range(len(monos))]
+    for j, right in enumerate(monos):
+        for i, left in enumerate(monos):
+            cur = {right: Fraction(1)}
+            for g in left:
+                omega_elem = star_omega(AlgebraElement({builder.gens[g]: 1})).terms
+                nxt = {}
+                for mono, coeff in cur.items():
+                    for mm, v in builder._elem_act(omega_elem, mono).items():
+                        nxt[mm] = nxt.get(mm, 0) + coeff * v
+                cur = {k: v for k, v in nxt.items() if v}
+            gram[i][j] = Fraction(cur.get((), 0))
+    return gram
+
+
+@st.composite
+def verma_weight_spaces(draw, iset):
+    coeffs = {h.doubled: draw(st.integers(-3, 3)) for h in iset}
+    xi = Weight(coeffs, draw(st.integers(-2, 2)))
+    depth = draw(st.integers(3, 4))
+    verma = verma_truncated(iset, xi, depth)
+    # one of the three largest complete weight spaces: small ones share
+    # no prefixes and would not exercise the memo
+    spaces = sorted(verma.complete, key=lambda w: (-verma.dim(w), w.sort_key()))
+    return verma, draw(st.sampled_from(spaces[:3]))
+
+
+@pytest.mark.parametrize("flavor", sorted(VERMA_FLAVORS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_gram_matrix_equals_letter_by_letter_reference(flavor, data):
+    verma, w = data.draw(verma_weight_spaces(VERMA_FLAVORS[flavor]))
+    assert gram_matrix(verma, w) == reference_gram(verma, w)
+
+
+def test_size_six_hooks_over_gl22_build_from_small_ambients(monkeypatch):
+    """Every |lam| = 6 hook shape over gl(2|2), from an empty memo.
+
+    The tensor-power realization would need an ambient space of dimension
+    4^6 = 4096; the Pieri recursion only ever tensors a parent with the
+    natural module.
+    """
+    iset = IndexSet.gl(0, 2, 0, 2)
+    ambients = []
+
+    class RecordingTensor(modules.TensorModule):
+        def __init__(self, factors):
+            super().__init__(factors)
+            ambients.append((len(factors), self.total_dim))
+
+    monkeypatch.setattr(modules, "_POLY_CACHE", {})
+    monkeypatch.setattr(modules, "TensorModule", RecordingTensor)
+    shapes = [lam for lam in all_partitions(6, 6) if lam.hook_ok(2, 2)]
+    assert len(shapes) == 11
+    for lam in shapes:
+        assert dims_of(polynomial_module(iset, lam)) == _oracle_dims(lam, 2, 2), lam
+    assert all(nfactors <= 2 for nfactors, _ in ambients)
+    assert max(dim for _, dim in ambients) < 4 ** 5

@@ -1,5 +1,6 @@
 """JSON round trips, schema validation and the atomic disk cache."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -7,9 +8,18 @@ import warnings
 
 import pytest
 
+from click.testing import CliRunner
+
 from supergaudin.cache import DiskCache, content_key
+from supergaudin.cli import main
+from supergaudin.duality import truncation_check
 from supergaudin.indices import IndexSet
-from supergaudin.modules import polynomial_module, NaturalModule, tensor_product
+from supergaudin.modules import (
+    NaturalModule,
+    irreducible_truncated,
+    polynomial_module,
+    tensor_product,
+)
 from supergaudin.partitions import Partition
 from supergaudin.serialize import (
     dumps,
@@ -104,3 +114,47 @@ def test_cache_concurrent_writers_one_winner(tmp_path):
 def test_content_key_stable():
     assert content_key({"a": 1, "b": 2}) == content_key({"b": 2, "a": 1})
     assert content_key({"a": 1}) != content_key({"a": 2})
+
+
+def test_module_json_round_trips_realization_data():
+    big = polynomial_module(IndexSet.classical(0, 3), Partition([2, 1]))
+    back = module_from_json(module_to_json(big))
+    assert back.highest_weight == big.highest_weight
+    assert back.shape == big.shape and back.depth is None
+    # a cached polynomial module feeds truncation_check like a built one
+    small = IndexSet.classical(0, 2)
+    assert truncation_check(back, small)["equal"]
+    assert truncation_check(back, small) == truncation_check(big, small)
+    irr = irreducible_truncated(IndexSet.gl(0, 1, 0, 1), eps(1) + eps("1/2"), 2)
+    back_irr = module_from_json(module_to_json(irr))
+    assert back_irr.highest_weight == irr.highest_weight
+    assert back_irr.depth == 2 and back_irr.shape is None
+    doc = module_to_json(NaturalModule(IndexSet.gl(0, 1, 0, 1)))
+    assert not {"highest_weight", "shape", "depth"} & set(doc)
+
+
+def test_entry_under_pre_version_key_is_not_served(tmp_path):
+    """Keys hash the descriptor together with the package version and the
+    realization format; the bare-descriptor key of older code is a miss."""
+    descriptor = {
+        "op": "module",
+        "index_set": {"flavor": "super", **IndexSet.gl(0, 1, 0, 1).params()},
+        "kind": "polynomial",
+        "lam": "2,1",
+        "depth": None,
+    }
+    blob = json.dumps(descriptor, sort_keys=True, separators=(",", ":")).encode()
+    old_key = hashlib.sha256(blob).hexdigest()
+    assert content_key(descriptor) != old_key
+    stale = {"stale": True}
+    cache = DiskCache(str(tmp_path))
+    cache.store(old_key, stale)
+    args = ["--json", "--cache-dir", str(tmp_path), "module", "build"]
+    args += ["--m", "1", "--n", "1", "--lam", "2,1"]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc != stale and doc["shape"] == [2, 1]
+    # the fresh entry went under the stamped key; the stale one is untouched
+    assert cache.lookup(content_key(descriptor)) == doc
+    assert cache.lookup(old_key) == stale
