@@ -129,16 +129,14 @@ def with_flavor(fn):
 @click.option("--json", "compact", is_flag=True, help="compact single-line JSON output")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--tol", type=float, default=1e-8, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--cache-dir", default=None, help="cache root (or SUPERGAUDIN_CACHE)")
 @click.pass_context
-def main(ctx, compact, seed, tol, threads, cache_dir):
+def main(ctx, compact, seed, tol, cache_dir):
     """Exact Gaudin Hamiltonians, super duality and KZ equations."""
     ctx.obj = {
         "compact": compact,
         "seed": seed,
         "tol": tol,
-        "threads": threads,
         "cache": DiskCache(cache_dir) if cache_dir else DiskCache(),
     }
 
@@ -536,14 +534,16 @@ def kz_flatness(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, mu, weight, 
     from .kz import flatness_residual
 
     tens, target, system = _kz_system(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, mu, weight, kappa, convention, levels)
-    if float_step is None:
-        zs = _parse_fracs(z, "--z")
-        resid = flatness_residual(system, zs)
-        doc = {"mode": "exact", "residual": frac_str(resid), "zero": resid == 0}
-    else:
-        zs = [complex(float(x), 0.0) for x in _parse_fracs(z, "--z")]
-        resid = flatness_residual(system, zs, h=float_step)
-        doc = {"mode": "float", "residual": resid, "zero": resid <= ctx.obj["tol"]}
+    zs = _parse_fracs(z, "--z")
+    try:
+        if float_step is None:
+            resid = flatness_residual(system, zs)
+            doc = {"mode": "exact", "residual": frac_str(resid), "zero": resid == 0}
+        else:
+            resid = flatness_residual(system, [complex(float(x), 0.0) for x in zs], h=float_step)
+            doc = {"mode": "float", "residual": resid, "zero": resid <= ctx.obj["tol"]}
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     _emit(ctx, doc)
     if not doc["zero"]:
         sys.exit(1)
@@ -579,9 +579,8 @@ def kz_monodromy(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, mu, weight,
 @click.option("--ell", type=int, default=3, show_default=True)
 @click.option("--seed", type=int, default=None, help="overrides the global seed")
 @click.option("--tol", type=float, default=None, help="overrides the global tolerance")
-@click.option("--threads", type=int, default=None, help="overrides the global thread count")
 @click.pass_context
-def verify(ctx, what, checks, m, n, ell, seed, tol, threads):
+def verify(ctx, what, checks, m, n, ell, seed, tol):
     """Run the invariant suite; exit 1 on any failure."""
     from .verify import CHECKS_BY_NAME, run_checks
 
@@ -594,7 +593,6 @@ def verify(ctx, what, checks, m, n, ell, seed, tol, threads):
     report = run_checks(
         names,
         seed=seed if seed is not None else ctx.obj["seed"],
-        threads=threads if threads is not None else ctx.obj["threads"],
         m=m,
         n=n,
         ell=ell,

@@ -4,6 +4,21 @@ The connection matrices come from the exact two-site Casimir blocks, so
 building a system is exact; integration is floating point with controlled
 local error.  Paths are piecewise linear in the configuration space and
 must keep a fixed clearance from every diagonal z_i = z_j.
+
+The connection form is one contraction over the unordered pairs,
+
+    sum_i dz_i H^i(z) / kappa = sum_{i<j} (dz_i - dz_j) / (kappa (z_i - z_j)) Omega^{(ij)},
+
+over a single real stack of the blocks Omega^{(ij)}, i < j.  Along a
+straight segment only the pairs with dz_i != dz_j contribute, and their
+coefficients are fixed up to the affine denominator, so a right-hand side
+is one contraction of the coefficients with the stack plus one matmul.
+One segment driver steps ``scipy.integrate.DOP853`` and carries a complex
+(d, k) state, so a single vector (``integrate_path``) and a whole basis
+(``monodromy``, one joint integration instead of one per column) share it.
+A solver's ``fun`` closures refer back to the solver; the driver breaks
+that cycle after each segment, so the solver and its stage arrays are
+freed at once instead of at the next full garbage collection.
 """
 
 import cmath
@@ -11,7 +26,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 
 from .algebra import BasisElement
 from .gaudin import casimir, pair_matrix, quadratic_family
@@ -44,16 +59,20 @@ class KZSystem:
         cas = casimir(tensor.index_set, central=(convention == "central"))
         d = self.dim
         zero = [[Fraction(0)] * d for _ in range(d)]
-        # Omega^{(ij)} = Omega^{(ji)}: one block per unordered pair, both keys
+        # Omega^{(ij)} = Omega^{(ji)}: one exact block per unordered pair under
+        # both keys, and one float stack indexed like the 0-based sites below
         self._pairs = {}
-        self._pairs_float = {}
+        sites = []
+        blocks = []
         for i in range(1, self.ell + 1):
             for j in range(i + 1, self.ell + 1):
                 block = pair_matrix(tensor, cas, i, j, mu, levels=self.levels)
                 block = block if block is not None else zero
-                fblock = np.array([[float(x) for x in row] for row in block], dtype=complex)
                 self._pairs[(i, j)] = self._pairs[(j, i)] = block
-                self._pairs_float[(i, j)] = self._pairs_float[(j, i)] = fblock
+                sites.append((i - 1, j - 1))
+                blocks.append([[float(x) for x in row] for row in block])
+        self._sites = np.array(sites, dtype=int).reshape(len(sites), 2).T
+        self._omega = np.array(blocks, dtype=float).reshape(len(sites), d, d)
         self._raising_float = []
         for a, b in tensor.index_set.simple_pairs():
             res = tensor.act(BasisElement(a, b), mu)
@@ -70,13 +89,45 @@ class KZSystem:
         """Exact H^i at rational points."""
         return self.family(z).matrix(i, self.mu)
 
+    def _live_pairs(self, z, dz):
+        """Blocks of the pairs with dz_i != dz_j, with (dz_i - dz_j)/kappa,
+        z_i - z_j and dz_i - dz_j for each."""
+        a, b = self._sites
+        z = np.asarray(z, dtype=complex)
+        dz = np.asarray(dz, dtype=complex)
+        slope = dz[a] - dz[b]
+        live = slope != 0
+        slope = slope[live]
+        return self._omega[live], slope / complex(self.kappa), (z[a] - z[b])[live], slope
+
     def hamiltonian_float(self, i, z):
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for j in range(1, self.ell + 1):
-            if j == i:
-                continue
-            total += self._pairs_float[(i, j)] / (z[i - 1] - z[j - 1])
-        return total
+        """Float H^i at complex points: the connection form at dz = kappa e_i."""
+        dz = np.zeros(self.ell, dtype=complex)
+        dz[i - 1] = self.kappa
+        omega, num, diff, _ = self._live_pairs(z, dz)
+        return np.tensordot(num / diff, omega, 1)
+
+    def _segment_rhs(self, p, q):
+        """Right-hand side of kappa dPsi/dt = sum_i (q_i - p_i) H^i(z(t)) Psi
+        along z(t) = p + t (q - p), for a state [Re Psi; Im Psi] flattened
+        from a complex (d, k) matrix Psi."""
+        p = np.asarray(p, dtype=complex)
+        omega, num, base, slope = self._live_pairs(p, np.asarray(q, dtype=complex) - p)
+        d = self.dim
+        flat = omega.reshape(len(num), d * d)
+        # the connection A = Ar + i Ai acts on [Re Psi; Im Psi] as the real
+        # block matrix [[Ar, -Ai], [Ai, Ar]], refilled in place on each call
+        field = np.empty((2 * d, 2 * d))
+
+        def rhs(t, y):
+            coef = num / (base + t * slope)
+            re, im = (np.stack((coef.real, coef.imag)) @ flat).reshape(2, d, d)
+            field[:d, :d] = field[d:, d:] = re
+            field[d:, :d] = im
+            np.negative(im, out=field[:d, d:])
+            return (field @ y.reshape(2 * d, -1)).ravel()
+
+        return rhs
 
     def raising_ratio(self, psi):
         """Max ratio of raising-operator image norms to the vector norm."""
@@ -134,10 +185,16 @@ def _segment_clearance(p, q):
     return worst
 
 
-def check_path(path):
+def check_path(path, ell=None):
+    """Waypoints as complex tuples of one length (ell when given), each
+    segment keeping DIAGONAL_CLEARANCE from every diagonal."""
     path = [tuple(complex(z) for z in wp) for wp in path]
     if len(path) < 1:
         raise ValueError("empty path")
+    ell = len(path[0]) if ell is None else ell
+    for k, wp in enumerate(path):
+        if len(wp) != ell:
+            raise ValueError("waypoint %d has %d coordinates, need %d" % (k, len(wp), ell))
     for p, q in zip(path, path[1:]):
         if _segment_clearance(p, q) < DIAGONAL_CLEARANCE:
             raise ValueError(
@@ -150,64 +207,65 @@ def check_path(path):
     return path
 
 
+def _transport(system, path, psi, rel_tol):
+    """Carry the complex (d, k) matrix psi along a checked path.
+
+    Yields (t, z, psi) at the start and after every accepted DOP853 step;
+    t runs from 0 to the number of segments.  Each segment is one solver
+    run on [Re psi; Im psi], with the absolute tolerance set from the
+    largest column norm at the segment start.
+    """
+    n = psi.size
+    yield 0.0, path[0], psi
+    for seg, (p, q) in enumerate(zip(path, path[1:])):
+        if p == q:
+            continue
+        scale = max(1.0, max(float(np.linalg.norm(col)) for col in psi.T))
+        solver = DOP853(
+            system._segment_rhs(p, q),
+            0.0,
+            np.concatenate([psi.real.ravel(), psi.imag.ravel()]),
+            1.0,
+            rtol=rel_tol,
+            atol=rel_tol * scale * 1e-2,
+        )
+        try:
+            while solver.status == "running":
+                message = solver.step()
+                if solver.status == "failed":
+                    raise RuntimeError("integration failed on segment %d: %s" % (seg, message))
+                tl = solver.t
+                psi = (solver.y[:n] + 1j * solver.y[n:]).reshape(psi.shape)
+                yield seg + tl, tuple(pc + (qc - pc) * tl for pc, qc in zip(p, q)), psi
+        finally:
+            # OdeSolver.fun and .fun_vectorized close over the solver; without
+            # this the solver and its stage arrays wait for a full collection
+            del solver.fun, solver.fun_vectorized
+
+
 def integrate_path(system, path, psi0, rel_tol=1e-10):
     """Transport psi0 along the path with an adaptive embedded RK scheme.
 
-    Returns a PathSolution with samples at the accepted solver steps; the
-    parameter runs from 0 to the number of segments.
+    Returns a PathSolution with samples at the accepted steps of the
+    segment driver (the start included); the parameter runs from 0 to the
+    number of segments.  Every waypoint must have system.ell coordinates.
     """
-    path = check_path(path)
+    path = check_path(path, system.ell)
     psi = np.array([complex(c) for c in psi0], dtype=complex)
     if len(psi) != system.dim:
         raise ValueError("psi0 has the wrong dimension")
-    kappa = complex(system.kappa)
     samples = []
-
-    def record(tglobal, z, vec):
+    for t, z, vec in _transport(system, path, psi[:, None], rel_tol):
+        vec = vec[:, 0].copy()
         samples.append(
             {
-                "t": tglobal,
-                "z": tuple(z),
-                "psi": vec.copy(),
+                "t": t,
+                "z": z,
+                "psi": vec,
                 "norm": float(np.linalg.norm(vec)),
                 "raising_ratio": system.raising_ratio(vec),
             }
         )
-
-    record(0.0, path[0], psi)
-    n = system.dim
-    for seg, (p, q) in enumerate(zip(path, path[1:])):
-        delta = [qc - pc for pc, qc in zip(p, q)]
-        if all(abs(dv) == 0.0 for dv in delta):
-            continue
-
-        def rhs(t, y):
-            z = [pc + dv * t for pc, dv in zip(p, delta)]
-            vec = y[:n] + 1j * y[n:]
-            acc = np.zeros(n, dtype=complex)
-            for i in range(1, system.ell + 1):
-                if delta[i - 1] == 0:
-                    continue
-                acc += (delta[i - 1] / kappa) * (system.hamiltonian_float(i, z) @ vec)
-            return np.concatenate([acc.real, acc.imag])
-
-        y0 = np.concatenate([psi.real, psi.imag])
-        sol = solve_ivp(
-            rhs,
-            (0.0, 1.0),
-            y0,
-            method="DOP853",
-            rtol=rel_tol,
-            atol=rel_tol * max(1.0, float(np.linalg.norm(psi))) * 1e-2,
-            dense_output=False,
-        )
-        if not sol.success:
-            raise RuntimeError("integration failed on segment %d: %s" % (seg, sol.message))
-        for tl, col in zip(sol.t[1:], sol.y.T[1:]):
-            vec = col[:n] + 1j * col[n:]
-            z = tuple(pc + dv * tl for pc, dv in zip(p, delta))
-            record(seg + tl, z, vec)
-        psi = sol.y.T[-1][:n] + 1j * sol.y.T[-1][n:]
     return PathSolution(system, path, samples)
 
 
@@ -221,13 +279,18 @@ def flatness_residual(system, point, h=None):
 
     With rational points and no step the derivatives are computed from the
     closed form of the z-dependence, so the result is an exact Fraction.
-    Passing a step h switches to the floating finite-difference cross-check.
+    Passing a step h switches to the floating finite-difference cross-check;
+    h must then be finite and nonzero.
     """
     ell = system.ell
+    if len(point) != ell:
+        raise ValueError("need %d points, got %d" % (ell, len(point)))
+    if h is not None and not (cmath.isfinite(h) and h != 0):
+        raise ValueError("the finite-difference step must be finite and nonzero, got %r" % (h,))
+    z = [Fraction(x) if h is None else complex(x) for x in point]
+    if len(set(z)) != ell:
+        raise ValueError("point lies on a diagonal")
     if h is None:
-        z = [Fraction(x) for x in point]
-        if len(set(z)) != len(z):
-            raise ValueError("point lies on a diagonal")
         kappa = Fraction(system.kappa)
         hs = system.family(z).matrices(system.mu)
         worst = Fraction(0)
@@ -243,7 +306,6 @@ def flatness_residual(system, point, h=None):
                 resid = mat_sub(mat_sub(di_hj, dj_hi), mat_scale(commutator(hi, hj), 1 / kappa))
                 worst = max(worst, max_abs(resid))
         return worst
-    z = [complex(x) for x in point]
     kappa = complex(system.kappa)
     worst = 0.0
     for i in range(1, ell + 1):
@@ -352,17 +414,16 @@ def gauge_transform(solution, direction, p, q, levels=None, flavor="super"):
 
 
 def monodromy(system, loop, rel_tol=1e-10):
-    """Transport matrix of a closed loop: columns are transported basis vectors."""
-    loop = check_path(loop)
+    """Transport matrix of a closed loop: columns are transported basis vectors.
+
+    The d x d identity is carried around the loop as one state, so the
+    whole basis shares every solver step.
+    """
+    loop = check_path(loop, system.ell)
     scale = max(1.0, max(abs(z) for wp in loop for z in wp))
     if any(abs(a - b) > 1e-9 * scale for a, b in zip(loop[0], loop[-1])):
         raise ValueError("loop must be closed")
     loop = loop[:-1] + [loop[0]]
-    n = system.dim
-    cols = []
-    for k in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[k] = 1.0
-        sol = integrate_path(system, loop, e, rel_tol=rel_tol)
-        cols.append(sol.final_psi)
-    return np.array(cols).T
+    for _, _, mat in _transport(system, loop, np.eye(system.dim, dtype=complex), rel_tol):
+        pass
+    return mat

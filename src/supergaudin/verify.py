@@ -1,12 +1,10 @@
 """Named verification checks driven by the CLI.
 
 Every check is deterministic given the seed and returns a JSON-ready dict
-with a boolean "passed".  ``run_checks`` executes a selection (possibly on
-a thread pool; every check touches only its own immutable data).
+with a boolean "passed".  ``run_checks`` executes a selection in order.
 """
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .algebra import (
@@ -381,13 +379,8 @@ def check_kz(seed, tol=1e-8, **_):
     ok = ok and terr <= 10 * tol
     # fundamental solution rank equals the weight space dimension
     system = KZSystem(t2, mu, kappa=1)
-    loop = [(0, 1), (0.4j, 2), (0, 1)]
-    cols = []
-    for kvec in range(system.dim):
-        e = [0.0] * system.dim
-        e[kvec] = 1.0
-        cols.append(integrate_path(system, loop, e, rel_tol=1e-10).final_psi)
-    rank = int(_np.linalg.matrix_rank(_np.array(cols).T, tol=1e-8))
+    fundamental = monodromy(system, [(0, 1), (0.4j, 2), (0, 1)], rel_tol=1e-10)
+    rank = int(_np.linalg.matrix_rank(fundamental, tol=1e-8))
     details["solution_rank"] = rank
     ok = ok and rank == system.dim
     mono = monodromy(system, [(0, 1), (0.5j, 2), (0, 1)], rel_tol=1e-10)
@@ -471,14 +464,10 @@ ALL_CHECKS = [
 CHECKS_BY_NAME = {fn.__name__.replace("check_", ""): fn for fn in ALL_CHECKS}
 
 
-def run_checks(names=None, seed=0, threads=1, **params):
+def run_checks(names=None, seed=0, **params):
     """Run the named checks (all by default); returns the aggregate report."""
     selected = ALL_CHECKS if not names else [CHECKS_BY_NAME[n] for n in names]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda fn: fn(seed=seed, **params), selected))
-    else:
-        results = [fn(seed=seed, **params) for fn in selected]
+    results = [fn(seed=seed, **params) for fn in selected]
     passed = sum(1 for r in results if r["passed"])
     return {
         "seed": seed,

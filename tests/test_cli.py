@@ -130,6 +130,26 @@ def test_exit_code_two_on_bad_input():
     assert res.exit_code == 2
 
 
+def test_kz_bad_input_exits_two_with_a_message():
+    system = ["--ell", "2", "--factor-kind", "natural", "--mu", "1,1"]
+    short = json.dumps([[[0, 0]], [[1, 0]], [[0, 0]]])
+    long = json.dumps([[[0, 0], [1, 0], [5, 0]], [[0, 0.4], [2, 0], [5, 0]], [[0, 0], [1, 0], [5, 0]]])
+    for loop in (short, long):
+        for cmd in (["monodromy", "--loop", loop], ["solve", "--path", loop]):
+            res = run("--json", "kz", *cmd, *system)
+            assert res.exit_code == 2, (cmd, res.output)
+            assert "coordinates" in res.output
+    cases = [
+        (["--z", "0,1", "--float-step", "0"], "step"),
+        (["--z", "0,1,2"], "points"),
+        (["--z", "0", "--float-step", "1e-5"], "points"),
+    ]
+    for extra, message in cases:
+        res = run("--json", "kz", "flatness", *system, *extra)
+        assert res.exit_code == 2, (extra, res.output)
+        assert message in res.output
+
+
 def test_determinism_of_verify_all():
     args = ["--json", "verify", "all", "--checks", "structure,io", "--seed", "11"]
     out1 = run(*args).output

@@ -1,12 +1,14 @@
 """KZ systems: flatness, integration, gauge factors, monodromy."""
 
 import cmath
+import gc
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolver
 
 from supergaudin.gaudin import joint_diagonalize, quadratic_family, restrict_to_basis
 from supergaudin.indices import IndexSet
@@ -19,7 +21,14 @@ from supergaudin.kz import (
     monodromy,
     singular_preservation,
 )
-from supergaudin.modules import NaturalModule, singular_space, tensor_product, truncate_module
+from supergaudin.modules import (
+    NaturalModule,
+    polynomial_highest_weight,
+    singular_space,
+    tensor_product,
+    truncate_module,
+)
+from supergaudin.partitions import Partition
 from supergaudin.weights import Weight, eps
 
 GL11 = IndexSet.gl(0, 1, 0, 1)
@@ -233,3 +242,91 @@ def test_log_derivative_matches_joint_eigenvalue():
         measured = logd[lead] / psi0[lead]
         expected = jd.eigenvalues[0][col] / kappa
         assert abs(measured - expected) < 1e-4
+
+
+GL21 = IndexSet.gl(0, 2, 0, 1)
+
+
+def three_site_system(convention="plain"):
+    """gl(2|1)^3 on the (2,1) weight space at kappa = 3."""
+    tensor = tensor_product([NaturalModule(GL21)] * 3)
+    mu = polynomial_highest_weight(GL21, Partition([2, 1]))
+    return KZSystem(tensor, mu, kappa=3, convention=convention)
+
+
+def circling_loop(base, i, corners=12):
+    """Sites i and i+1 circle their midpoint once; the others stay put."""
+    centre = (base[i] + base[i + 1]) / 2
+    radius = (base[i + 1] - base[i]) / 2
+    loop = []
+    for k in range(corners + 1):
+        turn = cmath.exp(2j * math.pi * k / corners)
+        z = list(base)
+        z[i], z[i + 1] = centre - radius * turn, centre + radius * turn
+        loop.append(tuple(z))
+    return loop
+
+
+def test_monodromy_equals_column_by_column_transport():
+    loop = circling_loop([0.0, 1.1, 2.3], 0)
+    for convention in ("plain", "central"):
+        system = three_site_system(convention)
+        assert system.dim > 1
+        M = monodromy(system, loop)
+        for k in range(system.dim):
+            e = [0.0] * system.dim
+            e[k] = 1.0
+            col = integrate_path(system, loop, e).final_psi
+            assert float(np.max(np.abs(M[:, k] - col))) < 1e-9, (convention, k)
+
+
+def test_hamiltonian_float_matches_exact():
+    z = [Fraction(0), Fraction(3, 2), Fraction(-2, 7)]
+    for convention in ("plain", "central"):
+        system = three_site_system(convention)
+        for i in (1, 2, 3):
+            exact = np.array([[float(x) for x in row] for row in system.hamiltonian_exact(i, z)])
+            approx = system.hamiltonian_float(i, [float(x) for x in z])
+            assert float(np.max(np.abs(approx - exact))) < 1e-12, (convention, i)
+
+
+def test_transport_leaves_no_cyclic_solver():
+    system = three_site_system()
+    loop = circling_loop([0.0, 1.1, 2.3], 1)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        monodromy(system, loop)
+        integrate_path(system, loop, [1.0] * system.dim)
+        gc.collect()
+        solvers = [obj for obj in gc.garbage if isinstance(obj, OdeSolver)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert solvers == []
+
+
+def test_waypoints_must_have_one_coordinate_per_site():
+    t2, system = two_site_system()
+    for bad in ([(0,), (1,), (0,)], [(0, 1, 5), (0.4j, 2, 5), (0, 1, 5)]):
+        with pytest.raises(ValueError, match="coordinates"):
+            monodromy(system, bad)
+        with pytest.raises(ValueError, match="coordinates"):
+            integrate_path(system, bad, [1.0, 0.0])
+    with pytest.raises(ValueError, match="coordinates"):
+        check_path([(0, 1), (0, 2, 3)])
+
+
+def test_flatness_rejects_bad_step_and_point_count():
+    tensor = tensor_product([NaturalModule(GL11)] * 3)
+    system = KZSystem(tensor, MU + eps("1/2"))
+    for h in (0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="step"):
+            flatness_residual(system, [0.0, 1.1, 2.7], h=h)
+    for h in (None, 1e-5):
+        with pytest.raises(ValueError, match="points"):
+            flatness_residual(system, [0, 1], h=h)
