@@ -83,7 +83,7 @@ def _target_weight(iset, mu, weight_json):
     if weight_json:
         try:
             return Weight.from_json(json.loads(weight_json))
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             raise click.UsageError("bad --weight: %s" % (exc,))
     if mu is None:
         raise click.UsageError("need --mu or --weight")
@@ -194,14 +194,11 @@ def module_build(ctx, flavor, q, m, p, n, k, lam, kind, depth, no_cache):
 
 def _tensor_from_options(flavor, q, m, p, n, k, lams, kind, depth, ell):
     iset = _index_set(flavor, q, m, p, n, k)
-    if lams:
-        shapes = [_parse_partition(t, "--lam") for t in lams]
-        mods = _factors(iset, shapes, kind, depth)
-    elif ell:
-        mods = [NaturalModule(iset)] * ell
-    else:
+    if not lams and not ell:
         raise click.UsageError("need --lam factors or --ell for natural powers")
+    shapes = [_parse_partition(t, "--lam") for t in lams]
     try:
+        mods = _factors(iset, shapes, kind, depth) if shapes else [NaturalModule(iset)] * ell
         return iset, tensor_product(mods)
     except ValueError as exc:
         raise click.UsageError(str(exc))

@@ -301,16 +301,13 @@ class QuadraticFamily(HamiltonianFamily):
 
 def restrict_to_basis(mat, basis):
     """Express an operator on the span of basis columns; error if not invariant."""
-    solver = ColumnSolver(basis, nrows=len(mat))
-    out = [[Fraction(0)] * len(basis) for _ in range(len(basis))]
-    for jcol, vec in enumerate(basis):
+    images = []
+    for vec in basis:
         support = [(k, x) for k, x in enumerate(vec) if x]
-        img = [sum(row[k] * x for k, x in support) for row in mat]
-        coords = solver.solve(img)
-        if coords is None:
-            raise ValueError("subspace is not invariant under the operator")
-        for r, c in enumerate(coords):
-            out[r][jcol] = c
+        images.append([sum(row[k] * x for k, x in support) for row in mat])
+    out = ColumnSolver(basis, nrows=len(mat)).block(images)
+    if out is None:
+        raise ValueError("subspace is not invariant under the operator")
     return out
 
 
@@ -321,6 +318,8 @@ def quadratic_family(tensor, z, convention="plain", levels=None):
     if levels is None:
         levels = [f.level for f in tensor.factors]
     levels = [Fraction(x) for x in levels]
+    if len(levels) != len(tensor.factors):
+        raise ValueError("need one level per tensor factor")
     return QuadraticFamily(tensor, z, convention, levels)
 
 

@@ -51,8 +51,12 @@ class KZSystem:
         self.mu = mu
         self.kappa = kappa
         self.convention = convention
-        self.levels = [Fraction(x) for x in (levels or [f.level for f in tensor.factors])]
+        if levels is None:
+            levels = [f.level for f in tensor.factors]
+        self.levels = [Fraction(x) for x in levels]
         self.ell = len(tensor.factors)
+        if len(self.levels) != self.ell:
+            raise ValueError("need one level per tensor factor")
         self.dim = tensor.dim(mu)
         if not self.dim:
             raise ValueError("mu is not a weight of the tensor product")

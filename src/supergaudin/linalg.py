@@ -1,7 +1,13 @@
 """Exact rational matrix helpers built on the integer kernels.
 
 Matrices are lists of rows with int or Fraction entries.  Everything here
-is exact; floating point never enters this module.
+is exact; floating point never enters this module.  ``charpoly`` and
+``mat_mul`` are the kernels' own functions, re-exported; ``rref``,
+``rank`` and ``nullspace`` clear denominators and hand integer rows to
+``kernels``; the ``poly_*`` helpers work on ascending coefficient lists.
+``ColumnSolver`` is
+the one place that turns vectors into coordinates against a column basis,
+and ``SpanBuilder`` grows a canonical row span one vector at a time.
 """
 
 from fractions import Fraction
@@ -24,7 +30,6 @@ __all__ = [
     "is_zero_matrix",
     "max_abs",
     "commutator",
-    "solve_columns",
     "poly_derivative",
     "poly_divmod",
     "poly_gcd",
@@ -32,6 +37,7 @@ __all__ = [
     "poly_eval_matrix",
     "poly_shift",
     "squarefree_certificate",
+    "ColumnSolver",
     "SpanBuilder",
 ]
 
@@ -117,25 +123,6 @@ def commutator(A, B):
     return mat_sub(mat_mul(A, B), mat_mul(B, A))
 
 
-def solve_columns(columns, target):
-    """Solve ``sum_j x_j columns[j] = target`` exactly.
-
-    Returns the coefficient list (Fractions) or None if the target is not
-    in the span.  If the columns are dependent the answer picks the RREF
-    representative (deterministic).
-    """
-    n = len(target)
-    m = len(columns)
-    aug = [[columns[j][i] for j in range(m)] + [target[i]] for i in range(n)]
-    red, pivots = rref(aug)
-    if m in pivots:
-        return None
-    coords = [Fraction(0)] * m
-    for r, col in enumerate(pivots):
-        coords[col] = Fraction(red[r][m], red[r][col])
-    return coords
-
-
 class ColumnSolver:
     """Repeated exact solves of B x = v against a fixed column basis.
 
@@ -174,6 +161,25 @@ class ColumnSolver:
             num = sum(e[i] * vi for i, vi in support)
             coords[piv] = Fraction(num) / val
         return coords
+
+    def block(self, images, keep=None):
+        """Coordinate block of a list of images.
+
+        Column j holds the first ``keep`` (default all) coordinates of
+        ``images[j]``; a None image is a zero column.  Returns None if an
+        image lies outside the column span.
+        """
+        keep = self.m if keep is None else keep
+        out = [[Fraction(0)] * len(images) for _ in range(keep)]
+        for j, img in enumerate(images):
+            if img is None:
+                continue
+            coords = self.solve(img)
+            if coords is None:
+                return None
+            for i in range(keep):
+                out[i][j] = coords[i]
+        return out
 
 
 def poly_derivative(p):

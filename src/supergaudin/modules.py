@@ -495,6 +495,8 @@ class _TruncatedVerma(WeightModule):
 
 def verma_truncated(index_set, xi, depth):
     """Ordinary Verma module spanned by lowering monomials of length <= depth."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative, got %d" % depth)
     return _TruncatedVerma(index_set, xi, depth)
 
 
@@ -648,20 +650,11 @@ def irreducible_truncated(index_set, xi, depth):
                 if res is None:
                     continue
                 _, vblock = res
-                tpiv = pivots[target]
-                tdim = verma.dim(target)
-                solver = solvers[target]
-                block = [[Fraction(0)] * len(pivots[w]) for _ in range(len(tpiv))]
-                wrote = False
-                for cnew, csrc in enumerate(pivots[w]):
-                    img = [vblock[r][csrc] for r in range(tdim)]
-                    coords = solver.solve(img)
-                    if coords is None:
-                        raise RuntimeError("Gram radical is not invariant")
-                    for rr in range(len(tpiv)):
-                        block[rr][cnew] = coords[rr]
-                        wrote = wrote or bool(coords[rr])
-                if wrote:
+                images = [[row[csrc] for row in vblock] for csrc in pivots[w]]
+                block = solvers[target].block(images, keep=len(pivots[target]))
+                if block is None:
+                    raise RuntimeError("Gram radical is not invariant")
+                if any(map(any, block)):
                     blocks[(gen.key(), w)] = block
     return ExplicitModule(
         index_set, xi.level, dims, blocks, "irreducible", highest_weight=xi, depth=depth
@@ -801,19 +794,10 @@ def _build_polynomial_module(index_set, lam):
                     continue
                 if target not in bases:
                     raise RuntimeError("cyclic submodule is not invariant")
-                solver = solvers[target]
-                sub = [[Fraction(0)] * len(basis) for _ in range(dims[target])]
-                wrote = False
-                for j, res in enumerate(images):
-                    if res is None:
-                        continue
-                    coords = solver.solve(res[1])
-                    if coords is None:
-                        raise RuntimeError("cyclic submodule is not invariant")
-                    for i, cval in enumerate(coords):
-                        sub[i][j] = cval
-                        wrote = wrote or bool(cval)
-                if wrote:
+                sub = solvers[target].block([None if res is None else res[1] for res in images])
+                if sub is None:
+                    raise RuntimeError("cyclic submodule is not invariant")
+                if any(map(any, sub)):
                     blocks[(gen.key(), w)] = sub
     return ExplicitModule(
         index_set, 0, dims, blocks, "polynomial", highest_weight=hw, shape=lam

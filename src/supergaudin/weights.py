@@ -103,7 +103,12 @@ class Weight:
 
     @classmethod
     def from_json(cls, obj):
-        return cls({int(d): int(v) for d, v in obj["coeffs"]}, Fraction(obj["level"]))
+        try:
+            coeffs = {int(d): int(v) for d, v in obj["coeffs"]}
+            level = Fraction(obj["level"])
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValueError("malformed weight document %r (%s)" % (obj, exc)) from None
+        return cls(coeffs, level)
 
 
 def eps(i):

@@ -130,6 +130,49 @@ def test_exit_code_two_on_bad_input():
     assert res.exit_code == 2
 
 
+LOOP = json.dumps([[[0, 0], [1, 0]], [[0, 0.4], [2, 0]], [[0, 0], [1, 0]]])
+TWO_SITES = ["--lam", "1", "--lam", "1"]
+BAD_INPUT = {
+    "hamiltonian-too-few-levels": (
+        ["hamiltonian", *TWO_SITES, "--z", "0,1", "--mu", "2", "--convention", "central", "--levels", "1"],
+        "need one level per tensor factor",
+    ),
+    "hamiltonian-too-many-levels": (
+        ["hamiltonian", *TWO_SITES, "--z", "0,1", "--mu", "2", "--convention", "central", "--levels", "1,2,3"],
+        "need one level per tensor factor",
+    ),
+    "kz-too-few-levels": (
+        ["kz", "monodromy", *TWO_SITES, "--mu", "1,1", "--convention", "central", "--levels", "5", "--loop", LOOP],
+        "need one level per tensor factor",
+    ),
+    "kz-too-many-levels": (
+        ["kz", "monodromy", *TWO_SITES, "--mu", "1,1", "--convention", "central", "--levels", "1,2,3", "--loop", LOOP],
+        "need one level per tensor factor",
+    ),
+    "tensor-polynomial-with-p": (["tensor", "--lam", "2", "--p", "1"], "polynomial modules need p = q = 0"),
+    "tensor-empty-partition": (["tensor", "--lam", "0"], "the empty partition labels the trivial module"),
+    "tensor-irreducible-wide": (
+        ["tensor", "--lam", "2", "--factor-kind", "irreducible", "--flavor", "wide"],
+        "unsupported flavor",
+    ),
+    "weight-number": (["singular", *TWO_SITES, "--weight", "5"], "malformed weight document"),
+    "weight-list": (["singular", *TWO_SITES, "--weight", "[1]"], "malformed weight document"),
+    "weight-coeffs-number": (["singular", *TWO_SITES, "--weight", '{"coeffs":5}'], "malformed weight document"),
+    "module-negative-depth": (
+        ["module", "build", "--lam", "2", "--kind", "irreducible", "--depth", "-1"],
+        "depth must be nonnegative",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, message", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_factor_weight_and_level_input_exits_two(tmp_path, args, message):
+    res = run("--cache-dir", str(tmp_path), *args)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not list(tmp_path.rglob("*.json"))  # nothing reached the disk cache
+
+
 def test_kz_bad_input_exits_two_with_a_message():
     system = ["--ell", "2", "--factor-kind", "natural", "--mu", "1,1"]
     short = json.dumps([[[0, 0]], [[1, 0]], [[0, 0]]])

@@ -241,6 +241,23 @@ def test_coincident_z_rejected():
         cubic_family(t2, [2, 2], "C")
 
 
+def test_one_level_per_tensor_factor():
+    nat = NaturalModule(GL11)
+    t2 = tensor_product([nat, nat])
+    for levels in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="need one level per tensor factor"):
+            quadratic_family(t2, [0, 1], convention="central", levels=levels)
+    assert quadratic_family(t2, [0, 1], convention="central", levels=[1, 2]).levels == [1, 2]
+
+
+def test_restrict_to_basis_needs_an_invariant_subspace():
+    swap = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
+    assert restrict_to_basis(swap, [[1, 1]]) == [[Fraction(1)]]
+    assert restrict_to_basis(swap, [[1, 1], [1, -1]]) == [[1, 0], [0, -1]]
+    with pytest.raises(ValueError, match="subspace is not invariant under the operator"):
+        restrict_to_basis(swap, [[1, 0]])
+
+
 def test_cubic_matches_word_oracle():
     z = [Fraction(0), Fraction(1)]
     mixed = eps(1) + eps("1/2")

@@ -44,6 +44,9 @@ def test_system_validation():
     t2 = tensor_product([NaturalModule(GL11)] * 2)
     with pytest.raises(ValueError):
         KZSystem(t2, MU, kappa=0)
+    for levels in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="need one level per tensor factor"):
+            KZSystem(t2, MU, convention="central", levels=levels)
     with pytest.raises(ValueError):
         KZSystem(t2, Weight({6: 1}))
 
