@@ -39,6 +39,7 @@ from .modules import (
     WeightModule,
     irreducible_truncated,
     polynomial_module,
+    polynomial_tensor,
     singular_space,
     tensor_product,
     truncate_module,

@@ -13,6 +13,9 @@ from .indices import HalfIndex, IndexSet, idx
 from .weights import Weight
 
 
+_SHIFTS = {}
+
+
 class BasisElement:
     """The matrix unit E_{row,col}."""
 
@@ -34,10 +37,15 @@ class BasisElement:
         return self.row == self.col
 
     def weight_shift(self):
-        """The adjoint weight e(row) - e(col)."""
-        coeffs = {self.row.doubled: 1}
-        coeffs[self.col.doubled] = coeffs.get(self.col.doubled, 0) - 1
-        return Weight(coeffs)
+        """The adjoint weight e(row) - e(col); one shared immutable Weight
+        per (row, col)."""
+        key = (self.row.doubled, self.col.doubled)
+        shift = _SHIFTS.get(key)
+        if shift is None:
+            coeffs = {key[0]: 1}
+            coeffs[key[1]] = coeffs.get(key[1], 0) - 1
+            shift = _SHIFTS[key] = Weight(coeffs)
+        return shift
 
     def key(self):
         return (self.row.doubled, self.col.doubled)

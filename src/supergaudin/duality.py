@@ -6,6 +6,12 @@ takes the polynomial modules of the same partitions over the purely odd
 realization of gl(k), whose highest weights carry the conjugate parts.
 Spectra are compared through exact characteristic polynomials, so the
 headline checks carry no tolerances at all.
+
+Each side's tensor comes from ``polynomial_tensor``, memoized per (index
+set, partition list) for the life of the process, as polynomial modules
+are.  So one tensor, and with it one pair-block store, serves every
+singular weight mu of a factor list: the setups for all mu share their
+slot blocks and stored Omega^{(ij)}.
 """
 
 from fractions import Fraction
@@ -21,8 +27,8 @@ from .linalg import charpoly, mat_mul
 from .modules import (
     irreducible_truncated,
     polynomial_module,
+    polynomial_tensor,
     singular_space,
-    tensor_product,
     truncate_module,
 )
 from .partitions import Partition
@@ -50,12 +56,10 @@ class DualitySetup:
         self.super_set = IndexSet.gl(0, m, 0, n)
         self.classical_set = IndexSet.classical(0, k)
         self.super_weight, self.classical_weight = hook_correspondence(mu, m, n, k)
-        self.super_factors = [polynomial_module(self.super_set, lam) for lam in self.partitions]
-        self.classical_factors = [
-            polynomial_module(self.classical_set, lam) for lam in self.partitions
-        ]
-        self.super_tensor = tensor_product(self.super_factors)
-        self.classical_tensor = tensor_product(self.classical_factors)
+        self.super_tensor = polynomial_tensor(self.super_set, self.partitions)
+        self.classical_tensor = polynomial_tensor(self.classical_set, self.partitions)
+        self.super_factors = self.super_tensor.factors
+        self.classical_factors = self.classical_tensor.factors
         self._singular_pair = None
 
     @property

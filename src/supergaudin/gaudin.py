@@ -15,7 +15,9 @@ Pair-block store.  The two-site Casimir Omega^{(ij)} does not depend on z,
 so the quadratic Hamiltonians H^i(z) = sum_{j != i} Omega^{(ij)}/(z_i - z_j)
 are rational combinations of stored blocks.  The store is the
 ``pair_store`` dict of the tensor itself, so it lives exactly as long as
-the tensor object.  It holds:
+the tensor object.  Duality tensors are memoized for the life of the
+process (``modules.polynomial_tensor``), so one store serves every
+singular weight mu of a factor list.  It holds:
 
 - Omega^{(ij)} on a weight space, keyed by (central, levels, min(i, j),
   max(i, j), weight); Omega^{(ij)} = Omega^{(ji)}, so one entry serves both

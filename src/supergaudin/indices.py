@@ -157,9 +157,6 @@ class IndexSet:
             return (_block(d), d)
         return (0, d)
 
-    def lt(self, a, b):
-        return self.key(a) < self.key(b)
-
     def simple_pairs(self):
         """Consecutive index pairs (a, b) with a immediately below b."""
         mem = self._members

@@ -2,9 +2,9 @@
 
 These are the hot inner loops of the whole package: integer row reduction
 (singular spaces, Gram radicals, Krylov spans), dense matrix products
-(commutator checks) and exact characteristic polynomials.  They are plain
-Python on Python ints and Fractions; this module is their one
-implementation.
+(commutator checks) and exact characteristic polynomials by Hessenberg
+reduction.  They are plain Python on Python ints and Fractions; this
+module is their one implementation.
 
 All integer routines work on lists of lists of Python ints and rely on row
 operations only, so they compute row-space canonical forms: scaling the
@@ -12,9 +12,7 @@ input rows never changes the result up to the stated normalization.
 
 ``BACKEND`` names the implementation for records that outlive a run: the
 benchmark stamps it into every result and refuses to compare results
-stamped with different backends.  ``charpoly`` calls ``mat_mul`` through
-this module's globals, so a wrapper installed on ``kernels.mat_mul`` sees
-those calls too.
+stamped with different backends.
 """
 
 from fractions import Fraction
@@ -136,20 +134,64 @@ def int_nullspace(rows, ncols):
 def charpoly(A):
     """Characteristic polynomial of a square rational matrix.
 
-    Faddeev-LeVerrier recursion; returns coefficients ``[c_0, ..., c_n]``
-    of ``det(t I - A) = sum c_k t^k`` as Fractions, with ``c_n = 1``.
+    Returns coefficients ``[c_0, ..., c_n]`` of ``det(t I - A) = sum c_k
+    t^k`` as Fractions, with ``c_n = 1``.  A is first brought to upper
+    Hessenberg form H by similarity over Q (eliminate below the
+    sub-diagonal column by column, pivoting on the first nonzero entry);
+    then p_0 = 1 and
+
+        p_m = (t - h_mm) p_{m-1}
+              - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1},
+
+    and p_n is the answer (Cohen, A Course in Computational Algebraic
+    Number Theory, 1993, Alg. 2.2.9).  O(n^3) field operations.
     """
     n = len(A)
-    if n == 0:
-        return [Fraction(1)]
-    A = [[Fraction(x) for x in row] for row in A]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        for i in range(n):
-            M[i][i] += coeffs[n - k + 1]
-        M = mat_mul(A, M)
-        trace = sum(M[i][i] for i in range(n))
-        coeffs[n - k] = -Fraction(trace) / k
-    return coeffs
+    H = [[Fraction(x) for x in row] for row in A]
+    for m in range(1, n - 1):
+        col = m - 1
+        piv = m
+        while piv < n and not H[piv][col]:
+            piv += 1
+        if piv == n:
+            continue
+        if piv != m:
+            H[piv], H[m] = H[m], H[piv]
+            for row in H:
+                row[piv], row[m] = row[m], row[piv]
+        rm = H[m]
+        inv = 1 / rm[col]
+        for j in range(m + 1, n):
+            rj = H[j]
+            u = rj[col] * inv
+            if not u:
+                continue
+            # row_j -= u row_m, then column_m += u column_j (the inverse
+            # similarity); columns left of col are zero in both rows
+            for c in range(col, n):
+                x = rm[c]
+                if x:
+                    rj[c] -= u * x
+            for row in H:
+                x = row[j]
+                if x:
+                    row[m] += u * x
+    polys = [[Fraction(1)]]
+    for m in range(n):
+        prev = polys[m]
+        h = H[m][m]
+        p = [Fraction(0)] + prev
+        if h:
+            for k, c in enumerate(prev):
+                p[k] -= h * c
+        prod = Fraction(1)
+        for i in range(m - 1, -1, -1):
+            prod *= H[i + 1][i]
+            if not prod:
+                break
+            coeff = prod * H[i][m]
+            if coeff:
+                for k, c in enumerate(polys[i]):
+                    p[k] -= coeff * c
+        polys.append(p)
+    return polys[n]

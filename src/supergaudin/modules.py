@@ -43,8 +43,14 @@ class WeightModule:
         """Block of E_{gen} from the w-space; (target_weight, matrix) or None.
 
         Diagonal units act by the scalar w(E_a); off-diagonal blocks come
-        from the subclass.  A missing or empty target gives None.
+        from the subclass.  A missing or empty target gives None.  The
+        matrix is a fresh copy, so callers may mutate it.
         """
+        res = self._act(gen, w)
+        return None if res is None else (res[0], [row[:] for row in res[1]])
+
+    def _act(self, gen, w):
+        # act without the copy: the block may be a cached list, never mutate
         if gen.row not in self.index_set or gen.col not in self.index_set:
             raise ValueError("%r is outside %r" % (gen, self.index_set))
         d = self._dims.get(w, 0)
@@ -80,7 +86,13 @@ class NaturalModule(WeightModule):
 
 
 class TensorModule(WeightModule):
-    """Tensor product with Koszul signs; weights add, levels add."""
+    """Tensor product with Koszul signs; weights add, levels add.
+
+    Immutable once built: duality tensors are memoized process-wide (see
+    ``polynomial_tensor``), so one tensor serves many callers.  Its block
+    caches and ``pair_store`` fill lazily but are never handed out for
+    mutation.
+    """
 
     provenance = "tensor"
 
@@ -91,36 +103,48 @@ class TensorModule(WeightModule):
         for f in factors:
             if f.index_set != iset:
                 raise ValueError("tensor factors must share an index set")
-        self.index_set = iset
-        self.factors = list(factors)
-        self.level = sum((f.level for f in factors), Fraction(0))
-        basis = {}
+        init = object.__setattr__
+        init(self, "index_set", iset)
+        init(self, "factors", tuple(factors))
+        init(self, "level", sum((f.level for f in factors), Fraction(0)))
+        # Prefix-major enumeration: prefixes in order, then each factor's
+        # weights in sort_key order (``weights()`` is sorted), then k.  The
+        # list is therefore sorted by the slot-wise (sort_key, k) order, and
+        # so is every weight's share of it.  Each (prefix weight, factor
+        # weight) sum is formed once.
         stack = [((), Weight({}, 0))]
         for f in factors:
-            fweights = f.weights()
+            fspaces = [(fw, [(fw, k) for k in range(f.dim(fw))]) for fw in f.weights()]
+            sums = {}
             nxt = []
             for prefix, tot in stack:
-                for fw in fweights:
-                    for k in range(f.dim(fw)):
-                        nxt.append((prefix + ((fw, k),), tot + fw))
+                row = sums.get(tot)
+                if row is None:
+                    row = sums[tot] = [(tot + fw, items) for fw, items in fspaces]
+                for s, items in row:
+                    for item in items:
+                        nxt.append((prefix + (item,), s))
             stack = nxt
+        basis = {}
         for tup, tot in stack:
             basis.setdefault(tot, []).append(tup)
-        self._basis = basis
-        for w in self._basis:
-            self._basis[w].sort(key=lambda tup: tuple((fw.sort_key(), k) for fw, k in tup))
-        self._dims = {w: len(v) for w, v in self._basis.items()}
-        self._index = {
-            w: {tup: i for i, tup in enumerate(tups)} for w, tups in self._basis.items()
-        }
-        self._block_cache = {}
-        self._sparse_cache = {}
-        self._sum_cache = {}
+        init(self, "_basis", basis)
+        init(self, "_dims", {w: len(v) for w, v in basis.items()})
+        init(
+            self,
+            "_index",
+            {w: {tup: i for i, tup in enumerate(tups)} for w, tups in basis.items()},
+        )
+        init(self, "_sparse_cache", {})
+        init(self, "_sum_cache", {})
         # z-independent two-site blocks, filled by gaudin (see its docstring)
-        self.pair_store = {}
+        init(self, "pair_store", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TensorModule is immutable")
 
     def basis_tuples(self, w):
-        return self._basis.get(w, [])
+        return list(self._basis.get(w, ()))
 
     def slot_act_sparse(self, gen, slot, w):
         """Column-sparse block of the one-slot operator gen^{(slot)}.
@@ -128,60 +152,74 @@ class TensorModule(WeightModule):
         Returns (target_weight, nrows, columns) with one [(row, value), ...]
         list per source basis column, or None if the operator vanishes.
         The Koszul sign is (-1) to the parity of gen times the total parity
-        of the factors before the slot.
+        of the factors before the slot.  A diagonal unit E_a acts on each
+        column by the scalar fw(E_a) of its slot weight fw.  The result is
+        cached and shared: never mutate it.
         """
         key = (gen.key(), slot, w)
-        if key in self._sparse_cache:
-            return self._sparse_cache[key]
+        cache = self._sparse_cache
+        if key in cache:
+            return cache[key]
         src = self._basis.get(w)
         result = None
-        if src:
-            target = w + gen.weight_shift() if not gen.is_diagonal else w
+        if src and gen.is_diagonal:
+            a = gen.row
+            if a not in self.index_set:
+                raise ValueError("%r is outside %r" % (gen, self.index_set))
+            cols = []
+            for c, tup in enumerate(src):
+                val = tup[slot][0](a)
+                cols.append([(c, val)] if val else [])
+            if any(cols):
+                result = (w, len(src), cols)
+        elif src:
+            target = w + gen.weight_shift()
             tindex = self._index.get(target)
             if tindex is not None:
+                factor = self.factors[slot]
+                odd = gen.parity
+                # per factor weight, one list per factor column of its
+                # nonzero entries as (target item, value); None if no block
+                by_weight = {}
                 cols = []
                 wrote = False
-                factor = self.factors[slot]
-                gp = gen.parity
                 for tup in src:
                     fw, k = tup[slot]
-                    res = factor.act(gen, fw)
-                    entries = []
-                    if res is not None:
-                        ftarget, fblock = res
-                        if gp:
-                            pref = sum(tup[j][0].parity for j in range(slot)) & 1
-                            sign = -1 if pref else 1
+                    if fw not in by_weight:
+                        res = factor._act(gen, fw)
+                        if res is None:
+                            by_weight[fw] = None
                         else:
-                            sign = 1
-                        for r in range(len(fblock)):
-                            val = fblock[r][k]
-                            if val:
-                                newtup = tup[:slot] + ((ftarget, r),) + tup[slot + 1 :]
-                                entries.append((tindex[newtup], sign * val))
-                                wrote = True
+                            ftarget, fblock = res
+                            by_weight[fw] = [
+                                [((ftarget, r), row[j]) for r, row in enumerate(fblock) if row[j]]
+                                for j in range(len(fblock[0]))
+                            ]
+                    fcols = by_weight[fw]
+                    entries = []
+                    if fcols is not None and fcols[k]:
+                        sign = -1 if odd and sum(pw.parity for pw, _ in tup[:slot]) & 1 else 1
+                        head, tail = tup[:slot], tup[slot + 1 :]
+                        for item, val in fcols[k]:
+                            entries.append((tindex[head + (item,) + tail], sign * val))
+                        wrote = True
                     cols.append(entries)
                 if wrote:
                     result = (target, len(tindex), cols)
-        self._sparse_cache[key] = result
+        cache[key] = result
         return result
 
     def slot_act(self, gen, slot, w):
-        """Dense block of gen^{(slot)}; (target_weight, matrix) or None."""
-        key = (gen.key(), slot, w)
-        if key in self._block_cache:
-            return self._block_cache[key]
+        """Dense block of gen^{(slot)}; (target_weight, fresh matrix) or None."""
         sparse = self.slot_act_sparse(gen, slot, w)
-        result = None
-        if sparse is not None:
-            target, nrows, cols = sparse
-            block = [[0] * len(cols) for _ in range(nrows)]
-            for c, entries in enumerate(cols):
-                for r, val in entries:
-                    block[r][c] += val
-            result = (target, block)
-        self._block_cache[key] = result
-        return result
+        if sparse is None:
+            return None
+        target, nrows, cols = sparse
+        block = [[0] * len(cols) for _ in range(nrows)]
+        for c, entries in enumerate(cols):
+            for r, val in entries:
+                block[r][c] += val
+        return target, block
 
     def apply_diagonal_sparse(self, gen, w, vec):
         """Apply the diagonal action of gen to one vector via sparse blocks."""
@@ -209,14 +247,15 @@ class TensorModule(WeightModule):
             return self._sum_cache[key]
         total = None
         for slot in range(len(self.factors)):
-            res = self.slot_act(gen, slot, w)
-            if res is None:
+            sparse = self.slot_act_sparse(gen, slot, w)
+            if sparse is None:
                 continue
-            _, block = res
+            _, nrows, cols = sparse
             if total is None:
-                total = [row[:] for row in block]
-            else:
-                total = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(total, block)]
+                total = [[0] * len(cols) for _ in range(nrows)]
+            for c, entries in enumerate(cols):
+                for r, val in entries:
+                    total[r][c] += val
         self._sum_cache[key] = total
         return total
 
@@ -427,34 +466,43 @@ class _TruncatedVerma(WeightModule):
     provenance = "verma"
 
     def __init__(self, index_set, xi, depth):
-        self.index_set = index_set
-        self.level = xi.level
-        self.highest_weight = xi
-        self.depth = depth
-        self._builder = _VermaBuilder(index_set, xi)
+        init = object.__setattr__
+        init(self, "index_set", index_set)
+        init(self, "level", xi.level)
+        init(self, "highest_weight", xi)
+        init(self, "depth", depth)
+        builder = _VermaBuilder(index_set, xi)
+        init(self, "_builder", builder)
         by_weight = {}
-        for mono in self._builder.monomials(depth):
-            by_weight.setdefault(self._builder.mono_weight(mono), []).append(mono)
-        self.labels = {w: sorted(m) for w, m in by_weight.items()}
-        self._dims = {w: len(m) for w, m in self.labels.items()}
-        self._index = {
-            w: {mono: i for i, mono in enumerate(monos)} for w, monos in self.labels.items()
-        }
-        self.complete = set()
-        for w in self.labels:
+        for mono in builder.monomials(depth):
+            by_weight.setdefault(builder.mono_weight(mono), []).append(mono)
+        labels = {w: sorted(m) for w, m in by_weight.items()}
+        init(self, "labels", labels)
+        init(self, "_dims", {w: len(m) for w, m in labels.items()})
+        init(
+            self,
+            "_index",
+            {w: {mono: i for i, mono in enumerate(monos)} for w, monos in labels.items()},
+        )
+        complete = set()
+        for w in labels:
             h = deficit_height(index_set, xi, w)
             if h is not None and h <= depth:
-                self.complete.add(w)
-        self._block_cache = {}
+                complete.add(w)
+        init(self, "complete", frozenset(complete))
+        init(self, "_block_cache", {})
 
-    def act(self, gen, w):
+    def __setattr__(self, name, value):
+        raise AttributeError("_TruncatedVerma is immutable")
+
+    def _act(self, gen, w):
         # the base class treats a missing target as zero, which is wrong
         # when the target was cut off by the depth truncation: probe the
         # straightened action and refuse when anything nonzero leaves
         if gen.row not in self.index_set or gen.col not in self.index_set:
             raise ValueError("%r is outside %r" % (gen, self.index_set))
         if w not in self._dims or gen.is_diagonal:
-            return WeightModule.act(self, gen, w)
+            return WeightModule._act(self, gen, w)
         target = w + gen.weight_shift()
         if target not in self._dims:
             for mono in self.labels[w]:
@@ -464,7 +512,7 @@ class _TruncatedVerma(WeightModule):
                         % (gen, w, self.depth)
                     )
             return None
-        return WeightModule.act(self, gen, w)
+        return WeightModule._act(self, gen, w)
 
     def _block(self, gen, w):
         key = (gen.key(), w)
@@ -743,6 +791,26 @@ def polynomial_module(index_set, lam):
     module = _build_polynomial_module(index_set, lam)
     _POLY_CACHE[cache_key] = module
     return module
+
+
+_TENSOR_CACHE = {}
+
+
+def polynomial_tensor(index_set, partitions):
+    """The tensor product of the polynomial modules of a partition list.
+
+    Memoized per (index set, tuple of partitions), like
+    ``polynomial_module``, and kept for the life of the process.  One
+    tensor, with its block caches and pair-block store, therefore serves
+    every weight space anyone asks of that factor list; tensors are
+    immutable.  Built through ``tensor_product``.
+    """
+    cache_key = (index_set, tuple(partitions))
+    tensor = _TENSOR_CACHE.get(cache_key)
+    if tensor is None:
+        tensor = tensor_product([polynomial_module(index_set, lam) for lam in cache_key[1]])
+        _TENSOR_CACHE[cache_key] = tensor
+    return tensor
 
 
 def _build_polynomial_module(index_set, lam):

@@ -158,6 +158,67 @@ def test_charpoly_is_monic_with_trace_and_cayley_hamilton(A):
     assert is_zero_matrix(poly_eval_matrix(p, A))
 
 
+def faddeev_leverrier(A):
+    """Reference char poly: M_k = A (M_{k-1} + c_{n-k+1} I), c_{n-k} = -tr(M_k)/k."""
+    n = len(A)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            M[i][i] += coeffs[n - k + 1]
+        M = [[sum(A[i][r] * M[r][c] for r in range(n)) for c in range(n)] for i in range(n)]
+        coeffs[n - k] = -sum(M[i][i] for i in range(n)) / k
+    return coeffs
+
+
+@st.composite
+def charpoly_inputs(draw):
+    """Square rational matrices, n = 0..6, often sparse, singular or block
+    triangular (so the Hessenberg reduction meets columns with no pivot)."""
+    n = draw(st.integers(0, 6))
+    nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    entry = draw(st.sampled_from([nonzero, st.one_of(st.just(Fraction(0)), nonzero)]))
+    A = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["plain", "singular", "block", "hessenberg"]))
+    if n >= 2 and kind == "singular":
+        # last row a rational combination of the others
+        c = draw(st.lists(nonzero, min_size=n - 1, max_size=n - 1))
+        A[-1] = [sum(c[r] * A[r][k] for r in range(n - 1)) for k in range(n)]
+    elif n >= 2 and kind == "block":
+        cut = draw(st.integers(1, n - 1))
+        for r in range(cut, n):
+            for k in range(cut):
+                A[r][k] = Fraction(0)
+    elif kind == "hessenberg":
+        # already Hessenberg, with some sub-diagonal entries zeroed
+        for r in range(n):
+            for k in range(r - 1):
+                A[r][k] = Fraction(0)
+        for r in draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=3)):
+            if r < n:
+                A[r][r - 1] = Fraction(0)
+    return A
+
+
+@settings(max_examples=150, deadline=None)
+@given(charpoly_inputs())
+def test_charpoly_equals_faddeev_leverrier(A):
+    p = kernels.charpoly(A)
+    assert p == faddeev_leverrier(A)
+    assert all(isinstance(c, Fraction) for c in p)
+
+
+def test_charpoly_small_and_structured_cases():
+    assert kernels.charpoly([]) == [1]
+    assert kernels.charpoly([[Fraction(3, 2)]]) == [Fraction(-3, 2), 1]
+    # nilpotent shift: every sub-diagonal entry is zero
+    shift = [[1 if c == r + 1 else 0 for c in range(4)] for r in range(4)]
+    assert kernels.charpoly(shift) == [0, 0, 0, 0, 1]
+    # a permutation matrix needs row and column swaps to reach Hessenberg form
+    perm = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    assert kernels.charpoly(perm) == faddeev_leverrier(perm) == [1, -1, -1, 1]
+
+
 def test_charpoly_matches_permutation_determinant():
     rng = random.Random(9)
     for _ in range(15):

@@ -13,6 +13,7 @@ from supergaudin.modules import (
     irreducible_truncated,
     is_psd,
     polynomial_module,
+    polynomial_tensor,
     singular_space,
     tensor_product,
     truncate_module,
@@ -294,3 +295,11 @@ def test_modules_reject_attribute_assignment():
     irr = irreducible_truncated(GL11, eps(1) + eps("1/2"), 2)
     with pytest.raises(AttributeError, match="immutable"):
         irr.depth = 5
+    with pytest.raises(AttributeError, match="immutable"):
+        verma_truncated(GL11, eps(1), 2).depth = 5
+    # duality tensors are memoized and shared: no assignment, tuple factors
+    tensor = polynomial_tensor(GL11, (Partition([1]), Partition([1])))
+    assert isinstance(tensor.factors, tuple)
+    for name, value in (("factors", []), ("pair_store", {}), ("level", Fraction(1))):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(tensor, name, value)
