@@ -9,7 +9,7 @@ All structure constants are exact rationals.
 
 from fractions import Fraction
 
-from .indices import HalfIndex, IndexSet, idx
+from .indices import HalfIndex, idx
 from .weights import Weight
 
 

@@ -14,12 +14,7 @@ import click
 
 from .cache import DiskCache, content_key
 from .duality import build_setup, cubic_spectrum_match, spectrum_match
-from .gaudin import (
-    cubic_family,
-    joint_diagonalize,
-    quadratic_family,
-    restrict_to_basis,
-)
+from .gaudin import cubic_family, joint_diagonalize, quadratic_family
 from .indices import IndexSet
 from .linalg import charpoly, commutator, is_zero_matrix
 from .modules import (
@@ -262,6 +257,8 @@ def _build_family(tens, kind, z, convention, levels):
             return quadratic_family(tens, z, convention=convention, levels=levels)
         if convention != "plain":
             raise ValueError("cubic Hamiltonians exist only in the plain convention")
+        if levels is not None and len(levels) != len(tens.factors):
+            raise ValueError("need one level per tensor factor")
         return cubic_family(tens, z, kind[-1])
     except ValueError as exc:
         raise click.UsageError(str(exc))

@@ -9,19 +9,14 @@ headline checks carry no tolerances at all.
 
 Each side's tensor comes from ``polynomial_tensor``, memoized per (index
 set, partition list) for the life of the process, as polynomial modules
-are.  So one tensor, and with it one pair-block store, serves every
-singular weight mu of a factor list: the setups for all mu share their
-slot blocks and stored Omega^{(ij)}.
+are.  So one tensor, and with it one block store, serves every singular
+weight mu of a factor list: the setups for all mu share their slot blocks
+and the stored Omega^{(ij)} and cubic blocks T(a, b, c).
 """
 
 from fractions import Fraction
 
-from .gaudin import (
-    central_shift,
-    cubic_family,
-    quadratic_family,
-    restrict_to_basis,
-)
+from .gaudin import central_shift, cubic_family, quadratic_family
 from .indices import IndexSet
 from .linalg import charpoly, mat_mul
 from .modules import (

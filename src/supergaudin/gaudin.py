@@ -11,26 +11,32 @@ Every product of one-slot operators (a Casimir term, a cubic word, a
 one-site Casimir) goes through one sparse core, ``add_word``, which
 applies the column-sparse ``TensorModule.slot_act_sparse`` blocks.
 
-Pair-block store.  The two-site Casimir Omega^{(ij)} does not depend on z,
-so the quadratic Hamiltonians H^i(z) = sum_{j != i} Omega^{(ij)}/(z_i - z_j)
-are rational combinations of stored blocks.  The store is the
-``pair_store`` dict of the tensor itself, so it lives exactly as long as
+Block store.  The Hamiltonians are sums of z-independent invariant
+blocks with rational z-coefficients, so every member of every family is a
+list of (z-coefficient, block spec) terms over one store: the
+``pair_store`` dict of the tensor itself, which lives exactly as long as
 the tensor object.  Duality tensors are memoized for the life of the
 process (``modules.polynomial_tensor``), so one store serves every
-singular weight mu of a factor list.  It holds:
+singular weight mu of a factor list.  It holds two kinds of block:
 
-- Omega^{(ij)} on a weight space, keyed by (central, levels, min(i, j),
-  max(i, j), weight); Omega^{(ij)} = Omega^{(ji)}, so one entry serves both
-  orders, and ``levels`` is None in the plain convention, which ignores
-  them;
-- its restriction to a subspace, keyed by that key plus the basis vectors.
+- the two-site Casimir Omega^{(ij)}, named ("omega", central, levels,
+  min(i, j), max(i, j)); Omega^{(ij)} = Omega^{(ji)}, so one entry serves
+  both orders, and ``levels`` is None in the plain convention, which
+  ignores them.  H^i(z) = sum_{j != i} Omega^{(ij)}/(z_i - z_j);
+- the cubic block T(a, b, c) = sum_{r,s,t} sign(r, s, t) E_{rs}^{(a)}
+  E_{tr}^{(b)} E_{st}^{(c)}, named ("cubic", a, b, c); ``cubic_family``
+  combines these into C_i and D_i.
 
-Callers get fresh copies (``pair_matrix``, ``HamiltonianFamily.matrix``,
+A block on a weight space is keyed by (spec, weight, None); its
+restriction to a subspace by (spec, weight, basis vectors), so the
+convention and the levels are part of every restricted key too.  Callers
+get fresh copies (``pair_matrix``, ``HamiltonianFamily.matrix``,
 ``restricted``), so nothing they mutate reaches the store.
-``QuadraticFamily.restricted`` restricts each Omega^{(ij)} separately, so
-the subspace must be invariant under every Omega^{(ij)}, not just under
-H^i.  Singular spaces always are: each Omega^{(ij)} commutes with the
-diagonal action, raising operators included.
+``HamiltonianFamily.restricted`` restricts each block separately, so the
+subspace must be invariant under every block of the member, not just
+under the member.  Singular spaces always are: every block is an
+invariant tensor, so it commutes with the diagonal action, raising
+operators included.
 """
 
 from fractions import Fraction
@@ -161,65 +167,87 @@ def apply_pair_op(tensor, cas, i, j, w, vectors):
     return [[sum(row[k] * vec[k] for k in range(len(vec))) for row in mat] for vec in vectors]
 
 
-def _pair_key(tensor, cas, i, j, w, levels):
-    if not cas.central:
+def _omega_spec(tensor, central, i, j, levels):
+    """The store name of Omega^{(ij)}: levels are None in the plain
+    convention, which ignores them, and default to the factor levels."""
+    if not central:
         levels = None
     elif levels is None:
         levels = tuple(Fraction(f.level) for f in tensor.factors)
     else:
         levels = tuple(Fraction(x) for x in levels)
-    return (cas.central, levels, min(i, j), max(i, j), w)
+    return ("omega", central, levels, min(i, j), max(i, j))
 
 
-def _stored_pair(tensor, cas, i, j, w, levels):
-    """Omega^{(ij)} from the store (shared rows: never mutate), or None."""
-    key = _pair_key(tensor, cas, i, j, w, levels)
+def _block_words(tensor, spec):
+    """(word, coefficient) pairs summing to the block named by ``spec``."""
+    if spec[0] == "omega":
+        _, central, _, i, j = spec
+        for coeff, left, right in casimir(tensor.index_set, central).terms:
+            yield [(left, i - 1), (right, j - 1)], _exact(coeff)
+        return
+    _, a, b, c = spec
+    members = list(tensor.index_set)
+    for r in members:
+        for s in members:
+            for t in members:
+                word = [
+                    (BasisElement(r, s), a - 1),
+                    (BasisElement(t, r), b - 1),
+                    (BasisElement(s, t), c - 1),
+                ]
+                yield word, _cubic_sign(r, s, t)
+
+
+def _stored_block(tensor, spec, w, basis=None):
+    """The block named by ``spec`` on the w-space, or restricted to the span
+    of ``basis`` (a tuple of tuples), from the store; None when it vanishes.
+    The rows are shared: never mutate them."""
     store = tensor.pair_store
-    if key not in store:
-        lv = key[1]
-        d = tensor.dim(w)
-        total = [[0] * d for _ in range(d)]
-        nonzero = False
-        for coeff, left, right in cas.terms:
-            word = [(left, key[2] - 1), (right, key[3] - 1)]
-            nonzero |= add_word(total, tensor, word, w, _exact(coeff), lv, cas.central)
-        store[key] = [[_exact(x) for x in row] for row in total] if nonzero else None
+    key = (spec, w, basis)
+    if key in store:
+        return store[key]
+    omega = spec[0] == "omega"
+    if basis is not None:
+        if omega:
+            # through the public two-site entry, which perfbench/tracer.py counts
+            cas = casimir(tensor.index_set, spec[1])
+            mat = pair_matrix(tensor, cas, spec[3], spec[4], w, spec[2])
+        else:
+            mat = _stored_block(tensor, spec, w)
+        store[key] = None if mat is None else restrict_to_basis(mat, basis)
+        return store[key]
+    levels, twisted = (spec[2], spec[1]) if omega else (None, False)
+    d = tensor.dim(w)
+    total = [[0] * d for _ in range(d)]
+    nonzero = False
+    for word, coeff in _block_words(tensor, spec):
+        nonzero |= add_word(total, tensor, word, w, coeff, levels, twisted)
+    store[key] = [[_exact(x) for x in row] for row in total] if nonzero else None
     return store[key]
 
 
 def pair_matrix(tensor, cas, i, j, w, levels=None):
     """Exact matrix of the (i, j) two-site Casimir action on the w-space.
 
-    Served from the tensor's pair-block store; returns fresh dense rows, or
-    None when every Casimir term vanishes there.  ``cas`` must be
+    Served from the tensor's block store; returns fresh dense rows, or None
+    when every Casimir term vanishes there.  ``cas`` must be
     ``casimir(tensor.index_set, central)``: the store keys on its
     convention only.
     """
-    block = _stored_pair(tensor, cas, i, j, w, levels)
+    block = _stored_block(tensor, _omega_spec(tensor, cas.central, i, j, levels), w)
     return None if block is None else [row[:] for row in block]
-
-
-def _stored_restriction(tensor, cas, i, j, space, levels):
-    """Omega^{(ij)} restricted to an invariant subspace, from the store."""
-    key = (
-        _pair_key(tensor, cas, i, j, space.weight, levels),
-        tuple(tuple(vec) for vec in space.basis),
-    )
-    store = tensor.pair_store
-    if key not in store:
-        mat = pair_matrix(tensor, cas, i, j, space.weight, levels)
-        store[key] = None if mat is None else restrict_to_basis(mat, space.basis)
-    return store[key]
 
 
 class HamiltonianFamily:
     """A z-parameterized commuting family on the weight spaces of a tensor.
 
     kind is "quadratic", "cubicC" or "cubicD"; the convention is "plain"
-    (no K terms) or "central" (extended Casimir through iota).
+    (no K terms) or "central" (extended Casimir through iota).  Member i is
+    a list of (z-coefficient, block spec) terms over the tensor's store.
     """
 
-    def __init__(self, tensor, z, kind, convention, levels, matrix_fn):
+    def __init__(self, tensor, z, kind, convention, levels):
         z = tuple(Fraction(x) for x in z)
         if len(set(z)) != len(z):
             raise ValueError("z points must be pairwise distinct")
@@ -232,73 +260,54 @@ class HamiltonianFamily:
         self.kind = kind
         self.convention = convention
         self.levels = levels
-        self._matrix_fn = matrix_fn
-        self._cache = {}
+        self._members = [self._member(i) for i in range(1, len(z) + 1)]
 
     @property
     def ell(self):
         return len(self.z)
 
-    def _matrix(self, i, w):
+    def _member(self, i):
+        zi = self.z[i - 1]
+        others = [j for j in range(1, self.ell + 1) if j != i]
+        pole = {j: 1 / (zi - self.z[j - 1]) for j in others}
+        if self.kind == "quadratic":
+            central = self.convention == "central"
+            return [(pole[j], _omega_spec(self.tensor, central, i, j, self.levels)) for j in others]
+        if self.kind == "cubicD":
+            return [(pole[j], ("cubic", j, i, i)) for j in others]
+        terms = []
+        for j in others:
+            terms += [(pole[j] * pole[k], ("cubic", i, j, k)) for k in others if k != j]
+            terms += [(pole[j] ** 2, ("cubic", i, j, j)), (-pole[j] ** 2, ("cubic", j, i, i))]
+        return terms
+
+    def _combine(self, i, w, basis):
         if not 1 <= i <= self.ell:
             raise ValueError("site index out of range")
-        key = (i, w)
-        if key not in self._cache:
-            self._cache[key] = self._matrix_fn(i, w)
-        return self._cache[key]
+        d = self.tensor.dim(w) if basis is None else len(basis)
+        total = [[Fraction(0)] * d for _ in range(d)]
+        for coeff, spec in self._members[i - 1]:
+            block = _stored_block(self.tensor, spec, w, basis)
+            if block is None:
+                continue
+            for trow, brow in zip(total, block):
+                for c, x in enumerate(brow):
+                    if x:
+                        trow[c] += coeff * x
+        return total
 
     def matrix(self, i, w):
         """Exact matrix of the i-th Hamiltonian (1-based) on the w-space."""
-        return [row[:] for row in self._matrix(i, w)]
+        return self._combine(i, w, None)
 
     def matrices(self, w):
         return [self.matrix(i, w) for i in range(1, self.ell + 1)]
 
     def restricted(self, i, space):
-        """Matrix of the i-th Hamiltonian on an invariant subspace basis."""
-        return restrict_to_basis(self._matrix(i, space.weight), space.basis)
-
-
-class QuadraticFamily(HamiltonianFamily):
-    """H^i = sum_{j != i} Omega^{(ij)} / (z_i - z_j) over stored pair blocks."""
-
-    def __init__(self, tensor, z, convention, levels):
-        self.cas = casimir(tensor.index_set, central=(convention == "central"))
-        super().__init__(tensor, z, "quadratic", convention, levels, self._assemble)
-
-    def _pole_sum(self, i, d, block_of):
-        total = [[Fraction(0)] * d for _ in range(d)]
-        zi = self.z[i - 1]
-        for j in range(1, self.ell + 1):
-            if j == i:
-                continue
-            block = block_of(j)
-            if block is None:
-                continue
-            scale = 1 / (zi - self.z[j - 1])
-            for trow, brow in zip(total, block):
-                for c, x in enumerate(brow):
-                    if x:
-                        trow[c] += scale * x
-        return total
-
-    def _assemble(self, i, w):
-        return self._pole_sum(
-            i,
-            self.tensor.dim(w),
-            lambda j: _stored_pair(self.tensor, self.cas, i, j, w, self.levels),
-        )
-
-    def restricted(self, i, space):
-        """H^i on a subspace invariant under every Omega^{(ij)} (a singular
-        space, say), combined from stored restricted pair blocks."""
-        if not 1 <= i <= self.ell:
-            raise ValueError("site index out of range")
-        return self._pole_sum(
-            i,
-            space.dim,
-            lambda j: _stored_restriction(self.tensor, self.cas, i, j, space, self.levels),
-        )
+        """The i-th Hamiltonian on a subspace invariant under every stored
+        block of the member (a singular space, say), combined from the
+        stored restricted blocks."""
+        return self._combine(i, space.weight, tuple(tuple(vec) for vec in space.basis))
 
 
 def restrict_to_basis(mat, basis):
@@ -322,7 +331,7 @@ def quadratic_family(tensor, z, convention="plain", levels=None):
     levels = [Fraction(x) for x in levels]
     if len(levels) != len(tensor.factors):
         raise ValueError("need one level per tensor factor")
-    return QuadraticFamily(tensor, z, convention, levels)
+    return HamiltonianFamily(tensor, z, "quadratic", convention, levels)
 
 
 def _cubic_sign(r, s, t):
@@ -334,8 +343,13 @@ def _cubic_sign(r, s, t):
 def cubic_family(tensor, z, kind):
     """The cubic Hamiltonians extracted from the degree-three supertrace.
 
-    kind "C" has the double-pole and two-site-squared terms; kind "D" is
-    the single 1/(z_i - z_j) sum.  Defined for p = q = 0 flavors only.
+    With the stored blocks T(a, b, c) (see the module docstring),
+
+        C_i = sum_{j != k, both != i} T(i, j, k) / ((z_i - z_j)(z_i - z_k))
+              + sum_{j != i} (T(i, j, j) - T(j, i, i)) / (z_i - z_j)^2,
+        D_i = sum_{j != i} T(j, i, i) / (z_i - z_j).
+
+    Defined for p = q = 0 flavors only, in the plain convention.
     """
     iset = tensor.index_set
     if kind not in ("C", "D"):
@@ -348,51 +362,8 @@ def cubic_family(tensor, z, kind):
             raise ValueError("cubic Hamiltonians need p = 0")
     else:
         raise ValueError("cubic Hamiltonians are not defined for this flavor")
-    members = list(iset)
     levels = [f.level for f in tensor.factors]
-    zf = tuple(Fraction(x) for x in z)
-    ell = len(zf)
-
-    def matrix_fn(i, w):
-        d = tensor.dim(w)
-        total = [[Fraction(0)] * d for _ in range(d)]
-
-        def accumulate(word, scale):
-            add_word(total, tensor, word, w, scale)
-
-        i0 = i - 1
-        for r in members:
-            for s in members:
-                for t in members:
-                    sign = _cubic_sign(r, s, t)
-                    e_rs = BasisElement(r, s)
-                    e_tr = BasisElement(t, r)
-                    e_st = BasisElement(s, t)
-                    if kind == "D":
-                        for j0 in range(ell):
-                            if j0 == i0:
-                                continue
-                            accumulate(
-                                [(e_rs, j0), (e_tr, i0), (e_st, i0)],
-                                Fraction(sign) / (zf[i0] - zf[j0]),
-                            )
-                        continue
-                    for j0 in range(ell):
-                        if j0 == i0:
-                            continue
-                        for k0 in range(ell):
-                            if k0 == i0 or k0 == j0:
-                                continue
-                            accumulate(
-                                [(e_rs, i0), (e_tr, j0), (e_st, k0)],
-                                Fraction(sign) / ((zf[i0] - zf[j0]) * (zf[i0] - zf[k0])),
-                            )
-                        sq = Fraction(sign) / (zf[i0] - zf[j0]) ** 2
-                        accumulate([(e_rs, i0), (e_tr, j0), (e_st, j0)], sq)
-                        accumulate([(e_rs, j0), (e_tr, i0), (e_st, i0)], -sq)
-        return total
-
-    return HamiltonianFamily(tensor, zf, "cubic%s" % kind, "plain", levels, matrix_fn)
+    return HamiltonianFamily(tensor, z, "cubic" + kind, "plain", levels)
 
 
 def central_shift(p, q, levels, z, i, flavor="super"):
@@ -423,9 +394,10 @@ def commutator_residual(A, B):
 def family_commutator_residual(fam_a, fam_b, w):
     """Max over site pairs of the exact norm of commutators on a weight space."""
     worst = Fraction(0)
-    for i in range(1, fam_a.ell + 1):
-        for j in range(1, fam_b.ell + 1):
-            r = commutator_residual(fam_a.matrix(i, w), fam_b.matrix(j, w))
+    mats_b = fam_b.matrices(w)
+    for ma in fam_a.matrices(w):
+        for mb in mats_b:
+            r = commutator_residual(ma, mb)
             if r > worst:
                 worst = r
     return worst

@@ -1,9 +1,11 @@
 """Numerical integration of the (super) KZ equations on one weight space.
 
-The connection matrices come from the exact two-site Casimir blocks, so
-building a system is exact; integration is floating point with controlled
-local error.  Paths are piecewise linear in the configuration space and
-must keep a fixed clearance from every diagonal z_i = z_j.
+The connection matrices come from the exact two-site Casimir blocks in the
+tensor's block store (``gaudin.pair_matrix``), so building a system is
+exact; the exact flatness residual reads its Omega^{(ij)} from the same
+store.  Integration is floating point with controlled local error.  Paths
+are piecewise linear in the configuration space and must keep a fixed
+clearance from every diagonal z_i = z_j.
 
 The connection form is one contraction over the unordered pairs,
 
@@ -63,16 +65,14 @@ class KZSystem:
         cas = casimir(tensor.index_set, central=(convention == "central"))
         d = self.dim
         zero = [[Fraction(0)] * d for _ in range(d)]
-        # Omega^{(ij)} = Omega^{(ji)}: one exact block per unordered pair under
-        # both keys, and one float stack indexed like the 0-based sites below
-        self._pairs = {}
+        # Omega^{(ij)} = Omega^{(ji)}: one float stack over the unordered
+        # pairs, indexed like the 0-based sites below
         sites = []
         blocks = []
         for i in range(1, self.ell + 1):
             for j in range(i + 1, self.ell + 1):
                 block = pair_matrix(tensor, cas, i, j, mu, levels=self.levels)
                 block = block if block is not None else zero
-                self._pairs[(i, j)] = self._pairs[(j, i)] = block
                 sites.append((i - 1, j - 1))
                 blocks.append([[float(x) for x in row] for row in block])
         self._sites = np.array(sites, dtype=int).reshape(len(sites), 2).T
@@ -297,14 +297,21 @@ def flatness_residual(system, point, h=None):
     if h is None:
         kappa = Fraction(system.kappa)
         hs = system.family(z).matrices(system.mu)
+        cas = casimir(system.tensor.index_set, central=(system.convention == "central"))
+        d = system.dim
+
+        def omega(i, j):
+            block = pair_matrix(system.tensor, cas, i, j, system.mu, levels=system.levels)
+            return block if block is not None else [[Fraction(0)] * d for _ in range(d)]
+
         worst = Fraction(0)
         for i in range(1, ell + 1):
             for j in range(1, ell + 1):
                 if i == j:
                     continue
                 # d/dz_i of H^j picks the single term Omega^{(ji)}/(z_j-z_i)
-                di_hj = mat_scale(system._pairs[(j, i)], 1 / (z[j - 1] - z[i - 1]) ** 2)
-                dj_hi = mat_scale(system._pairs[(i, j)], 1 / (z[i - 1] - z[j - 1]) ** 2)
+                di_hj = mat_scale(omega(j, i), 1 / (z[j - 1] - z[i - 1]) ** 2)
+                dj_hi = mat_scale(omega(i, j), 1 / (z[i - 1] - z[j - 1]) ** 2)
                 hi = hs[i - 1]
                 hj = hs[j - 1]
                 resid = mat_sub(mat_sub(di_hj, dj_hi), mat_scale(commutator(hi, hj), 1 / kappa))

@@ -801,9 +801,10 @@ def polynomial_tensor(index_set, partitions):
 
     Memoized per (index set, tuple of partitions), like
     ``polynomial_module``, and kept for the life of the process.  One
-    tensor, with its block caches and pair-block store, therefore serves
-    every weight space anyone asks of that factor list; tensors are
-    immutable.  Built through ``tensor_product``.
+    tensor, with its block caches and Hamiltonian block store
+    (``pair_store``), therefore serves every weight space anyone asks of
+    that factor list; tensors are immutable.  Built through
+    ``tensor_product``.
     """
     cache_key = (index_set, tuple(partitions))
     tensor = _TENSOR_CACHE.get(cache_key)

@@ -141,6 +141,14 @@ BAD_INPUT = {
         ["hamiltonian", *TWO_SITES, "--z", "0,1", "--mu", "2", "--convention", "central", "--levels", "1,2,3"],
         "need one level per tensor factor",
     ),
+    "hamiltonian-cubicC-too-many-levels": (
+        ["hamiltonian", "--ell", "3", "--kind", "cubicC", "--z", "0,1,3", "--mu", "2,1", "--levels", "1,2,3,4,5"],
+        "need one level per tensor factor",
+    ),
+    "hamiltonian-cubicD-too-few-levels": (
+        ["hamiltonian", *TWO_SITES, "--kind", "cubicD", "--z", "0,1", "--mu", "2", "--levels", "1"],
+        "need one level per tensor factor",
+    ),
     "kz-too-few-levels": (
         ["kz", "monodromy", *TWO_SITES, "--mu", "1,1", "--convention", "central", "--levels", "5", "--loop", LOOP],
         "need one level per tensor factor",

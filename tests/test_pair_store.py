@@ -14,14 +14,22 @@ from hypothesis import strategies as st
 from supergaudin.gaudin import (
     K_SYMBOL,
     casimir,
+    cubic_family,
     pair_matrix,
     quadratic_family,
     restrict_to_basis,
 )
 from supergaudin.indices import IndexSet
 from supergaudin.linalg import mat_mul
-from supergaudin.modules import NaturalModule, polynomial_module, singular_space, tensor_product
-from supergaudin.partitions import Partition
+from supergaudin.modules import (
+    NaturalModule,
+    irreducible_truncated,
+    polynomial_module,
+    singular_space,
+    tensor_product,
+)
+from supergaudin.partitions import GeneralizedPartition, Partition
+from supergaudin.weights import Weight, unitarizable_weight
 
 FLAVORS = {
     "gl(1|1)": IndexSet.gl(0, 1, 0, 1),
@@ -126,10 +134,39 @@ def test_restricted_from_store_equals_restricting_the_full_hamiltonian(case, dat
     z = data.draw(zs(ell))
     spaces = [s for s in (singular_space(tensor, w) for w in tensor.weights()) if s.dim]
     space = data.draw(st.sampled_from(spaces))
-    fam = quadratic_family(tensor, z, convention=convention, levels=levels)
-    for i in range(1, ell + 1):
-        expected = restrict_to_basis(fam.matrix(i, space.weight), space.basis)
-        assert fam.restricted(i, space) == expected
+    fams = [quadratic_family(tensor, z, convention=convention, levels=levels)]
+    # the cubic blocks T(a, b, c) live in the same store (p = q = 0 only)
+    if not tensor.index_set.p and not tensor.index_set.q:
+        fams += [cubic_family(tensor, z, kind) for kind in ("C", "D")]
+    for fam in fams:
+        for i in range(1, ell + 1):
+            expected = restrict_to_basis(fam.matrix(i, space.weight), space.basis)
+            assert fam.restricted(i, space) == expected, (fam.kind, i)
+
+
+def test_plain_and_central_families_keep_their_own_restrictions():
+    # gl(1|1+1) irreducibles with distinct levels: the plain and central
+    # Omega^{(12)} differ, so a restriction keyed without the convention
+    # or the levels would hand one family the other's blocks
+    iset = FLAVORS["gl(1|1+1)"]
+    mods = []
+    for d, parts in ((1, (1,)), (2, (1, 1))):
+        xi = unitarizable_weight(GeneralizedPartition(parts), 1, 0, 1, 1)
+        mods.append(irreducible_truncated(iset, Weight(xi.coeffs, d), 3))
+    tensor = tensor_product(mods)
+    spaces = [s for s in (singular_space(tensor, w) for w in tensor.weights()) if s.dim]
+    assert spaces
+    z = [Fraction(1, 7), 2]
+    plain = quadratic_family(tensor, z)
+    central = quadratic_family(tensor, z, convention="central", levels=[1, 2])
+    differ = False
+    for fam in (plain, central, plain, central):
+        for space in spaces:
+            for i in (1, 2):
+                got = fam.restricted(i, space)
+                assert got == restrict_to_basis(fam.matrix(i, space.weight), space.basis)
+                differ |= got != plain.restricted(i, space)
+    assert differ
 
 
 def _natural_pair():
@@ -169,3 +206,15 @@ def test_restricted_result_is_not_shared():
     _assert_unshared(lambda: fam.restricted(2, space))
     other = quadratic_family(tensor, [Fraction(1, 2), 2, 5])
     assert other.restricted(2, space) == restrict_to_basis(other.matrix(2, space.weight), space.basis)
+
+
+def test_cubic_matrix_and_restricted_results_are_not_shared():
+    tensor, w = _natural_pair()
+    space = next(s for s in (singular_space(tensor, v) for v in tensor.weights()) if s.dim > 1)
+    for kind in ("C", "D"):
+        fam = cubic_family(tensor, [0, 1, 3], kind)
+        _assert_unshared(lambda: fam.matrix(1, w))
+        _assert_unshared(lambda: fam.restricted(2, space))
+        other = cubic_family(tensor, [0, 1, 3], kind)
+        assert other.matrix(1, w) == fam.matrix(1, w)
+        assert other.restricted(2, space) == restrict_to_basis(other.matrix(2, space.weight), space.basis)
