@@ -264,6 +264,12 @@ def star_omega(x):
     return AlgebraElement(terms, x.central)
 
 
+def off_diagonal_units(index_set):
+    """The units E_{a,b}, a != b, row by row in the index order."""
+    members = list(index_set)
+    return [BasisElement(a, b) for a in members for b in members if a != b]
+
+
 def simple_raising_ops(index_set):
     """Simple raising operators: one per consecutive pair of the total order."""
     return [BasisElement(a, b) for a, b in index_set.simple_pairs()]

@@ -14,7 +14,7 @@ import click
 
 from .cache import DiskCache, content_key
 from .duality import build_setup, cubic_spectrum_match, spectrum_match
-from .gaudin import cubic_family, joint_diagonalize, quadratic_family
+from .gaudin import cubic_family, family_levels, joint_diagonalize, quadratic_family
 from .indices import IndexSet
 from .linalg import charpoly, commutator, is_zero_matrix
 from .modules import (
@@ -251,14 +251,23 @@ def singular(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, mu, weight):
     _emit(ctx, doc)
 
 
+def _check_levels(tens, convention, levels):
+    """--levels needs one value per factor, and is read only by the central
+    convention; the plain one would silently ignore it."""
+    if levels is None:
+        return
+    family_levels(tens, convention, levels)
+    if convention != "central":
+        raise ValueError("--levels applies only with --convention central")
+
+
 def _build_family(tens, kind, z, convention, levels):
     try:
+        if kind != "quadratic" and convention != "plain":
+            raise ValueError("cubic Hamiltonians exist only in the plain convention")
+        _check_levels(tens, convention, levels)
         if kind == "quadratic":
             return quadratic_family(tens, z, convention=convention, levels=levels)
-        if convention != "plain":
-            raise ValueError("cubic Hamiltonians exist only in the plain convention")
-        if levels is not None and len(levels) != len(tens.factors):
-            raise ValueError("need one level per tensor factor")
         return cubic_family(tens, z, kind[-1])
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -461,6 +470,7 @@ def _kz_system(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, mu, weight, k
     target = _target_weight(iset, mu, weight)
     lv = _parse_fracs(levels, "--levels") if levels else None
     try:
+        _check_levels(tens, convention, lv)
         return tens, target, KZSystem(tens, target, kappa=kappa, convention=convention, levels=lv)
     except ValueError as exc:
         raise click.UsageError(str(exc))

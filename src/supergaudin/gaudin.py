@@ -7,17 +7,14 @@ acting through the iota-twisted generator actions, so the relation between
 the two conventions is something the test suite verifies rather than a
 definition.
 
-Every product of one-slot operators (a Casimir term, a cubic word, a
-one-site Casimir) goes through one sparse core, ``add_word``, which
-applies the column-sparse ``TensorModule.slot_act_sparse`` blocks.
-
-Block store.  The Hamiltonians are sums of z-independent invariant
-blocks with rational z-coefficients, so every member of every family is a
-list of (z-coefficient, block spec) terms over one store: the
-``pair_store`` dict of the tensor itself, which lives exactly as long as
-the tensor object.  Duality tensors are memoized for the life of the
-process (``modules.polynomial_tensor``), so one store serves every
-singular weight mu of a factor list.  It holds two kinds of block:
+Block store.  Every invariant operator on a weight space of a tensor is
+a block of one store: the ``pair_store`` dict of the tensor itself, which
+lives exactly as long as the tensor object.  The Hamiltonians are sums of
+these z-independent blocks with rational z-coefficients, so every member
+of every family is a list of (z-coefficient, block spec) terms over the
+store.  Duality tensors are memoized for the life of the process
+(``modules.polynomial_tensor``), so one store serves every singular
+weight mu of a factor list.  It holds three kinds of block:
 
 - the two-site Casimir Omega^{(ij)}, named ("omega", central, levels,
   min(i, j), max(i, j)); Omega^{(ij)} = Omega^{(ji)}, so one entry serves
@@ -25,21 +22,29 @@ singular weight mu of a factor list.  It holds two kinds of block:
   ignores them.  H^i(z) = sum_{j != i} Omega^{(ij)}/(z_i - z_j);
 - the cubic block T(a, b, c) = sum_{r,s,t} sign(r, s, t) E_{rs}^{(a)}
   E_{tr}^{(b)} E_{st}^{(c)}, named ("cubic", a, b, c); ``cubic_family``
-  combines these into C_i and D_i.
+  combines these into C_i and D_i;
+- the one-site Casimir of degree k on one slot, named ("site", k, slot):
+  sum over index chains of (-1)^{2(r_1 + ... + r_{k-1})} E_{r_0 r_1}
+  E_{r_1 r_2} ... E_{r_{k-1} r_0}; ``site_casimir`` serves it to the
+  closed forms of the Lax supertraces.
 
-A block on a weight space is keyed by (spec, weight, None); its
-restriction to a subspace by (spec, weight, basis vectors), so the
+A block is built once, by ``_stored_block``, as a sum of products of
+one-slot operators through one sparse core, ``add_word``, which applies
+the column-sparse ``TensorModule.slot_act_sparse`` blocks; nothing else
+calls it.  A block on a weight space is keyed by (spec, weight, None);
+its restriction to a subspace by (spec, weight, basis vectors), so the
 convention and the levels are part of every restricted key too.  Callers
-get fresh copies (``pair_matrix``, ``HamiltonianFamily.matrix``,
-``restricted``), so nothing they mutate reaches the store.
-``HamiltonianFamily.restricted`` restricts each block separately, so the
-subspace must be invariant under every block of the member, not just
-under the member.  Singular spaces always are: every block is an
-invariant tensor, so it commutes with the diagonal action, raising
-operators included.
+get fresh copies (``pair_matrix``, ``site_casimir``,
+``HamiltonianFamily.matrix``, ``restricted``), so nothing they mutate
+reaches the store.  ``HamiltonianFamily.restricted`` restricts each block
+separately, so the subspace must be invariant under every block of the
+member, not just under the member.  Singular spaces always are: every
+block is an invariant tensor, so it commutes with the diagonal action,
+raising operators included.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from .algebra import BasisElement
 from .linalg import (
@@ -181,13 +186,19 @@ def _omega_spec(tensor, central, i, j, levels):
 
 def _block_words(tensor, spec):
     """(word, coefficient) pairs summing to the block named by ``spec``."""
+    members = list(tensor.index_set)
     if spec[0] == "omega":
         _, central, _, i, j = spec
         for coeff, left, right in casimir(tensor.index_set, central).terms:
             yield [(left, i - 1), (right, j - 1)], _exact(coeff)
         return
+    if spec[0] == "site":
+        _, k, slot = spec
+        for chain in product(members, repeat=k):
+            sign = -1 if sum(h.parity for h in chain[1:]) % 2 else 1
+            yield [(BasisElement(chain[t], chain[(t + 1) % k]), slot - 1) for t in range(k)], sign
+        return
     _, a, b, c = spec
-    members = list(tensor.index_set)
     for r in members:
         for s in members:
             for t in members:
@@ -233,10 +244,26 @@ def pair_matrix(tensor, cas, i, j, w, levels=None):
     Served from the tensor's block store; returns fresh dense rows, or None
     when every Casimir term vanishes there.  ``cas`` must be
     ``casimir(tensor.index_set, central)``: the store keys on its
-    convention only.
+    convention only, so a Casimir of another index set is refused.
     """
+    if cas.index_set != tensor.index_set:
+        raise ValueError("the Casimir and the tensor have different index sets")
     block = _stored_block(tensor, _omega_spec(tensor, cas.central, i, j, levels), w)
     return None if block is None else [row[:] for row in block]
+
+
+def site_casimir(tensor, k, slot, w):
+    """Exact matrix of the degree-k one-site Casimir on slot ``slot``
+    (1-based) of the w-space, k = 1, 2, 3: the ("site", k, slot) block.
+
+    Served from the tensor's block store as fresh dense rows; the zero
+    matrix when the block vanishes there.
+    """
+    block = _stored_block(tensor, ("site", k, slot), w)
+    if block is None:
+        d = tensor.dim(w)
+        return [[Fraction(0)] * d for _ in range(d)]
+    return [row[:] for row in block]
 
 
 class HamiltonianFamily:
@@ -322,8 +349,11 @@ def restrict_to_basis(mat, basis):
     return out
 
 
-def quadratic_family(tensor, z, convention="plain", levels=None):
-    """The quadratic Hamiltonians H^i = sum_{j != i} Omega^{(ij)} / (z_i - z_j)."""
+def family_levels(tensor, convention, levels):
+    """The checked levels of a quadratic family or KZ system: one Fraction
+    per tensor factor, the factor levels by default.  The plain
+    convention keeps them too (a KZ system's gauge default) but its
+    Hamiltonians ignore them."""
     if convention not in ("plain", "central"):
         raise ValueError("convention must be plain or central")
     if levels is None:
@@ -331,6 +361,12 @@ def quadratic_family(tensor, z, convention="plain", levels=None):
     levels = [Fraction(x) for x in levels]
     if len(levels) != len(tensor.factors):
         raise ValueError("need one level per tensor factor")
+    return levels
+
+
+def quadratic_family(tensor, z, convention="plain", levels=None):
+    """The quadratic Hamiltonians H^i = sum_{j != i} Omega^{(ij)} / (z_i - z_j)."""
+    levels = family_levels(tensor, convention, levels)
     return HamiltonianFamily(tensor, z, "quadratic", convention, levels)
 
 

@@ -2,10 +2,14 @@
 
 The connection matrices come from the exact two-site Casimir blocks in the
 tensor's block store (``gaudin.pair_matrix``), so building a system is
-exact; the exact flatness residual reads its Omega^{(ij)} from the same
-store.  Integration is floating point with controlled local error.  Paths
-are piecewise linear in the configuration space and must keep a fixed
-clearance from every diagonal z_i = z_j.
+exact, and ``gaudin.family_levels`` checks its convention and levels.
+The exact flatness residual is the commutator residual of the quadratic
+family over the same store: the derivative terms of the curvature cancel
+identically (see ``flatness_residual``).  Integration is floating point
+with controlled local error.  Paths are piecewise linear in the
+configuration space and must keep a fixed clearance from every diagonal
+z_i = z_j; that clearance is also what lets ``gauge_transform`` continue
+each log(z_i - z_j) from one sample to the next by a principal log.
 
 The connection form is one contraction over the unordered pairs,
 
@@ -31,8 +35,13 @@ import numpy as np
 from scipy.integrate import DOP853
 
 from .algebra import BasisElement
-from .gaudin import casimir, pair_matrix, quadratic_family
-from .linalg import commutator, mat_scale, mat_sub, max_abs
+from .gaudin import (
+    casimir,
+    family_commutator_residual,
+    family_levels,
+    pair_matrix,
+    quadratic_family,
+)
 
 DIAGONAL_CLEARANCE = 1e-3
 
@@ -47,18 +56,12 @@ class KZSystem:
     def __init__(self, tensor, mu, kappa=1, convention="plain", levels=None):
         if not complex(kappa):
             raise ValueError("kappa must be nonzero")
-        if convention not in ("plain", "central"):
-            raise ValueError("convention must be plain or central")
+        self.levels = family_levels(tensor, convention, levels)
         self.tensor = tensor
         self.mu = mu
         self.kappa = kappa
         self.convention = convention
-        if levels is None:
-            levels = [f.level for f in tensor.factors]
-        self.levels = [Fraction(x) for x in levels]
         self.ell = len(tensor.factors)
-        if len(self.levels) != self.ell:
-            raise ValueError("need one level per tensor factor")
         self.dim = tensor.dim(mu)
         if not self.dim:
             raise ValueError("mu is not a weight of the tensor product")
@@ -281,10 +284,14 @@ def singular_preservation(solution):
 def flatness_residual(system, point, h=None):
     """Curvature residual max_{i,j} |d_i H^j - d_j H^i - (1/kappa)[H^i, H^j]|.
 
-    With rational points and no step the derivatives are computed from the
-    closed form of the z-dependence, so the result is an exact Fraction.
-    Passing a step h switches to the floating finite-difference cross-check;
-    h must then be finite and nonzero.
+    With rational points and no step the result is an exact Fraction: the
+    max-norm of the commutators [H^i, H^j] over |kappa|.  The derivative
+    terms cancel identically, since d_i H^j = Omega^{(ji)}/(z_j - z_i)^2
+    and d_j H^i = Omega^{(ij)}/(z_i - z_j)^2 read the same stored block
+    with the same coefficient.  Passing a step h switches to the floating
+    finite-difference cross-check, which differentiates numerically; h
+    must then be finite and nonzero.  It visits pairs i < j only, since the
+    (j, i) residual is the negative of the (i, j) one.
     """
     ell = system.ell
     if len(point) != ell:
@@ -295,34 +302,12 @@ def flatness_residual(system, point, h=None):
     if len(set(z)) != ell:
         raise ValueError("point lies on a diagonal")
     if h is None:
-        kappa = Fraction(system.kappa)
-        hs = system.family(z).matrices(system.mu)
-        cas = casimir(system.tensor.index_set, central=(system.convention == "central"))
-        d = system.dim
-
-        def omega(i, j):
-            block = pair_matrix(system.tensor, cas, i, j, system.mu, levels=system.levels)
-            return block if block is not None else [[Fraction(0)] * d for _ in range(d)]
-
-        worst = Fraction(0)
-        for i in range(1, ell + 1):
-            for j in range(1, ell + 1):
-                if i == j:
-                    continue
-                # d/dz_i of H^j picks the single term Omega^{(ji)}/(z_j-z_i)
-                di_hj = mat_scale(omega(j, i), 1 / (z[j - 1] - z[i - 1]) ** 2)
-                dj_hi = mat_scale(omega(i, j), 1 / (z[i - 1] - z[j - 1]) ** 2)
-                hi = hs[i - 1]
-                hj = hs[j - 1]
-                resid = mat_sub(mat_sub(di_hj, dj_hi), mat_scale(commutator(hi, hj), 1 / kappa))
-                worst = max(worst, max_abs(resid))
-        return worst
+        fam = system.family(z)
+        return family_commutator_residual(fam, fam, system.mu) / abs(Fraction(system.kappa))
     kappa = complex(system.kappa)
     worst = 0.0
     for i in range(1, ell + 1):
-        for j in range(1, ell + 1):
-            if i == j:
-                continue
+        for j in range(i + 1, ell + 1):
             zp = list(z)
             zm = list(z)
             zp[i - 1] += h
@@ -343,40 +328,19 @@ def flatness_residual(system, point, h=None):
 def _continuous_logs(zs):
     """Continuously continued log(z_i - z_j) along a sample sequence.
 
-    Consecutive samples lie on straight segments in configuration space, so
-    refining linearly between them tracks the argument without ever
-    re-evaluating a principal branch across a cut.
+    Consecutive samples lie on one straight segment of a checked path, and
+    that segment keeps DIAGONAL_CLEARANCE from every diagonal.  So z_i - z_j
+    moves along a segment that misses 0, its argument turns by less than
+    pi between samples, and the principal log of the ratio is the exact
+    continuation step.
     """
     ell = len(zs[0])
     pairs = [(i, j) for i in range(ell) for j in range(i + 1, ell)]
-    logs = [{}]
-    current = {}
-    for i, j in pairs:
-        current[(i, j)] = cmath.log(zs[0][i] - zs[0][j])
-    logs[0] = dict(current)
+    current = {(i, j): cmath.log(zs[0][i] - zs[0][j]) for i, j in pairs}
+    logs = [dict(current)]
     for prev, here in zip(zs, zs[1:]):
         for i, j in pairs:
-            a = prev[i] - prev[j]
-            b = here[i] - here[j]
-            steps = 1
-            while True:
-                ok = True
-                val = current[(i, j)]
-                ref = a
-                for s in range(1, steps + 1):
-                    target = a + (b - a) * (s / steps)
-                    d = target / ref
-                    if abs(cmath.phase(d)) > 1.5:
-                        ok = False
-                        break
-                    val += cmath.log(d)
-                    ref = target
-                if ok:
-                    current[(i, j)] = val
-                    break
-                steps *= 2
-                if steps > 4096:
-                    raise RuntimeError("cannot track the branch; path too coarse")
+            current[(i, j)] += cmath.log((here[i] - here[j]) / (prev[i] - prev[j]))
         logs.append(dict(current))
     return pairs, logs
 

@@ -12,8 +12,8 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import BasisElement
-from .gaudin import add_word, cubic_family, quadratic_family
-from .linalg import is_zero_matrix, mat_add, mat_eye, mat_mul, mat_scale, mat_zeros
+from .gaudin import cubic_family, quadratic_family, site_casimir
+from .linalg import is_zero_matrix, mat_add, mat_eye, mat_mul, mat_scale
 
 MAX_ORDER = 3
 
@@ -233,52 +233,6 @@ def lax_str_expansion(tensor, z, k):
     return out
 
 
-def _site_sum(tensor, signed_words, w):
-    """sum of sign * (one-slot word) over the given words, as dense rows."""
-    d = tensor.dim(w)
-    total = mat_zeros(d, d)
-    for sign, word in signed_words:
-        add_word(total, tensor, word, w, sign)
-    return total
-
-
-def _site_quadratic(tensor, slot, w):
-    """sum_{r,s} (-1)^{2s} E_{r,s} E_{s,r} on one slot."""
-    members = list(tensor.index_set)
-    return _site_sum(
-        tensor,
-        [
-            (-1 if s.parity else 1, [(BasisElement(r, s), slot), (BasisElement(s, r), slot)])
-            for r in members
-            for s in members
-        ],
-        w,
-    )
-
-
-def _site_trace(tensor, slot, w):
-    """sum_r E_r on one slot."""
-    return _site_sum(tensor, [(1, [(BasisElement(r, r), slot)]) for r in tensor.index_set], w)
-
-
-def _site_cubic(tensor, slot, w):
-    """sum_{r,s,t} (-1)^{2(s+t)} E_{r,s} E_{s,t} E_{t,r} on one slot."""
-    members = list(tensor.index_set)
-    return _site_sum(
-        tensor,
-        [
-            (
-                -1 if (s.parity ^ t.parity) else 1,
-                [(BasisElement(r, s), slot), (BasisElement(s, t), slot), (BasisElement(t, r), slot)],
-            )
-            for r in members
-            for s in members
-            for t in members
-        ],
-        w,
-    )
-
-
 def str_identity(index_set):
     """Supertrace of the identity: even count minus odd count."""
     return sum(1 if h.parity == 0 else -1 for h in index_set)
@@ -292,7 +246,9 @@ def s22_closed(tensor, z, w):
     terms = {}
     for i in range(len(z)):
         terms[(i, 1)] = mat_scale(fam.matrix(i + 1, w), 2)
-        terms[(i, 2)] = mat_add(_site_quadratic(tensor, i, w), _site_trace(tensor, i, w))
+        terms[(i, 2)] = mat_add(
+            site_casimir(tensor, 2, i + 1, w), site_casimir(tensor, 1, i + 1, w)
+        )
     return RationalFunctionPF(z, terms)
 
 
@@ -304,7 +260,7 @@ def s33_closed(tensor, z, w):
     famC = cubic_family(tensor, z, "C")
     famD = cubic_family(tensor, z, "D")
     sid = str_identity(tensor.index_set)
-    traces = [_site_trace(tensor, i, w) for i in range(ell)]
+    traces = [site_casimir(tensor, 1, i + 1, w) for i in range(ell)]
     terms = {}
     for i in range(ell):
         s1 = mat_scale(famC.matrix(i + 1, w), 3)
@@ -317,8 +273,8 @@ def s33_closed(tensor, z, w):
             )
         s2 = mat_add(s2, mat_scale(famH.matrix(i + 1, w), 2 * sid + 3))
         s3 = mat_add(
-            _site_cubic(tensor, i, w),
-            mat_add(mat_scale(_site_quadratic(tensor, i, w), 3), mat_scale(traces[i], 2)),
+            site_casimir(tensor, 3, i + 1, w),
+            mat_add(mat_scale(site_casimir(tensor, 2, i + 1, w), 3), mat_scale(traces[i], 2)),
         )
         terms[(i, 1)] = mat_scale(s1, -1)
         terms[(i, 2)] = mat_scale(s2, -1)

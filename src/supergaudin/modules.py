@@ -12,7 +12,7 @@ Koszul signs of tensor products.
 
 from fractions import Fraction
 
-from .algebra import BasisElement, star_omega, supercommutator, AlgebraElement
+from .algebra import BasisElement, star_omega, supercommutator, AlgebraElement, off_diagonal_units
 from .indices import HalfIndex, IndexSet
 from .linalg import ColumnSolver, SpanBuilder, nullspace, rref
 from .partitions import Partition
@@ -297,6 +297,19 @@ class ExplicitModule(WeightModule):
 
     def _block(self, gen, w):
         return self._blocks.get((gen.key(), w))
+
+
+def _realize(index_set, level, dims, block_of, provenance, **meta):
+    """An ExplicitModule over the weights of ``dims`` whose blocks are
+    ``block_of(gen, w)`` for every off-diagonal unit gen; None and all-zero
+    blocks are dropped.  ``meta`` describes the realization."""
+    blocks = {}
+    for gen in off_diagonal_units(index_set):
+        for w in dims:
+            block = block_of(gen, w)
+            if block is not None and any(map(any, block)):
+                blocks[(gen.key(), w)] = block
+    return ExplicitModule(index_set, level, dims, blocks, provenance, **meta)
 
 
 def tensor_product(factors):
@@ -683,29 +696,22 @@ def irreducible_truncated(index_set, xi, depth):
             for p in pivots[w]
         ] + [[Fraction(x) for x in vec] for vec in radicals[w]]
         solvers[w] = ColumnSolver(columns, nrows=tdim)
-    blocks = {}
-    members = list(index_set)
-    for a in members:
-        for b in members:
-            if a == b:
-                continue
-            gen = BasisElement(a, b)
-            for w in dims:
-                target = w + gen.weight_shift()
-                if target not in dims:
-                    continue
-                res = verma.act(gen, w)
-                if res is None:
-                    continue
-                _, vblock = res
-                images = [[row[csrc] for row in vblock] for csrc in pivots[w]]
-                block = solvers[target].block(images, keep=len(pivots[target]))
-                if block is None:
-                    raise RuntimeError("Gram radical is not invariant")
-                if any(map(any, block)):
-                    blocks[(gen.key(), w)] = block
-    return ExplicitModule(
-        index_set, xi.level, dims, blocks, "irreducible", highest_weight=xi, depth=depth
+
+    def block_of(gen, w):
+        target = w + gen.weight_shift()
+        if target not in dims:
+            return None
+        res = verma.act(gen, w)
+        if res is None:
+            return None
+        images = [[row[csrc] for row in res[1]] for csrc in pivots[w]]
+        block = solvers[target].block(images, keep=len(pivots[target]))
+        if block is None:
+            raise RuntimeError("Gram radical is not invariant")
+        return block
+
+    return _realize(
+        index_set, xi.level, dims, block_of, "irreducible", highest_weight=xi, depth=depth
     )
 
 
@@ -848,29 +854,20 @@ def _build_polynomial_module(index_set, lam):
     bases = {w: sb.basis() for w, sb in spans.items() if len(sb)}
     dims = {w: len(b) for w, b in bases.items()}
     solvers = {w: ColumnSolver(basis, nrows=amb.dim(w)) for w, basis in bases.items()}
-    blocks = {}
-    members = list(index_set)
-    for a in members:
-        for b in members:
-            if a == b:
-                continue
-            gen = BasisElement(a, b)
-            shift = gen.weight_shift()
-            for w, basis in bases.items():
-                target = w + shift
-                images = [amb.apply_diagonal_sparse(gen, w, vec) for vec in basis]
-                if all(img is None for img in images):
-                    continue
-                if target not in bases:
-                    raise RuntimeError("cyclic submodule is not invariant")
-                sub = solvers[target].block([None if res is None else res[1] for res in images])
-                if sub is None:
-                    raise RuntimeError("cyclic submodule is not invariant")
-                if any(map(any, sub)):
-                    blocks[(gen.key(), w)] = sub
-    return ExplicitModule(
-        index_set, 0, dims, blocks, "polynomial", highest_weight=hw, shape=lam
-    )
+
+    def block_of(gen, w):
+        images = [amb.apply_diagonal_sparse(gen, w, vec) for vec in bases[w]]
+        if all(img is None for img in images):
+            return None
+        target = w + gen.weight_shift()
+        if target not in bases:
+            raise RuntimeError("cyclic submodule is not invariant")
+        sub = solvers[target].block([None if res is None else res[1] for res in images])
+        if sub is None:
+            raise RuntimeError("cyclic submodule is not invariant")
+        return sub
+
+    return _realize(index_set, 0, dims, block_of, "polynomial", highest_weight=hw, shape=lam)
 
 
 def truncate_module(module, smaller):
@@ -878,19 +875,12 @@ def truncate_module(module, smaller):
     from .weights import in_lattice
 
     dims = {w: d for w, d in module._dims.items() if in_lattice(w, smaller)}
-    blocks = {}
-    members = list(smaller)
-    for a in members:
-        for b in members:
-            if a == b:
-                continue
-            gen = BasisElement(a, b)
-            for w in dims:
-                res = module.act(gen, w)
-                if res is None:
-                    continue
-                target, block = res
-                if target in dims and any(any(row) for row in block):
-                    blocks[(gen.key(), w)] = block
-    out = ExplicitModule(smaller, module.level, dims, blocks, "truncation")
-    return out
+
+    def block_of(gen, w):
+        # act first: a truncated Verma raises when the action leaves its band
+        res = module.act(gen, w)
+        if res is None or res[0] not in dims:
+            return None
+        return res[1]
+
+    return _realize(smaller, module.level, dims, block_of, "truncation")

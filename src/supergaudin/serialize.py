@@ -4,6 +4,7 @@ matrices as sorted sparse triplets, indices by their doubled value."""
 import json
 from fractions import Fraction
 
+from .algebra import off_diagonal_units
 from .indices import IndexSet
 from .modules import ExplicitModule
 from .partitions import Partition
@@ -51,28 +52,21 @@ def module_to_json(module):
     weights = module.weights()
     wj = [{"weight": w.to_json(), "dim": module.dim(w)} for w in weights]
     actions = []
-    from .algebra import BasisElement
-
-    members = list(module.index_set)
-    for a in members:
-        for b in members:
-            if a == b:
+    for gen in off_diagonal_units(module.index_set):
+        for w in weights:
+            res = module.act(gen, w)
+            if res is None:
                 continue
-            gen = BasisElement(a, b)
-            for w in weights:
-                res = module.act(gen, w)
-                if res is None:
-                    continue
-                trip = matrix_triplets(res[1])
-                if trip:
-                    actions.append(
-                        {
-                            "row": a.doubled,
-                            "col": b.doubled,
-                            "weight": w.to_json(),
-                            "triplets": trip,
-                        }
-                    )
+            trip = matrix_triplets(res[1])
+            if trip:
+                actions.append(
+                    {
+                        "row": gen.row.doubled,
+                        "col": gen.col.doubled,
+                        "weight": w.to_json(),
+                        "triplets": trip,
+                    }
+                )
     doc = {
         "index_set": index_set_to_json(module.index_set),
         "level": frac_str(module.level),

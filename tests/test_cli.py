@@ -157,6 +157,19 @@ BAD_INPUT = {
         ["kz", "monodromy", *TWO_SITES, "--mu", "1,1", "--convention", "central", "--levels", "1,2,3", "--loop", LOOP],
         "need one level per tensor factor",
     ),
+    # the plain convention and the cubic Hamiltonians read no levels
+    "hamiltonian-plain-levels": (
+        ["hamiltonian", "--ell", "3", "--z", "0,1,3", "--mu", "2,1", "--levels", "7,8,9"],
+        "--levels applies only with --convention central",
+    ),
+    "hamiltonian-cubicC-levels": (
+        ["hamiltonian", "--ell", "3", "--kind", "cubicC", "--z", "0,1,3", "--mu", "2,1", "--levels", "7,8,9"],
+        "--levels applies only with --convention central",
+    ),
+    "kz-plain-levels": (
+        ["kz", "monodromy", *TWO_SITES, "--mu", "1,1", "--levels", "1,2", "--loop", LOOP],
+        "--levels applies only with --convention central",
+    ),
     "tensor-polynomial-with-p": (["tensor", "--lam", "2", "--p", "1"], "polynomial modules need p = q = 0"),
     "tensor-empty-partition": (["tensor", "--lam", "0"], "the empty partition labels the trivial module"),
     "tensor-irreducible-wide": (

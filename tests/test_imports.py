@@ -68,3 +68,39 @@ def test_package_modules_import_no_unused_names():
         if unused:
             found[name] = unused
     assert not found, found
+
+
+def _names(tree):
+    """Every identifier a module mentions: names, attributes, imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.split(".")[-1]
+
+
+def test_only_the_block_store_composes_one_slot_operators():
+    # gaudin._stored_block builds every invariant operator; any other
+    # caller of add_word would be a second way to compose one-slot words
+    outside = []
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py") and name != "gaudin.py":
+            with open(os.path.join(PACKAGE_DIR, name)) as fh:
+                if "add_word" in _names(ast.parse(fh.read())):
+                    outside.append(name)
+    assert not outside
+    with open(os.path.join(PACKAGE_DIR, "gaudin.py")) as fh:
+        tree = ast.parse(fh.read())
+    callers = [
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(n, ast.Call) and "add_word" in _names(n.func) for n in ast.walk(fn))
+    ]
+    calls_elsewhere = [
+        n for n in tree.body if not isinstance(n, ast.FunctionDef) and "add_word" in _names(n)
+    ]
+    assert callers == ["_stored_block"] and not calls_elsewhere

@@ -16,6 +16,7 @@ from supergaudin.kz import (
     KZSystem,
     check_path,
     flatness_residual,
+    gauge_exponent,
     gauge_transform,
     integrate_path,
     monodromy,
@@ -169,6 +170,22 @@ def test_gauge_converts_between_conventions():
             acc += dz[i - 1] / 2.0 * (central.hamiltonian_float(i, mid_z) @ mid_psi)
         worst = max(worst, float(np.max(np.abs(dpsi - acc))))
     assert worst < 5e-3  # finite differences limit the comparison
+
+
+def test_gauge_factor_winds_once_around_a_diagonal():
+    """A coarse loop taking z_1 once around z_2 multiplies the gauge factor
+    (z_1 - z_2)^alpha by exp(2 pi i alpha), and its inverse by the inverse;
+    plain-convention levels are the gauge default."""
+    t2, system = two_site_system(kappa=3, levels=[1, 2])
+    loop = [(1, 0), (1j, 0), (-1, 0), (-1j, 0), (1, 0)]
+    sol = integrate_path(system, loop, [1.0, 0.5])
+    alpha = gauge_exponent(1, 0, system.levels, system.kappa)[(0, 1)]
+    assert abs(cmath.exp(2j * math.pi * alpha) - 1) > 0.5
+    for direction, sign in (("plain_to_central", 1), ("central_to_plain", -1)):
+        gauged = gauge_transform(sol, direction, 1, 0)
+        first, last = sol.samples[0]["psi"], sol.samples[-1]["psi"]
+        ratio = (gauged.samples[-1]["psi"] / last) / (gauged.samples[0]["psi"] / first)
+        assert np.allclose(ratio, cmath.exp(sign * 2j * math.pi * alpha), atol=1e-12), direction
 
 
 def test_monodromy_contractible_and_inverse():

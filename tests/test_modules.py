@@ -95,6 +95,10 @@ def test_verma_out_of_band_query_is_refused():
     vm = verma_truncated(GL21, Weight({2: 2}), 1)
     with pytest.raises(ValueError, match="band"):
         vm.act(E("1/2", 1), eps(1) + eps(2))
+    # truncating to gl(1|1) queries E_{1/2,1} on the kept e(1) space, whose
+    # target e(1/2) lies outside the depth-0 band: refused, not dropped
+    with pytest.raises(ValueError, match="band"):
+        truncate_module(verma_truncated(GL21, eps(1), 0), GL11)
 
 
 def test_irreducible_examples():

@@ -1,27 +1,35 @@
-"""The pair-block store against the dense formula it replaced.
+"""The block store against the dense formulas it replaced.
 
-The reference below rebuilds each two-site Casimir from dense slot blocks
-(``slot_act``) multiplied with ``mat_mul``, K terms and the iota
-correction included, exactly as the package did before the sparse core.
+The references below rebuild each two-site Casimir and each one-site
+Casimir from dense slot blocks (``slot_act``) multiplied with ``mat_mul``,
+K terms and the iota correction included, exactly as the package did
+before the sparse core.
 """
 
 import copy
 from fractions import Fraction
+from itertools import product
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supergaudin.algebra import BasisElement
 from supergaudin.gaudin import (
     K_SYMBOL,
+    apply_pair_op,
     casimir,
     cubic_family,
     pair_matrix,
     quadratic_family,
     restrict_to_basis,
+    site_casimir,
 )
 from supergaudin.indices import IndexSet
 from supergaudin.linalg import mat_mul
 from supergaudin.modules import (
+    ExplicitModule,
     NaturalModule,
     irreducible_truncated,
     polynomial_module,
@@ -79,6 +87,28 @@ def dense_pair(tensor, cas, i, j, w, levels):
     return total
 
 
+def dense_site(tensor, k, slot, w):
+    """sum over chains r_0 .. r_{k-1} of (-1)^{2(r_1 + ... + r_{k-1})}
+    E_{r_0 r_1} ... E_{r_{k-1} r_0} on the 1-based slot, from dense blocks."""
+    d = tensor.dim(w)
+    total = [[Fraction(0)] * d for _ in range(d)]
+    for chain in product(list(tensor.index_set), repeat=k):
+        sign = (-1) ** sum(h.parity for h in chain[1:])
+        cur, mat = w, None
+        for t in reversed(range(k)):
+            res = tensor.slot_act(BasisElement(chain[t], chain[(t + 1) % k]), slot - 1, cur)
+            if res is None:
+                break
+            cur, block = res
+            mat = block if mat is None else mat_mul(block, mat)
+        else:
+            assert cur == w
+            for trow, mrow in zip(total, mat):
+                for c, x in enumerate(mrow):
+                    trow[c] += sign * x
+    return total
+
+
 @st.composite
 def tensors(draw):
     name = draw(st.sampled_from(sorted(FLAVORS)))
@@ -124,6 +154,44 @@ def test_stored_pair_matches_dense_reference_and_is_symmetric(case):
             else:
                 assert got == ref
                 assert dense_pair(tensor, cas, j, i, w, levels) == ref
+
+
+@settings(max_examples=30, deadline=None)
+@given(tensors())
+def test_stored_site_casimirs_match_dense_reference(case):
+    tensor, _, _, w = case
+    for k in (1, 2, 3):
+        for slot in range(1, len(tensor.factors) + 1):
+            assert site_casimir(tensor, k, slot, w) == dense_site(tensor, k, slot, w), (k, slot)
+
+
+def test_vanishing_site_casimir_is_a_zero_matrix():
+    # every word vanishes on a trivial slot: the store keeps None, and the
+    # caller still gets a fresh d x d zero matrix
+    iset = FLAVORS["gl(1|1)"]
+    trivial = ExplicitModule(iset, 0, {Weight(): 1}, {}, "trivial")
+    tensor = tensor_product([trivial, NaturalModule(iset), NaturalModule(iset)])
+    w = max(tensor.weights(), key=tensor.dim)
+    d = tensor.dim(w)
+    assert d == 2
+    for k in (1, 2, 3):
+        zero = site_casimir(tensor, k, 1, w)
+        assert zero == [[0] * d for _ in range(d)]
+        assert tensor.pair_store[(("site", k, 1), w, None)] is None
+        zero[0][0] = 5
+        assert site_casimir(tensor, k, 1, w) == [[0] * d for _ in range(d)]
+        assert site_casimir(tensor, k, 2, w) == dense_site(tensor, k, 2, w)
+
+
+def test_pair_operators_refuse_a_casimir_of_another_index_set():
+    tensor, w = _natural_pair()
+    for other in (FLAVORS["gl(1|1)"], FLAVORS["gl(3)"]):
+        for central in (False, True):
+            cas = casimir(other, central)
+            with pytest.raises(ValueError, match="index sets"):
+                pair_matrix(tensor, cas, 1, 2, w)
+            with pytest.raises(ValueError, match="index sets"):
+                apply_pair_op(tensor, cas, 1, 2, w, [[1] * tensor.dim(w)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -189,6 +257,8 @@ def test_pair_matrix_result_is_not_shared():
     cas = casimir(tensor.index_set)
     _assert_unshared(lambda: pair_matrix(tensor, cas, 1, 2, w))
     _assert_unshared(lambda: pair_matrix(tensor, cas, 2, 1, w))
+    for k in (1, 2, 3):
+        _assert_unshared(lambda: site_casimir(tensor, k, 2, w))
 
 
 def test_family_matrix_result_is_not_shared():

@@ -7,9 +7,12 @@ import os
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from click.testing import CliRunner
 
+from supergaudin.algebra import AlgebraElement, BasisElement
 from supergaudin.cache import DiskCache, content_key
 from supergaudin.cli import main
 from supergaudin.duality import truncation_check
@@ -17,8 +20,11 @@ from supergaudin.indices import IndexSet
 from supergaudin.modules import (
     NaturalModule,
     irreducible_truncated,
+    polynomial_highest_weight,
     polynomial_module,
     tensor_product,
+    truncate_module,
+    verma_truncated,
 )
 from supergaudin.partitions import Partition
 from supergaudin.serialize import (
@@ -30,7 +36,7 @@ from supergaudin.serialize import (
     module_to_json,
     validate_document,
 )
-from supergaudin.weights import eps
+from supergaudin.weights import Weight, eps
 from fractions import Fraction
 
 
@@ -158,3 +164,87 @@ def test_entry_under_pre_version_key_is_not_served(tmp_path):
     # the fresh entry went under the stamped key; the stale one is untouched
     assert cache.lookup(content_key(descriptor)) == doc
     assert cache.lookup(old_key) == stale
+
+
+GL11 = IndexSet.gl(0, 1, 0, 1)
+ROUND_TRIP_FLAVORS = (GL11, IndexSet.gl(0, 2, 0, 1), IndexSet.classical(0, 3))
+SMALL_SHAPES = ((1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1))
+TRUNCATIONS = (
+    (IndexSet.gl(0, 2, 0, 1), GL11),
+    (IndexSet.classical(0, 3), IndexSet.classical(0, 2)),
+)
+
+
+@st.composite
+def small_modules(draw):
+    """Natural, polynomial (|lam| <= 3), truncated Verma, irreducible and
+    truncation realizations.  Only gl(1|1) Vermas are drawn: there the
+    depth band (depth >= 1) is closed under the action, while the other
+    flavors' band edges raise when serialized."""
+    kind = draw(st.sampled_from(("natural", "polynomial", "verma", "irreducible", "truncation")))
+    lam = Partition(draw(st.sampled_from(SMALL_SHAPES)))
+    if kind == "verma":
+        return verma_truncated(GL11, polynomial_highest_weight(GL11, lam), draw(st.integers(1, 3)))
+    if kind == "truncation":
+        big, small = draw(st.sampled_from(TRUNCATIONS))
+        return truncate_module(polynomial_module(big, lam), small)
+    iset = draw(st.sampled_from(ROUND_TRIP_FLAVORS))
+    if kind == "natural":
+        return NaturalModule(iset)
+    if kind == "polynomial":
+        return polynomial_module(iset, lam)
+    depth = draw(st.integers(0, 2))
+    return irreducible_truncated(iset, polynomial_highest_weight(iset, lam), depth)
+
+
+def _nonzero_act(module, gen, w):
+    res = module.act(gen, w)
+    return res if res is not None and any(map(any, res[1])) else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_modules())
+def test_module_json_round_trip_keeps_document_and_action(module):
+    doc = module_to_json(module)
+    back = module_from_json(doc)
+    assert module_to_json(back) == doc
+    assert back.weights() == module.weights()
+    members = list(module.index_set)
+    for w in module.weights():
+        assert back.dim(w) == module.dim(w)
+        for a in members:
+            for b in members:
+                gen = BasisElement(a, b)
+                assert _nonzero_act(back, gen, w) == _nonzero_act(module, gen, w), (gen, w)
+
+
+int_or_fraction = st.one_of(st.integers(-9, 9), st.integers(-9, 9).map(Fraction))
+nonzero_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+doubled_indices = st.integers(-6, 6).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(doubled_indices, int_or_fraction, max_size=5), nonzero_fractions)
+def test_weight_json_round_trip_with_mixed_coefficients(coeffs, level):
+    w = Weight(coeffs, level)
+    doc = w.to_json()
+    assert Weight.from_json(doc) == w
+    assert Weight.from_json(doc).to_json() == doc
+    assert json.loads(json.dumps(doc)) == doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(doubled_indices, doubled_indices),
+        st.one_of(int_or_fraction, nonzero_fractions),
+        max_size=6,
+    ),
+    nonzero_fractions,
+)
+def test_algebra_element_json_round_trip_with_mixed_coefficients(terms, central):
+    x = AlgebraElement(terms, central)
+    doc = x.to_json()
+    assert AlgebraElement.from_json(doc) == x
+    assert AlgebraElement.from_json(doc).to_json() == doc
+    assert json.loads(json.dumps(doc)) == doc
