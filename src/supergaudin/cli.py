@@ -3,8 +3,15 @@
 Everything prints one JSON document to stdout.  Exit codes: 0 on success,
 1 when a verification ran and failed (the report still prints), 2 on
 argument or validation errors.
+
+Each input is resolved once, before a command runs: ``with_flavor``,
+``with_tensor`` and ``with_kz`` hand the commands the index set, the
+tensor, the target weight and the KZ system, and every --z goes through
+``_points``.  Bad input exits 2 with a message before anything is
+computed or cached; any other exception keeps its traceback.
 """
 
+import functools
 import json
 import random
 import sys
@@ -14,12 +21,13 @@ import click
 
 from .cache import DiskCache, content_key
 from .duality import build_setup, cubic_spectrum_match, spectrum_match
-from .gaudin import cubic_family, family_levels, joint_diagonalize, quadratic_family
+from .gaudin import cubic_family, family_levels, joint_diagonalize, pairwise_commutator_residual, quadratic_family
 from .indices import IndexSet
-from .linalg import charpoly, commutator, is_zero_matrix
+from .linalg import charpoly
 from .modules import (
     NaturalModule,
     irreducible_truncated,
+    polynomial_highest_weight,
     polynomial_module,
     singular_space,
     tensor_product,
@@ -39,6 +47,14 @@ def _emit(ctx, doc):
     click.echo(dumps(doc, pretty=not ctx.obj["compact"]))
 
 
+def _checked(fn, *args, **kwargs):
+    """fn(*args, **kwargs), its input-check ValueError as a usage error."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
 def _parse_partition(text, flag):
     try:
         parts = [int(x) for x in text.split(",") if x.strip() != ""]
@@ -54,57 +70,91 @@ def _parse_fracs(text, flag):
         raise click.UsageError("bad rational list for %s: %s" % (flag, exc))
 
 
+def _points(text, ell):
+    """The --z points: one rational per tensor factor, pairwise distinct."""
+    zs = _parse_fracs(text, "--z")
+    if len(zs) != ell:
+        raise click.UsageError("--z needs %d points, got %d" % (ell, len(zs)))
+    if len(set(zs)) != ell:
+        raise click.UsageError("--z points must be pairwise distinct")
+    return zs
+
+
 def _index_set(flavor, q, m, p, n, k):
-    try:
-        if flavor == "classical":
-            return IndexSet.classical(p, k if k is not None else n)
-        if flavor == "wide":
-            return IndexSet.wide(p, k if k is not None else n)
-        return IndexSet.gl(q, m, p, n)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    if k is not None:
+        if flavor == "super":
+            raise click.UsageError("--k is the rank of the classical and wide flavors; use --m and --n")
+        n = k
+    if flavor != "super":
+        q = m = 0  # the classical and wide flavors read p and n only
+    return _checked(IndexSet, flavor, p=p, q=q, m=m, n=n)
 
 
-def _hook_weight(iset, mu):
-    from .modules import polynomial_highest_weight
+def _module(iset, kind, lam, depth):
+    """One weight module of the given kind; lam is read by all but natural."""
+    if kind == "natural":
+        return NaturalModule(iset)
+    if kind == "polynomial":
+        return _checked(polynomial_module, iset, lam)
+    hw = _checked(polynomial_highest_weight, iset, lam)
+    return _checked(verma_truncated if kind == "verma" else irreducible_truncated, iset, hw, depth)
 
-    try:
-        return polynomial_highest_weight(iset, mu)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+
+def _tensor(iset, lams, kind, depth, ell):
+    if lams and ell is not None:
+        raise click.UsageError("give --lam factors or --ell, not both")
+    if not lams and not ell:
+        raise click.UsageError("need --lam factors or --ell for natural powers")
+    if lams:
+        mods = [_module(iset, kind, _parse_partition(t, "--lam"), depth) for t in lams]
+    else:
+        mods = [NaturalModule(iset)] * ell
+    return _checked(tensor_product, mods)
 
 
 def _target_weight(iset, mu, weight_json):
-    if weight_json:
+    if mu is not None and weight_json is not None:
+        raise click.UsageError("give --mu or --weight, not both")
+    if weight_json is not None:
         try:
             return Weight.from_json(json.loads(weight_json))
         except ValueError as exc:
             raise click.UsageError("bad --weight: %s" % (exc,))
     if mu is None:
         raise click.UsageError("need --mu or --weight")
-    return _hook_weight(iset, _parse_partition(mu, "--mu"))
+    return _checked(polynomial_highest_weight, iset, _parse_partition(mu, "--mu"))
 
 
-def _factors(iset, lams, kind, depth):
-    mods = []
-    for lam in lams:
-        if kind == "natural":
-            mods.append(NaturalModule(iset))
-        elif kind == "polynomial":
-            mods.append(polynomial_module(iset, lam))
-        elif kind == "irreducible":
-            from .modules import polynomial_highest_weight
-
-            hw = polynomial_highest_weight(iset, lam)
-            mods.append(irreducible_truncated(iset, hw, depth))
-        else:
-            raise click.UsageError("unsupported factor kind %r" % (kind,))
-    if not mods:
-        raise click.UsageError("need at least one --lam (or --ell for naturals)")
-    return mods
+def _levels(tens, convention, text):
+    """--levels: one rational per tensor factor, read by the central
+    convention only; the others would silently ignore it."""
+    if text is None:
+        return None
+    levels = _parse_fracs(text, "--levels")
+    _checked(family_levels, tens, convention, levels)
+    if convention != "central":
+        raise click.UsageError("--levels applies only with --convention central")
+    return levels
 
 
-flavor_options = [
+def _resolver(options, resolve):
+    """A decorator adding ``options`` to a command; ``resolve`` replaces
+    their raw values in the keyword arguments by resolved objects."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(**kwargs):
+            resolve(kwargs)
+            return fn(**kwargs)
+
+        for opt in reversed(options):
+            run = opt(run)
+        return run
+
+    return decorate
+
+
+FLAVOR_OPTIONS = [
     click.option("--flavor", type=click.Choice(["super", "classical", "wide"]), default="super"),
     click.option("--q", type=int, default=0, show_default=True),
     click.option("--m", type=int, default=1, show_default=True),
@@ -113,11 +163,62 @@ flavor_options = [
     click.option("--k", type=int, default=None, help="classical rank shorthand for --n"),
 ]
 
+TENSOR_OPTIONS = [
+    click.option("--lam", "lams", multiple=True, help="factor partition (repeatable)"),
+    click.option(
+        "--factor-kind",
+        "kind",
+        type=click.Choice(["natural", "polynomial", "irreducible"]),
+        default="polynomial",
+        show_default=True,
+    ),
+    click.option("--depth", type=int, default=4, show_default=True),
+    click.option("--ell", type=int, default=None, help="tensor power of the natural module"),
+]
 
-def with_flavor(fn):
-    for opt in reversed(flavor_options):
-        fn = opt(fn)
-    return fn
+
+def _resolve_flavor(kwargs):
+    kwargs["iset"] = _index_set(*(kwargs.pop(name) for name in ("flavor", "q", "m", "p", "n", "k")))
+
+
+with_flavor = _resolver(FLAVOR_OPTIONS, _resolve_flavor)
+
+
+def with_tensor(target=False, mu_help=None, weight_help=None):
+    """The flavor and tensor options, resolved to ``tens``; with ``target``
+    also --mu/--weight, resolved to the ``target`` weight."""
+    options = list(TENSOR_OPTIONS)
+    if target:
+        options += [click.option("--mu", default=None, help=mu_help), click.option("--weight", default=None, help=weight_help)]
+
+    def resolve(kwargs):
+        iset = kwargs.pop("iset")
+        kwargs["tens"] = _tensor(iset, *(kwargs.pop(name) for name in ("lams", "kind", "depth", "ell")))
+        if target:
+            kwargs["target"] = _target_weight(iset, kwargs.pop("mu"), kwargs.pop("weight"))
+
+    layer = _resolver(options, resolve)
+    return lambda fn: with_flavor(layer(fn))
+
+
+def _resolve_kz(kwargs):
+    from .kz import KZSystem
+
+    tens, target, kappa, convention = (kwargs.pop(name) for name in ("tens", "target", "kappa", "convention"))
+    levels = _levels(tens, convention, kwargs.pop("levels"))
+    kwargs["system"] = _checked(KZSystem, tens, target, kappa=kappa, convention=convention, levels=levels)
+
+
+KZ_OPTIONS = [
+    click.option("--kappa", type=float, default=1.0, show_default=True),
+    click.option("--convention", type=click.Choice(["plain", "central"]), default="plain"),
+    click.option("--levels", default=None),
+]
+
+
+def with_kz(fn):
+    """The tensor, target weight and KZ options, resolved to ``system``."""
+    return with_tensor(target=True)(_resolver(KZ_OPTIONS, _resolve_kz)(fn))
 
 
 @click.group()
@@ -153,11 +254,11 @@ def module():
 @click.option("--depth", type=int, default=4, show_default=True)
 @click.option("--no-cache", is_flag=True)
 @click.pass_context
-def module_build(ctx, flavor, q, m, p, n, k, lam, kind, depth, no_cache):
+def module_build(ctx, iset, lam, kind, depth, no_cache):
     """Build one weight module and print its JSON realization."""
-    iset = _index_set(flavor, q, m, p, n, k)
     if kind != "natural" and lam is None:
         raise click.UsageError("--lam is required for kind %s" % kind)
+    shape = None if kind == "natural" else _parse_partition(lam, "--lam")
     descriptor = {
         "op": "module",
         "index_set": {"flavor": iset.flavor, **iset.params()},
@@ -167,64 +268,20 @@ def module_build(ctx, flavor, q, m, p, n, k, lam, kind, depth, no_cache):
     }
 
     def compute():
-        if kind == "natural":
-            return module_to_json(NaturalModule(iset))
-        shape = _parse_partition(lam, "--lam")
-        if kind == "polynomial":
-            return module_to_json(polynomial_module(iset, shape))
-        hw = _hook_weight(iset, shape)
-        if kind == "verma":
-            return module_to_json(verma_truncated(iset, hw, depth))
-        return module_to_json(irreducible_truncated(iset, hw, depth))
+        return module_to_json(_module(iset, kind, shape, depth))
 
-    try:
-        if no_cache:
-            doc = compute()
-        else:
-            doc, _ = ctx.obj["cache"].get_or_compute(content_key(descriptor), compute)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    if no_cache:
+        doc = compute()
+    else:
+        doc, _ = ctx.obj["cache"].get_or_compute(content_key(descriptor), compute)
     _emit(ctx, doc)
 
 
-def _tensor_from_options(flavor, q, m, p, n, k, lams, kind, depth, ell):
-    iset = _index_set(flavor, q, m, p, n, k)
-    if not lams and not ell:
-        raise click.UsageError("need --lam factors or --ell for natural powers")
-    shapes = [_parse_partition(t, "--lam") for t in lams]
-    try:
-        mods = _factors(iset, shapes, kind, depth) if shapes else [NaturalModule(iset)] * ell
-        return iset, tensor_product(mods)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-tensor_options = [
-    click.option("--lam", "lams", multiple=True, help="factor partition (repeatable)"),
-    click.option(
-        "--factor-kind",
-        "kind",
-        type=click.Choice(["natural", "polynomial", "irreducible"]),
-        default="polynomial",
-        show_default=True,
-    ),
-    click.option("--depth", type=int, default=4, show_default=True),
-    click.option("--ell", type=int, default=None, help="tensor power of the natural module"),
-]
-
-
-def with_tensor(fn):
-    for opt in reversed(flavor_options + tensor_options):
-        fn = opt(fn)
-    return fn
-
-
 @main.command()
-@with_tensor
+@with_tensor()
 @click.pass_context
-def tensor(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell):
+def tensor(ctx, tens):
     """Weight multiplicities of a tensor product."""
-    _, tens = _tensor_from_options(flavor, q, m, p, n, k, lams, kind, depth, ell)
     doc = {
         "total_dim": tens.total_dim,
         "weights": [{"weight": w.to_json(), "dim": tens.dim(w)} for w in tens.weights()],
@@ -233,14 +290,10 @@ def tensor(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell):
 
 
 @main.command()
-@with_tensor
-@click.option("--mu", default=None, help="singular weight as a partition")
-@click.option("--weight", default=None, help="singular weight as JSON")
+@with_tensor(target=True, mu_help="singular weight as a partition", weight_help="singular weight as JSON")
 @click.pass_context
-def singular(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, mu, weight):
+def singular(ctx, tens, target):
     """Basis of a singular weight space."""
-    iset, tens = _tensor_from_options(flavor, q, m, p, n, k, lams, kind, depth, ell)
-    target = _target_weight(iset, mu, weight)
     space = singular_space(tens, target)
     doc = {
         "weight": target.to_json(),
@@ -251,45 +304,29 @@ def singular(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, mu, weight):
     _emit(ctx, doc)
 
 
-def _check_levels(tens, convention, levels):
-    """--levels needs one value per factor, and is read only by the central
-    convention; the plain one would silently ignore it."""
-    if levels is None:
-        return
-    family_levels(tens, convention, levels)
-    if convention != "central":
-        raise ValueError("--levels applies only with --convention central")
-
-
-def _build_family(tens, kind, z, convention, levels):
-    try:
-        if kind != "quadratic" and convention != "plain":
-            raise ValueError("cubic Hamiltonians exist only in the plain convention")
-        _check_levels(tens, convention, levels)
-        if kind == "quadratic":
-            return quadratic_family(tens, z, convention=convention, levels=levels)
-        return cubic_family(tens, z, kind[-1])
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+def _build_family(tens, kind, zs, convention="plain", levels=None):
+    """The Hamiltonian family of a kind at checked points; ``levels`` is
+    the raw --levels text."""
+    if kind != "quadratic" and convention != "plain":
+        raise click.UsageError("cubic Hamiltonians exist only in the plain convention")
+    levels = _levels(tens, convention, levels)
+    if kind == "quadratic":
+        return _checked(quadratic_family, tens, zs, convention=convention, levels=levels)
+    return _checked(cubic_family, tens, zs, kind[-1])
 
 
 @main.command()
-@with_tensor
+@with_tensor(target=True)
 @click.option("--kind", "ham_kind", type=click.Choice(["quadratic", "cubicC", "cubicD"]), default="quadratic", show_default=True)
 @click.option("--z", required=True, help="rational points, e.g. 0,1,3")
 @click.option("--convention", type=click.Choice(["plain", "central"]), default="plain", show_default=True)
 @click.option("--levels", default=None, help="K scalars per factor")
-@click.option("--mu", default=None)
-@click.option("--weight", default=None)
 @click.option("--restrict-singular", is_flag=True, help="restrict to the singular subspace")
 @click.pass_context
-def hamiltonian(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, ham_kind, z, convention, levels, mu, weight, restrict_singular):
+def hamiltonian(ctx, tens, target, ham_kind, z, convention, levels, restrict_singular):
     """Exact Hamiltonian matrices on one weight space."""
-    iset, tens = _tensor_from_options(flavor, q, m, p, n, k, lams, kind, depth, ell)
-    zs = _parse_fracs(z, "--z")
-    lv = _parse_fracs(levels, "--levels") if levels else None
-    target = _target_weight(iset, mu, weight)
-    fam = _build_family(tens, ham_kind, zs, convention, lv)
+    zs = _points(z, len(tens.factors))
+    fam = _build_family(tens, ham_kind, zs, convention, levels)
     if restrict_singular:
         space = singular_space(tens, target)
         mats = [fam.restricted(i, space) for i in range(1, fam.ell + 1)]
@@ -297,11 +334,6 @@ def hamiltonian(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, ham_kind, z,
     else:
         mats = [fam.matrix(i, target) for i in range(1, fam.ell + 1)]
         dim = tens.dim(target)
-    comm_zero = all(
-        is_zero_matrix(commutator(mats[a], mats[b]))
-        for a in range(len(mats))
-        for b in range(a + 1, len(mats))
-    )
     doc = {
         "z": [frac_str(x) for x in zs],
         "weight": target.to_json(),
@@ -309,25 +341,21 @@ def hamiltonian(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, ham_kind, z,
         "convention": convention,
         "dim": dim,
         "matrices": [{"site": i + 1, "triplets": matrix_triplets(mm)} for i, mm in enumerate(mats)],
-        "certificates": {"commutators_zero": comm_zero},
+        "certificates": {"commutators_zero": not pairwise_commutator_residual(mats)},
     }
     _emit(ctx, doc)
 
 
 @main.command()
-@with_tensor
+@with_tensor(target=True)
 @click.option("--kind", "ham_kind", type=click.Choice(["quadratic", "cubicC", "cubicD"]), default="quadratic", show_default=True)
 @click.option("--z", required=True)
-@click.option("--mu", default=None)
-@click.option("--weight", default=None)
 @click.pass_context
-def spectrum(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, ham_kind, z, mu, weight):
+def spectrum(ctx, tens, target, ham_kind, z):
     """Joint spectrum on a singular weight space, with exact certificates."""
-    iset, tens = _tensor_from_options(flavor, q, m, p, n, k, lams, kind, depth, ell)
-    zs = _parse_fracs(z, "--z")
-    target = _target_weight(iset, mu, weight)
+    zs = _points(z, len(tens.factors))
+    fam = _build_family(tens, ham_kind, zs)
     space = singular_space(tens, target)
-    fam = _build_family(tens, ham_kind, zs, "plain", None)
     mats = [fam.restricted(i, space) for i in range(1, fam.ell + 1)]
     rng = random.Random(ctx.obj["seed"])
     try:
@@ -360,59 +388,56 @@ def duality():
     """Super-duality spectrum comparisons."""
 
 
-def _duality_args(fn):
-    opts = [
+def _resolve_duality(kwargs):
+    from .verify import _sample_z
+
+    lams, m, n, mu, z, trials = (kwargs.pop(name) for name in ("lams", "m", "n", "mu", "z", "trials"))
+    if trials < 1:
+        raise click.UsageError("--trials must be at least 1")
+    shapes = [_parse_partition(t, "--lams") for t in lams.split(";")]
+    setup = _checked(build_setup, shapes, m, n, _parse_partition(mu, "--mu"))
+    if setup.ell < 2:
+        raise click.UsageError("--lams needs at least two factors")
+    zs = _points(z, setup.ell) if z else None
+    rng = random.Random(click.get_current_context().obj["seed"])
+    kwargs["setup"] = setup
+    kwargs["points"] = [zs or _sample_z(rng, setup.ell) for _ in range(trials)]
+
+
+with_duality = _resolver(
+    [
         click.option("--lams", required=True, help="factor partitions, e.g. '1;2,1'"),
         click.option("--m", type=int, default=1, show_default=True),
         click.option("--n", type=int, default=1, show_default=True),
         click.option("--mu", required=True, help="master singular partition"),
         click.option("--z", default=None, help="rational points; sampled when omitted"),
         click.option("--trials", type=int, default=1, show_default=True),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+    ],
+    _resolve_duality,
+)
 
 
-def _run_duality(ctx, lams, m, n, mu, z, trials, matcher):
-    from .verify import _sample_z
-
-    shapes = [_parse_partition(t, "--lams") for t in lams.split(";")]
-    mu_p = _parse_partition(mu, "--mu")
-    try:
-        setup = build_setup(shapes, m, n, mu_p)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    rng = random.Random(ctx.obj["seed"])
-    reports = []
-    ok = True
-    for t in range(trials):
-        zs = _parse_fracs(z, "--z") if z else _sample_z(rng, setup.ell)
-        if len(zs) != setup.ell:
-            raise click.UsageError("--z needs %d points" % setup.ell)
-        rep = matcher(setup, zs)
-        reports.append(rep)
-        ok = ok and rep["equal"]
-    doc = reports[0] if trials == 1 else {"reports": reports, "equal": ok}
-    _emit(ctx, doc)
+def _emit_reports(ctx, reports):
+    ok = all(rep["equal"] for rep in reports)
+    _emit(ctx, reports[0] if len(reports) == 1 else {"reports": reports, "equal": ok})
     if not ok:
         sys.exit(1)
 
 
 @duality.command("check")
-@_duality_args
+@with_duality
 @click.pass_context
-def duality_check(ctx, lams, m, n, mu, z, trials):
+def duality_check(ctx, setup, points):
     """Quadratic char-poly equality across the correspondence."""
-    _run_duality(ctx, lams, m, n, mu, z, trials, spectrum_match)
+    _emit_reports(ctx, [spectrum_match(setup, z) for z in points])
 
 
 @duality.command("cubic")
-@_duality_args
+@with_duality
 @click.pass_context
-def duality_cubic(ctx, lams, m, n, mu, z, trials):
+def duality_cubic(ctx, setup, points):
     """Cubic char-poly equality across the correspondence."""
-    _run_duality(ctx, lams, m, n, mu, z, trials, cubic_spectrum_match)
+    _emit_reports(ctx, [cubic_spectrum_match(setup, z) for z in points])
 
 
 def _pf_to_json(pf):
@@ -425,16 +450,18 @@ def _pf_to_json(pf):
 
 @main.command("lax")
 @click.argument("action", type=click.Choice(["expand"]))
-@with_tensor
+@with_tensor()
 @click.option("--k-power", "kpow", type=click.IntRange(1, 3), default=2, show_default=True)
 @click.option("--z", required=True)
 @click.pass_context
-def lax(ctx, action, flavor, q, m, p, n, k, lams, kind, depth, ell, kpow, z):
+def lax(ctx, action, tens, kpow, z):
     """Supertrace expansion of Lax powers; checks the closed forms."""
     from .laxmatrix import lax_str_expansion, s22_closed, s33_closed
 
-    iset, tens = _tensor_from_options(flavor, q, m, p, n, k, lams, kind, depth, ell)
-    zs = _parse_fracs(z, "--z")
+    zs = _points(z, len(tens.factors))
+    if kpow > 1:
+        # the closed forms are read off the quadratic (k = 2) or cubic family
+        _build_family(tens, "quadratic" if kpow == 2 else "cubicC", zs)
     expansion = lax_str_expansion(tens, zs, kpow)
     weights_doc = []
     matches = True
@@ -463,19 +490,6 @@ def kz():
     """Knizhnik-Zamolodchikov equations."""
 
 
-def _kz_system(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, mu, weight, kappa, convention, levels):
-    from .kz import KZSystem
-
-    iset, tens = _tensor_from_options(flavor, q, m, p, n, k, lams, kind, depth, ell)
-    target = _target_weight(iset, mu, weight)
-    lv = _parse_fracs(levels, "--levels") if levels else None
-    try:
-        _check_levels(tens, convention, lv)
-        return tens, target, KZSystem(tens, target, kappa=kappa, convention=convention, levels=lv)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
 def _parse_path(text, flag):
     try:
         data = json.loads(text)
@@ -484,35 +498,19 @@ def _parse_path(text, flag):
         raise click.UsageError("bad %s (need [[[re,im],...],...]): %s" % (flag, exc))
 
 
-kz_options = [
-    click.option("--mu", default=None),
-    click.option("--weight", default=None),
-    click.option("--kappa", type=float, default=1.0, show_default=True),
-    click.option("--convention", type=click.Choice(["plain", "central"]), default="plain"),
-    click.option("--levels", default=None),
-]
-
-
-def with_kz(fn):
-    for opt in reversed(flavor_options + tensor_options + kz_options):
-        fn = opt(fn)
-    return fn
-
-
 @kz.command("solve")
 @with_kz
 @click.option("--path", "path_json", required=True, help="waypoints [[[re,im],...],...]")
 @click.option("--psi0", default="singular", help="'singular', basis index, or JSON vector")
 @click.option("--rel-tol", type=float, default=1e-10, show_default=True)
 @click.pass_context
-def kz_solve(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, mu, weight, kappa, convention, levels, path_json, psi0, rel_tol):
+def kz_solve(ctx, system, path_json, psi0, rel_tol):
     """Integrate the KZ system along a path."""
     from .kz import integrate_path
 
-    tens, target, system = _kz_system(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, mu, weight, kappa, convention, levels)
     path = _parse_path(path_json, "--path")
     if psi0 == "singular":
-        space = singular_space(tens, target)
+        space = singular_space(system.tensor, system.mu)
         if not space.dim:
             raise click.UsageError("the singular space at --mu is zero")
         vec = [complex(x) for x in space.basis[0]]
@@ -533,12 +531,11 @@ def kz_solve(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, mu, weight, kap
 @click.option("--z", required=True)
 @click.option("--float-step", type=float, default=None, help="finite-difference cross-check step")
 @click.pass_context
-def kz_flatness(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, mu, weight, kappa, convention, levels, z, float_step):
+def kz_flatness(ctx, system, z, float_step):
     """Curvature residual of the KZ connection (exact by default)."""
     from .kz import flatness_residual
 
-    tens, target, system = _kz_system(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, mu, weight, kappa, convention, levels)
-    zs = _parse_fracs(z, "--z")
+    zs = _points(z, system.ell)
     try:
         if float_step is None:
             resid = flatness_residual(system, zs)
@@ -558,11 +555,10 @@ def kz_flatness(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, mu, weight, 
 @click.option("--loop", "loop_json", required=True)
 @click.option("--rel-tol", type=float, default=1e-10, show_default=True)
 @click.pass_context
-def kz_monodromy(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, mu, weight, kappa, convention, levels, loop_json, rel_tol):
+def kz_monodromy(ctx, system, loop_json, rel_tol):
     """Transport matrix around a closed loop."""
     from .kz import monodromy
 
-    tens, target, system = _kz_system(ctx, flavor, q, m, p, n, k, lams, kind, depth, ell, mu, weight, kappa, convention, levels)
     loop = _parse_path(loop_json, "--loop")
     try:
         mat = monodromy(system, loop, rel_tol=rel_tol)
@@ -594,6 +590,9 @@ def verify(ctx, what, checks, m, n, ell, seed, tol):
         unknown = [c for c in names if c not in CHECKS_BY_NAME]
         if unknown:
             raise click.UsageError("unknown checks: %s" % ", ".join(unknown))
+    _index_set("super", 0, m, 0, n, None)
+    if ell < 2:
+        raise click.UsageError("--ell must be at least 2: the Hamiltonians need two sites")
     report = run_checks(
         names,
         seed=seed if seed is not None else ctx.obj["seed"],

@@ -15,6 +15,7 @@ and the stored Omega^{(ij)} and cubic blocks T(a, b, c).
 """
 
 from fractions import Fraction
+from functools import partial
 
 from .gaudin import central_shift, cubic_family, quadratic_family
 from .indices import IndexSet
@@ -118,56 +119,48 @@ def _charpoly_report(mats_super, mats_classical):
     return per_i, all_equal
 
 
-def spectrum_match(setup, z):
-    """Exact equality of quadratic char polys on the matched singular spaces."""
+def _match(setup, z, kind, families):
+    """The report of both matchers: the header, the singular pair and its
+    dimension check, then the char-poly report of each named family
+    constructor ``family(tensor, z)`` on both sides."""
     z = [Fraction(x) for x in z]
     sup, cla = setup.singular_pair()
     report = {
         "setup": setup.describe(),
         "z": [str(x) for x in z],
-        "kind": "quadratic",
+        "kind": kind,
         "dims": {"super": sup.dim, "classical": cla.dim},
     }
     if sup.dim != cla.dim:
         report["equal"] = False
         report["error"] = "singular space dimensions differ"
         return report
-    fam_s = quadratic_family(setup.super_tensor, z)
-    fam_c = quadratic_family(setup.classical_tensor, z)
-    mats_s = [fam_s.restricted(i, sup) for i in range(1, setup.ell + 1)]
-    mats_c = [fam_c.restricted(i, cla) for i in range(1, setup.ell + 1)]
-    per_i, all_equal = _charpoly_report(mats_s, mats_c)
-    report["per_i"] = per_i
+    per = {}
+    all_equal = True
+    for name, family in families.items():
+        fam_s = family(setup.super_tensor, z)
+        fam_c = family(setup.classical_tensor, z)
+        per[name], equal = _charpoly_report(
+            [fam_s.restricted(i, sup) for i in range(1, setup.ell + 1)],
+            [fam_c.restricted(i, cla) for i in range(1, setup.ell + 1)],
+        )
+        all_equal = all_equal and equal
+    if kind == "quadratic":
+        report["per_i"] = per[kind]
+    else:
+        report["per_kind"] = per
     report["equal"] = all_equal
     return report
+
+
+def spectrum_match(setup, z):
+    """Exact equality of quadratic char polys on the matched singular spaces."""
+    return _match(setup, z, "quadratic", {"quadratic": quadratic_family})
 
 
 def cubic_spectrum_match(setup, z):
     """Exact char-poly equality for both cubic kinds across the duality."""
-    z = [Fraction(x) for x in z]
-    sup, cla = setup.singular_pair()
-    report = {
-        "setup": setup.describe(),
-        "z": [str(x) for x in z],
-        "kind": "cubic",
-        "dims": {"super": sup.dim, "classical": cla.dim},
-    }
-    if sup.dim != cla.dim:
-        report["equal"] = False
-        report["error"] = "singular space dimensions differ"
-        return report
-    report["per_kind"] = {}
-    all_equal = True
-    for kind in ("C", "D"):
-        fam_s = cubic_family(setup.super_tensor, z, kind)
-        fam_c = cubic_family(setup.classical_tensor, z, kind)
-        mats_s = [fam_s.restricted(i, sup) for i in range(1, setup.ell + 1)]
-        mats_c = [fam_c.restricted(i, cla) for i in range(1, setup.ell + 1)]
-        per_i, equal = _charpoly_report(mats_s, mats_c)
-        report["per_kind"][kind] = per_i
-        all_equal = all_equal and equal
-    report["equal"] = all_equal
-    return report
+    return _match(setup, z, "cubic", {kind: partial(cubic_family, kind=kind) for kind in "CD"})
 
 
 def _pair_traces(module, w):

@@ -44,7 +44,7 @@ raising operators included.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .algebra import BasisElement
 from .linalg import (
@@ -427,16 +427,22 @@ def commutator_residual(A, B):
     return max_abs(commutator(A, B))
 
 
+def pairwise_commutator_residual(mats):
+    """Max over i < j of the exact norm of [M_i, M_j]; the i = j commutators
+    vanish and [M_j, M_i] = -[M_i, M_j] has the same norm."""
+    return max((commutator_residual(a, b) for a, b in combinations(mats, 2)), default=Fraction(0))
+
+
 def family_commutator_residual(fam_a, fam_b, w):
-    """Max over site pairs of the exact norm of commutators on a weight space."""
-    worst = Fraction(0)
+    """Max over site pairs of the exact norm of commutators on a weight space;
+    one family's members are built once and compared over i < j only."""
+    if fam_a is fam_b:
+        return pairwise_commutator_residual(fam_a.matrices(w))
     mats_b = fam_b.matrices(w)
-    for ma in fam_a.matrices(w):
-        for mb in mats_b:
-            r = commutator_residual(ma, mb)
-            if r > worst:
-                worst = r
-    return worst
+    return max(
+        (commutator_residual(ma, mb) for ma in fam_a.matrices(w) for mb in mats_b),
+        default=Fraction(0),
+    )
 
 
 class JointDiagonalization:
@@ -465,10 +471,8 @@ def joint_diagonalize(mats, rng, tol=1e-9):
     import numpy as np
 
     n = len(mats[0]) if mats else 0
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            if commutator_residual(mats[a], mats[b]):
-                raise ValueError("family does not commute exactly")
+    if pairwise_commutator_residual(mats):
+        raise ValueError("family does not commute exactly")
     certificates = [squarefree_certificate(m) for m in mats]
     if n == 0:
         return JointDiagonalization(certificates, [[] for _ in mats], np.zeros((0, 0)), 0.0)

@@ -19,12 +19,15 @@ class Weight:
     def __init__(self, coeffs=None, level=0):
         clean = {}
         for key, val in (coeffs or {}).items():
-            d = key.doubled if isinstance(key, HalfIndex) else int(key)
+            if isinstance(key, HalfIndex):
+                key = key.doubled
+            d, v = int(key), int(val)
+            if d != key or v != val:
+                raise ValueError("doubled indices and coefficients must be integers, got %r: %r" % (key, val))
             if d == 0:
                 raise ValueError("index 0 is not allowed")
-            val = int(val)
-            if val:
-                clean[d] = val
+            if v:
+                clean[d] = v
         try:
             level = Fraction(level)
         except (TypeError, ValueError):
@@ -104,11 +107,9 @@ class Weight:
     @classmethod
     def from_json(cls, obj):
         try:
-            coeffs = {int(d): int(v) for d, v in obj["coeffs"]}
-            level = Fraction(obj["level"])
+            return cls(dict(obj["coeffs"]), Fraction(obj["level"]))
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError("malformed weight document %r (%s)" % (obj, exc)) from None
-        return cls(coeffs, level)
 
 
 def eps(i):

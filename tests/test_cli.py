@@ -2,6 +2,7 @@
 
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -179,6 +180,36 @@ BAD_INPUT = {
     "weight-number": (["singular", *TWO_SITES, "--weight", "5"], "malformed weight document"),
     "weight-list": (["singular", *TWO_SITES, "--weight", "[1]"], "malformed weight document"),
     "weight-coeffs-number": (["singular", *TWO_SITES, "--weight", '{"coeffs":5}'], "malformed weight document"),
+    "weight-non-integral": (
+        ["singular", "--ell", "2", "--factor-kind", "natural", "--weight", '{"coeffs":[[2,1.5],[1,0.5]],"level":"0"}'],
+        "malformed weight document",
+    ),
+    "weight-and-mu": (
+        ["singular", *TWO_SITES, "--mu", "2", "--weight", '{"coeffs":[[2,2]],"level":"0"}'],
+        "give --mu or --weight, not both",
+    ),
+    "tensor-lam-and-ell": (["tensor", "--lam", "1", "--ell", "3"], "give --lam factors or --ell, not both"),
+    "tensor-super-k": (["tensor", "--flavor", "super", "--k", "3", "--lam", "1"], "--k is the rank"),
+    "lax-repeated-point": (["lax", "expand", "--ell", "2", "--factor-kind", "natural", "--z", "0,0"], "pairwise distinct"),
+    "lax-too-few-points": (["lax", "expand", "--ell", "2", "--factor-kind", "natural", "--z", "0"], "--z needs 2 points"),
+    "lax-cubic-needs-p-q-zero": (
+        ["lax", "expand", "--k-power", "3", "--q", "1", "--p", "1", "--ell", "2", "--factor-kind", "natural", "--z", "0,1"],
+        "cubic Hamiltonians need p = q = 0",
+    ),
+    "lax-one-site": (["lax", "expand", "--lam", "1", "--z", "0"], "need at least two sites"),
+    "duality-check-repeated-point": (
+        ["duality", "check", "--lams", "1;1", "--mu", "2", "--z", "0,0"],
+        "pairwise distinct",
+    ),
+    "duality-cubic-repeated-point": (
+        ["duality", "cubic", "--lams", "1;1", "--mu", "2", "--z", "0,0"],
+        "pairwise distinct",
+    ),
+    "duality-zero-trials": (["duality", "check", "--lams", "1;1", "--mu", "2", "--trials", "0"], "--trials must be at least 1"),
+    "duality-one-factor": (["duality", "check", "--lams", "1", "--mu", "1"], "at least two factors"),
+    "verify-one-site": (["verify", "all", "--ell", "1", "--checks", "cyclic"], "--ell must be at least 2"),
+    "verify-negative-m": (["verify", "all", "--m", "-1"], "need p, q, m >= 0 and n >= 1"),
+    "verify-zero-n": (["verify", "all", "--n", "0"], "need p, q, m >= 0 and n >= 1"),
     "module-negative-depth": (
         ["module", "build", "--lam", "2", "--kind", "irreducible", "--depth", "-1"],
         "depth must be nonnegative",
@@ -212,6 +243,24 @@ def test_kz_bad_input_exits_two_with_a_message():
         res = run("--json", "kz", "flatness", *system, *extra)
         assert res.exit_code == 2, (extra, res.output)
         assert message in res.output
+
+
+def _leaf_commands(cmd, path=()):
+    if isinstance(cmd, click.Group):
+        for name, sub in sorted(cmd.commands.items()):
+            yield from _leaf_commands(sub, path + (name,))
+    else:
+        yield path
+
+
+def test_every_leaf_command_has_help():
+    # click's duplicate-option warning is an error under pytest, so a
+    # miswired resolver shows here even on commands no other test runs
+    leaves = list(_leaf_commands(main))
+    assert len(leaves) == 12
+    for path in leaves:
+        res = run(*path, "--help")
+        assert res.exit_code == 0, (path, res.output)
 
 
 def test_determinism_of_verify_all():

@@ -41,6 +41,19 @@ def test_weight_json_round_trip():
     assert Weight.from_json(doc) == w
 
 
+def test_weight_refuses_non_integral_values():
+    # integral Fraction and float values are exact integers and stay accepted
+    assert Weight({2: Fraction(4, 2), 1.0: 3.0}) == Weight({2: 2, 1: 3})
+    for coeffs in ({2: Fraction(3, 2)}, {2: 1.7}, {Fraction(3, 2): 1}, {2.5: 1}):
+        with pytest.raises(ValueError, match="must be integers"):
+            Weight(coeffs)
+    with pytest.raises(ValueError, match="malformed weight document"):
+        Weight.from_json({"coeffs": [[2, 1.5], [1, 0.5]], "level": "0"})
+    with pytest.raises(ValueError, match="malformed weight document"):
+        Weight.from_json({"coeffs": [[2.5, 1]], "level": "0"})
+    assert Weight.from_json({"coeffs": [[2, 1.0]], "level": "0"}) == eps(1)
+
+
 def test_weight_super_examples():
     empty = Partition([])
     assert weight_super(empty, empty, 3, 0, 1, 0, 1) == Weight({}, 3)
