@@ -15,7 +15,6 @@ and the stored Omega^{(ij)} and cubic blocks T(a, b, c).
 """
 
 from fractions import Fraction
-from functools import partial
 
 from .gaudin import central_shift, cubic_family, quadratic_family
 from .indices import IndexSet
@@ -101,12 +100,14 @@ def build_setup(partitions, m, n, mu):
     return DualitySetup(partitions, m, n, mu, k)
 
 
-def _charpoly_report(mats_super, mats_classical):
+def _charpoly_report(fam_s, fam_c, sup, cla):
+    """Char polys of each member of both families on the matched singular
+    spaces, and whether all of them agree."""
     per_i = []
     all_equal = True
-    for ms, mc in zip(mats_super, mats_classical):
-        ps = charpoly(ms)
-        pc = charpoly(mc)
+    for i in range(1, fam_s.ell + 1):
+        ps = charpoly(fam_s.restricted(i, sup))
+        pc = charpoly(fam_c.restricted(i, cla))
         equal = ps == pc
         all_equal = all_equal and equal
         per_i.append(
@@ -119,11 +120,9 @@ def _charpoly_report(mats_super, mats_classical):
     return per_i, all_equal
 
 
-def _match(setup, z, kind, families):
-    """The report of both matchers: the header, the singular pair and its
-    dimension check, then the char-poly report of each named family
-    constructor ``family(tensor, z)`` on both sides."""
-    z = [Fraction(x) for x in z]
+def _singular_header(setup, z, kind):
+    """The header both matchers report and the singular pair; when the pair's
+    dimensions differ the report is already final and the pair is None."""
     sup, cla = setup.singular_pair()
     report = {
         "setup": setup.describe(),
@@ -134,33 +133,36 @@ def _match(setup, z, kind, families):
     if sup.dim != cla.dim:
         report["equal"] = False
         report["error"] = "singular space dimensions differ"
-        return report
-    per = {}
-    all_equal = True
-    for name, family in families.items():
-        fam_s = family(setup.super_tensor, z)
-        fam_c = family(setup.classical_tensor, z)
-        per[name], equal = _charpoly_report(
-            [fam_s.restricted(i, sup) for i in range(1, setup.ell + 1)],
-            [fam_c.restricted(i, cla) for i in range(1, setup.ell + 1)],
-        )
-        all_equal = all_equal and equal
-    if kind == "quadratic":
-        report["per_i"] = per[kind]
-    else:
-        report["per_kind"] = per
-    report["equal"] = all_equal
-    return report
+        return report, None
+    return report, (sup, cla)
 
 
 def spectrum_match(setup, z):
     """Exact equality of quadratic char polys on the matched singular spaces."""
-    return _match(setup, z, "quadratic", {"quadratic": quadratic_family})
+    z = [Fraction(x) for x in z]
+    report, pair = _singular_header(setup, z, "quadratic")
+    if pair is not None:
+        fam_s = quadratic_family(setup.super_tensor, z)
+        fam_c = quadratic_family(setup.classical_tensor, z)
+        report["per_i"], report["equal"] = _charpoly_report(fam_s, fam_c, *pair)
+    return report
 
 
 def cubic_spectrum_match(setup, z):
     """Exact char-poly equality for both cubic kinds across the duality."""
-    return _match(setup, z, "cubic", {kind: partial(cubic_family, kind=kind) for kind in "CD"})
+    z = [Fraction(x) for x in z]
+    report, pair = _singular_header(setup, z, "cubic")
+    if pair is None:
+        return report
+    report["per_kind"] = {}
+    all_equal = True
+    for kind in ("C", "D"):
+        fam_s = cubic_family(setup.super_tensor, z, kind)
+        fam_c = cubic_family(setup.classical_tensor, z, kind)
+        report["per_kind"][kind], equal = _charpoly_report(fam_s, fam_c, *pair)
+        all_equal = all_equal and equal
+    report["equal"] = all_equal
+    return report
 
 
 def _pair_traces(module, w):

@@ -434,10 +434,7 @@ def pairwise_commutator_residual(mats):
 
 
 def family_commutator_residual(fam_a, fam_b, w):
-    """Max over site pairs of the exact norm of commutators on a weight space;
-    one family's members are built once and compared over i < j only."""
-    if fam_a is fam_b:
-        return pairwise_commutator_residual(fam_a.matrices(w))
+    """Max over site pairs of the exact norm of commutators on a weight space."""
     mats_b = fam_b.matrices(w)
     return max(
         (commutator_residual(ma, mb) for ma in fam_a.matrices(w) for mb in mats_b),

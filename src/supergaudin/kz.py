@@ -37,9 +37,9 @@ from scipy.integrate import DOP853
 from .algebra import BasisElement
 from .gaudin import (
     casimir,
-    family_commutator_residual,
     family_levels,
     pair_matrix,
+    pairwise_commutator_residual,
     quadratic_family,
 )
 
@@ -54,8 +54,8 @@ class KZSystem:
     """
 
     def __init__(self, tensor, mu, kappa=1, convention="plain", levels=None):
-        if not complex(kappa):
-            raise ValueError("kappa must be nonzero")
+        if not (complex(kappa) and cmath.isfinite(complex(kappa))):
+            raise ValueError("kappa must be finite and nonzero, got %r" % (kappa,))
         self.levels = family_levels(tensor, convention, levels)
         self.tensor = tensor
         self.mu = mu
@@ -303,7 +303,7 @@ def flatness_residual(system, point, h=None):
         raise ValueError("point lies on a diagonal")
     if h is None:
         fam = system.family(z)
-        return family_commutator_residual(fam, fam, system.mu) / abs(Fraction(system.kappa))
+        return pairwise_commutator_residual(fam.matrices(system.mu)) / abs(Fraction(system.kappa))
     kappa = complex(system.kappa)
     worst = 0.0
     for i in range(1, ell + 1):

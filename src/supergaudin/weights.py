@@ -21,8 +21,12 @@ class Weight:
         for key, val in (coeffs or {}).items():
             if isinstance(key, HalfIndex):
                 key = key.doubled
-            d, v = int(key), int(val)
-            if d != key or v != val:
+            try:
+                d, v = int(key), int(val)
+                exact = d == key and v == val
+            except (OverflowError, ValueError):
+                exact = False
+            if not exact:
                 raise ValueError("doubled indices and coefficients must be integers, got %r: %r" % (key, val))
             if d == 0:
                 raise ValueError("index 0 is not allowed")
@@ -30,7 +34,7 @@ class Weight:
                 clean[d] = v
         try:
             level = Fraction(level)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError("level must be an exact rational, got %r" % (level,))
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "level", level)
@@ -107,7 +111,7 @@ class Weight:
     @classmethod
     def from_json(cls, obj):
         try:
-            return cls(dict(obj["coeffs"]), Fraction(obj["level"]))
+            return cls(dict(obj["coeffs"]), obj["level"])
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError("malformed weight document %r (%s)" % (obj, exc)) from None
 

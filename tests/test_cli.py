@@ -158,6 +158,10 @@ BAD_INPUT = {
         ["kz", "monodromy", *TWO_SITES, "--mu", "1,1", "--convention", "central", "--levels", "1,2,3", "--loop", LOOP],
         "need one level per tensor factor",
     ),
+    "kz-infinite-kappa": (
+        ["kz", "monodromy", *TWO_SITES, "--mu", "1,1", "--kappa", "inf", "--loop", LOOP],
+        "kappa must be finite and nonzero",
+    ),
     # the plain convention and the cubic Hamiltonians read no levels
     "hamiltonian-plain-levels": (
         ["hamiltonian", "--ell", "3", "--z", "0,1,3", "--mu", "2,1", "--levels", "7,8,9"],
@@ -182,6 +186,14 @@ BAD_INPUT = {
     "weight-coeffs-number": (["singular", *TWO_SITES, "--weight", '{"coeffs":5}'], "malformed weight document"),
     "weight-non-integral": (
         ["singular", "--ell", "2", "--factor-kind", "natural", "--weight", '{"coeffs":[[2,1.5],[1,0.5]],"level":"0"}'],
+        "malformed weight document",
+    ),
+    "weight-infinite-coefficient": (
+        ["singular", "--ell", "2", "--factor-kind", "natural", "--weight", '{"coeffs":[[2,Infinity]],"level":"0"}'],
+        "malformed weight document",
+    ),
+    "weight-infinite-level": (
+        ["singular", "--ell", "2", "--factor-kind", "natural", "--weight", '{"coeffs":[[2,2]],"level":Infinity}'],
         "malformed weight document",
     ),
     "weight-and-mu": (

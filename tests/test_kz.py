@@ -43,8 +43,9 @@ def two_site_system(kappa=1, convention="plain", levels=None):
 
 def test_system_validation():
     t2 = tensor_product([NaturalModule(GL11)] * 2)
-    with pytest.raises(ValueError):
-        KZSystem(t2, MU, kappa=0)
+    for kappa in (0, float("inf"), float("nan"), complex("infj")):
+        with pytest.raises(ValueError, match="kappa must be finite and nonzero"):
+            KZSystem(t2, MU, kappa=kappa)
     for levels in ([1], [1, 2, 3]):
         with pytest.raises(ValueError, match="need one level per tensor factor"):
             KZSystem(t2, MU, convention="central", levels=levels)

@@ -1,5 +1,6 @@
 """Weight constructions, lattices and the duality bijections."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -44,13 +45,22 @@ def test_weight_json_round_trip():
 def test_weight_refuses_non_integral_values():
     # integral Fraction and float values are exact integers and stay accepted
     assert Weight({2: Fraction(4, 2), 1.0: 3.0}) == Weight({2: 2, 1: 3})
-    for coeffs in ({2: Fraction(3, 2)}, {2: 1.7}, {Fraction(3, 2): 1}, {2.5: 1}):
+    inf = float("inf")
+    non_integral = ({2: Fraction(3, 2)}, {2: 1.7}, {Fraction(3, 2): 1}, {2.5: 1}, {2: inf}, {inf: 1}, {2: float("nan")})
+    for coeffs in non_integral:
         with pytest.raises(ValueError, match="must be integers"):
             Weight(coeffs)
+    for level in (inf, -inf, float("nan")):
+        with pytest.raises(ValueError, match="exact rational"):
+            Weight({}, level)
     with pytest.raises(ValueError, match="malformed weight document"):
         Weight.from_json({"coeffs": [[2, 1.5], [1, 0.5]], "level": "0"})
     with pytest.raises(ValueError, match="malformed weight document"):
         Weight.from_json({"coeffs": [[2.5, 1]], "level": "0"})
+    infinite = ('[[2, Infinity]], "level": "0"', '[[2, 1e999]], "level": "0"', '[], "level": Infinity')
+    for doc in ('{"coeffs": %s}' % body for body in infinite):
+        with pytest.raises(ValueError, match="malformed weight document"):
+            Weight.from_json(json.loads(doc))
     assert Weight.from_json({"coeffs": [[2, 1.0]], "level": "0"}) == eps(1)
 
 
