@@ -1,16 +1,15 @@
 """Superalgebra core: basis elements, supercommutator, central extension.
 
 Elements are finite rational combinations of matrix units E_{i,j} plus a
-central coefficient.  The central extension is never a separate type: the
+central coefficient; each coefficient is an int when it is integral and a
+Fraction otherwise.  The central extension is never a separate type: the
 plain bracket and the cocycle-extended bracket are both available on the
 same representation, and ``iota`` converts between the two conventions.
-All structure constants are exact rationals.
+All structure constants (and cocycle values) are the integers 0 and ±1.
 """
 
-from fractions import Fraction
-
 from .indices import HalfIndex, idx
-from .weights import Weight
+from .weights import Weight, exact_scalar
 
 
 _SHIFTS = {}
@@ -73,7 +72,13 @@ def E(i, j):
 
 
 class AlgebraElement:
-    """A rational combination of matrix units plus a central coefficient."""
+    """A rational combination of matrix units plus a central coefficient.
+
+    ``terms`` maps (doubled row, doubled col) to a nonzero coefficient and
+    ``central`` is the coefficient of K; every coefficient is an int when
+    it is integral and a Fraction otherwise, whatever exact rationals
+    (ints, Fractions, "p/q" strings) it was built from.
+    """
 
     __slots__ = ("terms", "central")
 
@@ -82,13 +87,15 @@ class AlgebraElement:
         for key, val in (terms or {}).items():
             if isinstance(key, BasisElement):
                 key = key.key()
-            val = Fraction(val)
+            val = exact_scalar(val)
+            if key in clean:
+                val = exact_scalar(clean[key] + val)
             if val:
-                clean[key] = clean.get(key, Fraction(0)) + val
-                if not clean[key]:
-                    del clean[key]
+                clean[key] = val
+            else:
+                clean.pop(key, None)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "central", Fraction(central))
+        object.__setattr__(self, "central", exact_scalar(central))
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
@@ -123,17 +130,17 @@ class AlgebraElement:
     def __add__(self, other):
         terms = dict(self.terms)
         for key, v in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + v
+            terms[key] = terms.get(key, 0) + v
         return AlgebraElement(terms, self.central + other.central)
 
     def __sub__(self, other):
         terms = dict(self.terms)
         for key, v in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) - v
+            terms[key] = terms.get(key, 0) - v
         return AlgebraElement(terms, self.central - other.central)
 
     def __mul__(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = exact_scalar(scalar)
         return AlgebraElement(
             {key: scalar * v for key, v in self.terms.items()}, scalar * self.central
         )
@@ -167,10 +174,7 @@ class AlgebraElement:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            {(int(r), int(c)): Fraction(v) for r, c, v in obj["terms"]},
-            Fraction(obj["central"]),
-        )
+        return cls({(int(r), int(c)): v for r, c, v in obj["terms"]}, obj["central"])
 
 
 def _sign(exponent):
@@ -203,12 +207,12 @@ def supercommutator(x, y, central=False):
     and with ``central=False`` the result has central coefficient zero.
     """
     terms = {}
-    cent = Fraction(0)
+    cent = 0
     for (r1, c1), a in x.terms.items():
         for (r2, c2), b in y.terms.items():
             ab = a * b
             for key, coeff in bracket_units(r1, c1, r2, c2).items():
-                terms[key] = terms.get(key, Fraction(0)) + ab * coeff
+                terms[key] = terms.get(key, 0) + ab * coeff
             if central:
                 tau = cocycle_units(r1, c1, r2, c2)
                 if tau:
@@ -218,11 +222,11 @@ def supercommutator(x, y, central=False):
 
 def supertrace(x):
     """Supertrace of the matrix-unit part: sum of (-1)^{parity} diagonal."""
-    out = Fraction(0)
+    out = 0
     for (r, c), v in x.terms.items():
         if r == c:
             out += v * _sign(r & 1)
-    return out
+    return exact_scalar(out)
 
 
 def supertrace_matrix(M, index_set):
@@ -239,7 +243,7 @@ def iota(x):
     iota(A + cK) = A + (Str(JA) + c) K with J = -sum_{r<0} E_r; a bracket
     isomorphism onto the centrally extended algebra.
     """
-    extra = Fraction(0)
+    extra = 0
     for (r, c), v in x.terms.items():
         if r == c and r < 0:
             extra -= v * _sign(r & 1)
@@ -260,7 +264,7 @@ def star_omega(x):
     terms = {}
     for (r, c), v in x.terms.items():
         s = _sign(tau_index(r) + tau_index(c))
-        terms[(c, r)] = terms.get((c, r), Fraction(0)) + s * v
+        terms[(c, r)] = terms.get((c, r), 0) + s * v
     return AlgebraElement(terms, x.central)
 
 

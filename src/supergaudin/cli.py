@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 
 import click
+from click.core import ParameterSource
 
 from .cache import DiskCache, content_key
 from .duality import build_setup, cubic_spectrum_match, spectrum_match
@@ -86,8 +87,21 @@ def _index_set(flavor, q, m, p, n, k):
             raise click.UsageError("--k is the rank of the classical and wide flavors; use --m and --n")
         n = k
     if flavor != "super":
-        q = m = 0  # the classical and wide flavors read p and n only
+        # the classical and wide flavors read p and n only
+        ctx = click.get_current_context()
+        given = ["--" + name for name in ("q", "m") if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
+        if given:
+            raise click.UsageError("the %s flavor reads --p and --n only, not %s" % (flavor, " or ".join(given)))
+        q = m = 0
     return _checked(IndexSet, flavor, p=p, q=q, m=m, n=n)
+
+
+def _shape(kind, text):
+    """The partition of one --lam; the natural module has shape 1 only."""
+    lam = _parse_partition(text, "--lam")
+    if kind == "natural" and lam != Partition([1]):
+        raise click.UsageError("--lam %s: the natural module is the module of shape 1" % (text,))
+    return lam
 
 
 def _module(iset, kind, lam, depth):
@@ -106,7 +120,7 @@ def _tensor(iset, lams, kind, depth, ell):
     if not lams and not ell:
         raise click.UsageError("need --lam factors or --ell for natural powers")
     if lams:
-        mods = [_module(iset, kind, _parse_partition(t, "--lam"), depth) for t in lams]
+        mods = [_module(iset, kind, _shape(kind, t), depth) for t in lams]
     else:
         mods = [NaturalModule(iset)] * ell
     return _checked(tensor_product, mods)
@@ -258,12 +272,12 @@ def module_build(ctx, iset, lam, kind, depth, no_cache):
     """Build one weight module and print its JSON realization."""
     if kind != "natural" and lam is None:
         raise click.UsageError("--lam is required for kind %s" % kind)
-    shape = None if kind == "natural" else _parse_partition(lam, "--lam")
+    shape = None if lam is None else _shape(kind, lam)
     descriptor = {
         "op": "module",
         "index_set": {"flavor": iset.flavor, **iset.params()},
         "kind": kind,
-        "lam": lam,
+        "lam": None if kind == "natural" else lam,
         "depth": depth if kind in ("verma", "irreducible") else None,
     }
 

@@ -54,6 +54,7 @@ from .linalg import (
     max_abs,
     squarefree_certificate,
 )
+from .weights import exact_scalar
 
 K_SYMBOL = "K"
 
@@ -104,13 +105,6 @@ def _iota_diag_correction(gen, level):
         sign = -1 if gen.row.parity else 1
         return sign * level
     return 0
-
-
-def _exact(x):
-    """An integral Fraction as an int (cheaper arithmetic); others as is."""
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
-    return x
 
 
 def add_word(total, tensor, word, w, scale=1, levels=None, twisted=False):
@@ -190,7 +184,7 @@ def _block_words(tensor, spec):
     if spec[0] == "omega":
         _, central, _, i, j = spec
         for coeff, left, right in casimir(tensor.index_set, central).terms:
-            yield [(left, i - 1), (right, j - 1)], _exact(coeff)
+            yield [(left, i - 1), (right, j - 1)], exact_scalar(coeff)
         return
     if spec[0] == "site":
         _, k, slot = spec
@@ -234,7 +228,7 @@ def _stored_block(tensor, spec, w, basis=None):
     nonzero = False
     for word, coeff in _block_words(tensor, spec):
         nonzero |= add_word(total, tensor, word, w, coeff, levels, twisted)
-    store[key] = [[_exact(x) for x in row] for row in total] if nonzero else None
+    store[key] = [[exact_scalar(x) for x in row] for row in total] if nonzero else None
     return store[key]
 
 

@@ -138,7 +138,7 @@ class ColumnSolver:
         aug = []
         for i in range(self.n):
             row = [columns[j][i] for j in range(self.m)]
-            row += [Fraction(int(i == j)) for j in range(self.n)]
+            row += [int(i == j) for j in range(self.n)]
             aug.append(clear_denominators(row))
         red, pivots = int_rref(aug) if aug else ([], [])
         self._coord_rows = []
@@ -156,10 +156,12 @@ class ColumnSolver:
         for e in self._null_rows:
             if sum(e[i] * vi for i, vi in support):
                 return None
-        coords = [Fraction(0)] * self.m
+        coords = [0] * self.m
         for piv, val, e in self._coord_rows:
             num = sum(e[i] * vi for i, vi in support)
-            coords[piv] = Fraction(num) / val
+            # an int when the quotient is integral, as it mostly is
+            quo, rem = divmod(num, val)
+            coords[piv] = Fraction(num, val) if rem else quo
         return coords
 
     def block(self, images, keep=None):
@@ -170,7 +172,7 @@ class ColumnSolver:
         image lies outside the column span.
         """
         keep = self.m if keep is None else keep
-        out = [[Fraction(0)] * len(images) for _ in range(keep)]
+        out = [[0] * len(images) for _ in range(keep)]
         for j, img in enumerate(images):
             if img is None:
                 continue

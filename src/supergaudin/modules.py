@@ -58,7 +58,7 @@ class WeightModule:
             return None
         if gen.is_diagonal:
             c = w(gen.row)
-            return (w, [[Fraction(c) if i == j else Fraction(0) for j in range(d)] for i in range(d)])
+            return (w, [[c if i == j else 0 for j in range(d)] for i in range(d)])
         target = w + gen.weight_shift()
         if target not in self._dims:
             return None
@@ -381,8 +381,7 @@ class _VermaBuilder:
         if memo_key not in self._bracket_memo:
             x = AlgebraElement({key1: 1})
             y = AlgebraElement({key2: 1})
-            terms = supercommutator(x, y).terms
-            self._bracket_memo[memo_key] = {k: int(v) for k, v in terms.items() if v}
+            self._bracket_memo[memo_key] = supercommutator(x, y).terms
         return self._bracket_memo[memo_key]
 
     def _elem_act(self, terms, mono):
@@ -536,7 +535,7 @@ class _TruncatedVerma(WeightModule):
         block = None
         if tind is not None:
             monos = self.labels[w]
-            block = [[Fraction(0)] * len(monos) for _ in range(len(tind))]
+            block = [[0] * len(monos) for _ in range(len(tind))]
             wrote = False
             for col, mono in enumerate(monos):
                 for mm, v in self._builder.act(gen.key(), mono).items():
@@ -574,11 +573,8 @@ def gram_matrix(verma, w):
     """
     builder = verma._builder
     monos = verma.labels[w]
-    omegas = [
-        {k: int(v) for k, v in star_omega(AlgebraElement({key: 1})).terms.items()}
-        for key in builder.gens
-    ]
-    gram = [[Fraction(0)] * len(monos) for _ in range(len(monos))]
+    omegas = [star_omega(AlgebraElement({key: 1})).terms for key in builder.gens]
+    gram = [[0] * len(monos) for _ in range(len(monos))]
     for j, right in enumerate(monos):
         states = {(): {right: 1}}
         for i, left in enumerate(monos):
@@ -597,7 +593,7 @@ def gram_matrix(verma, w):
                 cur = nxt
                 if not cur:
                     break
-            gram[i][j] = Fraction(cur.get((), 0))
+            gram[i][j] = cur.get((), 0)
     return gram
 
 
@@ -691,10 +687,7 @@ def irreducible_truncated(index_set, xi, depth):
     solvers = {}
     for w in dims:
         tdim = verma.dim(w)
-        columns = [
-            [Fraction(1) if r == p else Fraction(0) for r in range(tdim)]
-            for p in pivots[w]
-        ] + [[Fraction(x) for x in vec] for vec in radicals[w]]
+        columns = [[int(r == p) for r in range(tdim)] for p in pivots[w]] + radicals[w]
         solvers[w] = ColumnSolver(columns, nrows=tdim)
 
     def block_of(gen, w):

@@ -48,7 +48,7 @@ def _random_homogeneous(rng, members, parity):
         b = rng.choice(members)
         if (a.parity ^ b.parity) != parity:
             continue
-        terms[BasisElement(a, b)] = Fraction(rng.randint(-3, 3))
+        terms[BasisElement(a, b)] = rng.randint(-3, 3)
     return AlgebraElement(terms)
 
 

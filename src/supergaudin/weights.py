@@ -1,14 +1,32 @@
 """Weights: sparse integer coefficients over half-integer indices plus a level.
 
 The level is the coefficient of the central dual generator and is kept as
-an exact rational (complex levels are rejected: every downstream exact
-test relies on rational arithmetic).
+an exact rational: an ``int`` when it is integral, a ``Fraction`` otherwise
+(complex levels are rejected: every downstream exact test relies on
+rational arithmetic).  The public constructor validates its input; sums,
+differences and negatives of weights go through a trusted constructor that
+skips the checks their inputs have already passed.
 """
 
 from fractions import Fraction
 
 from .indices import HalfIndex, idx
 from .partitions import Partition, frobenius_theta, partition_from_hook_data
+
+
+def exact_scalar(x):
+    """An exact rational as an int when it is integral, else as a Fraction.
+
+    Ints pass through untouched; anything else goes through ``Fraction``
+    (so a string, float or Fraction is accepted and a complex is not).
+    ``Fraction(3) == 3`` and the two hash and print alike, so the choice
+    never shows in outputs; int arithmetic is just much cheaper.
+    """
+    if type(x) is not Fraction:
+        if type(x) is int:
+            return x
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class Weight:
@@ -33,12 +51,23 @@ class Weight:
             if v:
                 clean[d] = v
         try:
-            level = Fraction(level)
+            level = exact_scalar(level)
         except (TypeError, ValueError, OverflowError):
             raise ValueError("level must be an exact rational, got %r" % (level,))
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "_hash", hash((frozenset(clean.items()), level)))
+
+    @classmethod
+    def _raw(cls, clean, level):
+        """Trusted constructor: ``clean`` maps nonzero doubled indices to
+        nonzero ints and ``level`` is an exact scalar (int when integral);
+        both are owned by the new weight."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "_hash", hash((frozenset(clean.items()), level)))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Weight is immutable")
@@ -66,17 +95,25 @@ class Weight:
     def __add__(self, other):
         coeffs = dict(self.coeffs)
         for d, v in other.coeffs.items():
-            coeffs[d] = coeffs.get(d, 0) + v
-        return Weight(coeffs, self.level + other.level)
+            v += coeffs.get(d, 0)
+            if v:
+                coeffs[d] = v
+            else:
+                del coeffs[d]
+        return Weight._raw(coeffs, exact_scalar(self.level + other.level))
 
     def __sub__(self, other):
         coeffs = dict(self.coeffs)
         for d, v in other.coeffs.items():
-            coeffs[d] = coeffs.get(d, 0) - v
-        return Weight(coeffs, self.level - other.level)
+            v = coeffs.get(d, 0) - v
+            if v:
+                coeffs[d] = v
+            else:
+                del coeffs[d]
+        return Weight._raw(coeffs, exact_scalar(self.level - other.level))
 
     def __neg__(self):
-        return Weight({d: -v for d, v in self.coeffs.items()}, -self.level)
+        return Weight._raw({d: -v for d, v in self.coeffs.items()}, -self.level)
 
     def __eq__(self, other):
         return (
@@ -111,7 +148,10 @@ class Weight:
     @classmethod
     def from_json(cls, obj):
         try:
-            return cls(dict(obj["coeffs"]), obj["level"])
+            coeffs = dict(obj["coeffs"])
+            if len(coeffs) != len(obj["coeffs"]):
+                raise ValueError("repeated index")
+            return cls(coeffs, obj["level"])
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError("malformed weight document %r (%s)" % (obj, exc)) from None
 

@@ -1,6 +1,8 @@
 """CLI surface: outputs, schemas, exit codes and determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import click
 import pytest
@@ -196,12 +198,28 @@ BAD_INPUT = {
         ["singular", "--ell", "2", "--factor-kind", "natural", "--weight", '{"coeffs":[[2,2]],"level":Infinity}'],
         "malformed weight document",
     ),
+    "weight-repeated-index": (
+        ["singular", *TWO_SITES, "--weight", '{"coeffs":[[2,1],[2,3]],"level":"0"}'],
+        "malformed weight document",
+    ),
     "weight-and-mu": (
         ["singular", *TWO_SITES, "--mu", "2", "--weight", '{"coeffs":[[2,2]],"level":"0"}'],
         "give --mu or --weight, not both",
     ),
     "tensor-lam-and-ell": (["tensor", "--lam", "1", "--ell", "3"], "give --lam factors or --ell, not both"),
     "tensor-super-k": (["tensor", "--flavor", "super", "--k", "3", "--lam", "1"], "--k is the rank"),
+    # the classical and wide flavors read --p and --n only
+    "tensor-classical-m-q": (
+        ["tensor", "--flavor", "classical", "--k", "2", "--ell", "2", "--m", "5", "--q", "2"],
+        "reads --p and --n only, not --q or --m",
+    ),
+    "tensor-wide-default-m": (["tensor", "--flavor", "wide", "--k", "2", "--ell", "2", "--m", "1"], "not --m"),
+    # the natural module has shape 1: any other --lam would be ignored
+    "tensor-natural-lam": (
+        ["tensor", "--factor-kind", "natural", "--lam", "3", "--lam", "2,1"],
+        "the natural module is the module of shape 1",
+    ),
+    "module-natural-lam": (["module", "build", "--kind", "natural", "--lam", "2"], "the natural module is the module of shape 1"),
     "lax-repeated-point": (["lax", "expand", "--ell", "2", "--factor-kind", "natural", "--z", "0,0"], "pairwise distinct"),
     "lax-too-few-points": (["lax", "expand", "--ell", "2", "--factor-kind", "natural", "--z", "0"], "--z needs 2 points"),
     "lax-cubic-needs-p-q-zero": (
@@ -273,6 +291,25 @@ def test_every_leaf_command_has_help():
     for path in leaves:
         res = run(*path, "--help")
         assert res.exit_code == 0, (path, res.output)
+
+
+def test_natural_kind_takes_lam_one(tmp_path):
+    assert run("--json", "tensor", *TWO_SITES, "--factor-kind", "natural").output == run("--json", "tensor", "--ell", "2", "--factor-kind", "natural").output
+    build = ["--json", "--cache-dir", str(tmp_path), "module", "build", "--kind", "natural"]
+    first = run(*build, "--lam", "1")
+    assert first.exit_code == 0, first.output
+    assert run(*build).output == first.output
+    assert len(list(tmp_path.rglob("*.json"))) == 1  # one cache entry for both spellings
+
+
+def test_verify_all_stdout_matches_the_recorded_digests(tmp_path):
+    # perfbench/expected.json holds the sha256 of each `verify all` stdout;
+    # a scalar change that alters any printed byte ("3" -> "3/1") shows here
+    recorded = json.loads((Path(__file__).parents[1] / "perfbench" / "expected.json").read_text())["verify-cli"]["items"]
+    for m, n in ((1, 1), (2, 1)):
+        res = run("--json", "--cache-dir", str(tmp_path), "verify", "all", "--seed", "0", "--m", str(m), "--n", str(n))
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == recorded["seed=0:%d|%d" % (m, n)]
 
 
 def test_determinism_of_verify_all():

@@ -64,6 +64,12 @@ def test_weight_refuses_non_integral_values():
     assert Weight.from_json({"coeffs": [[2, 1.0]], "level": "0"}) == eps(1)
 
 
+def test_weight_from_json_refuses_a_repeated_index():
+    for coeffs in ([[2, 1], [2, 3]], [[2, 1], [2.0, 1]], [[-1, 0], [-1, 0]]):
+        with pytest.raises(ValueError, match="malformed weight document.*repeated index"):
+            Weight.from_json({"coeffs": coeffs, "level": "0"})
+
+
 def test_weight_super_examples():
     empty = Partition([])
     assert weight_super(empty, empty, 3, 0, 1, 0, 1) == Weight({}, 3)
