@@ -8,7 +8,7 @@ same representation, and ``iota`` converts between the two conventions.
 All structure constants (and cocycle values) are the integers 0 and ±1.
 """
 
-from .indices import HalfIndex, idx
+from .indices import idx
 from .weights import Weight, exact_scalar
 
 
@@ -108,24 +108,8 @@ class AlgebraElement:
     def K(cls, coeff=1):
         return cls({}, coeff)
 
-    def basis_terms(self):
-        """(BasisElement, coefficient) pairs in key order."""
-        return [
-            (BasisElement(HalfIndex(r), HalfIndex(c)), v)
-            for (r, c), v in sorted(self.terms.items())
-        ]
-
     def is_zero(self):
         return not self.terms and not self.central
-
-    def homogeneous_parity(self):
-        """0 or 1 for homogeneous elements, None for mixed ones."""
-        parities = {(r & 1) ^ (c & 1) for r, c in self.terms}
-        if self.central:
-            parities.add(0)
-        if len(parities) > 1:
-            return None
-        return parities.pop() if parities else 0
 
     def __add__(self, other):
         terms = dict(self.terms)
@@ -290,9 +274,6 @@ class RootDatum:
 
     def __setattr__(self, name, value):
         raise AttributeError("RootDatum is immutable")
-
-    def simple_roots(self):
-        return [op.weight_shift() for op in self.raising]
 
     def __repr__(self):
         return "RootDatum(%r)" % (self.index_set,)

@@ -16,6 +16,7 @@ and the stored Omega^{(ij)} and cubic blocks T(a, b, c).
 
 from fractions import Fraction
 
+from .algebra import BasisElement, simple_raising_ops
 from .gaudin import central_shift, cubic_family, quadratic_family
 from .indices import IndexSet
 from .linalg import charpoly, mat_mul
@@ -168,16 +169,14 @@ def cubic_spectrum_match(setup, z):
 def _pair_traces(module, w):
     """Basis-independent invariants of one weight space: traces and char
     polys of E_{a,b} E_{b,a} over the simple pairs."""
-    from .algebra import BasisElement
-
     out = []
     d = module.dim(w)
     zero = [[Fraction(0)] * d for _ in range(d)]
-    for a, b in module.index_set.simple_pairs():
-        up = module.act(BasisElement(a, b), w)
+    for op in simple_raising_ops(module.index_set):
+        up = module.act(op, w)
         prod = zero
         if up is not None:
-            back = module.act(BasisElement(b, a), up[0])
+            back = module.act(BasisElement(op.col, op.row), up[0])
             if back is not None:
                 prod = mat_mul(back[1], up[1])
         out.append([str(c) for c in charpoly(prod)])

@@ -212,17 +212,11 @@ def _stored_block(tensor, spec, w, basis=None):
     key = (spec, w, basis)
     if key in store:
         return store[key]
-    omega = spec[0] == "omega"
     if basis is not None:
-        if omega:
-            # through the public two-site entry, which perfbench/tracer.py counts
-            cas = casimir(tensor.index_set, spec[1])
-            mat = pair_matrix(tensor, cas, spec[3], spec[4], w, spec[2])
-        else:
-            mat = _stored_block(tensor, spec, w)
+        mat = _stored_block(tensor, spec, w)
         store[key] = None if mat is None else restrict_to_basis(mat, basis)
         return store[key]
-    levels, twisted = (spec[2], spec[1]) if omega else (None, False)
+    levels, twisted = (spec[2], spec[1]) if spec[0] == "omega" else (None, False)
     d = tensor.dim(w)
     total = [[0] * d for _ in range(d)]
     nonzero = False
@@ -425,15 +419,6 @@ def pairwise_commutator_residual(mats):
     """Max over i < j of the exact norm of [M_i, M_j]; the i = j commutators
     vanish and [M_j, M_i] = -[M_i, M_j] has the same norm."""
     return max((commutator_residual(a, b) for a, b in combinations(mats, 2)), default=Fraction(0))
-
-
-def family_commutator_residual(fam_a, fam_b, w):
-    """Max over site pairs of the exact norm of commutators on a weight space."""
-    mats_b = fam_b.matrices(w)
-    return max(
-        (commutator_residual(ma, mb) for ma in fam_a.matrices(w) for mb in mats_b),
-        default=Fraction(0),
-    )
 
 
 class JointDiagonalization:

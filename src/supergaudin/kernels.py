@@ -16,7 +16,7 @@ stamped with different backends.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 BACKEND = "python"
 
@@ -108,26 +108,26 @@ def int_nullspace(rows, ncols):
     """Primitive integer basis of the right kernel of an integer matrix.
 
     Deterministic: one basis vector per free column, in ascending column
-    order, scaled to a primitive integer vector with positive entry at the
-    free position.
+    order, scaled to a primitive integer vector whose leading nonzero
+    entry is positive (so ``int_nullspace([[1, 1]], 2) == [[1, -1]]``).
+    The vector of a free column f is L at f and -red[r][f] * (L / p_r) at
+    the pivot column of row r, p_r its pivot and L the lcm of the pivots.
     """
     if not rows:
         return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
     red, pivots = int_rref(rows)
     pivset = set(pivots)
+    L = lcm(*(red[r][col] for r, col in enumerate(pivots)))
+    scales = [L // red[r][col] for r, col in enumerate(pivots)]
     basis = []
     for free in range(ncols):
         if free in pivset:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+        vec = [0] * ncols
+        vec[free] = L
         for r, col in enumerate(pivots):
-            vec[col] = -Fraction(red[r][free], red[r][col])
-        den = 1
-        for v in vec:
-            den = den * v.denominator // gcd(den, v.denominator)
-        ivec = [int(v * den) for v in vec]
-        basis.append(_row_primitive(ivec))
+            vec[col] = -red[r][free] * scales[r]
+        basis.append(_row_primitive(vec))
     return basis
 
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import DOP853
 
-from .algebra import BasisElement
+from .algebra import simple_raising_ops
 from .gaudin import (
     casimir,
     family_levels,
@@ -81,8 +81,8 @@ class KZSystem:
         self._sites = np.array(sites, dtype=int).reshape(len(sites), 2).T
         self._omega = np.array(blocks, dtype=float).reshape(len(sites), d, d)
         self._raising_float = []
-        for a, b in tensor.index_set.simple_pairs():
-            res = tensor.act(BasisElement(a, b), mu)
+        for op in simple_raising_ops(tensor.index_set):
+            res = tensor.act(op, mu)
             if res is not None:
                 self._raising_float.append(
                     np.array([[float(x) for x in row] for row in res[1]], dtype=complex)
@@ -91,10 +91,6 @@ class KZSystem:
     def family(self, z):
         """The exact quadratic family at rational points, from the pair store."""
         return quadratic_family(self.tensor, z, self.convention, self.levels)
-
-    def hamiltonian_exact(self, i, z):
-        """Exact H^i at rational points."""
-        return self.family(z).matrix(i, self.mu)
 
     def _live_pairs(self, z, dz):
         """Blocks of the pairs with dz_i != dz_j, with (dz_i - dz_j)/kappa,

@@ -42,9 +42,6 @@ class RationalFunctionPF:
                 clean[key] = val
         self.terms = clean
 
-    def copy(self):
-        return RationalFunctionPF(self.z, {k: [row[:] for row in v] for k, v in self.terms.items()})
-
     def __add__(self, other):
         terms = {k: v for k, v in self.terms.items()}
         for k, v in other.terms.items():
@@ -105,29 +102,14 @@ class RationalFunctionPF:
                         put((j, s), mat_scale(prod, coeff))
         return RationalFunctionPF(self.z, out)
 
-    def eval(self, u):
-        """Evaluate at a rational point away from the poles."""
-        u = Fraction(u)
-        total = None
-        for key, val in self.terms.items():
-            c = Fraction(1) if key == CONST else 1 / (u - self.z[key[0]]) ** key[1]
-            scaled = mat_scale(val, c)
-            total = scaled if total is None else mat_add(total, scaled)
-        return total
-
     def __eq__(self, other):
-        if not isinstance(other, RationalFunctionPF) or self.z != other.z:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        for k in keys:
-            a = self.terms.get(k)
-            b = other.terms.get(k)
-            if a is None or b is None:
-                if not is_zero_matrix(a if a is not None else b):
-                    return False
-            elif a != b:
-                return False
-        return True
+        # the constructor drops all-zero blocks, so equal functions have
+        # equal term dicts
+        return (
+            isinstance(other, RationalFunctionPF)
+            and self.z == other.z
+            and self.terms == other.terms
+        )
 
     def __repr__(self):
         return "RationalFunctionPF(keys=%r)" % (sorted(self.terms),)

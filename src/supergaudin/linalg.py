@@ -11,9 +11,9 @@ and ``SpanBuilder`` grows a canonical row span one vector at a time.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
-from .kernels import charpoly, int_nullspace, int_rref, mat_mul
+from .kernels import _row_primitive, charpoly, int_nullspace, int_rref, mat_mul
 
 __all__ = [
     "charpoly",
@@ -43,21 +43,10 @@ __all__ = [
 
 
 def clear_denominators(row):
-    """Scale a row of rationals to a primitive integer row (row-space safe)."""
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            den = den * x.denominator // gcd(den, x.denominator)
-    out = [int(x * den) if isinstance(x, Fraction) else x * den for x in row]
-    g = 0
-    for x in out:
-        if x:
-            g = gcd(g, abs(x))
-            if g == 1:
-                break
-    if g > 1:
-        out = [x // g for x in out]
-    return out
+    """Scale a row of rationals to a primitive integer row whose leading
+    nonzero entry is positive (row-space safe)."""
+    den = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
+    return _row_primitive([int(x * den) if isinstance(x, Fraction) else x * den for x in row])
 
 
 def nullspace(rows, ncols=None):
@@ -303,20 +292,11 @@ class SpanBuilder:
             v = vec[piv]
             if v:
                 p = row[piv]
-                vec = [a * p - b * v for a, b in zip(vec, row)]
-                g = 0
-                for x in vec:
-                    if x:
-                        g = gcd(g, abs(x))
-                        if g == 1:
-                            break
-                if g > 1:
-                    vec = [x // g for x in vec]
+                vec = _row_primitive([a * p - b * v for a, b in zip(vec, row)])
+        # every step above leaves the leading nonzero entry positive
         piv = next((i for i, x in enumerate(vec) if x), None)
         if piv is None:
             return False
-        if vec[piv] < 0:
-            vec = [-x for x in vec]
         pos = 0
         while pos < len(self.pivots) and self.pivots[pos] < piv:
             pos += 1

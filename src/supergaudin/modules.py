@@ -11,8 +11,16 @@ Koszul signs of tensor products.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
-from .algebra import BasisElement, star_omega, supercommutator, AlgebraElement, off_diagonal_units
+from .algebra import (
+    AlgebraElement,
+    BasisElement,
+    off_diagonal_units,
+    simple_raising_ops,
+    star_omega,
+    supercommutator,
+)
 from .indices import HalfIndex, IndexSet
 from .linalg import ColumnSolver, SpanBuilder, nullspace, rref
 from .partitions import Partition
@@ -36,8 +44,10 @@ class WeightModule:
     def total_dim(self):
         return sum(self._dims.values())
 
-    def has_weight(self, w):
-        return w in self._dims
+    def represents(self, gen, w):
+        """Whether the stored basis holds the image of the w-space under
+        gen; only a truncation can cut part of it off."""
+        return True
 
     def act(self, gen, w):
         """Block of E_{gen} from the w-space; (target_weight, matrix) or None.
@@ -276,7 +286,6 @@ class ExplicitModule(WeightModule):
         dims,
         blocks,
         provenance,
-        labels=None,
         highest_weight=None,
         shape=None,
         depth=None,
@@ -287,7 +296,6 @@ class ExplicitModule(WeightModule):
         init(self, "_dims", {w: d for w, d in dims.items() if d})
         init(self, "_blocks", blocks)
         init(self, "provenance", provenance)
-        init(self, "labels", labels or {})
         init(self, "highest_weight", highest_weight)
         init(self, "shape", shape)
         init(self, "depth", depth)
@@ -472,7 +480,8 @@ class _TruncatedVerma(WeightModule):
     Weight spaces whose deficit height exceeds the depth hold only part of
     the true Verma weight space; those are listed (per the contract) but
     any action query whose result cannot be represented in the stored
-    basis raises instead of silently dropping terms.
+    basis raises instead of silently dropping terms.  ``labels`` maps each
+    weight to the sorted tuple of its monomials, read-only.
     """
 
     provenance = "verma"
@@ -488,7 +497,7 @@ class _TruncatedVerma(WeightModule):
         by_weight = {}
         for mono in builder.monomials(depth):
             by_weight.setdefault(builder.mono_weight(mono), []).append(mono)
-        labels = {w: sorted(m) for w, m in by_weight.items()}
+        labels = MappingProxyType({w: tuple(sorted(m)) for w, m in by_weight.items()})
         init(self, "labels", labels)
         init(self, "_dims", {w: len(m) for w, m in labels.items()})
         init(
@@ -507,23 +516,22 @@ class _TruncatedVerma(WeightModule):
     def __setattr__(self, name, value):
         raise AttributeError("_TruncatedVerma is immutable")
 
+    def represents(self, gen, w):
+        # the straightened image of every stored monomial must be stored
+        tind = self._index.get(w + gen.weight_shift(), ())
+        act = self._builder.act
+        return all(mm in tind for mono in self.labels.get(w, ()) for mm in act(gen.key(), mono))
+
     def _act(self, gen, w):
         # the base class treats a missing target as zero, which is wrong
-        # when the target was cut off by the depth truncation: probe the
-        # straightened action and refuse when anything nonzero leaves
+        # when the target was cut off by the depth truncation: refuse
+        # whenever part of the image leaves the stored basis
         if gen.row not in self.index_set or gen.col not in self.index_set:
             raise ValueError("%r is outside %r" % (gen, self.index_set))
-        if w not in self._dims or gen.is_diagonal:
-            return WeightModule._act(self, gen, w)
-        target = w + gen.weight_shift()
-        if target not in self._dims:
-            for mono in self.labels[w]:
-                if self._builder.act(gen.key(), mono):
-                    raise ValueError(
-                        "action of %r on the %r space leaves the depth-%d band"
-                        % (gen, w, self.depth)
-                    )
-            return None
+        if not self.represents(gen, w):
+            raise ValueError(
+                "action of %r on the %r space leaves the depth-%d band" % (gen, w, self.depth)
+            )
         return WeightModule._act(self, gen, w)
 
     def _block(self, gen, w):
@@ -539,13 +547,7 @@ class _TruncatedVerma(WeightModule):
             wrote = False
             for col, mono in enumerate(monos):
                 for mm, v in self._builder.act(gen.key(), mono).items():
-                    row = tind.get(mm)
-                    if row is None:
-                        raise ValueError(
-                            "action of %r on the %r space leaves the depth-%d band"
-                            % (gen, w, self.depth)
-                        )
-                    block[row][col] += v
+                    block[tind[mm]][col] += v
                     wrote = wrote or bool(v)
             if not wrote:
                 block = None
@@ -595,19 +597,6 @@ def gram_matrix(verma, w):
                     break
             gram[i][j] = cur.get((), 0)
     return gram
-
-
-def is_psd(gram):
-    """Exact positive-semidefiniteness of a symmetric rational matrix.
-
-    Uses the alternating-sign test on det(tI - G): all eigenvalues are
-    nonnegative iff (-1)^(n-k) c_k >= 0 for every coefficient.
-    """
-    from .linalg import charpoly
-
-    p = charpoly(gram)
-    n = len(p) - 1
-    return all(((-1) ** (n - k)) * p[k] >= 0 for k in range(n + 1))
 
 
 def _is_dominant_classical(index_set, xi):
@@ -732,8 +721,8 @@ def singular_space(module, mu):
     if not d:
         return SingularSpace(module, mu, [])
     rows = []
-    for a, b in module.index_set.simple_pairs():
-        res = module.act(BasisElement(a, b), mu)
+    for op in simple_raising_ops(module.index_set):
+        res = module.act(op, mu)
         if res is None:
             continue
         rows.extend(res[1])

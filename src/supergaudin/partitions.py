@@ -187,11 +187,6 @@ def hook_tableau_contents(shape, m, n):
     return counts
 
 
-def hook_tableau_dimension(shape, m, n):
-    """Total number of (m|n)-hook tableaux of the shape."""
-    return sum(hook_tableau_contents(shape, m, n).values())
-
-
 def partition_from_hook_data(m, n, rows, col_excess):
     """Rebuild a partition from its (m|n)-hook weight data.
 

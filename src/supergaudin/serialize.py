@@ -48,12 +48,16 @@ def index_set_from_json(obj):
 
 
 def module_to_json(module):
-    """Weights, dims and the sparse off-diagonal action blocks."""
+    """Weights, dims and the sparse off-diagonal action blocks; a block
+    that a truncation cuts off (see ``WeightModule.represents``) is left
+    out."""
     weights = module.weights()
     wj = [{"weight": w.to_json(), "dim": module.dim(w)} for w in weights]
     actions = []
     for gen in off_diagonal_units(module.index_set):
         for w in weights:
+            if not module.represents(gen, w):
+                continue
             res = module.act(gen, w)
             if res is None:
                 continue

@@ -364,20 +364,18 @@ def check_kz(seed, tol=1e-8, **_):
     path = [(0, 1), (0.3j, 1.5)]
     sol_b = integrate_path(sys_b, path, psi0, rel_tol=1e-10)
     sol_s = integrate_path(sys_s, path, psi0, rel_tol=1e-10)
-    import numpy as _np
-
-    terr = float(_np.max(_np.abs(sol_b.final_psi - sol_s.final_psi)))
+    terr = float(np.max(np.abs(sol_b.final_psi - sol_s.final_psi)))
     details["truncation_gap"] = round(terr, 14)
     ok = ok and terr <= 10 * tol
     # fundamental solution rank equals the weight space dimension
     system = KZSystem(t2, mu, kappa=1)
     fundamental = monodromy(system, [(0, 1), (0.4j, 2), (0, 1)], rel_tol=1e-10)
-    rank = int(_np.linalg.matrix_rank(fundamental, tol=1e-8))
+    rank = int(np.linalg.matrix_rank(fundamental, tol=1e-8))
     details["solution_rank"] = rank
     ok = ok and rank == system.dim
     mono = monodromy(system, [(0, 1), (0.5j, 2), (0, 1)], rel_tol=1e-10)
     details["contractible_monodromy_err"] = round(
-        float(_np.max(_np.abs(mono - _np.eye(system.dim)))), 12
+        float(np.max(np.abs(mono - np.eye(system.dim)))), 12
     )
     ok = ok and details["contractible_monodromy_err"] <= 1e-7
     return {"name": "kz", "passed": ok, **details}

@@ -11,7 +11,7 @@ skips the checks their inputs have already passed.
 from fractions import Fraction
 
 from .indices import HalfIndex, idx
-from .partitions import Partition, frobenius_theta, partition_from_hook_data
+from .partitions import Partition, frobenius_theta
 
 
 def exact_scalar(x):
@@ -291,24 +291,3 @@ def hook_correspondence(lam, m, n, k):
     super_w = weight_super(lam, Partition(), 0, 0, m, 0, n)
     coeffs = {2 * i - 1: conj.part(i) for i in range(1, k + 1) if conj.part(i)}
     return super_w, Weight(coeffs, 0)
-
-
-def hook_weight_to_partition(w, m, n):
-    """Invert the super-side hook weight map (level ignored)."""
-    rows = [w(2 * i) for i in range(1, m + 1)]
-    cols = [w(2 * j - 1) for j in range(1, n + 1)]
-    return partition_from_hook_data(m, n, rows, cols)
-
-
-def super_weight_to_data(w, q, m, p, n):
-    """Recover ``(lam_plus, lam_minus, d)`` from a super-flavor weight."""
-    lam_plus = partition_from_hook_data(
-        m, n, [w(2 * i) for i in range(1, m + 1)], [w(2 * j - 1) for j in range(1, n + 1)]
-    )
-    conj_minus = partition_from_hook_data(
-        q,
-        p,
-        [-w(-2 * s + 1) for s in range(1, q + 1)],
-        [-w(-2 * r) for r in range(1, p + 1)],
-    )
-    return lam_plus, conj_minus.conjugate(), w.level

@@ -43,8 +43,6 @@ def test_parity():
     assert E(1, "1/2").parity == 1
     assert E(1, 2).parity == 0
     assert E("1/2", "3/2").parity == 0
-    assert elem((1, "1/2", 1)).homogeneous_parity() == 1
-    assert elem((1, 2, 1), (1, "1/2", 1)).homogeneous_parity() is None
 
 
 def test_cocycle_vanishes_on_positive_indices():
@@ -167,7 +165,7 @@ def test_simple_raising_ops():
 
 def test_root_datum():
     rd = RootDatum(IndexSet.gl(0, 2, 0, 1))
-    roots = rd.simple_roots()
+    roots = [op.weight_shift() for op in rd.raising]
     assert [sorted(r.coeffs.items()) for r in roots] == [
         [(2, 1), (4, -1)],
         [(1, -1), (4, 1)],

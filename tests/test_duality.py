@@ -14,8 +14,10 @@ from supergaudin.duality import (
 )
 from supergaudin.indices import IndexSet
 from supergaudin.modules import polynomial_module, singular_space, tensor_product
-from supergaudin.partitions import Partition, all_partitions, hook_tableau_dimension
-from supergaudin.weights import Weight, eps, hook_weight_to_partition
+from supergaudin.partitions import Partition, all_partitions
+from supergaudin.weights import Weight, eps
+
+from oracles import hook_tableau_dimension, hook_weight_to_partition
 
 
 def test_build_setup_examples():

@@ -1,15 +1,20 @@
-"""Every name a package module imports is used there or re-exported.
+"""Every name a package module imports is used there or re-exported, and
+every package definition has a caller outside the tests.
 
 Parsed with the stdlib ``ast``, so nothing is imported; ``__init__.py``
-is exempt, since re-exporting is its job.
+is exempt from the import check, since re-exporting is its job.
 """
 
 import ast
 import os
+from collections import Counter
 
 import supergaudin
 
 PACKAGE_DIR = os.path.dirname(supergaudin.__file__)
+PERFBENCH_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
+)
 
 
 def _bound_names(node):
@@ -58,13 +63,22 @@ def test_the_checker_sees_unused_and_exported_names():
     assert unused_imports(source) == [(2, "np"), (3, "b"), (6, "h")]
 
 
+def _sources(directory):
+    """File name to source text for every Python file in a directory."""
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name)) as fh:
+                out[name] = fh.read()
+    return out
+
+
 def test_package_modules_import_no_unused_names():
     found = {}
-    for name in sorted(os.listdir(PACKAGE_DIR)):
-        if not name.endswith(".py") or name == "__init__.py":
+    for name, source in _sources(PACKAGE_DIR).items():
+        if name == "__init__.py":
             continue
-        with open(os.path.join(PACKAGE_DIR, name)) as fh:
-            unused = unused_imports(fh.read())
+        unused = unused_imports(source)
         if unused:
             found[name] = unused
     assert not found, found
@@ -104,3 +118,105 @@ def test_only_the_block_store_composes_one_slot_operators():
         n for n in tree.body if not isinstance(n, ast.FunctionDef) and "add_word" in _names(n)
     ]
     assert callers == ["_stored_block"] and not calls_elsewhere
+
+
+def _definitions(tree):
+    """(qualified name, node) for every top-level function and class and
+    every non-dunder method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield node.name + "." + item.name, item
+
+
+def _dotted_strings(tree):
+    """Every identifier part of every string constant ("gaudin.pair_matrix")."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from (part for part in node.value.split(".") if part.isidentifier())
+
+
+def unreferenced_definitions(package, callers=()):
+    """Sorted "file:qualified name" of the definitions in ``package`` (file
+    name to source) that nothing references.
+
+    A definition passes when its name is mentioned (as a name, an attribute
+    or an import) in a package file other than ``__init__.py``, outside its
+    own body; or in one of the ``callers`` sources, whose dotted string
+    constants count too; or when ``__init__.py`` re-exports it; or when it
+    is decorated, as click commands and properties are.
+    """
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    refs = Counter()
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            refs.update(_names(tree))
+    for source in callers:
+        tree = ast.parse(source)
+        refs.update(_names(tree))
+        refs.update(_dotted_strings(tree))
+    exported = {
+        alias.asname or alias.name
+        for node in trees["__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    found = []
+    for fname, tree in sorted(trees.items()):
+        for qualname, node in _definitions(tree):
+            own = 0 if fname == "__init__.py" else sum(n == node.name for n in _names(node))
+            if not (node.decorator_list or node.name in exported or refs[node.name] > own):
+                found.append(fname + ":" + qualname)
+    return sorted(found)
+
+
+def test_the_caller_check_sees_uncalled_functions_and_methods():
+    package = {
+        "__init__.py": "from .a import exported\ndef init_only():\n    return quiet()\n",
+        "a.py": (
+            "import click\n"
+            "NAME = 'orphan'\n"
+            "def exported(): pass\n"
+            "def used(): return helper()\n"
+            "def helper(): pass\n"
+            "def lonely(): return lonely()\n"
+            "def orphan(): pass\n"
+            "def quiet(): pass\n"
+            "def benched(): pass\n"
+            "@click.command()\n"
+            "def cmd(): pass\n"
+            "class Box:\n"
+            "    def __init__(self): self.fill()\n"
+            "    def fill(self): pass\n"
+            "    def spare(self): return self.spare()\n"
+            "    def traced(self): pass\n"
+        ),
+        "b.py": "from .a import used, Box\n",
+    }
+    callers = ["TARGETS = [('a', 'benched'), 'a.Box.traced']\n"]
+    assert unreferenced_definitions(package, callers) == [
+        "__init__.py:init_only",
+        "a.py:Box.spare",
+        "a.py:lonely",
+        "a.py:orphan",
+        "a.py:quiet",
+    ]
+    # the same definitions with a caller each pass
+    package["b.py"] += "Box().spare(); lonely(); orphan(); quiet(); init_only()\n"
+    assert unreferenced_definitions(package, callers) == []
+
+
+# TensorModule.basis_tuples has no caller in the package: it is a
+# read-only inspection accessor, and tests/test_shared_tensors.py pins
+# its copy semantics
+CALLER_EXEMPT = ["modules.py:TensorModule.basis_tuples"]
+
+
+def test_every_package_definition_has_a_caller_outside_the_tests():
+    callers = list(_sources(PERFBENCH_DIR).values())
+    assert unreferenced_definitions(_sources(PACKAGE_DIR), callers) == CALLER_EXEMPT

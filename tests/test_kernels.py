@@ -137,6 +137,41 @@ def test_nullspace_annihilates_with_dimension_ncols_minus_rank(A):
     assert kernels.int_rref(basis + A)[1] == list(range(m))
 
 
+def test_nullspace_vectors_have_a_positive_leading_entry():
+    # the sign rule is on the leading nonzero entry, not on the free one
+    assert kernels.int_nullspace([[1, 1]], 2) == [[1, -1]]
+    assert kernels.int_nullspace([[1, 0, 2], [0, 1, -3]], 3) == [[2, -3, -1]]
+
+
+def fraction_nullspace(A, m):
+    """Kernel vectors over Q (1 at the free column, -red/pivot at the
+    pivots), then scaled to primitive integers, leading entry positive."""
+    red, pivots = kernels.int_rref(A)
+    basis = []
+    for free in (c for c in range(m) if c not in pivots):
+        vec = [Fraction(0)] * m
+        vec[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -Fraction(red[r][free], red[r][col])
+        den = 1
+        for v in vec:
+            den = den * v.denominator // gcd(den, v.denominator)
+        ivec = [int(v * den) for v in vec]
+        g = 0
+        for x in ivec:
+            g = gcd(g, x)
+        ivec = [x // g for x in ivec]
+        basis.append([-x for x in ivec] if next(x for x in ivec if x) < 0 else ivec)
+    return basis
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_matrices())
+def test_nullspace_matches_the_rational_construction(A):
+    m = len(A[0])
+    assert kernels.int_nullspace(A, m) == fraction_nullspace(A, m)
+
+
 @settings(max_examples=60, deadline=None)
 @given(row_equivalent_pairs())
 def test_nullspace_is_deterministic(pair):

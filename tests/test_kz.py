@@ -306,7 +306,7 @@ def test_hamiltonian_float_matches_exact():
     for convention in ("plain", "central"):
         system = three_site_system(convention)
         for i in (1, 2, 3):
-            exact = np.array([[float(x) for x in row] for row in system.hamiltonian_exact(i, z)])
+            exact = np.array([[float(x) for x in row] for row in system.family(z).matrix(i, system.mu)])
             approx = system.hamiltonian_float(i, [float(x) for x in z])
             assert float(np.max(np.abs(approx - exact))) < 1e-12, (convention, i)
 

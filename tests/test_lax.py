@@ -76,10 +76,9 @@ def test_pf_reexpansion_identity():
     assert prod == expected
 
 
-def test_pf_eval_and_derivative():
+def test_pf_derivative_and_pole_order_limit():
     z = (Fraction(0), Fraction(1))
     f = scalar_pf(z, {(0, 1): 3, CONST: 2})
-    assert f.eval(Fraction(3))[0][0] == 3 + Fraction(3, 3) - 1  # 2 + 3/3
     df = f.derivative()
     assert df == scalar_pf(z, {(0, 2): -3})
     with pytest.raises(ValueError):

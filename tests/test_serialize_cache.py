@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from click.testing import CliRunner
 
-from supergaudin.algebra import AlgebraElement, BasisElement
+from supergaudin.algebra import AlgebraElement, BasisElement, off_diagonal_units
 from supergaudin.cache import DiskCache, content_key
 from supergaudin.cli import main
 from supergaudin.duality import truncation_check
@@ -179,8 +179,9 @@ TRUNCATIONS = (
 def small_modules(draw):
     """Natural, polynomial (|lam| <= 3), truncated Verma, irreducible and
     truncation realizations.  Only gl(1|1) Vermas are drawn: there the
-    depth band (depth >= 1) is closed under the action, while the other
-    flavors' band edges raise when serialized."""
+    depth band (depth >= 1) is closed under the action, so the document
+    holds every block; elsewhere the band edges raise on ``act`` (see
+    ``test_truncated_verma_documents_keep_the_blocks_the_band_holds``)."""
     kind = draw(st.sampled_from(("natural", "polynomial", "verma", "irreducible", "truncation")))
     lam = Partition(draw(st.sampled_from(SMALL_SHAPES)))
     if kind == "verma":
@@ -216,6 +217,33 @@ def test_module_json_round_trip_keeps_document_and_action(module):
             for b in members:
                 gen = BasisElement(a, b)
                 assert _nonzero_act(back, gen, w) == _nonzero_act(module, gen, w), (gen, w)
+
+
+VERMA_FLAVORS = {"gl2|1": ["--m", "2", "--n", "1"], "gl3": ["--flavor", "classical", "--k", "3"]}
+
+
+@pytest.mark.parametrize("flavor", sorted(VERMA_FLAVORS))
+@pytest.mark.parametrize("lam", ("1", "2", "1,1"))
+def test_truncated_verma_documents_keep_the_blocks_the_band_holds(flavor, lam):
+    for depth in range(4):
+        args = ["--json", "module", "build", *VERMA_FLAVORS[flavor], "--lam", lam, "--kind", "verma"]
+        res = CliRunner().invoke(main, args + ["--depth", str(depth), "--no-cache"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        validate_document(doc, "module.schema.json")
+        back = module_from_json(doc)
+        assert module_to_json(back) == doc
+        # the document holds every block the band holds; the blocks it
+        # leaves out are the ones the Verma itself refuses
+        hw = polynomial_highest_weight(back.index_set, Partition(lam.split(",")))
+        module = verma_truncated(back.index_set, hw, depth)
+        for gen in off_diagonal_units(back.index_set):
+            for w in module.weights():
+                try:
+                    expected = _nonzero_act(module, gen, w)
+                except ValueError:
+                    expected = None
+                assert _nonzero_act(back, gen, w) == expected, (gen, w)
 
 
 int_or_fraction = st.one_of(st.integers(-9, 9), st.integers(-9, 9).map(Fraction))

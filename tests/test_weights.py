@@ -12,15 +12,15 @@ from supergaudin.weights import (
     Weight,
     eps,
     hook_correspondence,
-    hook_weight_to_partition,
     in_lattice,
     one_pq,
-    super_weight_to_data,
     unitarizable_weight,
     weight_classical,
     weight_super,
     weight_wide,
 )
+
+from oracles import hook_weight_to_partition
 
 
 def test_weight_basics():
@@ -172,9 +172,8 @@ def test_super_weight_round_trips():
             w = weight_super(lam, Partition([]), 2, 0, m, 0, n)
             assert all(v >= 0 for v in w.coeffs.values())
             assert hook_weight_to_partition(w, m, n) == lam
-    # the two-sided reconstruction with negative parts and a level
-    lam_p = Partition([2, 1])
-    lam_m = Partition([3, 1])
-    w = weight_super(lam_p, lam_m, Fraction(1, 2), q=2, m=2, p=2, n=2)
-    back_p, back_m, level = super_weight_to_data(w, 2, 2, 2, 2)
-    assert (back_p, back_m, level) == (lam_p, lam_m, Fraction(1, 2))
+    # negative parts and a level: lam+ = (2, 1) fills e(1), e(2); the
+    # lam- = (3, 1) row past q = 2 gives -1 on e(-1); its conjugate
+    # (2, 1, 1) gives -2, -1 on e(-1/2), e(-3/2)
+    w = weight_super(Partition([2, 1]), Partition([3, 1]), Fraction(1, 2), q=2, m=2, p=2, n=2)
+    assert w == Weight({2: 2, 4: 1, -2: -1, -1: -2, -3: -1}, Fraction(1, 2))
