@@ -67,7 +67,7 @@ def _parse_partition(text, flag):
 def _parse_fracs(text, flag):
     try:
         return [Fraction(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise click.UsageError("bad rational list for %s: %s" % (flag, exc))
 
 
@@ -515,7 +515,7 @@ def _parse_path(text, flag):
 @kz.command("solve")
 @with_kz
 @click.option("--path", "path_json", required=True, help="waypoints [[[re,im],...],...]")
-@click.option("--psi0", default="singular", help="'singular', basis index, or JSON vector")
+@click.option("--psi0", default="singular", help="'singular' (a singular vector at --mu) or a JSON list of one number per basis vector")
 @click.option("--rel-tol", type=float, default=1e-10, show_default=True)
 @click.pass_context
 def kz_solve(ctx, system, path_json, psi0, rel_tol):

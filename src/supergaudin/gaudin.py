@@ -29,11 +29,14 @@ weight mu of a factor list.  It holds three kinds of block:
   closed forms of the Lax supertraces.
 
 A block is built once, by ``_stored_block``, as a sum of products of
-one-slot operators through one sparse core, ``add_word``, which applies
-the column-sparse ``TensorModule.slot_act_sparse`` blocks; nothing else
-calls it.  A block on a weight space is keyed by (spec, weight, None);
-its restriction to a subspace by (spec, weight, basis vectors), so the
-convention and the levels are part of every restricted key too.  Callers
+one-slot operators (K terms and the iota correction become scalar
+factors) through the package's one column-application core,
+``TensorModule.apply``.  A block on a weight space is keyed by (spec,
+weight, None) and applies its words to the unit columns.  Its
+restriction to a subspace is keyed by (spec, weight, basis vectors), so
+the convention and the levels are part of every restricted key too; it
+applies the words to the basis vectors only and solves their images
+against the basis, never building the full block.  Callers
 get fresh copies (``pair_matrix``, ``site_casimir``,
 ``HamiltonianFamily.matrix``, ``restricted``), so nothing they mutate
 reaches the store.  ``HamiltonianFamily.restricted`` restricts each block
@@ -97,61 +100,6 @@ def casimir(index_set, central=False):
     return CasimirTensor(index_set, central, terms)
 
 
-def _iota_diag_correction(gen, level):
-    # the extended E_a acts on a plain realization through iota^{-1}:
-    # iota(E_a) = E_a - (-1)^{parity(a)} K for a < 0, so pulling the
-    # extended unit back ADDS (-1)^{parity(a)} times the K scalar
-    if gen.is_diagonal and gen.row.doubled < 0:
-        sign = -1 if gen.row.parity else 1
-        return sign * level
-    return 0
-
-
-def add_word(total, tensor, word, w, scale=1, levels=None, twisted=False):
-    """Add scale times a product of one-slot operators on the w-space into
-    the dense rows ``total``; True unless a factor vanishes.
-
-    ``word`` lists (op, slot) left to right as written, slots 0-based; the
-    rightmost factor acts first.  ``op`` is a BasisElement or the K symbol,
-    which acts by the slot's level.  With ``twisted`` the diagonal units at
-    negative indices act through iota (plain action plus a central
-    scalar).  The factors are the column-sparse slot blocks, applied to
-    one basis column at a time; the net weight shift must be zero.
-    """
-    if not tensor.dim(w):
-        return False
-    # each step maps v to scalar * v + cols(v)
-    steps = []
-    cur = w
-    for op, slot in reversed(word):
-        cols = None
-        if op == K_SYMBOL:
-            scalar = levels[slot]
-        else:
-            scalar = _iota_diag_correction(op, levels[slot]) if twisted else 0
-            res = tensor.slot_act_sparse(op, slot, cur)
-            if res is not None:
-                cur, _, cols = res
-        if cols is None and not scalar:
-            return False
-        steps.append((cols, scalar))
-    if cur != w:
-        raise ValueError("operator product does not preserve the weight")
-    for c in range(tensor.dim(w)):
-        vec = {c: 1}
-        for cols, scalar in steps:
-            nxt = {r: scalar * v for r, v in vec.items()} if scalar else {}
-            if cols is not None:
-                for r, v in vec.items():
-                    for r2, x in cols[r]:
-                        nxt[r2] = nxt.get(r2, 0) + v * x
-            vec = nxt
-        for r, v in vec.items():
-            if v:
-                total[r][c] += scale * v
-    return True
-
-
 def apply_pair_op(tensor, cas, i, j, w, vectors):
     """Apply the two-site tensor on slots (i, j) to columns of the w-space.
 
@@ -178,52 +126,70 @@ def _omega_spec(tensor, central, i, j, levels):
     return ("omega", central, levels, min(i, j), max(i, j))
 
 
-def _block_words(tensor, spec):
-    """(word, coefficient) pairs summing to the block named by ``spec``."""
+def _block_terms(tensor, spec):
+    """(coefficient, word) pairs summing to the block named by ``spec``, in
+    the form ``TensorModule.apply`` reads (slots 0-based)."""
     members = list(tensor.index_set)
     if spec[0] == "omega":
-        _, central, _, i, j = spec
+        _, central, levels, i, j = spec
+
+        def factor(op, slot):
+            # K acts by the slot's level.  In the central convention the
+            # extended E_a acts on a plain realization through iota^{-1}:
+            # iota(E_a) = E_a - (-1)^{parity(a)} K for a < 0, so pulling the
+            # extended unit back ADDS (-1)^{parity(a)} times the K scalar
+            if op == K_SYMBOL:
+                return (None, slot, levels[slot])
+            if central and op.is_diagonal and op.row.doubled < 0:
+                return (op, slot, -levels[slot] if op.row.parity else levels[slot])
+            return (op, slot, 0)
+
         for coeff, left, right in casimir(tensor.index_set, central).terms:
-            yield [(left, i - 1), (right, j - 1)], exact_scalar(coeff)
+            yield exact_scalar(coeff), [factor(left, i - 1), factor(right, j - 1)]
         return
     if spec[0] == "site":
         _, k, slot = spec
         for chain in product(members, repeat=k):
             sign = -1 if sum(h.parity for h in chain[1:]) % 2 else 1
-            yield [(BasisElement(chain[t], chain[(t + 1) % k]), slot - 1) for t in range(k)], sign
+            yield sign, [(BasisElement(chain[t], chain[(t + 1) % k]), slot - 1, 0) for t in range(k)]
         return
     _, a, b, c = spec
     for r in members:
         for s in members:
             for t in members:
                 word = [
-                    (BasisElement(r, s), a - 1),
-                    (BasisElement(t, r), b - 1),
-                    (BasisElement(s, t), c - 1),
+                    (BasisElement(r, s), a - 1, 0),
+                    (BasisElement(t, r), b - 1, 0),
+                    (BasisElement(s, t), c - 1, 0),
                 ]
-                yield word, _cubic_sign(r, s, t)
+                yield _cubic_sign(r, s, t), word
 
 
 def _stored_block(tensor, spec, w, basis=None):
     """The block named by ``spec`` on the w-space, or restricted to the span
     of ``basis`` (a tuple of tuples), from the store; None when it vanishes.
-    The rows are shared: never mutate them."""
+    The block's words are applied to the unit columns, or to the basis
+    vectors, whose images are then solved against the basis.  The rows are
+    shared: never mutate them."""
     store = tensor.pair_store
     key = (spec, w, basis)
     if key in store:
         return store[key]
-    if basis is not None:
-        mat = _stored_block(tensor, spec, w)
-        store[key] = None if mat is None else restrict_to_basis(mat, basis)
-        return store[key]
-    levels, twisted = (spec[2], spec[1]) if spec[0] == "omega" else (None, False)
     d = tensor.dim(w)
-    total = [[0] * d for _ in range(d)]
-    nonzero = False
-    for word, coeff in _block_words(tensor, spec):
-        nonzero |= add_word(total, tensor, word, w, coeff, levels, twisted)
-    store[key] = [[exact_scalar(x) for x in row] for row in total] if nonzero else None
-    return store[key]
+    columns = [[int(r == c) for r in range(d)] for c in range(d)] if basis is None else basis
+    res = tensor.apply(_block_terms(tensor, spec), w, columns)
+    if res is None:
+        block = None
+    elif res[0] != w:
+        raise ValueError("operator product does not preserve the weight")
+    elif basis is None:
+        block = [[exact_scalar(x) for x in row] for row in zip(*res[1])]
+    else:
+        block = ColumnSolver(basis, nrows=d).block(res[1])
+        if block is None:
+            raise ValueError("subspace is not invariant under the operator")
+    store[key] = block
+    return block
 
 
 def pair_matrix(tensor, cas, i, j, w, levels=None):

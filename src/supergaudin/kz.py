@@ -218,6 +218,9 @@ def _transport(system, path, psi, rel_tol):
     run on [Re psi; Im psi], with the absolute tolerance set from the
     largest column norm at the segment start.
     """
+    if not 0 < rel_tol < 1:
+        # the stepper never finishes a step at 0 or nan
+        raise ValueError("rel_tol must be a number in (0, 1), got %r" % (rel_tol,))
     n = psi.size
     yield 0.0, path[0], psi
     for seg, (p, q) in enumerate(zip(path, path[1:])):

@@ -2,8 +2,8 @@
 
 Matrices are lists of rows with int or Fraction entries.  Everything here
 is exact; floating point never enters this module.  ``charpoly`` and
-``mat_mul`` are the kernels' own functions, re-exported; ``rref``,
-``rank`` and ``nullspace`` clear denominators and hand integer rows to
+``mat_mul`` are the kernels' own functions, re-exported; ``rref``
+and ``nullspace`` clear denominators and hand integer rows to
 ``kernels``; the ``poly_*`` helpers work on ascending coefficient lists.
 ``ColumnSolver`` is
 the one place that turns vectors into coordinates against a column basis,
@@ -21,7 +21,6 @@ __all__ = [
     "clear_denominators",
     "nullspace",
     "rref",
-    "rank",
     "mat_add",
     "mat_sub",
     "mat_scale",
@@ -65,12 +64,6 @@ def rref(rows):
         return [], []
     int_rows = [clear_denominators(r) for r in rows]
     return int_rref(int_rows)
-
-
-def rank(rows):
-    if not rows:
-        return 0
-    return len(rref(rows)[0])
 
 
 def mat_add(A, B):

@@ -98,6 +98,10 @@ class NaturalModule(WeightModule):
 class TensorModule(WeightModule):
     """Tensor product with Koszul signs; weights add, levels add.
 
+    Every operator on the tensor, the diagonal action and the Gaudin
+    blocks alike, is a sum of products of one-slot operators, applied to
+    columns by ``apply`` over the cached ``slot_act_sparse`` blocks.
+
     Immutable once built: duality tensors are memoized process-wide (see
     ``polynomial_tensor``), so one tensor serves many callers.  Its block
     caches and ``pair_store`` fill lazily but are never handed out for
@@ -231,43 +235,75 @@ class TensorModule(WeightModule):
                 block[r][c] += val
         return target, block
 
-    def apply_diagonal_sparse(self, gen, w, vec):
-        """Apply the diagonal action of gen to one vector via sparse blocks."""
-        target = w if gen.is_diagonal else w + gen.weight_shift()
-        out = None
-        for slot in range(len(self.factors)):
-            sparse = self.slot_act_sparse(gen, slot, w)
-            if sparse is None:
-                continue
-            _, nrows, cols = sparse
-            if out is None:
-                out = [0] * nrows
-            for c, v in enumerate(vec):
-                if v:
-                    for r, val in cols[c]:
-                        out[r] += val * v
-        if out is None or not any(out):
+    def coproduct(self, gen):
+        """The terms of the diagonal action Delta(gen) = sum over slots of
+        gen^{(slot)}, in the form ``apply`` reads."""
+        return [(1, [(gen, slot, 0)]) for slot in range(len(self.factors))]
+
+    def apply(self, terms, w, columns):
+        """Apply sum_k c_k word_k to vectors of the w-space.
+
+        ``terms`` lists (c_k, word_k); a word lists (gen, slot, scalar)
+        factors left to right as written, slots 0-based, and the rightmost
+        factor acts first.  A factor acts as scalar + gen^{(slot)}; a gen of
+        None, or one whose block vanishes, leaves the scalar alone.  Every
+        one-slot block is the shared ``slot_act_sparse`` one.  Returns
+        (target weight, one dense image per column), or None when every
+        word vanishes; the words that do not must end in one weight.
+        """
+        if not self.dim(w):
             return None
-        return target, out
+        target = None
+        words = []
+        for coeff, word in terms:
+            steps = []
+            cur = w
+            for gen, slot, scalar in reversed(word):
+                cols = None
+                if gen is not None:
+                    res = self.slot_act_sparse(gen, slot, cur)
+                    if res is not None:
+                        cur, _, cols = res
+                if cols is None and not scalar:
+                    break
+                steps.append((cols, scalar))
+            else:
+                if target is None:
+                    target = cur
+                elif cur != target:
+                    raise ValueError("the words end in different weights")
+                words.append((coeff, steps))
+        if target is None:
+            return None
+        n = self._dims[target]
+        images = []
+        for vec in columns:
+            out = [0] * n
+            src = {c: v for c, v in enumerate(vec) if v}
+            for coeff, steps in words:
+                # each step maps v to scalar * v + cols(v)
+                cur = src
+                for cols, scalar in steps:
+                    nxt = {r: scalar * v for r, v in cur.items()} if scalar else {}
+                    if cols is not None:
+                        for r, v in cur.items():
+                            for r2, x in cols[r]:
+                                nxt[r2] = nxt.get(r2, 0) + v * x
+                    cur = nxt
+                for r, v in cur.items():
+                    out[r] += coeff * v
+            images.append(out)
+        return target, images
 
     def _block(self, gen, w):
-        # diagonal action Delta(gen) = sum over slots
+        # the diagonal action on unit columns, as rows
         key = (gen.key(), w)
-        if key in self._sum_cache:
-            return self._sum_cache[key]
-        total = None
-        for slot in range(len(self.factors)):
-            sparse = self.slot_act_sparse(gen, slot, w)
-            if sparse is None:
-                continue
-            _, nrows, cols = sparse
-            if total is None:
-                total = [[0] * len(cols) for _ in range(nrows)]
-            for c, entries in enumerate(cols):
-                for r, val in entries:
-                    total[r][c] += val
-        self._sum_cache[key] = total
-        return total
+        if key not in self._sum_cache:
+            d = self._dims[w]
+            units = [[int(r == c) for r in range(d)] for c in range(d)]
+            res = self.apply(self.coproduct(gen), w, units)
+            self._sum_cache[key] = None if res is None else [list(row) for row in zip(*res[1])]
+        return self._sum_cache[key]
 
 
 class ExplicitModule(WeightModule):
@@ -825,10 +861,10 @@ def _build_polynomial_module(index_set, lam):
     while frontier:
         w, vec = frontier.pop()
         for gen in lowering:
-            res = amb.apply_diagonal_sparse(gen, w, vec)
+            res = amb.apply(amb.coproduct(gen), w, [vec])
             if res is None:
                 continue
-            target, img = res
+            target, (img,) = res
             if target not in spans:
                 spans[target] = SpanBuilder(amb.dim(target))
             if spans[target].add(img):
@@ -838,13 +874,13 @@ def _build_polynomial_module(index_set, lam):
     solvers = {w: ColumnSolver(basis, nrows=amb.dim(w)) for w, basis in bases.items()}
 
     def block_of(gen, w):
-        images = [amb.apply_diagonal_sparse(gen, w, vec) for vec in bases[w]]
-        if all(img is None for img in images):
+        res = amb.apply(amb.coproduct(gen), w, bases[w])
+        if res is None or not any(map(any, res[1])):
             return None
-        target = w + gen.weight_shift()
+        target, images = res
         if target not in bases:
             raise RuntimeError("cyclic submodule is not invariant")
-        sub = solvers[target].block([None if res is None else res[1] for res in images])
+        sub = solvers[target].block(images)
         if sub is None:
             raise RuntimeError("cyclic submodule is not invariant")
         return sub

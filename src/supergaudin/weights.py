@@ -52,7 +52,7 @@ class Weight:
                 clean[d] = v
         try:
             level = exact_scalar(level)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             raise ValueError("level must be an exact rational, got %r" % (level,))
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "level", level)
@@ -83,9 +83,6 @@ class Weight:
 
     def support(self):
         return [HalfIndex(d) for d, _ in self.items()]
-
-    def total(self):
-        return sum(self.coeffs.values())
 
     @property
     def parity(self):

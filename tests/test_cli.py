@@ -240,6 +240,32 @@ BAD_INPUT = {
     "verify-one-site": (["verify", "all", "--ell", "1", "--checks", "cyclic"], "--ell must be at least 2"),
     "verify-negative-m": (["verify", "all", "--m", "-1"], "need p, q, m >= 0 and n >= 1"),
     "verify-zero-n": (["verify", "all", "--n", "0"], "need p, q, m >= 0 and n >= 1"),
+    # a zero denominator in a rational list or a weight level
+    "hamiltonian-zero-denominator-z": (
+        ["hamiltonian", "--ell", "2", "--z", "1/0,1", "--mu", "1,1"],
+        "bad rational list for --z",
+    ),
+    "hamiltonian-zero-denominator-level": (
+        ["hamiltonian", *TWO_SITES, "--z", "0,1", "--mu", "1,1", "--convention", "central", "--levels", "1,1/0"],
+        "bad rational list for --levels",
+    ),
+    "duality-zero-denominator-z": (
+        ["duality", "check", "--lams", "1;1", "--mu", "1,1", "--z", "0,1/0"],
+        "bad rational list for --z",
+    ),
+    "weight-zero-denominator-level": (
+        ["singular", "--ell", "2", "--factor-kind", "natural", "--weight", '{"coeffs":[[2,2]],"level":"1/0"}'],
+        "malformed weight document",
+    ),
+    # 0 and nan used to step forever, and -1 ended in the stepper's own error
+    **{
+        "kz-%s-rel-tol-%s" % (cmd, tol): (
+            ["kz", cmd, *TWO_SITES, "--mu", "1,1", path, LOOP, "--rel-tol", tol],
+            "rel_tol must be a number in (0, 1)",
+        )
+        for cmd, path in (("solve", "--path"), ("monodromy", "--loop"))
+        for tol in ("0", "nan", "-1")
+    },
     "module-negative-depth": (
         ["module", "build", "--lam", "2", "--kind", "irreducible", "--depth", "-1"],
         "depth must be nonnegative",

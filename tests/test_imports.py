@@ -96,28 +96,37 @@ def _names(tree):
                 yield alias.name.split(".")[-1]
 
 
-def test_only_the_block_store_composes_one_slot_operators():
-    # gaudin._stored_block builds every invariant operator; any other
-    # caller of add_word would be a second way to compose one-slot words
-    outside = []
-    for name in sorted(os.listdir(PACKAGE_DIR)):
-        if name.endswith(".py") and name != "gaudin.py":
-            with open(os.path.join(PACKAGE_DIR, name)) as fh:
-                if "add_word" in _names(ast.parse(fh.read())):
-                    outside.append(name)
+def _mentions(tree, name):
+    """Every Name or Attribute node of ``tree`` that spells ``name``."""
+    return {
+        n
+        for n in ast.walk(tree)
+        if (isinstance(n, ast.Name) and n.id == name)
+        or (isinstance(n, ast.Attribute) and n.attr == name)
+    }
+
+
+def test_only_tensor_apply_composes_one_slot_operators():
+    # TensorModule.apply is the one core that composes the column-sparse
+    # one-slot blocks, and slot_act is their dense view; any other reader
+    # of slot_act_sparse would be a second way to compose one-slot words
+    sources = _sources(PACKAGE_DIR)
+    outside = [
+        name
+        for name, source in sources.items()
+        if name != "modules.py" and _mentions(ast.parse(source), "slot_act_sparse")
+    ]
     assert not outside
-    with open(os.path.join(PACKAGE_DIR, "gaudin.py")) as fh:
-        tree = ast.parse(fh.read())
-    callers = [
-        fn.name
-        for fn in tree.body
-        if isinstance(fn, ast.FunctionDef)
-        and any(isinstance(n, ast.Call) and "add_word" in _names(n.func) for n in ast.walk(fn))
+    tree = ast.parse(sources["modules.py"])
+    allowed = [
+        node
+        for qualname, node in _definitions(tree)
+        if qualname in ("TensorModule.apply", "TensorModule.slot_act")
     ]
-    calls_elsewhere = [
-        n for n in tree.body if not isinstance(n, ast.FunctionDef) and "add_word" in _names(n)
-    ]
-    assert callers == ["_stored_block"] and not calls_elsewhere
+    assert len(allowed) == 2
+    inside = [_mentions(node, "slot_act_sparse") for node in allowed]
+    assert all(inside)
+    assert _mentions(tree, "slot_act_sparse") == set().union(*inside)
 
 
 def _definitions(tree):

@@ -342,6 +342,17 @@ def test_waypoints_must_have_one_coordinate_per_site():
         check_path([(0, 1), (0, 2, 3)])
 
 
+def test_transport_refuses_a_relative_tolerance_outside_zero_one():
+    # 0 and nan used to step forever, and -1 ended in the stepper's own error
+    t2, system = two_site_system()
+    loop = [(0, 1), (0.4j, 2), (0, 1)]
+    for rel_tol in (0, 0.0, -1.0, 1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rel_tol must be a number in"):
+            integrate_path(system, loop[:2], [1.0, 0.0], rel_tol=rel_tol)
+        with pytest.raises(ValueError, match="rel_tol must be a number in"):
+            monodromy(system, loop, rel_tol=rel_tol)
+
+
 def test_flatness_rejects_bad_step_and_point_count():
     tensor = tensor_product([NaturalModule(GL11)] * 3)
     system = KZSystem(tensor, MU + eps("1/2"))

@@ -212,6 +212,19 @@ def test_restricted_from_store_equals_restricting_the_full_hamiltonian(case, dat
             assert fam.restricted(i, space) == expected, (fam.kind, i)
 
 
+def test_a_restricted_block_never_builds_the_full_block():
+    # the words act on the basis vectors only, so only restricted keys fill
+    iset = FLAVORS["gl(2|1)"]
+    tensor = tensor_product([polynomial_module(iset, Partition(p)) for p in ((2,), (1,), (1,))])
+    space = next(s for s in (singular_space(tensor, w) for w in tensor.weights()) if s.dim > 1)
+    z = [0, 1, 3]
+    for fam in (quadratic_family(tensor, z), cubic_family(tensor, z, "C"), cubic_family(tensor, z, "D")):
+        for i in (1, 2, 3):
+            fam.restricted(i, space)
+    assert tensor.pair_store
+    assert all(basis is not None for _, _, basis in tensor.pair_store)
+
+
 def test_plain_and_central_families_keep_their_own_restrictions():
     # gl(1|1+1) irreducibles with distinct levels: the plain and central
     # Omega^{(12)} differ, so a restriction keyed without the convention

@@ -1,10 +1,14 @@
-"""Tensor products: basis order, one-slot blocks, and the shared duality tensors.
+"""Tensor products: basis order, one-slot blocks, the column-application
+core, and the shared duality tensors.
 
 ``slot_act_sparse`` is checked against a reference built directly from each
 factor's public ``act`` blocks and the Koszul sign, so its diagonal path
 (the scalar fw(E_a) on each column) has a check that does not go through
-the tensor's own block code.
+the tensor's own block code.  ``TensorModule.apply`` is checked against
+products of the dense ``slot_act`` blocks.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,7 @@ from supergaudin.algebra import BasisElement
 from supergaudin.duality import build_setup, spectrum_match
 from supergaudin.gaudin import quadratic_family
 from supergaudin.indices import IndexSet
-from supergaudin.linalg import charpoly
+from supergaudin.linalg import charpoly, mat_add, mat_mul, mat_scale
 from supergaudin.modules import (
     NaturalModule,
     polynomial_module,
@@ -130,6 +134,77 @@ def test_slot_act_sparse_matches_factor_blocks_with_koszul_signs(tensor, data):
             else:
                 assert dense(sparse) == (target, ref)
                 assert tensor.slot_act(gen, slot, w) == (target, ref)
+
+
+def _scalar_eye(scalar, d):
+    return [[scalar if r == c else 0 for c in range(d)] for r in range(d)]
+
+
+def reference_apply(tensor, terms, w, columns):
+    """``apply`` from dense ``slot_act`` blocks: each word is the product of
+    its factors scalar * I + gen^{(slot)}, the rightmost first."""
+    total = target = None
+    for coeff, word in terms:
+        cur, mat = w, _scalar_eye(1, tensor.dim(w))
+        for gen, slot, scalar in reversed(word):
+            res = None if gen is None else tensor.slot_act(gen, slot, cur)
+            if res is None and not scalar:
+                break
+            step = _scalar_eye(scalar, tensor.dim(cur))
+            if res is not None:
+                assert not scalar or res[0] == cur
+                cur, step = res[0], mat_add(res[1], step) if scalar else res[1]
+            mat = mat_mul(step, mat)
+        else:
+            assert target in (None, cur)
+            target, mat = cur, mat_scale(mat, coeff)
+            total = mat if total is None else mat_add(total, mat)
+    if target is None:
+        return None
+    return target, [list(row) for row in zip(*mat_mul(total, [list(c) for c in zip(*columns)]))]
+
+
+@st.composite
+def sums_of_words(draw, tensor):
+    """Up to three words that shuffle one list of units over random slots,
+    so every word that survives ends in one weight, with scalars beside
+    the diagonal units and K-style scalar-only factors mixed in."""
+    members = list(tensor.index_set)
+    units = draw(st.lists(st.tuples(st.sampled_from(members), st.sampled_from(members)), min_size=1, max_size=3))
+    slots = st.integers(0, len(tensor.factors) - 1)
+    scalars = st.sampled_from([0, 0, 1, -2, Fraction(1, 2)])
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        word = []
+        for a, b in draw(st.permutations(units)):
+            word.append((BasisElement(a, b), draw(slots), draw(scalars) if a == b else 0))
+            if draw(st.booleans()):
+                word.append((None, draw(slots), draw(scalars.filter(bool))))
+        terms.append((draw(st.sampled_from([1, -1, 3, Fraction(2, 3)])), word))
+    return terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensors(), st.data())
+def test_apply_matches_products_of_dense_slot_blocks(tensor, data):
+    w = data.draw(st.sampled_from(tensor.weights()))
+    terms = data.draw(sums_of_words(tensor))
+    entries = st.integers(-3, 3)
+    columns = data.draw(st.lists(st.lists(entries, min_size=tensor.dim(w), max_size=tensor.dim(w)), min_size=1, max_size=3))
+    assert tensor.apply(terms, w, columns) == reference_apply(tensor, terms, w, columns)
+
+
+def test_apply_refuses_words_that_end_in_different_weights():
+    iset = FLAVORS["gl(3)"]
+    tensor = tensor_product([NaturalModule(iset)] * 2)
+    a, b, c = list(iset)
+    w = next(w for w in tensor.weights() if w(a) == w(b) == 1)
+    units = [[1 if r == k else 0 for r in range(tensor.dim(w))] for k in range(tensor.dim(w))]
+    one, other = [(BasisElement(c, a), 0, 0)], [(BasisElement(c, b), 0, 0)]
+    assert tensor.apply([(1, one)], w, units) is not None
+    assert tensor.apply([(1, other)], w, units) is not None
+    with pytest.raises(ValueError, match="different weights"):
+        tensor.apply([(1, one), (1, other)], w, units)
 
 
 def test_diagonal_slot_block_rejects_a_unit_outside_the_index_set():

@@ -27,7 +27,7 @@ def test_weight_basics():
     w = eps(1) + eps("1/2") - eps(1)
     assert w == eps("1/2")
     assert w(idx("1/2")) == 1 and w(idx(1)) == 0
-    assert (eps(1) + eps(1)).total() == 2
+    assert sum((eps(1) + eps(1)).coeffs.values()) == 2
     assert eps("1/2").parity == 1 and eps(1).parity == 0
     with pytest.raises(ValueError):
         Weight({2: 1}, level=1.5 + 2j)
@@ -50,14 +50,14 @@ def test_weight_refuses_non_integral_values():
     for coeffs in non_integral:
         with pytest.raises(ValueError, match="must be integers"):
             Weight(coeffs)
-    for level in (inf, -inf, float("nan")):
+    for level in (inf, -inf, float("nan"), "1/0"):
         with pytest.raises(ValueError, match="exact rational"):
             Weight({}, level)
     with pytest.raises(ValueError, match="malformed weight document"):
         Weight.from_json({"coeffs": [[2, 1.5], [1, 0.5]], "level": "0"})
     with pytest.raises(ValueError, match="malformed weight document"):
         Weight.from_json({"coeffs": [[2.5, 1]], "level": "0"})
-    infinite = ('[[2, Infinity]], "level": "0"', '[[2, 1e999]], "level": "0"', '[], "level": Infinity')
+    infinite = ('[[2, Infinity]], "level": "0"', '[[2, 1e999]], "level": "0"', '[], "level": Infinity', '[], "level": "1/0"')
     for doc in ('{"coeffs": %s}' % body for body in infinite):
         with pytest.raises(ValueError, match="malformed weight document"):
             Weight.from_json(json.loads(doc))
@@ -160,7 +160,7 @@ def test_hook_correspondence_grades_by_box_count():
                 continue
             k = max(lam.part(1), 1)
             sup, cla = hook_correspondence(lam, m, n, k)
-            assert sup.total() == lam.size == cla.total()
+            assert sum(sup.coeffs.values()) == lam.size == sum(cla.coeffs.values())
 
 
 def test_super_weight_round_trips():
