@@ -46,9 +46,7 @@ from .modules import (
     verma_truncated,
 )
 from .gaudin import (
-    CasimirTensor,
     HamiltonianFamily,
-    apply_pair_op,
     casimir,
     central_shift,
     commutator_residual,

@@ -8,13 +8,14 @@ the two conventions is something the test suite verifies rather than a
 definition.
 
 Block store.  Every invariant operator on a weight space of a tensor is
-a block of one store: the ``pair_store`` dict of the tensor itself, which
-lives exactly as long as the tensor object.  The Hamiltonians are sums of
-these z-independent blocks with rational z-coefficients, so every member
-of every family is a list of (z-coefficient, block spec) terms over the
-store.  Duality tensors are memoized for the life of the process
-(``modules.polynomial_tensor``), so one store serves every singular
-weight mu of a factor list.  It holds three kinds of block:
+a block of one store, owned by the tensor itself and served by
+``TensorModule.stored``; it lives exactly as long as the tensor object.
+The Hamiltonians are sums of these z-independent blocks with rational
+z-coefficients, so every member of every family is a list of
+(z-coefficient, block spec) terms over the store.  Duality tensors are
+memoized for the life of the process (``modules.polynomial_tensor``), so
+one store serves every singular weight mu of a factor list.  This module
+names three kinds of block:
 
 - the two-site Casimir Omega^{(ij)}, named ("omega", central, levels,
   min(i, j), max(i, j)); Omega^{(ij)} = Omega^{(ji)}, so one entry serves
@@ -28,22 +29,21 @@ weight mu of a factor list.  It holds three kinds of block:
   E_{r_1 r_2} ... E_{r_{k-1} r_0}; ``site_casimir`` serves it to the
   closed forms of the Lax supertraces.
 
-A block is built once, by ``_stored_block``, as a sum of products of
-one-slot operators (K terms and the iota correction become scalar
-factors) through the package's one column-application core,
-``TensorModule.apply``.  A block on a weight space is keyed by (spec,
-weight, None) and applies its words to the unit columns.  Its
-restriction to a subspace is keyed by (spec, weight, basis vectors), so
-the convention and the levels are part of every restricted key too; it
-applies the words to the basis vectors only and solves their images
-against the basis, never building the full block.  Callers
-get fresh copies (``pair_matrix``, ``site_casimir``,
-``HamiltonianFamily.matrix``, ``restricted``), so nothing they mutate
-reaches the store.  ``HamiltonianFamily.restricted`` restricts each block
-separately, so the subspace must be invariant under every block of the
-member, not just under the member.  Singular spaces always are: every
-block is an invariant tensor, so it commutes with the diagonal action,
-raising operators included.
+``_block_terms`` writes each spec as a sum of products of one-slot
+operators (K terms and the iota correction become scalar factors), and
+``_stored_block`` hands these terms to the tensor, which builds the
+block once through its column-application core.  A block on a weight
+space is keyed by (spec, weight, None).  Its restriction to a subspace
+is keyed by (spec, weight, basis vectors), so the convention and the
+levels are part of every restricted key too; it acts on the basis
+vectors only, never building the full block.  Callers get fresh copies
+(``pair_matrix``, ``site_casimir``, ``HamiltonianFamily.matrix``,
+``restricted``), so nothing they mutate reaches the store.
+``HamiltonianFamily.restricted`` restricts each block separately, so the
+subspace must be invariant under every block of the member, not just
+under the member.  Singular spaces always are: every block is an
+invariant tensor, so it commutes with the diagonal action, raising
+operators included.
 """
 
 from fractions import Fraction
@@ -62,25 +62,9 @@ from .weights import exact_scalar
 K_SYMBOL = "K"
 
 
-class CasimirTensor:
-    """A list of two-site terms (coefficient, left op, right op)."""
-
-    __slots__ = ("index_set", "central", "terms")
-
-    def __init__(self, index_set, central, terms):
-        object.__setattr__(self, "index_set", index_set)
-        object.__setattr__(self, "central", central)
-        object.__setattr__(self, "terms", tuple(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CasimirTensor is immutable")
-
-    def __len__(self):
-        return len(self.terms)
-
-
 def casimir(index_set, central=False):
-    """The Casimir symmetric tensor of a flavor.
+    """The terms (coefficient, left op, right op) of the Casimir symmetric
+    tensor of a flavor.
 
     sum over i, j of (-1)^{2j} E_{i,j} (x) E_{j,i}, and with central=True
     also -(K (x) E_i + E_i (x) K) over the negative indices i.
@@ -97,26 +81,16 @@ def casimir(index_set, central=False):
                 diag = BasisElement(i, i)
                 terms.append((Fraction(-1), K_SYMBOL, diag))
                 terms.append((Fraction(-1), diag, K_SYMBOL))
-    return CasimirTensor(index_set, central, terms)
-
-
-def apply_pair_op(tensor, cas, i, j, w, vectors):
-    """Apply the two-site tensor on slots (i, j) to columns of the w-space.
-
-    Slots are 1-based as in the Hamiltonian formulas.
-    """
-    ell = len(tensor.factors)
-    if not (1 <= i <= ell and 1 <= j <= ell) or i == j:
-        raise ValueError("slots must be distinct and within 1..%d" % ell)
-    mat = pair_matrix(tensor, cas, i, j, w, levels=None)
-    if mat is None:
-        return [[Fraction(0)] * tensor.dim(w) for _ in vectors]
-    return [[sum(row[k] * vec[k] for k in range(len(vec))) for row in mat] for vec in vectors]
+    return tuple(terms)
 
 
 def _omega_spec(tensor, central, i, j, levels):
-    """The store name of Omega^{(ij)}: levels are None in the plain
-    convention, which ignores them, and default to the factor levels."""
+    """The store name of Omega^{(ij)} (slots 1-based): levels are None in
+    the plain convention, which ignores them, and default to the factor
+    levels."""
+    ell = len(tensor.factors)
+    if not (1 <= i <= ell and 1 <= j <= ell) or i == j:
+        raise ValueError("slots must be distinct and within 1..%d" % ell)
     if not central:
         levels = None
     elif levels is None:
@@ -144,7 +118,7 @@ def _block_terms(tensor, spec):
                 return (op, slot, -levels[slot] if op.row.parity else levels[slot])
             return (op, slot, 0)
 
-        for coeff, left, right in casimir(tensor.index_set, central).terms:
+        for coeff, left, right in casimir(tensor.index_set, central):
             yield exact_scalar(coeff), [factor(left, i - 1), factor(right, j - 1)]
         return
     if spec[0] == "site":
@@ -167,42 +141,24 @@ def _block_terms(tensor, spec):
 
 def _stored_block(tensor, spec, w, basis=None):
     """The block named by ``spec`` on the w-space, or restricted to the span
-    of ``basis`` (a tuple of tuples), from the store; None when it vanishes.
-    The block's words are applied to the unit columns, or to the basis
-    vectors, whose images are then solved against the basis.  The rows are
-    shared: never mutate them."""
-    store = tensor.pair_store
-    key = (spec, w, basis)
-    if key in store:
-        return store[key]
-    d = tensor.dim(w)
-    columns = [[int(r == c) for r in range(d)] for c in range(d)] if basis is None else basis
-    res = tensor.apply(_block_terms(tensor, spec), w, columns)
+    of ``basis`` (a tuple of tuples), from the tensor's store; None when it
+    vanishes.  The rows are shared: never mutate them."""
+    res = tensor.stored(spec, _block_terms(tensor, spec), w, basis)
     if res is None:
-        block = None
-    elif res[0] != w:
+        return None
+    if res[0] != w:
         raise ValueError("operator product does not preserve the weight")
-    elif basis is None:
-        block = [[exact_scalar(x) for x in row] for row in zip(*res[1])]
-    else:
-        block = ColumnSolver(basis, nrows=d).block(res[1])
-        if block is None:
-            raise ValueError("subspace is not invariant under the operator")
-    store[key] = block
-    return block
+    return res[1]
 
 
-def pair_matrix(tensor, cas, i, j, w, levels=None):
-    """Exact matrix of the (i, j) two-site Casimir action on the w-space.
+def pair_matrix(tensor, i, j, w, central=False, levels=None):
+    """Exact matrix of the (i, j) two-site Casimir action on the w-space,
+    in the plain or (``central``) the central convention.
 
     Served from the tensor's block store; returns fresh dense rows, or None
-    when every Casimir term vanishes there.  ``cas`` must be
-    ``casimir(tensor.index_set, central)``: the store keys on its
-    convention only, so a Casimir of another index set is refused.
+    when every Casimir term vanishes there.
     """
-    if cas.index_set != tensor.index_set:
-        raise ValueError("the Casimir and the tensor have different index sets")
-    block = _stored_block(tensor, _omega_spec(tensor, cas.central, i, j, levels), w)
+    block = _stored_block(tensor, _omega_spec(tensor, central, i, j, levels), w)
     return None if block is None else [row[:] for row in block]
 
 
@@ -213,6 +169,11 @@ def site_casimir(tensor, k, slot, w):
     Served from the tensor's block store as fresh dense rows; the zero
     matrix when the block vanishes there.
     """
+    if k not in (1, 2, 3):
+        raise ValueError("the one-site Casimir degree must be 1, 2 or 3")
+    ell = len(tensor.factors)
+    if not 1 <= slot <= ell:
+        raise ValueError("slot must be within 1..%d" % ell)
     block = _stored_block(tensor, ("site", k, slot), w)
     if block is None:
         d = tensor.dim(w)

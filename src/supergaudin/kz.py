@@ -36,7 +36,6 @@ from scipy.integrate import DOP853
 
 from .algebra import simple_raising_ops
 from .gaudin import (
-    casimir,
     family_levels,
     pair_matrix,
     pairwise_commutator_residual,
@@ -65,7 +64,7 @@ class KZSystem:
         self.dim = tensor.dim(mu)
         if not self.dim:
             raise ValueError("mu is not a weight of the tensor product")
-        cas = casimir(tensor.index_set, central=(convention == "central"))
+        central = convention == "central"
         d = self.dim
         zero = [[Fraction(0)] * d for _ in range(d)]
         # Omega^{(ij)} = Omega^{(ji)}: one float stack over the unordered
@@ -74,7 +73,7 @@ class KZSystem:
         blocks = []
         for i in range(1, self.ell + 1):
             for j in range(i + 1, self.ell + 1):
-                block = pair_matrix(tensor, cas, i, j, mu, levels=self.levels)
+                block = pair_matrix(tensor, i, j, mu, central, levels=self.levels)
                 block = block if block is not None else zero
                 sites.append((i - 1, j - 1))
                 blocks.append([[float(x) for x in row] for row in block])

@@ -24,15 +24,23 @@ from .algebra import (
 from .indices import HalfIndex, IndexSet
 from .linalg import ColumnSolver, SpanBuilder, nullspace, rref
 from .partitions import Partition
-from .weights import Weight, eps, weight_classical, weight_super
+from .weights import Weight, eps, exact_scalar, weight_classical, weight_super
 
 
 class WeightModule:
-    """Base class; subclasses fill dims and off-diagonal blocks."""
+    """Base class; subclasses fill dims and off-diagonal blocks.
+
+    Immutable once built: modules are shared as factors of tensors and
+    parents of memoized builds, so a mutation would reach every one of
+    them.  Subclasses set their attributes with ``object.__setattr__``.
+    """
 
     index_set: IndexSet
     level: Fraction
     provenance: str
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def weights(self):
         return sorted(self._dims, key=Weight.sort_key)
@@ -84,9 +92,10 @@ class NaturalModule(WeightModule):
     provenance = "natural"
 
     def __init__(self, index_set):
-        self.index_set = index_set
-        self.level = Fraction(0)
-        self._dims = {eps(h.value): 1 for h in index_set}
+        init = object.__setattr__
+        init(self, "index_set", index_set)
+        init(self, "level", Fraction(0))
+        init(self, "_dims", {eps(h.value): 1 for h in index_set})
 
     def _block(self, gen, w):
         # E_{a,b} v_r = delta_{b,r} v_a
@@ -100,12 +109,14 @@ class TensorModule(WeightModule):
 
     Every operator on the tensor, the diagonal action and the Gaudin
     blocks alike, is a sum of products of one-slot operators, applied to
-    columns by ``apply`` over the cached ``slot_act_sparse`` blocks.
+    columns by ``apply`` over the cached ``slot_act_sparse`` blocks.  The
+    blocks of named operators live in one store, ``block_store``, which
+    only ``stored`` reads and fills: the diagonal action of each unit
+    under ("delta", gen key), the Gaudin blocks under their gaudin specs.
 
     Immutable once built: duality tensors are memoized process-wide (see
     ``polynomial_tensor``), so one tensor serves many callers.  Its block
-    caches and ``pair_store`` fill lazily but are never handed out for
-    mutation.
+    caches fill lazily but are never handed out for mutation.
     """
 
     provenance = "tensor"
@@ -150,12 +161,7 @@ class TensorModule(WeightModule):
             {w: {tup: i for i, tup in enumerate(tups)} for w, tups in basis.items()},
         )
         init(self, "_sparse_cache", {})
-        init(self, "_sum_cache", {})
-        # z-independent two-site blocks, filled by gaudin (see its docstring)
-        init(self, "pair_store", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorModule is immutable")
+        init(self, "block_store", {})
 
     def basis_tuples(self, w):
         return list(self._basis.get(w, ()))
@@ -295,15 +301,45 @@ class TensorModule(WeightModule):
             images.append(out)
         return target, images
 
+    def stored(self, name, terms, w, basis=None):
+        """The operator sum_k c_k word_k on the w-space, from the store.
+
+        ``terms`` is read as by ``apply`` and only on a miss; ``name`` must
+        determine it, since the store keys on (name, w, basis).  With no
+        basis the words act on the unit columns, and the result is (target
+        weight, rows) with exact-scalar entries.  With ``basis``, a tuple
+        of w-space tuples spanning a subspace the operator preserves, they
+        act on the basis vectors only, and the result is (w, rows) in that
+        basis, solved by the one ``ColumnSolver`` of (w, basis), stored
+        under the name None.  None when every word vanishes.  The rows are
+        shared: never mutate them.
+        """
+        store = self.block_store
+        key = (name, w, basis)
+        if key in store:
+            return store[key]
+        if basis is None:
+            d = self.dim(w)
+            res = self.apply(terms, w, [[int(r == c) for r in range(d)] for c in range(d)])
+            if res is not None:
+                res = (res[0], [[exact_scalar(x) for x in row] for row in zip(*res[1])])
+        else:
+            res = self.apply(terms, w, basis)
+            if res is not None:
+                solver = store.get((None, w, basis))
+                if solver is None:
+                    solver = store[(None, w, basis)] = ColumnSolver(basis, nrows=self.dim(w))
+                block = solver.block(res[1]) if res[0] == w else None
+                if block is None:
+                    raise ValueError("subspace is not invariant under the operator")
+                res = (w, block)
+        store[key] = res
+        return res
+
     def _block(self, gen, w):
         # the diagonal action on unit columns, as rows
-        key = (gen.key(), w)
-        if key not in self._sum_cache:
-            d = self._dims[w]
-            units = [[int(r == c) for r in range(d)] for c in range(d)]
-            res = self.apply(self.coproduct(gen), w, units)
-            self._sum_cache[key] = None if res is None else [list(row) for row in zip(*res[1])]
-        return self._sum_cache[key]
+        res = self.stored(("delta", gen.key()), self.coproduct(gen), w)
+        return None if res is None else res[1]
 
 
 class ExplicitModule(WeightModule):
@@ -335,9 +371,6 @@ class ExplicitModule(WeightModule):
         init(self, "highest_weight", highest_weight)
         init(self, "shape", shape)
         init(self, "depth", depth)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExplicitModule is immutable")
 
     def _block(self, gen, w):
         return self._blocks.get((gen.key(), w))
@@ -547,10 +580,6 @@ class _TruncatedVerma(WeightModule):
             if h is not None and h <= depth:
                 complete.add(w)
         init(self, "complete", frozenset(complete))
-        init(self, "_block_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("_TruncatedVerma is immutable")
 
     def represents(self, gen, w):
         # the straightened image of every stored monomial must be stored
@@ -571,24 +600,19 @@ class _TruncatedVerma(WeightModule):
         return WeightModule._act(self, gen, w)
 
     def _block(self, gen, w):
-        key = (gen.key(), w)
-        if key in self._block_cache:
-            return self._block_cache[key]
-        target = w + gen.weight_shift()
-        tind = self._index.get(target)
-        block = None
-        if tind is not None:
-            monos = self.labels[w]
-            block = [[0] * len(monos) for _ in range(len(tind))]
-            wrote = False
-            for col, mono in enumerate(monos):
-                for mm, v in self._builder.act(gen.key(), mono).items():
-                    block[tind[mm]][col] += v
-                    wrote = wrote or bool(v)
-            if not wrote:
-                block = None
-        self._block_cache[key] = block
-        return block
+        # every caller asks for each (gen, w) once, and the builder
+        # memoizes the straightening, so the block is not cached
+        tind = self._index.get(w + gen.weight_shift())
+        if tind is None:
+            return None
+        monos = self.labels[w]
+        block = [[0] * len(monos) for _ in range(len(tind))]
+        wrote = False
+        for col, mono in enumerate(monos):
+            for mm, v in self._builder.act(gen.key(), mono).items():
+                block[tind[mm]][col] += v
+                wrote = wrote or bool(v)
+        return block if wrote else None
 
 
 def verma_truncated(index_set, xi, depth):
@@ -825,8 +849,8 @@ def polynomial_tensor(index_set, partitions):
 
     Memoized per (index set, tuple of partitions), like
     ``polynomial_module``, and kept for the life of the process.  One
-    tensor, with its block caches and Hamiltonian block store
-    (``pair_store``), therefore serves every weight space anyone asks of
+    tensor, with its block caches and operator store (``block_store``),
+    therefore serves every weight space anyone asks of
     that factor list; tensors are immutable.  Built through
     ``tensor_product``.
     """

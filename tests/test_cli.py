@@ -116,6 +116,61 @@ def test_kz_commands():
     assert res.exit_code == 0, res.output
 
 
+def test_restricted_hamiltonian_has_the_spectrum_charpolys():
+    from supergaudin.linalg import charpoly
+    from supergaudin.serialize import frac_str, matrix_from_triplets
+
+    tensor = ["--ell", "3", "--factor-kind", "natural", "--mu", "2,1", "--z", "0,1,3"]
+    for kind in ("quadratic", "cubicC", "cubicD"):
+        res = run("--json", "hamiltonian", *tensor, "--kind", kind, "--restrict-singular")
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        validate_document(doc, "hamiltonian.schema.json")
+        assert doc["dim"] == 2
+        mats = [matrix_from_triplets(m["triplets"], doc["dim"], doc["dim"]) for m in doc["matrices"]]
+        res = run("--json", "spectrum", *tensor, "--kind", kind)
+        assert res.exit_code == 0, res.output
+        expected = json.loads(res.output)["charpolys"]
+        assert [[frac_str(c) for c in charpoly(m)] for m in mats] == expected, kind
+
+
+def test_lax_expand_third_power_matches_its_closed_form():
+    res = run(
+        "--json", "lax", "expand",
+        "--ell", "2", "--factor-kind", "natural", "--k-power", "3", "--z", "0,1",
+    )
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["k"] == 3
+    assert all(entry["matches_closed_form"] for entry in doc["weights"])
+    assert doc["matches"] is True
+
+
+def test_kz_solve_takes_a_psi0_list_of_the_space_dimension():
+    system = ["--ell", "2", "--factor-kind", "natural", "--mu", "1,1"]
+    path = json.dumps([[[0, 0], [1, 0]], [[0, 0.5], [2, 0]]])
+    res = run("--json", "kz", "solve", *system, "--path", path, "--psi0", "[1, 0]")
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    validate_document(doc, "kz_solution.schema.json")
+    assert doc["samples"][0]["psi"] == [[1.0, 0.0], [0.0, 0.0]]
+    for psi0 in ("[1]", "[1, 0, 0]"):
+        res = run("--json", "kz", "solve", *system, "--path", path, "--psi0", psi0)
+        assert res.exit_code == 2, (psi0, res.output)
+        assert "psi0 has the wrong dimension" in res.output
+
+
+def test_kz_flatness_float_step_cross_check():
+    res = run(
+        "--json", "kz", "flatness", "--ell", "2", "--factor-kind", "natural",
+        "--mu", "1,1", "--z", "0,1", "--float-step", "1e-5",
+    )
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["mode"] == "float"
+    assert doc["zero"] is True
+
+
 def test_verify_all_subset_and_report_schema():
     res = run("--json", "verify", "all", "--checks", "io,truncation", "--seed", "3")
     assert res.exit_code == 0, res.output

@@ -12,13 +12,13 @@ import pytest
 
 from supergaudin.algebra import BasisElement, E
 from supergaudin.gaudin import (
-    apply_pair_op,
     casimir,
     central_shift,
     commutator_residual,
     cubic_family,
     cyclic_vector_test,
     joint_diagonalize,
+    pair_matrix,
     pairwise_commutator_residual,
     quadratic_family,
     restrict_to_basis,
@@ -173,33 +173,32 @@ def test_casimir_term_lists():
         (Fraction(1), E("1/2", 1), E(1, "1/2")),
         (Fraction(-1), E("1/2", "1/2"), E("1/2", "1/2")),
     ]
-    assert sorted(cas.terms, key=lambda t: (t[1].key(), t[2].key())) == sorted(
+    assert sorted(cas, key=lambda t: (t[1].key(), t[2].key())) == sorted(
         expected, key=lambda t: (t[1].key(), t[2].key())
     )
     cl1 = casimir(IndexSet.classical(0, 1))
-    assert list(cl1.terms) == [(Fraction(-1), E("1/2", "1/2"), E("1/2", "1/2"))]
+    assert list(cl1) == [(Fraction(-1), E("1/2", "1/2"), E("1/2", "1/2"))]
     # p = q = 0 flavors never get central terms
     assert len(casimir(IndexSet.gl(0, 2, 0, 2), central=True)) == len(
         casimir(IndexSet.gl(0, 2, 0, 2))
     )
     # p = 1 adds two K terms for the negative index
     with_k = casimir(IndexSet.gl(0, 1, 1, 1), central=True)
-    k_terms = [t for t in with_k.terms if "K" in (t[1], t[2])]
+    k_terms = [t for t in with_k if "K" in (t[1], t[2])]
     assert len(k_terms) == 2
 
 
 def test_apply_pair_examples():
     nat = NaturalModule(GL11)
     t2 = tensor_product([nat, nat])
-    cas = casimir(GL11)
     top = Weight({2: 2})
-    assert apply_pair_op(t2, cas, 1, 2, top, [[Fraction(1)]]) == [[Fraction(1)]]
+    assert pair_matrix(t2, 1, 2, top) == [[Fraction(1)]]
     bottom = Weight({1: 2})
-    assert apply_pair_op(t2, cas, 1, 2, bottom, [[Fraction(1)]]) == [[Fraction(-1)]]
-    with pytest.raises(ValueError):
-        apply_pair_op(t2, cas, 1, 1, top, [[Fraction(1)]])
-    with pytest.raises(ValueError):
-        apply_pair_op(t2, cas, 0, 3, top, [[Fraction(1)]])
+    assert pair_matrix(t2, 1, 2, bottom) == [[Fraction(-1)]]
+    with pytest.raises(ValueError, match="slots must be distinct"):
+        pair_matrix(t2, 1, 1, top)
+    with pytest.raises(ValueError, match="within 1..2"):
+        pair_matrix(t2, 0, 3, top)
 
 
 def test_pair_matrix_matches_word_oracle():

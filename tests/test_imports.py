@@ -129,6 +129,39 @@ def test_only_tensor_apply_composes_one_slot_operators():
     assert _mentions(tree, "slot_act_sparse") == set().union(*inside)
 
 
+def _spells(tree, name):
+    """Every Name, Attribute or string constant of ``tree`` that spells
+    ``name`` (``object.__setattr__`` names an attribute by a string)."""
+    return _mentions(tree, name) | {
+        n for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value == name
+    }
+
+
+def test_only_tensor_stored_builds_operator_blocks():
+    # TensorModule.stored is the one code that builds, restricts and
+    # caches an operator block (the diagonal action and every Gaudin
+    # block), and TensorModule.__init__ only creates its dict; any other
+    # reader or writer of block_store would be a second block store
+    sources = _sources(PACKAGE_DIR)
+    outside = [
+        name
+        for name, source in sources.items()
+        if name != "modules.py" and _spells(ast.parse(source), "block_store")
+    ]
+    assert not outside, outside
+    tree = ast.parse(sources["modules.py"])
+    tensor = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "TensorModule")
+    allowed = [
+        item
+        for item in tensor.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("__init__", "stored")
+    ]
+    assert len(allowed) == 2
+    inside = [_spells(node, "block_store") for node in allowed]
+    assert all(inside)
+    assert _spells(tree, "block_store") == set().union(*inside)
+
+
 def _definitions(tree):
     """(qualified name, node) for every top-level function and class and
     every non-dunder method of a top-level class."""

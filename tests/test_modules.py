@@ -326,6 +326,15 @@ def test_modules_reject_attribute_assignment():
     # duality tensors are memoized and shared: no assignment, tuple factors
     tensor = polynomial_tensor(GL11, (Partition([1]), Partition([1])))
     assert isinstance(tensor.factors, tuple)
-    for name, value in (("factors", []), ("pair_store", {}), ("level", Fraction(1))):
-        with pytest.raises(AttributeError, match="immutable"):
+    for name, value in (("factors", []), ("block_store", {}), ("level", Fraction(1))):
+        with pytest.raises(AttributeError, match="TensorModule is immutable"):
             setattr(tensor, name, value)
+    # the natural module is a factor of every Pieri build, so assigning
+    # its weight spaces would reshape every later tensor
+    nat = NaturalModule(GL11)
+    for name, value in (("_dims", {}), ("index_set", GL21), ("level", Fraction(1))):
+        with pytest.raises(AttributeError, match="NaturalModule is immutable"):
+            setattr(nat, name, value)
+    pair = tensor_product([nat, nat])
+    assert pair.total_dim == 4
+    assert singular_space(pair, eps(1) + eps("1/2")).dim == 1

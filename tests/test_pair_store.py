@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from supergaudin.algebra import BasisElement
 from supergaudin.gaudin import (
     K_SYMBOL,
-    apply_pair_op,
     casimir,
     cubic_family,
     pair_matrix,
@@ -49,8 +48,9 @@ FLAVORS = {
 SHAPES = ((1,), (2,), (1, 1))
 
 
-def dense_pair(tensor, cas, i, j, w, levels):
-    """sum of coeff * left^{(i)} right^{(j)} from dense blocks, or None."""
+def dense_pair(tensor, central, i, j, w, levels):
+    """sum of coeff * left^{(i)} right^{(j)} over the Casimir terms, from
+    dense blocks, or None."""
     d = tensor.dim(w)
 
     def block(op, slot, cur):
@@ -60,7 +60,7 @@ def dense_pair(tensor, cas, i, j, w, levels):
             res = None
         else:
             res = tensor.slot_act(op, slot, cur)
-            if cas.central and op.is_diagonal and op.row.doubled < 0:
+            if central and op.is_diagonal and op.row.doubled < 0:
                 scalar = (-1 if op.row.parity else 1) * levels[slot]
         if not scalar:
             return res
@@ -70,7 +70,7 @@ def dense_pair(tensor, cas, i, j, w, levels):
         return cur, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(res[1], eye)]
 
     total = None
-    for coeff, left, right in cas.terms:
+    for coeff, left, right in casimir(tensor.index_set, central):
         first = block(right, j - 1, w)
         if first is None:
             continue
@@ -141,19 +141,19 @@ def zs(ell):
 @given(tensors())
 def test_stored_pair_matches_dense_reference_and_is_symmetric(case):
     tensor, convention, levels, w = case
-    cas = casimir(tensor.index_set, central=(convention == "central"))
+    central = convention == "central"
     ell = len(tensor.factors)
     for i in range(1, ell + 1):
         for j in range(1, ell + 1):
             if i == j:
                 continue
-            ref = dense_pair(tensor, cas, i, j, w, levels)
-            got = pair_matrix(tensor, cas, i, j, w, levels=levels)
+            ref = dense_pair(tensor, central, i, j, w, levels)
+            got = pair_matrix(tensor, i, j, w, central, levels=levels)
             if ref is None:
                 assert got is None
             else:
                 assert got == ref
-                assert dense_pair(tensor, cas, j, i, w, levels) == ref
+                assert dense_pair(tensor, central, j, i, w, levels) == ref
 
 
 @settings(max_examples=30, deadline=None)
@@ -177,21 +177,29 @@ def test_vanishing_site_casimir_is_a_zero_matrix():
     for k in (1, 2, 3):
         zero = site_casimir(tensor, k, 1, w)
         assert zero == [[0] * d for _ in range(d)]
-        assert tensor.pair_store[(("site", k, 1), w, None)] is None
+        assert tensor.block_store[(("site", k, 1), w, None)] is None
         zero[0][0] = 5
         assert site_casimir(tensor, k, 1, w) == [[0] * d for _ in range(d)]
         assert site_casimir(tensor, k, 2, w) == dense_site(tensor, k, 2, w)
 
 
-def test_pair_operators_refuse_a_casimir_of_another_index_set():
-    tensor, w = _natural_pair()
-    for other in (FLAVORS["gl(1|1)"], FLAVORS["gl(3)"]):
-        for central in (False, True):
-            cas = casimir(other, central)
-            with pytest.raises(ValueError, match="index sets"):
-                pair_matrix(tensor, cas, 1, 2, w)
-            with pytest.raises(ValueError, match="index sets"):
-                apply_pair_op(tensor, cas, 1, 2, w, [[1] * tensor.dim(w)])
+def test_pair_and_site_blocks_refuse_bad_slots_and_degrees():
+    # unchecked, (1, 1) would read a zero block, (-1, 1) another pair's
+    # block through a negative index, slot 0 or 4 a KeyError or an
+    # IndexError; site degree 0 would read the identity
+    iset = FLAVORS["gl(1|1)"]
+    tensor = tensor_product([NaturalModule(iset)] * 3)
+    w = max(tensor.weights(), key=tensor.dim)
+    for i, j in ((1, 1), (-1, 1), (0, 1), (1, 0), (4, 1), (2, 4)):
+        with pytest.raises(ValueError, match="slots must be distinct and within 1..3"):
+            pair_matrix(tensor, i, j, w)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="degree must be 1, 2 or 3"):
+            site_casimir(tensor, k, 1, w)
+    for slot in (0, -1, 4):
+        with pytest.raises(ValueError, match="slot must be within 1..3"):
+            site_casimir(tensor, 1, slot, w)
+    assert not tensor.block_store
 
 
 @settings(max_examples=30, deadline=None)
@@ -221,8 +229,15 @@ def test_a_restricted_block_never_builds_the_full_block():
     for fam in (quadratic_family(tensor, z), cubic_family(tensor, z, "C"), cubic_family(tensor, z, "D")):
         for i in (1, 2, 3):
             fam.restricted(i, space)
-    assert tensor.pair_store
-    assert all(basis is not None for _, _, basis in tensor.pair_store)
+    # the diagonal action (for the singular space) shares the store
+    gaudin_keys = [
+        key for key in tensor.block_store if key[0] is not None and key[0][0] in ("omega", "cubic", "site")
+    ]
+    assert gaudin_keys
+    assert all(basis is not None for _, _, basis in gaudin_keys)
+    # one ColumnSolver serves every restricted block of the space
+    basis = tuple(tuple(vec) for vec in space.basis)
+    assert [key for key in tensor.block_store if key[0] is None] == [(None, space.weight, basis)]
 
 
 def test_plain_and_central_families_keep_their_own_restrictions():
@@ -267,9 +282,8 @@ def _assert_unshared(get):
 
 def test_pair_matrix_result_is_not_shared():
     tensor, w = _natural_pair()
-    cas = casimir(tensor.index_set)
-    _assert_unshared(lambda: pair_matrix(tensor, cas, 1, 2, w))
-    _assert_unshared(lambda: pair_matrix(tensor, cas, 2, 1, w))
+    _assert_unshared(lambda: pair_matrix(tensor, 1, 2, w))
+    _assert_unshared(lambda: pair_matrix(tensor, 2, 1, w))
     for k in (1, 2, 3):
         _assert_unshared(lambda: site_casimir(tensor, k, 2, w))
 
