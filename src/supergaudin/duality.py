@@ -86,8 +86,10 @@ class DualitySetup:
 def build_setup(partitions, m, n, mu):
     """Choose a provably sufficient classical rank and build both sides.
 
-    k = max(total box count, mu_1) keeps every singular weight of the
-    classical tensor product inside the band.
+    mu must have as many boxes as the factors together: any other mu is
+    not a weight of the tensor product, and its singular spaces would be
+    zero on both sides.  k = the total box count (at least 1) then keeps
+    every singular weight of the classical tensor product inside the band.
     """
     partitions = [Partition(p) if not isinstance(p, Partition) else p for p in partitions]
     mu = Partition(mu) if not isinstance(mu, Partition) else mu
@@ -97,8 +99,9 @@ def build_setup(partitions, m, n, mu):
     if not mu.hook_ok(m, n):
         raise ValueError("mu %r violates the (%d|%d) hook condition" % (mu, m, n))
     total = sum(lam.size for lam in partitions)
-    k = max(total, mu.part(1), 1)
-    return DualitySetup(partitions, m, n, mu, k)
+    if mu.size != total:
+        raise ValueError("mu has %d boxes; the factors have %d" % (mu.size, total))
+    return DualitySetup(partitions, m, n, mu, max(total, 1))
 
 
 def _charpoly_report(fam_s, fam_c, sup, cla):

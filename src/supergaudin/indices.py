@@ -72,13 +72,6 @@ def idx(v):
     return HalfIndex(int(d))
 
 
-def _block(d):
-    # super-order block: neg ints < neg halves < pos ints < pos halves
-    if d < 0:
-        return 0 if d % 2 == 0 else 1
-    return 2 if d % 2 == 0 else 3
-
-
 class IndexSet:
     """A finite index set with its flavor-specific total order."""
 
@@ -150,20 +143,10 @@ class IndexSet:
     def __hash__(self):
         return hash((self.flavor, self.p, self.q, self.m, self.n))
 
-    def key(self, index):
-        """Sort key realizing the flavor's total order."""
-        d = index.doubled
-        if self.flavor == "super":
-            return (_block(d), d)
-        return (0, d)
-
     def simple_pairs(self):
         """Consecutive index pairs (a, b) with a immediately below b."""
         mem = self._members
         return [(mem[i], mem[i + 1]) for i in range(len(mem) - 1)]
-
-    def parity(self, index):
-        return index.parity
 
     def params(self):
         if self.flavor == "super":

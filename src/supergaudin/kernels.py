@@ -112,6 +112,10 @@ def int_nullspace(rows, ncols):
     entry is positive (so ``int_nullspace([[1, 1]], 2) == [[1, -1]]``).
     The vector of a free column f is L at f and -red[r][f] * (L / p_r) at
     the pivot column of row r, p_r its pivot and L the lcm of the pivots.
+    Since red[r][f] vanishes unless row r pivots left of f, that vector is
+    nonzero at f and otherwise only at pivot columns to its left: f is its
+    last nonzero entry, and the pivot columns are exactly the columns at
+    which no kernel vector ends.
     """
     if not rows:
         return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]

@@ -2,9 +2,9 @@
 
 Matrices are lists of rows with int or Fraction entries.  Everything here
 is exact; floating point never enters this module.  ``charpoly`` and
-``mat_mul`` are the kernels' own functions, re-exported; ``rref``
-and ``nullspace`` clear denominators and hand integer rows to
-``kernels``; the ``poly_*`` helpers work on ascending coefficient lists.
+``mat_mul`` are the kernels' own functions, re-exported; ``nullspace``
+clears denominators and hands integer rows to ``kernels``; the
+``poly_*`` helpers work on ascending coefficient lists.
 ``ColumnSolver`` is
 the one place that turns vectors into coordinates against a column basis,
 and ``SpanBuilder`` grows a canonical row span one vector at a time.
@@ -20,7 +20,6 @@ __all__ = [
     "mat_mul",
     "clear_denominators",
     "nullspace",
-    "rref",
     "mat_add",
     "mat_sub",
     "mat_scale",
@@ -48,22 +47,11 @@ def clear_denominators(row):
     return _row_primitive([int(x * den) if isinstance(x, Fraction) else x * den for x in row])
 
 
-def nullspace(rows, ncols=None):
-    """Right-kernel basis (primitive integer vectors) of a rational matrix."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
+def nullspace(rows, ncols):
+    """Right-kernel basis (primitive integer vectors) of a rational matrix
+    with ``ncols`` columns, in the order of ``kernels.int_nullspace``."""
     int_rows = [clear_denominators(r) for r in rows]
     return int_nullspace(int_rows, ncols)
-
-
-def rref(rows):
-    """Canonical primitive-integer RREF rows of a rational matrix."""
-    if not rows:
-        return [], []
-    int_rows = [clear_denominators(r) for r in rows]
-    return int_rref(int_rows)
 
 
 def mat_add(A, B):

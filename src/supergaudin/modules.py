@@ -16,13 +16,13 @@ from types import MappingProxyType
 from .algebra import (
     AlgebraElement,
     BasisElement,
+    bracket_units,
     off_diagonal_units,
     simple_raising_ops,
     star_omega,
-    supercommutator,
 )
 from .indices import HalfIndex, IndexSet
-from .linalg import ColumnSolver, SpanBuilder, nullspace, rref
+from .linalg import ColumnSolver, SpanBuilder, nullspace
 from .partitions import Partition
 from .weights import Weight, eps, exact_scalar, weight_classical, weight_super
 
@@ -420,7 +420,9 @@ class _VermaBuilder:
     Monomials are non-decreasing tuples of lowering-generator indices in a
     canonical order (root height, then row position); products are applied
     left to right onto the highest weight vector, so position 0 acts last.
-    Normal ordering is the usual straightening recursion, memoized.
+    Normal ordering is the usual straightening recursion, memoized, and
+    reads its brackets straight from ``bracket_units``.  ``monomials``
+    hands each monomial out with its weight, one sum onto its prefix's.
     Coefficients are plain ints: the structure constants are integers and
     weight coefficients are integers, so no Fraction is ever needed.
     """
@@ -445,21 +447,6 @@ class _VermaBuilder:
         self.pos = pos
         self._act_memo = {}
         self._ins_memo = {}
-        self._bracket_memo = {}
-
-    def mono_weight(self, mono):
-        w = self.xi
-        for g in mono:
-            w = w + self.gen_shift[g]
-        return w
-
-    def _bracket(self, key1, key2):
-        memo_key = (key1, key2)
-        if memo_key not in self._bracket_memo:
-            x = AlgebraElement({key1: 1})
-            y = AlgebraElement({key2: 1})
-            self._bracket_memo[memo_key] = supercommutator(x, y).terms
-        return self._bracket_memo[memo_key]
 
     def _elem_act(self, terms, mono):
         out = {}
@@ -490,8 +477,7 @@ class _VermaBuilder:
                 out = {}
         else:
             head, rest = mono[0], mono[1:]
-            hkey = self.gens[head]
-            out = dict(self._elem_act(self._bracket(key, hkey), rest))
+            out = self._elem_act(bracket_units(r, c, *self.gens[head]), rest)
             sign = -1 if (((r & 1) ^ (c & 1)) and self.gen_parity[head]) else 1
             for mm, v in self.act(key, rest).items():
                 for m2, v2 in self.insert(head, mm).items():
@@ -515,7 +501,7 @@ class _VermaBuilder:
         if cached is not None:
             return cached
         head, rest = mono[0], mono[1:]
-        out = dict(self._elem_act(self._bracket(self.gens[g], self.gens[head]), rest))
+        out = self._elem_act(bracket_units(*self.gens[g], *self.gens[head]), rest)
         sign = -1 if (self.gen_parity[g] and self.gen_parity[head]) else 1
         for mm, v in self.insert(g, rest).items():
             for m2, v2 in self.insert(head, mm).items():
@@ -527,17 +513,19 @@ class _VermaBuilder:
         return out
 
     def monomials(self, depth):
-        """All ordered monomials of length <= depth (odd generators square to 0)."""
-        out = [()]
-        frontier = [()]
+        """All ordered monomials of length <= depth (odd generators square
+        to 0), as (monomial, weight) pairs; each weight is one sum onto the
+        weight of the monomial's prefix."""
+        frontier = [((), self.xi)]
+        out = list(frontier)
         for _ in range(depth):
             nxt = []
-            for mono in frontier:
+            for mono, w in frontier:
                 start = mono[-1] if mono else 0
                 for g in range(start, len(self.gens)):
                     if self.gen_parity[g] and mono and mono[-1] == g:
                         continue
-                    nxt.append(mono + (g,))
+                    nxt.append((mono + (g,), w + self.gen_shift[g]))
             out.extend(nxt)
             frontier = nxt
         return out
@@ -564,8 +552,8 @@ class _TruncatedVerma(WeightModule):
         builder = _VermaBuilder(index_set, xi)
         init(self, "_builder", builder)
         by_weight = {}
-        for mono in builder.monomials(depth):
-            by_weight.setdefault(builder.mono_weight(mono), []).append(mono)
+        for mono, w in builder.monomials(depth):
+            by_weight.setdefault(w, []).append(mono)
         labels = MappingProxyType({w: tuple(sorted(m)) for w, m in by_weight.items()})
         init(self, "labels", labels)
         init(self, "_dims", {w: len(m) for w, m in labels.items()})
@@ -725,13 +713,16 @@ def irreducible_truncated(index_set, xi, depth):
     # only weight spaces of deficit height <= depth hold the full Verma
     # space; quotient dimensions elsewhere would be wrong
     full = [w for w in verma.weights() if w in verma.complete]
-    grams = {w: gram_matrix(verma, w) for w in full}
     pivots = {}
     radicals = {}
-    for w, g in grams.items():
-        red, piv = rref(g)
-        pivots[w] = piv
-        radicals[w] = nullspace(g, len(g))
+    for w in full:
+        d = verma.dim(w)
+        radical = nullspace(gram_matrix(verma, w), d)
+        # each radical vector ends at its own free column (int_nullspace),
+        # so the pivot columns are the columns where none of them ends
+        free = {max(i for i, x in enumerate(vec) if x) for vec in radical}
+        pivots[w] = [c for c in range(d) if c not in free]
+        radicals[w] = radical
     dims = {w: len(p) for w, p in pivots.items() if p}
     solvers = {}
     for w in dims:
@@ -786,11 +777,7 @@ def singular_space(module, mu):
         if res is None:
             continue
         rows.extend(res[1])
-    if not rows:
-        basis = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    else:
-        basis = nullspace(rows, d)
-    return SingularSpace(module, mu, basis)
+    return SingularSpace(module, mu, nullspace(rows, d))
 
 
 def polynomial_highest_weight(index_set, lam):

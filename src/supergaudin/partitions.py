@@ -61,9 +61,6 @@ class Partition:
         """The (m|n)-hook condition lam'_{n+1} <= m."""
         return self.conjugate().part(n + 1) <= m
 
-    def to_json(self):
-        return list(self.parts)
-
 
 def all_partitions(max_size, min_size=0):
     """All partitions with min_size <= |lam| <= max_size, by size then lex."""

@@ -10,6 +10,7 @@ from supergaudin.algebra import (
     BasisElement,
     E,
     RootDatum,
+    bracket_units,
     cocycle_units,
     iota,
     simple_raising_ops,
@@ -37,6 +38,17 @@ def test_bracket_examples():
     a = elem((1, 2, 1))
     b = elem((2, 1, 1))
     assert supercommutator(a, b) == elem((1, 1, 1), (2, 2, -1))
+
+
+@pytest.mark.parametrize("iset", [IndexSet.gl(1, 1, 1, 1), IndexSet.gl(0, 2, 0, 1)], ids=repr)
+def test_bracket_units_is_the_supercommutator_of_units(iset):
+    # the PBW straightening reads bracket_units directly; a zero entry
+    # (only [E_aa, E_aa]) is skipped there and dropped by AlgebraElement
+    keys = [(a.doubled, b.doubled) for a in iset for b in iset]
+    for k1 in keys:
+        for k2 in keys:
+            table = {k: v for k, v in bracket_units(*k1, *k2).items() if v}
+            assert table == supercommutator(AlgebraElement({k1: 1}), AlgebraElement({k2: 1})).terms
 
 
 def test_parity():

@@ -325,6 +325,27 @@ BAD_INPUT = {
         ["module", "build", "--lam", "2", "--kind", "irreducible", "--depth", "-1"],
         "depth must be nonnegative",
     ),
+    "module-build-no-lam": (["module", "build"], "--lam is required for kind polynomial"),
+    "tensor-zero-ell": (["tensor", "--ell", "0"], "need --lam factors or --ell for natural powers"),
+    "singular-no-target": (["singular", "--ell", "2", "--factor-kind", "natural"], "need --mu or --weight"),
+    "hamiltonian-cubicC-central": (
+        ["hamiltonian", "--ell", "2", "--factor-kind", "natural", "--kind", "cubicC", "--z", "0,1", "--mu", "1,1",
+         "--convention", "central"],
+        "cubic Hamiltonians exist only in the plain convention",
+    ),
+    "kz-solve-bad-path": (["kz", "solve", *TWO_SITES, "--mu", "1,1", "--path", "{"], "bad --path"),
+    # the natural square has the weight 2 e(1/2) but no singular vector there
+    "kz-solve-zero-singular-space": (
+        ["kz", "solve", "--ell", "2", "--factor-kind", "natural", "--weight", '{"coeffs":[[1,2]],"level":"0"}',
+         "--path", LOOP],
+        "the singular space at --mu is zero",
+    ),
+    "kz-solve-bad-psi0": (["kz", "solve", *TWO_SITES, "--mu", "1,1", "--psi0", "notjson", "--path", LOOP], "bad --psi0"),
+    "verify-unknown-check": (["verify", "all", "--checks", "nosuch"], "unknown checks: nosuch"),
+    # a mu of another size is no weight of the tensor product: both
+    # singular spaces are zero and the comparison would hold vacuously
+    "duality-check-mu-size": (["duality", "check", "--lams", "1;1", "--mu", "3"], "mu has 3 boxes; the factors have 2"),
+    "duality-cubic-mu-size": (["duality", "cubic", "--lams", "1;1", "--mu", "3"], "mu has 3 boxes; the factors have 2"),
 }
 
 

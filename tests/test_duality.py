@@ -13,7 +13,13 @@ from supergaudin.duality import (
     truncation_check,
 )
 from supergaudin.indices import IndexSet
-from supergaudin.modules import polynomial_module, singular_space, tensor_product
+from supergaudin.modules import (
+    irreducible_truncated,
+    polynomial_highest_weight,
+    polynomial_module,
+    singular_space,
+    tensor_product,
+)
 from supergaudin.partitions import Partition, all_partitions
 from supergaudin.weights import Weight, eps
 
@@ -42,6 +48,15 @@ def test_build_setup_hook_errors():
         build_setup([[2, 2]], 1, 1, [2, 2])
     with pytest.raises(ValueError, match="hook"):
         build_setup([[1], [1]], 1, 1, [2, 2])
+
+
+def test_build_setup_refuses_a_mu_of_the_wrong_size():
+    # such a mu is no weight of the tensor product: both singular spaces
+    # would be zero and every comparison would hold vacuously
+    for mu in ([3], [1], [2, 1, 1]):
+        with pytest.raises(ValueError, match="mu has %d boxes; the factors have 2" % sum(mu)):
+            build_setup([[1], [1]], 1, 1, mu)
+    assert build_setup([[2], [1]], 1, 1, [3]).k == 3
 
 
 def test_spectrum_match_worked_cases():
@@ -131,3 +146,15 @@ def test_truncation_check_reports():
     assert rep_zero["expected"] == "zero" and rep_zero["equal"]
     rep_same = truncation_check(mod, big_set)
     assert rep_same["equal"]
+
+
+def test_truncation_check_rebuilds_a_gram_quotient():
+    # an irreducible_truncated module is rebuilt by the Gram quotient at
+    # the smaller rank and the same depth, not by the Pieri recursion
+    big_set = IndexSet.classical(0, 3)
+    cases = (([2, 1], 2, "irreducible"), ([2], 2, "irreducible"), ([1, 1], 1, "irreducible"), ([2, 1], 1, "zero"))
+    for shape, rank, expected in cases:
+        hw = polynomial_highest_weight(big_set, Partition(shape))
+        mod = irreducible_truncated(big_set, hw, 4)
+        rep = truncation_check(mod, IndexSet.classical(0, rank))
+        assert rep["expected"] == expected and rep["equal"], (shape, rank, rep)

@@ -137,6 +137,16 @@ def test_nullspace_annihilates_with_dimension_ncols_minus_rank(A):
     assert kernels.int_rref(basis + A)[1] == list(range(m))
 
 
+@settings(max_examples=80, deadline=None)
+@given(int_matrices())
+def test_nullspace_vectors_end_exactly_at_the_free_columns(A):
+    # the Gram quotient reads its pivots off the radical this way
+    m = len(A[0])
+    _, pivots = kernels.int_rref(A)
+    ends = {max(i for i, x in enumerate(vec) if x) for vec in kernels.int_nullspace(A, m)}
+    assert ends == set(range(m)) - set(pivots)
+
+
 def test_nullspace_vectors_have_a_positive_leading_entry():
     # the sign rule is on the leading nonzero entry, not on the free one
     assert kernels.int_nullspace([[1, 1]], 2) == [[1, -1]]

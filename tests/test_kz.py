@@ -121,6 +121,13 @@ def test_path_clearance_enforced():
     with pytest.raises(ValueError, match="diagonal"):
         integrate_path(system, [(0, 1), (1, 1 + 1e-9)], [1.0, 0.0])
     check_path([(0, 1), (0, 2)])
+    with pytest.raises(ValueError, match="empty path"):
+        check_path([])
+    with pytest.raises(ValueError, match="basepoint too close to a diagonal"):
+        check_path([(1, 1 + 1e-9)])
+    check_path([(0, 1)])
+    with pytest.raises(ValueError, match="loop must be closed"):
+        monodromy(system, [(0, 1), (0, 2)])
 
 
 def test_gauge_examples_and_round_trip():

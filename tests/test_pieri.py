@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supergaudin import modules
-from supergaudin.algebra import AlgebraElement, star_omega
-from supergaudin.indices import IndexSet
+from supergaudin.algebra import AlgebraElement, BasisElement, star_omega
+from supergaudin.indices import HalfIndex, IndexSet
 from supergaudin.modules import (
     NaturalModule,
     gram_matrix,
@@ -136,6 +136,28 @@ def reference_gram(verma, w):
                 cur = {k: v for k, v in nxt.items() if v}
             gram[i][j] = Fraction(cur.get((), 0))
     return gram
+
+
+def reference_mono_weight(builder, mono):
+    """xi plus the weight shift of each letter, one letter at a time."""
+    w = builder.xi
+    for g in mono:
+        r, c = builder.gens[g]
+        w = w + BasisElement(HalfIndex(r), HalfIndex(c)).weight_shift()
+    return w
+
+
+@pytest.mark.parametrize("flavor", sorted(VERMA_FLAVORS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_monomials_carry_their_letter_by_letter_weights(flavor, data):
+    iset = VERMA_FLAVORS[flavor]
+    xi = Weight({h.doubled: data.draw(st.integers(-3, 3)) for h in iset}, data.draw(st.integers(-2, 2)))
+    builder = modules._VermaBuilder(iset, xi)
+    pairs = builder.monomials(data.draw(st.integers(0, 3)))
+    assert len({mono for mono, _ in pairs}) == len(pairs)
+    for mono, w in pairs:
+        assert w == reference_mono_weight(builder, mono)
 
 
 @st.composite
