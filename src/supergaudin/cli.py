@@ -599,8 +599,10 @@ def verify(ctx, what, checks, m, n, ell, seed, tol):
     from .verify import CHECKS_BY_NAME, run_checks
 
     names = None
-    if checks:
-        names = [c.strip() for c in checks.split(",")]
+    if checks is not None:
+        names = [c.strip() for c in checks.split(",") if c.strip()]
+        if not names:
+            raise click.UsageError("--checks names no check")
         unknown = [c for c in names if c not in CHECKS_BY_NAME]
         if unknown:
             raise click.UsageError("unknown checks: %s" % ", ".join(unknown))

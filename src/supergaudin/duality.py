@@ -17,7 +17,7 @@ and the stored Omega^{(ij)} and cubic blocks T(a, b, c).
 from fractions import Fraction
 
 from .algebra import BasisElement, simple_raising_ops
-from .gaudin import central_shift, cubic_family, quadratic_family
+from .gaudin import cubic_family, quadratic_family
 from .indices import IndexSet
 from .linalg import charpoly, mat_mul
 from .modules import (
@@ -35,7 +35,6 @@ __all__ = [
     "build_setup",
     "spectrum_match",
     "cubic_spectrum_match",
-    "central_shift",
     "truncation_check",
 ]
 

@@ -248,8 +248,9 @@ class HamiltonianFamily:
     def restricted(self, i, space):
         """The i-th Hamiltonian on a subspace invariant under every stored
         block of the member (a singular space, say), combined from the
-        stored restricted blocks."""
-        return self._combine(i, space.weight, tuple(tuple(vec) for vec in space.basis))
+        stored restricted blocks.  ``space.basis`` is a tuple of tuples, as
+        ``singular_space`` builds it, and keys the store as it is."""
+        return self._combine(i, space.weight, space.basis)
 
 
 def restrict_to_basis(mat, basis):

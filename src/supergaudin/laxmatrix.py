@@ -155,14 +155,15 @@ def _lax_entry(tensor, a, b, z, w):
     returns (target_weight, op) or None when every block vanishes.
     """
     gen = BasisElement(a, b)
-    target = w + gen.weight_shift()
     sign = -1 if a.parity else 1
+    target = w  # kept by a == b; else every slot block ends in one target
     poles = {}
     for slot in range(len(tensor.factors)):
         res = tensor.slot_act(gen, slot, w)
         if res is None:
             continue
-        poles[(slot, 1)] = mat_scale(res[1], -sign)
+        target, block = res
+        poles[(slot, 1)] = mat_scale(block, -sign)
     coeffs = {}
     if poles:
         coeffs[0] = RationalFunctionPF(z, poles)

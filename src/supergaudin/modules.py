@@ -61,14 +61,15 @@ class WeightModule:
         """Block of E_{gen} from the w-space; (target_weight, matrix) or None.
 
         Diagonal units act by the scalar w(E_a); off-diagonal blocks come
-        from the subclass.  A missing or empty target gives None.  The
+        with their targets from the subclass's ``_block``, or None.  The
         matrix is a fresh copy, so callers may mutate it.
         """
         res = self._act(gen, w)
         return None if res is None else (res[0], [row[:] for row in res[1]])
 
     def _act(self, gen, w):
-        # act without the copy: the block may be a cached list, never mutate
+        # act without the copy: the block may be a cached list, never mutate;
+        # the code that builds an off-diagonal block also decides its target
         if gen.row not in self.index_set or gen.col not in self.index_set:
             raise ValueError("%r is outside %r" % (gen, self.index_set))
         d = self._dims.get(w, 0)
@@ -77,31 +78,7 @@ class WeightModule:
         if gen.is_diagonal:
             c = w(gen.row)
             return (w, [[c if i == j else 0 for j in range(d)] for i in range(d)])
-        target = w + gen.weight_shift()
-        if target not in self._dims:
-            return None
-        block = self._block(gen, w)
-        if block is None:
-            return None
-        return (target, block)
-
-
-class NaturalModule(WeightModule):
-    """The natural module: one basis vector per index, weight e(i)."""
-
-    provenance = "natural"
-
-    def __init__(self, index_set):
-        init = object.__setattr__
-        init(self, "index_set", index_set)
-        init(self, "level", Fraction(0))
-        init(self, "_dims", {eps(h.value): 1 for h in index_set})
-
-    def _block(self, gen, w):
-        # E_{a,b} v_r = delta_{b,r} v_a
-        if w == eps(gen.col.value):
-            return [[1]]
-        return None
+        return self._block(gen, w)
 
 
 class TensorModule(WeightModule):
@@ -338,12 +315,15 @@ class TensorModule(WeightModule):
 
     def _block(self, gen, w):
         # the diagonal action on unit columns, as rows
-        res = self.stored(("delta", gen.key()), self.coproduct(gen), w)
-        return None if res is None else res[1]
+        return self.stored(("delta", gen.key()), self.coproduct(gen), w)
 
 
 class ExplicitModule(WeightModule):
     """A module given by explicit dims and off-diagonal blocks.
+
+    ``blocks`` maps (gen key, w) to (target weight, block).  Each target
+    must be a weight of ``dims``, and the module's own weight object is
+    stored in its place, so blocks hold no weights of their own.
 
     Immutable once built: polynomial modules are memoized process-wide and
     each one is the parent of the larger shapes built from it, so a
@@ -365,8 +345,14 @@ class ExplicitModule(WeightModule):
         init = object.__setattr__
         init(self, "index_set", index_set)
         init(self, "level", Fraction(level))
-        init(self, "_dims", {w: d for w, d in dims.items() if d})
-        init(self, "_blocks", blocks)
+        own = {w: w for w, d in dims.items() if d}
+        canonical = {}
+        for key, (target, block) in blocks.items():
+            if target not in own:
+                raise ValueError("block target %r is not a weight of the module" % (target,))
+            canonical[key] = (own[target], block)
+        init(self, "_dims", {w: dims[w] for w in own})
+        init(self, "_blocks", canonical)
         init(self, "provenance", provenance)
         init(self, "highest_weight", highest_weight)
         init(self, "shape", shape)
@@ -376,16 +362,30 @@ class ExplicitModule(WeightModule):
         return self._blocks.get((gen.key(), w))
 
 
+class NaturalModule(ExplicitModule):
+    """The natural module: v_i of weight e(i) per index, E_{a,b} v_b = v_a."""
+
+    def __init__(self, index_set):
+        weights = {h: eps(h.value) for h in index_set}
+        blocks = {
+            (gen.key(), weights[gen.col]): (weights[gen.row], [[1]])
+            for gen in off_diagonal_units(index_set)
+        }
+        dims = dict.fromkeys(weights.values(), 1)
+        ExplicitModule.__init__(self, index_set, 0, dims, blocks, "natural")
+
+
 def _realize(index_set, level, dims, block_of, provenance, **meta):
-    """An ExplicitModule over the weights of ``dims`` whose blocks are
-    ``block_of(gen, w)`` for every off-diagonal unit gen; None and all-zero
-    blocks are dropped.  ``meta`` describes the realization."""
+    """An ExplicitModule over the weights of ``dims`` whose blocks are the
+    (target weight, block) pairs ``block_of(gen, w)`` returns for every
+    off-diagonal unit gen; None and all-zero blocks are dropped.  ``meta``
+    describes the realization."""
     blocks = {}
     for gen in off_diagonal_units(index_set):
         for w in dims:
-            block = block_of(gen, w)
-            if block is not None and any(map(any, block)):
-                blocks[(gen.key(), w)] = block
+            res = block_of(gen, w)
+            if res is not None and any(map(any, res[1])):
+                blocks[(gen.key(), w)] = res
     return ExplicitModule(index_set, level, dims, blocks, provenance, **meta)
 
 
@@ -575,22 +575,17 @@ class _TruncatedVerma(WeightModule):
         act = self._builder.act
         return all(mm in tind for mono in self.labels.get(w, ()) for mm in act(gen.key(), mono))
 
-    def _act(self, gen, w):
-        # the base class treats a missing target as zero, which is wrong
-        # when the target was cut off by the depth truncation: refuse
-        # whenever part of the image leaves the stored basis
-        if gen.row not in self.index_set or gen.col not in self.index_set:
-            raise ValueError("%r is outside %r" % (gen, self.index_set))
+    def _block(self, gen, w):
+        # a missing target reads as zero, which is wrong when the depth
+        # truncation cut it off: refuse whenever part of the image leaves
+        # the stored basis.  Every caller asks for each (gen, w) once, and
+        # the builder memoizes the straightening, so blocks are not cached
         if not self.represents(gen, w):
             raise ValueError(
                 "action of %r on the %r space leaves the depth-%d band" % (gen, w, self.depth)
             )
-        return WeightModule._act(self, gen, w)
-
-    def _block(self, gen, w):
-        # every caller asks for each (gen, w) once, and the builder
-        # memoizes the straightening, so the block is not cached
-        tind = self._index.get(w + gen.weight_shift())
+        target = w + gen.weight_shift()
+        tind = self._index.get(target)
         if tind is None:
             return None
         monos = self.labels[w]
@@ -600,7 +595,7 @@ class _TruncatedVerma(WeightModule):
             for mm, v in self._builder.act(gen.key(), mono).items():
                 block[tind[mm]][col] += v
                 wrote = wrote or bool(v)
-        return block if wrote else None
+        return (target, block) if wrote else None
 
 
 def verma_truncated(index_set, xi, depth):
@@ -741,7 +736,7 @@ def irreducible_truncated(index_set, xi, depth):
         block = solvers[target].block(images, keep=len(pivots[target]))
         if block is None:
             raise RuntimeError("Gram radical is not invariant")
-        return block
+        return target, block
 
     return _realize(
         index_set, xi.level, dims, block_of, "irreducible", highest_weight=xi, depth=depth
@@ -749,7 +744,10 @@ def irreducible_truncated(index_set, xi, depth):
 
 
 class SingularSpace:
-    """Joint kernel of the simple raising operators inside one weight space."""
+    """Joint kernel of the simple raising operators inside one weight space.
+
+    ``basis`` is a tuple of tuples: spaces are cached, and the basis keys
+    the tensor's stored restricted blocks."""
 
     __slots__ = ("module", "weight", "basis")
 
@@ -770,14 +768,14 @@ def singular_space(module, mu):
     """Exact kernel of the stacked simple raising operators on the mu-space."""
     d = module.dim(mu)
     if not d:
-        return SingularSpace(module, mu, [])
+        return SingularSpace(module, mu, ())
     rows = []
     for op in simple_raising_ops(module.index_set):
         res = module.act(op, mu)
         if res is None:
             continue
         rows.extend(res[1])
-    return SingularSpace(module, mu, nullspace(rows, d))
+    return SingularSpace(module, mu, tuple(map(tuple, nullspace(rows, d))))
 
 
 def polynomial_highest_weight(index_set, lam):
@@ -894,7 +892,7 @@ def _build_polynomial_module(index_set, lam):
         sub = solvers[target].block(images)
         if sub is None:
             raise RuntimeError("cyclic submodule is not invariant")
-        return sub
+        return target, sub
 
     return _realize(index_set, 0, dims, block_of, "polynomial", highest_weight=hw, shape=lam)
 
@@ -908,8 +906,6 @@ def truncate_module(module, smaller):
     def block_of(gen, w):
         # act first: a truncated Verma raises when the action leaves its band
         res = module.act(gen, w)
-        if res is None or res[0] not in dims:
-            return None
-        return res[1]
+        return res if res is not None and res[0] in dims else None
 
     return _realize(smaller, module.level, dims, block_of, "truncation")

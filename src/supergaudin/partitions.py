@@ -1,6 +1,7 @@
 """Partitions, generalized partitions and the hook-tableau oracle."""
 
 from functools import lru_cache
+from types import MappingProxyType
 
 ORACLE_BUDGET = 8
 
@@ -152,8 +153,9 @@ def hook_tableau_contents(shape, m, n):
     Letters are 0..m-1 (even) then m..m+n-1 (odd), all even < all odd.
     Entries weakly increase along rows and columns; even letters cannot
     repeat within a column, odd letters cannot repeat within a row.
-    Returns a dict mapping content tuples (counts per letter) to tableau
-    counts.  Brute-force enumeration, capped at ORACLE_BUDGET cells.
+    Returns a read-only mapping of content tuples (counts per letter) to
+    tableau counts: the result is cached and shared by every caller.
+    Brute-force enumeration, capped at ORACLE_BUDGET cells.
     """
     if shape.size > ORACLE_BUDGET:
         raise ValueError("oracle budget exceeded: |shape| = %d > %d" % (shape.size, ORACLE_BUDGET))
@@ -181,7 +183,7 @@ def hook_tableau_contents(shape, m, n):
         grid.pop((r, c), None)
 
     fill(0, [0] * (m + n))
-    return counts
+    return MappingProxyType(counts)
 
 
 def partition_from_hook_data(m, n, rows, col_excess):

@@ -4,8 +4,8 @@ matrices as sorted sparse triplets, indices by their doubled value."""
 import json
 from fractions import Fraction
 
-from .algebra import off_diagonal_units
-from .indices import IndexSet
+from .algebra import BasisElement, off_diagonal_units
+from .indices import HalfIndex, IndexSet
 from .modules import ExplicitModule
 from .partitions import Partition
 from .weights import Weight
@@ -99,14 +99,11 @@ def module_from_json(obj):
     blocks = {}
     for act in obj["actions"]:
         w = Weight.from_json(act["weight"])
-        gen_key = (act["row"], act["col"])
-        from .algebra import BasisElement
-        from .indices import HalfIndex
-
         gen = BasisElement(HalfIndex(act["row"]), HalfIndex(act["col"]))
         target = w + gen.weight_shift()
-        blocks[(gen_key, w)] = matrix_from_triplets(
-            act["triplets"], dims.get(target, 0), dims[w]
+        blocks[(gen.key(), w)] = (
+            target,
+            matrix_from_triplets(act["triplets"], dims.get(target, 0), dims[w]),
         )
     hw = obj.get("highest_weight")
     shape = obj.get("shape")

@@ -15,8 +15,8 @@ from .algebra import (
     supercommutator,
     supertrace,
 )
-from .duality import build_setup, central_shift, cubic_spectrum_match, spectrum_match, truncation_check
-from .gaudin import cyclic_vector_test, pairwise_commutator_residual, quadratic_family
+from .duality import build_setup, cubic_spectrum_match, spectrum_match, truncation_check
+from .gaudin import central_shift, cyclic_vector_test, pairwise_commutator_residual, quadratic_family
 from .indices import IndexSet
 from .linalg import charpoly, commutator, is_zero_matrix, mat_add, poly_shift
 from .modules import (

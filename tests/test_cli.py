@@ -179,6 +179,14 @@ def test_verify_all_subset_and_report_schema():
     assert doc["failed"] == 0
 
 
+def test_verify_checks_drop_empty_names():
+    # a stray comma names no check: it neither fails nor widens the selection
+    plain = run("--json", "verify", "all", "--checks", "io", "--seed", "3")
+    padded = run("--json", "verify", "all", "--checks", " io, ,", "--seed", "3")
+    assert padded.exit_code == 0, padded.output
+    assert padded.output == plain.output
+
+
 def test_exit_code_two_on_bad_input():
     assert run("spectrum", "--ell", "2", "--z", "0,1", "--mu", "1,1", "--no-such-flag").exit_code == 2
     assert run("nonsense").exit_code == 2
@@ -342,6 +350,8 @@ BAD_INPUT = {
     ),
     "kz-solve-bad-psi0": (["kz", "solve", *TWO_SITES, "--mu", "1,1", "--psi0", "notjson", "--path", LOOP], "bad --psi0"),
     "verify-unknown-check": (["verify", "all", "--checks", "nosuch"], "unknown checks: nosuch"),
+    "verify-empty-checks": (["verify", "all", "--checks", ""], "--checks names no check"),
+    "verify-comma-checks": (["verify", "all", "--checks", " , "], "--checks names no check"),
     # a mu of another size is no weight of the tensor product: both
     # singular spaces are zero and the comparison would hold vacuously
     "duality-check-mu-size": (["duality", "check", "--lams", "1;1", "--mu", "3"], "mu has 3 boxes; the factors have 2"),

@@ -7,11 +7,11 @@ import pytest
 
 from supergaudin.duality import (
     build_setup,
-    central_shift,
     cubic_spectrum_match,
     spectrum_match,
     truncation_check,
 )
+from supergaudin.gaudin import central_shift
 from supergaudin.indices import IndexSet
 from supergaudin.modules import (
     irreducible_truncated,
@@ -158,3 +158,18 @@ def test_truncation_check_rebuilds_a_gram_quotient():
         mod = irreducible_truncated(big_set, hw, 4)
         rep = truncation_check(mod, IndexSet.classical(0, rank))
         assert rep["expected"] == expected and rep["equal"], (shape, rank, rep)
+
+
+def test_cached_singular_basis_cannot_be_mutated():
+    # singular_pair() is memoized per setup and its basis keys the stored
+    # restricted blocks, so an edit would corrupt every later match
+    setup = build_setup([[1], [1], [1]], 2, 1, [2, 1])
+    before = spectrum_match(setup, [0, 1, 3])
+    sup, cla = setup.singular_pair()
+    assert isinstance(sup.basis, tuple) and all(isinstance(v, tuple) for v in sup.basis)
+    with pytest.raises(TypeError):
+        sup.basis[0][0] += 1
+    with pytest.raises(TypeError):
+        cla.basis[0][0] = 0
+    assert setup.singular_pair() == (sup, cla)
+    assert spectrum_match(setup, [0, 1, 3]) == before

@@ -162,6 +162,15 @@ def test_only_tensor_stored_builds_operator_blocks():
     assert _spells(tree, "block_store") == set().union(*inside)
 
 
+def test_block_targets_are_summed_only_where_blocks_are_built():
+    # every realization's _block hands back (target, block), so neither
+    # WeightModule._act nor a Lax entry derives the target again
+    sources = _sources(PACKAGE_DIR)
+    assert not _mentions(ast.parse(sources["laxmatrix.py"]), "weight_shift")
+    act = dict(_definitions(ast.parse(sources["modules.py"])))["WeightModule._act"]
+    assert not _mentions(act, "weight_shift")
+
+
 def _definitions(tree):
     """(qualified name, node) for every top-level function and class and
     every non-dunder method of a top-level class."""

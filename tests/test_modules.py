@@ -1,13 +1,17 @@
 """Module realizations: dimensions, action relations, singular spaces."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from supergaudin.algebra import AlgebraElement, BasisElement, E, supercommutator
+from supergaudin.algebra import AlgebraElement, BasisElement, E, off_diagonal_units, supercommutator
 from supergaudin.indices import HalfIndex, IndexSet
 from supergaudin.linalg import charpoly, is_zero_matrix, mat_mul, mat_scale, mat_sub
 from supergaudin.modules import (
+    ExplicitModule,
     NaturalModule,
     gram_matrix,
     irreducible_truncated,
@@ -19,6 +23,7 @@ from supergaudin.modules import (
     verma_truncated,
 )
 from supergaudin.partitions import Partition, all_partitions
+from supergaudin.serialize import module_from_json, module_to_json
 from supergaudin.weights import Weight, eps
 from supergaudin.verify import _oracle_dims
 
@@ -338,3 +343,59 @@ def test_modules_reject_attribute_assignment():
     pair = tensor_product([nat, nat])
     assert pair.total_dim == 4
     assert singular_space(pair, eps(1) + eps("1/2")).dim == 1
+
+
+# one small instance of every realization; modules are immutable, so each
+# is built once and shared by the examples
+REALIZATIONS = {
+    "natural": lambda: NaturalModule(GL21),
+    "polynomial": lambda: polynomial_module(IndexSet.gl(0, 2, 0, 2), Partition([2, 1])),
+    "irreducible-super": lambda: irreducible_truncated(GL11, eps(1) + eps("1/2"), 2),
+    "irreducible-classical": lambda: irreducible_truncated(CL2, Weight({1: 2}), 2),
+    "verma": lambda: verma_truncated(GL21, eps(1), 2),
+    "truncation": lambda: truncate_module(
+        polynomial_module(IndexSet.classical(0, 3), Partition([2])), CL2
+    ),
+    "tensor": lambda: tensor_product([NaturalModule(GL11), polynomial_module(GL11, Partition([2]))]),
+    "json": lambda: module_from_json(module_to_json(polynomial_module(GL21, Partition([2, 1])))),
+}
+
+
+@cache
+def realization(name):
+    return REALIZATIONS[name]()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(REALIZATIONS)), st.data())
+def test_every_block_target_is_the_shifted_weight(name, data):
+    # each realization decides a block's target where it builds the block;
+    # it must be w + shift, and an explicit module's own weight object
+    module = realization(name)
+    w = data.draw(st.sampled_from(module.weights()))
+    gen = data.draw(st.sampled_from(off_diagonal_units(module.index_set)))
+    if not module.represents(gen, w):
+        with pytest.raises(ValueError, match="leaves the depth-2 band"):
+            module._act(gen, w)
+        return
+    res = module._act(gen, w)
+    if res is None:
+        return
+    target = res[0]
+    assert target == w + gen.weight_shift()
+    if isinstance(module, ExplicitModule):
+        assert [v for v in module.weights() if v == target][0] is target
+
+
+def test_explicit_module_refuses_a_block_target_outside_its_weights():
+    dims = {eps(1): 1, eps("1/2"): 1}
+    # E_{1,1/2} maps the e(1/2)-space to the e(1)-space
+    key = BasisElement(1, "1/2").key()
+    with pytest.raises(ValueError, match="not a weight of the module"):
+        ExplicitModule(GL11, 0, dims, {(key, eps("1/2")): (eps(1) + eps(1), [[1]])}, "explicit")
+    # an equal target is replaced by the module's own weight object
+    fresh = eps(1) + Weight({})
+    module = ExplicitModule(GL11, 0, dims, {(key, eps("1/2")): (fresh, [[1]])}, "explicit")
+    target, block = module.act(BasisElement(1, "1/2"), eps("1/2"))
+    assert block == [[1]]
+    assert target is next(w for w in dims if w == fresh)

@@ -12,6 +12,7 @@ from supergaudin.partitions import (
     hook_tableau_contents,
     partition_from_hook_data,
 )
+from supergaudin.verify import _oracle_dims
 
 from oracles import hook_tableau_dimension
 
@@ -71,6 +72,17 @@ def test_hook_oracle_examples():
     # one-column shape: the mirror statement
     c11 = hook_tableau_contents(Partition([1, 1]), 1, 1)
     assert c11 == {(1, 1): 1, (0, 2): 1}
+
+
+def test_hook_oracle_result_is_read_only():
+    # the result is cached: a caller's mutation would reach every later one
+    contents = hook_tableau_contents(Partition([2, 1]), 1, 1)
+    with pytest.raises(AttributeError):
+        contents.clear()
+    with pytest.raises(TypeError):
+        contents[(9, 9)] = 1
+    assert hook_tableau_contents(Partition([2, 1]), 1, 1) == {(2, 1): 1, (1, 2): 1}
+    assert len(_oracle_dims(Partition([2, 1]), 1, 1)) == 2
 
 
 def test_hook_oracle_budget():
