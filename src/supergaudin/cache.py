@@ -1,13 +1,14 @@
 """Content-addressed disk cache with atomic replacement.
 
-Keys are hashes of the construction inputs, the package version and the
-realization format; values are JSON documents.
+Keys are hashes of the construction inputs, the package version and a
+digest of the package's sources; values are JSON documents.
 Writers race safely: each store writes a temporary file in the cache
 directory and os.replace()s it into place, so concurrent processes always
 read complete documents.  Corrupt entries are dropped with a warning and
 recomputed by the caller.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -24,17 +25,30 @@ def default_cache_dir():
     return os.path.join(os.path.expanduser("~"), ".cache", "supergaudin")
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest():
+    """sha256 of the package's ``*.py`` sources, names and bytes in name
+    order; read once per process."""
+    root = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name), "rb") as fh:
+                data = fh.read()
+            digest.update(b"%s\0%d\0" % (name.encode(), len(data)) + data)
+    return digest.hexdigest()
+
+
 def content_key(obj):
     """Stable hash of a JSON-serializable description.
 
-    The package version and the realization format are folded in, so an
-    entry written by other code (another basis, another encoding) is a
-    miss rather than a stale hit.
+    The package version and the digest of the package's sources are
+    folded in, so an entry written by other code (another basis, another
+    encoding) is a miss rather than a stale hit.
     """
     from . import __version__
-    from .modules import REALIZATION_FORMAT
 
-    stamped = {"format": REALIZATION_FORMAT, "key": obj, "version": __version__}
+    stamped = {"key": obj, "sources": source_digest(), "version": __version__}
     blob = json.dumps(stamped, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 

@@ -85,6 +85,8 @@ def _index_set(flavor, q, m, p, n, k):
     if k is not None:
         if flavor == "super":
             raise click.UsageError("--k is the rank of the classical and wide flavors; use --m and --n")
+        if k < 1:
+            raise click.UsageError("--k must be at least 1")
         n = k
     if flavor != "super":
         # the classical and wide flavors read p and n only
@@ -454,11 +456,11 @@ def duality_cubic(ctx, setup, points):
     _emit_reports(ctx, [cubic_spectrum_match(setup, z) for z in points])
 
 
-def _pf_to_json(pf):
+def _pf_to_json(terms):
     out = []
-    for key in sorted(pf.terms, key=lambda kk: (-1, 0) if kk == ("c",) else kk):
+    for key in sorted(terms, key=lambda kk: (-1, 0) if kk == ("c",) else kk):
         label = "const" if key == ("c",) else "pole_%d_order_%d" % key
-        out.append({"term": label, "triplets": matrix_triplets(pf.terms[key])})
+        out.append({"term": label, "triplets": matrix_triplets(terms[key])})
     return out
 
 
@@ -483,8 +485,8 @@ def lax(ctx, action, tens, kpow, z):
         entry = {
             "weight": w.to_json(),
             "S": {
-                "S_%d%d" % (kpow, j): _pf_to_json(pf)
-                for j, pf in enumerate(expansion[w])
+                "S_%d%d" % (kpow, j): _pf_to_json(terms)
+                for j, terms in enumerate(expansion[w])
             },
         }
         if kpow == 2:

@@ -15,7 +15,7 @@ z-coefficients, so every member of every family is a list of
 (z-coefficient, block spec) terms over the store.  Duality tensors are
 memoized for the life of the process (``modules.polynomial_tensor``), so
 one store serves every singular weight mu of a factor list.  This module
-names three kinds of block:
+names two kinds of stored block:
 
 - the two-site Casimir Omega^{(ij)}, named ("omega", central, levels,
   min(i, j), max(i, j)); Omega^{(ij)} = Omega^{(ji)}, so one entry serves
@@ -23,11 +23,14 @@ names three kinds of block:
   ignores them.  H^i(z) = sum_{j != i} Omega^{(ij)}/(z_i - z_j);
 - the cubic block T(a, b, c) = sum_{r,s,t} sign(r, s, t) E_{rs}^{(a)}
   E_{tr}^{(b)} E_{st}^{(c)}, named ("cubic", a, b, c); ``cubic_family``
-  combines these into C_i and D_i;
-- the one-site Casimir of degree k on one slot, named ("site", k, slot):
-  sum over index chains of (-1)^{2(r_1 + ... + r_{k-1})} E_{r_0 r_1}
-  E_{r_1 r_2} ... E_{r_{k-1} r_0}; ``site_casimir`` serves it to the
-  closed forms of the Lax supertraces.
+  combines these into C_i and D_i.
+
+A third spec names a term list, not a stored block: the one-site Casimir
+of degree k on one slot, ("site", k, slot), the sum over index chains of
+(-1)^{2(r_1 + ... + r_{k-1})} E_{r_0 r_1} E_{r_1 r_2} ... E_{r_{k-1} r_0}.
+The closed forms of the Lax supertraces (``laxmatrix``) read its words,
+and those of the family members (``HamiltonianFamily.terms``), as
+operator word sums.
 
 ``_block_terms`` writes each spec as a sum of products of one-slot
 operators (K terms and the iota correction become scalar factors), and
@@ -37,8 +40,8 @@ space is keyed by (spec, weight, None).  Its restriction to a subspace
 is keyed by (spec, weight, basis vectors), so the convention and the
 levels are part of every restricted key too; it acts on the basis
 vectors only, never building the full block.  Callers get fresh copies
-(``pair_matrix``, ``site_casimir``, ``HamiltonianFamily.matrix``,
-``restricted``), so nothing they mutate reaches the store.
+(``pair_matrix``, ``HamiltonianFamily.matrix``, ``restricted``), so
+nothing they mutate reaches the store.
 ``HamiltonianFamily.restricted`` restricts each block separately, so the
 subspace must be invariant under every block of the member, not just
 under the member.  Singular spaces always are: every block is an
@@ -162,25 +165,6 @@ def pair_matrix(tensor, i, j, w, central=False, levels=None):
     return None if block is None else [row[:] for row in block]
 
 
-def site_casimir(tensor, k, slot, w):
-    """Exact matrix of the degree-k one-site Casimir on slot ``slot``
-    (1-based) of the w-space, k = 1, 2, 3: the ("site", k, slot) block.
-
-    Served from the tensor's block store as fresh dense rows; the zero
-    matrix when the block vanishes there.
-    """
-    if k not in (1, 2, 3):
-        raise ValueError("the one-site Casimir degree must be 1, 2 or 3")
-    ell = len(tensor.factors)
-    if not 1 <= slot <= ell:
-        raise ValueError("slot must be within 1..%d" % ell)
-    block = _stored_block(tensor, ("site", k, slot), w)
-    if block is None:
-        d = tensor.dim(w)
-        return [[Fraction(0)] * d for _ in range(d)]
-    return [row[:] for row in block]
-
-
 class HamiltonianFamily:
     """A z-parameterized commuting family on the weight spaces of a tensor.
 
@@ -223,12 +207,16 @@ class HamiltonianFamily:
             terms += [(pole[j] ** 2, ("cubic", i, j, j)), (-pole[j] ** 2, ("cubic", j, i, i))]
         return terms
 
-    def _combine(self, i, w, basis):
+    def terms(self, i):
+        """Member i (1-based) as its (z-coefficient, block spec) terms."""
         if not 1 <= i <= self.ell:
             raise ValueError("site index out of range")
+        return list(self._members[i - 1])
+
+    def _combine(self, i, w, basis):
         d = self.tensor.dim(w) if basis is None else len(basis)
         total = [[Fraction(0)] * d for _ in range(d)]
-        for coeff, spec in self._members[i - 1]:
+        for coeff, spec in self.terms(i):
             block = _stored_block(self.tensor, spec, w, basis)
             if block is None:
                 continue

@@ -22,8 +22,6 @@ __all__ = [
     "nullspace",
     "mat_add",
     "mat_sub",
-    "mat_scale",
-    "mat_eye",
     "mat_zeros",
     "is_zero_matrix",
     "max_abs",
@@ -60,14 +58,6 @@ def mat_add(A, B):
 
 def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A, c):
-    return [[c * a for a in row] for row in A]
-
-
-def mat_eye(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def mat_zeros(n, m):

@@ -206,18 +206,6 @@ class TensorModule(WeightModule):
         cache[key] = result
         return result
 
-    def slot_act(self, gen, slot, w):
-        """Dense block of gen^{(slot)}; (target_weight, fresh matrix) or None."""
-        sparse = self.slot_act_sparse(gen, slot, w)
-        if sparse is None:
-            return None
-        target, nrows, cols = sparse
-        block = [[0] * len(cols) for _ in range(nrows)]
-        for c, entries in enumerate(cols):
-            for r, val in entries:
-                block[r][c] += val
-        return target, block
-
     def coproduct(self, gen):
         """The terms of the diagonal action Delta(gen) = sum over slots of
         gen^{(slot)}, in the form ``apply`` reads."""
@@ -790,10 +778,6 @@ def polynomial_highest_weight(index_set, lam):
         return weight_classical(lam, Partition(), 0, 0, index_set.n)
     raise ValueError("unsupported flavor for polynomial modules")
 
-
-# Bumped whenever a realization changes basis or encoding; disk-cache keys
-# include it.  2: polynomial modules built by the Pieri recursion.
-REALIZATION_FORMAT = 2
 
 _POLY_CACHE = {}
 

@@ -98,6 +98,38 @@ def test_lax_flavor_k_is_the_classical_rank():
     assert doc["matches"] is True
 
 
+LAX_FLAVORS = {
+    "gl(1|1)": ["--m", "1", "--n", "1"],
+    "gl(2|1)": ["--m", "2", "--n", "1"],
+    "gl(3)": ["--flavor", "classical", "--k", "3"],
+}
+# sha256 of `--json lax expand` stdout, recorded from the dense Lax
+# composition that the operator-word expansion replaced
+LAX_DIGESTS = {
+    ("gl(1|1)", "1/3,2", 1): "96c27445091be520857ef4fd9058552e274ef522b93ee5e43303d09ec35d27e3",
+    ("gl(1|1)", "1/3,2", 2): "bdf817566d9fcadbf8e3c43e0a89668f63bc06943b240f0eefe9f3292eaeb443",
+    ("gl(1|1)", "1/3,2", 3): "d4b3343111f8701334ec153ca87eef3495fc733ac7ce41f0a6a8d75518b4c889",
+    ("gl(2|1)", "1/3,2", 1): "63d350b76b6941bf9e865d6b575007f3fb996d68f290ded24a0322da7db27996",
+    ("gl(2|1)", "1/3,2", 2): "d458eb49e97521af9f8cc2da4671516e5cf059f3cc3f03454342407cfeef7f99",
+    ("gl(2|1)", "1/3,2", 3): "157b9a2c9a9f49bc76aa8d1cc89168f5c432b6bc408f96480873e8c0331e4e33",
+    ("gl(3)", "1/3,2", 1): "3c6e4cab6355f5132043ce448189e72d07c44d8a688d8fc1fe35be408e8f7bba",
+    ("gl(3)", "1/3,2", 2): "0e68042c6fb44bcae1bb48b817426f611a64fe89f6e3989002af78ffa83af2d1",
+    ("gl(3)", "1/3,2", 3): "2d9fb7d1a51d4790f3aba9d28d398eecc516808c63d6597f22121862654336ae",
+    ("gl(2|1)", "0,1,3", 3): "5818a464c68cc2099b97664f64b62724bf2e8a18445a3ca81b129df1b70358d1",
+}
+
+
+@pytest.mark.parametrize("flavor, z, kpow", LAX_DIGESTS, ids=["%s-z=%s-k%d" % key for key in LAX_DIGESTS])
+def test_lax_expand_stdout_matches_the_recorded_digests(flavor, z, kpow):
+    ell = str(len(z.split(",")))
+    res = run(
+        "--json", "lax", "expand", *LAX_FLAVORS[flavor],
+        "--ell", ell, "--factor-kind", "natural", "--k-power", str(kpow), "--z", z,
+    )
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == LAX_DIGESTS[flavor, z, kpow]
+
+
 def test_kz_commands():
     path = json.dumps([[[0, 0], [1, 0]], [[0, 0.5], [2, 0]]])
     res = run(
@@ -271,6 +303,7 @@ BAD_INPUT = {
     ),
     "tensor-lam-and-ell": (["tensor", "--lam", "1", "--ell", "3"], "give --lam factors or --ell, not both"),
     "tensor-super-k": (["tensor", "--flavor", "super", "--k", "3", "--lam", "1"], "--k is the rank"),
+    "tensor-classical-zero-k": (["tensor", "--flavor", "classical", "--k", "0", "--ell", "2"], "--k must be at least 1"),
     # the classical and wide flavors read --p and --n only
     "tensor-classical-m-q": (
         ["tensor", "--flavor", "classical", "--k", "2", "--ell", "2", "--m", "5", "--q", "2"],

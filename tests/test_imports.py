@@ -108,8 +108,8 @@ def _mentions(tree, name):
 
 def test_only_tensor_apply_composes_one_slot_operators():
     # TensorModule.apply is the one core that composes the column-sparse
-    # one-slot blocks, and slot_act is their dense view; any other reader
-    # of slot_act_sparse would be a second way to compose one-slot words
+    # one-slot blocks, the Lax expansion included; any other reader of
+    # slot_act_sparse would be a second way to compose one-slot words
     sources = _sources(PACKAGE_DIR)
     outside = [
         name
@@ -118,15 +118,10 @@ def test_only_tensor_apply_composes_one_slot_operators():
     ]
     assert not outside
     tree = ast.parse(sources["modules.py"])
-    allowed = [
-        node
-        for qualname, node in _definitions(tree)
-        if qualname in ("TensorModule.apply", "TensorModule.slot_act")
-    ]
-    assert len(allowed) == 2
-    inside = [_mentions(node, "slot_act_sparse") for node in allowed]
-    assert all(inside)
-    assert _mentions(tree, "slot_act_sparse") == set().union(*inside)
+    apply = dict(_definitions(tree))["TensorModule.apply"]
+    inside = _mentions(apply, "slot_act_sparse")
+    assert inside
+    assert _mentions(tree, "slot_act_sparse") == inside
 
 
 def _spells(tree, name):

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from supergaudin.algebra import BasisElement
 from supergaudin.indices import IndexSet
 from supergaudin.laxmatrix import (
     CONST,
+    MAX_ORDER,
     DiffOpPoly,
     RationalFunctionPF,
     lax_str_expansion,
@@ -19,17 +21,20 @@ from supergaudin.laxmatrix import (
 from supergaudin.modules import NaturalModule, tensor_product
 from supergaudin.weights import Weight, eps
 
+from oracles import slot_act
+
 Z2 = (Fraction(0), Fraction(1))
 
 
 def scalar_pf(z, terms):
-    return RationalFunctionPF(z, {k: [[Fraction(v)]] for k, v in terms.items()})
+    """Scalar coefficients: each term is a multiple of the empty word."""
+    return RationalFunctionPF(z, {k: {(): Fraction(v)} for k, v in terms.items()})
 
 
 def pf_to_sympy(pf, u):
     expr = sympy.Integer(0)
     for key, val in pf.terms.items():
-        v = sympy.Rational(val[0][0])
+        v = sympy.Rational(val[()])
         if key == CONST:
             expr += v
         else:
@@ -42,20 +47,34 @@ def test_pf_product_against_sympy():
     rng = random.Random(3)
     u = sympy.Symbol("u")
     z = (Fraction(0), Fraction(1), Fraction(5, 2))
-    for _ in range(25):
+    products = refused = 0
+    for _ in range(40):
         def rand_pf():
             terms = {}
             for _ in range(rng.randint(1, 3)):
                 if rng.random() < 0.25:
                     terms[CONST] = rng.randint(-3, 3)
                 else:
-                    terms[(rng.randrange(3), rng.randint(1, 1))] = rng.randint(-3, 3)
+                    terms[(rng.randrange(3), rng.randint(1, 3))] = rng.randint(-3, 3)
             return scalar_pf(z, terms)
 
         a, b = rand_pf(), rand_pf()
+        # a same-pole product past MAX_ORDER has no place in the basis
+        too_high = any(
+            k1 != CONST and k2 != CONST and k1[0] == k2[0] and k1[1] + k2[1] > MAX_ORDER
+            for k1 in a.terms
+            for k2 in b.terms
+        )
+        if too_high:
+            with pytest.raises(ValueError, match="exceeds"):
+                a.mul(b)
+            refused += 1
+            continue
         prod = a.mul(b)
         lhs = sympy.simplify(pf_to_sympy(prod, u) - pf_to_sympy(a, u) * pf_to_sympy(b, u))
         assert lhs == 0
+        products += 1
+    assert products and refused
 
 
 def test_pf_reexpansion_identity():
@@ -114,20 +133,18 @@ def test_k1_expansion_by_hand():
     for w in tensor.weights():
         S10, S11 = exp[w]
         d = tensor.dim(w)
-        const = S10.terms.get(CONST)
+        const = S10.get(CONST)
         sid = str_identity(iset)
         if const is not None:
             assert const == [[sid if r == c else 0 for c in range(d)] for r in range(d)]
         else:
             assert sid == 0
         for i in (0, 1):
-            got = S11.terms.get((i, 1))
+            got = S11.get((i, 1))
             # minus the sum of Cartan actions on one slot
             expected = [[Fraction(0)] * d for _ in range(d)]
             for h in iset:
-                from supergaudin.algebra import BasisElement
-
-                res = tensor.slot_act(BasisElement(h, h), i, w)
+                res = slot_act(tensor, BasisElement(h, h), i, w)
                 if res:
                     for r in range(d):
                         for c in range(d):

@@ -1,9 +1,10 @@
-"""The block store against the dense formulas it replaced.
+"""The block store, and the one-site Casimir words, against the dense
+formulas they replaced.
 
 The references below rebuild each two-site Casimir and each one-site
-Casimir from dense slot blocks (``slot_act``) multiplied with ``mat_mul``,
-K terms and the iota correction included, exactly as the package did
-before the sparse core.
+Casimir from dense slot blocks (the oracle ``slot_act``) multiplied with
+``mat_mul``, K terms and the iota correction included, exactly as the
+package did before the sparse core.
 """
 
 import copy
@@ -18,17 +19,16 @@ from hypothesis import strategies as st
 from supergaudin.algebra import BasisElement
 from supergaudin.gaudin import (
     K_SYMBOL,
+    _block_terms,
     casimir,
     cubic_family,
     pair_matrix,
     quadratic_family,
     restrict_to_basis,
-    site_casimir,
 )
 from supergaudin.indices import IndexSet
 from supergaudin.linalg import mat_mul
 from supergaudin.modules import (
-    ExplicitModule,
     NaturalModule,
     irreducible_truncated,
     polynomial_module,
@@ -37,6 +37,8 @@ from supergaudin.modules import (
 )
 from supergaudin.partitions import GeneralizedPartition, Partition
 from supergaudin.weights import Weight, unitarizable_weight
+
+from oracles import slot_act
 
 FLAVORS = {
     "gl(1|1)": IndexSet.gl(0, 1, 0, 1),
@@ -59,7 +61,7 @@ def dense_pair(tensor, central, i, j, w, levels):
             scalar = levels[slot]
             res = None
         else:
-            res = tensor.slot_act(op, slot, cur)
+            res = slot_act(tensor, op, slot, cur)
             if central and op.is_diagonal and op.row.doubled < 0:
                 scalar = (-1 if op.row.parity else 1) * levels[slot]
         if not scalar:
@@ -96,7 +98,7 @@ def dense_site(tensor, k, slot, w):
         sign = (-1) ** sum(h.parity for h in chain[1:])
         cur, mat = w, None
         for t in reversed(range(k)):
-            res = tensor.slot_act(BasisElement(chain[t], chain[(t + 1) % k]), slot - 1, cur)
+            res = slot_act(tensor, BasisElement(chain[t], chain[(t + 1) % k]), slot - 1, cur)
             if res is None:
                 break
             cur, block = res
@@ -159,46 +161,31 @@ def test_stored_pair_matches_dense_reference_and_is_symmetric(case):
 @settings(max_examples=30, deadline=None)
 @given(tensors())
 def test_stored_site_casimirs_match_dense_reference(case):
+    # the ("site", k, slot) words, as the Lax closed forms read them
     tensor, _, _, w = case
+    d = tensor.dim(w)
+    units = [[int(r == c) for r in range(d)] for c in range(d)]
     for k in (1, 2, 3):
         for slot in range(1, len(tensor.factors) + 1):
-            assert site_casimir(tensor, k, slot, w) == dense_site(tensor, k, slot, w), (k, slot)
+            ref = dense_site(tensor, k, slot, w)
+            got = tensor.apply(list(_block_terms(tensor, ("site", k, slot))), w, units)
+            if got is None:
+                assert not any(map(any, ref)), (k, slot)
+            else:
+                assert got[0] == w
+                assert [list(row) for row in zip(*got[1])] == ref, (k, slot)
 
 
-def test_vanishing_site_casimir_is_a_zero_matrix():
-    # every word vanishes on a trivial slot: the store keeps None, and the
-    # caller still gets a fresh d x d zero matrix
-    iset = FLAVORS["gl(1|1)"]
-    trivial = ExplicitModule(iset, 0, {Weight(): 1}, {}, "trivial")
-    tensor = tensor_product([trivial, NaturalModule(iset), NaturalModule(iset)])
-    w = max(tensor.weights(), key=tensor.dim)
-    d = tensor.dim(w)
-    assert d == 2
-    for k in (1, 2, 3):
-        zero = site_casimir(tensor, k, 1, w)
-        assert zero == [[0] * d for _ in range(d)]
-        assert tensor.block_store[(("site", k, 1), w, None)] is None
-        zero[0][0] = 5
-        assert site_casimir(tensor, k, 1, w) == [[0] * d for _ in range(d)]
-        assert site_casimir(tensor, k, 2, w) == dense_site(tensor, k, 2, w)
-
-
-def test_pair_and_site_blocks_refuse_bad_slots_and_degrees():
+def test_pair_blocks_refuse_bad_slots():
     # unchecked, (1, 1) would read a zero block, (-1, 1) another pair's
     # block through a negative index, slot 0 or 4 a KeyError or an
-    # IndexError; site degree 0 would read the identity
+    # IndexError
     iset = FLAVORS["gl(1|1)"]
     tensor = tensor_product([NaturalModule(iset)] * 3)
     w = max(tensor.weights(), key=tensor.dim)
     for i, j in ((1, 1), (-1, 1), (0, 1), (1, 0), (4, 1), (2, 4)):
         with pytest.raises(ValueError, match="slots must be distinct and within 1..3"):
             pair_matrix(tensor, i, j, w)
-    for k in (0, 4):
-        with pytest.raises(ValueError, match="degree must be 1, 2 or 3"):
-            site_casimir(tensor, k, 1, w)
-    for slot in (0, -1, 4):
-        with pytest.raises(ValueError, match="slot must be within 1..3"):
-            site_casimir(tensor, 1, slot, w)
     assert not tensor.block_store
 
 
@@ -231,7 +218,7 @@ def test_a_restricted_block_never_builds_the_full_block():
             fam.restricted(i, space)
     # the diagonal action (for the singular space) shares the store
     gaudin_keys = [
-        key for key in tensor.block_store if key[0] is not None and key[0][0] in ("omega", "cubic", "site")
+        key for key in tensor.block_store if key[0] is not None and key[0][0] in ("omega", "cubic")
     ]
     assert gaudin_keys
     assert all(basis is not None for _, _, basis in gaudin_keys)
@@ -284,8 +271,6 @@ def test_pair_matrix_result_is_not_shared():
     tensor, w = _natural_pair()
     _assert_unshared(lambda: pair_matrix(tensor, 1, 2, w))
     _assert_unshared(lambda: pair_matrix(tensor, 2, 1, w))
-    for k in (1, 2, 3):
-        _assert_unshared(lambda: site_casimir(tensor, k, 2, w))
 
 
 def test_family_matrix_result_is_not_shared():

@@ -1,9 +1,11 @@
 """JSON round trips, schema validation and the atomic disk cache."""
 
 import hashlib
+import importlib.util
 import json
 import multiprocessing
 import os
+import shutil
 import warnings
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from click.testing import CliRunner
 
+from supergaudin import cache as cache_module
 from supergaudin.algebra import AlgebraElement, BasisElement, off_diagonal_units
 from supergaudin.cache import DiskCache, content_key
 from supergaudin.cli import main
@@ -122,6 +125,35 @@ def test_content_key_stable():
     assert content_key({"a": 1}) != content_key({"a": 2})
 
 
+def test_content_key_changes_with_the_source_digest(monkeypatch):
+    # an entry written by other code is a miss, with no format to bump
+    descriptor = {"op": "module", "lam": "2,1"}
+    key = content_key(descriptor)
+    monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 64)
+    assert content_key(descriptor) != key
+
+
+def _digest_of_copy(package):
+    """``source_digest`` of a copied package, from its own cache.py."""
+    spec = importlib.util.spec_from_file_location("copied_cache", os.path.join(package, "cache.py"))
+    copied = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(copied)
+    return copied.source_digest()
+
+
+def test_source_digest_covers_every_python_source_and_nothing_else(tmp_path):
+    package = tmp_path / "supergaudin"
+    shutil.copytree(os.path.dirname(cache_module.__file__), package, ignore=shutil.ignore_patterns("__pycache__"))
+    digest = _digest_of_copy(package)
+    assert digest == cache_module.source_digest()
+    (package / "notes.txt").write_text("not code")
+    (package / "schemas" / "extra.json").write_text("{}")
+    assert _digest_of_copy(package) == digest
+    with open(package / "modules.py", "a") as fh:
+        fh.write("# a realization change\n")
+    assert _digest_of_copy(package) != digest
+
+
 def test_module_json_round_trips_realization_data():
     big = polynomial_module(IndexSet.classical(0, 3), Partition([2, 1]))
     back = module_from_json(module_to_json(big))
@@ -141,7 +173,7 @@ def test_module_json_round_trips_realization_data():
 
 def test_entry_under_pre_version_key_is_not_served(tmp_path):
     """Keys hash the descriptor together with the package version and the
-    realization format; the bare-descriptor key of older code is a miss."""
+    source digest; the bare-descriptor key of older code is a miss."""
     descriptor = {
         "op": "module",
         "index_set": {"flavor": "super", **IndexSet.gl(0, 1, 0, 1).params()},
