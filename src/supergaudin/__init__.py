@@ -56,7 +56,7 @@ from .gaudin import (
     quadratic_family,
     restrict_to_basis,
 )
-from .laxmatrix import DiffOpPoly, RationalFunctionPF, lax_str_expansion, s22_closed, s33_closed
+from .laxmatrix import lax_str_expansion, s22_closed, s33_closed
 from .duality import DualitySetup, build_setup, cubic_spectrum_match, spectrum_match, truncation_check
 from .kz import (
     KZSystem,

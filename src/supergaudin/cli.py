@@ -475,9 +475,11 @@ def lax(ctx, action, tens, kpow, z):
     from .laxmatrix import lax_str_expansion, s22_closed, s33_closed
 
     zs = _points(z, len(tens.factors))
+    closed = None
     if kpow > 1:
-        # the closed forms are read off the quadratic (k = 2) or cubic family
-        _build_family(tens, "quadratic" if kpow == 2 else "cubicC", zs)
+        # the closed forms are read off the quadratic (k = 2) or cubic
+        # families, whose checks refuse what has no closed form
+        closed = _checked(s22_closed if kpow == 2 else s33_closed, tens, zs)
     expansion = lax_str_expansion(tens, zs, kpow)
     weights_doc = []
     matches = True
@@ -489,10 +491,8 @@ def lax(ctx, action, tens, kpow, z):
                 for j, terms in enumerate(expansion[w])
             },
         }
-        if kpow == 2:
-            entry["matches_closed_form"] = expansion[w][2] == s22_closed(tens, zs, w)
-        elif kpow == 3:
-            entry["matches_closed_form"] = expansion[w][3] == s33_closed(tens, zs, w)
+        if closed is not None:
+            entry["matches_closed_form"] = expansion[w][kpow] == closed[w]
         matches = matches and entry.get("matches_closed_form", True)
         weights_doc.append(entry)
     doc = {"k": kpow, "z": [frac_str(x) for x in zs], "weights": weights_doc, "matches": matches}

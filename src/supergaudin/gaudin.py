@@ -30,7 +30,8 @@ of degree k on one slot, ("site", k, slot), the sum over index chains of
 (-1)^{2(r_1 + ... + r_{k-1})} E_{r_0 r_1} E_{r_1 r_2} ... E_{r_{k-1} r_0}.
 The closed forms of the Lax supertraces (``laxmatrix``) read its words,
 and those of the family members (``HamiltonianFamily.terms``), as
-operator word sums.
+operator word sums: each closed form builds its word lists once per
+tensor and points z, then reads them on every weight space.
 
 ``_block_terms`` writes each spec as a sum of products of one-slot
 operators (K terms and the iota correction become scalar factors), and

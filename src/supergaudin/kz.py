@@ -154,9 +154,6 @@ class PathSolution:
     def final_psi(self):
         return self.samples[-1]["psi"]
 
-    def max_raising_ratio(self):
-        return max(s["raising_ratio"] for s in self.samples)
-
     def to_json(self):
         return {
             "path": [[[zc.real, zc.imag] for zc in wp] for wp in self.path],
@@ -276,17 +273,18 @@ def integrate_path(system, path, psi0, rel_tol=1e-10):
 
 def singular_preservation(solution):
     """Max over samples of the raising-image ratio; small for singular starts."""
-    return solution.max_raising_ratio()
+    return max(s["raising_ratio"] for s in solution.samples)
 
 
 def flatness_residual(system, point, h=None):
     """Curvature residual max_{i,j} |d_i H^j - d_j H^i - (1/kappa)[H^i, H^j]|.
 
-    With rational points and no step the result is an exact Fraction: the
-    max-norm of the commutators [H^i, H^j] over |kappa|.  The derivative
-    terms cancel identically, since d_i H^j = Omega^{(ji)}/(z_j - z_i)^2
-    and d_j H^i = Omega^{(ij)}/(z_i - z_j)^2 read the same stored block
-    with the same coefficient.  Passing a step h switches to the floating
+    With rational points, a real kappa and no step the result is an exact
+    Fraction: the max-norm of the commutators [H^i, H^j] over |kappa|; a
+    complex kappa needs the step.  The derivative terms cancel
+    identically, since d_i H^j = Omega^{(ji)}/(z_j - z_i)^2 and d_j H^i =
+    Omega^{(ij)}/(z_i - z_j)^2 read the same stored block with the same
+    coefficient.  Passing a step h switches to the floating
     finite-difference cross-check, which differentiates numerically; h
     must then be finite and nonzero.  It visits pairs i < j only, since the
     (j, i) residual is the negative of the (i, j) one.
@@ -300,8 +298,15 @@ def flatness_residual(system, point, h=None):
     if len(set(z)) != ell:
         raise ValueError("point lies on a diagonal")
     if h is None:
+        try:
+            kappa = Fraction(system.kappa)
+        except (TypeError, ValueError):
+            raise ValueError(
+                "the exact residual needs a real kappa, got %r; pass a step h for the float path"
+                % (system.kappa,)
+            ) from None
         fam = system.family(z)
-        return pairwise_commutator_residual(fam.matrices(system.mu)) / abs(Fraction(system.kappa))
+        return pairwise_commutator_residual(fam.matrices(system.mu)) / abs(kappa)
     kappa = complex(system.kappa)
     worst = 0.0
     for i in range(1, ell + 1):

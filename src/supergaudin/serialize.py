@@ -42,9 +42,9 @@ def index_set_from_json(obj):
     flavor = obj["flavor"]
     if flavor == "super":
         return IndexSet.gl(obj["q"], obj["m"], obj["p"], obj["n"])
-    if flavor == "classical":
-        return IndexSet.classical(obj["p"], obj["n"])
-    return IndexSet.wide(obj["p"], obj["n"])
+    # the classical and wide flavors read p and n only; IndexSet refuses
+    # any other flavor
+    return IndexSet(flavor, p=obj["p"], n=obj["n"])
 
 
 def module_to_json(module):

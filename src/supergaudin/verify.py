@@ -34,11 +34,7 @@ from .weights import Weight, eps
 
 def _sample_z(rng, ell):
     """Distinct rationals from the 1/7-spaced grid in [0, ell]."""
-    grid = [Fraction(k, 7) for k in range(7 * ell + 1)]
-    while True:
-        pts = rng.sample(grid, ell)
-        if len(set(pts)) == ell:
-            return pts
+    return rng.sample([Fraction(k, 7) for k in range(7 * ell + 1)], ell)
 
 
 def _random_homogeneous(rng, members, parity):
@@ -241,10 +237,12 @@ def check_lax(seed, **_):
         z = _sample_z(rng, 2)
         e2 = lax_str_expansion(tensor, z, 2)
         e3 = lax_str_expansion(tensor, z, 3)
+        c2 = s22_closed(tensor, z)
+        c3 = s33_closed(tensor, z)
         for w in tensor.weights():
-            if e2[w][2] != s22_closed(tensor, z, w):
+            if e2[w][2] != c2[w]:
                 bad.append("S22@gl(%d|%d)" % (m, n))
-            if e3[w][3] != s33_closed(tensor, z, w):
+            if e3[w][3] != c3[w]:
                 bad.append("S33@gl(%d|%d)" % (m, n))
     return {"name": "lax", "passed": not bad, "failures": bad[:4]}
 

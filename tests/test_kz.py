@@ -63,6 +63,14 @@ def test_flatness_exact_zero():
         flatness_residual(system, [0, 0, 1])
 
 
+def test_exact_flatness_refuses_a_complex_kappa():
+    tensor = tensor_product([NaturalModule(GL11)] * 3)
+    system = KZSystem(tensor, MU + eps("1/2"), kappa=2j)
+    with pytest.raises(ValueError, match="pass a step h for the float path"):
+        flatness_residual(system, [0, 1, 3])
+    assert flatness_residual(system, [0.0, 1.1, 2.7], h=1e-5) <= 1e-10
+
+
 def test_flatness_float_cross_check():
     tensor = tensor_product([NaturalModule(GL11)] * 3)
     system = KZSystem(tensor, MU + eps("1/2"))

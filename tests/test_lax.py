@@ -1,19 +1,22 @@
-"""Partial-fraction arithmetic and the Lax supertrace expansion."""
+"""Operator composition over partial fractions and the Lax supertrace
+expansion."""
 
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from supergaudin.algebra import BasisElement
 from supergaudin.indices import IndexSet
 from supergaudin.laxmatrix import (
     CONST,
     MAX_ORDER,
-    DiffOpPoly,
-    RationalFunctionPF,
+    compose,
     lax_str_expansion,
+    pole_derivative,
     s22_closed,
     s33_closed,
     str_identity,
@@ -24,54 +27,67 @@ from supergaudin.weights import Weight, eps
 from oracles import slot_act
 
 Z2 = (Fraction(0), Fraction(1))
+Z3 = (Fraction(0), Fraction(1), Fraction(5, 2))
+DU = {(1, CONST): {(): 1}}
 
 
-def scalar_pf(z, terms):
-    """Scalar coefficients: each term is a multiple of the empty word."""
-    return RationalFunctionPF(z, {k: {(): Fraction(v)} for k, v in terms.items()})
+def scalar_op(terms):
+    """A degree-0 operator with scalar coefficients: each term a multiple
+    of the empty word."""
+    return {(0, key): {(): Fraction(v)} for key, v in terms.items()}
 
 
-def pf_to_sympy(pf, u):
+def nonzero(op):
+    """op with its zero scalars and empty word sums dropped."""
+    out = {}
+    for term, words in op.items():
+        words = {word: s for word, s in words.items() if s}
+        if words:
+            out[term] = words
+    return out
+
+
+def op_to_sympy(op, z, u):
     expr = sympy.Integer(0)
-    for key, val in pf.terms.items():
-        v = sympy.Rational(val[()])
+    for (n, key), words in op.items():
+        assert n == 0
+        v = sympy.Rational(words[()])
         if key == CONST:
             expr += v
         else:
             i, r = key
-            expr += v / (u - sympy.Rational(pf.z[i])) ** r
+            expr += v / (u - sympy.Rational(z[i])) ** r
     return expr
 
 
 def test_pf_product_against_sympy():
     rng = random.Random(3)
     u = sympy.Symbol("u")
-    z = (Fraction(0), Fraction(1), Fraction(5, 2))
     products = refused = 0
     for _ in range(40):
-        def rand_pf():
+        def rand_op():
             terms = {}
             for _ in range(rng.randint(1, 3)):
                 if rng.random() < 0.25:
                     terms[CONST] = rng.randint(-3, 3)
                 else:
                     terms[(rng.randrange(3), rng.randint(1, 3))] = rng.randint(-3, 3)
-            return scalar_pf(z, terms)
+            return scalar_op(terms)
 
-        a, b = rand_pf(), rand_pf()
+        a, b = rand_op(), rand_op()
         # a same-pole product past MAX_ORDER has no place in the basis
         too_high = any(
             k1 != CONST and k2 != CONST and k1[0] == k2[0] and k1[1] + k2[1] > MAX_ORDER
-            for k1 in a.terms
-            for k2 in b.terms
+            for _, k1 in a
+            for _, k2 in b
         )
         if too_high:
             with pytest.raises(ValueError, match="exceeds"):
-                a.mul(b)
+                compose(Z3, a, b)
             refused += 1
             continue
-        prod = a.mul(b)
-        lhs = sympy.simplify(pf_to_sympy(prod, u) - pf_to_sympy(a, u) * pf_to_sympy(b, u))
+        prod = compose(Z3, a, b)
+        lhs = sympy.simplify(op_to_sympy(prod, Z3, u) - op_to_sympy(a, Z3, u) * op_to_sympy(b, Z3, u))
         assert lhs == 0
         products += 1
     assert products and refused
@@ -80,43 +96,69 @@ def test_pf_product_against_sympy():
 def test_pf_reexpansion_identity():
     """1/((u-z_i)(u-z_j)^2) re-expands with the three displayed terms."""
     z = (Fraction(2), Fraction(7))
-    a = scalar_pf(z, {(0, 1): 1})
-    b = scalar_pf(z, {(1, 2): 1})
-    prod = a.mul(b)
+    prod = compose(z, scalar_op({(0, 1): 1}), scalar_op({(1, 2): 1}))
     w = z[0] - z[1]
-    expected = scalar_pf(
-        z,
+    expected = scalar_op(
         {
             (0, 1): Fraction(1) / w**2,
             (1, 1): -Fraction(1) / w**2,
             (1, 2): -Fraction(1) / w,
-        },
+        }
     )
-    assert prod == expected
+    assert nonzero(prod) == expected
 
 
 def test_pf_derivative_and_pole_order_limit():
-    z = (Fraction(0), Fraction(1))
-    f = scalar_pf(z, {(0, 1): 3, CONST: 2})
-    df = f.derivative()
-    assert df == scalar_pf(z, {(0, 2): -3})
-    with pytest.raises(ValueError):
-        scalar_pf(z, {(0, 3): 1}).derivative()
-    with pytest.raises(ValueError):
-        scalar_pf(z, {(0, 2): 1}).mul(scalar_pf(z, {(0, 2): 1}))
+    assert pole_derivative((0, 1), 0) == ((0, 1), 1)
+    assert pole_derivative((0, 1), 1) == ((0, 2), -1)
+    assert pole_derivative((1, 1), 2) == ((1, 3), 2)
+    assert pole_derivative(CONST, 0) == (CONST, 1)
+    assert pole_derivative(CONST, 1) is None
+    with pytest.raises(ValueError, match="derivative exceeds"):
+        pole_derivative((0, 3), 1)
+    with pytest.raises(ValueError, match="derivative exceeds"):
+        pole_derivative((0, 2), 2)
+    with pytest.raises(ValueError, match="derivative exceeds"):
+        compose(Z2, DU, scalar_op({(0, 3): 1}))
+    with pytest.raises(ValueError, match="pole order 4 exceeds"):
+        compose(Z2, scalar_op({(0, 2): 1}), scalar_op({(0, 2): 1}))
 
 
 def test_diffop_composition_rule():
-    """d/du . f = f d/du + f' as operator polynomials."""
-    z = (Fraction(0), Fraction(1))
-    f = scalar_pf(z, {(1, 1): 5, CONST: 1})
-    du = DiffOpPoly(z, {1: scalar_pf(z, {CONST: 1})})
-    f_op = DiffOpPoly(z, {0: f})
-    left = du.compose(f_op)
-    right = f_op.compose(du) + DiffOpPoly(z, {0: f.derivative()})
-    assert set(left.coeffs) == set(right.coeffs)
-    for deg in left.coeffs:
-        assert left.coeffs[deg] == right.coeffs[deg]
+    """d/du . f = f d/du + f' as operators, f with operator-word values."""
+    x, y = ("x", 0, 0), ("y", 1, 0)
+    f = {(0, (1, 1)): {(x,): 5}, (0, CONST): {(y,): 1}, (0, (0, 2)): {(x, y): -2, (): 3}}
+    df = {(0, (1, 2)): {(x,): -5}, (0, (0, 3)): {(x, y): 4, (): -6}}
+    left = compose(Z2, DU, f)
+    right = compose(Z2, f, DU)
+    for term, words in df.items():
+        acc = right.setdefault(term, {})
+        for word, s in words.items():
+            acc[word] = acc.get(word, 0) + s
+    assert nonzero(left) == nonzero(right)
+    assert nonzero(left)[(1, (1, 1))] == {(x,): 5}
+
+
+LETTERS = [("a", 0, 0), ("b", 1, 0), ("c", 0, 0)]
+WORD_OPS = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.one_of(st.just(CONST), st.tuples(st.integers(0, 2), st.just(1)))),
+    st.dictionaries(st.lists(st.sampled_from(LETTERS), max_size=2).map(tuple), st.integers(-3, 3), min_size=1, max_size=3),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(WORD_OPS, WORD_OPS, WORD_OPS)
+def test_compose_is_associative(a, b, c):
+    """(a b) c = a (b c) over noncommuting words, once zero scalars drop;
+    triples that pass MAX_ORDER on either side are skipped."""
+    try:
+        left = compose(Z3, compose(Z3, a, b), c)
+        right = compose(Z3, a, compose(Z3, b, c))
+    except ValueError:
+        reject()
+    assert nonzero(left) == nonzero(right)
 
 
 def test_str_identity():
@@ -161,8 +203,10 @@ def test_s22_identity(q, m, p, n):
     tensor = tensor_product([NaturalModule(iset)] * 2)
     z = (Fraction(1, 3), Fraction(2))
     exp = lax_str_expansion(tensor, z, 2)
+    closed = s22_closed(tensor, z)
+    assert set(closed) == set(tensor.weights())
     for w in tensor.weights():
-        assert exp[w][2] == s22_closed(tensor, z, w)
+        assert exp[w][2] == closed[w]
 
 
 @pytest.mark.parametrize("q,m,p,n", [(0, 1, 0, 1), (0, 2, 0, 1)])
@@ -171,8 +215,10 @@ def test_s33_identity(q, m, p, n):
     tensor = tensor_product([NaturalModule(iset)] * 2)
     z = (Fraction(1, 3), Fraction(2))
     exp = lax_str_expansion(tensor, z, 3)
+    closed = s33_closed(tensor, z)
+    assert set(closed) == set(tensor.weights())
     for w in tensor.weights():
-        assert exp[w][3] == s33_closed(tensor, z, w)
+        assert exp[w][3] == closed[w]
 
 
 def test_s33_identity_three_sites():
@@ -180,7 +226,7 @@ def test_s33_identity_three_sites():
     z = (Fraction(0), Fraction(1), Fraction(3))
     exp = lax_str_expansion(tensor, z, 3)
     w = eps(1) + eps(1) + eps("1/2")
-    assert exp[w][3] == s33_closed(tensor, z, w)
+    assert exp[w][3] == s33_closed(tensor, z)[w]
 
 
 def test_bad_power_rejected():

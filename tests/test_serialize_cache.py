@@ -66,6 +66,19 @@ def test_module_json_round_trip_and_schema():
         assert back.dim(w) == mod.dim(w)
 
 
+def test_module_from_json_refuses_an_unknown_flavor():
+    doc = module_to_json(NaturalModule(IndexSet.wide(1, 2)))
+    assert doc["index_set"] == {"flavor": "wide", "p": 1, "n": 2}
+    for flavor, iset in (("wide", IndexSet.wide(1, 2)), ("classical", IndexSet.classical(1, 2))):
+        # the classical and wide flavors read p and n only
+        stray = dict(doc, index_set={"flavor": flavor, "q": 5, "m": 5, "p": 1, "n": 2})
+        assert module_from_json(stray).index_set == iset
+    for flavor in ("bogus", "Wide", None):
+        bad = dict(doc, index_set=dict(doc["index_set"], flavor=flavor))
+        with pytest.raises(ValueError, match="unknown flavor"):
+            module_from_json(bad)
+
+
 def test_weight_schema():
     validate_document(eps(1).to_json(), "defs.schema.json")  # no-op: defs has no root
     doc = (eps(1) + eps("1/2")).to_json()
