@@ -19,12 +19,11 @@ over a single real stack of the blocks Omega^{(ij)}, i < j.  Along a
 straight segment only the pairs with dz_i != dz_j contribute, and their
 coefficients are fixed up to the affine denominator, so a right-hand side
 is one contraction of the coefficients with the stack plus one matmul.
-One segment driver steps ``scipy.integrate.DOP853`` and carries a complex
-(d, k) state, so a single vector (``integrate_path``) and a whole basis
-(``monodromy``, one joint integration instead of one per column) share it.
-A solver's ``fun`` closures refer back to the solver; the driver breaks
-that cycle after each segment, so the solver and its stage arrays are
-freed at once instead of at the next full garbage collection.
+One segment driver steps the package's own DOP853 (``_dop853``, an
+explicit Runge-Kutta method of order 8 with embedded error estimates) and
+carries a complex (d, k) state, so a single vector (``integrate_path``)
+and a whole basis (``monodromy``, one joint integration instead of one
+per column) share it.
 """
 
 import cmath
@@ -32,8 +31,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import DOP853
 
+from ._dop853 import DOP853
 from .algebra import simple_raising_ops
 from .gaudin import (
     family_levels,
@@ -185,8 +184,8 @@ def _segment_clearance(p, q):
 
 
 def check_path(path, ell=None):
-    """Waypoints as complex tuples of one length (ell when given), each
-    segment keeping DIAGONAL_CLEARANCE from every diagonal."""
+    """Waypoints as finite complex tuples of one length (ell when given),
+    each segment keeping DIAGONAL_CLEARANCE from every diagonal."""
     path = [tuple(complex(z) for z in wp) for wp in path]
     if len(path) < 1:
         raise ValueError("empty path")
@@ -194,6 +193,10 @@ def check_path(path, ell=None):
     for k, wp in enumerate(path):
         if len(wp) != ell:
             raise ValueError("waypoint %d has %d coordinates, need %d" % (k, len(wp), ell))
+        # a nan passes every clearance and closedness comparison, and the
+        # stepper would then retry a nan step forever
+        if not all(map(cmath.isfinite, wp)):
+            raise ValueError("waypoint %d has a non-finite coordinate" % k)
     for p, q in zip(path, path[1:]):
         if _segment_clearance(p, q) < DIAGONAL_CLEARANCE:
             raise ValueError(
@@ -210,7 +213,7 @@ def _transport(system, path, psi, rel_tol):
     """Carry the complex (d, k) matrix psi along a checked path.
 
     Yields (t, z, psi) at the start and after every accepted DOP853 step;
-    t runs from 0 to the number of segments.  Each segment is one solver
+    t runs from 0 to the number of segments.  Each segment is one stepper
     run on [Re psi; Im psi], with the absolute tolerance set from the
     largest column norm at the segment start.
     """
@@ -231,18 +234,13 @@ def _transport(system, path, psi, rel_tol):
             rtol=rel_tol,
             atol=rel_tol * scale * 1e-2,
         )
-        try:
-            while solver.status == "running":
-                message = solver.step()
-                if solver.status == "failed":
-                    raise RuntimeError("integration failed on segment %d: %s" % (seg, message))
-                tl = solver.t
-                psi = (solver.y[:n] + 1j * solver.y[n:]).reshape(psi.shape)
-                yield seg + tl, tuple(pc + (qc - pc) * tl for pc, qc in zip(p, q)), psi
-        finally:
-            # OdeSolver.fun and .fun_vectorized close over the solver; without
-            # this the solver and its stage arrays wait for a full collection
-            del solver.fun, solver.fun_vectorized
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise RuntimeError("integration failed on segment %d: %s" % (seg, message))
+            tl = solver.t
+            psi = (solver.y[:n] + 1j * solver.y[n:]).reshape(psi.shape)
+            yield seg + tl, tuple(pc + (qc - pc) * tl for pc, qc in zip(p, q)), psi
 
 
 def integrate_path(system, path, psi0, rel_tol=1e-10):

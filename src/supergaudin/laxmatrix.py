@@ -108,18 +108,39 @@ def _lax_entry(a, b, z):
 
 def _on_weight_spaces(tensor, terms):
     """{w: {key: rows}} over the weights of the tensor, of partial-fraction
-    terms given as (scalar, word) lists, each read on each weight space by
-    one ``apply`` over the unit columns; all-zero terms drop."""
+    terms given as (scalar, word) lists.  On each weight space each
+    distinct word is read once, by one ``apply`` over the unit columns,
+    and scalar times its image goes into every term that carries it; the
+    words of one term must end in one weight, and all-zero terms drop."""
+    # number the distinct words once, so no word is hashed per weight
+    ids = {}
+    terms = {
+        key: [(s, ids.setdefault(tuple(word), len(ids))) for s, word in pairs]
+        for key, pairs in terms.items()
+    }
     out = {}
     for w in tensor.weights():
         d = tensor.dim(w)
         units = [[int(r == c) for r in range(d)] for c in range(d)]
+        images = []
+        for word in ids:
+            res = tensor.apply([(1, word)], w, units)
+            if res is not None:
+                target, cols = res
+                res = target, [(r, c, x) for c, col in enumerate(cols) for r, x in enumerate(col) if x]
+            images.append(res)
         out[w] = {}
-        for key, words in terms.items():
-            res = tensor.apply(words, w, units)
-            if res is None:
+        for key, pairs in terms.items():
+            hits = [(s, images[i]) for s, i in pairs if images[i] is not None]
+            if not hits:
                 continue
-            rows = [list(row) for row in zip(*res[1])]
+            target = hits[0][1][0]
+            if any(image[0] != target for _, image in hits):
+                raise ValueError("the words end in different weights")
+            rows = [[0] * d for _ in range(tensor.dim(target))]
+            for s, (_, entries) in hits:
+                for r, c, x in entries:
+                    rows[r][c] += s * x
             if any(map(any, rows)):
                 out[w][key] = rows
     return out

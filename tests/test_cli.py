@@ -420,6 +420,18 @@ def test_kz_bad_input_exits_two_with_a_message():
         assert message in res.output
 
 
+def test_kz_non_finite_waypoint_exits_two_with_a_message():
+    # a nan passed every clearance and closedness check, and the stepper
+    # then retried a nan step forever
+    system = ["--m", "1", "--n", "1", "--ell", "3", "--mu", "2,1", "--kappa", "3"]
+    for re, im in (("NaN", "0"), ("Infinity", "0"), ("-Infinity", "0"), ("0", "NaN")):
+        loop = "[[[0,0],[1,0],[2,0]],[[%s,%s],[1,0],[2,0]],[[0,0],[1,0],[2,0]]]" % (re, im)
+        for cmd in (["monodromy", "--loop", loop], ["solve", "--path", loop]):
+            res = run("--json", "kz", *cmd, *system)
+            assert res.exit_code == 2, (cmd, res.output)
+            assert "waypoint 1 has a non-finite coordinate" in res.output
+
+
 def _leaf_commands(cmd, path=()):
     if isinstance(cmd, click.Group):
         for name, sub in sorted(cmd.commands.items()):

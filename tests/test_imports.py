@@ -1,12 +1,16 @@
-"""Every name a package module imports is used there or re-exported, and
-every package definition has a caller outside the tests.
+"""Every name a package module imports is used there or re-exported,
+every package definition has a caller outside the tests, and importing
+the CLI loads no scipy.
 
-Parsed with the stdlib ``ast``, so nothing is imported; ``__init__.py``
-is exempt from the import check, since re-exporting is its job.
+Parsed with the stdlib ``ast``, so nothing is imported, except by the
+scipy check, which runs a fresh interpreter; ``__init__.py`` is exempt
+from the import check, since re-exporting is its job.
 """
 
 import ast
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import supergaudin
@@ -266,3 +270,12 @@ CALLER_EXEMPT = ["modules.py:TensorModule.basis_tuples"]
 def test_every_package_definition_has_a_caller_outside_the_tests():
     callers = list(_sources(PERFBENCH_DIR).values())
     assert unreferenced_definitions(_sources(PACKAGE_DIR), callers) == CALLER_EXEMPT
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # the KZ transport steps the package's own DOP853; importing
+    # scipy.integrate took most of a bare CLI start
+    code = "import sys, supergaudin.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.dirname(PACKAGE_DIR), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolver
 
+from supergaudin._dop853 import DOP853
 from supergaudin.gaudin import joint_diagonalize, quadratic_family, restrict_to_basis
 from supergaudin.indices import IndexSet
 from supergaudin.kz import (
@@ -337,7 +337,7 @@ def test_transport_leaves_no_cyclic_solver():
         monodromy(system, loop)
         integrate_path(system, loop, [1.0] * system.dim)
         gc.collect()
-        solvers = [obj for obj in gc.garbage if isinstance(obj, OdeSolver)]
+        solvers = [obj for obj in gc.garbage if isinstance(obj, DOP853)]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
@@ -355,6 +355,22 @@ def test_waypoints_must_have_one_coordinate_per_site():
             integrate_path(system, bad, [1.0, 0.0])
     with pytest.raises(ValueError, match="coordinates"):
         check_path([(0, 1), (0, 2, 3)])
+
+
+def test_waypoints_must_be_finite():
+    # a nan passed every clearance and closedness comparison, and the
+    # stepper then retried a nan step forever
+    system = three_site_system()
+    for bad in (float("nan"), float("inf"), -float("inf"), complex(0, float("nan")), complex(float("inf"), 1)):
+        loop = [(0, 1, 2), (bad, 1, 2), (0, 1, 2)]
+        with pytest.raises(ValueError, match="waypoint 1 has a non-finite coordinate"):
+            check_path(loop)
+        with pytest.raises(ValueError, match="waypoint 1 has a non-finite coordinate"):
+            monodromy(system, loop)
+        with pytest.raises(ValueError, match="waypoint 1 has a non-finite coordinate"):
+            integrate_path(system, loop[:2], [1.0] * system.dim)
+    with pytest.raises(ValueError, match="waypoint 0 has a non-finite"):
+        check_path([(float("nan"),)])
 
 
 def test_transport_refuses_a_relative_tolerance_outside_zero_one():
