@@ -130,6 +130,39 @@ def test_lax_expand_stdout_matches_the_recorded_digests(flavor, z, kpow):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == LAX_DIGESTS[flavor, z, kpow]
 
 
+# sha256 of `--json` stdout of the commands that print exact char polys,
+# recorded from the Hessenberg charpoly over Q that the integer Berkowitz
+# recursion replaced: a dim-10 and a dim-5 duality chain, a dim-2 one and
+# a dim-5 cubic spectrum
+DUALITY_DIGESTS = {
+    "duality-gl(1|1)-dim10": (
+        ["duality", "check", "--lams", "1;1;1;1;1;1", "--m", "1", "--n", "1", "--mu", "3,1,1,1",
+         "--z", "0,1/2,2,3,9/2,6"],
+        "fb7e3d9a0a679060d2e6e37cac26df5631cefae2c6ea97acefe58da451e23997",
+    ),
+    "duality-gl(2|1)-dim5": (
+        ["duality", "check", "--lams", "1;1;1;1;1", "--m", "2", "--n", "1", "--mu", "2,2,1", "--z", "0,1/3,1,5/2,4"],
+        "9cddd8acb74260f61d7deb3484aa4fce0867eab0756e2193922f0ff4ba8dfd4a",
+    ),
+    "duality-gl(1|1)-dim2": (
+        ["duality", "check", "--lams", "2;1;1", "--m", "1", "--n", "1", "--mu", "3,1", "--z", "0,1/2,3"],
+        "008ba74d5779f6648ef1bf0af6990a0f19df2bec55101d8982a4148dfac65dd3",
+    ),
+    "spectrum-gl(2|1)-cubicC-dim5": (
+        ["spectrum", "--m", "2", "--n", "1", "--ell", "5", "--factor-kind", "natural", "--mu", "2,2,1",
+         "--z", "0,1/3,1,5/2,4", "--kind", "cubicC"],
+        "fdc9cbb95f9ed0ae0be64580a0aa8d40365e8ad90aa8f9e97f2d3d93cc56b0d1",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, digest", DUALITY_DIGESTS.values(), ids=DUALITY_DIGESTS.keys())
+def test_charpoly_stdout_matches_the_recorded_digests(args, digest):
+    res = run("--json", *args)
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
 def test_kz_commands():
     path = json.dumps([[[0, 0], [1, 0]], [[0, 0.5], [2, 0]]])
     res = run(
