@@ -2,9 +2,10 @@
 
 These are the hot inner loops of the whole package: integer row reduction
 (singular spaces, Gram radicals, Krylov spans), dense matrix products
-(commutator checks) and exact characteristic polynomials by Hessenberg
-reduction.  They are plain Python on Python ints and Fractions; this
-module is their one implementation.
+(commutator checks) and exact characteristic polynomials by Berkowitz's
+division-free recursion.  They are plain Python on Python ints and
+Fractions (the char poly clears denominators and then works on ints
+alone); this module is their one implementation.
 
 All integer routines work on lists of lists of Python ints and rely on row
 operations only, so they compute row-space canonical forms: scaling the
@@ -17,6 +18,7 @@ stamped with different backends.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 BACKEND = "python"
 
@@ -139,63 +141,25 @@ def charpoly(A):
     """Characteristic polynomial of a square rational matrix.
 
     Returns coefficients ``[c_0, ..., c_n]`` of ``det(t I - A) = sum c_k
-    t^k`` as Fractions, with ``c_n = 1``.  A is first brought to upper
-    Hessenberg form H by similarity over Q (eliminate below the
-    sub-diagonal column by column, pivoting on the first nonzero entry);
-    then p_0 = 1 and
-
-        p_m = (t - h_mm) p_{m-1}
-              - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1},
-
-    and p_n is the answer (Cohen, A Course in Computational Algebraic
-    Number Theory, 1993, Alg. 2.2.9).  O(n^3) field operations.
+    t^k`` as Fractions, with ``c_n = 1``.  With D the lcm of the entry
+    denominators, B = D A is an integer matrix and c_k(A) = c_k(B) /
+    D^(n-k).  Berkowitz's recursion gives det(t I - B) without division:
+    if the leading block B_{k+1} is [[B_k, C], [R, b]], its char poly is
+    T q_k, where q_k is that of B_k and T is the lower-triangular Toeplitz
+    matrix with first column (1, -b, -R C, -R B_k C, ..., -R B_k^{k-1} C)
+    (Berkowitz, Inform. Process. Lett. 18 (1984) 147-150).  O(n^4)
+    integer operations.
     """
     n = len(A)
-    H = [[Fraction(x) for x in row] for row in A]
-    for m in range(1, n - 1):
-        col = m - 1
-        piv = m
-        while piv < n and not H[piv][col]:
-            piv += 1
-        if piv == n:
-            continue
-        if piv != m:
-            H[piv], H[m] = H[m], H[piv]
-            for row in H:
-                row[piv], row[m] = row[m], row[piv]
-        rm = H[m]
-        inv = 1 / rm[col]
-        for j in range(m + 1, n):
-            rj = H[j]
-            u = rj[col] * inv
-            if not u:
-                continue
-            # row_j -= u row_m, then column_m += u column_j (the inverse
-            # similarity); columns left of col are zero in both rows
-            for c in range(col, n):
-                x = rm[c]
-                if x:
-                    rj[c] -= u * x
-            for row in H:
-                x = row[j]
-                if x:
-                    row[m] += u * x
-    polys = [[Fraction(1)]]
-    for m in range(n):
-        prev = polys[m]
-        h = H[m][m]
-        p = [Fraction(0)] + prev
-        if h:
-            for k, c in enumerate(prev):
-                p[k] -= h * c
-        prod = Fraction(1)
-        for i in range(m - 1, -1, -1):
-            prod *= H[i + 1][i]
-            if not prod:
-                break
-            coeff = prod * H[i][m]
-            if coeff:
-                for k, c in enumerate(polys[i]):
-                    p[k] -= coeff * c
-        polys.append(p)
-    return polys[n]
+    D = lcm(1, *(x.denominator for row in A for x in row))
+    B = [[x.numerator * (D // x.denominator) for x in row] for row in A]
+    q = [1]  # det(t I - B_k), leading coefficient first
+    for k in range(n):
+        col = [1, -B[k][k]]
+        v = [B[i][k] for i in range(k)]
+        for _ in range(k):
+            # map stops at len(v) = k: B[k] reads as R, B[i] as row i of B_k
+            col.append(-sum(map(mul, B[k], v)))
+            v = [sum(map(mul, B[i], v)) for i in range(k)]
+        q = [sum(col[i - j] * q[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    return [Fraction(q[n - k], D ** (n - k)) for k in range(n + 1)]

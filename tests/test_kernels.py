@@ -219,12 +219,17 @@ def faddeev_leverrier(A):
 @st.composite
 def charpoly_inputs(draw):
     """Square rational matrices, n = 0..6, often sparse, singular or block
-    triangular (so the Hessenberg reduction meets columns with no pivot)."""
+    triangular (so the border row and column of a leading block are often
+    zero), or over mixed denominators (so the common denominator D is large
+    and the D^(n-k) rescale of each coefficient matters)."""
     n = draw(st.integers(0, 6))
-    nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    kind = draw(st.sampled_from(["plain", "singular", "block", "hessenberg", "mixed"]))
+    if kind == "mixed":
+        nonzero = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.sampled_from([1, 2, 3, 5, 7, 11]))
+    else:
+        nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=3)
     entry = draw(st.sampled_from([nonzero, st.one_of(st.just(Fraction(0)), nonzero)]))
     A = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    kind = draw(st.sampled_from(["plain", "singular", "block", "hessenberg"]))
     if n >= 2 and kind == "singular":
         # last row a rational combination of the others
         c = draw(st.lists(nonzero, min_size=n - 1, max_size=n - 1))
@@ -259,7 +264,8 @@ def test_charpoly_small_and_structured_cases():
     # nilpotent shift: every sub-diagonal entry is zero
     shift = [[1 if c == r + 1 else 0 for c in range(4)] for r in range(4)]
     assert kernels.charpoly(shift) == [0, 0, 0, 0, 1]
-    # a permutation matrix needs row and column swaps to reach Hessenberg form
+    # a permutation matrix: its leading blocks are diagonal, and only the
+    # last border row and column couple its first and last indices
     perm = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
     assert kernels.charpoly(perm) == faddeev_leverrier(perm) == [1, -1, -1, 1]
 
