@@ -71,6 +71,13 @@ def _parse_fracs(text, flag):
         raise click.UsageError("bad rational list for %s: %s" % (flag, exc))
 
 
+def _tolerance(ctx, param, value):
+    """A --tol value: finite and nonnegative, or a float gate holds vacuously."""
+    if value is not None and not 0 <= value < float("inf"):
+        raise click.BadParameter("must be a finite number >= 0, got %r" % (value,))
+    return value
+
+
 def _points(text, ell):
     """The --z points: one rational per tensor factor, pairwise distinct."""
     zs = _parse_fracs(text, "--z")
@@ -240,7 +247,7 @@ def with_kz(fn):
 @click.group()
 @click.option("--json", "compact", is_flag=True, help="compact single-line JSON output")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@click.option("--tol", type=float, default=1e-8, show_default=True, callback=_tolerance)
 @click.option("--cache-dir", default=None, help="cache root (or SUPERGAUDIN_CACHE)")
 @click.pass_context
 def main(ctx, compact, seed, tol, cache_dir):
@@ -594,7 +601,7 @@ def kz_monodromy(ctx, system, loop_json, rel_tol):
 @click.option("--n", type=int, default=1, show_default=True)
 @click.option("--ell", type=int, default=3, show_default=True)
 @click.option("--seed", type=int, default=None, help="overrides the global seed")
-@click.option("--tol", type=float, default=None, help="overrides the global tolerance")
+@click.option("--tol", type=float, default=None, callback=_tolerance, help="overrides the global tolerance")
 @click.pass_context
 def verify(ctx, what, checks, m, n, ell, seed, tol):
     """Run the invariant suite; exit 1 on any failure."""

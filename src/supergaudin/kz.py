@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._dop853 import DOP853
+from ._dop853 import DOP853, EPS
 from .algebra import simple_raising_ops
 from .gaudin import (
     family_levels,
@@ -217,9 +217,12 @@ def _transport(system, path, psi, rel_tol):
     run on [Re psi; Im psi], with the absolute tolerance set from the
     largest column norm at the segment start.
     """
-    if not 0 < rel_tol < 1:
-        # the stepper never finishes a step at 0 or nan
-        raise ValueError("rel_tol must be a number in (0, 1), got %r" % (rel_tol,))
+    if not 100 * EPS <= rel_tol < 1:
+        # the stepper never finishes a step at 0 or nan, and would raise a
+        # tolerance below 100 EPS to that floor with only a warning
+        raise ValueError(
+            "rel_tol must be a number in (0, 1), at least 100 EPS = %g, got %r" % (100 * EPS, rel_tol)
+        )
     n = psi.size
     yield 0.0, path[0], psi
     for seg, (p, q) in enumerate(zip(path, path[1:])):

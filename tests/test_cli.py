@@ -386,14 +386,25 @@ BAD_INPUT = {
         ["singular", "--ell", "2", "--factor-kind", "natural", "--weight", '{"coeffs":[[2,2]],"level":"1/0"}'],
         "malformed weight document",
     ),
-    # 0 and nan used to step forever, and -1 ended in the stepper's own error
+    # 0 and nan used to step forever, -1 ended in the stepper's own error,
+    # and 1e-16 was raised to 100 EPS with only a warning
     **{
         "kz-%s-rel-tol-%s" % (cmd, tol): (
             ["kz", cmd, *TWO_SITES, "--mu", "1,1", path, LOOP, "--rel-tol", tol],
             "rel_tol must be a number in (0, 1)",
         )
         for cmd, path in (("solve", "--path"), ("monodromy", "--loop"))
-        for tol in ("0", "nan", "-1")
+        for tol in ("0", "nan", "-1", "1e-16")
+    },
+    # nan and inf made every float gate hold, and spectrum raised -1 to 1e-9
+    **{
+        "tol-%s-%s" % (where, tol): (
+            ["--tol", tol, "spectrum", "--lam", "1", "--lam", "1", "--lam", "1", "--mu", "2,1", "--z", "0,1,3"]
+            if where == "global" else ["verify", "all", "--tol", tol, "--checks", "kz"],
+            "Invalid value for '--tol': must be a finite number >= 0",
+        )
+        for where in ("global", "verify")
+        for tol in ("nan", "inf", "-1")
     },
     "module-negative-depth": (
         ["module", "build", "--lam", "2", "--kind", "irreducible", "--depth", "-1"],

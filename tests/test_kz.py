@@ -374,10 +374,11 @@ def test_waypoints_must_be_finite():
 
 
 def test_transport_refuses_a_relative_tolerance_outside_zero_one():
-    # 0 and nan used to step forever, and -1 ended in the stepper's own error
+    # 0 and nan used to step forever, -1 ended in the stepper's own error,
+    # and 1e-16 was raised to 100 EPS with only a warning
     t2, system = two_site_system()
     loop = [(0, 1), (0.4j, 2), (0, 1)]
-    for rel_tol in (0, 0.0, -1.0, 1.0, float("nan"), float("inf")):
+    for rel_tol in (0, 0.0, -1.0, 1.0, float("nan"), float("inf"), 1e-16):
         with pytest.raises(ValueError, match="rel_tol must be a number in"):
             integrate_path(system, loop[:2], [1.0, 0.0], rel_tol=rel_tol)
         with pytest.raises(ValueError, match="rel_tol must be a number in"):
