@@ -53,8 +53,6 @@ class DualitySetup:
         self.super_weight, self.classical_weight = hook_correspondence(mu, m, n, k)
         self.super_tensor = polynomial_tensor(self.super_set, self.partitions)
         self.classical_tensor = polynomial_tensor(self.classical_set, self.partitions)
-        self.super_factors = self.super_tensor.factors
-        self.classical_factors = self.classical_tensor.factors
         self._singular_pair = None
 
     @property

@@ -31,15 +31,15 @@ def test_build_setup_examples():
     assert setup.k == 2
     assert setup.super_weight == eps(1) + eps("1/2")
     assert setup.classical_weight == Weight({1: 2})
-    assert [f.total_dim for f in setup.super_factors] == [2, 2]
-    assert [f.total_dim for f in setup.classical_factors] == [2, 2]
+    assert [f.total_dim for f in setup.super_tensor.factors] == [2, 2]
+    assert [f.total_dim for f in setup.classical_tensor.factors] == [2, 2]
 
     setup2 = build_setup([[1], [1]], 1, 1, [2])
     assert setup2.classical_weight == eps("1/2") + eps("3/2")
 
     setup3 = build_setup([[2], [1]], 1, 1, [2, 1])
     # classical factors carry the conjugate highest weights
-    assert setup3.classical_factors[0].highest_weight == eps("1/2") + eps("3/2")
+    assert setup3.classical_tensor.factors[0].highest_weight == eps("1/2") + eps("3/2")
     assert setup3.classical_weight == Weight({1: 2, 3: 1})
 
 

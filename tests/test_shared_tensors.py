@@ -224,8 +224,8 @@ def test_duality_setups_share_one_tensor_per_factor_list():
     # same partitions and the same k: one classical tensor for both flavors
     assert a.classical_tensor is b.classical_tensor is c.classical_tensor
     gl11 = FLAVORS["gl(1|1)"]
-    assert list(a.super_factors) == [polynomial_module(gl11, Partition(p)) for p in parts]
-    assert list(a.classical_factors) == [
+    assert list(a.super_tensor.factors) == [polynomial_module(gl11, Partition(p)) for p in parts]
+    assert list(a.classical_tensor.factors) == [
         polynomial_module(IndexSet.classical(0, a.k), Partition(p)) for p in parts
     ]
 
@@ -241,7 +241,7 @@ def test_mutating_returned_blocks_leaves_a_later_setup_unchanged(monkeypatch):
     parts, mu, z = [[2], [1], [1]], [3, 1], [0, 1, 3]
     first = build_setup(parts, 2, 1, mu)
     # the expected char polys, from an unshared tensor on the same factors
-    fresh = tensor_product(list(first.super_factors))
+    fresh = tensor_product(list(first.super_tensor.factors))
     space = singular_space(fresh, first.super_weight)
     assert space.dim > 1
     fam = quadratic_family(fresh, z)
