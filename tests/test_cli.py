@@ -163,6 +163,40 @@ def test_charpoly_stdout_matches_the_recorded_digests(args, digest):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
 
+# sha256 of `--json module build --no-cache` stdout, recorded from the
+# prefix-state Gram walk that the Shapovalov recursion replaced: radicals,
+# pivots and blocks of every realization must come out the same
+MODULE_DIGESTS = {
+    "irreducible-gl(2|1)-21": (
+        ["--kind", "irreducible", "--lam", "2,1", "--m", "2", "--n", "1"],
+        "16c8657cc6386b025a051a246c28282f4f3d1dc2020b69098b16449a393d1702",
+    ),
+    "irreducible-gl(1|1)-3-depth3": (
+        ["--kind", "irreducible", "--lam", "3", "--depth", "3"],
+        "b4271ad89f9356a1ddd3a441ea4a20d77e7cb2ebd16ddfb1a682932a857f5523",
+    ),
+    "verma-gl(1|1)-2-depth2": (
+        ["--kind", "verma", "--lam", "2", "--depth", "2"],
+        "2e0b28110a3e75f39167a406438a9adc4fa5d399c53ba6eb2331491d39102682",
+    ),
+    "irreducible-gl(3)-21": (
+        ["--kind", "irreducible", "--lam", "2,1", "--flavor", "classical", "--k", "3"],
+        "9bbbe2185fe29d33579588c65e77d4994fc78d714a2eadd5e53535d405d42395",
+    ),
+    "irreducible-gl(2|2)-31-depth4": (
+        ["--kind", "irreducible", "--lam", "3,1", "--m", "2", "--n", "2", "--depth", "4"],
+        "3dd6fa70e09d054b47e7c324ccbb7b90ca7dbd98dffe75deb135e81066730192",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, digest", MODULE_DIGESTS.values(), ids=MODULE_DIGESTS.keys())
+def test_module_build_stdout_matches_the_recorded_digests(args, digest):
+    res = run("--json", "module", "build", "--no-cache", *args)
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
 def test_kz_commands():
     path = json.dumps([[[0, 0], [1, 0]], [[0, 0.5], [2, 0]]])
     res = run(
