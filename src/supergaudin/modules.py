@@ -11,6 +11,8 @@ Koszul signs of tensor products.
 """
 
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from types import MappingProxyType
 
 from .algebra import (
@@ -526,7 +528,8 @@ class _TruncatedVerma(WeightModule):
     the true Verma weight space; those are listed (per the contract) but
     any action query whose result cannot be represented in the stored
     basis raises instead of silently dropping terms.  ``labels`` maps each
-    weight to the sorted tuple of its monomials, read-only.
+    weight to the sorted tuple of its monomials, and ``complete`` each
+    weight of deficit height <= depth to that height; both are read-only.
     """
 
     provenance = "verma"
@@ -550,12 +553,9 @@ class _TruncatedVerma(WeightModule):
             "_index",
             {w: {mono: i for i, mono in enumerate(monos)} for w, monos in labels.items()},
         )
-        complete = set()
-        for w in labels:
-            h = deficit_height(index_set, xi, w)
-            if h is not None and h <= depth:
-                complete.add(w)
-        init(self, "complete", frozenset(complete))
+        heights = {w: deficit_height(index_set, xi, w) for w in labels}
+        complete = {w: h for w, h in heights.items() if h is not None and h <= depth}
+        init(self, "complete", MappingProxyType(complete))
 
     def represents(self, gen, w):
         # the straightened image of every stored monomial must be stored
@@ -593,41 +593,45 @@ def verma_truncated(index_set, xi, depth):
     return _TruncatedVerma(index_set, xi, depth)
 
 
-def gram_matrix(verma, w):
-    """Contravariant form of the PBW basis of one Verma weight space.
+def gram_matrices(verma):
+    """Contravariant form of the PBW basis on every complete weight space.
 
-    <M v | N v> = the coefficient of the empty monomial in omega(M) N v,
-    where omega reverses the monomial and transposes each factor with the
-    star-structure signs.  For each right monomial N the partial states
-    omega(M[:t]) N v are memoized by the prefix M[:t]: the sorted
-    monomials of a weight space share prefixes, so each state is computed
-    once and every left monomial only extends the longest stored prefix.
-    The arithmetic is the same exact arithmetic as letter by letter.
+    Returns {w: G_w} for every w in ``verma.complete``, where
+    G_w[M, N] = the coefficient of the empty monomial in omega(M) N v and
+    omega reverses a monomial and transposes each factor with the
+    star-structure signs.  Position 0 of a monomial acts last, so omega
+    applies it first: for M = (m0,) + M' and w' = w - shift(f_{m0}),
+
+        G_w[M, N] = sum_K G_{w'}[M', K] * A[K, N],
+
+    where column N of A is omega(f_{m0}) N v in the PBW basis of w'.  The
+    weight w' lies above w, so its deficit height is smaller; w being
+    complete, w' is complete too, and M' is an ordered monomial of w' that
+    indexes a row of G_{w'}.  Built in order of deficit height from
+    G_xi = [[1]], every G_{w'} is ready when G_w reads it.  The arithmetic
+    is the same exact integer arithmetic as letter by letter.
     """
     builder = verma._builder
-    monos = verma.labels[w]
     omegas = [star_omega(AlgebraElement({key: 1})).terms for key in builder.gens]
-    gram = [[0] * len(monos) for _ in range(len(monos))]
-    for j, right in enumerate(monos):
-        states = {(): {right: 1}}
-        for i, left in enumerate(monos):
-            cur = states[()]
-            for t in range(1, len(left) + 1):
-                prefix = left[:t]
-                nxt = states.get(prefix)
-                if nxt is None:
-                    nxt = {}
-                    for mono, coeff in cur.items():
-                        for mm, v in builder._elem_act(omegas[left[t - 1]], mono).items():
-                            val = coeff * v
-                            if val:
-                                nxt[mm] = nxt.get(mm, 0) + val
-                    states[prefix] = nxt
-                cur = nxt
-                if not cur:
-                    break
-            gram[i][j] = cur.get((), 0)
-    return gram
+    grams = {}
+    for w in sorted(verma.complete, key=verma.complete.get):
+        monos = verma.labels[w]
+        if monos == ((),):
+            grams[w] = [[1]]
+            continue
+        gram = []
+        for m0, lefts in groupby(monos, key=itemgetter(0)):
+            above = w - builder.gen_shift[m0]
+            rows, index = grams[above], verma._index[above]
+            columns = [
+                [(index[k], v) for k, v in builder._elem_act(omegas[m0], right).items()]
+                for right in monos
+            ]
+            for left in lefts:
+                row = rows[index[left[1:]]]
+                gram.append([sum(row[k] * v for k, v in col) for col in columns])
+        grams[w] = gram
+    return grams
 
 
 def _is_dominant_classical(index_set, xi):
@@ -694,13 +698,14 @@ def irreducible_truncated(index_set, xi, depth):
         raise ValueError("unsupported flavor for irreducible realization")
     verma = verma_truncated(index_set, xi, depth)
     # only weight spaces of deficit height <= depth hold the full Verma
-    # space; quotient dimensions elsewhere would be wrong
-    full = [w for w in verma.weights() if w in verma.complete]
+    # space, so only they have a Gram matrix; quotient dimensions
+    # elsewhere would be wrong
+    grams = gram_matrices(verma)
     pivots = {}
     radicals = {}
-    for w in full:
+    for w in [w for w in verma.weights() if w in grams]:
         d = verma.dim(w)
-        radical = nullspace(gram_matrix(verma, w), d)
+        radical = nullspace(grams[w], d)
         # each radical vector ends at its own free column (int_nullspace),
         # so the pivot columns are the columns where none of them ends
         free = {max(i for i, x in enumerate(vec) if x) for vec in radical}

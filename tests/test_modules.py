@@ -13,7 +13,7 @@ from supergaudin.linalg import charpoly, is_zero_matrix, mat_mul, mat_sub
 from supergaudin.modules import (
     ExplicitModule,
     NaturalModule,
-    gram_matrix,
+    gram_matrices,
     irreducible_truncated,
     polynomial_module,
     polynomial_tensor,
@@ -256,9 +256,8 @@ def test_gram_matrices_positive_semidefinite():
             continue
         hw = polynomial_module(GL11, lam).highest_weight
         vm = verma_truncated(GL11, hw, 4)
-        for w in vm.weights():
-            if w in vm.complete:
-                assert is_psd(gram_matrix(vm, w))
+        for gram in gram_matrices(vm).values():
+            assert is_psd(gram)
 
 
 def test_polynomial_matches_irreducible_small_grid():

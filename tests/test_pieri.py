@@ -1,12 +1,12 @@
-"""Pieri-recursive polynomial modules and the prefix-shared Gram form.
+"""Pieri-recursive polynomial modules and the recursive Gram form.
 
 Polynomial modules are built as the cyclic submodule of V_{lam^-} (x) V
 generated at the hook weight of lam.  The properties below check the
 result against the tableau oracle and the superalgebra relations, check
 the Pieri rule behind the construction (every singular space of
 V_{lam^-} (x) V is 1-dimensional and sits at the hook weight of a shape
-lam^- + one box), and check ``gram_matrix`` against the letter-by-letter
-reference it replaced.
+lam^- + one box), and check ``gram_matrices``, which builds each Gram
+matrix from the ones above it, against a letter-by-letter reference.
 """
 
 from fractions import Fraction
@@ -20,7 +20,7 @@ from supergaudin.algebra import AlgebraElement, BasisElement, star_omega
 from supergaudin.indices import HalfIndex, IndexSet
 from supergaudin.modules import (
     NaturalModule,
-    gram_matrix,
+    gram_matrices,
     polynomial_highest_weight,
     polynomial_module,
     singular_space,
@@ -119,7 +119,7 @@ def test_singular_spaces_of_parent_times_natural_follow_pieri(case):
     assert found == expected
 
 
-def reference_gram(verma, w):
+def reference_gram(verma, w, omega=star_omega):
     """Letter-by-letter contravariant form, one letter of omega(M) at a time."""
     builder = verma._builder
     monos = verma.labels[w]
@@ -128,7 +128,7 @@ def reference_gram(verma, w):
         for i, left in enumerate(monos):
             cur = {right: Fraction(1)}
             for g in left:
-                omega_elem = star_omega(AlgebraElement({builder.gens[g]: 1})).terms
+                omega_elem = omega(AlgebraElement({builder.gens[g]: 1})).terms
                 nxt = {}
                 for mono, coeff in cur.items():
                     for mm, v in builder._elem_act(omega_elem, mono).items():
@@ -166,8 +166,8 @@ def verma_weight_spaces(draw, iset):
     xi = Weight(coeffs, draw(st.integers(-2, 2)))
     depth = draw(st.integers(3, 4))
     verma = verma_truncated(iset, xi, depth)
-    # one of the three largest complete weight spaces: small ones share
-    # no prefixes and would not exercise the memo
+    # one of the three largest complete weight spaces: they lie deepest,
+    # so their Gram matrices come through the most steps of the recursion
     spaces = sorted(verma.complete, key=lambda w: (-verma.dim(w), w.sort_key()))
     return verma, draw(st.sampled_from(spaces[:3]))
 
@@ -177,7 +177,48 @@ def verma_weight_spaces(draw, iset):
 @given(data=st.data())
 def test_gram_matrix_equals_letter_by_letter_reference(flavor, data):
     verma, w = data.draw(verma_weight_spaces(VERMA_FLAVORS[flavor]))
-    assert gram_matrix(verma, w) == reference_gram(verma, w)
+    assert gram_matrices(verma)[w] == reference_gram(verma, w)
+
+
+@pytest.mark.parametrize("flavor", sorted(VERMA_FLAVORS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_gram_matrices_cover_every_complete_weight(flavor, data):
+    iset = VERMA_FLAVORS[flavor]
+    xi = Weight({h.doubled: data.draw(st.integers(-3, 3)) for h in iset}, data.draw(st.integers(-2, 2)))
+    verma = verma_truncated(iset, xi, data.draw(st.integers(0, 3)))
+    grams = gram_matrices(verma)
+    assert grams.keys() == set(verma.complete)
+    for w, gram in grams.items():
+        assert gram == reference_gram(verma, w)
+    # the caller owns what it gets: scribbling over one result must not
+    # reach a second call through any state kept behind it
+    expected = {w: [row[:] for row in gram] for w, gram in grams.items()}
+    for gram in grams.values():
+        for row in gram:
+            row[:] = [x + 7 for x in row]
+    grams[xi][0].append(1)
+    assert gram_matrices(verma) == expected
+
+
+def doubled_omega(x):
+    """Twice the star structure: the form it pairs with is not symmetric."""
+    return 2 * star_omega(x)
+
+
+@pytest.mark.parametrize("flavor", sorted(VERMA_FLAVORS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_gram_matrices_read_the_rows_of_the_form_above(flavor, data):
+    # the contravariant form is symmetric, so G_{w'} read by column
+    # instead of by row would pass every test above; under twice omega,
+    # G_w[M, N] picks up 2^len(M) and monomials of different lengths
+    # share a weight space, so rows and columns differ
+    verma, w = data.draw(verma_weight_spaces(VERMA_FLAVORS[flavor]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modules, "star_omega", doubled_omega)
+        grams = gram_matrices(verma)
+    assert grams[w] == reference_gram(verma, w, doubled_omega)
 
 
 def test_size_six_hooks_over_gl22_build_from_small_ambients(monkeypatch):
