@@ -71,6 +71,11 @@ def _parse_fracs(text, flag):
         raise click.UsageError("bad rational list for %s: %s" % (flag, exc))
 
 
+# the float eigenbasis of a correct family diagonalizes it only to within
+# double-precision rounding, so spectrum refuses a tighter tolerance
+SPECTRUM_TOL_FLOOR = 1e-9
+
+
 def _tolerance(ctx, param, value):
     """A --tol value: finite and nonnegative, or a float gate holds vacuously."""
     if value is not None and not 0 <= value < float("inf"):
@@ -247,7 +252,14 @@ def with_kz(fn):
 @click.group()
 @click.option("--json", "compact", is_flag=True, help="compact single-line JSON output")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True, callback=_tolerance)
+@click.option(
+    "--tol",
+    type=float,
+    default=1e-8,
+    show_default=True,
+    callback=_tolerance,
+    help="float tolerance, >= 0; spectrum needs >= %g" % SPECTRUM_TOL_FLOOR,
+)
 @click.option("--cache-dir", default=None, help="cache root (or SUPERGAUDIN_CACHE)")
 @click.pass_context
 def main(ctx, compact, seed, tol, cache_dir):
@@ -376,13 +388,17 @@ def hamiltonian(ctx, tens, target, ham_kind, z, convention, levels, restrict_sin
 @click.pass_context
 def spectrum(ctx, tens, target, ham_kind, z):
     """Joint spectrum on a singular weight space, with exact certificates."""
+    if ctx.obj["tol"] < SPECTRUM_TOL_FLOOR:
+        raise click.UsageError(
+            "spectrum needs --tol >= %g, got %g" % (SPECTRUM_TOL_FLOOR, ctx.obj["tol"])
+        )
     zs = _points(z, len(tens.factors))
     fam = _build_family(tens, ham_kind, zs)
     space = singular_space(tens, target)
     mats = [fam.restricted(i, space) for i in range(1, fam.ell + 1)]
     rng = random.Random(ctx.obj["seed"])
     try:
-        jd = joint_diagonalize(mats, rng, tol=max(ctx.obj["tol"], 1e-9))
+        jd = joint_diagonalize(mats, rng, tol=ctx.obj["tol"])
     except ValueError as exc:
         _emit(ctx, {"error": str(exc), "weight": target.to_json()})
         sys.exit(1)

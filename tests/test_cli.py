@@ -440,6 +440,14 @@ BAD_INPUT = {
         for where in ("global", "verify")
         for tol in ("nan", "inf", "-1")
     },
+    # spectrum used to raise any --tol below its floor to 1e-9 without a word
+    **{
+        "spectrum-tol-%s" % tol: (
+            ["--tol", tol, "spectrum", "--lam", "1", "--lam", "1", "--lam", "1", "--mu", "2,1", "--z", "0,1,3"],
+            "spectrum needs --tol >= 1e-09, got %s" % tol,
+        )
+        for tol in ("0", "1e-12")
+    },
     "module-negative-depth": (
         ["module", "build", "--lam", "2", "--kind", "irreducible", "--depth", "-1"],
         "depth must be nonnegative",
