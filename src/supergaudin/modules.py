@@ -697,13 +697,14 @@ def irreducible_truncated(index_set, xi, depth):
     else:
         raise ValueError("unsupported flavor for irreducible realization")
     verma = verma_truncated(index_set, xi, depth)
-    # only weight spaces of deficit height <= depth hold the full Verma
-    # space, so only they have a Gram matrix; quotient dimensions
-    # elsewhere would be wrong
+    # only the complete weight spaces, of deficit height <= depth, hold the
+    # full Verma space: gram_matrices covers exactly those, and quotient
+    # dimensions elsewhere would be wrong
     grams = gram_matrices(verma)
+    full = [w for w in verma.weights() if w in verma.complete]
     pivots = {}
     radicals = {}
-    for w in [w for w in verma.weights() if w in grams]:
+    for w in full:
         d = verma.dim(w)
         radical = nullspace(grams[w], d)
         # each radical vector ends at its own free column (int_nullspace),
