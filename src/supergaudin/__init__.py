@@ -54,7 +54,6 @@ from .gaudin import (
     cyclic_vector_test,
     joint_diagonalize,
     quadratic_family,
-    restrict_to_basis,
 )
 from .laxmatrix import lax_str_expansion, s22_closed, s33_closed
 from .duality import DualitySetup, build_setup, cubic_spectrum_match, spectrum_match, truncation_check

@@ -118,6 +118,14 @@ def _shape(kind, text):
     return lam
 
 
+def _check_depth(kind):
+    """--depth sizes the verma and irreducible truncations; refuse a given
+    --depth for any other kind, which would ignore it."""
+    ctx = click.get_current_context()
+    if kind not in ("verma", "irreducible") and ctx.get_parameter_source("depth") is not ParameterSource.DEFAULT:
+        raise click.UsageError("--depth applies to the verma and irreducible kinds only, not %s" % kind)
+
+
 def _module(iset, kind, lam, depth):
     """One weight module of the given kind; lam is read by all but natural."""
     if kind == "natural":
@@ -133,6 +141,7 @@ def _tensor(iset, lams, kind, depth, ell):
         raise click.UsageError("give --lam factors or --ell, not both")
     if not lams and not ell:
         raise click.UsageError("need --lam factors or --ell for natural powers")
+    _check_depth(kind if lams else "natural")
     if lams:
         mods = [_module(iset, kind, _shape(kind, t), depth) for t in lams]
     else:
@@ -293,6 +302,7 @@ def module_build(ctx, iset, lam, kind, depth, no_cache):
     """Build one weight module and print its JSON realization."""
     if kind != "natural" and lam is None:
         raise click.UsageError("--lam is required for kind %s" % kind)
+    _check_depth(kind)
     shape = None if lam is None else _shape(kind, lam)
     descriptor = {
         "op": "module",
@@ -613,11 +623,11 @@ def kz_monodromy(ctx, system, loop_json, rel_tol):
 @main.command()
 @click.argument("what", type=click.Choice(["all"]))
 @click.option("--checks", default=None, help="comma-separated check names")
-@click.option("--m", type=int, default=1, show_default=True)
-@click.option("--n", type=int, default=1, show_default=True)
-@click.option("--ell", type=int, default=3, show_default=True)
+@click.option("--m", type=int, default=1, show_default=True, help="read by the hamiltonians, modules and duality checks")
+@click.option("--n", type=int, default=1, show_default=True, help="read by the hamiltonians, modules and duality checks")
+@click.option("--ell", type=int, default=3, show_default=True, help="read by the hamiltonians and cyclic checks")
 @click.option("--seed", type=int, default=None, help="overrides the global seed")
-@click.option("--tol", type=float, default=None, callback=_tolerance, help="overrides the global tolerance")
+@click.option("--tol", type=float, default=None, callback=_tolerance, help="overrides the global tolerance; read by the kz check")
 @click.pass_context
 def verify(ctx, what, checks, m, n, ell, seed, tol):
     """Run the invariant suite; exit 1 on any failure."""

@@ -47,7 +47,8 @@ nothing they mutate reaches the store.
 subspace must be invariant under every block of the member, not just
 under the member.  Singular spaces always are: every block is an
 invariant tensor, so it commutes with the diagonal action, raising
-operators included.
+operators included.  Their ``nullspace`` bases are also in the
+end-column form by which ``TensorModule.stored`` reads coordinates.
 """
 
 from fractions import Fraction
@@ -55,7 +56,6 @@ from itertools import combinations, product
 
 from .algebra import BasisElement
 from .linalg import (
-    ColumnSolver,
     SpanBuilder,
     commutator,
     max_abs,
@@ -240,18 +240,6 @@ class HamiltonianFamily:
         stored restricted blocks.  ``space.basis`` is a tuple of tuples, as
         ``singular_space`` builds it, and keys the store as it is."""
         return self._combine(i, space.weight, space.basis)
-
-
-def restrict_to_basis(mat, basis):
-    """Express an operator on the span of basis columns; error if not invariant."""
-    images = []
-    for vec in basis:
-        support = [(k, x) for k, x in enumerate(vec) if x]
-        images.append([sum(row[k] * x for k, x in support) for row in mat])
-    out = ColumnSolver(basis, nrows=len(mat)).block(images)
-    if out is None:
-        raise ValueError("subspace is not invariant under the operator")
-    return out
 
 
 def family_levels(tensor, convention, levels):

@@ -117,7 +117,9 @@ def int_nullspace(rows, ncols):
     Since red[r][f] vanishes unless row r pivots left of f, that vector is
     nonzero at f and otherwise only at pivot columns to its left: f is its
     last nonzero entry, and the pivot columns are exactly the columns at
-    which no kernel vector ends.
+    which no kernel vector ends.  Each kernel vector ends at its free
+    column and is zero at every other free column, so the basis is in the
+    echelon form that ``linalg.echelon_block`` reads, at the free columns.
     """
     if not rows:
         return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]

@@ -5,15 +5,15 @@ is exact; floating point never enters this module.  ``charpoly`` and
 ``mat_mul`` are the kernels' own functions, re-exported; ``nullspace``
 clears denominators and hands integer rows to ``kernels``; the
 ``poly_*`` helpers work on ascending coefficient lists.
-``ColumnSolver`` is
-the one place that turns vectors into coordinates against a column basis,
-and ``SpanBuilder`` grows a canonical row span one vector at a time.
+``echelon_block`` is the one place that turns vectors into coordinates
+against a basis, which every caller builds in echelon form, and
+``SpanBuilder`` grows a canonical row span one vector at a time.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from .kernels import _row_primitive, charpoly, int_nullspace, int_rref, mat_mul
+from .kernels import _row_primitive, charpoly, int_nullspace, mat_mul
 
 __all__ = [
     "charpoly",
@@ -33,7 +33,8 @@ __all__ = [
     "poly_eval_matrix",
     "poly_shift",
     "squarefree_certificate",
-    "ColumnSolver",
+    "end_columns",
+    "echelon_block",
     "SpanBuilder",
 ]
 
@@ -83,65 +84,47 @@ def commutator(A, B):
     return mat_sub(mat_mul(A, B), mat_mul(B, A))
 
 
-class ColumnSolver:
-    """Repeated exact solves of B x = v against a fixed column basis.
+def end_columns(basis):
+    """The last nonzero column of each basis vector, checked to be an
+    ``echelon_block`` pivot: ValueError if a vector is zero or a later
+    vector is nonzero at an earlier vector's last column.  A basis from
+    ``nullspace`` always passes."""
+    ends = [max((i for i, x in enumerate(vec) if x), default=None) for vec in basis]
+    for k, end in enumerate(ends):
+        if end is None or any(vec[end] for vec in basis[k + 1 :]):
+            raise ValueError("basis is not in end-column form at vector %d" % k)
+    return ends
 
-    Row-reduces the augmented block [B | I] once; each later solve is a
-    single matrix-vector product.  Any row combination (r | e) of the
-    augmented block satisfies r = e B, so pivot rows read off coordinates
-    and zero rows are membership constraints.
+
+def echelon_block(basis, pivots, images):
+    """Coordinate block of ``images`` against an echelon basis.
+
+    ``pivots[k]`` is a column where ``basis[k]`` is nonzero and every later
+    basis vector is zero, so coordinates read off by substitution in basis
+    order: coordinate k is the residual at ``pivots[k]`` over
+    ``basis[k][pivots[k]]``, and that multiple of ``basis[k]`` leaves the
+    residual.  Column j holds the coordinates of ``images[j]``; a None
+    image is a zero column.  Entries are ints where integral.  Returns None
+    if an image leaves a nonzero residual, that is, lies outside the span.
     """
-
-    def __init__(self, columns, nrows=None):
-        self.m = len(columns)
-        self.n = len(columns[0]) if columns else (nrows or 0)
-        aug = []
-        for i in range(self.n):
-            row = [columns[j][i] for j in range(self.m)]
-            row += [int(i == j) for j in range(self.n)]
-            aug.append(clear_denominators(row))
-        red, pivots = int_rref(aug) if aug else ([], [])
-        self._coord_rows = []
-        self._null_rows = []
-        for row, piv in zip(red, pivots):
-            e = row[self.m :]
-            if piv < self.m:
-                self._coord_rows.append((piv, row[piv], e))
-            else:
-                self._null_rows.append(e)
-
-    def solve(self, v):
-        """Coordinates of v in the column span, or None if outside."""
-        support = [(i, vi) for i, vi in enumerate(v) if vi]
-        for e in self._null_rows:
-            if sum(e[i] * vi for i, vi in support):
-                return None
-        coords = [0] * self.m
-        for piv, val, e in self._coord_rows:
-            num = sum(e[i] * vi for i, vi in support)
-            # an int when the quotient is integral, as it mostly is
-            quo, rem = divmod(num, val)
-            coords[piv] = Fraction(num, val) if rem else quo
-        return coords
-
-    def block(self, images, keep=None):
-        """Coordinate block of a list of images.
-
-        Column j holds the first ``keep`` (default all) coordinates of
-        ``images[j]``; a None image is a zero column.  Returns None if an
-        image lies outside the column span.
-        """
-        keep = self.m if keep is None else keep
-        out = [[0] * len(images) for _ in range(keep)]
-        for j, img in enumerate(images):
-            if img is None:
+    sparse = [[(i, x) for i, x in enumerate(vec) if x] for vec in basis]
+    heads = [vec[piv] for vec, piv in zip(basis, pivots)]
+    out = [[0] * len(images) for _ in basis]
+    for j, img in enumerate(images):
+        if img is None:
+            continue
+        res = list(img)
+        for k, piv in enumerate(pivots):
+            num = res[piv]
+            if not num:
                 continue
-            coords = self.solve(img)
-            if coords is None:
-                return None
-            for i in range(keep):
-                out[i][j] = coords[i]
-        return out
+            quo, rem = divmod(num, heads[k])
+            coeff = out[k][j] = Fraction(num, heads[k]) if rem else quo
+            for i, x in sparse[k]:
+                res[i] -= coeff * x
+        if any(res):
+            return None
+    return out
 
 
 def poly_derivative(p):

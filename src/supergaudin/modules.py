@@ -24,7 +24,7 @@ from .algebra import (
     star_omega,
 )
 from .indices import HalfIndex, IndexSet
-from .linalg import ColumnSolver, SpanBuilder, nullspace
+from .linalg import SpanBuilder, echelon_block, end_columns, nullspace
 from .partitions import Partition
 from .weights import Weight, eps, exact_scalar, weight_classical, weight_super
 
@@ -277,8 +277,10 @@ class TensorModule(WeightModule):
         weight, rows) with exact-scalar entries.  With ``basis``, a tuple
         of w-space tuples spanning a subspace the operator preserves, they
         act on the basis vectors only, and the result is (w, rows) in that
-        basis, solved by the one ``ColumnSolver`` of (w, basis), stored
-        under the name None.  None when every word vanishes.  The rows are
+        basis, read by ``echelon_block`` at each vector's last nonzero
+        column.  The basis must be in that end-column form, as every
+        ``nullspace`` basis is; ValueError otherwise, and when the subspace
+        is not invariant.  None when every word vanishes.  The rows are
         shared: never mutate them.
         """
         store = self.block_store
@@ -291,12 +293,10 @@ class TensorModule(WeightModule):
             if res is not None:
                 res = (res[0], [[exact_scalar(x) for x in row] for row in zip(*res[1])])
         else:
+            pivots = end_columns(basis)
             res = self.apply(terms, w, basis)
             if res is not None:
-                solver = store.get((None, w, basis))
-                if solver is None:
-                    solver = store[(None, w, basis)] = ColumnSolver(basis, nrows=self.dim(w))
-                block = solver.block(res[1]) if res[0] == w else None
+                block = echelon_block(basis, pivots, res[1]) if res[0] == w else None
                 if block is None:
                     raise ValueError("subspace is not invariant under the operator")
                 res = (w, block)
@@ -702,22 +702,20 @@ def irreducible_truncated(index_set, xi, depth):
     # dimensions elsewhere would be wrong
     grams = gram_matrices(verma)
     full = [w for w in verma.weights() if w in verma.complete]
+    # the quotient basis of a w-space is its pivot units: the columns where
+    # no radical vector ends.  Each radical vector ends at its own free
+    # column and is zero at every other one (int_nullspace), so the radical
+    # first, at its free columns, then the units form an echelon basis
     pivots = {}
-    radicals = {}
+    echelon = {}
     for w in full:
         d = verma.dim(w)
         radical = nullspace(grams[w], d)
-        # each radical vector ends at its own free column (int_nullspace),
-        # so the pivot columns are the columns where none of them ends
-        free = {max(i for i, x in enumerate(vec) if x) for vec in radical}
-        pivots[w] = [c for c in range(d) if c not in free]
-        radicals[w] = radical
+        free = end_columns(radical)
+        pivots[w] = sorted(set(range(d)).difference(free))
+        units = [[int(r == p) for r in range(d)] for p in pivots[w]]
+        echelon[w] = (len(radical), radical + units, free + pivots[w])
     dims = {w: len(p) for w, p in pivots.items() if p}
-    solvers = {}
-    for w in dims:
-        tdim = verma.dim(w)
-        columns = [[int(r == p) for r in range(tdim)] for p in pivots[w]] + radicals[w]
-        solvers[w] = ColumnSolver(columns, nrows=tdim)
 
     def block_of(gen, w):
         target = w + gen.weight_shift()
@@ -727,10 +725,11 @@ def irreducible_truncated(index_set, xi, depth):
         if res is None:
             return None
         images = [[row[csrc] for row in res[1]] for csrc in pivots[w]]
-        block = solvers[target].block(images, keep=len(pivots[target]))
+        skip, basis, cols = echelon[target]
+        block = echelon_block(basis, cols, images)
         if block is None:
             raise RuntimeError("Gram radical is not invariant")
-        return target, block
+        return target, block[skip:]
 
     return _realize(
         index_set, xi.level, dims, block_of, "irreducible", highest_weight=xi, depth=depth
@@ -870,7 +869,6 @@ def _build_polynomial_module(index_set, lam):
                 frontier.append((target, img))
     bases = {w: sb.basis() for w, sb in spans.items() if len(sb)}
     dims = {w: len(b) for w, b in bases.items()}
-    solvers = {w: ColumnSolver(basis, nrows=amb.dim(w)) for w, basis in bases.items()}
 
     def block_of(gen, w):
         res = amb.apply(amb.coproduct(gen), w, bases[w])
@@ -879,7 +877,7 @@ def _build_polynomial_module(index_set, lam):
         target, images = res
         if target not in bases:
             raise RuntimeError("cyclic submodule is not invariant")
-        sub = solvers[target].block(images)
+        sub = echelon_block(bases[target], spans[target].pivots, images)
         if sub is None:
             raise RuntimeError("cyclic submodule is not invariant")
         return target, sub

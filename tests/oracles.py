@@ -1,6 +1,11 @@
 """Oracles shared by several test modules: hook-tableau counts and hook
-data built on the package's partitions, and dense views of one-slot
-tensor operators to compare the package's sparse core against."""
+data built on the package's partitions, dense views of one-slot tensor
+operators to compare the package's sparse core against, and exact
+coordinates by sympy, which shares no code with the package's solves."""
+
+from fractions import Fraction
+
+import sympy
 
 from supergaudin.partitions import hook_tableau_contents, partition_from_hook_data
 
@@ -34,3 +39,37 @@ def slot_act(tensor, gen, slot, w):
 
 def mat_scale(A, c):
     return [[c * a for a in row] for row in A]
+
+
+def _exact(x):
+    """A sympy rational as an int where integral, else a Fraction."""
+    return int(x) if x.is_Integer else Fraction(int(x.p), int(x.q))
+
+
+def solve_coordinates(basis, images):
+    """Coordinates of each image against independent basis vectors, one
+    list per image, solved by sympy; None for an image outside the span."""
+    if not basis:
+        return [None if any(img) else [] for img in images]
+    B = sympy.Matrix([list(vec) for vec in basis]).T
+    out = []
+    for img in images:
+        try:
+            sol, params = B.gauss_jordan_solve(sympy.Matrix(list(img)))
+        except ValueError:
+            out.append(None)
+            continue
+        assert not params, "dependent basis"
+        out.append([_exact(x) for x in sol])
+    return out
+
+
+def restrict_to_basis(mat, basis):
+    """An operator on the span of basis vectors, as the matrix whose column
+    k holds the coordinates of mat applied to basis vector k; ValueError if
+    the span is not invariant."""
+    images = [[sum(row[c] * x for c, x in enumerate(vec)) for row in mat] for vec in basis]
+    coords = solve_coordinates(basis, images)
+    if any(col is None for col in coords):
+        raise ValueError("subspace is not invariant under the operator")
+    return [list(row) for row in zip(*coords)]

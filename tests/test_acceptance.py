@@ -27,7 +27,6 @@ from supergaudin.gaudin import (
     joint_diagonalize,
     pairwise_commutator_residual,
     quadratic_family,
-    restrict_to_basis,
 )
 from supergaudin.indices import IndexSet
 from supergaudin.kz import (
@@ -49,6 +48,8 @@ from supergaudin.modules import (
 from supergaudin.partitions import GeneralizedPartition, Partition, all_partitions
 from supergaudin.verify import _deficit_height, _oracle_dims, _sample_z
 from supergaudin.weights import Weight, eps, unitarizable_weight
+
+from oracles import restrict_to_basis
 
 
 def report(criterion, text):

@@ -1,6 +1,7 @@
 """CLI surface: outputs, schemas, exit codes and determinism."""
 
 import hashlib
+import inspect
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 
 from supergaudin.cli import main
 from supergaudin.serialize import validate_document
+from supergaudin.verify import ALL_CHECKS
 
 
 def run(*args):
@@ -453,6 +455,28 @@ BAD_INPUT = {
         "depth must be nonnegative",
     ),
     "module-build-no-lam": (["module", "build"], "--lam is required for kind polynomial"),
+    # --depth sizes the verma and irreducible truncations; the other kinds
+    # used to ignore it without a word
+    "module-build-polynomial-depth": (
+        ["module", "build", "--lam", "2,1", "--m", "2", "--n", "1", "--depth", "5"],
+        "--depth applies to the verma and irreducible kinds only, not polynomial",
+    ),
+    "module-build-natural-depth": (
+        ["module", "build", "--kind", "natural", "--depth", "4"],
+        "--depth applies to the verma and irreducible kinds only, not natural",
+    ),
+    "hamiltonian-polynomial-depth": (
+        ["hamiltonian", *TWO_SITES, "--m", "1", "--n", "1", "--mu", "2", "--z", "0,1", "--depth", "5"],
+        "--depth applies to the verma and irreducible kinds only, not polynomial",
+    ),
+    "lax-polynomial-depth": (
+        ["lax", "expand", *TWO_SITES, "--m", "1", "--n", "1", "--z", "0,1", "--depth", "5"],
+        "--depth applies to the verma and irreducible kinds only, not polynomial",
+    ),
+    "tensor-natural-power-depth": (
+        ["tensor", "--ell", "2", "--depth", "3"],
+        "--depth applies to the verma and irreducible kinds only, not natural",
+    ),
     "tensor-zero-ell": (["tensor", "--ell", "0"], "need --lam factors or --ell for natural powers"),
     "singular-no-target": (["singular", "--ell", "2", "--factor-kind", "natural"], "need --mu or --weight"),
     "hamiltonian-cubicC-central": (
@@ -534,6 +558,32 @@ def test_every_leaf_command_has_help():
     for path in leaves:
         res = run(*path, "--help")
         assert res.exit_code == 0, (path, res.output)
+
+
+def test_verma_and_irreducible_kinds_read_depth():
+    for cmd in (
+        ["module", "build", "--no-cache", "--kind", "verma", "--lam", "2", "--m", "2"],
+        ["module", "build", "--no-cache", "--kind", "irreducible", "--lam", "2", "--m", "2"],
+        ["tensor", "--lam", "2", "--lam", "1", "--m", "2", "--factor-kind", "irreducible"],
+    ):
+        outputs = [run("--json", *cmd, *depth) for depth in ([], ["--depth", "0"], ["--depth", "4"])]
+        assert all(res.exit_code == 0 for res in outputs), [res.output for res in outputs]
+        default, shallow, given = (res.output for res in outputs)
+        assert shallow != default and given == default
+
+
+def _readers(param):
+    names = [fn.__name__[len("check_"):] for fn in ALL_CHECKS if param in inspect.signature(fn).parameters]
+    return names[0] if len(names) == 1 else ", ".join(names[:-1]) + " and " + names[-1]
+
+
+def test_verify_help_names_the_checks_that_read_each_option():
+    # --checks structure, say, ignores --m/--n, --ell and --tol alike
+    helps = {param.name: param.help for param in main.commands["verify"].params if isinstance(param, click.Option)}
+    for param in ("m", "n", "ell", "tol"):
+        readers = _readers(param)
+        suffix = "read by the %s check%s" % (readers, "s" if " and " in readers else "")
+        assert helps[param].endswith(suffix), (param, helps[param])
 
 
 def test_natural_kind_takes_lam_one(tmp_path):

@@ -21,12 +21,13 @@ from supergaudin.gaudin import (
     pair_matrix,
     pairwise_commutator_residual,
     quadratic_family,
-    restrict_to_basis,
 )
 from supergaudin.indices import IndexSet
 from supergaudin.linalg import is_zero_matrix, mat_add, mat_sub
 from supergaudin.modules import NaturalModule, singular_space, tensor_product
 from supergaudin.weights import Weight, eps
+
+from oracles import restrict_to_basis
 
 GL11 = IndexSet.gl(0, 1, 0, 1)
 

@@ -161,6 +161,23 @@ def test_only_tensor_stored_builds_operator_blocks():
     assert _spells(tree, "block_store") == set().union(*inside)
 
 
+def test_int_rref_is_called_only_by_int_nullspace():
+    # every basis the package solves against is built in echelon form and
+    # linalg.echelon_block reads coordinates by substitution; any other
+    # caller of int_rref would be a second, augmented re-solve path
+    sources = _sources(PACKAGE_DIR)
+    outside = [
+        name
+        for name, source in sources.items()
+        if name != "kernels.py" and "int_rref" in set(_names(ast.parse(source)))
+    ]
+    assert not outside, outside
+    tree = ast.parse(sources["kernels.py"])
+    inside = _mentions(dict(_definitions(tree))["int_nullspace"], "int_rref")
+    assert inside
+    assert _mentions(tree, "int_rref") == inside
+
+
 def test_block_targets_are_summed_only_where_blocks_are_built():
     # every realization's _block hands back (target, block), so neither
     # WeightModule._act nor a Lax entry derives the target again

@@ -143,8 +143,13 @@ def test_nullspace_vectors_end_exactly_at_the_free_columns(A):
     # the Gram quotient reads its pivots off the radical this way
     m = len(A[0])
     _, pivots = kernels.int_rref(A)
-    ends = {max(i for i, x in enumerate(vec) if x) for vec in kernels.int_nullspace(A, m)}
-    assert ends == set(range(m)) - set(pivots)
+    basis = kernels.int_nullspace(A, m)
+    ends = [max(i for i, x in enumerate(vec) if x) for vec in basis]
+    assert set(ends) == set(range(m)) - set(pivots)
+    # each vector is zero at every other free column: the end-column form
+    # that linalg.echelon_block reads coordinates in
+    for k, vec in enumerate(basis):
+        assert all(not vec[end] for j, end in enumerate(ends) if j != k)
 
 
 def test_nullspace_vectors_have_a_positive_leading_entry():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from supergaudin._dop853 import DOP853
-from supergaudin.gaudin import joint_diagonalize, quadratic_family, restrict_to_basis
+from supergaudin.gaudin import joint_diagonalize, quadratic_family
 from supergaudin.indices import IndexSet
 from supergaudin.kz import (
     KZSystem,
@@ -31,6 +31,8 @@ from supergaudin.modules import (
 )
 from supergaudin.partitions import Partition
 from supergaudin.weights import Weight, eps
+
+from oracles import restrict_to_basis
 
 GL11 = IndexSet.gl(0, 1, 0, 1)
 MU = eps(1) + eps("1/2")

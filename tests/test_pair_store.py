@@ -24,12 +24,12 @@ from supergaudin.gaudin import (
     cubic_family,
     pair_matrix,
     quadratic_family,
-    restrict_to_basis,
 )
 from supergaudin.indices import IndexSet
 from supergaudin.linalg import mat_mul
 from supergaudin.modules import (
     NaturalModule,
+    SingularSpace,
     irreducible_truncated,
     polynomial_module,
     singular_space,
@@ -38,7 +38,7 @@ from supergaudin.modules import (
 from supergaudin.partitions import GeneralizedPartition, Partition
 from supergaudin.weights import Weight, unitarizable_weight
 
-from oracles import slot_act
+from oracles import restrict_to_basis, slot_act
 
 FLAVORS = {
     "gl(1|1)": IndexSet.gl(0, 1, 0, 1),
@@ -217,14 +217,41 @@ def test_a_restricted_block_never_builds_the_full_block():
         for i in (1, 2, 3):
             fam.restricted(i, space)
     # the diagonal action (for the singular space) shares the store
-    gaudin_keys = [
-        key for key in tensor.block_store if key[0] is not None and key[0][0] in ("omega", "cubic")
-    ]
+    gaudin_keys = [key for key in tensor.block_store if key[0][0] in ("omega", "cubic")]
     assert gaudin_keys
     assert all(basis is not None for _, _, basis in gaudin_keys)
-    # one ColumnSolver serves every restricted block of the space
-    basis = tuple(tuple(vec) for vec in space.basis)
-    assert [key for key in tensor.block_store if key[0] is None] == [(None, space.weight, basis)]
+    # the store holds operator blocks only: every key names an operator
+    assert all(name[0] in ("delta", "omega", "cubic") for name, _, _ in tensor.block_store)
+
+
+def _two_naturals():
+    iset = FLAVORS["gl(1|1)"]
+    tensor = tensor_product([NaturalModule(iset)] * 2)
+    w = max(tensor.weights(), key=tensor.dim)
+    assert tensor.dim(w) == 2
+    return tensor, w
+
+
+def test_the_store_refuses_a_subspace_the_operator_leaves():
+    # the first unit vector is in end-column form, but Omega^{(12)} moves
+    # it into the other unit
+    tensor, w = _two_naturals()
+    fam = quadratic_family(tensor, [0, 1])
+    with pytest.raises(ValueError, match="subspace is not invariant under the operator"):
+        fam.restricted(1, SingularSpace(tensor, w, ((1, 0),)))
+    # the whole weight space is invariant, and in end-column form
+    units = SingularSpace(tensor, w, ((1, 0), (0, 1)))
+    assert fam.restricted(1, units) == fam.matrix(1, w)
+
+
+def test_the_store_refuses_a_basis_not_in_end_column_form():
+    # both vectors end at column 1, so no coordinate reads off by
+    # substitution; the basis is refused before any operator acts on it
+    tensor, w = _two_naturals()
+    fam = quadratic_family(tensor, [0, 1])
+    with pytest.raises(ValueError, match="end-column form"):
+        fam.restricted(1, SingularSpace(tensor, w, ((1, 1), (1, -1))))
+    assert not any(basis for _, _, basis in tensor.block_store)
 
 
 def test_plain_and_central_families_keep_their_own_restrictions():
