@@ -24,7 +24,7 @@ from .algebra import (
     star_omega,
 )
 from .indices import HalfIndex, IndexSet
-from .linalg import SpanBuilder, echelon_block, end_columns, nullspace
+from .linalg import SpanBuilder, echelon_block, end_columns, mat_add, mat_mul, nullspace
 from .partitions import Partition
 from .weights import Weight, eps, exact_scalar, weight_classical, weight_super
 
@@ -369,7 +369,13 @@ def _realize(index_set, level, dims, block_of, provenance, **meta):
     """An ExplicitModule over the weights of ``dims`` whose blocks are the
     (target weight, block) pairs ``block_of(gen, w)`` returns for every
     off-diagonal unit gen; None and all-zero blocks are dropped.  ``meta``
-    describes the realization."""
+    describes the realization.
+
+    Only the truncations read every unit this way: a Verma quotient
+    (``irreducible_truncated``) and a band restriction (``truncate_module``)
+    are not modules at their band edges, so the middle weight of a product
+    E_ab E_bc can fall outside the kept band and a block cannot be derived
+    from the simple ones, as ``polynomial_module`` derives its blocks."""
     blocks = {}
     for gen in off_diagonal_units(index_set):
         for w in dims:
@@ -565,25 +571,27 @@ class _TruncatedVerma(WeightModule):
 
     def _block(self, gen, w):
         # a missing target reads as zero, which is wrong when the depth
-        # truncation cut it off: refuse whenever part of the image leaves
-        # the stored basis.  Every caller asks for each (gen, w) once, and
-        # the builder memoizes the straightening, so blocks are not cached
-        if not self.represents(gen, w):
-            raise ValueError(
-                "action of %r on the %r space leaves the depth-%d band" % (gen, w, self.depth)
-            )
+        # truncation cut it off: refuse at the first image monomial with no
+        # row in the target, as ``represents`` would.  Every caller asks for
+        # each (gen, w) once, and the builder memoizes the straightening, so
+        # blocks are not cached
         target = w + gen.weight_shift()
-        tind = self._index.get(target)
-        if tind is None:
-            return None
+        tind = self._index.get(target, {})
         monos = self.labels[w]
-        block = [[0] * len(monos) for _ in range(len(tind))]
-        wrote = False
+        key = gen.key()
+        block = None
         for col, mono in enumerate(monos):
-            for mm, v in self._builder.act(gen.key(), mono).items():
-                block[tind[mm]][col] += v
-                wrote = wrote or bool(v)
-        return (target, block) if wrote else None
+            for mm, v in self._builder.act(key, mono).items():
+                row = tind.get(mm)
+                if row is None:
+                    raise ValueError(
+                        "action of %r on the %r space leaves the depth-%d band"
+                        % (gen, w, self.depth)
+                    )
+                if block is None:
+                    block = [[0] * len(monos) for _ in range(len(tind))]
+                block[row][col] += v
+        return None if block is None else (target, block)
 
 
 def verma_truncated(index_set, xi, depth):
@@ -721,7 +729,7 @@ def irreducible_truncated(index_set, xi, depth):
         target = w + gen.weight_shift()
         if target not in dims:
             return None
-        res = verma.act(gen, w)
+        res = verma._act(gen, w)
         if res is None:
             return None
         images = [[row[csrc] for row in res[1]] for csrc in pivots[w]]
@@ -806,6 +814,25 @@ def polynomial_module(index_set, lam):
     memo, so the recursion costs one small build per shape instead of a
     realization inside the |lam|-th tensor power, whose dimension is
     (m + n)^|lam|.  Results are memoized; modules are immutable.
+
+    Only the blocks of the simple units E_{a,a+1} and E_{a+1,a} come from
+    the ambient tensor: the coproduct applied to the basis of each weight
+    space, read in that basis by ``echelon_block``, which also checks that
+    the cyclic span is invariant.  The simple units and the Cartan generate
+    gl(m|n) (Kac, Adv. Math. 26, 1977), so that check covers the whole
+    algebra.  Every other block is derived in the module's own basis, in
+    order of |pos(a) - pos(c)|, by the supercommutator
+
+        E_ac = E_ab E_bc - (-1)^{|E_ab| |E_bc|} E_bc E_ab,   a != c,
+
+    with b the neighbour of c on the way to a and a missing block read as
+    zero.  This is exact: [E_ab, E_bc] = E_ac holds in gl(m|n) for a != c,
+    and the module is a genuine representation, so its operators obey it;
+    entries go through ``exact_scalar``, ints where integral as read off
+    the ambient.  With p = q = 0 the order puts every even index before
+    every odd one, so a, b and c lie on one side and no derived pair is
+    odd-odd: the sign is +1 on every polynomial flavor, though the code
+    keeps the general formula.
     """
     cache_key = (index_set, lam)
     if cache_key in _POLY_CACHE:
@@ -869,20 +896,48 @@ def _build_polynomial_module(index_set, lam):
                 frontier.append((target, img))
     bases = {w: sb.basis() for w, sb in spans.items() if len(sb)}
     dims = {w: len(b) for w, b in bases.items()}
-
-    def block_of(gen, w):
-        res = amb.apply(amb.coproduct(gen), w, bases[w])
-        if res is None or not any(map(any, res[1])):
-            return None
-        target, images = res
-        if target not in bases:
-            raise RuntimeError("cyclic submodule is not invariant")
-        sub = echelon_block(bases[target], spans[target].pivots, images)
-        if sub is None:
-            raise RuntimeError("cyclic submodule is not invariant")
-        return target, sub
-
-    return _realize(index_set, 0, dims, block_of, "polynomial", highest_weight=hw, shape=lam)
+    members = list(index_set)
+    pos = _position(index_set)
+    # E_{a,c} by distance |pos(a) - pos(c)|: the simple units first
+    units = sorted(
+        off_diagonal_units(index_set),
+        key=lambda g: abs(pos[g.row.doubled] - pos[g.col.doubled]),
+    )
+    blocks = {}
+    for gen in units:
+        a, c = pos[gen.row.doubled], pos[gen.col.doubled]
+        if abs(a - c) == 1:
+            for w, basis in bases.items():
+                res = amb.apply(amb.coproduct(gen), w, basis)
+                if res is None or not any(map(any, res[1])):
+                    continue
+                target, images = res
+                if target not in bases:
+                    raise RuntimeError("cyclic submodule is not invariant")
+                sub = echelon_block(bases[target], spans[target].pivots, images)
+                if sub is None:
+                    raise RuntimeError("cyclic submodule is not invariant")
+                blocks[(gen.key(), w)] = (target, sub)
+            continue
+        # E_ac = E_ab E_bc - (-1)^{|E_ab||E_bc|} E_bc E_ab, b next to c
+        b = members[c - 1 if a < c else c + 1]
+        ab, bc = BasisElement(gen.row, b).key(), BasisElement(b, gen.col).key()
+        sign = -1 if (gen.row.parity ^ b.parity) and (b.parity ^ gen.col.parity) else 1
+        for w in bases:
+            # each term applies the unit ``first``, then ``second``
+            block = None
+            for first, second, coeff in ((bc, ab, 1), (ab, bc, -sign)):
+                one = blocks.get((first, w))
+                two = one and blocks.get((second, one[0]))
+                if two:
+                    target = two[0]
+                    term = [[coeff * x for x in row] for row in mat_mul(two[1], one[1])]
+                    block = term if block is None else mat_add(block, term)
+            if block is not None:
+                block = [[exact_scalar(x) for x in row] for row in block]
+                if any(map(any, block)):
+                    blocks[(gen.key(), w)] = (target, block)
+    return ExplicitModule(index_set, 0, dims, blocks, "polynomial", highest_weight=hw, shape=lam)
 
 
 def truncate_module(module, smaller):

@@ -107,6 +107,33 @@ def test_verma_out_of_band_query_is_refused():
         truncate_module(verma_truncated(GL21, eps(1), 0), GL11)
 
 
+@pytest.mark.parametrize(
+    "index_set, xi, depth",
+    [
+        (GL21, Weight({2: 2}), 1),
+        (GL21, eps(1), 2),
+        (IndexSet.gl(0, 2, 0, 2), Weight({2: 1, 1: -1}), 2),
+        (IndexSet.gl(1, 1, 1, 1), Weight({2: 1, -2: 2}), 2),
+        (CL2, Weight({1: 2}), 3),
+    ],
+)
+def test_truncated_verma_raises_exactly_where_it_does_not_represent(index_set, xi, depth):
+    # _block refuses in the same walk that fills the block; represents is
+    # kept for the serializer, and the two must agree on every unit and
+    # weight, the band edges included
+    vm = verma_truncated(index_set, xi, depth)
+    refused = 0
+    for gen in off_diagonal_units(index_set):
+        for w in vm.weights():
+            if vm.represents(gen, w):
+                vm._act(gen, w)
+                continue
+            refused += 1
+            with pytest.raises(ValueError, match="leaves the depth-%d band" % depth):
+                vm._act(gen, w)
+    assert refused
+
+
 def test_verma_labels_are_read_only():
     vm = verma_truncated(GL21, Weight({2: 2}), 2)
     w = vm.weights()[-1]

@@ -31,6 +31,7 @@ from supergaudin.partitions import Partition, all_partitions
 from supergaudin.verify import _oracle_dims
 from supergaudin.weights import Weight
 
+from oracles import ambient_polynomial_module
 from test_modules import relations_hold
 
 # (index set, m, n) with the oracle's hook parameters; classical gl(3)
@@ -46,6 +47,18 @@ VERMA_FLAVORS = {
     "gl(2|2)": IndexSet.gl(0, 2, 0, 2),
     "gl(3)": IndexSet.classical(0, 3),
     "gl(1|1) with p = q = 1": IndexSet.gl(1, 1, 1, 1),
+}
+
+
+# flavors for the derived blocks: super gl(1|1) to gl(1|3) and classical
+# gl(4), the (0|4)-hook case
+DERIVED_FLAVORS = {
+    "gl(1|1)": (IndexSet.gl(0, 1, 0, 1), 1, 1),
+    "gl(2|1)": (IndexSet.gl(0, 2, 0, 1), 2, 1),
+    "gl(1|2)": (IndexSet.gl(0, 1, 0, 2), 1, 2),
+    "gl(2|2)": (IndexSet.gl(0, 2, 0, 2), 2, 2),
+    "gl(1|3)": (IndexSet.gl(0, 1, 0, 3), 1, 3),
+    "gl(4)": (IndexSet.classical(0, 4), 0, 4),
 }
 
 
@@ -72,9 +85,9 @@ def plus_boxes(lam):
 
 
 @st.composite
-def hook_shapes(draw, max_size=4):
-    name = draw(st.sampled_from(sorted(POLY_FLAVORS)))
-    iset, m, n = POLY_FLAVORS[name]
+def hook_shapes(draw, max_size=4, flavors=POLY_FLAVORS):
+    name = draw(st.sampled_from(sorted(flavors)))
+    iset, m, n = flavors[name]
     shapes = [lam for lam in all_partitions(max_size, 1) if lam.hook_ok(m, n)]
     return iset, m, n, draw(st.sampled_from(shapes))
 
@@ -244,3 +257,49 @@ def test_size_six_hooks_over_gl22_build_from_small_ambients(monkeypatch):
         assert dims_of(polynomial_module(iset, lam)) == _oracle_dims(lam, 2, 2), lam
     assert all(nfactors <= 2 for nfactors, _ in ambients)
     assert max(dim for _, dim in ambients) < 4 ** 5
+
+
+def typed_blocks(module):
+    """Every stored block of an explicit module, by (gen key, weight), as
+    its target and its entries paired with their types."""
+    return {
+        key: (target, [[(type(x), x) for x in row] for row in block])
+        for key, (target, block) in module._blocks.items()
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(hook_shapes(flavors=DERIVED_FLAVORS))
+def test_derived_blocks_equal_the_ambient_coproduct_blocks(case):
+    # only the simple units are read off the ambient; every other block is
+    # a supercommutator of blocks in the module's own basis, and must equal
+    # the block the ambient coproduct gives, in value and in entry type
+    iset, _, _, lam = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modules, "_POLY_CACHE", {})
+        module = polynomial_module(iset, lam)
+    reference = ambient_polynomial_module(iset, lam)
+    assert dims_of(module) == dims_of(reference)
+    assert typed_blocks(module) == typed_blocks(reference)
+
+
+def test_the_ambient_tensor_applies_simple_units_only(monkeypatch):
+    # the non-simple blocks are derived inside the module, so a fresh build
+    # (parents included) hands the ambient only simple units
+    iset = IndexSet.gl(0, 2, 0, 2)
+    simple = set()
+    for a, b in iset.simple_pairs():
+        simple |= {BasisElement(a, b), BasisElement(b, a)}
+    seen = set()
+    apply = modules.TensorModule.apply
+
+    def recording_apply(self, terms, w, columns):
+        seen.update(gen for _, word in terms for gen, _, _ in word)
+        return apply(self, terms, w, columns)
+
+    monkeypatch.setattr(modules, "_POLY_CACHE", {})
+    monkeypatch.setattr(modules.TensorModule, "apply", recording_apply)
+    module = polynomial_module(iset, Partition([2, 1]))
+    assert seen == simple
+    # and the module still holds blocks of units that are not simple
+    assert any(BasisElement(HalfIndex(r), HalfIndex(c)) not in simple for (r, c), _ in module._blocks)
