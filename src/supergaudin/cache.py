@@ -4,8 +4,8 @@ Keys are hashes of the construction inputs, the package version and a
 digest of the package's sources; values are JSON documents.
 Writers race safely: each store writes a temporary file in the cache
 directory and os.replace()s it into place, so concurrent processes always
-read complete documents.  Corrupt entries are dropped with a warning and
-recomputed by the caller.
+read complete documents.  Corrupt entries (undecodable, or refused by the
+caller's check) are dropped with a warning and recomputed by the caller.
 """
 
 import functools
@@ -60,15 +60,23 @@ class DiskCache:
     def _path(self, key):
         return os.path.join(self.root, key + ".json")
 
-    def lookup(self, key):
-        """The stored document, or None on a miss or a corrupt entry."""
+    def lookup(self, key, check=None):
+        """The stored document, or None on a miss or a corrupt entry.
+
+        ``check``, when given, is called on the decoded document and raises
+        ValueError for one it refuses (``serialize.validate_document``);
+        a refused entry is corrupt.
+        """
         path = self._path(key)
         try:
             with open(path, "r") as fh:
-                return json.load(fh)
+                doc = json.load(fh)
+            if check is not None:
+                check(doc)
+            return doc
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             warnings.warn("dropping corrupt cache entry %s: %s" % (path, exc))
             try:
                 os.remove(path)
@@ -92,8 +100,8 @@ class DiskCache:
             raise
         return value
 
-    def get_or_compute(self, key, compute):
-        hit = self.lookup(key)
+    def get_or_compute(self, key, compute, check=None):
+        hit = self.lookup(key, check)
         if hit is not None:
             return hit, True
         value = compute()

@@ -40,6 +40,7 @@ from .serialize import (
     frac_str,
     matrix_triplets,
     module_to_json,
+    validate_document,
 )
 from .weights import Weight
 
@@ -318,7 +319,8 @@ def module_build(ctx, iset, lam, kind, depth, no_cache):
     if no_cache:
         doc = compute()
     else:
-        doc, _ = ctx.obj["cache"].get_or_compute(content_key(descriptor), compute)
+        check = functools.partial(validate_document, schema_name="module.schema.json")
+        doc, _ = ctx.obj["cache"].get_or_compute(content_key(descriptor), compute, check)
     _emit(ctx, doc)
 
 

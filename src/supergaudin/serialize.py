@@ -1,8 +1,13 @@
 """JSON conventions: rationals as "p/q" strings, complex as [re, im] pairs,
 matrices as sorted sparse triplets, indices by their doubled value."""
 
+import functools
 import json
+import numbers
+import os
+import re
 from fractions import Fraction
+from types import MappingProxyType
 
 from .algebra import BasisElement, off_diagonal_units
 from .indices import HalfIndex, IndexSet
@@ -126,25 +131,163 @@ def dumps(obj, pretty=False):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+class SchemaError(ValueError):
+    """A document that fails a shipped schema, or a schema file the
+    validator refuses; ``path`` holds the keys and indices of the failing
+    node, from the root of the document (or of the schema file)."""
+
+    def __init__(self, message, path=()):
+        self.path = tuple(path)
+        where = "".join("[%d]" % p if isinstance(p, int) else ".%s" % p for p in self.path)
+        super().__init__("%s at $%s" % (message, where))
+
+
+# The JSON Schema 2020-12 keywords the shipped schema files use, and the
+# annotations they carry.  Any other keyword is refused when the files are
+# loaded, so a schema edit is never silently ignored.
+SCHEMA_KEYWORDS = frozenset(
+    {
+        "type", "$ref", "properties", "required", "additionalProperties", "items",
+        "prefixItems", "minItems", "maxItems", "minimum", "enum", "pattern",
+    }
+)
+SCHEMA_ANNOTATIONS = frozenset({"$schema", "$id", "$defs", "description"})
+
+# jsonschema's type rules: a bool is no integer and no number, and a float
+# with an integral value (2.0) is an integer
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool))
+    or (isinstance(x, float) and x.is_integer()),
+}
+
+
+def _resolve(table, name, ref, path=()):
+    """(file name, subschema) a ``$ref`` met in file ``name`` points to:
+    a file of the table (none: ``name`` itself) and a JSON pointer."""
+    target, _, pointer = ref.partition("#")
+    target = target or name
+    if target not in table or (pointer and not pointer.startswith("/")):
+        raise SchemaError("%s: $ref %r does not resolve" % (name, ref), path)
+    node = table[target]
+    for part in pointer.split("/")[1:]:
+        part = part.replace("~1", "/").replace("~0", "~")
+        try:
+            node = node[part]
+        except (KeyError, TypeError):
+            raise SchemaError("%s: $ref %r does not resolve" % (name, ref), path) from None
+    return target, node
+
+
+def _check_schema(table, name, schema, path):
+    """Refuse an unsupported keyword, a ``type`` other than one known name,
+    an ``enum`` of other than strings, a ``$ref`` that does not resolve or
+    a ``pattern`` that does not compile, anywhere in ``schema``."""
+    if isinstance(schema, bool):
+        return
+    if not isinstance(schema, dict):
+        raise SchemaError("%s: a schema is an object or a boolean" % name, path)
+    for key in schema:
+        if key not in SCHEMA_KEYWORDS and key not in SCHEMA_ANNOTATIONS:
+            raise SchemaError("%s: unsupported schema keyword %r" % (name, key), path)
+    if "type" in schema and not (isinstance(schema["type"], str) and schema["type"] in _TYPES):
+        raise SchemaError("%s: unknown type %r" % (name, schema["type"]), path)
+    # Python's == is JSON equality for strings only (True == 1 == 1.0)
+    if not all(isinstance(v, str) for v in schema.get("enum", ())):
+        raise SchemaError("%s: an enum of other than strings" % name, path)
+    if "$ref" in schema:
+        _resolve(table, name, schema["$ref"], path)
+    if "pattern" in schema:
+        try:
+            re.compile(schema["pattern"])
+        except re.error as exc:
+            raise SchemaError("%s: pattern %r does not compile (%s)" % (name, schema["pattern"], exc), path) from None
+    for key in ("$defs", "properties"):
+        for sub_key, sub in schema.get(key, {}).items():
+            _check_schema(table, name, sub, path + (key, sub_key))
+    for key in ("items", "additionalProperties"):
+        if key in schema:
+            _check_schema(table, name, schema[key], path + (key,))
+    for k, sub in enumerate(schema.get("prefixItems", ())):
+        _check_schema(table, name, sub, path + ("prefixItems", k))
+
+
+def load_schemas(root):
+    """File name to parsed schema for every ``*.json`` file in ``root``,
+    read-only.  Every file is checked whole (see ``_check_schema``), so a
+    fault raises SchemaError naming the file even where no document
+    reaches it."""
+    table = {}
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".json"):
+            with open(os.path.join(root, name)) as fh:
+                table[name] = json.load(fh)
+    for name, schema in table.items():
+        _check_schema(table, name, schema, ())
+    return MappingProxyType(table)
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped_schemas():
+    """The shipped schema files, loaded and checked once per process."""
+    from . import schemas_path
+
+    return load_schemas(schemas_path())
+
+
+def _validate(table, name, schema, doc, path):
+    """Raise SchemaError for the first node of ``doc`` that fails ``schema``
+    (met in file ``name``, which ``$ref``s without a file point into)."""
+    if schema is True:
+        return
+    if schema is False:
+        raise SchemaError("no value is allowed", path)
+    if "$ref" in schema:
+        _validate(table, *_resolve(table, name, schema["$ref"]), doc, path)
+    if "type" in schema and not _TYPES[schema["type"]](doc):
+        raise SchemaError("not of type %r" % schema["type"], path)
+    if "enum" in schema and doc not in schema["enum"]:
+        raise SchemaError("not one of %r" % (schema["enum"],), path)
+    if "pattern" in schema and isinstance(doc, str) and not re.search(schema["pattern"], doc):
+        raise SchemaError("%r does not match %r" % (doc, schema["pattern"]), path)
+    if "minimum" in schema and _TYPES["number"](doc) and doc < schema["minimum"]:
+        raise SchemaError("%r is below the minimum %r" % (doc, schema["minimum"]), path)
+    if isinstance(doc, list):
+        if len(doc) < schema.get("minItems", 0):
+            raise SchemaError("fewer than %d items" % schema["minItems"], path)
+        if len(doc) > schema.get("maxItems", len(doc)):
+            raise SchemaError("more than %d items" % schema["maxItems"], path)
+        prefix = schema.get("prefixItems", ())
+        for k, (item, sub) in enumerate(zip(doc, prefix)):
+            _validate(table, name, sub, item, path + (k,))
+        if "items" in schema:
+            for k in range(len(prefix), len(doc)):
+                _validate(table, name, schema["items"], doc[k], path + (k,))
+    if isinstance(doc, dict):
+        for key in schema.get("required", ()):
+            if key not in doc:
+                raise SchemaError("missing required property %r" % key, path)
+        properties = schema.get("properties", {})
+        for key, value in doc.items():
+            if key in properties:
+                _validate(table, name, properties[key], value, path + (key,))
+            elif "additionalProperties" in schema:
+                _validate(table, name, schema["additionalProperties"], value, path + (key,))
+
+
 def validate_document(doc, schema_name):
     """Validate a document against one of the shipped schema files.
 
-    Raises jsonschema.ValidationError on failure.
+    Reads the JSON Schema 2020-12 keywords in ``SCHEMA_KEYWORDS``, with
+    jsonschema's type rules.  Raises SchemaError, carrying the path of
+    the failing node, on failure or for an unknown schema name.
     """
-    import os
-
-    import jsonschema
-    from referencing import Registry, Resource
-
-    from . import schemas_path
-
-    root = schemas_path()
-    resources = []
-    for name in sorted(os.listdir(root)):
-        with open(os.path.join(root, name)) as fh:
-            resources.append((name, Resource.from_contents(json.load(fh))))
-    registry = Registry().with_resources(resources)
-    with open(os.path.join(root, schema_name)) as fh:
-        schema = json.load(fh)
-    validator_cls = jsonschema.validators.validator_for(schema)
-    validator_cls(schema, registry=registry).validate(doc)
+    table = _shipped_schemas()
+    if schema_name not in table:
+        raise SchemaError("no shipped schema named %r" % schema_name)
+    _validate(table, schema_name, table[schema_name], doc, ())

@@ -396,13 +396,14 @@ def check_truncation(seed, **_):
 
 
 def check_io(seed, **_):
+    """A module document round-trips, validates against
+    ``module.schema.json`` (the package's own validator), survives the
+    disk cache, and a corrupt cache entry reads as a miss."""
     import json
     import tempfile
 
-    import jsonschema
-
     from .cache import DiskCache, content_key
-    from .serialize import dumps, module_to_json, module_from_json, validate_document
+    from .serialize import SchemaError, dumps, module_to_json, module_from_json, validate_document
 
     iset = IndexSet.gl(0, 1, 0, 1)
     mod = polynomial_module(iset, Partition([2]))
@@ -412,7 +413,7 @@ def check_io(seed, **_):
     try:
         validate_document(doc, "module.schema.json")
         registry_ok = True
-    except jsonschema.ValidationError:
+    except SchemaError:
         registry_ok = False
     with tempfile.TemporaryDirectory() as root:
         cache = DiskCache(root)

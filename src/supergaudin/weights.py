@@ -145,6 +145,10 @@ class Weight:
     @classmethod
     def from_json(cls, obj):
         try:
+            # the weight schema's additionalProperties: false
+            extra = set(obj) - {"level", "coeffs"}
+            if extra:
+                raise ValueError("unknown keys %s" % sorted(extra))
             coeffs = dict(obj["coeffs"])
             if len(coeffs) != len(obj["coeffs"]):
                 raise ValueError("repeated index")

@@ -366,6 +366,11 @@ BAD_INPUT = {
         ["singular", *TWO_SITES, "--weight", '{"coeffs":[[2,1],[2,3]],"level":"0"}'],
         "malformed weight document",
     ),
+    # the weight schema's additionalProperties: false; an unknown key was silently dropped
+    "weight-unknown-key": (
+        ["spectrum", "--m", "1", "--n", "1", "--ell", "2", "--z", "0,1", "--weight", '{"level":"0","coeffs":[[1,1]],"x":1}'],
+        "bad --weight",
+    ),
     "weight-and-mu": (
         ["singular", *TWO_SITES, "--mu", "2", "--weight", '{"coeffs":[[2,2]],"level":"0"}'],
         "give --mu or --weight, not both",

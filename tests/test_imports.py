@@ -1,10 +1,11 @@
 """Every name a package module imports is used there or re-exported,
 every package definition has a caller outside the tests, and importing
-the CLI loads no scipy.
+the CLI loads no scipy, and the io check of ``verify`` no jsonschema.
 
 Parsed with the stdlib ``ast``, so nothing is imported, except by the
-scipy check, which runs a fresh interpreter; ``__init__.py`` is exempt
-from the import check, since re-exporting is its job.
+scipy and jsonschema checks, which run a fresh interpreter;
+``__init__.py`` is exempt from the import check, since re-exporting is
+its job.
 """
 
 import ast
@@ -296,3 +297,19 @@ def test_importing_the_cli_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.dirname(PACKAGE_DIR), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_verify_io_loads_no_jsonschema():
+    # the shipped schemas are read by the package's own validator;
+    # importing jsonschema, referencing and rpds took most of a cold io check
+    code = (
+        "import sys\n"
+        "from supergaudin.cli import main\n"
+        "main(['--json', 'verify', 'all', '--checks', 'io'], standalone_mode=False)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('jsonschema', 'referencing', 'rpds')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.dirname(PACKAGE_DIR), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    report, loaded = out.stdout.strip().splitlines()
+    assert '"schema_validated":true' in report
+    assert loaded == "[]"

@@ -101,18 +101,34 @@ def test_cache_round_trip(tmp_path):
 
 
 def test_cache_corrupt_entry_recovers(tmp_path):
+    # a file that is not UTF-8 raised UnicodeDecodeError out of lookup
     cache = DiskCache(str(tmp_path))
-    key = content_key({"x": 1})
     os.makedirs(str(tmp_path), exist_ok=True)
-    with open(cache._path(key), "w") as fh:
-        fh.write("{broken json")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cache.lookup(key) is None
-    assert any("corrupt" in str(w.message) for w in caught)
-    value, was_hit = cache.get_or_compute(key, lambda: {"ok": True})
-    assert value == {"ok": True} and not was_hit
-    assert cache.lookup(key) == {"ok": True}
+    for n, content in enumerate((b"{broken json", b"\xff\xfe{")):
+        key = content_key({"x": n})
+        with open(cache._path(key), "wb") as fh:
+            fh.write(content)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cache.lookup(key) is None
+        assert any("corrupt" in str(w.message) for w in caught)
+        value, was_hit = cache.get_or_compute(key, lambda: {"ok": True})
+        assert value == {"ok": True} and not was_hit
+        assert cache.lookup(key) == {"ok": True}
+
+
+def test_module_build_drops_a_cached_entry_the_schema_refuses(tmp_path):
+    # valid JSON that is no module document is a corrupt entry too
+    args = ["--json", "--cache-dir", str(tmp_path), "module", "build", "--m", "1", "--n", "1", "--lam", "2"]
+    fresh = CliRunner().invoke(main, args + ["--no-cache"])
+    assert CliRunner().invoke(main, args).exit_code == 0
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_text("{}")
+    with pytest.warns(UserWarning, match="dropping corrupt cache entry"):
+        res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert res.stdout == fresh.stdout
+    validate_document(json.loads(entry.read_text()), "module.schema.json")
 
 
 def _store_worker(args):
