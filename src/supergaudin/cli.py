@@ -103,8 +103,7 @@ def _index_set(flavor, q, m, p, n, k):
         n = k
     if flavor != "super":
         # the classical and wide flavors read p and n only
-        ctx = click.get_current_context()
-        given = ["--" + name for name in ("q", "m") if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
+        given = ["--" + name for name in ("q", "m") if _given(name)]
         if given:
             raise click.UsageError("the %s flavor reads --p and --n only, not %s" % (flavor, " or ".join(given)))
         q = m = 0
@@ -119,11 +118,15 @@ def _shape(kind, text):
     return lam
 
 
+def _given(name):
+    """Whether the option ``name`` was set, not left at its default."""
+    return click.get_current_context().get_parameter_source(name) is not ParameterSource.DEFAULT
+
+
 def _check_depth(kind):
     """--depth sizes the verma and irreducible truncations; refuse a given
     --depth for any other kind, which would ignore it."""
-    ctx = click.get_current_context()
-    if kind not in ("verma", "irreducible") and ctx.get_parameter_source("depth") is not ParameterSource.DEFAULT:
+    if kind not in ("verma", "irreducible") and _given("depth"):
         raise click.UsageError("--depth applies to the verma and irreducible kinds only, not %s" % kind)
 
 
@@ -142,6 +145,8 @@ def _tensor(iset, lams, kind, depth, ell):
         raise click.UsageError("give --lam factors or --ell, not both")
     if not lams and not ell:
         raise click.UsageError("need --lam factors or --ell for natural powers")
+    if ell and kind != "natural" and _given("kind"):
+        raise click.UsageError("--ell builds natural powers; --factor-kind %s applies to --lam factors" % kind)
     _check_depth(kind if lams else "natural")
     if lams:
         mods = [_module(iset, kind, _shape(kind, t), depth) for t in lams]

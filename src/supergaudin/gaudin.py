@@ -33,8 +33,9 @@ and those of the family members (``HamiltonianFamily.terms``), as
 operator word sums: each closed form builds its word lists once per
 tensor and points z, then reads them on every weight space.
 
-``_block_terms`` writes each spec as a sum of products of one-slot
-operators (K terms and the iota correction become scalar factors), and
+``_block_terms`` writes each spec as a sum of operator words, so this
+module alone owns the central extension: K and the ``algebra.iota``
+pull-back of E_{aa}, a < 0, add multiples of the empty word.
 ``_stored_block`` hands these terms to the tensor, which builds the
 block once through its column-application core.  A block on a weight
 space is keyed by (spec, weight, None).  Its restriction to a subspace
@@ -54,7 +55,8 @@ end-column form by which ``TensorModule.stored`` reads coordinates.
 from fractions import Fraction
 from itertools import combinations, product
 
-from .algebra import BasisElement
+from .algebra import AlgebraElement, BasisElement, iota
+from .indices import IndexSet
 from .linalg import (
     SpanBuilder,
     commutator,
@@ -111,35 +113,32 @@ def _block_terms(tensor, spec):
     if spec[0] == "omega":
         _, central, levels, i, j = spec
 
-        def factor(op, slot):
-            # K acts by the slot's level.  In the central convention the
-            # extended E_a acts on a plain realization through iota^{-1}:
-            # iota(E_a) = E_a - (-1)^{parity(a)} K for a < 0, so pulling the
-            # extended unit back ADDS (-1)^{parity(a)} times the K scalar
+        def expand(op, slot):
+            # (scalar, word) pairs for op on the slot, zero scalars left out:
+            # K acts by the level; the central convention pulls a unit back
+            # through iota, subtracting its K coefficient times the level
             if op == K_SYMBOL:
-                return (None, slot, levels[slot])
-            if central and op.is_diagonal and op.row.doubled < 0:
-                return (op, slot, -levels[slot] if op.row.parity else levels[slot])
-            return (op, slot, 0)
+                return [(levels[slot], [])] if levels[slot] else []
+            shift = -iota(AlgebraElement.basis(op)).central * levels[slot] if central else 0
+            return [(1, [(op, slot)]), (shift, [])] if shift else [(1, [(op, slot)])]
 
         for coeff, left, right in casimir(tensor.index_set, central):
-            yield exact_scalar(coeff), [factor(left, i - 1), factor(right, j - 1)]
+            coeff = exact_scalar(coeff)
+            for a, u in expand(left, i - 1):
+                for b, v in expand(right, j - 1):
+                    yield coeff * a * b, u + v
         return
     if spec[0] == "site":
         _, k, slot = spec
         for chain in product(members, repeat=k):
             sign = -1 if sum(h.parity for h in chain[1:]) % 2 else 1
-            yield sign, [(BasisElement(chain[t], chain[(t + 1) % k]), slot - 1, 0) for t in range(k)]
+            yield sign, [(BasisElement(chain[t], chain[(t + 1) % k]), slot - 1) for t in range(k)]
         return
     _, a, b, c = spec
     for r in members:
         for s in members:
             for t in members:
-                word = [
-                    (BasisElement(r, s), a - 1, 0),
-                    (BasisElement(t, r), b - 1, 0),
-                    (BasisElement(s, t), c - 1, 0),
-                ]
+                word = [(BasisElement(r, s), a - 1), (BasisElement(t, r), b - 1), (BasisElement(s, t), c - 1)]
                 yield _cubic_sign(r, s, t), word
 
 
@@ -295,24 +294,23 @@ def cubic_family(tensor, z, kind):
     return HamiltonianFamily(tensor, z, "cubic" + kind, "plain", levels)
 
 
-def central_shift(p, q, levels, z, i, flavor="super"):
-    """Scalar offset between plain and central-convention Hamiltonians.
+def central_constant(p, q, flavor):
+    """c = sum over the negative indices a of (-1)^{2a}: p - q for the
+    super flavor, -p for the classical one and 0 for the wide one.  The
+    central Omega^{(ij)} is the plain one minus c d_i d_j; ValueError for
+    an unknown flavor."""
+    return sum(-1 if a.parity else 1 for a in IndexSet(flavor, p=p, q=q) if a.doubled < 0)
 
-    Super flavor: (p - q) sum_{j != i} d_i d_j / (z_i - z_j); classical
-    flavor: -p times the same sum.  Sites are 1-based.
+
+def central_shift(p, q, levels, z, i, flavor="super"):
+    """Scalar offset between plain and central-convention Hamiltonians:
+    c sum_{j != i} d_i d_j / (z_i - z_j), with c the ``central_constant``
+    of the flavor.  Sites are 1-based.
     """
+    d = [Fraction(x) for x in levels]
     z = [Fraction(x) for x in z]
-    levels = [Fraction(x) for x in levels]
-    total = Fraction(0)
-    for j in range(1, len(z) + 1):
-        if j == i:
-            continue
-        total += levels[i - 1] * levels[j - 1] / (z[i - 1] - z[j - 1])
-    if flavor == "super":
-        return (p - q) * total
-    if flavor == "classical":
-        return -p * total
-    raise ValueError("flavor must be super or classical")
+    poles = sum((d[i - 1] * d[j - 1] / (z[i - 1] - z[j - 1]) for j in range(1, len(z) + 1) if j != i), Fraction(0))
+    return central_constant(p, q, flavor) * poles
 
 
 def commutator_residual(A, B):

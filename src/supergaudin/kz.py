@@ -35,6 +35,7 @@ import numpy as np
 from ._dop853 import DOP853, EPS
 from .algebra import simple_raising_ops
 from .gaudin import (
+    central_constant,
     family_levels,
     pair_matrix,
     pairwise_commutator_residual,
@@ -350,15 +351,11 @@ def _continuous_logs(zs):
 
 
 def gauge_exponent(p, q, levels, kappa, flavor="super"):
-    """Per-pair exponent of the plain-to-central gauge factor."""
-    levels = [complex(x) for x in levels]
-    kappa = complex(kappa)
-    out = {}
-    for i in range(len(levels)):
-        for j in range(i + 1, len(levels)):
-            base = levels[i] * levels[j] / kappa
-            out[(i, j)] = (q - p) * base if flavor == "super" else p * base
-    return out
+    """Per-pair exponent -c d_i d_j / kappa of the plain-to-central gauge
+    factor, with c the ``gaudin.central_constant`` of the flavor."""
+    c = central_constant(p, q, flavor)
+    d = [complex(x) for x in levels]
+    return {(i, j): -c * (d[i] * d[j] / complex(kappa)) for i in range(len(d)) for j in range(i + 1, len(d))}
 
 
 def gauge_transform(solution, direction, p, q, levels=None, flavor="super"):

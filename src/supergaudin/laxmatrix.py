@@ -10,7 +10,7 @@ numerators.  An operator is one plain dict
 the term of d^n/du^n whose coefficient is the partial-fraction basis
 function ``key`` (CONST, or (pole index, order) for (u - z_i)^{-order}
 with order at most MAX_ORDER) times a sum of operator words.  A word is a
-tuple of (gen, slot, 0) factors as ``TensorModule.apply`` reads them, the
+tuple of (gen, slot) factors as ``TensorModule.apply`` reads them, the
 empty word the identity.  ``compose`` multiplies two operators: words
 concatenate, the left factor's first, and the poles re-expand exactly
 over the pole set (``pole_product``, ``pole_derivative``).  So str L(u)^k
@@ -100,7 +100,7 @@ def _lax_entry(a, b, z):
     on slot i over (u - z_i)."""
     gen = BasisElement(a, b)
     sign = -1 if a.parity else 1
-    op = {(0, (i, 1)): {((gen, i, 0),): -sign} for i in range(len(z))}
+    op = {(0, (i, 1)): {((gen, i),): -sign} for i in range(len(z))}
     if a == b:
         op[(1, CONST)] = {(): 1}
     return op

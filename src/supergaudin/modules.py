@@ -211,18 +211,17 @@ class TensorModule(WeightModule):
     def coproduct(self, gen):
         """The terms of the diagonal action Delta(gen) = sum over slots of
         gen^{(slot)}, in the form ``apply`` reads."""
-        return [(1, [(gen, slot, 0)]) for slot in range(len(self.factors))]
+        return [(1, [(gen, slot)]) for slot in range(len(self.factors))]
 
     def apply(self, terms, w, columns):
         """Apply sum_k c_k word_k to vectors of the w-space.
 
-        ``terms`` lists (c_k, word_k); a word lists (gen, slot, scalar)
-        factors left to right as written, slots 0-based, and the rightmost
-        factor acts first.  A factor acts as scalar + gen^{(slot)}; a gen of
-        None, or one whose block vanishes, leaves the scalar alone.  Every
-        one-slot block is the shared ``slot_act_sparse`` one.  Returns
-        (target weight, one dense image per column), or None when every
-        word vanishes; the words that do not must end in one weight.
+        ``terms`` lists (c_k, word_k); a word lists (gen, slot) factors left
+        to right as written, slots 0-based, the rightmost acting first, and
+        the empty word is the identity.  A word vanishes when one of its
+        one-slot blocks, each the shared ``slot_act_sparse`` one, does.
+        Returns (target weight, one dense image per column), or None when
+        every word vanishes; the words that do not must end in one weight.
         """
         if not self.dim(w):
             return None
@@ -231,15 +230,12 @@ class TensorModule(WeightModule):
         for coeff, word in terms:
             steps = []
             cur = w
-            for gen, slot, scalar in reversed(word):
-                cols = None
-                if gen is not None:
-                    res = self.slot_act_sparse(gen, slot, cur)
-                    if res is not None:
-                        cur, _, cols = res
-                if cols is None and not scalar:
+            for gen, slot in reversed(word):
+                res = self.slot_act_sparse(gen, slot, cur)
+                if res is None:
                     break
-                steps.append((cols, scalar))
+                cur, _, cols = res
+                steps.append(cols)
             else:
                 if target is None:
                     target = cur
@@ -254,14 +250,12 @@ class TensorModule(WeightModule):
             out = [0] * n
             src = {c: v for c, v in enumerate(vec) if v}
             for coeff, steps in words:
-                # each step maps v to scalar * v + cols(v)
                 cur = src
-                for cols, scalar in steps:
-                    nxt = {r: scalar * v for r, v in cur.items()} if scalar else {}
-                    if cols is not None:
-                        for r, v in cur.items():
-                            for r2, x in cols[r]:
-                                nxt[r2] = nxt.get(r2, 0) + v * x
+                for cols in steps:
+                    nxt = {}
+                    for r, v in cur.items():
+                        for r2, x in cols[r]:
+                            nxt[r2] = nxt.get(r2, 0) + v * x
                     cur = nxt
                 for r, v in cur.items():
                     out[r] += coeff * v

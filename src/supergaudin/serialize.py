@@ -30,17 +30,19 @@ def matrix_triplets(mat):
     return out
 
 
+def rational(text):
+    """The Fraction a "p/q" string names; ValueError for q = 0."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (text,)) from None
+
+
 def matrix_from_triplets(triplets, nrows, ncols):
     mat = [[Fraction(0)] * ncols for _ in range(nrows)]
     for r, c, v in triplets:
-        mat[r][c] = Fraction(v)
+        mat[r][c] = rational(v)
     return mat
-
-
-def index_set_to_json(index_set):
-    obj = {"flavor": index_set.flavor}
-    obj.update(index_set.params())
-    return obj
 
 
 def index_set_from_json(obj):
@@ -77,7 +79,7 @@ def module_to_json(module):
                     }
                 )
     doc = {
-        "index_set": index_set_to_json(module.index_set),
+        "index_set": {"flavor": module.index_set.flavor, **module.index_set.params()},
         "level": frac_str(module.level),
         "provenance": module.provenance,
         "weights": wj,
@@ -114,7 +116,7 @@ def module_from_json(obj):
     shape = obj.get("shape")
     return ExplicitModule(
         index_set,
-        Fraction(obj["level"]),
+        rational(obj["level"]),
         dims,
         blocks,
         obj["provenance"],

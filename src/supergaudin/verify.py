@@ -32,6 +32,10 @@ from .partitions import Partition, all_partitions, hook_tableau_contents
 from .weights import Weight, eps
 
 
+STRUCTURE_TRIALS = 200
+MAX_BOXES = 3
+
+
 def _sample_z(rng, ell):
     """Distinct rationals from the 1/7-spaced grid in [0, ell]."""
     return rng.sample([Fraction(k, 7) for k in range(7 * ell + 1)], ell)
@@ -59,14 +63,14 @@ def _flavors_under_test():
     return sets
 
 
-def check_structure(seed, trials=200, **_):
+def check_structure(seed, **_):
     """Super Jacobi, cocycle, iota and star-structure identities."""
     rng = random.Random(seed)
     failures = 0
     tested = 0
     for iset in _flavors_under_test():
         members = list(iset)
-        for _ in range(trials):
+        for _ in range(STRUCTURE_TRIALS):
             px, py, pz = (rng.randint(0, 1) for _ in range(3))
             x = _random_homogeneous(rng, members, px)
             y = _random_homogeneous(rng, members, py)
@@ -149,12 +153,12 @@ def _oracle_dims(lam, m, n):
     return out
 
 
-def check_modules(seed, m=1, n=1, max_boxes=3, **_):
+def check_modules(seed, m=1, n=1, **_):
     """Polynomial and irreducible realizations match the tableau oracle."""
     iset = IndexSet.gl(0, m, 0, n)
     bad = []
     count = 0
-    for lam in all_partitions(max_boxes, 1):
+    for lam in all_partitions(MAX_BOXES, 1):
         if not lam.hook_ok(m, n):
             continue
         count += 1
@@ -173,7 +177,7 @@ def check_modules(seed, m=1, n=1, max_boxes=3, **_):
     return {"name": "modules", "passed": not bad, "cases": count, "failures": bad}
 
 
-def check_duality(seed, m=1, n=1, max_boxes=3, ell_max=3, **_):
+def check_duality(seed, m=1, n=1, **_):
     """Quadratic spectrum equality across the correspondence."""
     rng = random.Random(seed)
     cases = 0
@@ -182,10 +186,10 @@ def check_duality(seed, m=1, n=1, max_boxes=3, ell_max=3, **_):
     lists = []
     for a in shapes:
         for b in shapes:
-            if a.size + b.size <= max_boxes:
+            if a.size + b.size <= MAX_BOXES:
                 lists.append([a, b])
             for c in shapes:
-                if ell_max >= 3 and a.size + b.size + c.size <= max_boxes:
+                if a.size + b.size + c.size <= MAX_BOXES:
                     lists.append([a, b, c])
     for lams in lists:
         total = sum(l.size for l in lams)

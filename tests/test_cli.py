@@ -132,6 +132,46 @@ def test_lax_expand_stdout_matches_the_recorded_digests(flavor, z, kpow):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == LAX_DIGESTS[flavor, z, kpow]
 
 
+# sha256 of `--json` stdout in the central convention on gl(1+1|1)^3,
+# recorded while K and the iota pull-back were scalar factors of the words
+# that TensorModule.apply read; now gaudin expands them into words itself
+CENTRAL_SYSTEM = [
+    "--p", "1", "--m", "1", "--n", "1", "--ell", "3", "--factor-kind", "natural",
+    "--weight", '{"level":"0","coeffs":[[-2,1],[1,1],[2,1]]}',
+    "--convention", "central", "--levels", "1,2,3",
+]
+# z_1 circles z_2 = 1/2 once, counterclockwise; z_3 = 2 stays put
+CENTRAL_LOOP = json.dumps(
+    [[[0, 0], [0.5, 0], [2, 0]], [[0.5, 0.5], [0.5, 0], [2, 0]], [[1, 0], [0.5, 0], [2, 0]],
+     [[0.5, -0.5], [0.5, 0], [2, 0]], [[0, 0], [0.5, 0], [2, 0]]]
+)
+CENTRAL_DIGESTS = {
+    "hamiltonian": (
+        ["hamiltonian", *CENTRAL_SYSTEM, "--z", "0,1/2,2"],
+        "bca4711e194c2e904305934dcd1c6fc54ffd889637387fb815a479e0dd994f71",
+    ),
+    "hamiltonian-restrict-singular": (
+        ["hamiltonian", *CENTRAL_SYSTEM, "--z", "0,1/2,2", "--restrict-singular"],
+        "aefaf9b22e922b8bf7ee75eb9619c6c57a673ac12d52ec3098f5f52c25cb4cd0",
+    ),
+    "kz-monodromy": (
+        ["kz", "monodromy", *CENTRAL_SYSTEM, "--kappa", "3", "--loop", CENTRAL_LOOP],
+        "f411076405b5eae11ea1b6349410b797f02f5ae3776a0d2a5ce2373f378c0aa0",
+    ),
+    "kz-flatness": (
+        ["kz", "flatness", *CENTRAL_SYSTEM, "--kappa", "3", "--z", "0,1/2,2"],
+        "1b53aef1ca22241959e025197aafc4fda53515f9370adcf6f6326538f1e4ce1e",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, digest", CENTRAL_DIGESTS.values(), ids=CENTRAL_DIGESTS.keys())
+def test_central_convention_stdout_matches_the_recorded_digests(args, digest):
+    res = run("--json", *args)
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
 # sha256 of `--json` stdout of the commands that print exact char polys,
 # recorded from the Hessenberg charpoly over Q that the integer Berkowitz
 # recursion replaced: a dim-10 and a dim-5 duality chain, a dim-2 one and

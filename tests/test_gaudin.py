@@ -398,6 +398,47 @@ def test_central_shift_examples():
     assert central_shift(1, 0, [1, 1], z, 1, flavor="classical") == 1
 
 
+@pytest.mark.parametrize(
+    "flavor, p, q, c",
+    [("super", 2, 1, 1), ("super", 1, 2, -1), ("classical", 2, 0, -2), ("wide", 3, 0, 0)],
+)
+def test_central_shift_is_one_flavor_constant_times_the_pole_sum(flavor, p, q, c):
+    # c = sum over the negative indices a of (-1)^{2a}
+    z = [Fraction(0), Fraction(1, 2), Fraction(3)]
+    levels = [2, 3, Fraction(1, 2)]
+    poles = Fraction(-12) + Fraction(-1, 3)  # 2 * 3 / (0 - 1/2) + 2 * (1/2) / (0 - 3)
+    assert central_shift(p, q, levels, z, 1, flavor=flavor) == c * poles
+
+
+def test_central_shift_refuses_an_unknown_flavor():
+    with pytest.raises(ValueError, match="flavor"):
+        central_shift(1, 0, [2, 3], [0, 1], 1, flavor="bogus")
+
+
+@pytest.mark.parametrize(
+    "iset",
+    [IndexSet.wide(1, 1), IndexSet.classical(1, 2), IndexSet.gl(0, 1, 2, 1), IndexSet.gl(1, 1, 1, 1)],
+    ids=repr,
+)
+def test_central_minus_plain_is_the_shift_on_every_flavor(iset):
+    """The honest K and iota words of the central convention land exactly
+    central_shift away from the plain family; on the wide flavor c = 0, so
+    the two families are equal matrices."""
+    tensor = tensor_product([NaturalModule(iset)] * 3)
+    z = [Fraction(0), Fraction(1, 2), Fraction(2)]
+    levels = [Fraction(2), Fraction(3), Fraction(-1, 3)]
+    plain = quadratic_family(tensor, z)
+    central = quadratic_family(tensor, z, convention="central", levels=levels)
+    for w in tensor.weights():
+        d = tensor.dim(w)
+        for i in (1, 2, 3):
+            s = central_shift(iset.p, iset.q, levels, z, i, flavor=iset.flavor)
+            eye = [[s if r == c else 0 for c in range(d)] for r in range(d)]
+            assert mat_sub(plain.matrix(i, w), central.matrix(i, w)) == eye
+            if iset.flavor == "wide":
+                assert plain.matrix(i, w) == central.matrix(i, w)
+
+
 def test_central_convention_differs_by_the_shift_matrix():
     """The honest central assembly lands exactly shift away from plain."""
     from supergaudin.modules import irreducible_truncated

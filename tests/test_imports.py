@@ -162,6 +162,26 @@ def test_only_tensor_stored_builds_operator_blocks():
     assert _spells(tree, "block_store") == set().union(*inside)
 
 
+def test_the_central_extension_lives_in_gaudin():
+    # gaudin alone turns K and the iota pull-back into operator words, so
+    # no other module names K; central_shift and the KZ gauge exponent
+    # read the one flavor constant c = sum over a < 0 of (-1)^{2a}
+    sources = _sources(PACKAGE_DIR)
+    outside = [
+        name
+        for name, source in sources.items()
+        if name != "gaudin.py" and _spells(ast.parse(source), "K_SYMBOL")
+    ]
+    assert not outside, outside
+    gaudin = dict(_definitions(ast.parse(sources["gaudin.py"])))
+    kz = dict(_definitions(ast.parse(sources["kz.py"])))
+    for node in (gaudin["central_shift"], kz["gauge_exponent"]):
+        body = ast.Module(body=node.body, type_ignores=[])
+        assert _mentions(body, "central_constant")
+        # the default flavor="super" is a signature, not a flavor branch
+        assert not any(_spells(body, flavor) for flavor in ("super", "classical", "wide"))
+
+
 def test_int_rref_is_called_only_by_int_nullspace():
     # every basis the package solves against is built in echelon form and
     # linalg.echelon_block reads coordinates by substitution; any other

@@ -206,6 +206,16 @@ def test_gauge_factor_winds_once_around_a_diagonal():
         assert np.allclose(ratio, cmath.exp(sign * 2j * math.pi * alpha), atol=1e-12), direction
 
 
+def test_gauge_exponent_reads_the_flavor_constant():
+    # alpha_ij = -c d_i d_j / kappa with c = p - q, -p or 0 by flavor
+    levels = [2, 3]
+    assert gauge_exponent(2, 1, levels, 3, flavor="super") == {(0, 1): -2}
+    assert gauge_exponent(1, 0, levels, 3, flavor="classical") == {(0, 1): 2}
+    assert gauge_exponent(1, 0, levels, 1, flavor="wide") == {(0, 1): 0}
+    with pytest.raises(ValueError, match="flavor"):
+        gauge_exponent(1, 0, levels, 1, flavor="bogus")
+
+
 def test_monodromy_contractible_and_inverse():
     t2, system = two_site_system(kappa=2)
     loop = [(0, 1), (0, 2), (1j, 2), (1j, 1), (0, 1)]

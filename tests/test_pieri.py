@@ -294,7 +294,7 @@ def test_the_ambient_tensor_applies_simple_units_only(monkeypatch):
     apply = modules.TensorModule.apply
 
     def recording_apply(self, terms, w, columns):
-        seen.update(gen for _, word in terms for gen, _, _ in word)
+        seen.update(gen for _, word in terms for gen, _ in word)
         return apply(self, terms, w, columns)
 
     monkeypatch.setattr(modules, "_POLY_CACHE", {})

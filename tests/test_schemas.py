@@ -152,7 +152,9 @@ FIXED_CASES = {
     "unknown-flavor": ("module-irreducible", ("index_set", "flavor"), "replace", "bogus", False),
     "enum-true": ("module-irreducible", ("provenance",), "replace", True, False),
     "rational-not-a-rational": ("module-polynomial", ("level",), "replace", "1.5", False),
-    "rational-zero-denominator": ("module-polynomial", ("level",), "replace", "1/0", True),
+    "rational-zero-denominator": ("module-polynomial", ("level",), "replace", "1/0", False),
+    "rational-padded-zero-denominator": ("module-polynomial", ("level",), "replace", "-3/000", False),
+    "rational-padded-denominator": ("module-polynomial", ("level",), "replace", "3/010", True),
     # re.search: "$" matches before a final newline, in both validators
     "rational-trailing-newline": ("module-polynomial", ("level",), "replace", "1\n", True),
     "missing-required": ("duality-report", ("dims", "super"), "delete", None, False),

@@ -79,6 +79,21 @@ def test_module_from_json_refuses_an_unknown_flavor():
             module_from_json(bad)
 
 
+def test_module_from_json_refuses_a_zero_denominator():
+    # ValueError, which the cache and the CLI read as bad input, not the
+    # ZeroDivisionError of Fraction("1/0")
+    doc = module_to_json(polynomial_module(IndexSet.gl(0, 1, 0, 1), Partition([2])))
+    act = doc["actions"][0]
+    bad_triplet = dict(act, triplets=[act["triplets"][0][:2] + ["3/0"]] + act["triplets"][1:])
+    for bad in (
+        dict(doc, level="1/0"),
+        dict(doc, weights=[dict(doc["weights"][0], weight=dict(doc["weights"][0]["weight"], level="1/0"))]),
+        dict(doc, actions=[bad_triplet] + doc["actions"][1:]),
+    ):
+        with pytest.raises(ValueError, match="1/0|3/0"):
+            module_from_json(bad)
+
+
 def test_weight_schema():
     validate_document(eps(1).to_json(), "defs.schema.json")  # no-op: defs has no root
     doc = (eps(1) + eps("1/2")).to_json()
@@ -129,6 +144,19 @@ def test_module_build_drops_a_cached_entry_the_schema_refuses(tmp_path):
     assert res.exit_code == 0, res.output
     assert res.stdout == fresh.stdout
     validate_document(json.loads(entry.read_text()), "module.schema.json")
+
+
+def test_module_build_drops_a_cached_entry_with_a_zero_denominator(tmp_path):
+    args = ["--json", "--cache-dir", str(tmp_path), "module", "build", "--m", "1", "--n", "1", "--lam", "2"]
+    fresh = CliRunner().invoke(main, args + ["--no-cache"])
+    assert CliRunner().invoke(main, args).exit_code == 0
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_text(json.dumps(dict(json.loads(entry.read_text()), level="1/0")))
+    with pytest.warns(UserWarning, match="dropping corrupt cache entry"):
+        res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert res.stdout == fresh.stdout
+    assert json.loads(entry.read_text())["level"] != "1/0"
 
 
 def _store_worker(args):

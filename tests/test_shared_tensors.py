@@ -128,25 +128,18 @@ def test_slot_act_sparse_matches_factor_blocks_with_koszul_signs(tensor, data):
                 assert slot_act(tensor, gen, slot, w) == (target, ref)
 
 
-def _scalar_eye(scalar, d):
-    return [[scalar if r == c else 0 for c in range(d)] for r in range(d)]
-
-
 def reference_apply(tensor, terms, w, columns):
     """``apply`` from dense ``slot_act`` blocks: each word is the product of
-    its factors scalar * I + gen^{(slot)}, the rightmost first."""
+    its factors gen^{(slot)}, the rightmost first, the empty word the
+    identity."""
     total = target = None
     for coeff, word in terms:
-        cur, mat = w, _scalar_eye(1, tensor.dim(w))
-        for gen, slot, scalar in reversed(word):
-            res = None if gen is None else slot_act(tensor, gen, slot, cur)
-            if res is None and not scalar:
+        cur, mat = w, [[int(r == c) for c in range(tensor.dim(w))] for r in range(tensor.dim(w))]
+        for gen, slot in reversed(word):
+            res = slot_act(tensor, gen, slot, cur)
+            if res is None:
                 break
-            step = _scalar_eye(scalar, tensor.dim(cur))
-            if res is not None:
-                assert not scalar or res[0] == cur
-                cur, step = res[0], mat_add(res[1], step) if scalar else res[1]
-            mat = mat_mul(step, mat)
+            cur, mat = res[0], mat_mul(res[1], mat)
         else:
             assert target in (None, cur)
             target, mat = cur, mat_scale(mat, coeff)
@@ -159,19 +152,19 @@ def reference_apply(tensor, terms, w, columns):
 @st.composite
 def sums_of_words(draw, tensor):
     """Up to three words that shuffle one list of units over random slots,
-    so every word that survives ends in one weight, with scalars beside
-    the diagonal units and K-style scalar-only factors mixed in."""
+    so every word that survives ends in one weight.  Each unit may be
+    dropped from a word when it is diagonal, since those do not move the
+    weight, so empty words and words of diagonal units mix in."""
     members = list(tensor.index_set)
-    units = draw(st.lists(st.tuples(st.sampled_from(members), st.sampled_from(members)), min_size=1, max_size=3))
+    units = draw(st.lists(st.tuples(st.sampled_from(members), st.sampled_from(members)), min_size=0, max_size=3))
     slots = st.integers(0, len(tensor.factors) - 1)
-    scalars = st.sampled_from([0, 0, 1, -2, Fraction(1, 2)])
     terms = []
     for _ in range(draw(st.integers(1, 3))):
-        word = []
-        for a, b in draw(st.permutations(units)):
-            word.append((BasisElement(a, b), draw(slots), draw(scalars) if a == b else 0))
-            if draw(st.booleans()):
-                word.append((None, draw(slots), draw(scalars.filter(bool))))
+        word = [
+            (BasisElement(a, b), draw(slots))
+            for a, b in draw(st.permutations(units))
+            if a != b or draw(st.booleans())
+        ]
         terms.append((draw(st.sampled_from([1, -1, 3, Fraction(2, 3)])), word))
     return terms
 
@@ -186,17 +179,29 @@ def test_apply_matches_products_of_dense_slot_blocks(tensor, data):
     assert tensor.apply(terms, w, columns) == reference_apply(tensor, terms, w, columns)
 
 
+def test_apply_reads_the_empty_word_as_the_identity():
+    iset = FLAVORS["gl(2|1)"]
+    tensor = tensor_product([NaturalModule(iset)] * 2)
+    w = next(w for w in tensor.weights() if tensor.dim(w) == 2)
+    columns = [[2, -1], [0, 3]]
+    assert tensor.apply([(Fraction(1, 2), [])], w, columns) == (w, [[1, Fraction(-1, 2)], [0, Fraction(3, 2)]])
+    assert tensor.apply([(1, []), (-1, [])], w, columns) == (w, [[0, 0], [0, 0]])
+
+
 def test_apply_refuses_words_that_end_in_different_weights():
     iset = FLAVORS["gl(3)"]
     tensor = tensor_product([NaturalModule(iset)] * 2)
     a, b, c = list(iset)
     w = next(w for w in tensor.weights() if w(a) == w(b) == 1)
     units = [[1 if r == k else 0 for r in range(tensor.dim(w))] for k in range(tensor.dim(w))]
-    one, other = [(BasisElement(c, a), 0, 0)], [(BasisElement(c, b), 0, 0)]
+    one, other = [(BasisElement(c, a), 0)], [(BasisElement(c, b), 0)]
     assert tensor.apply([(1, one)], w, units) is not None
     assert tensor.apply([(1, other)], w, units) is not None
     with pytest.raises(ValueError, match="different weights"):
         tensor.apply([(1, one), (1, other)], w, units)
+    # the empty word stays at w, so it cannot join a word that moves
+    with pytest.raises(ValueError, match="different weights"):
+        tensor.apply([(1, one), (1, [])], w, units)
 
 
 def test_diagonal_slot_block_rejects_a_unit_outside_the_index_set():
