@@ -24,13 +24,11 @@ from .algebra import (
     AlgebraElement,
     BasisElement,
     E,
-    RootDatum,
     iota,
     simple_raising_ops,
     star_omega,
     supercommutator,
     supertrace,
-    supertrace_matrix,
 )
 from .modules import (
     NaturalModule,

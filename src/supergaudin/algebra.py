@@ -213,14 +213,6 @@ def supertrace(x):
     return exact_scalar(out)
 
 
-def supertrace_matrix(M, index_set):
-    """Supertrace of a square matrix indexed by an index set's total order."""
-    members = list(index_set)
-    if len(M) != len(members) or any(len(row) != len(members) for row in M):
-        raise ValueError("matrix shape does not match the index set")
-    return sum(_sign(h.parity) * M[i][i] for i, h in enumerate(members))
-
-
 def iota(x):
     """Convert a plain-plus-central element to the extended convention.
 
@@ -261,19 +253,3 @@ def off_diagonal_units(index_set):
 def simple_raising_ops(index_set):
     """Simple raising operators: one per consecutive pair of the total order."""
     return [BasisElement(a, b) for a, b in index_set.simple_pairs()]
-
-
-class RootDatum:
-    """Fundamental system data for one index-set flavor."""
-
-    __slots__ = ("index_set", "raising")
-
-    def __init__(self, index_set):
-        object.__setattr__(self, "index_set", index_set)
-        object.__setattr__(self, "raising", tuple(simple_raising_ops(index_set)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootDatum is immutable")
-
-    def __repr__(self):
-        return "RootDatum(%r)" % (self.index_set,)

@@ -450,6 +450,8 @@ def _resolve_duality(kwargs):
     lams, m, n, mu, z, trials = (kwargs.pop(name) for name in ("lams", "m", "n", "mu", "z", "trials"))
     if trials < 1:
         raise click.UsageError("--trials must be at least 1")
+    if z and trials > 1:
+        raise click.UsageError("--trials above 1 samples points, so it cannot go with --z")
     shapes = [_parse_partition(t, "--lams") for t in lams.split(";")]
     setup = _checked(build_setup, shapes, m, n, _parse_partition(mu, "--mu"))
     if setup.ell < 2:
@@ -557,7 +559,7 @@ def _parse_path(text, flag):
 @kz.command("solve")
 @with_kz
 @click.option("--path", "path_json", required=True, help="waypoints [[[re,im],...],...]")
-@click.option("--psi0", default="singular", help="'singular' (a singular vector at --mu) or a JSON list of one number per basis vector")
+@click.option("--psi0", default="singular", help="'singular' (a singular vector at --mu or --weight) or a JSON list of one number per basis vector")
 @click.option("--rel-tol", type=float, default=1e-10, show_default=True)
 @click.pass_context
 def kz_solve(ctx, system, path_json, psi0, rel_tol):
@@ -568,7 +570,7 @@ def kz_solve(ctx, system, path_json, psi0, rel_tol):
     if psi0 == "singular":
         space = singular_space(system.tensor, system.mu)
         if not space.dim:
-            raise click.UsageError("the singular space at --mu is zero")
+            raise click.UsageError("the singular space at %s is zero" % ("--weight" if _given("weight") else "--mu"))
         vec = [complex(x) for x in space.basis[0]]
     else:
         try:

@@ -75,7 +75,7 @@ def idx(v):
 class IndexSet:
     """A finite index set with its flavor-specific total order."""
 
-    __slots__ = ("flavor", "p", "q", "m", "n", "_members")
+    __slots__ = ("flavor", "p", "q", "m", "n", "_members", "_doubled")
 
     def __init__(self, flavor, p=0, q=0, m=0, n=1):
         if flavor not in ("wide", "classical", "super"):
@@ -88,6 +88,7 @@ class IndexSet:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_members", tuple(self._enumerate()))
+        object.__setattr__(self, "_doubled", frozenset(h.doubled for h in self._members))
 
     def __setattr__(self, name, value):
         raise AttributeError("IndexSet is immutable")
@@ -124,14 +125,7 @@ class IndexSet:
         return len(self._members)
 
     def __contains__(self, index):
-        d = index.doubled
-        if self.flavor == "wide":
-            return d != 0 and -2 * self.p <= d <= 2 * self.n
-        if self.flavor == "classical":
-            return d % 2 == 1 and -2 * self.p < d < 2 * self.n
-        if d % 2 == 0:
-            return -2 * self.p <= d <= 2 * self.m and d != 0
-        return -2 * self.q < d < 2 * self.n
+        return index.doubled in self._doubled
 
     def __eq__(self, other):
         return (

@@ -410,8 +410,9 @@ class _VermaBuilder:
     Monomials are non-decreasing tuples of lowering-generator indices in a
     canonical order (root height, then row position); products are applied
     left to right onto the highest weight vector, so position 0 acts last.
-    Normal ordering is the usual straightening recursion, memoized, and
-    reads its brackets straight from ``bracket_units``.  ``monomials``
+    ``act`` is the one straightening recursion, with one memo: it applies
+    any matrix unit, a lowering generator included, and reads its brackets
+    straight from ``bracket_units``.  ``monomials``
     hands each monomial out with its weight, one sum onto its prefix's.
     Coefficients are plain ints: the structure constants are integers and
     weight coefficients are integers, so no Fraction is ever needed.
@@ -420,7 +421,6 @@ class _VermaBuilder:
     def __init__(self, index_set, xi):
         self.index_set = index_set
         self.xi = xi
-        pos = _position(index_set)
         members = list(index_set)
         lowering = []
         for bi, b in enumerate(members):
@@ -434,9 +434,7 @@ class _VermaBuilder:
         self.gen_shift = [
             BasisElement(HalfIndex(r), HalfIndex(c)).weight_shift() for r, c in self.gens
         ]
-        self.pos = pos
-        self._act_memo = {}
-        self._ins_memo = {}
+        self._memo = {}
 
     def _elem_act(self, terms, mono):
         out = {}
@@ -450,56 +448,38 @@ class _VermaBuilder:
     def act(self, key, mono):
         """Apply the matrix unit with the given (row, col) key to a monomial.
 
-        Returns a dict monomial -> coefficient in the PBW basis.
+        Returns a dict monomial -> coefficient in the PBW basis.  A lowering
+        generator at or below the head is prepended (an odd one onto itself
+        gives 0); any other unit is commuted past the head,
+        [X, f_head] rest + sign f_head (X rest), and the product re-sorted
+        by the same recursion.
         """
+        g = self.gen_index.get(key)
+        if g is not None and (not mono or g <= mono[0]):
+            if mono and g == mono[0] and self.gen_parity[g]:
+                return {}
+            return {(g,) + mono: 1}
         memo_key = (key, mono)
-        cached = self._act_memo.get(memo_key)
+        cached = self._memo.get(memo_key)
         if cached is not None:
             return cached
         r, c = key
         if not mono:
-            if r == c:
-                val = self.xi(r)
-                out = {(): val} if val else {}
-            elif self.pos[r] > self.pos[c]:
-                out = {(self.gen_index[key],): 1}
-            else:
-                out = {}
+            # a diagonal unit reads the highest weight, a raising one kills v
+            val = self.xi(r) if r == c else 0
+            out = {(): val} if val else {}
         else:
             head, rest = mono[0], mono[1:]
-            out = self._elem_act(bracket_units(r, c, *self.gens[head]), rest)
+            f_head = self.gens[head]
+            out = self._elem_act(bracket_units(r, c, *f_head), rest)
             sign = -1 if (((r & 1) ^ (c & 1)) and self.gen_parity[head]) else 1
             for mm, v in self.act(key, rest).items():
-                for m2, v2 in self.insert(head, mm).items():
+                for m2, v2 in self.act(f_head, mm).items():
                     val = sign * v * v2
                     if val:
                         out[m2] = out.get(m2, 0) + val
             out = {k: v for k, v in out.items() if v}
-        self._act_memo[memo_key] = out
-        return out
-
-    def insert(self, g, mono):
-        """Normal-ordered product of generator g with an ordered monomial."""
-        if not mono or g < mono[0]:
-            return {(g,) + mono: 1}
-        if g == mono[0]:
-            if self.gen_parity[g]:
-                return {}
-            return {(g,) + mono: 1}
-        memo_key = (g, mono)
-        cached = self._ins_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        head, rest = mono[0], mono[1:]
-        out = self._elem_act(bracket_units(*self.gens[g], *self.gens[head]), rest)
-        sign = -1 if (self.gen_parity[g] and self.gen_parity[head]) else 1
-        for mm, v in self.insert(g, rest).items():
-            for m2, v2 in self.insert(head, mm).items():
-                val = sign * v * v2
-                if val:
-                    out[m2] = out.get(m2, 0) + val
-        out = {k: v for k, v in out.items() if v}
-        self._ins_memo[memo_key] = out
+        self._memo[memo_key] = out
         return out
 
     def monomials(self, depth):

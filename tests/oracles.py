@@ -1,20 +1,24 @@
 """Oracles shared by several test modules: hook-tableau counts and hook
 data built on the package's partitions, dense views of one-slot tensor
 operators to compare the package's sparse core against, exact
-coordinates by sympy, which shares no code with the package's solves, and
-polynomial modules with every block read off the Pieri ambient."""
+coordinates by sympy, which shares no code with the package's solves,
+polynomial modules with every block read off the Pieri ambient, and the
+Verma straightening by two recursions, one that applies a unit and one
+that re-sorts a lowering generator into a monomial."""
 
 from fractions import Fraction
 from functools import cache
 
 import sympy
 
-from supergaudin.algebra import BasisElement
+from supergaudin.algebra import BasisElement, bracket_units
 from supergaudin.linalg import SpanBuilder, echelon_block
 from supergaudin.modules import (
     NaturalModule,
     TensorModule,
+    _position,
     _realize,
+    _VermaBuilder,
     polynomial_highest_weight,
     singular_space,
 )
@@ -130,3 +134,67 @@ def ambient_polynomial_module(index_set, lam):
 
     dims = {w: len(b) for w, b in bases.items()}
     return _realize(index_set, 0, dims, block_of, "polynomial", highest_weight=hw, shape=lam)
+
+
+class ReferenceStraightening(_VermaBuilder):
+    """The Verma straightening by two memoized recursions: ``act`` commutes
+    any unit, a lowering one included, through the whole monomial, and
+    ``insert`` re-sorts the generators it leaves in front.  Generators,
+    monomials and ``_elem_act`` are the package builder's."""
+
+    def __init__(self, index_set, xi):
+        super().__init__(index_set, xi)
+        self.pos = _position(index_set)
+        self._act_memo = {}
+        self._ins_memo = {}
+
+    def act(self, key, mono):
+        memo_key = (key, mono)
+        cached = self._act_memo.get(memo_key)
+        if cached is not None:
+            return cached
+        r, c = key
+        if not mono:
+            if r == c:
+                val = self.xi(r)
+                out = {(): val} if val else {}
+            elif self.pos[r] > self.pos[c]:
+                out = {(self.gen_index[key],): 1}
+            else:
+                out = {}
+        else:
+            head, rest = mono[0], mono[1:]
+            out = self._elem_act(bracket_units(r, c, *self.gens[head]), rest)
+            sign = -1 if (((r & 1) ^ (c & 1)) and self.gen_parity[head]) else 1
+            for mm, v in self.act(key, rest).items():
+                for m2, v2 in self.insert(head, mm).items():
+                    val = sign * v * v2
+                    if val:
+                        out[m2] = out.get(m2, 0) + val
+            out = {k: v for k, v in out.items() if v}
+        self._act_memo[memo_key] = out
+        return out
+
+    def insert(self, g, mono):
+        """Normal-ordered product of generator g with an ordered monomial."""
+        if not mono or g < mono[0]:
+            return {(g,) + mono: 1}
+        if g == mono[0]:
+            if self.gen_parity[g]:
+                return {}
+            return {(g,) + mono: 1}
+        memo_key = (g, mono)
+        cached = self._ins_memo.get(memo_key)
+        if cached is not None:
+            return cached
+        head, rest = mono[0], mono[1:]
+        out = self._elem_act(bracket_units(*self.gens[g], *self.gens[head]), rest)
+        sign = -1 if (self.gen_parity[g] and self.gen_parity[head]) else 1
+        for mm, v in self.insert(g, rest).items():
+            for m2, v2 in self.insert(head, mm).items():
+                val = sign * v * v2
+                if val:
+                    out[m2] = out.get(m2, 0) + val
+        out = {k: v for k, v in out.items() if v}
+        self._ins_memo[memo_key] = out
+        return out

@@ -9,7 +9,6 @@ from supergaudin.algebra import (
     AlgebraElement,
     BasisElement,
     E,
-    RootDatum,
     bracket_units,
     cocycle_units,
     iota,
@@ -17,7 +16,6 @@ from supergaudin.algebra import (
     star_omega,
     supercommutator,
     supertrace,
-    supertrace_matrix,
 )
 from supergaudin.indices import IndexSet, idx
 
@@ -120,13 +118,6 @@ def test_iota_is_a_bracket_isomorphism():
 def test_supertrace():
     assert supertrace(elem((1, 1, 1), ("1/2", "1/2", 1))) == 0
     assert supertrace(elem((1, 1, 2), (1, 2, 7))) == 2
-    gl11 = IndexSet.gl(0, 1, 0, 1)
-    assert supertrace_matrix([[1, 0], [0, 1]], gl11) == 0
-    cl = IndexSet.classical(0, 2)
-    assert supertrace_matrix([[1, 0], [0, 1]], cl) == -2
-    assert supertrace_matrix([[0, 0], [0, 0]], cl) == 0
-    with pytest.raises(ValueError):
-        supertrace_matrix([[1, 0]], cl)
 
 
 def test_supertrace_kills_brackets():
@@ -173,15 +164,6 @@ def test_simple_raising_ops():
     assert simple_raising_ops(IndexSet.gl(0, 1, 0, 1)) == [E(1, "1/2")]
     assert simple_raising_ops(IndexSet.gl(0, 2, 0, 1)) == [E(1, 2), E(2, "1/2")]
     assert simple_raising_ops(IndexSet.classical(0, 2)) == [E("1/2", "3/2")]
-
-
-def test_root_datum():
-    rd = RootDatum(IndexSet.gl(0, 2, 0, 1))
-    roots = [op.weight_shift() for op in rd.raising]
-    assert [sorted(r.coeffs.items()) for r in roots] == [
-        [(2, 1), (4, -1)],
-        [(1, -1), (4, 1)],
-    ]
 
 
 def test_element_json_round_trip():

@@ -446,6 +446,11 @@ BAD_INPUT = {
         "pairwise distinct",
     ),
     "duality-zero-trials": (["duality", "check", "--lams", "1;1", "--mu", "2", "--trials", "0"], "--trials must be at least 1"),
+    # more trials at the given points would repeat one report
+    "duality-trials-with-z": (
+        ["duality", "check", "--lams", "1;1", "--mu", "1,1", "--z", "0,1", "--trials", "3"],
+        "--trials above 1 samples points, so it cannot go with --z",
+    ),
     "duality-one-factor": (["duality", "check", "--lams", "1", "--mu", "1"], "at least two factors"),
     "verify-one-site": (["verify", "all", "--ell", "1", "--checks", "cyclic"], "--ell must be at least 2"),
     "verify-negative-m": (["verify", "all", "--m", "-1"], "need p, q, m >= 0 and n >= 1"),
@@ -534,6 +539,12 @@ BAD_INPUT = {
     "kz-solve-zero-singular-space": (
         ["kz", "solve", "--ell", "2", "--factor-kind", "natural", "--weight", '{"coeffs":[[1,2]],"level":"0"}',
          "--path", LOOP],
+        "the singular space at --weight is zero",
+    ),
+    # 2 e(1) + 2 e(2) is a weight of V_(2) (x) V_(1,1) over gl(2|1), but
+    # (2,2) is no constituent of the product
+    "kz-solve-zero-singular-space-mu": (
+        ["kz", "solve", "--lam", "2", "--lam", "1,1", "--m", "2", "--mu", "2,2", "--path", LOOP],
         "the singular space at --mu is zero",
     ),
     "kz-solve-bad-psi0": (["kz", "solve", *TWO_SITES, "--mu", "1,1", "--psi0", "notjson", "--path", LOOP], "bad --psi0"),

@@ -199,6 +199,17 @@ def test_int_rref_is_called_only_by_int_nullspace():
     assert _mentions(tree, "int_rref") == inside
 
 
+def test_verma_straightening_is_one_recursion():
+    # _VermaBuilder.act straightens every unit, a lowering generator
+    # included, so no second recursion (an insert) commutes in modules.py
+    tree = ast.parse(_sources(PACKAGE_DIR)["modules.py"])
+    definitions = dict(_definitions(tree))
+    assert "_VermaBuilder.insert" not in definitions
+    inside = _mentions(definitions["_VermaBuilder.act"], "bracket_units")
+    assert inside
+    assert _mentions(tree, "bracket_units") == inside
+
+
 def test_block_targets_are_summed_only_where_blocks_are_built():
     # every realization's _block hands back (target, block), so neither
     # WeightModule._act nor a Lax entry derives the target again

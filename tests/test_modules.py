@@ -21,13 +21,14 @@ from supergaudin.modules import (
     tensor_product,
     truncate_module,
     verma_truncated,
+    _VermaBuilder,
 )
 from supergaudin.partitions import Partition, all_partitions
 from supergaudin.serialize import module_from_json, module_to_json
 from supergaudin.weights import Weight, eps
 from supergaudin.verify import _oracle_dims
 
-from oracles import hook_tableau_dimension, hook_weight_to_partition, slot_act
+from oracles import ReferenceStraightening, hook_tableau_dimension, hook_weight_to_partition, slot_act
 
 
 GL11 = IndexSet.gl(0, 1, 0, 1)
@@ -132,6 +133,33 @@ def test_truncated_verma_raises_exactly_where_it_does_not_represent(index_set, x
             with pytest.raises(ValueError, match="leaves the depth-%d band" % depth):
                 vm._act(gen, w)
     assert refused
+
+
+STRAIGHTENING_SETS = [
+    IndexSet.gl(1, 1, 1, 1),
+    GL21,
+    IndexSet.gl(0, 1, 0, 2),
+    IndexSet.gl(0, 2, 0, 2),
+    IndexSet.classical(0, 3),
+]
+
+
+@pytest.mark.parametrize("index_set", STRAIGHTENING_SETS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_verma_straightening_matches_the_two_recursion_reference(index_set, data):
+    # one builder's act against the act/insert pair on one highest weight;
+    # each unit is any matrix unit or one of the monomial's own generators,
+    # so a lowering generator meets its equal at the head
+    members = [h.doubled for h in index_set]
+    xi = Weight({d: data.draw(st.integers(-3, 3)) for d in members})
+    builder, reference = _VermaBuilder(index_set, xi), ReferenceStraightening(index_set, xi)
+    units = [(a, b) for a in members for b in members]
+    monos = [mono for mono, _ in builder.monomials(3)]
+    for _ in range(data.draw(st.integers(1, 6))):
+        mono = data.draw(st.sampled_from(monos))
+        key = data.draw(st.sampled_from(units + [builder.gens[g] for g in mono]))
+        assert builder.act(key, mono) == reference.act(key, mono), (key, mono)
 
 
 def test_verma_labels_are_read_only():
