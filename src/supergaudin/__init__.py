@@ -4,6 +4,11 @@ Builds weight modules with exact rational action matrices, assembles
 quadratic and cubic Gaudin Hamiltonians, verifies their algebra exactly,
 matches spectra across the super-duality weight correspondence and
 integrates the (super) KZ equations numerically.
+
+Floats enter only in the KZ layer ``kz`` and in
+``gaudin.joint_diagonalize``, and numpy is loaded only by them and by the
+CLI: ``import supergaudin`` loads none, and resolves the KZ names on
+access.
 """
 
 import os
@@ -55,17 +60,35 @@ from .gaudin import (
 )
 from .laxmatrix import lax_str_expansion, s22_closed, s33_closed
 from .duality import DualitySetup, build_setup, cubic_spectrum_match, spectrum_match, truncation_check
-from .kz import (
-    KZSystem,
-    PathSolution,
-    flatness_residual,
-    gauge_transform,
-    integrate_path,
-    monodromy,
-    singular_preservation,
-)
 
 __version__ = "0.1.0"
+
+# The KZ names resolve on access (PEP 562), from ``kz`` each time and never
+# bound here: a binding would be a second copy that a later replacement of
+# ``kz``'s own attribute (as a tracer makes and undoes) would miss.
+_KZ_NAMES = frozenset(
+    {
+        "KZSystem",
+        "PathSolution",
+        "flatness_residual",
+        "gauge_transform",
+        "integrate_path",
+        "monodromy",
+        "singular_preservation",
+    }
+)
+
+
+def __getattr__(name):
+    if name in _KZ_NAMES:
+        from . import kz
+
+        return getattr(kz, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | _KZ_NAMES)
 
 
 def schemas_path():

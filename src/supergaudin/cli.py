@@ -24,6 +24,7 @@ from .cache import DiskCache, content_key
 from .duality import build_setup, cubic_spectrum_match, spectrum_match
 from .gaudin import cubic_family, family_levels, joint_diagonalize, pairwise_commutator_residual, quadratic_family
 from .indices import IndexSet
+from .kz import KZSystem, check_path, flatness_residual, integrate_path, monodromy
 from .linalg import charpoly
 from .modules import (
     NaturalModule,
@@ -160,9 +161,19 @@ def _target_weight(iset, mu, weight_json):
         raise click.UsageError("give --mu or --weight, not both")
     if weight_json is not None:
         try:
-            return Weight.from_json(json.loads(weight_json))
+            weight = Weight.from_json(json.loads(weight_json))
         except ValueError as exc:
             raise click.UsageError("bad --weight: %s" % (exc,))
+        # an index outside the set names no Cartan element: its weight
+        # space would silently read as zero
+        outside = [h for h in weight.support() if h not in iset]
+        if outside:
+            options = " ".join("--%s %d" % item for item in iset.params().items())
+            raise click.UsageError(
+                "bad --weight: doubled index %d is outside the index set of --flavor %s %s"
+                % (outside[0].doubled, iset.flavor, options)
+            )
+        return weight
     if mu is None:
         raise click.UsageError("need --mu or --weight")
     return _checked(polynomial_highest_weight, iset, _parse_partition(mu, "--mu"))
@@ -245,8 +256,6 @@ def with_tensor(target=False, mu_help=None, weight_help=None):
 
 
 def _resolve_kz(kwargs):
-    from .kz import KZSystem
-
     tens, target, kappa, convention = (kwargs.pop(name) for name in ("tens", "target", "kappa", "convention"))
     levels = _levels(tens, convention, kwargs.pop("levels"))
     kwargs["system"] = _checked(KZSystem, tens, target, kappa=kappa, convention=convention, levels=levels)
@@ -548,12 +557,17 @@ def kz():
     """Knizhnik-Zamolodchikov equations."""
 
 
-def _parse_path(text, flag):
+def _parse_path(text, flag, ell):
+    """Waypoints of --path or --loop, checked by ``kz.check_path``."""
     try:
         data = json.loads(text)
-        return [tuple(complex(re, im) for re, im in wp) for wp in data]
+        path = [tuple(complex(re, im) for re, im in wp) for wp in data]
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise click.UsageError("bad %s (need [[[re,im],...],...]): %s" % (flag, exc))
+    try:
+        return check_path(path, ell)
+    except ValueError as exc:
+        raise click.UsageError("bad %s: %s" % (flag, exc))
 
 
 @kz.command("solve")
@@ -564,9 +578,7 @@ def _parse_path(text, flag):
 @click.pass_context
 def kz_solve(ctx, system, path_json, psi0, rel_tol):
     """Integrate the KZ system along a path."""
-    from .kz import integrate_path
-
-    path = _parse_path(path_json, "--path")
+    path = _parse_path(path_json, "--path", system.ell)
     if psi0 == "singular":
         space = singular_space(system.tensor, system.mu)
         if not space.dim:
@@ -591,8 +603,6 @@ def kz_solve(ctx, system, path_json, psi0, rel_tol):
 @click.pass_context
 def kz_flatness(ctx, system, z, float_step):
     """Curvature residual of the KZ connection (exact by default)."""
-    from .kz import flatness_residual
-
     zs = _points(z, system.ell)
     try:
         if float_step is None:
@@ -615,9 +625,7 @@ def kz_flatness(ctx, system, z, float_step):
 @click.pass_context
 def kz_monodromy(ctx, system, loop_json, rel_tol):
     """Transport matrix around a closed loop."""
-    from .kz import monodromy
-
-    loop = _parse_path(loop_json, "--loop")
+    loop = _parse_path(loop_json, "--loop", system.ell)
     try:
         mat = monodromy(system, loop, rel_tol=rel_tol)
     except (ValueError, RuntimeError) as exc:

@@ -91,10 +91,8 @@ def build_setup(partitions, m, n, mu):
     partitions = [Partition(p) if not isinstance(p, Partition) else p for p in partitions]
     mu = Partition(mu) if not isinstance(mu, Partition) else mu
     for lam in partitions:
-        if not lam.hook_ok(m, n):
-            raise ValueError("partition %r violates the (%d|%d) hook condition" % (lam, m, n))
-    if not mu.hook_ok(m, n):
-        raise ValueError("mu %r violates the (%d|%d) hook condition" % (mu, m, n))
+        lam.check_hook(m, n, "factor")
+    mu.check_hook(m, n, "mu")
     total = sum(lam.size for lam in partitions)
     if mu.size != total:
         raise ValueError("mu has %d boxes; the factors have %d" % (mu.size, total))

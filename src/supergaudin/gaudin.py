@@ -52,6 +52,7 @@ operators included.  Their ``nullspace`` bases are also in the
 end-column form by which ``TensorModule.stored`` reads coordinates.
 """
 
+import functools
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -106,6 +107,22 @@ def _omega_spec(tensor, central, i, j, levels):
     return ("omega", central, levels, min(i, j), max(i, j))
 
 
+@functools.lru_cache(maxsize=None)
+def _casimir_table(index_set, central):
+    """The Casimir terms as (coefficient, left, right), built once per index
+    set and convention.  A side is (op, pull): K has pull None; a unit's
+    pull is minus its iota K coefficient in the central convention (the
+    pull-back adds pull times the level to the empty word) and 0 in the
+    plain one."""
+
+    def side(op):
+        if op == K_SYMBOL:
+            return op, None
+        return op, -iota(AlgebraElement.basis(op)).central if central else 0
+
+    return tuple((exact_scalar(c), side(left), side(right)) for c, left, right in casimir(index_set, central))
+
+
 def _block_terms(tensor, spec):
     """(coefficient, word) pairs summing to the block named by ``spec``, in
     the form ``TensorModule.apply`` reads (slots 0-based)."""
@@ -113,17 +130,16 @@ def _block_terms(tensor, spec):
     if spec[0] == "omega":
         _, central, levels, i, j = spec
 
-        def expand(op, slot):
-            # (scalar, word) pairs for op on the slot, zero scalars left out:
-            # K acts by the level; the central convention pulls a unit back
-            # through iota, subtracting its K coefficient times the level
-            if op == K_SYMBOL:
+        def expand(side, slot):
+            # (scalar, word) pairs for one side on the slot, zero scalars
+            # left out: K acts by the level, a unit adds its pull-back shift
+            op, pull = side
+            if pull is None:
                 return [(levels[slot], [])] if levels[slot] else []
-            shift = -iota(AlgebraElement.basis(op)).central * levels[slot] if central else 0
+            shift = pull * levels[slot] if pull else 0
             return [(1, [(op, slot)]), (shift, [])] if shift else [(1, [(op, slot)])]
 
-        for coeff, left, right in casimir(tensor.index_set, central):
-            coeff = exact_scalar(coeff)
+        for coeff, left, right in _casimir_table(tensor.index_set, central):
             for a, u in expand(left, i - 1):
                 for b, v in expand(right, j - 1):
                     yield coeff * a * b, u + v

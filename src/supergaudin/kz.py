@@ -24,6 +24,11 @@ explicit Runge-Kutta method of order 8 with embedded error estimates) and
 carries a complex (d, k) state, so a single vector (``integrate_path``)
 and a whole basis (``monodromy``, one joint integration instead of one
 per column) share it.
+
+This layer is where numpy comes in.  The package resolves the KZ names
+on access and never imports this module itself, so ``import
+supergaudin`` and the exact layers run without numpy; the CLI imports
+this module, and numpy with it, at start-up.
 """
 
 import cmath
@@ -43,6 +48,9 @@ from .gaudin import (
 )
 
 DIAGONAL_CLEARANCE = 1e-3
+# bound on the modulus of a waypoint coordinate: it keeps every coordinate
+# difference, and its square in the clearance test, finite
+MAX_MODULUS = 1e100
 
 
 class KZSystem:
@@ -185,8 +193,9 @@ def _segment_clearance(p, q):
 
 
 def check_path(path, ell=None):
-    """Waypoints as finite complex tuples of one length (ell when given),
-    each segment keeping DIAGONAL_CLEARANCE from every diagonal."""
+    """Waypoints as complex tuples of one length (ell when given), of
+    modulus at most MAX_MODULUS, each segment keeping DIAGONAL_CLEARANCE
+    from every diagonal."""
     path = [tuple(complex(z) for z in wp) for wp in path]
     if len(path) < 1:
         raise ValueError("empty path")
@@ -198,6 +207,8 @@ def check_path(path, ell=None):
         # stepper would then retry a nan step forever
         if not all(map(cmath.isfinite, wp)):
             raise ValueError("waypoint %d has a non-finite coordinate" % k)
+        if any(abs(z) > MAX_MODULUS for z in wp):
+            raise ValueError("waypoint %d has a coordinate of modulus above %g" % (k, MAX_MODULUS))
     for p, q in zip(path, path[1:]):
         if _segment_clearance(p, q) < DIAGONAL_CLEARANCE:
             raise ValueError(

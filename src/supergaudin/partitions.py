@@ -62,6 +62,11 @@ class Partition:
         """The (m|n)-hook condition lam'_{n+1} <= m."""
         return self.conjugate().part(n + 1) <= m
 
+    def check_hook(self, m, n, name):
+        """Refuse, naming the partition ``name``, when ``hook_ok`` fails."""
+        if not self.hook_ok(m, n):
+            raise ValueError("hook condition violated: %s = %r lies outside the (%d|%d) hook" % (name, self, m, n))
+
 
 def all_partitions(max_size, min_size=0):
     """All partitions with min_size <= |lam| <= max_size, by size then lex."""

@@ -152,6 +152,10 @@ class Weight:
             coeffs = dict(obj["coeffs"])
             if len(coeffs) != len(obj["coeffs"]):
                 raise ValueError("repeated index")
+            # JSON true and false would read as 1 and 0; as in the shipped
+            # schemas, a bool is no number
+            if any(type(x) is bool for x in (*coeffs, *coeffs.values(), obj["level"])):
+                raise ValueError("true or false where a number goes")
             return cls(coeffs, obj["level"])
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError("malformed weight document %r (%s)" % (obj, exc)) from None
@@ -171,18 +175,11 @@ def weight_super(lam_plus, lam_minus, d, q, m, p, n):
     the hook conditions (lam^+)'_{n+1} <= m and lam^-_{p+1} <= q so that
     nothing is lost to the band.
     """
+    lam_plus.check_hook(m, n, "lam+")
     cplus = lam_plus.conjugate()
-    if cplus.part(n + 1) > m:
-        raise ValueError(
-            "hook condition violated: (lam+)'_%d = %d > m = %d"
-            % (n + 1, cplus.part(n + 1), m)
-        )
-    if lam_minus.part(p + 1) > q:
-        raise ValueError(
-            "hook condition violated: lam-_%d = %d > q = %d"
-            % (p + 1, lam_minus.part(p + 1), q)
-        )
     cminus = lam_minus.conjugate()
+    # lam-_{p+1} <= q is the (q|p)-hook condition on the conjugate
+    cminus.check_hook(q, p, "lam-'")
     coeffs = {}
     for r in range(1, p + 1):
         coeffs[-2 * r] = -max(lam_minus.part(r) - q, 0)
@@ -197,12 +194,10 @@ def weight_super(lam_plus, lam_minus, d, q, m, p, n):
 
 def weight_classical(lam_plus, lam_minus, d, p, n):
     """Highest weight of the classical flavor: conjugate parts on half-odds."""
+    lam_plus.check_hook(0, n, "lam+")
+    lam_minus.check_hook(0, p, "lam-")
     cplus = lam_plus.conjugate()
     cminus = lam_minus.conjugate()
-    if cplus.part(n + 1):
-        raise ValueError("hook condition violated: (lam+)'_%d > 0" % (n + 1,))
-    if cminus.part(p + 1):
-        raise ValueError("hook condition violated: (lam-)'_%d > 0" % (p + 1,))
     coeffs = {}
     for r in range(1, p + 1):
         coeffs[-2 * r + 1] = -cminus.part(r)
@@ -285,8 +280,7 @@ def hook_correspondence(lam, m, n, k):
     the first k half-odd indices.  Requires lam'_{n+1} <= m and k >= lam_1.
     """
     conj = lam.conjugate()
-    if conj.part(n + 1) > m:
-        raise ValueError("hook condition violated: lam'_%d = %d > m = %d" % (n + 1, conj.part(n + 1), m))
+    lam.check_hook(m, n, "lam")
     if lam.part(1) > k:
         raise ValueError("k = %d too small: lam_1 = %d" % (k, lam.part(1)))
     super_w = weight_super(lam, Partition(), 0, 0, m, 0, n)

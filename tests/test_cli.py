@@ -555,6 +555,29 @@ BAD_INPUT = {
     # singular spaces are zero and the comparison would hold vacuously
     "duality-check-mu-size": (["duality", "check", "--lams", "1;1", "--mu", "3"], "mu has 3 boxes; the factors have 2"),
     "duality-cubic-mu-size": (["duality", "cubic", "--lams", "1;1", "--mu", "3"], "mu has 3 boxes; the factors have 2"),
+    # squaring the segment direction in the clearance test overflowed
+    **{
+        "kz-%s-huge-waypoint" % cmd: (
+            ["kz", cmd, "--ell", "2", "--factor-kind", "natural", "--mu", "1,1", flag,
+             json.dumps([[[0, 0], [1, 0]], [[1e308, 0], [1, 0]], [[0, 0], [1, 0]]])],
+            "bad %s: waypoint 1 has a coordinate of modulus above 1e+100" % flag,
+        )
+        for cmd, flag in (("solve", "--path"), ("monodromy", "--loop"))
+    },
+    # JSON true and false were read as 1 and 0
+    "weight-bool-coefficients": (
+        ["hamiltonian", *TWO_SITES, "--z", "0,1", "--weight", '{"level":"0","coeffs":[[1,true],[2,true]]}'],
+        "bad --weight: malformed weight document",
+    ),
+    "weight-bool-level": (
+        ["hamiltonian", *TWO_SITES, "--z", "0,1", "--weight", '{"level":false,"coeffs":[[1,1],[2,1]]}'],
+        "true or false where a number goes",
+    ),
+    # e(3/2) is no weight over gl(1|1): its weight space printed as "dim": 0
+    "weight-off-the-index-set": (
+        ["hamiltonian", *TWO_SITES, "--z", "0,1", "--weight", '{"level":"0","coeffs":[[3,1]]}'],
+        "bad --weight: doubled index 3 is outside the index set of --flavor super --q 0 --m 1 --p 0 --n 1",
+    ),
 }
 
 

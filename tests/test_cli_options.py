@@ -28,7 +28,7 @@ WC = '{"level":"0","coeffs":[[-2,1],[2,1]]}'
 # e(1/2) + e(1) + 3 e(2): in V_4 (x) V it holds (3 e(2) + e(1/2)) (x) e(1),
 # whose first factor lies five steps below the top of V_4
 DEEP = '{"level":"0","coeffs":[[1,1],[2,1],[4,3]]}'
-# e(1/2) + e(3/2): empty until n = 2
+# e(1/2) + e(3/2): off the index set, and refused, below n = 2
 WN = '{"level":"0","coeffs":[[1,1],[3,1]]}'
 POINTS = {2: "0,1", 3: "0,1,3"}
 PATHS = {2: _path((0, 1), (0, 2)), 3: _path((0, 1, 3), (0, 2, 3))}
@@ -108,7 +108,7 @@ for name in ("singular", "hamiltonian", "kz monodromy"):
     case(name, "--depth", deep + ["--factor-kind", "irreducible"] + tail(2), "5")
 for name in ("singular", "hamiltonian"):
     head, tail, _ = WEIGHT_COMMANDS[name]
-    case(name, "--n", head + nat(2, ["--weight", WN]) + tail(2), "2")
+    case(name, "--n", head + nat(2, ["--n", "2", "--weight", WN]) + tail(2), "1")
 # at --depth 0 the factors keep their top weights only
 POLY41 = ["--lam", "4", "--lam", "1", "--m", "2", "--mu", "4,1", "--factor-kind", "irreducible"]
 case("spectrum", "--depth", ["spectrum", *POLY41, "--z", "0,1"], "0")

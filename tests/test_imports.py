@@ -1,9 +1,10 @@
 """Every name a package module imports is used there or re-exported,
-every package definition has a caller outside the tests, and importing
-the CLI loads no scipy, and the io check of ``verify`` no jsonschema.
+every package definition has a caller outside the tests, importing the
+package loads no numpy, importing the CLI loads no scipy, and the io
+check of ``verify`` no jsonschema.
 
 Parsed with the stdlib ``ast``, so nothing is imported, except by the
-scipy and jsonschema checks, which run a fresh interpreter;
+import-footprint checks, which run a fresh interpreter;
 ``__init__.py`` is exempt from the import check, since re-exporting is
 its job.
 """
@@ -240,6 +241,10 @@ def _dotted_strings(tree):
             yield from (part for part in node.value.split(".") if part.isidentifier())
 
 
+# module-level functions the interpreter calls (PEP 562)
+MODULE_HOOKS = ("__getattr__", "__dir__")
+
+
 def unreferenced_definitions(package, callers=()):
     """Sorted "file:qualified name" of the definitions in ``package`` (file
     name to source) that nothing references.
@@ -248,7 +253,8 @@ def unreferenced_definitions(package, callers=()):
     or an import) in a package file other than ``__init__.py``, outside its
     own body; or in one of the ``callers`` sources, whose dotted string
     constants count too; or when ``__init__.py`` re-exports it; or when it
-    is decorated, as click commands and properties are.
+    is decorated, as click commands and properties are; or when it is a
+    module-level hook the interpreter calls (``MODULE_HOOKS``).
     """
     trees = {name: ast.parse(source) for name, source in package.items()}
     refs = Counter()
@@ -269,6 +275,8 @@ def unreferenced_definitions(package, callers=()):
     for fname, tree in sorted(trees.items()):
         for qualname, node in _definitions(tree):
             own = 0 if fname == "__init__.py" else sum(n == node.name for n in _names(node))
+            if node.name in MODULE_HOOKS:
+                continue
             if not (node.decorator_list or node.name in exported or refs[node.name] > own):
                 found.append(fname + ":" + qualname)
     return sorted(found)
@@ -276,7 +284,12 @@ def unreferenced_definitions(package, callers=()):
 
 def test_the_caller_check_sees_uncalled_functions_and_methods():
     package = {
-        "__init__.py": "from .a import exported\ndef init_only():\n    return quiet()\n",
+        "__init__.py": (
+            "from .a import exported\n"
+            "def init_only():\n    return quiet()\n"
+            "def __getattr__(name):\n    return name\n"
+            "def __dir__():\n    return []\n"
+        ),
         "a.py": (
             "import click\n"
             "NAME = 'orphan'\n"
@@ -295,7 +308,7 @@ def test_the_caller_check_sees_uncalled_functions_and_methods():
             "    def spare(self): return self.spare()\n"
             "    def traced(self): pass\n"
         ),
-        "b.py": "from .a import used, Box\n",
+        "b.py": "from .a import used, Box\ndef __getattr__(name): pass\ndef __missing__(): pass\n",
     }
     callers = ["TARGETS = [('a', 'benched'), 'a.Box.traced']\n"]
     assert unreferenced_definitions(package, callers) == [
@@ -304,9 +317,10 @@ def test_the_caller_check_sees_uncalled_functions_and_methods():
         "a.py:lonely",
         "a.py:orphan",
         "a.py:quiet",
+        "b.py:__missing__",
     ]
     # the same definitions with a caller each pass
-    package["b.py"] += "Box().spare(); lonely(); orphan(); quiet(); init_only()\n"
+    package["b.py"] += "Box().spare(); lonely(); orphan(); quiet(); init_only(); __missing__()\n"
     assert unreferenced_definitions(package, callers) == []
 
 
@@ -321,13 +335,58 @@ def test_every_package_definition_has_a_caller_outside_the_tests():
     assert unreferenced_definitions(_sources(PACKAGE_DIR), callers) == CALLER_EXEMPT
 
 
+def _run_fresh(code):
+    """Stdout lines of ``code`` run in a fresh interpreter on the package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.dirname(PACKAGE_DIR), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip().splitlines()
+
+
 def test_importing_the_cli_loads_no_scipy():
     # the KZ transport steps the package's own DOP853; importing
     # scipy.integrate took most of a bare CLI start
     code = "import sys, supergaudin.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.dirname(PACKAGE_DIR), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _run_fresh(code) == ["[]"]
+
+
+def test_importing_the_package_loads_no_numpy():
+    # floats enter only in the KZ layer and joint_diagonalize; numpy was
+    # most of a bare package import
+    code = "import sys, supergaudin; print('numpy' in sys.modules, 'supergaudin.kz' in sys.modules)"
+    assert _run_fresh(code) == ["False False"]
+
+
+def test_importing_the_cli_loads_numpy_and_kz():
+    # the CLI loads the KZ layer at import, so a cold command that reaches
+    # it (verify all runs the kz check) pays no import inside its work
+    code = "import sys, supergaudin.cli; print('numpy' in sys.modules, 'supergaudin.kz' in sys.modules)"
+    assert _run_fresh(code) == ["True True"]
+
+
+def test_kz_names_resolve_from_the_kz_module():
+    code = (
+        "import supergaudin\n"
+        "from supergaudin import KZSystem, monodromy\n"
+        "import supergaudin.kz as kz\n"
+        "print(KZSystem is kz.KZSystem, monodromy is kz.monodromy)\n"
+        "print(all(getattr(supergaudin, name) is getattr(kz, name) for name in supergaudin._KZ_NAMES))\n"
+        # resolved on each access, never bound in the package
+        "print(supergaudin._KZ_NAMES.isdisjoint(vars(supergaudin)))\n"
+        "print(supergaudin._KZ_NAMES <= set(dir(supergaudin)))\n"
+    )
+    assert _run_fresh(code) == ["True True", "True", "True", "True"]
+
+
+def test_an_unknown_package_name_raises_attribute_error():
+    code = (
+        "import supergaudin\n"
+        "try:\n"
+        "    supergaudin.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "print(hasattr(supergaudin, 'KZ'))\n"
+    )
+    assert _run_fresh(code) == ["module 'supergaudin' has no attribute 'no_such_name'", "False"]
 
 
 def test_verify_io_loads_no_jsonschema():
@@ -339,8 +398,6 @@ def test_verify_io_loads_no_jsonschema():
         "main(['--json', 'verify', 'all', '--checks', 'io'], standalone_mode=False)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('jsonschema', 'referencing', 'rpds')))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.dirname(PACKAGE_DIR), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    report, loaded = out.stdout.strip().splitlines()
+    report, loaded = _run_fresh(code)
     assert '"schema_validated":true' in report
     assert loaded == "[]"

@@ -385,6 +385,16 @@ def test_waypoints_must_be_finite():
         check_path([(float("nan"),)])
 
 
+def test_waypoints_must_be_bounded():
+    # squaring the segment direction in the clearance test raised an
+    # OverflowError at 1e308
+    for bad in (1e308, -1e101, complex(1, 2e100)):
+        with pytest.raises(ValueError, match="waypoint 1 has a coordinate of modulus above 1e\\+100"):
+            check_path([(0, 1), (bad, 1)])
+    far = [(0, 1j), (1e100, 1j)]
+    assert check_path(far) == far
+
+
 def test_transport_refuses_a_relative_tolerance_outside_zero_one():
     # 0 and nan used to step forever, -1 ended in the stepper's own error,
     # and 1e-16 was raised to 100 EPS with only a warning

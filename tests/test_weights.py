@@ -70,6 +70,14 @@ def test_weight_from_json_refuses_a_repeated_index():
             Weight.from_json({"coeffs": coeffs, "level": "0"})
 
 
+def test_weight_from_json_refuses_bools():
+    # JSON true and false are no numbers, as in the shipped schemas
+    for doc in ('{"coeffs": [[1, true]], "level": "0"}', '{"coeffs": [[true, 1]], "level": "0"}',
+                '{"coeffs": [[2, false]], "level": "0"}', '{"coeffs": [], "level": true}'):
+        with pytest.raises(ValueError, match="malformed weight document.*true or false"):
+            Weight.from_json(json.loads(doc))
+
+
 def test_weight_super_examples():
     empty = Partition([])
     assert weight_super(empty, empty, 3, 0, 1, 0, 1) == Weight({}, 3)
@@ -151,6 +159,14 @@ def test_hook_correspondence_examples():
         hook_correspondence(Partition([2, 2]), 1, 1, 4)
     with pytest.raises(ValueError, match="too small"):
         hook_correspondence(Partition([3]), 3, 1, 2)
+
+
+def test_hook_correspondence_refuses_the_hook_before_the_rank():
+    # (2,2) misses the (1|1) hook by one box and is too wide for k = 1; a
+    # hook check loosened by one (lam'_2 > m + 1) would pass it on to the
+    # rank check
+    with pytest.raises(ValueError, match="hook condition violated: lam = Partition"):
+        hook_correspondence(Partition([2, 2]), 1, 1, 1)
 
 
 def test_hook_correspondence_grades_by_box_count():
