@@ -10,8 +10,6 @@ same floats.  There is no maximum step and no dense output, and the
 stepper holds ``fun`` as given, so it forms no reference cycle.
 """
 
-import warnings
-
 import numpy as np
 
 EPS = np.finfo(float).eps
@@ -137,8 +135,8 @@ class DOP853:
     makes one accepted step and sets ``status`` to "finished" once t
     reaches t_bound; if the step size falls below the spacing of floats
     at t, it returns a message and sets ``status`` to "failed".  ``t`` and
-    ``y`` are the current point.  An rtol below 100 EPS is raised to it,
-    with a warning.
+    ``y`` are the current point.  rtol must be at least 100 EPS, as the
+    KZ transport checks; SciPy's DOP853 would raise a smaller one to it.
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol):
@@ -147,9 +145,6 @@ class DOP853:
             raise ValueError("y0 must be a nonempty finite real vector")
         if not t_bound > t0:
             raise ValueError("t_bound must exceed t0")
-        if rtol < 100 * EPS:
-            warnings.warn("rtol %g is too small, using %g" % (rtol, 100 * EPS), stacklevel=2)
-            rtol = np.maximum(rtol, 100 * EPS)
         if not atol >= 0:
             raise ValueError("atol must be nonnegative")
         self.fun = fun

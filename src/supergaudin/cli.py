@@ -461,7 +461,10 @@ def _resolve_duality(kwargs):
         raise click.UsageError("--trials must be at least 1")
     if z and trials > 1:
         raise click.UsageError("--trials above 1 samples points, so it cannot go with --z")
+    _index_set("super", 0, m, 0, n, None)
     shapes = [_parse_partition(t, "--lams") for t in lams.split(";")]
+    if not all(shapes):
+        raise click.UsageError("--lams has an empty factor")
     setup = _checked(build_setup, shapes, m, n, _parse_partition(mu, "--mu"))
     if setup.ell < 2:
         raise click.UsageError("--lams needs at least two factors")
@@ -586,9 +589,13 @@ def kz_solve(ctx, system, path_json, psi0, rel_tol):
         vec = [complex(x) for x in space.basis[0]]
     else:
         try:
-            vec = [complex(idx) for idx in json.loads(psi0)]
-        except (json.JSONDecodeError, TypeError, ValueError):
-            raise click.UsageError("bad --psi0")
+            # as floats, an integer too large for one reads as inf
+            vec = json.loads(psi0, parse_int=float)
+        except json.JSONDecodeError:
+            vec = None
+        # complex() would read a JSON true or "1" as a number
+        if not (isinstance(vec, list) and all(type(x) is float for x in vec)):
+            raise click.UsageError("bad --psi0: need a JSON list of numbers")
     try:
         sol = integrate_path(system, path, vec, rel_tol=rel_tol)
     except (ValueError, RuntimeError) as exc:

@@ -41,9 +41,10 @@ block once through its column-application core.  A block on a weight
 space is keyed by (spec, weight, None).  Its restriction to a subspace
 is keyed by (spec, weight, basis vectors), so the convention and the
 levels are part of every restricted key too; it acts on the basis
-vectors only, never building the full block.  Callers get fresh copies
-(``pair_matrix``, ``HamiltonianFamily.matrix``, ``restricted``), so
-nothing they mutate reaches the store.
+vectors only, never building the full block.  The family matrices
+(``HamiltonianFamily.matrix``, ``restricted``) are fresh, so nothing
+their callers mutate reaches the store; ``kz.KZSystem`` reads the shared
+Omega^{(ij)} blocks into floats at once.
 ``HamiltonianFamily.restricted`` restricts each block separately, so the
 subspace must be invariant under every block of the member, not just
 under the member.  Singular spaces always are: every block is an
@@ -91,20 +92,11 @@ def casimir(index_set, central=False):
     return tuple(terms)
 
 
-def _omega_spec(tensor, central, i, j, levels):
-    """The store name of Omega^{(ij)} (slots 1-based): levels are None in
-    the plain convention, which ignores them, and default to the factor
-    levels."""
-    ell = len(tensor.factors)
-    if not (1 <= i <= ell and 1 <= j <= ell) or i == j:
-        raise ValueError("slots must be distinct and within 1..%d" % ell)
-    if not central:
-        levels = None
-    elif levels is None:
-        levels = tuple(Fraction(f.level) for f in tensor.factors)
-    else:
-        levels = tuple(Fraction(x) for x in levels)
-    return ("omega", central, levels, min(i, j), max(i, j))
+def _omega_spec(central, i, j, levels):
+    """The store name of Omega^{(ij)} (slots 1-based) for the checked
+    levels of ``family_levels``: levels are None in the plain convention,
+    which ignores them."""
+    return ("omega", central, tuple(levels) if central else None, min(i, j), max(i, j))
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,17 +162,6 @@ def _stored_block(tensor, spec, w, basis=None):
     return res[1]
 
 
-def pair_matrix(tensor, i, j, w, central=False, levels=None):
-    """Exact matrix of the (i, j) two-site Casimir action on the w-space,
-    in the plain or (``central``) the central convention.
-
-    Served from the tensor's block store; returns fresh dense rows, or None
-    when every Casimir term vanishes there.
-    """
-    block = _stored_block(tensor, _omega_spec(tensor, central, i, j, levels), w)
-    return None if block is None else [row[:] for row in block]
-
-
 class HamiltonianFamily:
     """A z-parameterized commuting family on the weight spaces of a tensor.
 
@@ -214,7 +195,7 @@ class HamiltonianFamily:
         pole = {j: 1 / (zi - self.z[j - 1]) for j in others}
         if self.kind == "quadratic":
             central = self.convention == "central"
-            return [(pole[j], _omega_spec(self.tensor, central, i, j, self.levels)) for j in others]
+            return [(pole[j], _omega_spec(central, i, j, self.levels)) for j in others]
         if self.kind == "cubicD":
             return [(pole[j], ("cubic", j, i, i)) for j in others]
         terms = []

@@ -1,8 +1,8 @@
 """Numerical integration of the (super) KZ equations on one weight space.
 
-The connection matrices come from the exact two-site Casimir blocks in the
-tensor's block store (``gaudin.pair_matrix``), so building a system is
-exact, and ``gaudin.family_levels`` checks its convention and levels.
+The connection matrices are the exact two-site Casimir blocks of the
+tensor's block store (``gaudin._stored_block``), read into floats once,
+and ``gaudin.family_levels`` checks the convention and levels.
 The exact flatness residual is the commutator residual of the quadratic
 family over the same store: the derivative terms of the curvature cancel
 identically (see ``flatness_residual``).  Integration is floating point
@@ -40,16 +40,18 @@ import numpy as np
 from ._dop853 import DOP853, EPS
 from .algebra import simple_raising_ops
 from .gaudin import (
+    _omega_spec,
+    _stored_block,
     central_constant,
     family_levels,
-    pair_matrix,
     pairwise_commutator_residual,
     quadratic_family,
 )
 
 DIAGONAL_CLEARANCE = 1e-3
-# bound on the modulus of a waypoint coordinate: it keeps every coordinate
-# difference, and its square in the clearance test, finite
+# bound on the modulus of a waypoint coordinate and of a psi0 entry: it
+# keeps every coordinate difference, and its square in the clearance test,
+# finite; a modulus is taken after dividing by it, so it cannot overflow
 MAX_MODULUS = 1e100
 
 
@@ -74,26 +76,22 @@ class KZSystem:
             raise ValueError("mu is not a weight of the tensor product")
         central = convention == "central"
         d = self.dim
-        zero = [[Fraction(0)] * d for _ in range(d)]
         # Omega^{(ij)} = Omega^{(ji)}: one float stack over the unordered
         # pairs, indexed like the 0-based sites below
         sites = []
         blocks = []
         for i in range(1, self.ell + 1):
             for j in range(i + 1, self.ell + 1):
-                block = pair_matrix(tensor, i, j, mu, central, levels=self.levels)
-                block = block if block is not None else zero
+                block = _stored_block(tensor, _omega_spec(central, i, j, self.levels), mu)
                 sites.append((i - 1, j - 1))
-                blocks.append([[float(x) for x in row] for row in block])
+                blocks.append(np.zeros((d, d)) if block is None else np.array(block, dtype=float))
         self._sites = np.array(sites, dtype=int).reshape(len(sites), 2).T
         self._omega = np.array(blocks, dtype=float).reshape(len(sites), d, d)
         self._raising_float = []
         for op in simple_raising_ops(tensor.index_set):
             res = tensor.act(op, mu)
             if res is not None:
-                self._raising_float.append(
-                    np.array([[float(x) for x in row] for row in res[1]], dtype=complex)
-                )
+                self._raising_float.append(np.array(res[1], dtype=complex))
 
     def family(self, z):
         """The exact quadratic family at rational points, from the pair store."""
@@ -166,13 +164,7 @@ class PathSolution:
         return {
             "path": [[[zc.real, zc.imag] for zc in wp] for wp in self.path],
             "samples": [
-                {
-                    "t": s["t"],
-                    "z": [[zc.real, zc.imag] for zc in s["z"]],
-                    "psi": [[c.real, c.imag] for c in s["psi"]],
-                    "norm": s["norm"],
-                    "raising_ratio": s["raising_ratio"],
-                }
+                dict(s, z=[[zc.real, zc.imag] for zc in s["z"]], psi=[[c.real, c.imag] for c in s["psi"]])
                 for s in self.samples
             ],
         }
@@ -207,7 +199,7 @@ def check_path(path, ell=None):
         # stepper would then retry a nan step forever
         if not all(map(cmath.isfinite, wp)):
             raise ValueError("waypoint %d has a non-finite coordinate" % k)
-        if any(abs(z) > MAX_MODULUS for z in wp):
+        if any(abs(z / MAX_MODULUS) > 1 for z in wp):
             raise ValueError("waypoint %d has a coordinate of modulus above %g" % (k, MAX_MODULUS))
     for p, q in zip(path, path[1:]):
         if _segment_clearance(p, q) < DIAGONAL_CLEARANCE:
@@ -263,14 +255,17 @@ def integrate_path(system, path, psi0, rel_tol=1e-10):
 
     Returns a PathSolution with samples at the accepted steps of the
     segment driver (the start included); the parameter runs from 0 to the
-    number of segments.  Every waypoint must have system.ell coordinates.
+    number of segments.  Every waypoint must have system.ell coordinates,
+    and psi0 system.dim finite entries of modulus at most MAX_MODULUS.
     """
     path = check_path(path, system.ell)
-    psi = np.array([complex(c) for c in psi0], dtype=complex)
+    psi = [complex(c) for c in psi0]
     if len(psi) != system.dim:
         raise ValueError("psi0 has the wrong dimension")
+    if not all(abs(c / MAX_MODULUS) <= 1 for c in psi):
+        raise ValueError("psi0 needs finite entries of modulus at most %g" % MAX_MODULUS)
     samples = []
-    for t, z, vec in _transport(system, path, psi[:, None], rel_tol):
+    for t, z, vec in _transport(system, path, np.array(psi, dtype=complex)[:, None], rel_tol):
         vec = vec[:, 0].copy()
         samples.append(
             {
@@ -321,19 +316,20 @@ def flatness_residual(system, point, h=None):
         fam = system.family(z)
         return pairwise_commutator_residual(fam.matrices(system.mu)) / abs(kappa)
     kappa = complex(system.kappa)
+
+    def derivative(k, i):
+        # d_k H^i by a central difference of step h
+        zp = list(z)
+        zm = list(z)
+        zp[k - 1] += h
+        zm[k - 1] -= h
+        return (system.hamiltonian_float(i, zp) - system.hamiltonian_float(i, zm)) / (2 * h)
+
     worst = 0.0
     for i in range(1, ell + 1):
         for j in range(i + 1, ell + 1):
-            zp = list(z)
-            zm = list(z)
-            zp[i - 1] += h
-            zm[i - 1] -= h
-            di_hj = (system.hamiltonian_float(j, zp) - system.hamiltonian_float(j, zm)) / (2 * h)
-            zp = list(z)
-            zm = list(z)
-            zp[j - 1] += h
-            zm[j - 1] -= h
-            dj_hi = (system.hamiltonian_float(i, zp) - system.hamiltonian_float(i, zm)) / (2 * h)
+            di_hj = derivative(i, j)
+            dj_hi = derivative(j, i)
             hi = system.hamiltonian_float(i, z)
             hj = system.hamiltonian_float(j, z)
             resid = di_hj - dj_hi - (hi @ hj - hj @ hi) / kappa
@@ -388,15 +384,7 @@ def gauge_transform(solution, direction, p, q, levels=None, flavor="super"):
     for s, logmap in zip(solution.samples, logs):
         factor = cmath.exp(sign * sum(expo[pair] * logmap[pair] for pair in pairs))
         vec = s["psi"] * factor
-        new_samples.append(
-            {
-                "t": s["t"],
-                "z": s["z"],
-                "psi": vec,
-                "norm": float(np.linalg.norm(vec)),
-                "raising_ratio": s["raising_ratio"],
-            }
-        )
+        new_samples.append(dict(s, psi=vec, norm=float(np.linalg.norm(vec))))
     return PathSolution(system, solution.path, new_samples)
 
 

@@ -4,11 +4,13 @@ operators to compare the package's sparse core against, exact
 coordinates by sympy, which shares no code with the package's solves,
 polynomial modules with every block read off the Pieri ambient, and the
 Verma straightening by two recursions, one that applies a unit and one
-that re-sorts a lowering generator into a monomial."""
+that re-sorts a lowering generator into a monomial, and the KZ curvature
+by finite differences written out pair by pair."""
 
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
 import sympy
 
 from supergaudin.algebra import BasisElement, bracket_units
@@ -88,6 +90,32 @@ def restrict_to_basis(mat, basis):
     if any(col is None for col in coords):
         raise ValueError("subspace is not invariant under the operator")
     return [list(row) for row in zip(*coords)]
+
+
+def flatness_residual_fd(system, point, h):
+    """max over i < j of |d_i H^j - d_j H^i - (1/kappa)[H^i, H^j]| at complex
+    points, each derivative a central difference of step h, with every
+    shifted point built out in full."""
+    z = [complex(x) for x in point]
+    kappa = complex(system.kappa)
+    worst = 0.0
+    for i in range(1, system.ell + 1):
+        for j in range(i + 1, system.ell + 1):
+            zp = list(z)
+            zm = list(z)
+            zp[i - 1] += h
+            zm[i - 1] -= h
+            di_hj = (system.hamiltonian_float(j, zp) - system.hamiltonian_float(j, zm)) / (2 * h)
+            zp = list(z)
+            zm = list(z)
+            zp[j - 1] += h
+            zm[j - 1] -= h
+            dj_hi = (system.hamiltonian_float(i, zp) - system.hamiltonian_float(i, zm)) / (2 * h)
+            hi = system.hamiltonian_float(i, z)
+            hj = system.hamiltonian_float(j, z)
+            resid = di_hj - dj_hi - (hi @ hj - hj @ hi) / kappa
+            worst = max(worst, float(np.max(np.abs(resid))))
+    return worst
 
 
 @cache

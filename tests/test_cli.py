@@ -578,9 +578,52 @@ BAD_INPUT = {
         ["hamiltonian", *TWO_SITES, "--z", "0,1", "--weight", '{"level":"0","coeffs":[[3,1]]}'],
         "bad --weight: doubled index 3 is outside the index set of --flavor super --q 0 --m 1 --p 0 --n 1",
     ),
+    # complex() read a JSON true as 1 and a JSON string as the number it spells
+    **{
+        "kz-solve-psi0-%s" % name: (
+            ["kz", "solve", *TWO_SITES, "--mu", "1,1", "--path", LOOP, "--psi0", psi0],
+            "bad --psi0: need a JSON list of numbers",
+        )
+        for name, psi0 in (("bool", "[true, 1]"), ("string", '["1", 1]'), ("object", '{"1": 1}'))
+    },
+    # a NaN reached the stepper, which named its own y0; an infinite or
+    # huge entry overflowed numpy's norms with RuntimeWarnings first
+    **{
+        "kz-solve-psi0-%s" % name: (
+            ["kz", "solve", *TWO_SITES, "--mu", "1,1", "--path", LOOP, "--psi0", psi0],
+            "psi0 needs finite entries of modulus at most 1e+100",
+        )
+        for name, psi0 in (
+            ("nan", "[NaN, 1]"),
+            ("infinity", "[Infinity, 1]"),
+            ("huge", "[1e308, 1e308]"),
+            ("huge-integer", "[1%s, 1]" % ("0" * 400)),
+        )
+    },
+    # a negative rank reached Partition.part as an IndexError traceback, or
+    # was refused as a hook violation
+    "duality-check-negative-n": (
+        ["duality", "check", "--lams", "1;1", "--mu", "1,1", "--m", "1", "--n", "-1"],
+        "need p, q, m >= 0 and n >= 1",
+    ),
+    "duality-cubic-negative-m": (
+        ["duality", "cubic", "--lams", "1;1", "--mu", "1,1", "--m", "-1"],
+        "need p, q, m >= 0 and n >= 1",
+    ),
+    # an empty factor was refused as "the empty partition labels the
+    # trivial module", naming no option
+    **{
+        "duality-empty-factor-%d" % k: (
+            ["duality", "check", "--lams", lams, "--mu", "1,1"],
+            "--lams has an empty factor",
+        )
+        for k, lams in enumerate(("1;;1", "1;0", ";1,1"))
+    },
 }
 
 
+# a refusal prints its message alone, with no RuntimeWarning before it
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("args, message", BAD_INPUT.values(), ids=BAD_INPUT.keys())
 def test_bad_factor_weight_and_level_input_exits_two(tmp_path, args, message):
     res = run("--cache-dir", str(tmp_path), *args)

@@ -74,15 +74,14 @@ def test_steps_match_scipy_through_rejected_steps():
     assert _assert_same_steps(_linear(matrix), np.array([1.0, 1.0]), 1e-6, 1e-8) > 0
 
 
-def test_steps_match_scipy_with_rtol_below_100_eps():
+def test_steps_match_scipy_at_the_rtol_floor():
+    # the KZ transport admits no rel_tol below 100 EPS, and the stepper
+    # takes that floor as given, as scipy does
     rng = np.random.default_rng(11)
     matrix = rng.normal(size=(4, 4))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _assert_same_steps(_linear(matrix), rng.normal(size=4), 1e-16, 1e-18)
-    with pytest.warns(UserWarning, match="too small"):
-        solver = dop853.DOP853(_linear(matrix), 0.0, np.ones(4), 1.0, rtol=1e-16, atol=0.0)
-    assert solver.rtol == 100 * dop853.EPS
+        warnings.simplefilter("error")
+        _assert_same_steps(_linear(matrix), rng.normal(size=4), 100 * dop853.EPS, 1e-18)
 
 
 def test_steps_match_scipy_on_a_split_complex_state():

@@ -12,13 +12,14 @@ import pytest
 
 from supergaudin.algebra import BasisElement, E
 from supergaudin.gaudin import (
+    _omega_spec,
+    _stored_block,
     casimir,
     central_shift,
     commutator_residual,
     cubic_family,
     cyclic_vector_test,
     joint_diagonalize,
-    pair_matrix,
     pairwise_commutator_residual,
     quadratic_family,
 )
@@ -192,14 +193,9 @@ def test_casimir_term_lists():
 def test_apply_pair_examples():
     nat = NaturalModule(GL11)
     t2 = tensor_product([nat, nat])
-    top = Weight({2: 2})
-    assert pair_matrix(t2, 1, 2, top) == [[Fraction(1)]]
-    bottom = Weight({1: 2})
-    assert pair_matrix(t2, 1, 2, bottom) == [[Fraction(-1)]]
-    with pytest.raises(ValueError, match="slots must be distinct"):
-        pair_matrix(t2, 1, 1, top)
-    with pytest.raises(ValueError, match="within 1..2"):
-        pair_matrix(t2, 0, 3, top)
+    omega = _omega_spec(False, 1, 2, None)
+    assert _stored_block(t2, omega, Weight({2: 2})) == [[Fraction(1)]]
+    assert _stored_block(t2, omega, Weight({1: 2})) == [[Fraction(-1)]]
 
 
 def test_pair_matrix_matches_word_oracle():

@@ -183,6 +183,22 @@ def test_the_central_extension_lives_in_gaudin():
         assert not any(_spells(body, flavor) for flavor in ("super", "classical", "wide"))
 
 
+def test_pair_blocks_are_read_from_the_one_store():
+    # gaudin serves every stored block and KZSystem reads the Omega blocks
+    # straight into floats; a second reader, or a copying pair_matrix,
+    # would be a second way to the two-site Casimirs
+    sources = _sources(PACKAGE_DIR)
+    readers = [name for name, source in sources.items() if _spells(ast.parse(source), "_stored_block")]
+    assert readers == ["gaudin.py", "kz.py"]
+    defined = [
+        name + ":" + qualname
+        for name, source in sources.items()
+        for qualname, _ in _definitions(ast.parse(source))
+        if qualname.split(".")[-1] == "pair_matrix"
+    ]
+    assert not defined, defined
+
+
 def test_int_rref_is_called_only_by_int_nullspace():
     # every basis the package solves against is built in echelon form and
     # linalg.echelon_block reads coordinates by substitution; any other

@@ -4,6 +4,7 @@ import cmath
 import gc
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from supergaudin.modules import (
 from supergaudin.partitions import Partition
 from supergaudin.weights import Weight, eps
 
-from oracles import restrict_to_basis
+from oracles import flatness_residual_fd, restrict_to_basis
 
 GL11 = IndexSet.gl(0, 1, 0, 1)
 MU = eps(1) + eps("1/2")
@@ -78,6 +79,15 @@ def test_flatness_float_cross_check():
     system = KZSystem(tensor, MU + eps("1/2"))
     resid = flatness_residual(system, [0.0, 1.1, 2.7], h=1e-5)
     assert resid <= 1e-10
+
+
+def test_float_flatness_equals_the_written_out_differences():
+    # one central-difference helper serves both derivatives of a pair; it
+    # makes the same numpy calls in the same order as the written-out loop
+    for convention in ("plain", "central"):
+        system = three_site_system(convention)
+        for point, h in (([0.0, 1.1, 2.7], 1e-4), ([0.3j, 1.1, 2.7 - 0.5j], 1e-6)):
+            assert flatness_residual(system, point, h=h) == flatness_residual_fd(system, point, h)
 
 
 def test_scalar_closed_form():
@@ -388,11 +398,27 @@ def test_waypoints_must_be_finite():
 def test_waypoints_must_be_bounded():
     # squaring the segment direction in the clearance test raised an
     # OverflowError at 1e308
-    for bad in (1e308, -1e101, complex(1, 2e100)):
+    # at 1.7e308 + 1.7e308j the modulus itself raised an OverflowError
+    for bad in (1e308, -1e101, complex(1, 2e100), complex(1e100, 1e100), complex(1.7e308, 1.7e308)):
         with pytest.raises(ValueError, match="waypoint 1 has a coordinate of modulus above 1e\\+100"):
             check_path([(0, 1), (bad, 1)])
     far = [(0, 1j), (1e100, 1j)]
     assert check_path(far) == far
+
+
+def test_psi0_entries_must_be_finite_and_bounded():
+    # a nan reached the stepper, which named its own y0, and an infinite
+    # or huge entry overflowed numpy's norms with RuntimeWarnings first
+    t2, system = two_site_system()
+    path = [(0, 1), (0.4j, 2)]
+    bad_entries = (math.nan, math.inf, -math.inf, 1e308, complex(1e100, 1e100), complex(1.7e308, 1.7e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in bad_entries:
+            with pytest.raises(ValueError, match="psi0 needs finite entries of modulus at most 1e\\+100"):
+                integrate_path(system, path, [bad] + [1] * (system.dim - 1))
+        sol = integrate_path(system, path, [1e100] + [0] * (system.dim - 1))
+    assert sol.final_psi[0] != 0
 
 
 def test_transport_refuses_a_relative_tolerance_outside_zero_one():

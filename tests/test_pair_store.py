@@ -20,9 +20,11 @@ from supergaudin.algebra import BasisElement
 from supergaudin.gaudin import (
     K_SYMBOL,
     _block_terms,
+    _omega_spec,
+    _stored_block,
     casimir,
     cubic_family,
-    pair_matrix,
+    family_levels,
     quadratic_family,
 )
 from supergaudin.indices import IndexSet
@@ -144,13 +146,14 @@ def zs(ell):
 def test_stored_pair_matches_dense_reference_and_is_symmetric(case):
     tensor, convention, levels, w = case
     central = convention == "central"
+    checked = family_levels(tensor, convention, levels)
     ell = len(tensor.factors)
     for i in range(1, ell + 1):
         for j in range(1, ell + 1):
             if i == j:
                 continue
             ref = dense_pair(tensor, central, i, j, w, levels)
-            got = pair_matrix(tensor, i, j, w, central, levels=levels)
+            got = _stored_block(tensor, _omega_spec(central, i, j, checked), w)
             if ref is None:
                 assert got is None
             else:
@@ -174,19 +177,6 @@ def test_stored_site_casimirs_match_dense_reference(case):
             else:
                 assert got[0] == w
                 assert [list(row) for row in zip(*got[1])] == ref, (k, slot)
-
-
-def test_pair_blocks_refuse_bad_slots():
-    # unchecked, (1, 1) would read a zero block, (-1, 1) another pair's
-    # block through a negative index, slot 0 or 4 a KeyError or an
-    # IndexError
-    iset = FLAVORS["gl(1|1)"]
-    tensor = tensor_product([NaturalModule(iset)] * 3)
-    w = max(tensor.weights(), key=tensor.dim)
-    for i, j in ((1, 1), (-1, 1), (0, 1), (1, 0), (4, 1), (2, 4)):
-        with pytest.raises(ValueError, match="slots must be distinct and within 1..3"):
-            pair_matrix(tensor, i, j, w)
-    assert not tensor.block_store
 
 
 @settings(max_examples=30, deadline=None)
@@ -292,12 +282,6 @@ def _assert_unshared(get):
     first[0][0] += 99
     first.append(["junk"])
     assert get() == pristine
-
-
-def test_pair_matrix_result_is_not_shared():
-    tensor, w = _natural_pair()
-    _assert_unshared(lambda: pair_matrix(tensor, 1, 2, w))
-    _assert_unshared(lambda: pair_matrix(tensor, 2, 1, w))
 
 
 def test_family_matrix_result_is_not_shared():
