@@ -18,8 +18,6 @@ from .partitions import GeneralizedPartition, Partition, all_partitions, frobeni
 from .weights import (
     Weight,
     eps,
-    hook_correspondence,
-    in_lattice,
     unitarizable_weight,
     weight_classical,
     weight_super,

@@ -4,8 +4,11 @@ One master partition list drives both sides: the super side takes the
 polynomial modules of the partitions over gl(m|n); the classical side
 takes the polynomial modules of the same partitions over the purely odd
 realization of gl(k), whose highest weights carry the conjugate parts.
-Spectra are compared through exact characteristic polynomials, so the
-headline checks carry no tolerances at all.
+The singular weights are matched by the same rule: each side reads the
+master partition mu through ``polynomial_highest_weight`` on its own index
+set, as its factor modules read theirs.  Spectra are compared through
+exact characteristic polynomials, so the headline checks carry no
+tolerances at all.
 
 Each side's tensor comes from ``polynomial_tensor``, memoized per (index
 set, partition list) for the life of the process, as polynomial modules
@@ -22,13 +25,13 @@ from .indices import IndexSet
 from .linalg import charpoly, mat_mul
 from .modules import (
     irreducible_truncated,
+    polynomial_highest_weight,
     polynomial_module,
     polynomial_tensor,
     singular_space,
     truncate_module,
 )
 from .partitions import Partition
-from .weights import hook_correspondence
 
 __all__ = [
     "DualitySetup",
@@ -50,7 +53,8 @@ class DualitySetup:
         self.k = k
         self.super_set = IndexSet.gl(0, m, 0, n)
         self.classical_set = IndexSet.classical(0, k)
-        self.super_weight, self.classical_weight = hook_correspondence(mu, m, n, k)
+        self.super_weight = polynomial_highest_weight(self.super_set, mu)
+        self.classical_weight = polynomial_highest_weight(self.classical_set, mu)
         self.super_tensor = polynomial_tensor(self.super_set, self.partitions)
         self.classical_tensor = polynomial_tensor(self.classical_set, self.partitions)
         self._singular_pair = None

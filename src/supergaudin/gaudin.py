@@ -162,6 +162,17 @@ def _stored_block(tensor, spec, w, basis=None):
     return res[1]
 
 
+def _marked_points(tensor, z):
+    """The marked points as Fractions, pairwise distinct and one per tensor
+    factor; ValueError otherwise."""
+    z = tuple(Fraction(x) for x in z)
+    if len(set(z)) != len(z):
+        raise ValueError("z points must be pairwise distinct")
+    if len(z) != len(tensor.factors):
+        raise ValueError("need one z point per tensor factor")
+    return z
+
+
 class HamiltonianFamily:
     """A z-parameterized commuting family on the weight spaces of a tensor.
 
@@ -171,11 +182,7 @@ class HamiltonianFamily:
     """
 
     def __init__(self, tensor, z, kind, convention, levels):
-        z = tuple(Fraction(x) for x in z)
-        if len(set(z)) != len(z):
-            raise ValueError("z points must be pairwise distinct")
-        if len(z) != len(tensor.factors):
-            raise ValueError("need one z point per tensor factor")
+        z = _marked_points(tensor, z)
         if len(z) < 2:
             raise ValueError("need at least two sites")
         self.tensor = tensor

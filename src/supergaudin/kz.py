@@ -259,11 +259,15 @@ def integrate_path(system, path, psi0, rel_tol=1e-10):
     and psi0 system.dim finite entries of modulus at most MAX_MODULUS.
     """
     path = check_path(path, system.ell)
-    psi = [complex(c) for c in psi0]
+    bounded = "psi0 needs finite entries of modulus at most %g" % MAX_MODULUS
+    try:
+        psi = [complex(c) for c in psi0]
+    except OverflowError:  # an int too large for a float
+        raise ValueError(bounded) from None
     if len(psi) != system.dim:
         raise ValueError("psi0 has the wrong dimension")
     if not all(abs(c / MAX_MODULUS) <= 1 for c in psi):
-        raise ValueError("psi0 needs finite entries of modulus at most %g" % MAX_MODULUS)
+        raise ValueError(bounded)
     samples = []
     for t, z, vec in _transport(system, path, np.array(psi, dtype=complex)[:, None], rel_tol):
         vec = vec[:, 0].copy()

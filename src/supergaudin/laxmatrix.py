@@ -24,7 +24,7 @@ from itertools import product
 from math import comb
 
 from .algebra import BasisElement
-from .gaudin import _block_terms, cubic_family, quadratic_family
+from .gaudin import _block_terms, _marked_points, cubic_family, quadratic_family
 
 MAX_ORDER = 3
 
@@ -108,41 +108,20 @@ def _lax_entry(a, b, z):
 
 def _on_weight_spaces(tensor, terms):
     """{w: {key: rows}} over the weights of the tensor, of partial-fraction
-    terms given as (scalar, word) lists.  On each weight space each
-    distinct word is read once, by one ``apply`` over the unit columns,
-    and scalar times its image goes into every term that carries it; the
-    words of one term must end in one weight, and all-zero terms drop."""
-    # number the distinct words once, so no word is hashed per weight
-    ids = {}
-    terms = {
-        key: [(s, ids.setdefault(tuple(word), len(ids))) for s, word in pairs]
-        for key, pairs in terms.items()
-    }
+    terms given as (scalar, word) lists.  On each weight space each term is
+    read by one ``apply`` over the unit columns, whose images are the
+    columns of its matrix; all-zero terms drop."""
     out = {}
     for w in tensor.weights():
         d = tensor.dim(w)
         units = [[int(r == c) for r in range(d)] for c in range(d)]
-        images = []
-        for word in ids:
-            res = tensor.apply([(1, word)], w, units)
-            if res is not None:
-                target, cols = res
-                res = target, [(r, c, x) for c, col in enumerate(cols) for r, x in enumerate(col) if x]
-            images.append(res)
         out[w] = {}
         for key, pairs in terms.items():
-            hits = [(s, images[i]) for s, i in pairs if images[i] is not None]
-            if not hits:
-                continue
-            target = hits[0][1][0]
-            if any(image[0] != target for _, image in hits):
-                raise ValueError("the words end in different weights")
-            rows = [[0] * d for _ in range(tensor.dim(target))]
-            for s, (_, entries) in hits:
-                for r, c, x in entries:
-                    rows[r][c] += s * x
-            if any(map(any, rows)):
-                out[w][key] = rows
+            res = tensor.apply(pairs, w, units)
+            if res is not None:
+                rows = [list(row) for row in zip(*res[1])]
+                if any(map(any, rows)):
+                    out[w][key] = rows
     return out
 
 
@@ -156,9 +135,7 @@ def lax_str_expansion(tensor, z, k):
     """
     if k not in (1, 2, 3):
         raise ValueError("only powers 1..3 are supported")
-    z = tuple(Fraction(x) for x in z)
-    if len(z) != len(tensor.factors):
-        raise ValueError("need one z point per tensor factor")
+    z = _marked_points(tensor, z)
     members = list(tensor.index_set)
     total = {}
     # (L^k)_{rr} = sum over index chains r -> ... -> r of entry products

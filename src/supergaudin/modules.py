@@ -915,10 +915,11 @@ def _build_polynomial_module(index_set, lam):
 
 
 def truncate_module(module, smaller):
-    """Weight-band restriction of a module to a smaller index set."""
-    from .weights import in_lattice
-
-    dims = {w: d for w, d in module._dims.items() if in_lattice(w, smaller)}
+    """Weight-band restriction of a module to a smaller index set: the
+    weight spaces whose weight is supported on ``smaller``, the band rule
+    ``duality.truncation_check`` reads off the highest weight, so a module
+    truncated to its own index set comes back whole."""
+    dims = {w: d for w, d in module._dims.items() if all(h in smaller for h in w.support())}
 
     def block_of(gen, w):
         # act first: a truncated Verma raises when the action leaves its band

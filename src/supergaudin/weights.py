@@ -11,7 +11,7 @@ skips the checks their inputs have already passed.
 from fractions import Fraction
 
 from .indices import HalfIndex, idx
-from .partitions import Partition, frobenius_theta
+from .partitions import frobenius_theta
 
 
 def exact_scalar(x):
@@ -253,36 +253,3 @@ def unitarizable_weight(gen_lam, p, q, m, n):
     for key, v in shift.coeffs.items():
         coeffs[key] = coeffs.get(key, 0) - d * v
     return Weight(coeffs, 0)
-
-
-def in_lattice(w, index_set):
-    """Membership in the weight lattice of modules over the given flavor.
-
-    True iff the support lies in the index set, coefficients on positive
-    indices are nonnegative and coefficients on negative indices are
-    nonpositive (the level is unconstrained).
-    """
-    for dd, v in w.coeffs.items():
-        if HalfIndex(dd) not in index_set:
-            return False
-        if dd > 0 and v < 0:
-            return False
-        if dd < 0 and v > 0:
-            return False
-    return True
-
-
-def hook_correspondence(lam, m, n, k):
-    """Matched super/classical weights of one master partition.
-
-    Returns ``(super_weight, classical_weight)`` where the super side lives
-    on gl(m|n) indices and the classical side puts the conjugate parts on
-    the first k half-odd indices.  Requires lam'_{n+1} <= m and k >= lam_1.
-    """
-    conj = lam.conjugate()
-    lam.check_hook(m, n, "lam")
-    if lam.part(1) > k:
-        raise ValueError("k = %d too small: lam_1 = %d" % (k, lam.part(1)))
-    super_w = weight_super(lam, Partition(), 0, 0, m, 0, n)
-    coeffs = {2 * i - 1: conj.part(i) for i in range(1, k + 1) if conj.part(i)}
-    return super_w, Weight(coeffs, 0)

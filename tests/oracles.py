@@ -4,8 +4,9 @@ operators to compare the package's sparse core against, exact
 coordinates by sympy, which shares no code with the package's solves,
 polynomial modules with every block read off the Pieri ambient, and the
 Verma straightening by two recursions, one that applies a unit and one
-that re-sorts a lowering generator into a monomial, and the KZ curvature
-by finite differences written out pair by pair."""
+that re-sorts a lowering generator into a monomial, the KZ curvature
+by finite differences written out pair by pair, and the Lax terms read
+word by word through a table of distinct words."""
 
 from fractions import Fraction
 from functools import cache
@@ -226,3 +227,44 @@ class ReferenceStraightening(_VermaBuilder):
         out = {k: v for k, v in out.items() if v}
         self._ins_memo[memo_key] = out
         return out
+
+
+def word_table_on_weight_spaces(tensor, terms):
+    """The Lax terms on every weight space, word by word: {w: {key: rows}}
+    of partial-fraction terms given as (scalar, word) lists.  On each
+    weight space each distinct word is read once, by one ``apply`` over
+    the unit columns, and scalar times its image goes into every term that
+    carries it; the words of one term must end in one weight, and all-zero
+    terms drop."""
+    # number the distinct words once, so no word is hashed per weight
+    ids = {}
+    terms = {
+        key: [(s, ids.setdefault(tuple(word), len(ids))) for s, word in pairs]
+        for key, pairs in terms.items()
+    }
+    out = {}
+    for w in tensor.weights():
+        d = tensor.dim(w)
+        units = [[int(r == c) for r in range(d)] for c in range(d)]
+        images = []
+        for word in ids:
+            res = tensor.apply([(1, word)], w, units)
+            if res is not None:
+                target, cols = res
+                res = target, [(r, c, x) for c, col in enumerate(cols) for r, x in enumerate(col) if x]
+            images.append(res)
+        out[w] = {}
+        for key, pairs in terms.items():
+            hits = [(s, images[i]) for s, i in pairs if images[i] is not None]
+            if not hits:
+                continue
+            target = hits[0][1][0]
+            if any(image[0] != target for _, image in hits):
+                raise ValueError("the words end in different weights")
+            rows = [[0] * d for _ in range(tensor.dim(target))]
+            for s, (_, entries) in hits:
+                for r, c, x in entries:
+                    rows[r][c] += s * x
+            if any(map(any, rows)):
+                out[w][key] = rows
+    return out

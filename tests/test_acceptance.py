@@ -15,13 +15,13 @@ import pytest
 from supergaudin.algebra import (
     AlgebraElement,
     BasisElement,
+    off_diagonal_units,
     star_omega,
     supercommutator,
 )
 from supergaudin.duality import build_setup, cubic_spectrum_match, spectrum_match, truncation_check
 from supergaudin.gaudin import (
     central_shift,
-    commutator_residual,
     cubic_family,
     cyclic_vector_test,
     joint_diagonalize,
@@ -36,7 +36,7 @@ from supergaudin.kz import (
     integrate_path,
     singular_preservation,
 )
-from supergaudin.linalg import charpoly, is_zero_matrix, mat_add, poly_shift
+from supergaudin.linalg import charpoly, is_zero_matrix, mat_add, mat_mul, poly_shift
 from supergaudin.modules import (
     NaturalModule,
     irreducible_truncated,
@@ -102,22 +102,29 @@ def test_criterion_01_structure_exactness():
     report(1, "structure identities exact on %d random triples" % checked)
 
 
+def _assert_equivariant(tensor, mats):
+    """E H(w) = H(w') E, exactly, for every member H of ``mats[w]`` and
+    every off-diagonal unit E taking the w-space to the w'-space; a
+    diagonal unit acts on a weight space by a scalar."""
+    for w, here in mats.items():
+        for gen in off_diagonal_units(tensor.index_set):
+            res = tensor.act(gen, w)
+            if res is not None:
+                target, block = res
+                for a, b in zip(here, mats[target]):
+                    assert mat_mul(block, a) == mat_mul(b, block), (gen, w)
+
+
 def _hamiltonian_algebra_case(tensor, z):
     fam = quadratic_family(tensor, z)
-    members = list(tensor.index_set)
-    for w in tensor.weights():
-        assert pairwise_commutator_residual(fam.matrices(w)) == 0
-        total = fam.matrix(1, w)
-        for i in range(2, fam.ell + 1):
-            total = mat_add(total, fam.matrix(i, w))
+    mats = {w: fam.matrices(w) for w in tensor.weights()}
+    for here in mats.values():
+        assert pairwise_commutator_residual(here) == 0
+        total = here[0]
+        for mm in here[1:]:
+            total = mat_add(total, mm)
         assert is_zero_matrix(total)
-        for a in members:
-            for b in members:
-                res = tensor.act(BasisElement(a, b), w)
-                if res is None or res[0] != w:
-                    continue
-                for i in range(1, fam.ell + 1):
-                    assert commutator_residual(fam.matrix(i, w), res[1]) == 0
+    _assert_equivariant(tensor, mats)
 
 
 def test_criterion_02_hamiltonian_algebra():
@@ -222,20 +229,12 @@ def test_criterion_05_cubic_hamiltonians():
     rng = random.Random(505)
     gl11 = IndexSet.gl(0, 1, 0, 1)
     nat = NaturalModule(gl11)
-    members = list(gl11)
     for ell in (2, 3):
         tensor = tensor_product([nat] * ell)
         z = _sample_z(rng, ell)
         for kind in ("C", "D"):
             fam = cubic_family(tensor, z, kind)
-            for w in tensor.weights():
-                for a in members:
-                    for b in members:
-                        res = tensor.act(BasisElement(a, b), w)
-                        if res is None or res[0] != w:
-                            continue
-                        for i in range(1, ell + 1):
-                            assert commutator_residual(fam.matrix(i, w), res[1]) == 0
+            _assert_equivariant(tensor, {w: fam.matrices(w) for w in tensor.weights()})
     checks = 0
     for ell in (2, 3):
         shapes = [[[1]] * ell]

@@ -199,6 +199,24 @@ def test_pair_blocks_are_read_from_the_one_store():
     assert not defined, defined
 
 
+def test_duality_and_truncation_read_the_module_layer_rules():
+    # the duality weights are the polynomial highest weights of the master
+    # partition and a truncation keeps the weights supported on the
+    # smaller index set; a hook_correspondence or an in_lattice would be a
+    # second copy of either rule
+    sources = _sources(PACKAGE_DIR)
+    defined = [
+        name + ":" + qualname
+        for name, source in sources.items()
+        for qualname, _ in _definitions(ast.parse(source))
+        if qualname in ("hook_correspondence", "in_lattice")
+    ]
+    assert not defined, defined
+    duality = set(_names(ast.parse(sources["duality.py"])))
+    assert not duality & {"weight_super", "weight_classical"}
+    assert "polynomial_highest_weight" in duality
+
+
 def test_int_rref_is_called_only_by_int_nullspace():
     # every basis the package solves against is built in echelon form and
     # linalg.echelon_block reads coordinates by substitution; any other

@@ -407,11 +407,14 @@ def test_waypoints_must_be_bounded():
 
 
 def test_psi0_entries_must_be_finite_and_bounded():
-    # a nan reached the stepper, which named its own y0, and an infinite
-    # or huge entry overflowed numpy's norms with RuntimeWarnings first
+    # a nan reached the stepper, which named its own y0, an infinite or
+    # huge entry overflowed numpy's norms with RuntimeWarnings first, and an
+    # int too large for a float raised OverflowError
     t2, system = two_site_system()
     path = [(0, 1), (0.4j, 2)]
-    bad_entries = (math.nan, math.inf, -math.inf, 1e308, complex(1e100, 1e100), complex(1.7e308, 1.7e308))
+    bad_entries = (
+        math.nan, math.inf, -math.inf, 1e308, complex(1e100, 1e100), complex(1.7e308, 1.7e308), 10**400, -(10**400)
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in bad_entries:

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from supergaudin import laxmatrix
 from supergaudin.algebra import BasisElement
 from supergaudin.indices import IndexSet
 from supergaudin.laxmatrix import (
@@ -24,7 +25,7 @@ from supergaudin.laxmatrix import (
 from supergaudin.modules import NaturalModule, tensor_product
 from supergaudin.weights import Weight, eps
 
-from oracles import slot_act
+from oracles import slot_act, word_table_on_weight_spaces
 
 Z2 = (Fraction(0), Fraction(1))
 Z3 = (Fraction(0), Fraction(1), Fraction(5, 2))
@@ -233,3 +234,44 @@ def test_bad_power_rejected():
     tensor = tensor_product([NaturalModule(IndexSet.gl(0, 1, 0, 1))] * 2)
     with pytest.raises(ValueError):
         lax_str_expansion(tensor, Z2, 4)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_repeated_point_rejected(k):
+    # a repeated point divided by zero at k = 2 and 3 and passed at k = 1
+    tensor = tensor_product([NaturalModule(IndexSet.gl(0, 1, 0, 1))] * 2)
+    with pytest.raises(ValueError, match="z points must be pairwise distinct"):
+        lax_str_expansion(tensor, (Fraction(1), Fraction(1)), k)
+
+
+LAX_SETS = [IndexSet.gl(0, 1, 0, 1), IndexSet.gl(0, 2, 0, 1), IndexSet.gl(1, 1, 1, 1)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_each_term_reads_as_the_word_table_reads_it(data):
+    # every term the expansion and the closed forms read on the weight
+    # spaces, one apply per term, against the word-by-word reference
+    index_set = data.draw(st.sampled_from(LAX_SETS), label="index_set")
+    ell = data.draw(st.integers(1, 3), label="ell")
+    k = data.draw(st.integers(1, 3), label="k")
+    halves = data.draw(st.lists(st.integers(-6, 6), min_size=ell, max_size=ell, unique=True), label="2z")
+    z = [Fraction(x, 2) for x in halves]
+    tensor = tensor_product([NaturalModule(index_set)] * ell)
+    one_apply = laxmatrix._on_weight_spaces
+    read = []
+
+    def both(tensor, terms):
+        got = one_apply(tensor, terms)
+        assert got == word_table_on_weight_spaces(tensor, terms)
+        read.append(terms)
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laxmatrix, "_on_weight_spaces", both)
+        lax_str_expansion(tensor, z, k)
+        closed = ell > 1 and not (index_set.p or index_set.q)
+        if closed:
+            s22_closed(tensor, z)
+            s33_closed(tensor, z)
+    assert len(read) == k + 1 + 2 * closed

@@ -23,9 +23,9 @@ from supergaudin.modules import (
     verma_truncated,
     _VermaBuilder,
 )
-from supergaudin.partitions import Partition, all_partitions
+from supergaudin.partitions import GeneralizedPartition, Partition, all_partitions
 from supergaudin.serialize import module_from_json, module_to_json
-from supergaudin.weights import Weight, eps
+from supergaudin.weights import Weight, eps, unitarizable_weight
 from supergaudin.verify import _oracle_dims
 
 from oracles import ReferenceStraightening, hook_tableau_dimension, hook_weight_to_partition, slot_act
@@ -360,6 +360,33 @@ def test_truncation_functor_examples():
     # truncation to the same band is the identity on dims
     same = truncate_module(big, IndexSet.classical(0, 3))
     assert dims_of(same) == dims_of(big)
+    # a weight off the band goes, whatever the signs of its coefficients
+    gl21_nat = truncate_module(NaturalModule(GL21), GL11)
+    assert dims_of(gl21_nat) == {eps(1): 1, eps("1/2"): 1}
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        NaturalModule(IndexSet.gl(0, 1, 1, 1)),
+        irreducible_truncated(
+            IndexSet.gl(1, 1, 0, 1), unitarizable_weight(GeneralizedPartition((1,)), 0, 1, 1, 1), 2
+        ),
+    ],
+    ids=["natural-gl(0+1|1+1)", "unitarizable-gl(1+1|1)"],
+)
+def test_truncation_to_its_own_index_set_is_the_identity(module):
+    # each module has a weight with a positive coefficient on a negative
+    # index, e(-1) and the highest weight e(-1/2) + e(1): the band rule
+    # reads the support only, not the signs
+    same = truncate_module(module, module.index_set)
+    assert dims_of(same) == dims_of(module)
+    members = list(module.index_set)
+    for w in module.weights():
+        for a in members:
+            for b in members:
+                gen = BasisElement(a, b)
+                assert same.act(gen, w) == module.act(gen, w), (gen, w)
 
 
 def test_polynomial_embedding_is_invariant():

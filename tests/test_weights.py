@@ -1,18 +1,17 @@
-"""Weight constructions, lattices and the duality bijections."""
+"""Weight constructions and the duality bijections."""
 
 import json
-import random
 from fractions import Fraction
 
 import pytest
 
+from supergaudin.duality import DualitySetup, build_setup
 from supergaudin.indices import IndexSet, idx
+from supergaudin.modules import polynomial_highest_weight
 from supergaudin.partitions import GeneralizedPartition, Partition, all_partitions
 from supergaudin.weights import (
     Weight,
     eps,
-    hook_correspondence,
-    in_lattice,
     one_pq,
     unitarizable_weight,
     weight_classical,
@@ -120,53 +119,38 @@ def test_one_pq():
     assert one_pq(0, 0) == Weight({})
 
 
-def test_in_lattice_examples():
-    band = IndexSet.gl(0, 1, 0, 1)
-    assert in_lattice(eps(1) + eps("1/2"), band)
-    assert not in_lattice(-eps("1/2"), band)
-    assert in_lattice(Weight({}), band)
-    assert not in_lattice(eps("3/2"), band)
-    wide = IndexSet.wide(1, 1)
-    assert in_lattice(-eps(-1) - eps("-1/2") + eps(1), wide)
-    assert not in_lattice(eps(-1), wide)
-
-
-def test_lattice_additivity():
-    rng = random.Random(2)
-    band = IndexSet.gl(1, 2, 1, 2)
-    wide = IndexSet.wide(4, 4)
-    members = list(wide)
-    for _ in range(200):
-        def sample():
-            coeffs = {}
-            for _ in range(rng.randint(0, 3)):
-                h = rng.choice(members)
-                coeffs[h.doubled] = (1 if h.doubled > 0 else -1) * rng.randint(0, 2)
-            return Weight(coeffs)
-
-        w1, w2 = sample(), sample()
-        assert in_lattice(w1 + w2, band) == (in_lattice(w1, band) and in_lattice(w2, band))
+def duality_weights(lam, m, n, k):
+    """The matched super and classical weights of a master partition, as
+    ``DualitySetup`` reads them: the hook weights on gl(m|n) and on the
+    purely odd gl(k)."""
+    return (
+        polynomial_highest_weight(IndexSet.gl(0, m, 0, n), lam),
+        polynomial_highest_weight(IndexSet.classical(0, k), lam),
+    )
 
 
 def test_hook_correspondence_examples():
-    sup, cla = hook_correspondence(Partition([1]), 1, 1, 1)
+    sup, cla = duality_weights(Partition([1]), 1, 1, 1)
     assert sup == eps(1) and cla == eps("1/2")
-    sup, cla = hook_correspondence(Partition([1, 1]), 1, 1, 2)
+    sup, cla = duality_weights(Partition([1, 1]), 1, 1, 2)
     assert sup == eps(1) + eps("1/2") and cla == Weight({1: 2})
-    sup, cla = hook_correspondence(Partition([2]), 1, 1, 2)
+    sup, cla = duality_weights(Partition([2]), 1, 1, 2)
     assert sup == Weight({2: 2}) and cla == eps("1/2") + eps("3/2")
-    with pytest.raises(ValueError, match="hook"):
-        hook_correspondence(Partition([2, 2]), 1, 1, 4)
-    with pytest.raises(ValueError, match="too small"):
-        hook_correspondence(Partition([3]), 3, 1, 2)
+    with pytest.raises(ValueError, match=r"outside the \(1\|1\) hook"):
+        duality_weights(Partition([2, 2]), 1, 1, 4)
+    # a classical rank below lam_1 is the (0|k) hook on the classical side
+    with pytest.raises(ValueError, match=r"outside the \(0\|2\) hook"):
+        duality_weights(Partition([3]), 3, 1, 2)
+    setup = build_setup([[1], [1]], 1, 1, [1, 1])
+    assert (setup.super_weight, setup.classical_weight) == duality_weights(Partition([1, 1]), 1, 1, 2)
 
 
 def test_hook_correspondence_refuses_the_hook_before_the_rank():
-    # (2,2) misses the (1|1) hook by one box and is too wide for k = 1; a
-    # hook check loosened by one (lam'_2 > m + 1) would pass it on to the
-    # rank check
-    with pytest.raises(ValueError, match="hook condition violated: lam = Partition"):
-        hook_correspondence(Partition([2, 2]), 1, 1, 1)
+    # (2,2) misses the (1|1) hook by one box and is too wide for k = 1; the
+    # setup reads the super weight first, so a super hook check loosened
+    # by one (lam'_2 > m + 1) would pass it on to the classical rank
+    with pytest.raises(ValueError, match=r"lam\+ = Partition\(\[2, 2\]\) lies outside the \(1\|1\) hook"):
+        DualitySetup((), 1, 1, Partition([2, 2]), 1)
 
 
 def test_hook_correspondence_grades_by_box_count():
@@ -175,7 +159,7 @@ def test_hook_correspondence_grades_by_box_count():
             if not lam.hook_ok(m, n):
                 continue
             k = max(lam.part(1), 1)
-            sup, cla = hook_correspondence(lam, m, n, k)
+            sup, cla = duality_weights(lam, m, n, k)
             assert sum(sup.coeffs.values()) == lam.size == sum(cla.coeffs.values())
 
 
