@@ -104,10 +104,6 @@ class AlgebraElement:
     def basis(cls, elem, coeff=1):
         return cls({elem: coeff})
 
-    @classmethod
-    def K(cls, coeff=1):
-        return cls({}, coeff)
-
     def is_zero(self):
         return not self.terms and not self.central
 
@@ -149,16 +145,6 @@ class AlgebraElement:
         if self.central:
             bits.append("%s*K" % (self.central,))
         return "AlgebraElement(%s)" % (" + ".join(bits) or "0")
-
-    def to_json(self):
-        return {
-            "central": str(self.central),
-            "terms": [[r, c, str(v)] for (r, c), v in sorted(self.terms.items())],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls({(int(r), int(c)): v for r, c, v in obj["terms"]}, obj["central"])
 
 
 def _sign(exponent):

@@ -286,14 +286,7 @@ def cubic_family(tensor, z, kind):
     iset = tensor.index_set
     if kind not in ("C", "D"):
         raise ValueError("kind must be C or D")
-    if iset.flavor == "super":
-        if iset.p or iset.q:
-            raise ValueError("cubic Hamiltonians need p = q = 0")
-    elif iset.flavor == "classical":
-        if iset.p:
-            raise ValueError("cubic Hamiltonians need p = 0")
-    else:
-        raise ValueError("cubic Hamiltonians are not defined for this flavor")
+    iset.require_polynomial("cubic Hamiltonians")
     levels = [f.level for f in tensor.factors]
     return HamiltonianFamily(tensor, z, "cubic" + kind, "plain", levels)
 

@@ -15,8 +15,8 @@ Three finite index-set flavors are supported:
 
       -p < ... < -1 < -q+1/2 < ... < -1/2 < 1 < ... < m < 1/2 < ... < n-1/2.
 
-A naive numeric sort is wrong for the super flavor, so all comparisons go
-through the set's ``key`` method.
+A naive numeric sort is wrong for the super flavor, so indices have no
+order of their own: the set's iteration order is the only order.
 """
 
 from fractions import Fraction
@@ -49,12 +49,6 @@ class HalfIndex:
 
     def __hash__(self):
         return hash(self.doubled)
-
-    def __lt__(self, other):
-        return self.doubled < other.doubled
-
-    def __le__(self, other):
-        return self.doubled <= other.doubled
 
     def __repr__(self):
         d = self.doubled
@@ -92,10 +86,6 @@ class IndexSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("IndexSet is immutable")
-
-    @classmethod
-    def wide(cls, p, n):
-        return cls("wide", p=p, n=n)
 
     @classmethod
     def classical(cls, p, n):
@@ -141,6 +131,18 @@ class IndexSet:
         """Consecutive index pairs (a, b) with a immediately below b."""
         mem = self._members
         return [(mem[i], mem[i + 1]) for i in range(len(mem) - 1)]
+
+    def require_polynomial(self, what):
+        """Refuse, naming ``what``, unless the flavor is a polynomial one:
+        super with p = q = 0, or classical with p = 0."""
+        if self.flavor == "super":
+            if self.p or self.q:
+                raise ValueError("%s need p = q = 0" % what)
+        elif self.flavor == "classical":
+            if self.p:
+                raise ValueError("%s need p = 0" % what)
+        else:
+            raise ValueError("unsupported flavor for %s" % what)
 
     def params(self):
         if self.flavor == "super":

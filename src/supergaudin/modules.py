@@ -54,11 +54,6 @@ class WeightModule:
     def total_dim(self):
         return sum(self._dims.values())
 
-    def represents(self, gen, w):
-        """Whether the stored basis holds the image of the w-space under
-        gen; only a truncation can cut part of it off."""
-        return True
-
     def act(self, gen, w):
         """Block of E_{gen} from the w-space; (target_weight, matrix) or None.
 
@@ -359,32 +354,75 @@ class NaturalModule(ExplicitModule):
         ExplicitModule.__init__(self, index_set, 0, dims, blocks, "natural")
 
 
-def _realize(index_set, level, dims, block_of, provenance, **meta):
-    """An ExplicitModule over the weights of ``dims`` whose blocks are the
-    (target weight, block) pairs ``block_of(gen, w)`` returns for every
-    off-diagonal unit gen; None and all-zero blocks are dropped.  ``meta``
-    describes the realization.
+def _realize(index_set, level, dims, simple_block, provenance, **meta):
+    """An ExplicitModule over the weights of ``dims``; ``meta`` describes
+    the realization.
 
-    Only the truncations read every unit this way: a Verma quotient
-    (``irreducible_truncated``) and a band restriction (``truncate_module``)
-    are not modules at their band edges, so the middle weight of a product
-    E_ab E_bc can fall outside the kept band and a block cannot be derived
-    from the simple ones, as ``polynomial_module`` derives its blocks."""
+    Only the simple units, consecutive in the set's order, are read: their
+    blocks are the (target weight, block) pairs ``simple_block(gen, w)``
+    returns.  The simple units and the Cartan generate the algebra (Kac,
+    Adv. Math. 26, 1977), so every other block is derived in the module's
+    own basis, in order of |pos(a) - pos(c)|, by the supercommutator
+
+        E_ac = E_ab E_bc - (-1)^{|E_ab| |E_bc|} E_bc E_ab,   a != c,
+
+    with b the neighbour of c on the way to a and a missing block read as
+    zero; the sign is -1 only when both factors are odd.  Entries go
+    through ``exact_scalar``; None and all-zero blocks are dropped.  This
+    is exact when the kept spaces carry a representation, as they do for
+    every builder:
+
+    * a polynomial module is a cyclic submodule of its Pieri ambient;
+    * a Gram quotient (``irreducible_truncated``) keeps the complete
+      weights.  Both factors of E_ac move the weight the same way, so the
+      middle weight's deficit height lies between those of the two ends,
+      both <= depth, and the middle weight is complete.  A middle weight
+      outside the Verma's cone has no space, and the factor block is 0
+      either way;
+    * a truncation (``truncate_module``) keeps the weights supported on the
+      smaller set, which are stable under its algebra.  From a truncated
+      Verma every simple block at every kept weight is still read; if none
+      leaves the depth band, no bracket of them can.
+    """
+    members = list(index_set)
+    pos = {h.doubled: i for i, h in enumerate(members)}
+    # E_{a,c} by distance |pos(a) - pos(c)|: the simple units first
+    units = sorted(
+        off_diagonal_units(index_set),
+        key=lambda g: abs(pos[g.row.doubled] - pos[g.col.doubled]),
+    )
     blocks = {}
-    for gen in off_diagonal_units(index_set):
+    for gen in units:
+        a, c = pos[gen.row.doubled], pos[gen.col.doubled]
+        if abs(a - c) == 1:
+            for w in dims:
+                res = simple_block(gen, w)
+                if res is not None and any(map(any, res[1])):
+                    blocks[(gen.key(), w)] = res
+            continue
+        # E_ac = E_ab E_bc - (-1)^{|E_ab||E_bc|} E_bc E_ab, b next to c
+        b = members[c - 1 if a < c else c + 1]
+        ab, bc = BasisElement(gen.row, b).key(), BasisElement(b, gen.col).key()
+        sign = -1 if (gen.row.parity ^ b.parity) and (b.parity ^ gen.col.parity) else 1
         for w in dims:
-            res = block_of(gen, w)
-            if res is not None and any(map(any, res[1])):
-                blocks[(gen.key(), w)] = res
+            # each term applies the unit ``first``, then ``second``
+            block = None
+            for first, second, coeff in ((bc, ab, 1), (ab, bc, -sign)):
+                one = blocks.get((first, w))
+                two = one and blocks.get((second, one[0]))
+                if two:
+                    target = two[0]
+                    term = [[coeff * x for x in row] for row in mat_mul(two[1], one[1])]
+                    block = term if block is None else mat_add(block, term)
+            if block is not None:
+                block = [[exact_scalar(x) for x in row] for row in block]
+                if any(map(any, block)):
+                    blocks[(gen.key(), w)] = (target, block)
     return ExplicitModule(index_set, level, dims, blocks, provenance, **meta)
 
 
 def tensor_product(factors):
     return TensorModule(factors)
-
-
-def _position(index_set):
-    return {h.doubled: i for i, h in enumerate(index_set)}
 
 
 def deficit_height(index_set, xi, w):
@@ -537,18 +575,11 @@ class _TruncatedVerma(WeightModule):
         complete = {w: h for w, h in heights.items() if h is not None and h <= depth}
         init(self, "complete", MappingProxyType(complete))
 
-    def represents(self, gen, w):
-        # the straightened image of every stored monomial must be stored
-        tind = self._index.get(w + gen.weight_shift(), ())
-        act = self._builder.act
-        return all(mm in tind for mono in self.labels.get(w, ()) for mm in act(gen.key(), mono))
-
     def _block(self, gen, w):
         # a missing target reads as zero, which is wrong when the depth
         # truncation cut it off: refuse at the first image monomial with no
-        # row in the target, as ``represents`` would.  Every caller asks for
-        # each (gen, w) once, and the builder memoizes the straightening, so
-        # blocks are not cached
+        # row in the target.  Every caller asks for each (gen, w) once, and
+        # the builder memoizes the straightening, so blocks are not cached
         target = w + gen.weight_shift()
         tind = self._index.get(target, {})
         monos = self.labels[w]
@@ -666,7 +697,10 @@ def irreducible_truncated(index_set, xi, depth):
 
     Accepts unitarizable super-flavor weights and dominant-integral
     classical weights; anything else is rejected (the radical is not known
-    to cut out the irreducible there).
+    to cut out the irreducible there).  The quotient keeps the complete
+    weights, of deficit height <= depth; ``block_of`` reads a simple
+    unit's Verma block in the quotient basis, which also checks that the
+    radical is invariant, and ``_realize`` derives the other blocks.
     """
     if any(not isinstance(v, int) for v in xi.coeffs.values()):
         raise ValueError("highest weight must be integral")
@@ -755,15 +789,10 @@ def singular_space(module, mu):
 
 def polynomial_highest_weight(index_set, lam):
     """Hook weight of a partition for a p = q = 0 flavor."""
+    index_set.require_polynomial("polynomial modules")
     if index_set.flavor == "super":
-        if index_set.p or index_set.q:
-            raise ValueError("polynomial modules need p = q = 0")
         return weight_super(lam, Partition(), 0, 0, index_set.m, 0, index_set.n)
-    if index_set.flavor == "classical":
-        if index_set.p:
-            raise ValueError("polynomial modules need p = 0")
-        return weight_classical(lam, Partition(), 0, 0, index_set.n)
-    raise ValueError("unsupported flavor for polynomial modules")
+    return weight_classical(lam, Partition(), 0, 0, index_set.n)
 
 
 _POLY_CACHE = {}
@@ -789,24 +818,12 @@ def polynomial_module(index_set, lam):
     realization inside the |lam|-th tensor power, whose dimension is
     (m + n)^|lam|.  Results are memoized; modules are immutable.
 
-    Only the blocks of the simple units E_{a,a+1} and E_{a+1,a} come from
-    the ambient tensor: the coproduct applied to the basis of each weight
-    space, read in that basis by ``echelon_block``, which also checks that
-    the cyclic span is invariant.  The simple units and the Cartan generate
-    gl(m|n) (Kac, Adv. Math. 26, 1977), so that check covers the whole
-    algebra.  Every other block is derived in the module's own basis, in
-    order of |pos(a) - pos(c)|, by the supercommutator
-
-        E_ac = E_ab E_bc - (-1)^{|E_ab| |E_bc|} E_bc E_ab,   a != c,
-
-    with b the neighbour of c on the way to a and a missing block read as
-    zero.  This is exact: [E_ab, E_bc] = E_ac holds in gl(m|n) for a != c,
-    and the module is a genuine representation, so its operators obey it;
-    entries go through ``exact_scalar``, ints where integral as read off
-    the ambient.  With p = q = 0 the order puts every even index before
-    every odd one, so a, b and c lie on one side and no derived pair is
-    odd-odd: the sign is +1 on every polynomial flavor, though the code
-    keeps the general formula.
+    Only the blocks of the simple units come from the ambient tensor: the
+    coproduct applied to the basis of each weight space, read in that
+    basis by ``echelon_block``, which also checks that the cyclic span is
+    invariant.  The simple units and the Cartan generate gl(m|n) (Kac,
+    Adv. Math. 26, 1977), so that check covers the whole algebra, and
+    ``_realize`` derives every other block from them.
     """
     cache_key = (index_set, lam)
     if cache_key in _POLY_CACHE:
@@ -869,56 +886,30 @@ def _build_polynomial_module(index_set, lam):
             if spans[target].add(img):
                 frontier.append((target, img))
     bases = {w: sb.basis() for w, sb in spans.items() if len(sb)}
+
+    def simple_block(gen, w):
+        res = amb.apply(amb.coproduct(gen), w, bases[w])
+        if res is None or not any(map(any, res[1])):
+            return None
+        target, images = res
+        if target not in bases:
+            raise RuntimeError("cyclic submodule is not invariant")
+        sub = echelon_block(bases[target], spans[target].pivots, images)
+        if sub is None:
+            raise RuntimeError("cyclic submodule is not invariant")
+        return target, sub
+
     dims = {w: len(b) for w, b in bases.items()}
-    members = list(index_set)
-    pos = _position(index_set)
-    # E_{a,c} by distance |pos(a) - pos(c)|: the simple units first
-    units = sorted(
-        off_diagonal_units(index_set),
-        key=lambda g: abs(pos[g.row.doubled] - pos[g.col.doubled]),
-    )
-    blocks = {}
-    for gen in units:
-        a, c = pos[gen.row.doubled], pos[gen.col.doubled]
-        if abs(a - c) == 1:
-            for w, basis in bases.items():
-                res = amb.apply(amb.coproduct(gen), w, basis)
-                if res is None or not any(map(any, res[1])):
-                    continue
-                target, images = res
-                if target not in bases:
-                    raise RuntimeError("cyclic submodule is not invariant")
-                sub = echelon_block(bases[target], spans[target].pivots, images)
-                if sub is None:
-                    raise RuntimeError("cyclic submodule is not invariant")
-                blocks[(gen.key(), w)] = (target, sub)
-            continue
-        # E_ac = E_ab E_bc - (-1)^{|E_ab||E_bc|} E_bc E_ab, b next to c
-        b = members[c - 1 if a < c else c + 1]
-        ab, bc = BasisElement(gen.row, b).key(), BasisElement(b, gen.col).key()
-        sign = -1 if (gen.row.parity ^ b.parity) and (b.parity ^ gen.col.parity) else 1
-        for w in bases:
-            # each term applies the unit ``first``, then ``second``
-            block = None
-            for first, second, coeff in ((bc, ab, 1), (ab, bc, -sign)):
-                one = blocks.get((first, w))
-                two = one and blocks.get((second, one[0]))
-                if two:
-                    target = two[0]
-                    term = [[coeff * x for x in row] for row in mat_mul(two[1], one[1])]
-                    block = term if block is None else mat_add(block, term)
-            if block is not None:
-                block = [[exact_scalar(x) for x in row] for row in block]
-                if any(map(any, block)):
-                    blocks[(gen.key(), w)] = (target, block)
-    return ExplicitModule(index_set, 0, dims, blocks, "polynomial", highest_weight=hw, shape=lam)
+    return _realize(index_set, 0, dims, simple_block, "polynomial", highest_weight=hw, shape=lam)
 
 
 def truncate_module(module, smaller):
     """Weight-band restriction of a module to a smaller index set: the
     weight spaces whose weight is supported on ``smaller``, the band rule
     ``duality.truncation_check`` reads off the highest weight, so a module
-    truncated to its own index set comes back whole."""
+    truncated to its own index set comes back whole.  ``_realize`` reads
+    the simple units of ``smaller``, in its own order, off the module and
+    derives the other blocks."""
     dims = {w: d for w, d in module._dims.items() if all(h in smaller for h in w.support())}
 
     def block_of(gen, w):

@@ -56,16 +56,17 @@ def index_set_from_json(obj):
 
 def module_to_json(module):
     """Weights, dims and the sparse off-diagonal action blocks; a block
-    that a truncation cuts off (see ``WeightModule.represents``) is left
+    that a truncated Verma refuses, as leaving its depth band, is left
     out."""
     weights = module.weights()
     wj = [{"weight": w.to_json(), "dim": module.dim(w)} for w in weights]
     actions = []
     for gen in off_diagonal_units(module.index_set):
         for w in weights:
-            if not module.represents(gen, w):
+            try:
+                res = module.act(gen, w)
+            except ValueError:
                 continue
-            res = module.act(gen, w)
             if res is None:
                 continue
             trip = matrix_triplets(res[1])

@@ -2,11 +2,12 @@
 data built on the package's partitions, dense views of one-slot tensor
 operators to compare the package's sparse core against, exact
 coordinates by sympy, which shares no code with the package's solves,
-polynomial modules with every block read off the Pieri ambient, and the
-Verma straightening by two recursions, one that applies a unit and one
-that re-sorts a lowering generator into a monomial, the KZ curvature
-by finite differences written out pair by pair, and the Lax terms read
-word by word through a table of distinct words."""
+realizations with every block read off their source (polynomial modules
+so read off the Pieri ambient), the Verma straightening by two
+recursions, one that applies a unit and one that re-sorts a lowering
+generator into a monomial, the KZ curvature by finite differences
+written out pair by pair, and the Lax terms read word by word through a
+table of distinct words."""
 
 from fractions import Fraction
 from functools import cache
@@ -14,13 +15,12 @@ from functools import cache
 import numpy as np
 import sympy
 
-from supergaudin.algebra import BasisElement, bracket_units
+from supergaudin.algebra import BasisElement, bracket_units, off_diagonal_units
 from supergaudin.linalg import SpanBuilder, echelon_block
 from supergaudin.modules import (
+    ExplicitModule,
     NaturalModule,
     TensorModule,
-    _position,
-    _realize,
     _VermaBuilder,
     polynomial_highest_weight,
     singular_space,
@@ -119,6 +119,20 @@ def flatness_residual_fd(system, point, h):
     return worst
 
 
+def realize_every_unit(index_set, level, dims, block_of, provenance, **meta):
+    """An ExplicitModule over the weights of ``dims`` whose blocks are the
+    (target weight, block) pairs ``block_of(gen, w)`` returns for every
+    off-diagonal unit gen, none derived; None and all-zero blocks are
+    dropped.  ``meta`` describes the realization."""
+    blocks = {}
+    for gen in off_diagonal_units(index_set):
+        for w in dims:
+            res = block_of(gen, w)
+            if res is not None and any(map(any, res[1])):
+                blocks[(gen.key(), w)] = res
+    return ExplicitModule(index_set, level, dims, blocks, provenance, **meta)
+
+
 @cache
 def ambient_polynomial_module(index_set, lam):
     """V_lam by the Pieri recursion, with the block of every off-diagonal
@@ -162,7 +176,7 @@ def ambient_polynomial_module(index_set, lam):
         return target, sub
 
     dims = {w: len(b) for w, b in bases.items()}
-    return _realize(index_set, 0, dims, block_of, "polynomial", highest_weight=hw, shape=lam)
+    return realize_every_unit(index_set, 0, dims, block_of, "polynomial", highest_weight=hw, shape=lam)
 
 
 class ReferenceStraightening(_VermaBuilder):
@@ -173,7 +187,7 @@ class ReferenceStraightening(_VermaBuilder):
 
     def __init__(self, index_set, xi):
         super().__init__(index_set, xi)
-        self.pos = _position(index_set)
+        self.pos = {h.doubled: i for i, h in enumerate(index_set)}
         self._act_memo = {}
         self._ins_memo = {}
 

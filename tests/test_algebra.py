@@ -90,7 +90,7 @@ def test_cocycle_antisymmetry():
 
 def test_iota_examples():
     assert iota(elem((1, 1, 1))) == elem((1, 1, 1))
-    assert iota(AlgebraElement.K(1)) == AlgebraElement.K(1)
+    assert iota(AlgebraElement({}, 1)) == AlgebraElement({}, 1)
     assert iota(elem((-1, -1, 1))) == elem((-1, -1, 1), central=-1)
     # a negative half-odd index flips the sign of the correction
     assert iota(elem(("-1/2", "-1/2", 1))) == elem(("-1/2", "-1/2", 1), central=1)
@@ -132,7 +132,7 @@ def test_supertrace_kills_brackets():
 
 def test_omega_examples():
     assert star_omega(elem((1, "1/2", 1))) == elem(("1/2", 1, 1))
-    assert star_omega(AlgebraElement.K(1)) == AlgebraElement.K(1)
+    assert star_omega(AlgebraElement({}, 1)) == AlgebraElement({}, 1)
     assert star_omega(elem((1, "1/2", Fraction(2, 3)))) == elem(("1/2", 1, Fraction(2, 3)))
     # negative integer rows pick up the tau sign
     assert star_omega(elem((-1, 1, 1))) == elem((1, -1, -1))
@@ -164,10 +164,3 @@ def test_simple_raising_ops():
     assert simple_raising_ops(IndexSet.gl(0, 1, 0, 1)) == [E(1, "1/2")]
     assert simple_raising_ops(IndexSet.gl(0, 2, 0, 1)) == [E(1, 2), E(2, "1/2")]
     assert simple_raising_ops(IndexSet.classical(0, 2)) == [E("1/2", "3/2")]
-
-
-def test_element_json_round_trip():
-    x = elem((1, "1/2", Fraction(1, 3)), central=Fraction(-2, 5))
-    doc = x.to_json()
-    assert doc == {"central": "-2/5", "terms": [[2, 1, "1/3"]]}
-    assert AlgebraElement.from_json(doc) == x

