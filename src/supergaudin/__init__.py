@@ -18,10 +18,8 @@ from .partitions import GeneralizedPartition, Partition, all_partitions, frobeni
 from .weights import (
     Weight,
     eps,
+    highest_weight,
     unitarizable_weight,
-    weight_classical,
-    weight_super,
-    weight_wide,
 )
 from .algebra import (
     AlgebraElement,

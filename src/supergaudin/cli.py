@@ -22,7 +22,7 @@ from click.core import ParameterSource
 
 from .cache import DiskCache, content_key
 from .duality import build_setup, cubic_spectrum_match, spectrum_match
-from .gaudin import cubic_family, family_levels, joint_diagonalize, pairwise_commutator_residual, quadratic_family
+from .gaudin import FloatRangeError, cubic_family, family_levels, joint_diagonalize, pairwise_commutator_residual, quadratic_family
 from .indices import IndexSet
 from .kz import KZSystem, check_path, flatness_residual, integrate_path, monodromy
 from .linalg import charpoly
@@ -425,6 +425,8 @@ def spectrum(ctx, tens, target, ham_kind, z):
     rng = random.Random(ctx.obj["seed"])
     try:
         jd = joint_diagonalize(mats, rng, tol=ctx.obj["tol"])
+    except FloatRangeError as exc:
+        raise click.UsageError(str(exc))
     except ValueError as exc:
         _emit(ctx, {"error": str(exc), "weight": target.to_json()})
         sys.exit(1)

@@ -58,7 +58,6 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .algebra import AlgebraElement, BasisElement, iota
-from .indices import IndexSet
 from .linalg import (
     SpanBuilder,
     commutator,
@@ -291,23 +290,22 @@ def cubic_family(tensor, z, kind):
     return HamiltonianFamily(tensor, z, "cubic" + kind, "plain", levels)
 
 
-def central_constant(p, q, flavor):
-    """c = sum over the negative indices a of (-1)^{2a}: p - q for the
-    super flavor, -p for the classical one and 0 for the wide one.  The
-    central Omega^{(ij)} is the plain one minus c d_i d_j; ValueError for
-    an unknown flavor."""
-    return sum(-1 if a.parity else 1 for a in IndexSet(flavor, p=p, q=q) if a.doubled < 0)
+def central_constant(index_set):
+    """c = sum over the negative members a of ``index_set`` of (-1)^{2a}:
+    p - q for the super flavor, -p for the classical one and 0 for the
+    wide one.  The central Omega^{(ij)} is the plain one minus c d_i d_j."""
+    return sum(-1 if a.parity else 1 for a in index_set if a.doubled < 0)
 
 
-def central_shift(p, q, levels, z, i, flavor="super"):
+def central_shift(index_set, levels, z, i):
     """Scalar offset between plain and central-convention Hamiltonians:
     c sum_{j != i} d_i d_j / (z_i - z_j), with c the ``central_constant``
-    of the flavor.  Sites are 1-based.
+    of ``index_set``.  Sites are 1-based.
     """
     d = [Fraction(x) for x in levels]
     z = [Fraction(x) for x in z]
     poles = sum((d[i - 1] * d[j - 1] / (z[i - 1] - z[j - 1]) for j in range(1, len(z) + 1) if j != i), Fraction(0))
-    return central_constant(p, q, flavor) * poles
+    return central_constant(index_set) * poles
 
 
 def commutator_residual(A, B):
@@ -335,6 +333,29 @@ class JointDiagonalization:
         return all(ok for ok, _ in self.certificates)
 
 
+# bound on the modulus of an exact entry read into a float, and in kz of a
+# waypoint coordinate or psi0 entry: a few sums and products stay finite
+MAX_MODULUS = 1e100
+
+
+class FloatRangeError(ValueError):
+    """An exact matrix entry of modulus above MAX_MODULUS."""
+
+
+def float_matrix(mat):
+    """The exact matrix ``mat`` as a numpy float array; FloatRangeError
+    for an entry of modulus above MAX_MODULUS or beyond every float."""
+    import numpy as np
+
+    try:
+        arr = np.array(mat, dtype=float)
+    except OverflowError:  # a Fraction too large for a float
+        arr = None
+    if arr is None or not (np.abs(arr) <= MAX_MODULUS).all():
+        raise FloatRangeError("a matrix entry has modulus above %g, too large for the float stage" % MAX_MODULUS)
+    return arr
+
+
 def joint_diagonalize(mats, rng, tol=1e-9):
     """Certify and jointly diagonalize a commuting family of rational matrices.
 
@@ -346,6 +367,7 @@ def joint_diagonalize(mats, rng, tol=1e-9):
     """
     import numpy as np
 
+    floats = [float_matrix(m) for m in mats]
     n = len(mats[0]) if mats else 0
     if pairwise_commutator_residual(mats):
         raise ValueError("family does not commute exactly")
@@ -354,15 +376,14 @@ def joint_diagonalize(mats, rng, tol=1e-9):
         return JointDiagonalization(certificates, [[] for _ in mats], np.zeros((0, 0)), 0.0)
     coeffs = [rng.uniform(1, 2) for _ in mats]
     combo = np.zeros((n, n))
-    for c, m in zip(coeffs, mats):
-        combo += c * np.array([[float(x) for x in row] for row in m])
+    for c, fm in zip(coeffs, floats):
+        combo += c * fm
     _, vecs = np.linalg.eig(combo)
     basis = vecs
     inv = np.linalg.inv(basis)
     eigenvalues = []
     residual = 0.0
-    for m in mats:
-        fm = np.array([[float(x) for x in row] for row in m])
+    for fm in floats:
         diag = inv @ fm @ basis
         off = diag - np.diag(np.diag(diag))
         residual = max(residual, float(np.max(np.abs(off))))

@@ -40,19 +40,17 @@ import numpy as np
 from ._dop853 import DOP853, EPS
 from .algebra import simple_raising_ops
 from .gaudin import (
+    MAX_MODULUS,
     _omega_spec,
     _stored_block,
     central_constant,
     family_levels,
+    float_matrix,
     pairwise_commutator_residual,
     quadratic_family,
 )
 
 DIAGONAL_CLEARANCE = 1e-3
-# bound on the modulus of a waypoint coordinate and of a psi0 entry: it
-# keeps every coordinate difference, and its square in the clearance test,
-# finite; a modulus is taken after dividing by it, so it cannot overflow
-MAX_MODULUS = 1e100
 
 
 class KZSystem:
@@ -84,7 +82,7 @@ class KZSystem:
             for j in range(i + 1, self.ell + 1):
                 block = _stored_block(tensor, _omega_spec(central, i, j, self.levels), mu)
                 sites.append((i - 1, j - 1))
-                blocks.append(np.zeros((d, d)) if block is None else np.array(block, dtype=float))
+                blocks.append(np.zeros((d, d)) if block is None else float_matrix(block))
         self._sites = np.array(sites, dtype=int).reshape(len(sites), 2).T
         self._omega = np.array(blocks, dtype=float).reshape(len(sites), d, d)
         self._raising_float = []
@@ -330,14 +328,18 @@ def flatness_residual(system, point, h=None):
         return (system.hamiltonian_float(i, zp) - system.hamiltonian_float(i, zm)) / (2 * h)
 
     worst = 0.0
-    for i in range(1, ell + 1):
-        for j in range(i + 1, ell + 1):
-            di_hj = derivative(i, j)
-            dj_hi = derivative(j, i)
-            hi = system.hamiltonian_float(i, z)
-            hj = system.hamiltonian_float(j, z)
-            resid = di_hj - dj_hi - (hi @ hj - hj @ hi) / kappa
-            worst = max(worst, float(np.max(np.abs(resid))))
+    # an overflow shows as inf or nan, which max() would drop: refused below
+    with np.errstate(all="ignore"):
+        for i in range(1, ell + 1):
+            for j in range(i + 1, ell + 1):
+                di_hj = derivative(i, j)
+                dj_hi = derivative(j, i)
+                hi = system.hamiltonian_float(i, z)
+                hj = system.hamiltonian_float(j, z)
+                resid = float(np.max(np.abs(di_hj - dj_hi - (hi @ hj - hj @ hi) / kappa)))
+                if not math.isfinite(resid):
+                    raise ValueError("the float residual at sites %d, %d is not finite" % (i, j))
+                worst = max(worst, resid)
     return worst
 
 
@@ -361,26 +363,26 @@ def _continuous_logs(zs):
     return pairs, logs
 
 
-def gauge_exponent(p, q, levels, kappa, flavor="super"):
+def gauge_exponent(index_set, levels, kappa):
     """Per-pair exponent -c d_i d_j / kappa of the plain-to-central gauge
-    factor, with c the ``gaudin.central_constant`` of the flavor."""
-    c = central_constant(p, q, flavor)
+    factor, with c the ``gaudin.central_constant`` of ``index_set``."""
+    c = central_constant(index_set)
     d = [complex(x) for x in levels]
     return {(i, j): -c * (d[i] * d[j] / complex(kappa)) for i in range(len(d)) for j in range(i + 1, len(d))}
 
 
-def gauge_transform(solution, direction, p, q, levels=None, flavor="super"):
+def gauge_transform(solution, direction):
     """Multiply a trajectory by prod (z_i - z_j)^alpha with branch tracking.
 
     direction "plain_to_central" applies the factor; "central_to_plain"
-    applies its inverse.  The transformed samples satisfy the other
+    applies its inverse, with the index set, levels and kappa of
+    ``solution.system``.  The transformed samples satisfy the other
     convention's equations.
     """
     if direction not in ("plain_to_central", "central_to_plain"):
         raise ValueError("unknown direction %r" % (direction,))
     system = solution.system
-    levels = levels if levels is not None else system.levels
-    expo = gauge_exponent(p, q, levels, system.kappa, flavor=flavor)
+    expo = gauge_exponent(system.tensor.index_set, system.levels, system.kappa)
     sign = 1.0 if direction == "plain_to_central" else -1.0
     zs = [s["z"] for s in solution.samples]
     pairs, logs = _continuous_logs(zs)

@@ -25,8 +25,8 @@ from .algebra import (
 )
 from .indices import HalfIndex, IndexSet
 from .linalg import SpanBuilder, echelon_block, end_columns, mat_add, mat_mul, nullspace
-from .partitions import Partition
-from .weights import Weight, eps, exact_scalar, weight_classical, weight_super
+from .partitions import GeneralizedPartition, Partition, partition_from_hook_data
+from .weights import Weight, eps, exact_scalar, highest_weight, unitarizable_weight
 
 
 class WeightModule:
@@ -656,11 +656,6 @@ def _is_dominant_classical(index_set, xi):
 
 
 def _is_unitarizable_super(index_set, xi):
-    from .weights import unitarizable_weight
-    from .partitions import GeneralizedPartition
-
-    from .partitions import partition_from_hook_data
-
     q, m, p, n = index_set.q, index_set.m, index_set.p, index_set.n
     plus_rows = [xi(2 * i) for i in range(1, m + 1)]
     plus_cols = [xi(2 * j - 1) for j in range(1, n + 1)]
@@ -684,7 +679,7 @@ def _is_unitarizable_super(index_set, xi):
         ]
         try:
             gen = GeneralizedPartition(parts)
-            cand = unitarizable_weight(gen, p, q, m, n)
+            cand = unitarizable_weight(index_set, gen)
         except (ValueError, IndexError):
             continue
         if cand.coeffs == xi.coeffs:
@@ -790,9 +785,7 @@ def singular_space(module, mu):
 def polynomial_highest_weight(index_set, lam):
     """Hook weight of a partition for a p = q = 0 flavor."""
     index_set.require_polynomial("polynomial modules")
-    if index_set.flavor == "super":
-        return weight_super(lam, Partition(), 0, 0, index_set.m, 0, index_set.n)
-    return weight_classical(lam, Partition(), 0, 0, index_set.n)
+    return highest_weight(index_set, lam)
 
 
 _POLY_CACHE = {}

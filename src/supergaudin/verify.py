@@ -29,8 +29,8 @@ from .modules import (
     tensor_product,
     truncate_module,
 )
-from .partitions import Partition, all_partitions, hook_tableau_contents
-from .weights import Weight, eps
+from .partitions import GeneralizedPartition, Partition, all_partitions, hook_tableau_contents
+from .weights import Weight, eps, unitarizable_weight
 
 
 STRUCTURE_TRIALS = 200
@@ -275,15 +275,12 @@ def check_cyclic(seed, ell=3, **_):
 def check_central_shift(seed, **_):
     """Char polys of the central-convention Hamiltonians are shifts of the
     plain ones by (p - q) sum d_i d_j / (z_i - z_j)."""
-    from .partitions import GeneralizedPartition
-    from .weights import unitarizable_weight
-
     rng = random.Random(seed)
     iset = IndexSet.gl(0, 1, 1, 1)
     bad = []
     mods = []
     for d, parts in ((1, (1,)), (2, (1, 1))):
-        xi = unitarizable_weight(GeneralizedPartition(parts), 1, 0, 1, 1)
+        xi = unitarizable_weight(iset, GeneralizedPartition(parts))
         # the Verma builder reads only the coefficients; the level rides along
         mods.append(irreducible_truncated(iset, Weight(xi.coeffs, d), 3))
     tensor = tensor_product(mods)
@@ -298,7 +295,7 @@ def check_central_shift(seed, **_):
             continue
         count += 1
         for i in (1, 2):
-            shift = central_shift(1, 0, levels, z, i, flavor="super")
+            shift = central_shift(iset, levels, z, i)
             mp = plain.restricted(i, space)
             mc = central.restricted(i, space)
             if charpoly(mc) != poly_shift(charpoly(mp), shift):
@@ -323,6 +320,8 @@ def check_kz(seed, tol=1e-8, **_):
     nat = NaturalModule(iset)
     t2 = tensor_product([nat, nat])
     mu = eps(1) + eps("1/2")
+    # the gauge factor is 1 on gl(1|1), where c = 0; gl(1+1|1) has c = 1
+    twin = tensor_product([NaturalModule(IndexSet.gl(0, 1, 1, 1))] * 2)
     details = {}
     ok = True
     for kappa in (1, 2):
@@ -343,14 +342,9 @@ def check_kz(seed, tol=1e-8, **_):
         sp = singular_preservation(sol)
         details["singular_ratio_kappa%d" % kappa] = round(sp, 14)
         ok = ok and sp <= tol
-        back = gauge_transform(
-            gauge_transform(sol, "plain_to_central", 1, 0, levels=[1, 1]),
-            "central_to_plain",
-            1,
-            0,
-            levels=[1, 1],
-        )
-        gerr = float(np.max(np.abs(back.final_psi - sol.final_psi)))
+        twin_sol = integrate_path(KZSystem(twin, mu, kappa=kappa, levels=[1, 1]), path[:2], [1.0, 0.5], rel_tol=1e-10)
+        back = gauge_transform(gauge_transform(twin_sol, "plain_to_central"), "central_to_plain")
+        gerr = float(np.max(np.abs(back.final_psi - twin_sol.final_psi)))
         details["gauge_roundtrip_kappa%d" % kappa] = round(gerr, 14)
         ok = ok and gerr <= 10 * tol
     # truncation stability: rank-3 classical pair of naturals against rank 2

@@ -6,12 +6,14 @@ an exact rational: an ``int`` when it is integral, a ``Fraction`` otherwise
 rational arithmetic).  The public constructor validates its input; sums,
 differences and negatives of weights go through a trusted constructor that
 skips the checks their inputs have already passed.
+
+The weight formulas read the algebra off the ``IndexSet`` they are handed.
 """
 
 from fractions import Fraction
 
 from .indices import HalfIndex, idx
-from .partitions import frobenius_theta
+from .partitions import Partition, frobenius_theta
 
 
 def exact_scalar(x):
@@ -166,78 +168,64 @@ def eps(i):
     return Weight({idx(i): 1})
 
 
-def weight_super(lam_plus, lam_minus, d, q, m, p, n):
-    """Highest weight of the super flavor attached to a partition pair.
+def highest_weight(index_set, lam_plus, lam_minus=Partition(), level=0):
+    """Highest weight of a partition pair on ``index_set``, at ``level``.
 
-    Coefficients: -max(lam^-_r - q, 0) on e(-r) for r <= p, -(lam^-)'_s on
-    e(-s+1/2) for s <= q, lam^+_i on e(i) for i <= m and
-    max((lam^+)'_j - m, 0) on e(j-1/2) for j <= n, at level d.  Requires
-    the hook conditions (lam^+)'_{n+1} <= m and lam^-_{p+1} <= q so that
-    nothing is lost to the band.
+    super flavor, gl(p+m|q+n): -max(lam^-_r - q, 0) on e(-r) for r <= p,
+    -(lam^-)'_s on e(-s+1/2) for s <= q, lam^+_i on e(i) for i <= m and
+    max((lam^+)'_j - m, 0) on e(j-1/2) for j <= n; requires the hook
+    conditions (lam^+)'_{n+1} <= m and lam^-_{p+1} <= q so that nothing
+    is lost to the band.  Classical flavor: the conjugate parts on the
+    half-odds.  Wide flavor: the modified Frobenius coordinates.
     """
-    lam_plus.check_hook(m, n, "lam+")
-    cplus = lam_plus.conjugate()
-    cminus = lam_minus.conjugate()
-    # lam-_{p+1} <= q is the (q|p)-hook condition on the conjugate
-    cminus.check_hook(q, p, "lam-'")
-    coeffs = {}
-    for r in range(1, p + 1):
-        coeffs[-2 * r] = -max(lam_minus.part(r) - q, 0)
-    for s in range(1, q + 1):
-        coeffs[-2 * s + 1] = -cminus.part(s)
-    for i in range(1, m + 1):
-        coeffs[2 * i] = lam_plus.part(i)
-    for j in range(1, n + 1):
-        coeffs[2 * j - 1] = max(cplus.part(j) - m, 0)
-    return Weight(coeffs, d)
-
-
-def weight_classical(lam_plus, lam_minus, d, p, n):
-    """Highest weight of the classical flavor: conjugate parts on half-odds."""
-    lam_plus.check_hook(0, n, "lam+")
-    lam_minus.check_hook(0, p, "lam-")
+    p, q, m, n = index_set.p, index_set.q, index_set.m, index_set.n
     cplus = lam_plus.conjugate()
     cminus = lam_minus.conjugate()
     coeffs = {}
-    for r in range(1, p + 1):
-        coeffs[-2 * r + 1] = -cminus.part(r)
-    for i in range(1, n + 1):
-        coeffs[2 * i - 1] = cplus.part(i)
-    return Weight(coeffs, d)
+    if index_set.flavor == "super":
+        lam_plus.check_hook(m, n, "lam+")
+        # lam-_{p+1} <= q is the (q|p)-hook condition on the conjugate
+        cminus.check_hook(q, p, "lam-'")
+        for r in range(1, p + 1):
+            coeffs[-2 * r] = -max(lam_minus.part(r) - q, 0)
+        for s in range(1, q + 1):
+            coeffs[-2 * s + 1] = -cminus.part(s)
+        for i in range(1, m + 1):
+            coeffs[2 * i] = lam_plus.part(i)
+        for j in range(1, n + 1):
+            coeffs[2 * j - 1] = max(cplus.part(j) - m, 0)
+    elif index_set.flavor == "classical":
+        lam_plus.check_hook(0, n, "lam+")
+        lam_minus.check_hook(0, p, "lam-")
+        for r in range(1, p + 1):
+            coeffs[-2 * r + 1] = -cminus.part(r)
+        for i in range(1, n + 1):
+            coeffs[2 * i - 1] = cplus.part(i)
+    else:
+        tplus = frobenius_theta(lam_plus, 2 * n + 1)
+        tminus = frobenius_theta(lam_minus, 2 * p + 1)
+        if tplus[2 * n]:
+            raise ValueError("theta(lam+) does not vanish at n+1/2")
+        if tminus[2 * p]:
+            raise ValueError("theta(lam-) does not vanish at p+1/2")
+        for k in range(1, 2 * p + 1):
+            coeffs[-k] = -tminus[k - 1]
+        for k in range(1, 2 * n + 1):
+            coeffs[k] = tplus[k - 1]
+    return Weight(coeffs, level)
 
 
-def weight_wide(lam_plus, lam_minus, d, p, n):
-    """Highest weight of the wide flavor via modified Frobenius coordinates."""
-    tplus = frobenius_theta(lam_plus, 2 * n + 1)
-    tminus = frobenius_theta(lam_minus, 2 * p + 1)
-    if tplus[2 * n]:
-        raise ValueError("theta(lam+) does not vanish at n+1/2")
-    if tminus[2 * p]:
-        raise ValueError("theta(lam-) does not vanish at p+1/2")
-    coeffs = {}
-    for k in range(1, 2 * p + 1):
-        coeffs[-k] = -tminus[k - 1]
-    for k in range(1, 2 * n + 1):
-        coeffs[k] = tplus[k - 1]
-    return Weight(coeffs, d)
+def unitarizable_weight(index_set, gen_lam):
+    """Unitarizable highest weight of a generalized partition, super flavor.
 
-
-def one_pq(p, q):
-    """The correction weight: +1 on e(-r), r <= p, and -1 on e(-s+1/2), s <= q."""
-    coeffs = {}
-    for r in range(1, p + 1):
-        coeffs[-2 * r] = 1
-    for s in range(1, q + 1):
-        coeffs[-2 * s + 1] = -1
-    return Weight(coeffs)
-
-
-def unitarizable_weight(gen_lam, p, q, m, n):
-    """Unitarizable highest weight attached to a generalized partition.
-
-    Requires lam_{m+1} <= n (when the depth exceeds m) and lam_{d-p} >= -q
-    (when d > p).  Returns the level-zero weight for the plain algebra.
+    On gl(p+m|q+n), requires lam_{m+1} <= n (when the depth d exceeds m)
+    and lam_{d-p} >= -q (when d > p).  Returns the level-zero weight for
+    the plain algebra: the ``highest_weight`` of (lam^+, lam^-), minus d
+    on e(-r), r <= p, and plus d on e(-s+1/2), s <= q.
     """
+    if index_set.flavor != "super":
+        raise ValueError("unitarizable weights need the super flavor")
+    p, q, m, n = index_set.p, index_set.q, index_set.m, index_set.n
     d = gen_lam.depth
     if d > m and gen_lam.part(m + 1) > n:
         raise ValueError(
@@ -247,9 +235,9 @@ def unitarizable_weight(gen_lam, p, q, m, n):
         raise ValueError(
             "lam_%d = %d < -q = %d" % (d - p, gen_lam.part(d - p), -q)
         )
-    base = weight_super(gen_lam.plus(), gen_lam.minus(), 0, q, m, p, n)
-    shift = one_pq(p, q)
-    coeffs = dict(base.coeffs)
-    for key, v in shift.coeffs.items():
-        coeffs[key] = coeffs.get(key, 0) - d * v
+    coeffs = dict(highest_weight(index_set, gen_lam.plus(), gen_lam.minus()).coeffs)
+    for r in range(1, p + 1):
+        coeffs[-2 * r] = coeffs.get(-2 * r, 0) - d
+    for s in range(1, q + 1):
+        coeffs[-2 * s + 1] = coeffs.get(-2 * s + 1, 0) + d
     return Weight(coeffs, 0)

@@ -321,7 +321,7 @@ def test_criterion_08_central_shifts():
         mods = []
         levels = []
         for d, parts in specs:
-            xi = unitarizable_weight(GeneralizedPartition(parts), 1, 0, 1, 1)
+            xi = unitarizable_weight(iset, GeneralizedPartition(parts))
             mods.append(irreducible_truncated(iset, xi, 3))
             levels.append(Fraction(d))
         tensor = tensor_product(mods)
@@ -334,7 +334,7 @@ def test_criterion_08_central_shifts():
                 continue
             spaces += 1
             for i in (1, 2):
-                shift = central_shift(1, 0, levels, z, i, flavor="super")
+                shift = central_shift(iset, levels, z, i)
                 mp = restrict_to_basis(plain.matrix(i, w), space.basis)
                 mc = restrict_to_basis(central.matrix(i, w), space.basis)
                 assert charpoly(mc) == poly_shift(charpoly(mp), shift), (specs, w, i)
@@ -347,6 +347,8 @@ def test_criterion_09_kz():
     gl11 = IndexSet.gl(0, 1, 0, 1)
     t2 = tensor_product([NaturalModule(gl11)] * 2)
     mu = eps(1) + eps("1/2")
+    # the gauge factor is 1 on gl(1|1), where c = 0; gl(1+1|1) has c = 1
+    twin = tensor_product([NaturalModule(IndexSet.gl(0, 1, 1, 1))] * 2)
     rng = random.Random(909)
     for kappa in (1, 2):
         system = KZSystem(t2, mu, kappa=kappa)
@@ -360,14 +362,9 @@ def test_criterion_09_kz():
         expect = np.array(psi0) * ratio ** (-1.0 / kappa)
         assert float(np.max(np.abs(sol.final_psi - expect))) <= 1e-8
         assert singular_preservation(sol) <= 1e-8
-        back = gauge_transform(
-            gauge_transform(sol, "plain_to_central", 1, 0, levels=[1, 1]),
-            "central_to_plain",
-            1,
-            0,
-            levels=[1, 1],
-        )
-        assert float(np.max(np.abs(back.final_psi - sol.final_psi))) <= 1e-7
+        twin_sol = integrate_path(KZSystem(twin, mu, kappa=kappa, levels=[1, 1]), path[:2], [1.0, 0.5], rel_tol=1e-10)
+        back = gauge_transform(gauge_transform(twin_sol, "plain_to_central"), "central_to_plain")
+        assert float(np.max(np.abs(back.final_psi - twin_sol.final_psi))) <= 1e-7
     big = NaturalModule(IndexSet.classical(0, 3))
     small = truncate_module(big, IndexSet.classical(0, 2))
     mu_c = eps("1/2") + eps("3/2")

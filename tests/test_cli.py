@@ -600,6 +600,33 @@ BAD_INPUT = {
             ("huge-integer", "[1%s, 1]" % ("0" * 400)),
         )
     },
+    # an overflow to nan in the float flatness residual read as flat, exit 0
+    "kz-flatness-float-overflow-close-points": (
+        ["kz", "flatness", "--ell", "3", "--mu", "1,1,1", "--z", "0,1e-300,1", "--float-step", "1e-5"],
+        "the float residual at sites 1, 2 is not finite",
+    ),
+    "kz-flatness-float-overflow-tiny-kappa": (
+        ["kz", "flatness", "--ell", "3", "--mu", "2,1", "--z", "0,1/3,1", "--kappa", "1e-310", "--float-step", "1e-5"],
+        "the float residual at sites 1, 2 is not finite",
+    ),
+    # an exact entry too large for a float was an OverflowError traceback
+    # (exit 1), or numpy's "must not contain infs or NaNs" (exit 1)
+    **{
+        "kz-%s-huge-level" % cmd: (
+            ["kz", cmd, "--p", "1", "--ell", "2", "--weight", '{"level":"0","coeffs":[[-2,1],[2,1]]}',
+             "--convention", "central", "--levels", "1,1e400", *extra],
+            "a matrix entry has modulus above 1e+100",
+        )
+        for cmd, extra in (("solve", ["--path", LOOP]), ("flatness", ["--z", "0,1"]), ("monodromy", ["--loop", LOOP]))
+    },
+    "spectrum-entry-beyond-float": (
+        ["spectrum", "--ell", "2", "--mu", "1,1", "--z", "0,1e-320"],
+        "a matrix entry has modulus above 1e+100",
+    ),
+    "spectrum-entry-overflowing-the-combination": (
+        ["spectrum", "--ell", "3", "--mu", "2,1", "--z", "0,1e-308,1"],
+        "a matrix entry has modulus above 1e+100",
+    ),
     # a negative rank reached Partition.part as an IndexError traceback, or
     # was refused as a hook violation
     "duality-check-negative-n": (

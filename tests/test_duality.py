@@ -132,9 +132,9 @@ def test_per_mu_counts_agree_across_sides():
 
 def test_central_shift_examples():
     z = [Fraction(0), Fraction(1)]
-    assert central_shift(0, 0, [1, 1], z, 1) == 0
-    assert central_shift(1, 0, [1, 1], z, 1) == -1
-    assert central_shift(1, 1, [1, 1], z, 1) == 0
+    assert central_shift(IndexSet.gl(0, 1, 0, 1), [1, 1], z, 1) == 0
+    assert central_shift(IndexSet.gl(0, 1, 1, 1), [1, 1], z, 1) == -1
+    assert central_shift(IndexSet.gl(1, 1, 1, 1), [1, 1], z, 1) == 0
 
 
 def test_truncation_check_reports():

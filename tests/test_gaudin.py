@@ -391,10 +391,10 @@ def test_cyclic_vector():
 
 def test_central_shift_examples():
     z = [Fraction(0), Fraction(1)]
-    assert central_shift(0, 0, [1, 1], z, 1) == 0
-    assert central_shift(1, 0, [1, 1], z, 1) == -1
-    assert central_shift(1, 1, [2, 3], z, 1) == 0
-    assert central_shift(1, 0, [1, 1], z, 1, flavor="classical") == 1
+    assert central_shift(GL11, [1, 1], z, 1) == 0
+    assert central_shift(IndexSet.gl(0, 1, 1, 1), [1, 1], z, 1) == -1
+    assert central_shift(IndexSet.gl(1, 1, 1, 1), [2, 3], z, 1) == 0
+    assert central_shift(IndexSet.classical(1, 1), [1, 1], z, 1) == 1
 
 
 @pytest.mark.parametrize(
@@ -406,12 +406,7 @@ def test_central_shift_is_one_flavor_constant_times_the_pole_sum(flavor, p, q, c
     z = [Fraction(0), Fraction(1, 2), Fraction(3)]
     levels = [2, 3, Fraction(1, 2)]
     poles = Fraction(-12) + Fraction(-1, 3)  # 2 * 3 / (0 - 1/2) + 2 * (1/2) / (0 - 3)
-    assert central_shift(p, q, levels, z, 1, flavor=flavor) == c * poles
-
-
-def test_central_shift_refuses_an_unknown_flavor():
-    with pytest.raises(ValueError, match="flavor"):
-        central_shift(1, 0, [2, 3], [0, 1], 1, flavor="bogus")
+    assert central_shift(IndexSet(flavor, p=p, q=q), levels, z, 1) == c * poles
 
 
 @pytest.mark.parametrize(
@@ -431,7 +426,7 @@ def test_central_minus_plain_is_the_shift_on_every_flavor(iset):
     for w in tensor.weights():
         d = tensor.dim(w)
         for i in (1, 2, 3):
-            s = central_shift(iset.p, iset.q, levels, z, i, flavor=iset.flavor)
+            s = central_shift(iset, levels, z, i)
             eye = [[s if r == c else 0 for c in range(d)] for r in range(d)]
             assert mat_sub(plain.matrix(i, w), central.matrix(i, w)) == eye
             if iset.flavor == "wide":
@@ -447,7 +442,7 @@ def test_central_convention_differs_by_the_shift_matrix():
     iset = IndexSet.gl(0, 1, 1, 1)
     mods = []
     for d, parts in ((1, (1,)), (2, (2, 1))):
-        xi = unitarizable_weight(GeneralizedPartition(parts), 1, 0, 1, 1)
+        xi = unitarizable_weight(iset, GeneralizedPartition(parts))
         mod = irreducible_truncated(iset, xi, 2)
         mods.append(mod)
     tensor = tensor_product(mods)
@@ -458,7 +453,7 @@ def test_central_convention_differs_by_the_shift_matrix():
     for w in tensor.weights():
         d = tensor.dim(w)
         for i in (1, 2):
-            s = central_shift(1, 0, levels, z, i)
+            s = central_shift(iset, levels, z, i)
             diff = mat_sub(plain.matrix(i, w), central.matrix(i, w))
             expected = [
                 [s if r == c else Fraction(0) for c in range(d)] for r in range(d)

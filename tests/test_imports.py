@@ -179,7 +179,7 @@ def test_the_central_extension_lives_in_gaudin():
     for node in (gaudin["central_shift"], kz["gauge_exponent"]):
         body = ast.Module(body=node.body, type_ignores=[])
         assert _mentions(body, "central_constant")
-        # the default flavor="super" is a signature, not a flavor branch
+        # c is read off the index set, never by a flavor branch
         assert not any(_spells(body, flavor) for flavor in ("super", "classical", "wide"))
 
 
@@ -213,8 +213,38 @@ def test_duality_and_truncation_read_the_module_layer_rules():
     ]
     assert not defined, defined
     duality = set(_names(ast.parse(sources["duality.py"])))
-    assert not duality & {"weight_super", "weight_classical"}
+    assert not duality & {"highest_weight", "unitarizable_weight"}
     assert "polynomial_highest_weight" in duality
+
+
+def test_no_package_function_takes_a_flavor():
+    # the index set names the algebra; a flavor (or p, q) passed beside it
+    # could disagree with it.  indices.py builds the sets, and cli.py
+    # reads the flavor option
+    sources = _sources(PACKAGE_DIR)
+    found = [
+        "%s:%d" % (name, node.lineno)
+        for name, source in sources.items()
+        if name not in ("indices.py", "cli.py")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and "flavor" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    ]
+    assert not found, found
+
+
+def test_the_algebra_layers_construct_no_index_set():
+    # weights, gaudin, kz, modules and laxmatrix read the index set they
+    # are handed (or the one of the tensor or system they act on)
+    sources = _sources(PACKAGE_DIR)
+    found = [
+        "%s:%d" % (name, node.lineno)
+        for name in ("weights.py", "gaudin.py", "kz.py", "modules.py", "laxmatrix.py")
+        for node in ast.walk(ast.parse(sources[name]))
+        if isinstance(node, ast.Call)
+        and "IndexSet" in {n.id for n in ast.walk(node.func) if isinstance(n, ast.Name)}
+    ]
+    assert not found, found
 
 
 def test_int_rref_is_called_only_by_int_nullspace():

@@ -36,11 +36,13 @@ from supergaudin.weights import Weight, eps
 from oracles import flatness_residual_fd, restrict_to_basis
 
 GL11 = IndexSet.gl(0, 1, 0, 1)
+# gl(1+1|1): c = 1, so its gauge factor is not 1 (gl(1|1) has c = 0)
+GL111 = IndexSet.gl(0, 1, 1, 1)
 MU = eps(1) + eps("1/2")
 
 
-def two_site_system(kappa=1, convention="plain", levels=None):
-    t2 = tensor_product([NaturalModule(GL11)] * 2)
+def two_site_system(kappa=1, convention="plain", levels=None, iset=GL11):
+    t2 = tensor_product([NaturalModule(iset)] * 2)
     return t2, KZSystem(t2, MU, kappa=kappa, convention=convention, levels=levels)
 
 
@@ -156,16 +158,19 @@ def test_gauge_examples_and_round_trip():
     psi0 = [complex(x) for x in space.basis[0]]
     path = [(0, 1), (0.5j, 2)]
     sol = integrate_path(system, path, psi0, rel_tol=1e-10)
-    # p = q = 0 means the exponent vanishes: identity transform
-    same = gauge_transform(sol, "plain_to_central", 0, 0, levels=[1, 1])
+    # c = 0 on gl(1|1): the exponent vanishes, an identity transform
+    same = gauge_transform(sol, "plain_to_central")
     assert float(np.max(np.abs(same.final_psi - sol.final_psi))) == 0.0
-    # p=1, q=0, d=(1,1), kappa=1: factor (z1-z2)^{-1} relative to the start
-    shifted = gauge_transform(sol, "plain_to_central", 1, 0, levels=[1, 1])
+    # c = 1 on gl(1+1|1), d = (1, 1), kappa = 1: factor (z1-z2)^{-1}
+    # relative to the start
+    _, system = two_site_system(kappa=1, levels=[1, 1], iset=GL111)
+    sol = integrate_path(system, path, [1.0, 0.5], rel_tol=1e-10)
+    shifted = gauge_transform(sol, "plain_to_central")
     w_end = sol.samples[-1]["z"][0] - sol.samples[-1]["z"][1]
     w_start = -1.0
     expect = sol.final_psi * (w_end / w_start) ** (-1.0) * (w_start) ** (-1.0)
     assert float(np.max(np.abs(shifted.final_psi - expect))) < 1e-9
-    back = gauge_transform(shifted, "central_to_plain", 1, 0, levels=[1, 1])
+    back = gauge_transform(shifted, "central_to_plain")
     assert float(np.max(np.abs(back.final_psi - sol.final_psi))) < 1e-9
 
 
@@ -181,7 +186,7 @@ def test_gauge_converts_between_conventions():
     path = [(0, 1), (0.4j, 1.7)]
     psi0 = [1.0, 0.5, 0.25][: plain.dim]
     sol = integrate_path(plain, path, psi0, rel_tol=1e-11)
-    gauged = gauge_transform(sol, "plain_to_central", 1, 0, levels=levels)
+    gauged = gauge_transform(sol, "plain_to_central")
     # check the central equation along the samples by finite differences
     samples = gauged.samples
     worst = 0.0
@@ -204,13 +209,13 @@ def test_gauge_factor_winds_once_around_a_diagonal():
     """A coarse loop taking z_1 once around z_2 multiplies the gauge factor
     (z_1 - z_2)^alpha by exp(2 pi i alpha), and its inverse by the inverse;
     plain-convention levels are the gauge default."""
-    t2, system = two_site_system(kappa=3, levels=[1, 2])
+    t2, system = two_site_system(kappa=3, levels=[1, 2], iset=GL111)
     loop = [(1, 0), (1j, 0), (-1, 0), (-1j, 0), (1, 0)]
     sol = integrate_path(system, loop, [1.0, 0.5])
-    alpha = gauge_exponent(1, 0, system.levels, system.kappa)[(0, 1)]
+    alpha = gauge_exponent(GL111, system.levels, system.kappa)[(0, 1)]
     assert abs(cmath.exp(2j * math.pi * alpha) - 1) > 0.5
     for direction, sign in (("plain_to_central", 1), ("central_to_plain", -1)):
-        gauged = gauge_transform(sol, direction, 1, 0)
+        gauged = gauge_transform(sol, direction)
         first, last = sol.samples[0]["psi"], sol.samples[-1]["psi"]
         ratio = (gauged.samples[-1]["psi"] / last) / (gauged.samples[0]["psi"] / first)
         assert np.allclose(ratio, cmath.exp(sign * 2j * math.pi * alpha), atol=1e-12), direction
@@ -219,11 +224,9 @@ def test_gauge_factor_winds_once_around_a_diagonal():
 def test_gauge_exponent_reads_the_flavor_constant():
     # alpha_ij = -c d_i d_j / kappa with c = p - q, -p or 0 by flavor
     levels = [2, 3]
-    assert gauge_exponent(2, 1, levels, 3, flavor="super") == {(0, 1): -2}
-    assert gauge_exponent(1, 0, levels, 3, flavor="classical") == {(0, 1): 2}
-    assert gauge_exponent(1, 0, levels, 1, flavor="wide") == {(0, 1): 0}
-    with pytest.raises(ValueError, match="flavor"):
-        gauge_exponent(1, 0, levels, 1, flavor="bogus")
+    assert gauge_exponent(IndexSet.gl(1, 1, 2, 1), levels, 3) == {(0, 1): -2}
+    assert gauge_exponent(IndexSet.classical(1, 1), levels, 3) == {(0, 1): 2}
+    assert gauge_exponent(IndexSet("wide", p=1, n=1), levels, 1) == {(0, 1): 0}
 
 
 def test_monodromy_contractible_and_inverse():

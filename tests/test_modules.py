@@ -381,7 +381,7 @@ def test_truncation_functor_examples():
     [
         NaturalModule(IndexSet.gl(0, 1, 1, 1)),
         irreducible_truncated(
-            IndexSet.gl(1, 1, 0, 1), unitarizable_weight(GeneralizedPartition((1,)), 0, 1, 1, 1), 2
+            IndexSet.gl(1, 1, 0, 1), unitarizable_weight(IndexSet.gl(1, 1, 0, 1), GeneralizedPartition((1,))), 2
         ),
     ],
     ids=["natural-gl(0+1|1+1)", "unitarizable-gl(1+1|1)"],
@@ -417,11 +417,11 @@ def smaller_sets(iset):
 def unitarizable_irreducibles(draw):
     q, m, p, n = draw(st.sampled_from(UNITARIZABLE_SETS))
     parts = sorted(draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3)), reverse=True)
+    iset = IndexSet.gl(q, m, p, n)
     try:
-        xi = unitarizable_weight(GeneralizedPartition(parts), p, q, m, n)
+        xi = unitarizable_weight(iset, GeneralizedPartition(parts))
     except ValueError:
         reject()
-    iset = IndexSet.gl(q, m, p, n)
     depth = draw(st.integers(1, 3))
     return iset, lambda: irreducible_truncated(iset, xi, depth)
 

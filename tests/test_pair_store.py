@@ -251,7 +251,7 @@ def test_plain_and_central_families_keep_their_own_restrictions():
     iset = FLAVORS["gl(1|1+1)"]
     mods = []
     for d, parts in ((1, (1,)), (2, (1, 1))):
-        xi = unitarizable_weight(GeneralizedPartition(parts), 1, 0, 1, 1)
+        xi = unitarizable_weight(iset, GeneralizedPartition(parts))
         mods.append(irreducible_truncated(iset, Weight(xi.coeffs, d), 3))
     tensor = tensor_product(mods)
     spaces = [s for s in (singular_space(tensor, w) for w in tensor.weights()) if s.dim]

@@ -9,15 +9,7 @@ from supergaudin.duality import DualitySetup, build_setup
 from supergaudin.indices import IndexSet, idx
 from supergaudin.modules import polynomial_highest_weight
 from supergaudin.partitions import GeneralizedPartition, Partition, all_partitions
-from supergaudin.weights import (
-    Weight,
-    eps,
-    one_pq,
-    unitarizable_weight,
-    weight_classical,
-    weight_super,
-    weight_wide,
-)
+from supergaudin.weights import Weight, eps, highest_weight, unitarizable_weight
 
 from oracles import hook_weight_to_partition
 
@@ -77,46 +69,49 @@ def test_weight_from_json_refuses_bools():
             Weight.from_json(json.loads(doc))
 
 
+GL11 = IndexSet.gl(0, 1, 0, 1)
+
+
 def test_weight_super_examples():
-    empty = Partition([])
-    assert weight_super(empty, empty, 3, 0, 1, 0, 1) == Weight({}, 3)
-    assert weight_super(Partition([1]), empty, 0, 0, 1, 0, 1) == eps(1)
-    assert weight_super(Partition([1, 1]), empty, 0, 0, 1, 0, 1) == eps(1) + eps("1/2")
+    assert highest_weight(GL11, Partition([]), level=3) == Weight({}, 3)
+    assert highest_weight(GL11, Partition([1])) == eps(1)
+    assert highest_weight(GL11, Partition([1, 1])) == eps(1) + eps("1/2")
 
 
 def test_weight_super_hook_errors_name_the_inequality():
     with pytest.raises(ValueError, match="lam\\+"):
-        weight_super(Partition([2]), Partition([]), 0, 0, 0, 0, 1)
+        highest_weight(IndexSet.gl(0, 0, 0, 1), Partition([2]))
     with pytest.raises(ValueError, match="lam-"):
-        weight_super(Partition([]), Partition([1]), 0, 0, 1, 0, 1)
+        highest_weight(GL11, Partition([]), Partition([1]))
 
 
 def test_weight_classical_and_wide():
     lam = Partition([2, 1])
-    w = weight_classical(lam, Partition([]), 0, 0, 2)
+    w = highest_weight(IndexSet.classical(0, 2), lam)
     assert w == Weight({1: 2, 3: 1})
     with pytest.raises(ValueError):
-        weight_classical(Partition([3]), Partition([]), 0, 0, 2)
-    ww = weight_wide(Partition([1]), Partition([]), 2, 1, 1)
+        highest_weight(IndexSet.classical(0, 2), Partition([3]))
+    ww = highest_weight(IndexSet("wide", p=1, n=1), Partition([1]), level=2)
     assert ww == Weight({1: 1}, 2)
     with pytest.raises(ValueError):
-        weight_wide(Partition([3, 3, 3]), Partition([]), 0, 0, 1)
+        highest_weight(IndexSet("wide", p=0, n=1), Partition([3, 3, 3]))
 
 
 def test_unitarizable_examples():
-    assert unitarizable_weight(GeneralizedPartition([1]), 0, 0, 1, 1) == eps(1)
-    assert unitarizable_weight(GeneralizedPartition([1, 1]), 0, 0, 1, 1) == eps(1) + eps("1/2")
-    w = unitarizable_weight(GeneralizedPartition([-1]), 1, 0, 0, 1)
+    assert unitarizable_weight(GL11, GeneralizedPartition([1])) == eps(1)
+    assert unitarizable_weight(GL11, GeneralizedPartition([1, 1])) == eps(1) + eps("1/2")
+    w = unitarizable_weight(IndexSet.gl(0, 0, 1, 1), GeneralizedPartition([-1]))
     assert w == Weight({-2: -2})
+    # p = 2, q = 1, depth 3: the weight of ((1), (1)) is -1 on e(-1/2) and
+    # 1 on e(1); the depth moves e(-1), e(-2) by -3 and e(-1/2) by +3
+    w = unitarizable_weight(IndexSet.gl(1, 1, 2, 1), GeneralizedPartition([1, 0, -1]))
+    assert w == Weight({-2: -3, -4: -3, -1: 2, 2: 1})
     with pytest.raises(ValueError, match="lam_2"):
-        unitarizable_weight(GeneralizedPartition([3, 2]), 0, 0, 1, 1)
+        unitarizable_weight(GL11, GeneralizedPartition([3, 2]))
     with pytest.raises(ValueError, match="lam_1"):
-        unitarizable_weight(GeneralizedPartition([-2]), 0, 1, 1, 1)
-
-
-def test_one_pq():
-    assert one_pq(2, 1) == Weight({-2: 1, -4: 1, -1: -1})
-    assert one_pq(0, 0) == Weight({})
+        unitarizable_weight(IndexSet.gl(1, 1, 0, 1), GeneralizedPartition([-2]))
+    with pytest.raises(ValueError, match="super flavor"):
+        unitarizable_weight(IndexSet.classical(0, 2), GeneralizedPartition([1]))
 
 
 def duality_weights(lam, m, n, k):
@@ -169,11 +164,11 @@ def test_super_weight_round_trips():
         for m, n in ((1, 1), (2, 2), (3, 3)):
             if not lam.hook_ok(m, n):
                 continue
-            w = weight_super(lam, Partition([]), 2, 0, m, 0, n)
+            w = highest_weight(IndexSet.gl(0, m, 0, n), lam, level=2)
             assert all(v >= 0 for v in w.coeffs.values())
             assert hook_weight_to_partition(w, m, n) == lam
     # negative parts and a level: lam+ = (2, 1) fills e(1), e(2); the
     # lam- = (3, 1) row past q = 2 gives -1 on e(-1); its conjugate
     # (2, 1, 1) gives -2, -1 on e(-1/2), e(-3/2)
-    w = weight_super(Partition([2, 1]), Partition([3, 1]), Fraction(1, 2), q=2, m=2, p=2, n=2)
+    w = highest_weight(IndexSet.gl(2, 2, 2, 2), Partition([2, 1]), Partition([3, 1]), Fraction(1, 2))
     assert w == Weight({2: 2, 4: 1, -2: -1, -1: -2, -3: -1}, Fraction(1, 2))
