@@ -22,7 +22,7 @@ from click.core import ParameterSource
 
 from .cache import DiskCache, content_key
 from .duality import build_setup, cubic_spectrum_match, spectrum_match
-from .gaudin import FloatRangeError, cubic_family, family_levels, joint_diagonalize, pairwise_commutator_residual, quadratic_family
+from .gaudin import MAX_MODULUS, FloatRangeError, cubic_family, family_levels, joint_diagonalize, pairwise_commutator_residual, quadratic_family
 from .indices import IndexSet
 from .kz import KZSystem, check_path, flatness_residual, integrate_path, monodromy
 from .linalg import charpoly
@@ -58,17 +58,24 @@ def _checked(fn, *args, **kwargs):
         raise click.UsageError(str(exc))
 
 
+def _fields(text, flag):
+    """The comma-separated fields of a value; an empty field is refused."""
+    fields = text.split(",") if text.strip() else []
+    if not all(map(str.strip, fields)):
+        raise click.UsageError("%s has an empty field: %r" % (flag, text))
+    return fields
+
+
 def _parse_partition(text, flag):
     try:
-        parts = [int(x) for x in text.split(",") if x.strip() != ""]
-        return Partition(parts)
+        return Partition([int(x) for x in _fields(text, flag)])
     except ValueError as exc:
         raise click.UsageError("bad partition for %s: %s" % (flag, exc))
 
 
 def _parse_fracs(text, flag):
     try:
-        return [Fraction(x) for x in text.split(",") if x.strip() != ""]
+        return [Fraction(x) for x in _fields(text, flag)]
     except (ValueError, ZeroDivisionError) as exc:
         raise click.UsageError("bad rational list for %s: %s" % (flag, exc))
 
@@ -618,10 +625,13 @@ def kz_flatness(ctx, system, z, float_step):
             resid = flatness_residual(system, zs)
             doc = {"mode": "exact", "residual": frac_str(resid), "zero": resid == 0}
         else:
-            resid = flatness_residual(system, [complex(float(x), 0.0) for x in zs], h=float_step)
+            points = [complex(float(x), 0.0) for x in zs if abs(x) <= MAX_MODULUS]
+            if len(set(points)) < len(zs):
+                raise click.UsageError("--float-step needs --z points of modulus at most %g, distinct as floats" % MAX_MODULUS)
+            resid = flatness_residual(system, points, h=float_step)
             doc = {"mode": "float", "residual": resid, "zero": resid <= ctx.obj["tol"]}
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise click.UsageError(str(exc) if float_step is None else "%s, with --float-step %r" % (exc, float_step))
     _emit(ctx, doc)
     if not doc["zero"]:
         sys.exit(1)

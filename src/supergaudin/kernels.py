@@ -1,21 +1,24 @@
 """Exact linear-algebra kernels.
 
-These are the hot inner loops of the whole package: integer row reduction
+These are the hot inner loops of the whole package: row elimination
 (singular spaces, Gram radicals, Krylov spans), dense matrix products
 (commutator checks) and exact characteristic polynomials by Berkowitz's
 division-free recursion.  They are plain Python on Python ints and
 Fractions (the char poly clears denominators and then works on ints
 alone); this module is their one implementation.
 
-All integer routines work on lists of lists of Python ints and rely on row
-operations only, so they compute row-space canonical forms: scaling the
-input rows never changes the result up to the stated normalization.
+``SpanBuilder.add`` is the one row elimination: it clears a row's
+denominators and reduces it against echelon rows of primitive integers,
+using row operations only.  ``int_nullspace`` reads the right kernel off
+those rows by back-substitution, normalized so that it depends on the
+row space alone.
 
 ``BACKEND`` names the implementation for records that outlive a run: the
 benchmark stamps it into every result and refuses to compare results
 stamped with different backends.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -67,74 +70,78 @@ def _row_primitive(row):
     return row
 
 
-def int_rref(rows):
-    """Canonical reduced echelon form of an integer matrix.
+def clear_denominators(row):
+    """Scale a row of rationals to a primitive integer row whose leading
+    nonzero entry is positive (row-space safe)."""
+    den = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
+    return _row_primitive([int(x * den) if isinstance(x, Fraction) else x * den for x in row])
 
-    Returns ``(reduced_rows, pivot_columns)``.  Each returned row is a
-    primitive integer vector (gcd 1, pivot positive) and entries above and
-    below every pivot are zero; this is the rational RREF with each row
-    rescaled to clear denominators, hence canonical for the row space.
+
+class SpanBuilder:
+    """Incremental exact row span in echelon form: the one row elimination.
+
+    Rows are primitive integer vectors with a positive pivot (leading
+    entry), sorted by pivot; they are not reduced above their pivots, so
+    they depend, deterministically, on the insertion order.
     """
-    work = [list(r) for r in rows if any(r)]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = -1
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        pval = prow[col]
-        for r in range(len(work)):
-            if r == rank:
-                continue
-            v = work[r][col]
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = []
+        self.pivots = []
+
+    def __len__(self):
+        return len(self.rows)
+
+    def add(self, vec):
+        """Insert a vector (ints or Fractions); True if the span grew."""
+        vec = clear_denominators(list(vec))
+        for row, piv in zip(self.rows, self.pivots):
+            v = vec[piv]
             if v:
-                row = work[r]
-                work[r] = _row_primitive(
-                    [row[c] * pval - prow[c] * v for c in range(ncols)]
-                )
-        work[rank] = _row_primitive(prow)
-        pivots.append(col)
-        rank += 1
-    work = [w for w in work[:rank]]
-    return work, pivots
+                p = row[piv]
+                vec = _row_primitive([a * p - b * v for a, b in zip(vec, row)])
+        # every step above leaves the leading nonzero entry positive
+        piv = next((i for i, x in enumerate(vec) if x), None)
+        if piv is None:
+            return False
+        pos = bisect_left(self.pivots, piv)
+        self.rows.insert(pos, vec)
+        self.pivots.insert(pos, piv)
+        return True
+
+    def basis(self):
+        return [list(r) for r in self.rows]
 
 
 def int_nullspace(rows, ncols):
-    """Primitive integer basis of the right kernel of an integer matrix.
+    """Primitive integer basis of the right kernel of a rational matrix.
 
-    Deterministic: one basis vector per free column, in ascending column
-    order, scaled to a primitive integer vector whose leading nonzero
-    entry is positive (so ``int_nullspace([[1, 1]], 2) == [[1, -1]]``).
-    The vector of a free column f is L at f and -red[r][f] * (L / p_r) at
-    the pivot column of row r, p_r its pivot and L the lcm of the pivots.
-    Since red[r][f] vanishes unless row r pivots left of f, that vector is
-    nonzero at f and otherwise only at pivot columns to its left: f is its
-    last nonzero entry, and the pivot columns are exactly the columns at
-    which no kernel vector ends.  Each kernel vector ends at its free
-    column and is zero at every other free column, so the basis is in the
-    echelon form that ``linalg.echelon_block`` reads, at the free columns.
+    One vector per free column f of the ``SpanBuilder`` rows, in ascending
+    order: 1 at f, 0 at every other free column, and its pivot entries by
+    back-substitution up the rows (a row pivoting right of f meets only
+    zeros), kept integral, then made primitive with a positive leading
+    entry (``int_nullspace([[1, 1]], 2) == [[1, -1]]``).  That vector is
+    unique, so the basis depends on the row space alone; each vector ends
+    at its free column, the echelon form ``linalg.echelon_block`` reads.
     """
-    if not rows:
-        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    red, pivots = int_rref(rows)
-    pivset = set(pivots)
-    L = lcm(*(red[r][col] for r, col in enumerate(pivots)))
-    scales = [L // red[r][col] for r, col in enumerate(pivots)]
+    span = SpanBuilder(ncols)
+    for row in rows:
+        span.add(row)
     basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
+    for free in sorted(set(range(ncols)).difference(span.pivots)):
         vec = [0] * ncols
-        vec[free] = L
-        for r, col in enumerate(pivots):
-            vec[col] = -red[r][free] * scales[r]
+        vec[free] = 1
+        support = [free]
+        for row, piv in zip(reversed(span.rows), reversed(span.pivots)):
+            s = sum(row[c] * vec[c] for c in support)
+            if s:
+                # row[piv] > 0: rescale so that -s / row[piv] is an integer
+                g = gcd(s, row[piv])
+                for c in support:
+                    vec[c] *= row[piv] // g
+                vec[piv] = -(s // g)
+                support.append(piv)
         basis.append(_row_primitive(vec))
     return basis
 

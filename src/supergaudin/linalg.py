@@ -1,19 +1,21 @@
-"""Exact rational matrix helpers built on the integer kernels.
+"""Exact rational matrix helpers built on the kernels.
 
 Matrices are lists of rows with int or Fraction entries.  Everything here
-is exact; floating point never enters this module.  ``charpoly`` and
-``mat_mul`` are the kernels' own functions, re-exported; ``nullspace``
-clears denominators and hands integer rows to ``kernels``; the
-``poly_*`` helpers work on ascending coefficient lists.
-``echelon_block`` is the one place that turns vectors into coordinates
-against a basis, which every caller builds in echelon form, and
-``SpanBuilder`` grows a canonical row span one vector at a time.
+is exact; floating point never enters this module.  ``charpoly``,
+``mat_mul``, ``clear_denominators`` and ``SpanBuilder`` are the kernels'
+own, re-exported, and so is ``nullspace``, which is
+``kernels.int_nullspace``: ``SpanBuilder.add`` is the one row
+elimination, growing an echelon row span one vector at a time, and the
+kernel is read off its rows.  The ``poly_*`` helpers work on ascending
+coefficient lists.  ``echelon_block`` is the one place that turns vectors
+into coordinates against a basis, which every caller builds in echelon
+form.
 """
 
 from fractions import Fraction
-from math import lcm
 
-from .kernels import _row_primitive, charpoly, int_nullspace, mat_mul
+from .kernels import SpanBuilder, charpoly, clear_denominators, mat_mul
+from .kernels import int_nullspace as nullspace
 
 __all__ = [
     "charpoly",
@@ -37,20 +39,6 @@ __all__ = [
     "echelon_block",
     "SpanBuilder",
 ]
-
-
-def clear_denominators(row):
-    """Scale a row of rationals to a primitive integer row whose leading
-    nonzero entry is positive (row-space safe)."""
-    den = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
-    return _row_primitive([int(x * den) if isinstance(x, Fraction) else x * den for x in row])
-
-
-def nullspace(rows, ncols):
-    """Right-kernel basis (primitive integer vectors) of a rational matrix
-    with ``ncols`` columns, in the order of ``kernels.int_nullspace``."""
-    int_rows = [clear_denominators(r) for r in rows]
-    return int_nullspace(int_rows, ncols)
 
 
 def mat_add(A, B):
@@ -221,42 +209,3 @@ def squarefree_certificate(A):
     p = charpoly(A)
     sf = poly_squarefree_part(p)
     return is_zero_matrix(poly_eval_matrix(sf, A)), sf
-
-
-class SpanBuilder:
-    """Incremental exact row span with canonical reduction.
-
-    Rows are kept as primitive integer vectors in echelon order; adding a
-    vector reduces it against the current span and reports whether it was
-    new.  Deterministic given the insertion sequence.
-    """
-
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.rows = []
-        self.pivots = []
-
-    def __len__(self):
-        return len(self.rows)
-
-    def add(self, vec):
-        """Insert a vector (ints or Fractions); True if the span grew."""
-        vec = clear_denominators(list(vec))
-        for row, piv in zip(self.rows, self.pivots):
-            v = vec[piv]
-            if v:
-                p = row[piv]
-                vec = _row_primitive([a * p - b * v for a, b in zip(vec, row)])
-        # every step above leaves the leading nonzero entry positive
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
-            return False
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < piv:
-            pos += 1
-        self.rows.insert(pos, vec)
-        self.pivots.insert(pos, piv)
-        return True
-
-    def basis(self):
-        return [list(r) for r in self.rows]

@@ -523,10 +523,13 @@ class _VermaBuilder:
     def monomials(self, depth):
         """All ordered monomials of length <= depth (odd generators square
         to 0), as (monomial, weight) pairs; each weight is one sum onto the
-        weight of the monomial's prefix."""
+        weight of the monomial's prefix.  Stops at the first length with no
+        monomials, whatever the depth."""
         frontier = [((), self.xi)]
         out = list(frontier)
         for _ in range(depth):
+            if not frontier:
+                break
             nxt = []
             for mono, w in frontier:
                 start = mono[-1] if mono else 0

@@ -2,15 +2,17 @@
 data built on the package's partitions, dense views of one-slot tensor
 operators to compare the package's sparse core against, exact
 coordinates by sympy, which shares no code with the package's solves,
-realizations with every block read off their source (polynomial modules
-so read off the Pieri ambient), the Verma straightening by two
-recursions, one that applies a unit and one that re-sorts a lowering
-generator into a monomial, the KZ curvature by finite differences
-written out pair by pair, and the Lax terms read word by word through a
-table of distinct words."""
+the reduced echelon form by Gauss-Jordan elimination, which the kernel
+basis is checked against, realizations with every block read off their
+source (polynomial modules so read off the Pieri ambient), the Verma
+straightening by two recursions, one that applies a unit and one that
+re-sorts a lowering generator into a monomial, the KZ curvature by
+finite differences written out pair by pair, and the Lax terms read word
+by word through a table of distinct words."""
 
 from fractions import Fraction
 from functools import cache
+from math import gcd, lcm
 
 import numpy as np
 import sympy
@@ -80,6 +82,44 @@ def solve_coordinates(basis, images):
         assert not params, "dependent basis"
         out.append([_exact(x) for x in sol])
     return out
+
+
+def _primitive(row):
+    """A row of ints divided by the gcd of its entries, leading entry > 0."""
+    g = gcd(*row)
+    if g > 1:
+        row = [x // g for x in row]
+    lead = next((x for x in row if x), 0)
+    return [-x for x in row] if lead < 0 else row
+
+
+def int_rref(rows):
+    """Reduced echelon form of a rational matrix by Gauss-Jordan
+    elimination, each row scaled to a primitive integer vector with a
+    positive pivot: ``(reduced_rows, pivot_columns)``, canonical for the
+    row space.  The package eliminates incrementally instead, in
+    ``kernels.SpanBuilder``."""
+    work = []
+    for row in rows:
+        den = lcm(*(Fraction(x).denominator for x in row))
+        if any(row):
+            work.append([int(x * den) for x in row])
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        prow = work[rank]
+        for r, row in enumerate(work):
+            v = row[col]
+            if r != rank and v:
+                work[r] = _primitive([a * prow[col] - b * v for a, b in zip(row, prow)])
+        work[rank] = _primitive(prow)
+        pivots.append(col)
+    return work[: len(pivots)], pivots
 
 
 def restrict_to_basis(mat, basis):

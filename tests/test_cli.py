@@ -609,6 +609,22 @@ BAD_INPUT = {
         ["kz", "flatness", "--ell", "3", "--mu", "2,1", "--z", "0,1/3,1", "--kappa", "1e-310", "--float-step", "1e-5"],
         "the float residual at sites 1, 2 is not finite",
     ),
+    # a point beyond every float was an OverflowError traceback (exit 1),
+    # and one below every float collided with another as "point lies on a
+    # diagonal", naming no option
+    "kz-flatness-float-huge-point": (
+        ["kz", "flatness", "--ell", "2", "--mu", "1,1", "--z", "0,1e400", "--float-step", "1e-5"],
+        "--float-step needs --z points of modulus at most 1e+100, distinct as floats",
+    ),
+    "kz-flatness-float-colliding-points": (
+        ["kz", "flatness", "--ell", "2", "--mu", "1,1", "--z", "0,1e-400", "--float-step", "1e-5"],
+        "--float-step needs --z points of modulus at most 1e+100, distinct as floats",
+    ),
+    # a step that carries a point onto another overflows the residual
+    "kz-flatness-float-step-onto-a-point": (
+        ["kz", "flatness", "--ell", "2", "--mu", "1,1", "--z", "0,1", "--float-step", "-1"],
+        "the float residual at sites 1, 2 is not finite, with --float-step -1.0",
+    ),
     # an exact entry too large for a float was an OverflowError traceback
     # (exit 1), or numpy's "must not contain infs or NaNs" (exit 1)
     **{
@@ -637,6 +653,18 @@ BAD_INPUT = {
         ["duality", "cubic", "--lams", "1;1", "--mu", "1,1", "--m", "-1"],
         "need p, q, m >= 0 and n >= 1",
     ),
+    # an empty field was skipped: 1,,1 read as 1,1
+    "singular-mu-empty-field": (["singular", "--ell", "2", "--mu", "1,,1"], "--mu has an empty field"),
+    "singular-mu-trailing-comma": (["singular", "--ell", "2", "--mu", "1,1,"], "--mu has an empty field"),
+    "hamiltonian-z-empty-field": (
+        ["hamiltonian", "--ell", "2", "--mu", "1,1", "--z", "0,,1"],
+        "--z has an empty field",
+    ),
+    "hamiltonian-levels-empty-field": (
+        ["hamiltonian", *TWO_SITES, "--z", "0,1", "--mu", "2", "--convention", "central", "--levels", "1,,2"],
+        "--levels has an empty field",
+    ),
+    "tensor-lam-empty-field": (["tensor", "--lam", "2,,1"], "--lam has an empty field"),
     # an empty factor was refused as "the empty partition labels the
     # trivial module", naming no option
     **{

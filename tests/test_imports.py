@@ -247,21 +247,20 @@ def test_the_algebra_layers_construct_no_index_set():
     assert not found, found
 
 
-def test_int_rref_is_called_only_by_int_nullspace():
-    # every basis the package solves against is built in echelon form and
-    # linalg.echelon_block reads coordinates by substitution; any other
-    # caller of int_rref would be a second, augmented re-solve path
+def test_span_builder_is_the_one_row_elimination():
+    # SpanBuilder.add eliminates for the Pieri spans, the cyclic test and
+    # the kernels alike: no package module defines a second elimination
+    # (an int_rref), and int_nullspace reads the kernel off a SpanBuilder
     sources = _sources(PACKAGE_DIR)
-    outside = [
+    found = [
         name
         for name, source in sources.items()
-        if name != "kernels.py" and "int_rref" in set(_names(ast.parse(source)))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "int_rref"
     ]
-    assert not outside, outside
+    assert not found, found
     tree = ast.parse(sources["kernels.py"])
-    inside = _mentions(dict(_definitions(tree))["int_nullspace"], "int_rref")
-    assert inside
-    assert _mentions(tree, "int_rref") == inside
+    assert _mentions(dict(_definitions(tree))["int_nullspace"], "SpanBuilder")
 
 
 def test_verma_straightening_is_one_recursion():

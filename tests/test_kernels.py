@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from supergaudin import kernels
 from supergaudin.linalg import is_zero_matrix, poly_eval_matrix
 
+from oracles import int_rref
+
 
 def random_int_matrix(rng, n, m, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
@@ -76,7 +78,7 @@ def test_nullspace_annihilates_and_has_right_dimension():
         n = rng.randint(1, 5)
         m = rng.randint(1, 6)
         A = random_int_matrix(rng, n, m)
-        red, pivots = kernels.int_rref([row[:] for row in A])
+        _, pivots = int_rref(A)
         basis = kernels.int_nullspace(A, m)
         assert len(basis) == m - len(pivots)
         for vec in basis:
@@ -84,17 +86,19 @@ def test_nullspace_annihilates_and_has_right_dimension():
                 assert sum(a * v for a, v in zip(row, vec)) == 0
 
 
+# oracles.int_rref is the reference the kernel basis is checked against:
+# fraction_nullspace reads its rows as canonical and reduced
 def test_rref_is_row_space_canonical():
     rng = random.Random(3)
     for _ in range(20):
         n = rng.randint(2, 5)
         m = rng.randint(2, 6)
         A = random_int_matrix(rng, n, m)
-        red, piv = kernels.int_rref(A)
+        red, piv = int_rref(A)
         shuffled = [row[:] for row in A]
         rng.shuffle(shuffled)
         scaled = [[(3 if i % 2 else -2) * x for x in row] for i, row in enumerate(shuffled)]
-        red2, piv2 = kernels.int_rref(scaled)
+        red2, piv2 = int_rref(scaled)
         assert red == red2 and piv == piv2
 
 
@@ -102,13 +106,13 @@ def test_rref_is_row_space_canonical():
 @given(row_equivalent_pairs())
 def test_rref_depends_only_on_the_row_space(pair):
     A, B = pair
-    assert kernels.int_rref(A) == kernels.int_rref(B)
+    assert int_rref(A) == int_rref(B)
 
 
 @settings(max_examples=80, deadline=None)
 @given(int_matrices())
 def test_rref_rows_are_primitive_reduced_and_pivot_positive(A):
-    red, pivots = kernels.int_rref(A)
+    red, pivots = int_rref(A)
     assert len(red) == len(pivots)
     assert pivots == sorted(set(pivots))
     for r, (row, col) in enumerate(zip(red, pivots)):
@@ -125,16 +129,35 @@ def test_rref_rows_are_primitive_reduced_and_pivot_positive(A):
 
 @settings(max_examples=80, deadline=None)
 @given(int_matrices())
+def test_span_builder_rows_are_primitive_echelon_and_pivot_positive(A):
+    # SpanBuilder.add is the package's one elimination; its rows are in
+    # echelon form but not reduced above their pivots
+    m = len(A[0])
+    span = kernels.SpanBuilder(m)
+    grew = [span.add(row) for row in A]
+    _, pivots = int_rref(A)
+    assert sum(grew) == len(span) == len(pivots)
+    assert span.pivots == sorted(set(span.pivots)) == pivots
+    for row, col in zip(span.rows, span.pivots):
+        assert row[col] > 0
+        assert all(not x for x in row[:col])
+        assert gcd(*row) == 1
+    # the rows span the row space: every input row now reduces to zero
+    assert not any(span.add(row) for row in A)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_matrices())
 def test_nullspace_annihilates_with_dimension_ncols_minus_rank(A):
     m = len(A[0])
-    _, pivots = kernels.int_rref(A)
+    _, pivots = int_rref(A)
     basis = kernels.int_nullspace(A, m)
     assert len(basis) == m - len(pivots)
     for vec in basis:
         for row in A:
             assert sum(a * v for a, v in zip(row, vec)) == 0
     # independent, and with the rows of A it spans everything
-    assert kernels.int_rref(basis + A)[1] == list(range(m))
+    assert int_rref(basis + A)[1] == list(range(m))
 
 
 @settings(max_examples=80, deadline=None)
@@ -142,7 +165,7 @@ def test_nullspace_annihilates_with_dimension_ncols_minus_rank(A):
 def test_nullspace_vectors_end_exactly_at_the_free_columns(A):
     # the Gram quotient reads its pivots off the radical this way
     m = len(A[0])
-    _, pivots = kernels.int_rref(A)
+    _, pivots = int_rref(A)
     basis = kernels.int_nullspace(A, m)
     ends = [max(i for i, x in enumerate(vec) if x) for vec in basis]
     assert set(ends) == set(range(m)) - set(pivots)
@@ -160,8 +183,9 @@ def test_nullspace_vectors_have_a_positive_leading_entry():
 
 def fraction_nullspace(A, m):
     """Kernel vectors over Q (1 at the free column, -red/pivot at the
-    pivots), then scaled to primitive integers, leading entry positive."""
-    red, pivots = kernels.int_rref(A)
+    pivots of the reduced echelon form), then scaled to primitive
+    integers, leading entry positive."""
+    red, pivots = int_rref(A)
     basis = []
     for free in (c for c in range(m) if c not in pivots):
         vec = [Fraction(0)] * m
@@ -185,6 +209,36 @@ def fraction_nullspace(A, m):
 def test_nullspace_matches_the_rational_construction(A):
     m = len(A[0])
     assert kernels.int_nullspace(A, m) == fraction_nullspace(A, m)
+
+
+@st.composite
+def fraction_matrices(draw, max_rows=5, max_cols=6):
+    """Rational matrices over mixed denominators, often with zero entries
+    and with rows that are rational combinations of earlier ones."""
+    n = draw(st.integers(1, max_rows))
+    m = draw(st.integers(1, max_cols))
+    nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 4, 6, 7]))
+    entry = st.one_of(st.just(Fraction(0)), nonzero)
+    A = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    for r in range(1, n):
+        if draw(st.booleans()):
+            c = draw(st.lists(nonzero, min_size=r, max_size=r))
+            A[r] = [sum(c[k] * A[k][j] for k in range(r)) for j in range(m)]
+    return A
+
+
+@settings(max_examples=100, deadline=None)
+@given(fraction_matrices())
+def test_nullspace_of_fraction_rows_matches_the_rational_construction(A):
+    # the kernel clears each row's denominators itself, as the singular
+    # spaces and Gram radicals hand it rows of Fractions
+    m = len(A[0])
+    basis = kernels.int_nullspace(A, m)
+    assert basis == fraction_nullspace(A, m)
+    assert all(type(x) is int for vec in basis for x in vec)
+    for vec in basis:
+        for row in A:
+            assert sum(a * v for a, v in zip(row, vec)) == 0
 
 
 @settings(max_examples=60, deadline=None)

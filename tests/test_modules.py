@@ -1,5 +1,6 @@
 """Module realizations: dimensions, action relations, singular spaces."""
 
+import signal
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -105,6 +106,24 @@ def test_verma_examples():
     assert dims_of(vm2) == expected_partial
     assert Weight({2: 2}) in vm2.complete and eps(1) + eps(2) in vm2.complete
     assert eps(1) + eps("1/2") not in vm2.complete
+
+
+def test_verma_enumeration_stops_when_no_monomial_is_left():
+    # gl(1|1) has one lowering generator, an odd one, so the Verma module
+    # of e(1) has dimension 2 at every depth; the monomials once ran on
+    # through range(depth) with an empty frontier
+    def overrun(signum, frame):
+        raise TimeoutError("verma_truncated kept enumerating an empty frontier")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(5)
+    try:
+        vm = verma_truncated(GL11, eps(1), 10**20)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert dims_of(vm) == {eps(1): 1, eps("1/2"): 1}
+    assert set(vm.complete) == {eps(1), eps("1/2")}
 
 
 def test_verma_out_of_band_query_is_refused():
