@@ -49,10 +49,8 @@ from .gaudin import (
     casimir,
     central_shift,
     commutator_residual,
-    cubic_family,
     cyclic_vector_test,
     joint_diagonalize,
-    quadratic_family,
 )
 from .laxmatrix import lax_str_expansion, s22_closed, s33_closed
 from .duality import DualitySetup, build_setup, cubic_spectrum_match, spectrum_match, truncation_check

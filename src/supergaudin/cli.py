@@ -22,7 +22,7 @@ from click.core import ParameterSource
 
 from .cache import DiskCache, content_key
 from .duality import build_setup, cubic_spectrum_match, spectrum_match
-from .gaudin import MAX_MODULUS, FloatRangeError, cubic_family, family_levels, joint_diagonalize, pairwise_commutator_residual, quadratic_family
+from .gaudin import CONVENTIONS, KINDS, MAX_MODULUS, FloatRangeError, HamiltonianFamily, family_levels, joint_diagonalize, pairwise_commutator_residual
 from .indices import IndexSet
 from .kz import KZSystem, check_path, flatness_residual, integrate_path, monodromy
 from .linalg import charpoly
@@ -131,11 +131,20 @@ def _given(name):
     return click.get_current_context().get_parameter_source(name) is not ParameterSource.DEFAULT
 
 
-def _check_depth(kind):
+# a truncated Verma module grows without bound with its depth when a
+# lowering generator is even (V_(1) over gl(2|2) has 3,048 monomials at
+# depth 20); the cap sits well above the depths in use, at most 5
+MAX_DEPTH = 20
+
+
+def _check_depth(kind, depth):
     """--depth sizes the verma and irreducible truncations; refuse a given
-    --depth for any other kind, which would ignore it."""
+    --depth for any other kind, which would ignore it, and one above
+    MAX_DEPTH."""
     if kind not in ("verma", "irreducible") and _given("depth"):
         raise click.UsageError("--depth applies to the verma and irreducible kinds only, not %s" % kind)
+    if depth > MAX_DEPTH:
+        raise click.UsageError("--depth must be at most %d, got %d" % (MAX_DEPTH, depth))
 
 
 def _module(iset, kind, lam, depth):
@@ -155,7 +164,7 @@ def _tensor(iset, lams, kind, depth, ell):
         raise click.UsageError("need --lam factors or --ell for natural powers")
     if ell and kind != "natural" and _given("kind"):
         raise click.UsageError("--ell builds natural powers; --factor-kind %s applies to --lam factors" % kind)
-    _check_depth(kind if lams else "natural")
+    _check_depth(kind if lams else "natural", depth)
     if lams:
         mods = [_module(iset, kind, _shape(kind, t), depth) for t in lams]
     else:
@@ -270,7 +279,7 @@ def _resolve_kz(kwargs):
 
 KZ_OPTIONS = [
     click.option("--kappa", type=float, default=1.0, show_default=True),
-    click.option("--convention", type=click.Choice(["plain", "central"]), default="plain"),
+    click.option("--convention", type=click.Choice(CONVENTIONS), default="plain"),
     click.option("--levels", default=None),
 ]
 
@@ -324,7 +333,7 @@ def module_build(ctx, iset, lam, kind, depth, no_cache):
     """Build one weight module and print its JSON realization."""
     if kind != "natural" and lam is None:
         raise click.UsageError("--lam is required for kind %s" % kind)
-    _check_depth(kind)
+    _check_depth(kind, depth)
     shape = None if lam is None else _shape(kind, lam)
     descriptor = {
         "op": "module",
@@ -372,29 +381,19 @@ def singular(ctx, tens, target):
     _emit(ctx, doc)
 
 
-def _build_family(tens, kind, zs, convention="plain", levels=None):
-    """The Hamiltonian family of a kind at checked points; ``levels`` is
-    the raw --levels text."""
-    if kind != "quadratic" and convention != "plain":
-        raise click.UsageError("cubic Hamiltonians exist only in the plain convention")
-    levels = _levels(tens, convention, levels)
-    if kind == "quadratic":
-        return _checked(quadratic_family, tens, zs, convention=convention, levels=levels)
-    return _checked(cubic_family, tens, zs, kind[-1])
-
-
 @main.command()
 @with_tensor(target=True)
-@click.option("--kind", "ham_kind", type=click.Choice(["quadratic", "cubicC", "cubicD"]), default="quadratic", show_default=True)
+@click.option("--kind", "ham_kind", type=click.Choice(KINDS), default="quadratic", show_default=True)
 @click.option("--z", required=True, help="rational points, e.g. 0,1,3")
-@click.option("--convention", type=click.Choice(["plain", "central"]), default="plain", show_default=True)
+@click.option("--convention", type=click.Choice(CONVENTIONS), default="plain", show_default=True)
 @click.option("--levels", default=None, help="K scalars per factor")
 @click.option("--restrict-singular", is_flag=True, help="restrict to the singular subspace")
 @click.pass_context
 def hamiltonian(ctx, tens, target, ham_kind, z, convention, levels, restrict_singular):
     """Exact Hamiltonian matrices on one weight space."""
     zs = _points(z, len(tens.factors))
-    fam = _build_family(tens, ham_kind, zs, convention, levels)
+    levels = _levels(tens, convention, levels)
+    fam = _checked(HamiltonianFamily, tens, zs, ham_kind, convention, levels)
     if restrict_singular:
         space = singular_space(tens, target)
         mats = [fam.restricted(i, space) for i in range(1, fam.ell + 1)]
@@ -416,7 +415,7 @@ def hamiltonian(ctx, tens, target, ham_kind, z, convention, levels, restrict_sin
 
 @main.command()
 @with_tensor(target=True)
-@click.option("--kind", "ham_kind", type=click.Choice(["quadratic", "cubicC", "cubicD"]), default="quadratic", show_default=True)
+@click.option("--kind", "ham_kind", type=click.Choice(KINDS), default="quadratic", show_default=True)
 @click.option("--z", required=True)
 @click.pass_context
 def spectrum(ctx, tens, target, ham_kind, z):
@@ -426,7 +425,7 @@ def spectrum(ctx, tens, target, ham_kind, z):
             "spectrum needs --tol >= %g, got %g" % (SPECTRUM_TOL_FLOOR, ctx.obj["tol"])
         )
     zs = _points(z, len(tens.factors))
-    fam = _build_family(tens, ham_kind, zs)
+    fam = _checked(HamiltonianFamily, tens, zs, ham_kind)
     space = singular_space(tens, target)
     mats = [fam.restricted(i, space) for i in range(1, fam.ell + 1)]
     rng = random.Random(ctx.obj["seed"])

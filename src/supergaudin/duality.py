@@ -20,7 +20,7 @@ and the stored Omega^{(ij)} and cubic blocks T(a, b, c).
 from fractions import Fraction
 
 from .algebra import BasisElement, simple_raising_ops
-from .gaudin import cubic_family, quadratic_family
+from .gaudin import HamiltonianFamily
 from .indices import IndexSet
 from .linalg import charpoly, mat_mul
 from .modules import (
@@ -145,8 +145,8 @@ def spectrum_match(setup, z):
     z = [Fraction(x) for x in z]
     report, pair = _singular_header(setup, z, "quadratic")
     if pair is not None:
-        fam_s = quadratic_family(setup.super_tensor, z)
-        fam_c = quadratic_family(setup.classical_tensor, z)
+        fam_s = HamiltonianFamily(setup.super_tensor, z)
+        fam_c = HamiltonianFamily(setup.classical_tensor, z)
         report["per_i"], report["equal"] = _charpoly_report(fam_s, fam_c, *pair)
     return report
 
@@ -159,10 +159,10 @@ def cubic_spectrum_match(setup, z):
         return report
     report["per_kind"] = {}
     all_equal = True
-    for kind in ("C", "D"):
-        fam_s = cubic_family(setup.super_tensor, z, kind)
-        fam_c = cubic_family(setup.classical_tensor, z, kind)
-        report["per_kind"][kind], equal = _charpoly_report(fam_s, fam_c, *pair)
+    for kind, label in (("cubicC", "C"), ("cubicD", "D")):
+        fam_s = HamiltonianFamily(setup.super_tensor, z, kind)
+        fam_c = HamiltonianFamily(setup.classical_tensor, z, kind)
+        report["per_kind"][label], equal = _charpoly_report(fam_s, fam_c, *pair)
         all_equal = all_equal and equal
     report["equal"] = all_equal
     return report

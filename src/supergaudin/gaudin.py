@@ -7,6 +7,21 @@ acting through the iota-twisted generator actions, so the relation between
 the two conventions is something the test suite verifies rather than a
 definition.
 
+``HamiltonianFamily(tensor, z, kind="quadratic", convention="plain",
+levels=None)`` builds every family.  The kinds (``KINDS``) are the
+quadratic H^i = sum_{j != i} Omega^{(ij)} / (z_i - z_j), in the plain or
+the central convention (``CONVENTIONS``), and the cubic
+
+    C_i = sum_{j != k, both != i} T(i, j, k) / ((z_i - z_j)(z_i - z_k))
+          + sum_{j != i} (T(i, j, j) - T(j, i, i)) / (z_i - z_j)^2,
+    D_i = sum_{j != i} T(j, i, i) / (z_i - z_j)
+
+(T the cubic block below), which exist only on a polynomial index set
+(p = q = 0) and in the plain convention.  The constructor
+raises ValueError for any other kind, convention or flavor, for levels
+not one per factor (``family_levels``, which ``kz.KZSystem`` reads too)
+and for points not pairwise distinct, one per factor and at least two.
+
 Block store.  Every invariant operator on a weight space of a tensor is
 a block of one store, owned by the tensor itself and served by
 ``TensorModule.stored``; it lives exactly as long as the tensor object.
@@ -20,10 +35,10 @@ names two kinds of stored block:
 - the two-site Casimir Omega^{(ij)}, named ("omega", central, levels,
   min(i, j), max(i, j)); Omega^{(ij)} = Omega^{(ji)}, so one entry serves
   both orders, and ``levels`` is None in the plain convention, which
-  ignores them.  H^i(z) = sum_{j != i} Omega^{(ij)}/(z_i - z_j);
+  ignores them;
 - the cubic block T(a, b, c) = sum_{r,s,t} sign(r, s, t) E_{rs}^{(a)}
-  E_{tr}^{(b)} E_{st}^{(c)}, named ("cubic", a, b, c); ``cubic_family``
-  combines these into C_i and D_i.
+  E_{tr}^{(b)} E_{st}^{(c)}, named ("cubic", a, b, c), of which C_i and
+  D_i are sums.
 
 A third spec names a term list, not a stored block: the one-site Casimir
 of degree k on one slot, ("site", k, slot), the sum over index chains of
@@ -67,6 +82,9 @@ from .linalg import (
 from .weights import exact_scalar
 
 K_SYMBOL = "K"
+
+KINDS = ("quadratic", "cubicC", "cubicD")
+CONVENTIONS = ("plain", "central")
 
 
 def casimir(index_set, central=False):
@@ -173,14 +191,19 @@ def _marked_points(tensor, z):
 
 
 class HamiltonianFamily:
-    """A z-parameterized commuting family on the weight spaces of a tensor.
-
-    kind is "quadratic", "cubicC" or "cubicD"; the convention is "plain"
-    (no K terms) or "central" (extended Casimir through iota).  Member i is
-    a list of (z-coefficient, block spec) terms over the tensor's store.
+    """A z-parameterized commuting family on the weight spaces of a tensor,
+    checked as the module docstring says.  Member i is a list of
+    (z-coefficient, block spec) terms over the tensor's store.
     """
 
-    def __init__(self, tensor, z, kind, convention, levels):
+    def __init__(self, tensor, z, kind="quadratic", convention="plain", levels=None):
+        if kind not in KINDS:
+            raise ValueError("kind must be one of %s, got %r" % (", ".join(KINDS), kind))
+        levels = family_levels(tensor, convention, levels)
+        if kind != "quadratic":
+            if convention != "plain":
+                raise ValueError("cubic Hamiltonians exist only in the plain convention")
+            tensor.index_set.require_polynomial("cubic Hamiltonians")
         z = _marked_points(tensor, z)
         if len(z) < 2:
             raise ValueError("need at least two sites")
@@ -249,8 +272,8 @@ def family_levels(tensor, convention, levels):
     per tensor factor, the factor levels by default.  The plain
     convention keeps them too (a KZ system's gauge default) but its
     Hamiltonians ignore them."""
-    if convention not in ("plain", "central"):
-        raise ValueError("convention must be plain or central")
+    if convention not in CONVENTIONS:
+        raise ValueError("convention must be %s" % " or ".join(CONVENTIONS))
     if levels is None:
         levels = [f.level for f in tensor.factors]
     levels = [Fraction(x) for x in levels]
@@ -259,35 +282,10 @@ def family_levels(tensor, convention, levels):
     return levels
 
 
-def quadratic_family(tensor, z, convention="plain", levels=None):
-    """The quadratic Hamiltonians H^i = sum_{j != i} Omega^{(ij)} / (z_i - z_j)."""
-    levels = family_levels(tensor, convention, levels)
-    return HamiltonianFamily(tensor, z, "quadratic", convention, levels)
-
-
 def _cubic_sign(r, s, t):
     # (-1)^{2(s+t)(2(r+t)+1)} reduced mod 2 through index parities
     e = (s.parity ^ t.parity) & (r.parity ^ t.parity ^ 1)
     return -1 if e else 1
-
-
-def cubic_family(tensor, z, kind):
-    """The cubic Hamiltonians extracted from the degree-three supertrace.
-
-    With the stored blocks T(a, b, c) (see the module docstring),
-
-        C_i = sum_{j != k, both != i} T(i, j, k) / ((z_i - z_j)(z_i - z_k))
-              + sum_{j != i} (T(i, j, j) - T(j, i, i)) / (z_i - z_j)^2,
-        D_i = sum_{j != i} T(j, i, i) / (z_i - z_j).
-
-    Defined for p = q = 0 flavors only, in the plain convention.
-    """
-    iset = tensor.index_set
-    if kind not in ("C", "D"):
-        raise ValueError("kind must be C or D")
-    iset.require_polynomial("cubic Hamiltonians")
-    levels = [f.level for f in tensor.factors]
-    return HamiltonianFamily(tensor, z, "cubic" + kind, "plain", levels)
 
 
 def central_constant(index_set):

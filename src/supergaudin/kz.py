@@ -41,13 +41,13 @@ from ._dop853 import DOP853, EPS
 from .algebra import simple_raising_ops
 from .gaudin import (
     MAX_MODULUS,
+    HamiltonianFamily,
     _omega_spec,
     _stored_block,
     central_constant,
     family_levels,
     float_matrix,
     pairwise_commutator_residual,
-    quadratic_family,
 )
 
 DIAGONAL_CLEARANCE = 1e-3
@@ -93,7 +93,7 @@ class KZSystem:
 
     def family(self, z):
         """The exact quadratic family at rational points, from the pair store."""
-        return quadratic_family(self.tensor, z, self.convention, self.levels)
+        return HamiltonianFamily(self.tensor, z, convention=self.convention, levels=self.levels)
 
     def _live_pairs(self, z, dz):
         """Blocks of the pairs with dz_i != dz_j, with (dz_i - dz_j)/kappa,

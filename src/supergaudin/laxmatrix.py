@@ -24,7 +24,7 @@ from itertools import product
 from math import comb
 
 from .algebra import BasisElement
-from .gaudin import _block_terms, _marked_points, cubic_family, quadratic_family
+from .gaudin import HamiltonianFamily, _block_terms, _marked_points
 
 MAX_ORDER = 3
 
@@ -170,7 +170,7 @@ def s22_closed(tensor, z):
     ``lax_str_expansion`` gives S_22: per site, 2 H^i at the simple pole
     plus the one-site quadratic Casimir and trace at the double pole."""
     z = tuple(Fraction(x) for x in z)
-    fam = quadratic_family(tensor, z)
+    fam = HamiltonianFamily(tensor, z)
     terms = {}
     for i in range(1, len(z) + 1):
         terms[(i - 1, 1)] = _block_words(tensor, [(2 * c, spec) for c, spec in fam.terms(i)])
@@ -183,9 +183,9 @@ def s33_closed(tensor, z):
     the cubic Hamiltonians, as ``lax_str_expansion`` gives S_33."""
     z = tuple(Fraction(x) for x in z)
     ell = len(z)
-    famC = cubic_family(tensor, z, "C")
-    famD = cubic_family(tensor, z, "D")
-    famH = quadratic_family(tensor, z)
+    famC = HamiltonianFamily(tensor, z, "cubicC")
+    famD = HamiltonianFamily(tensor, z, "cubicD")
+    famH = HamiltonianFamily(tensor, z)
     sid = str_identity(tensor.index_set)
     traces = [_block_words(tensor, [(1, ("site", 1, i))]) for i in range(1, ell + 1)]
     terms = {}

@@ -17,7 +17,7 @@ from .algebra import (
     supertrace,
 )
 from .duality import build_setup, cubic_spectrum_match, spectrum_match, truncation_check
-from .gaudin import central_shift, cyclic_vector_test, pairwise_commutator_residual, quadratic_family
+from .gaudin import HamiltonianFamily, central_shift, cyclic_vector_test, pairwise_commutator_residual
 from .indices import IndexSet
 from .linalg import charpoly, is_zero_matrix, mat_add, mat_mul, poly_shift
 from .modules import (
@@ -111,7 +111,7 @@ def check_hamiltonians(seed, m=1, n=1, ell=3, **_):
     nat = NaturalModule(iset)
     tensor = tensor_product([nat] * ell)
     z = _sample_z(rng, ell)
-    fam = quadratic_family(tensor, z)
+    fam = HamiltonianFamily(tensor, z)
     failures = []
     mats = {w: fam.matrices(w) for w in tensor.weights()}
     for w, here in mats.items():
@@ -260,7 +260,7 @@ def check_cyclic(seed, ell=3, **_):
     for ell_here in (2, ell, 4):
         tensor = tensor_product([nat] * ell_here)
         for z in (_sample_z(rng, ell_here), [Fraction(i) for i in range(ell_here)]):
-            fam = quadratic_family(tensor, z)
+            fam = HamiltonianFamily(tensor, z)
             for w in tensor.weights():
                 space = singular_space(tensor, w)
                 if not space.dim:
@@ -286,8 +286,8 @@ def check_central_shift(seed, **_):
     tensor = tensor_product(mods)
     levels = [Fraction(1), Fraction(2)]
     z = _sample_z(rng, 2)
-    plain = quadratic_family(tensor, z)
-    central = quadratic_family(tensor, z, convention="central", levels=levels)
+    plain = HamiltonianFamily(tensor, z)
+    central = HamiltonianFamily(tensor, z, convention="central", levels=levels)
     count = 0
     for w in tensor.weights():
         space = singular_space(tensor, w)

@@ -21,12 +21,11 @@ from supergaudin.algebra import (
 )
 from supergaudin.duality import build_setup, cubic_spectrum_match, spectrum_match, truncation_check
 from supergaudin.gaudin import (
+    HamiltonianFamily,
     central_shift,
-    cubic_family,
     cyclic_vector_test,
     joint_diagonalize,
     pairwise_commutator_residual,
-    quadratic_family,
 )
 from supergaudin.indices import IndexSet
 from supergaudin.kz import (
@@ -116,7 +115,7 @@ def _assert_equivariant(tensor, mats):
 
 
 def _hamiltonian_algebra_case(tensor, z):
-    fam = quadratic_family(tensor, z)
+    fam = HamiltonianFamily(tensor, z)
     mats = {w: fam.matrices(w) for w in tensor.weights()}
     for here in mats.values():
         assert pairwise_commutator_residual(here) == 0
@@ -212,7 +211,7 @@ def test_criterion_04_super_duality_quadratic():
                 rep = spectrum_match(setup, z)
                 assert rep["equal"], (m, n, lams, mu, z, rep)
                 checks += 1
-            fam = quadratic_family(setup.super_tensor, z_list[0])
+            fam = HamiltonianFamily(setup.super_tensor, z_list[0])
             mats = [fam.restricted(i, sup) for i in range(1, setup.ell + 1)]
             jd = joint_diagonalize(mats, rng)
             assert jd.all_certified, (m, n, lams, mu)
@@ -232,8 +231,8 @@ def test_criterion_05_cubic_hamiltonians():
     for ell in (2, 3):
         tensor = tensor_product([nat] * ell)
         z = _sample_z(rng, ell)
-        for kind in ("C", "D"):
-            fam = cubic_family(tensor, z, kind)
+        for kind in ("cubicC", "cubicD"):
+            fam = HamiltonianFamily(tensor, z, kind)
             _assert_equivariant(tensor, {w: fam.matrices(w) for w in tensor.weights()})
     checks = 0
     for ell in (2, 3):
@@ -253,8 +252,8 @@ def test_criterion_05_cubic_hamiltonians():
                 rep = cubic_spectrum_match(setup, z)
                 assert rep["equal"], (lams, mu, rep)
                 checks += 1
-                for kind in ("C", "D"):
-                    fam = cubic_family(setup.super_tensor, z, kind)
+                for kind in ("cubicC", "cubicD"):
+                    fam = HamiltonianFamily(setup.super_tensor, z, kind)
                     mats = [fam.restricted(i, sup) for i in range(1, ell + 1)]
                     jd = joint_diagonalize(mats, rng)
                     assert jd.all_certified, (lams, mu, kind)
@@ -298,7 +297,7 @@ def test_criterion_07_cyclic_vector():
             _sample_z(rng, ell) for _ in range(4)
         ]
         for z in z_tuples:
-            fam = quadratic_family(tensor, z)
+            fam = HamiltonianFamily(tensor, z)
             for w in tensor.weights():
                 space = singular_space(tensor, w)
                 if not space.dim:
@@ -326,8 +325,8 @@ def test_criterion_08_central_shifts():
             levels.append(Fraction(d))
         tensor = tensor_product(mods)
         z = _sample_z(rng, 2)
-        plain = quadratic_family(tensor, z)
-        central = quadratic_family(tensor, z, convention="central", levels=levels)
+        plain = HamiltonianFamily(tensor, z)
+        central = HamiltonianFamily(tensor, z, convention="central", levels=levels)
         for w in tensor.weights():
             space = singular_space(tensor, w)
             if not space.dim:

@@ -504,6 +504,12 @@ BAD_INPUT = {
         ["module", "build", "--lam", "2", "--kind", "irreducible", "--depth", "-1"],
         "depth must be nonnegative",
     ),
+    # with an even lowering generator the truncated Verma module grows
+    # with its depth, so this build never ended
+    "module-build-huge-depth": (
+        ["module", "build", "--m", "2", "--n", "1", "--kind", "verma", "--lam", "1", "--depth", "99999999999999999999"],
+        "--depth must be at most 20, got 99999999999999999999",
+    ),
     "module-build-no-lam": (["module", "build"], "--lam is required for kind polynomial"),
     # --depth sizes the verma and irreducible truncations; the other kinds
     # used to ignore it without a word

@@ -5,27 +5,32 @@ applies matrix units slot by slot with hand-rolled Koszul signs; it shares
 no code with the package's tensor machinery.
 """
 
+import functools
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from supergaudin.algebra import BasisElement, E
+from supergaudin.algebra import BasisElement, E, off_diagonal_units
 from supergaudin.gaudin import (
+    KINDS,
+    HamiltonianFamily,
     _omega_spec,
     _stored_block,
     casimir,
     central_shift,
     commutator_residual,
-    cubic_family,
     cyclic_vector_test,
     joint_diagonalize,
     pairwise_commutator_residual,
-    quadratic_family,
 )
 from supergaudin.indices import IndexSet
-from supergaudin.linalg import is_zero_matrix, mat_add, mat_sub
-from supergaudin.modules import NaturalModule, singular_space, tensor_product
+from supergaudin.linalg import is_zero_matrix, mat_add, mat_mul, mat_sub
+from supergaudin.modules import NaturalModule, polynomial_module, singular_space, tensor_product
+from supergaudin.partitions import Partition
 from supergaudin.weights import Weight, eps
 
 from oracles import restrict_to_basis
@@ -112,7 +117,7 @@ class WordOracle:
             for s in self.members:
                 for t in self.members:
                     sign = self.cubic_sign(r, s, t)
-                    if kind == "D":
+                    if kind == "cubicD":
                         for j in range(self.ell):
                             if j == i:
                                 continue
@@ -209,7 +214,7 @@ def test_pair_matrix_matches_word_oracle():
                 3,
                 z,
                 mixed,
-                lambda tensor, i=i: quadratic_family(tensor, z).matrix(i, mixed),
+                lambda tensor, i=i: HamiltonianFamily(tensor, z).matrix(i, mixed),
                 lambda oracle, i=i: (lambda state: oracle.quadratic(i - 1, z, state)),
             )
 
@@ -217,7 +222,7 @@ def test_pair_matrix_matches_word_oracle():
 def test_quadratic_worked_case():
     nat = NaturalModule(GL11)
     t2 = tensor_product([nat, nat])
-    fam = quadratic_family(t2, [0, 1])
+    fam = HamiltonianFamily(t2, [0, 1])
     mu = eps(1) + eps("1/2")
     space = singular_space(t2, mu)
     h1 = fam.restricted(1, space)
@@ -232,9 +237,9 @@ def test_coincident_z_rejected():
     nat = NaturalModule(GL11)
     t2 = tensor_product([nat, nat])
     with pytest.raises(ValueError):
-        quadratic_family(t2, [1, 1])
+        HamiltonianFamily(t2, [1, 1])
     with pytest.raises(ValueError):
-        cubic_family(t2, [2, 2], "C")
+        HamiltonianFamily(t2, [2, 2], "cubicC")
 
 
 def test_one_level_per_tensor_factor():
@@ -242,8 +247,8 @@ def test_one_level_per_tensor_factor():
     t2 = tensor_product([nat, nat])
     for levels in ([1], [1, 2, 3]):
         with pytest.raises(ValueError, match="need one level per tensor factor"):
-            quadratic_family(t2, [0, 1], convention="central", levels=levels)
-    assert quadratic_family(t2, [0, 1], convention="central", levels=[1, 2]).levels == [1, 2]
+            HamiltonianFamily(t2, [0, 1], convention="central", levels=levels)
+    assert HamiltonianFamily(t2, [0, 1], convention="central", levels=[1, 2]).levels == [1, 2]
 
 
 def test_restrict_to_basis_needs_an_invariant_subspace():
@@ -257,14 +262,14 @@ def test_restrict_to_basis_needs_an_invariant_subspace():
 def test_cubic_matches_word_oracle():
     z = [Fraction(0), Fraction(1)]
     mixed = eps(1) + eps("1/2")
-    for kind in ("C", "D"):
+    for kind in ("cubicC", "cubicD"):
         for i in (1, 2):
             oracle_matrix_matches(
                 GL11,
                 2,
                 z,
                 mixed,
-                lambda tensor, i=i, kind=kind: cubic_family(tensor, z, kind).matrix(i, mixed),
+                lambda tensor, i=i, kind=kind: HamiltonianFamily(tensor, z, kind).matrix(i, mixed),
                 lambda oracle, i=i, kind=kind: (
                     lambda state: oracle.cubic(i - 1, z, kind, state)
                 ),
@@ -276,8 +281,8 @@ def test_cubic_matches_word_oracle():
         3,
         z3,
         w3,
-        lambda tensor: cubic_family(tensor, z3, "C").matrix(2, w3),
-        lambda oracle: (lambda state: oracle.cubic(1, z3, "C", state)),
+        lambda tensor: HamiltonianFamily(tensor, z3, "cubicC").matrix(2, w3),
+        lambda oracle: (lambda state: oracle.cubic(1, z3, "cubicC", state)),
     )
 
 
@@ -286,10 +291,26 @@ def test_cubic_rejects_central_flavors():
     nat = NaturalModule(iset)
     t2 = tensor_product([nat, nat])
     with pytest.raises(ValueError, match="p = q = 0"):
-        cubic_family(t2, [0, 1], "C")
-    wide = NaturalModule(IndexSet("wide", p=0, n=2))
-    with pytest.raises(ValueError, match="unsupported flavor for cubic Hamiltonians"):
-        cubic_family(tensor_product([wide, wide]), [0, 1], "C")
+        HamiltonianFamily(t2, [0, 1], "cubicC")
+
+
+# the cubic C_i and D_i exist only for p = q = 0 and in the plain
+# convention; each of these used to build a family without a word
+@pytest.mark.parametrize(
+    "iset, kind, convention, message",
+    [
+        (GL11, "bogus", "plain", "kind must be one of quadratic, cubicC, cubicD, got 'bogus'"),
+        (GL11, "quadratic", "weird", "convention must be plain or central"),
+        (GL11, "cubicC", "central", "cubic Hamiltonians exist only in the plain convention"),
+        (IndexSet.gl(1, 1, 1, 1), "cubicD", "plain", "cubic Hamiltonians need p = q = 0"),
+        (IndexSet("wide", p=0, n=2), "cubicC", "plain", "unsupported flavor for cubic Hamiltonians"),
+    ],
+    ids=["unknown-kind", "unknown-convention", "cubic-central", "cubic-gl(1+1|1+1)", "cubic-wide"],
+)
+def test_the_family_constructor_refuses_what_the_paper_does_not_define(iset, kind, convention, message):
+    tensor = tensor_product([NaturalModule(iset)] * 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        HamiltonianFamily(tensor, [0, 1], kind, convention, None)
 
 
 def test_classical_cubic_signs_are_positive():
@@ -306,9 +327,9 @@ def test_commutators_and_equivariance():
     nat = NaturalModule(GL11)
     t3 = tensor_product([nat] * 3)
     z = [Fraction(0), Fraction(1), Fraction(3)]
-    fam = quadratic_family(t3, z)
-    famc = cubic_family(t3, z, "C")
-    famd = cubic_family(t3, z, "D")
+    fam = HamiltonianFamily(t3, z)
+    famc = HamiltonianFamily(t3, z, "cubicC")
+    famd = HamiltonianFamily(t3, z, "cubicD")
     members = list(GL11)
     for w in t3.weights():
         # every member of all three families commutes with every other
@@ -329,10 +350,56 @@ def test_commutators_and_equivariance():
                     assert commutator_residual(famd.matrix(i, w), res[1]) == 0
 
 
+# the hook shapes of at most two boxes, over every gl(m|n) with m, n >= 1
+SMALL_SHAPES = (None, (1,), (2,), (1, 1))
+Z_GRID = sorted({Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)})
+
+
+@st.composite
+def small_polynomial_tensors(draw):
+    """gl(m|n)^{(x) ell} with p = q = 0, m + n <= 4 and ell in {2, 3}, of
+    natural factors (None) or 2-box hook polynomial modules, at distinct
+    points of a small rational grid.  The total dimension is capped at
+    64 to keep the exact checks near 5 s in pure Python on 2 cores, where
+    a total of 128 takes about 2.5 s alone and gl(2|2) with three 2-box
+    factors (512) about 40 s."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4 - m))
+    ell = draw(st.sampled_from((2, 3)))
+    iset = IndexSet.gl(0, m, 0, n)
+    shapes = draw(st.lists(st.sampled_from(SMALL_SHAPES), min_size=ell, max_size=ell))
+    tensor = tensor_product([NaturalModule(iset) if s is None else polynomial_module(iset, Partition(s)) for s in shapes])
+    assume(tensor.total_dim <= 64)
+    z = draw(st.lists(st.sampled_from(Z_GRID), min_size=ell, max_size=ell, unique=True))
+    return tensor, z
+
+
+@settings(max_examples=20, deadline=10_000, derandomize=True)
+@given(small_polynomial_tensors())
+def test_the_quadratic_and_cubic_families_commute_are_invariant_and_h_sums_to_zero(case):
+    """The paper's claims on every weight space: H^i, C_i and D_i all
+    commute, each commutes with every off-diagonal unit (E maps the
+    w-space to the w'-space, so E M(w) = M(w') E), and sum_i H^i = 0."""
+    tensor, z = case
+    fams = [HamiltonianFamily(tensor, z, kind) for kind in KINDS]
+    mats = {w: [m for fam in fams for m in fam.matrices(w)] for w in tensor.weights()}
+    ell = len(z)
+    for w, here in mats.items():
+        assert pairwise_commutator_residual(here) == 0
+        assert is_zero_matrix(functools.reduce(mat_add, here[:ell]))
+        for gen in off_diagonal_units(tensor.index_set):
+            res = tensor.act(gen, w)
+            if res is None:
+                continue
+            target, block = res
+            for a, b in zip(here, mats[target]):
+                assert mat_mul(block, a) == mat_mul(b, block)
+
+
 def test_hamiltonians_preserve_singular_spaces():
     nat = NaturalModule(GL11)
     t3 = tensor_product([nat] * 3)
-    fam = quadratic_family(t3, [Fraction(0), Fraction(1), Fraction(3)])
+    fam = HamiltonianFamily(t3, [Fraction(0), Fraction(1), Fraction(3)])
     for w in t3.weights():
         space = singular_space(t3, w)
         if space.dim:
@@ -343,7 +410,7 @@ def test_hamiltonians_preserve_singular_spaces():
 def test_joint_diagonalize():
     nat = NaturalModule(GL11)
     t2 = tensor_product([nat, nat])
-    fam = quadratic_family(t2, [0, 1])
+    fam = HamiltonianFamily(t2, [0, 1])
     mu = eps(1) + eps("1/2")
     space = singular_space(t2, mu)
     mats = [fam.restricted(i, space) for i in (1, 2)]
@@ -352,7 +419,7 @@ def test_joint_diagonalize():
     assert abs(jd.eigenvalues[0][0] - 1.0) < 1e-12
     # joint eigenvalues across the family sum to zero vector by vector
     t3 = tensor_product([nat] * 3)
-    fam3 = quadratic_family(t3, [Fraction(1, 7), Fraction(5, 7), Fraction(13, 7)])
+    fam3 = HamiltonianFamily(t3, [Fraction(1, 7), Fraction(5, 7), Fraction(13, 7)])
     w = eps(1) + eps("1/2") + eps("1/2")
     space3 = singular_space(t3, w)
     mats3 = [fam3.restricted(i, space3) for i in (1, 2, 3)]
@@ -370,7 +437,7 @@ def test_joint_diagonalize_rejects_noncommuting():
 def test_trivial_commutator():
     nat = NaturalModule(GL11)
     t2 = tensor_product([nat, nat])
-    fam = quadratic_family(t2, [0, 1])
+    fam = HamiltonianFamily(t2, [0, 1])
     m = fam.matrix(1, eps(1) + eps("1/2"))
     assert commutator_residual(m, m) == 0
 
@@ -379,7 +446,7 @@ def test_cyclic_vector():
     nat = NaturalModule(GL11)
     for ell, z in ((2, [0, 1]), (3, [0, 1, 2]), (4, [0, 1, 2, 3])):
         tensor = tensor_product([nat] * ell)
-        fam = quadratic_family(tensor, z)
+        fam = HamiltonianFamily(tensor, z)
         for w in tensor.weights():
             space = singular_space(tensor, w)
             if not space.dim:
@@ -421,8 +488,8 @@ def test_central_minus_plain_is_the_shift_on_every_flavor(iset):
     tensor = tensor_product([NaturalModule(iset)] * 3)
     z = [Fraction(0), Fraction(1, 2), Fraction(2)]
     levels = [Fraction(2), Fraction(3), Fraction(-1, 3)]
-    plain = quadratic_family(tensor, z)
-    central = quadratic_family(tensor, z, convention="central", levels=levels)
+    plain = HamiltonianFamily(tensor, z)
+    central = HamiltonianFamily(tensor, z, convention="central", levels=levels)
     for w in tensor.weights():
         d = tensor.dim(w)
         for i in (1, 2, 3):
@@ -448,8 +515,8 @@ def test_central_convention_differs_by_the_shift_matrix():
     tensor = tensor_product(mods)
     levels = [Fraction(1), Fraction(2)]
     z = [Fraction(2, 7), Fraction(9, 7)]
-    plain = quadratic_family(tensor, z)
-    central = quadratic_family(tensor, z, convention="central", levels=levels)
+    plain = HamiltonianFamily(tensor, z)
+    central = HamiltonianFamily(tensor, z, convention="central", levels=levels)
     for w in tensor.weights():
         d = tensor.dim(w)
         for i in (1, 2):
@@ -464,7 +531,7 @@ def test_central_convention_differs_by_the_shift_matrix():
 def test_all_matrices_are_exact_rationals():
     nat = NaturalModule(GL11)
     t2 = tensor_product([nat, nat])
-    fam = quadratic_family(t2, [Fraction(1, 3), Fraction(2)])
+    fam = HamiltonianFamily(t2, [Fraction(1, 3), Fraction(2)])
     for w in t2.weights():
         for row in fam.matrix(1, w):
             for x in row:

@@ -263,6 +263,39 @@ def test_span_builder_is_the_one_row_elimination():
     assert _mentions(dict(_definitions(tree))["int_nullspace"], "SpanBuilder")
 
 
+def test_hamiltonian_family_is_the_one_family_constructor():
+    # HamiltonianFamily owns the kind, convention, levels and flavor rules:
+    # a quadratic_family, cubic_family or _build_family would be a second
+    # owner, and a literal --kind or --convention choice list in the CLI a
+    # second copy of gaudin.KINDS or gaudin.CONVENTIONS
+    sources = _sources(PACKAGE_DIR)
+    defined = [
+        name + ":" + qualname
+        for name, source in sources.items()
+        for qualname, _ in _definitions(ast.parse(source))
+        if qualname in ("quadratic_family", "cubic_family", "_build_family")
+    ]
+    assert not defined, defined
+    tree = ast.parse(sources["cli.py"])
+    imported = {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "gaudin"
+        for alias in node.names
+    }
+    assert {"KINDS", "CONVENTIONS"} <= imported
+    choices = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "option"):
+            continue
+        spelled = {a.value for a in node.args if isinstance(a, ast.Constant)}
+        if spelled & {"ham_kind", "--convention"}:
+            kind = next(k.value for k in node.keywords if k.arg == "type")
+            (arg,) = kind.args
+            choices.append(arg.id if isinstance(arg, ast.Name) else ast.dump(arg))
+    assert sorted(choices) == ["CONVENTIONS", "CONVENTIONS", "KINDS", "KINDS"], choices
+
+
 def test_verma_straightening_is_one_recursion():
     # _VermaBuilder.act straightens every unit, a lowering generator
     # included, so no second recursion (an insert) commutes in modules.py

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from supergaudin._dop853 import DOP853
-from supergaudin.gaudin import joint_diagonalize, quadratic_family
+from supergaudin.gaudin import HamiltonianFamily, joint_diagonalize
 from supergaudin.indices import IndexSet
 from supergaudin.kz import (
     KZSystem,
@@ -287,7 +287,7 @@ def test_log_derivative_matches_joint_eigenvalue():
     mu = eps(1) + eps("1/2") + eps("1/2")
     space = singular_space(t3, mu)
     z0 = [Fraction(0), Fraction(1), Fraction(3)]
-    fam = quadratic_family(t3, z0)
+    fam = HamiltonianFamily(t3, z0)
     mats = [restrict_to_basis(fam.matrix(i, space.weight), space.basis) for i in (1, 2, 3)]
     jd = joint_diagonalize(mats, random.Random(3))
     system = KZSystem(t3, mu, kappa=kappa)

@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 from supergaudin.algebra import BasisElement
 from supergaudin.gaudin import (
     K_SYMBOL,
+    KINDS,
+    HamiltonianFamily,
     _block_terms,
     _omega_spec,
     _stored_block,
     casimir,
-    cubic_family,
     family_levels,
-    quadratic_family,
 )
 from supergaudin.indices import IndexSet
 from supergaudin.linalg import mat_mul
@@ -187,10 +187,10 @@ def test_restricted_from_store_equals_restricting_the_full_hamiltonian(case, dat
     z = data.draw(zs(ell))
     spaces = [s for s in (singular_space(tensor, w) for w in tensor.weights()) if s.dim]
     space = data.draw(st.sampled_from(spaces))
-    fams = [quadratic_family(tensor, z, convention=convention, levels=levels)]
+    fams = [HamiltonianFamily(tensor, z, convention=convention, levels=levels)]
     # the cubic blocks T(a, b, c) live in the same store (p = q = 0 only)
     if not tensor.index_set.p and not tensor.index_set.q:
-        fams += [cubic_family(tensor, z, kind) for kind in ("C", "D")]
+        fams += [HamiltonianFamily(tensor, z, kind) for kind in ("cubicC", "cubicD")]
     for fam in fams:
         for i in range(1, ell + 1):
             expected = restrict_to_basis(fam.matrix(i, space.weight), space.basis)
@@ -203,7 +203,7 @@ def test_a_restricted_block_never_builds_the_full_block():
     tensor = tensor_product([polynomial_module(iset, Partition(p)) for p in ((2,), (1,), (1,))])
     space = next(s for s in (singular_space(tensor, w) for w in tensor.weights()) if s.dim > 1)
     z = [0, 1, 3]
-    for fam in (quadratic_family(tensor, z), cubic_family(tensor, z, "C"), cubic_family(tensor, z, "D")):
+    for fam in (HamiltonianFamily(tensor, z, kind) for kind in KINDS):
         for i in (1, 2, 3):
             fam.restricted(i, space)
     # the diagonal action (for the singular space) shares the store
@@ -226,7 +226,7 @@ def test_the_store_refuses_a_subspace_the_operator_leaves():
     # the first unit vector is in end-column form, but Omega^{(12)} moves
     # it into the other unit
     tensor, w = _two_naturals()
-    fam = quadratic_family(tensor, [0, 1])
+    fam = HamiltonianFamily(tensor, [0, 1])
     with pytest.raises(ValueError, match="subspace is not invariant under the operator"):
         fam.restricted(1, SingularSpace(tensor, w, ((1, 0),)))
     # the whole weight space is invariant, and in end-column form
@@ -238,7 +238,7 @@ def test_the_store_refuses_a_basis_not_in_end_column_form():
     # both vectors end at column 1, so no coordinate reads off by
     # substitution; the basis is refused before any operator acts on it
     tensor, w = _two_naturals()
-    fam = quadratic_family(tensor, [0, 1])
+    fam = HamiltonianFamily(tensor, [0, 1])
     with pytest.raises(ValueError, match="end-column form"):
         fam.restricted(1, SingularSpace(tensor, w, ((1, 1), (1, -1))))
     assert not any(basis for _, _, basis in tensor.block_store)
@@ -257,8 +257,8 @@ def test_plain_and_central_families_keep_their_own_restrictions():
     spaces = [s for s in (singular_space(tensor, w) for w in tensor.weights()) if s.dim]
     assert spaces
     z = [Fraction(1, 7), 2]
-    plain = quadratic_family(tensor, z)
-    central = quadratic_family(tensor, z, convention="central", levels=[1, 2])
+    plain = HamiltonianFamily(tensor, z)
+    central = HamiltonianFamily(tensor, z, convention="central", levels=[1, 2])
     differ = False
     for fam in (plain, central, plain, central):
         for space in spaces:
@@ -286,28 +286,28 @@ def _assert_unshared(get):
 
 def test_family_matrix_result_is_not_shared():
     tensor, w = _natural_pair()
-    fam = quadratic_family(tensor, [0, 1, 3])
+    fam = HamiltonianFamily(tensor, [0, 1, 3])
     _assert_unshared(lambda: fam.matrix(1, w))
     # a second family over the same tensor reads the same stored blocks
-    assert quadratic_family(tensor, [0, 1, 3]).matrix(1, w) == fam.matrix(1, w)
+    assert HamiltonianFamily(tensor, [0, 1, 3]).matrix(1, w) == fam.matrix(1, w)
 
 
 def test_restricted_result_is_not_shared():
     tensor, _ = _natural_pair()
     space = next(s for s in (singular_space(tensor, w) for w in tensor.weights()) if s.dim > 1)
-    fam = quadratic_family(tensor, [0, 1, 3])
+    fam = HamiltonianFamily(tensor, [0, 1, 3])
     _assert_unshared(lambda: fam.restricted(2, space))
-    other = quadratic_family(tensor, [Fraction(1, 2), 2, 5])
+    other = HamiltonianFamily(tensor, [Fraction(1, 2), 2, 5])
     assert other.restricted(2, space) == restrict_to_basis(other.matrix(2, space.weight), space.basis)
 
 
 def test_cubic_matrix_and_restricted_results_are_not_shared():
     tensor, w = _natural_pair()
     space = next(s for s in (singular_space(tensor, v) for v in tensor.weights()) if s.dim > 1)
-    for kind in ("C", "D"):
-        fam = cubic_family(tensor, [0, 1, 3], kind)
+    for kind in ("cubicC", "cubicD"):
+        fam = HamiltonianFamily(tensor, [0, 1, 3], kind)
         _assert_unshared(lambda: fam.matrix(1, w))
         _assert_unshared(lambda: fam.restricted(2, space))
-        other = cubic_family(tensor, [0, 1, 3], kind)
+        other = HamiltonianFamily(tensor, [0, 1, 3], kind)
         assert other.matrix(1, w) == fam.matrix(1, w)
         assert other.restricted(2, space) == restrict_to_basis(other.matrix(2, space.weight), space.basis)

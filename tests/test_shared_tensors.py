@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from supergaudin import modules
 from supergaudin.algebra import BasisElement
 from supergaudin.duality import build_setup, spectrum_match
-from supergaudin.gaudin import quadratic_family
+from supergaudin.gaudin import HamiltonianFamily
 from supergaudin.indices import IndexSet
 from supergaudin.linalg import charpoly, mat_add, mat_mul
 from supergaudin.modules import (
@@ -249,7 +249,7 @@ def test_mutating_returned_blocks_leaves_a_later_setup_unchanged(monkeypatch):
     fresh = tensor_product(list(first.super_tensor.factors))
     space = singular_space(fresh, first.super_weight)
     assert space.dim > 1
-    fam = quadratic_family(fresh, z)
+    fam = HamiltonianFamily(fresh, z)
     expected = [[str(c) for c in charpoly(fam.restricted(i, space))] for i in (1, 2, 3)]
     for tensor in (first.super_tensor, first.classical_tensor):
         members = list(tensor.index_set)
