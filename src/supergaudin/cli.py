@@ -33,6 +33,7 @@ from .modules import (
     polynomial_module,
     singular_space,
     tensor_product,
+    verma_size,
     verma_truncated,
 )
 from .partitions import Partition
@@ -131,20 +132,26 @@ def _given(name):
     return click.get_current_context().get_parameter_source(name) is not ParameterSource.DEFAULT
 
 
-# a truncated Verma module grows without bound with its depth when a
-# lowering generator is even (V_(1) over gl(2|2) has 3,048 monomials at
-# depth 20); the cap sits well above the depths in use, at most 5
+# with an even lowering generator a truncated Verma module grows without
+# bound with its depth, the faster the larger the algebra: at depth 20 V_(1)
+# has 3,048 monomials over gl(2|2) and 392,172 over gl(3|2).  The size cap
+# clears every truncation in use (728 at most) and gl(2|2) at depth 20
 MAX_DEPTH = 20
+MAX_VERMA_SIZE = 4000
 
 
-def _check_depth(kind, depth):
+def _check_depth(iset, kind, depth):
     """--depth sizes the verma and irreducible truncations; refuse a given
-    --depth for any other kind, which would ignore it, and one above
-    MAX_DEPTH."""
-    if kind not in ("verma", "irreducible") and _given("depth"):
-        raise click.UsageError("--depth applies to the verma and irreducible kinds only, not %s" % kind)
-    if depth > MAX_DEPTH:
+    --depth for any other kind, which would ignore it, one above MAX_DEPTH,
+    and one above MAX_VERMA_SIZE monomials over ``iset`` (``verma_size``)."""
+    if kind not in ("verma", "irreducible"):
+        if _given("depth"):
+            raise click.UsageError("--depth applies to the verma and irreducible kinds only, not %s" % kind)
+    elif depth > MAX_DEPTH:
         raise click.UsageError("--depth must be at most %d, got %d" % (MAX_DEPTH, depth))
+    elif verma_size(iset, depth) > MAX_VERMA_SIZE:
+        size = verma_size(iset, depth)
+        raise click.UsageError("--depth %d truncates a Verma module of %d monomials here, above the %d allowed" % (depth, size, MAX_VERMA_SIZE))
 
 
 def _module(iset, kind, lam, depth):
@@ -164,7 +171,7 @@ def _tensor(iset, lams, kind, depth, ell):
         raise click.UsageError("need --lam factors or --ell for natural powers")
     if ell and kind != "natural" and _given("kind"):
         raise click.UsageError("--ell builds natural powers; --factor-kind %s applies to --lam factors" % kind)
-    _check_depth(kind if lams else "natural", depth)
+    _check_depth(iset, kind if lams else "natural", depth)
     if lams:
         mods = [_module(iset, kind, _shape(kind, t), depth) for t in lams]
     else:
@@ -333,7 +340,7 @@ def module_build(ctx, iset, lam, kind, depth, no_cache):
     """Build one weight module and print its JSON realization."""
     if kind != "natural" and lam is None:
         raise click.UsageError("--lam is required for kind %s" % kind)
-    _check_depth(kind, depth)
+    _check_depth(iset, kind, depth)
     shape = None if lam is None else _shape(kind, lam)
     descriptor = {
         "op": "module",

@@ -25,8 +25,9 @@ and for points not pairwise distinct, one per factor and at least two.
 Block store.  Every invariant operator on a weight space of a tensor is
 a block of one store, owned by the tensor itself and served by
 ``TensorModule.stored``; it lives exactly as long as the tensor object.
+Its blocks are tuples of row tuples, shared by every reader as they are.
 The Hamiltonians are sums of these z-independent blocks with rational
-z-coefficients, so every member of every family is a list of
+z-coefficients, so every member of every family is a tuple of
 (z-coefficient, block spec) terms over the store.  Duality tensors are
 memoized for the life of the process (``modules.polynomial_tensor``), so
 one store serves every singular weight mu of a factor list.  This module
@@ -57,9 +58,8 @@ space is keyed by (spec, weight, None).  Its restriction to a subspace
 is keyed by (spec, weight, basis vectors), so the convention and the
 levels are part of every restricted key too; it acts on the basis
 vectors only, never building the full block.  The family matrices
-(``HamiltonianFamily.matrix``, ``restricted``) are fresh, so nothing
-their callers mutate reaches the store; ``kz.KZSystem`` reads the shared
-Omega^{(ij)} blocks into floats at once.
+(``HamiltonianFamily.matrix``, ``restricted``) are fresh lists, and
+``kz.KZSystem`` reads the shared Omega^{(ij)} blocks into floats at once.
 ``HamiltonianFamily.restricted`` restricts each block separately, so the
 subspace must be invariant under every block of the member, not just
 under the member.  Singular spaces always are: every block is an
@@ -170,7 +170,7 @@ def _block_terms(tensor, spec):
 def _stored_block(tensor, spec, w, basis=None):
     """The block named by ``spec`` on the w-space, or restricted to the span
     of ``basis`` (a tuple of tuples), from the tensor's store; None when it
-    vanishes.  The rows are shared: never mutate them."""
+    vanishes."""
     res = tensor.stored(spec, _block_terms(tensor, spec), w, basis)
     if res is None:
         return None
@@ -192,7 +192,7 @@ def _marked_points(tensor, z):
 
 class HamiltonianFamily:
     """A z-parameterized commuting family on the weight spaces of a tensor,
-    checked as the module docstring says.  Member i is a list of
+    checked as the module docstring says.  Member i is a tuple of
     (z-coefficient, block spec) terms over the tensor's store.
     """
 
@@ -212,7 +212,7 @@ class HamiltonianFamily:
         self.kind = kind
         self.convention = convention
         self.levels = levels
-        self._members = [self._member(i) for i in range(1, len(z) + 1)]
+        self._members = tuple(self._member(i) for i in range(1, len(z) + 1))
 
     @property
     def ell(self):
@@ -224,20 +224,20 @@ class HamiltonianFamily:
         pole = {j: 1 / (zi - self.z[j - 1]) for j in others}
         if self.kind == "quadratic":
             central = self.convention == "central"
-            return [(pole[j], _omega_spec(central, i, j, self.levels)) for j in others]
+            return tuple((pole[j], _omega_spec(central, i, j, self.levels)) for j in others)
         if self.kind == "cubicD":
-            return [(pole[j], ("cubic", j, i, i)) for j in others]
+            return tuple((pole[j], ("cubic", j, i, i)) for j in others)
         terms = []
         for j in others:
             terms += [(pole[j] * pole[k], ("cubic", i, j, k)) for k in others if k != j]
             terms += [(pole[j] ** 2, ("cubic", i, j, j)), (-pole[j] ** 2, ("cubic", j, i, i))]
-        return terms
+        return tuple(terms)
 
     def terms(self, i):
         """Member i (1-based) as its (z-coefficient, block spec) terms."""
         if not 1 <= i <= self.ell:
             raise ValueError("site index out of range")
-        return list(self._members[i - 1])
+        return self._members[i - 1]
 
     def _combine(self, i, w, basis):
         d = self.tensor.dim(w) if basis is None else len(basis)

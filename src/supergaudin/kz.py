@@ -85,11 +85,8 @@ class KZSystem:
                 blocks.append(np.zeros((d, d)) if block is None else float_matrix(block))
         self._sites = np.array(sites, dtype=int).reshape(len(sites), 2).T
         self._omega = np.array(blocks, dtype=float).reshape(len(sites), d, d)
-        self._raising_float = []
-        for op in simple_raising_ops(tensor.index_set):
-            res = tensor.act(op, mu)
-            if res is not None:
-                self._raising_float.append(np.array(res[1], dtype=complex))
+        raising = (tensor.act(op, mu) for op in simple_raising_ops(tensor.index_set))
+        self._raising_float = [float_matrix(res[1]).astype(complex) for res in raising if res is not None]
 
     def family(self, z):
         """The exact quadratic family at rational points, from the pair store."""

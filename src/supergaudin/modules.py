@@ -12,6 +12,7 @@ Koszul signs of tensor products.
 
 from fractions import Fraction
 from itertools import groupby
+from math import comb
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -59,13 +60,8 @@ class WeightModule:
 
         Diagonal units act by the scalar w(E_a); off-diagonal blocks come
         with their targets from the subclass's ``_block``, or None.  The
-        matrix is a fresh copy, so callers may mutate it.
+        matrix is a tuple of row tuples, shared as the module caches it.
         """
-        res = self._act(gen, w)
-        return None if res is None else (res[0], [row[:] for row in res[1]])
-
-    def _act(self, gen, w):
-        # act without the copy: the block may be a cached list, never mutate;
         # the code that builds an off-diagonal block also decides its target
         if gen.row not in self.index_set or gen.col not in self.index_set:
             raise ValueError("%r is outside %r" % (gen, self.index_set))
@@ -74,7 +70,7 @@ class WeightModule:
             return None
         if gen.is_diagonal:
             c = w(gen.row)
-            return (w, [[c if i == j else 0 for j in range(d)] for i in range(d)])
+            return (w, tuple(tuple(c if i == j else 0 for j in range(d)) for i in range(d)))
         return self._block(gen, w)
 
 
@@ -90,7 +86,8 @@ class TensorModule(WeightModule):
 
     Immutable once built: duality tensors are memoized process-wide (see
     ``polynomial_tensor``), so one tensor serves many callers.  Its block
-    caches fill lazily but are never handed out for mutation.
+    caches fill lazily, and every block and basis they hold is a tuple,
+    handed out as it is.
     """
 
     provenance = "tensor"
@@ -127,7 +124,7 @@ class TensorModule(WeightModule):
         basis = {}
         for tup, tot in stack:
             basis.setdefault(tot, []).append(tup)
-        init(self, "_basis", basis)
+        init(self, "_basis", {w: tuple(tups) for w, tups in basis.items()})
         init(self, "_dims", {w: len(v) for w, v in basis.items()})
         init(
             self,
@@ -138,17 +135,17 @@ class TensorModule(WeightModule):
         init(self, "block_store", {})
 
     def basis_tuples(self, w):
-        return list(self._basis.get(w, ()))
+        return self._basis.get(w, ())
 
     def slot_act_sparse(self, gen, slot, w):
         """Column-sparse block of the one-slot operator gen^{(slot)}.
 
-        Returns (target_weight, nrows, columns) with one [(row, value), ...]
-        list per source basis column, or None if the operator vanishes.
+        Returns (target_weight, nrows, columns) with one ((row, value), ...)
+        tuple per source basis column, or None if the operator vanishes.
         The Koszul sign is (-1) to the parity of gen times the total parity
         of the factors before the slot.  A diagonal unit E_a acts on each
         column by the scalar fw(E_a) of its slot weight fw.  The result is
-        cached and shared: never mutate it.
+        cached.
         """
         key = (gen.key(), slot, w)
         cache = self._sparse_cache
@@ -160,10 +157,8 @@ class TensorModule(WeightModule):
             a = gen.row
             if a not in self.index_set:
                 raise ValueError("%r is outside %r" % (gen, self.index_set))
-            cols = []
-            for c, tup in enumerate(src):
-                val = tup[slot][0](a)
-                cols.append([(c, val)] if val else [])
+            vals = [tup[slot][0](a) for tup in src]
+            cols = tuple([((c, v),) if v else () for c, v in enumerate(vals)])
             if any(cols):
                 result = (w, len(src), cols)
         elif src:
@@ -176,11 +171,10 @@ class TensorModule(WeightModule):
                 # nonzero entries as (target item, value); None if no block
                 by_weight = {}
                 cols = []
-                wrote = False
                 for tup in src:
                     fw, k = tup[slot]
                     if fw not in by_weight:
-                        res = factor._act(gen, fw)
+                        res = factor.act(gen, fw)
                         if res is None:
                             by_weight[fw] = None
                         else:
@@ -190,16 +184,14 @@ class TensorModule(WeightModule):
                                 for j in range(len(fblock[0]))
                             ]
                     fcols = by_weight[fw]
-                    entries = []
+                    entries = ()
                     if fcols is not None and fcols[k]:
                         sign = -1 if odd and sum(pw.parity for pw, _ in tup[:slot]) & 1 else 1
                         head, tail = tup[:slot], tup[slot + 1 :]
-                        for item, val in fcols[k]:
-                            entries.append((tindex[head + (item,) + tail], sign * val))
-                        wrote = True
+                        entries = tuple([(tindex[head + (item,) + tail], sign * val) for item, val in fcols[k]])
                     cols.append(entries)
-                if wrote:
-                    result = (target, len(tindex), cols)
+                if any(cols):
+                    result = (target, len(tindex), tuple(cols))
         cache[key] = result
         return result
 
@@ -270,7 +262,7 @@ class TensorModule(WeightModule):
         column.  The basis must be in that end-column form, as every
         ``nullspace`` basis is; ValueError otherwise, and when the subspace
         is not invariant.  None when every word vanishes.  The rows are
-        shared: never mutate them.
+        tuples, like every block a module hands out.
         """
         store = self.block_store
         key = (name, w, basis)
@@ -280,7 +272,7 @@ class TensorModule(WeightModule):
             d = self.dim(w)
             res = self.apply(terms, w, [[int(r == c) for r in range(d)] for c in range(d)])
             if res is not None:
-                res = (res[0], [[exact_scalar(x) for x in row] for row in zip(*res[1])])
+                res = (res[0], tuple(tuple(map(exact_scalar, row)) for row in zip(*res[1])))
         else:
             pivots = end_columns(basis)
             res = self.apply(terms, w, basis)
@@ -288,7 +280,7 @@ class TensorModule(WeightModule):
                 block = echelon_block(basis, pivots, res[1]) if res[0] == w else None
                 if block is None:
                     raise ValueError("subspace is not invariant under the operator")
-                res = (w, block)
+                res = (w, tuple(map(tuple, block)))
         store[key] = res
         return res
 
@@ -302,7 +294,8 @@ class ExplicitModule(WeightModule):
 
     ``blocks`` maps (gen key, w) to (target weight, block).  Each target
     must be a weight of ``dims``, and the module's own weight object is
-    stored in its place, so blocks hold no weights of their own.
+    stored in its place, so blocks hold no weights of their own; each
+    block is stored as a tuple of row tuples.
 
     Immutable once built: polynomial modules are memoized process-wide and
     each one is the parent of the larger shapes built from it, so a
@@ -329,7 +322,7 @@ class ExplicitModule(WeightModule):
         for key, (target, block) in blocks.items():
             if target not in own:
                 raise ValueError("block target %r is not a weight of the module" % (target,))
-            canonical[key] = (own[target], block)
+            canonical[key] = (own[target], tuple(map(tuple, block)))
         init(self, "_dims", {w: dims[w] for w in own})
         init(self, "_blocks", canonical)
         init(self, "provenance", provenance)
@@ -599,7 +592,7 @@ class _TruncatedVerma(WeightModule):
                 if block is None:
                     block = [[0] * len(monos) for _ in range(len(tind))]
                 block[row][col] += v
-        return None if block is None else (target, block)
+        return None if block is None else (target, tuple(map(tuple, block)))
 
 
 def verma_truncated(index_set, xi, depth):
@@ -607,6 +600,16 @@ def verma_truncated(index_set, xi, depth):
     if depth < 0:
         raise ValueError("depth must be nonnegative, got %d" % depth)
     return _TruncatedVerma(index_set, xi, depth)
+
+
+def verma_size(index_set, depth):
+    """Dimension of ``verma_truncated(index_set, xi, depth)`` for any xi:
+    with E even and O odd lowering generators (E_ab is odd when exactly one
+    of a, b is), sum_{j <= min(O, depth)} C(O, j) C(E + depth - j, E)."""
+    odd_members = sum(h.parity for h in index_set)
+    even_members = len(index_set) - odd_members
+    odd, even = odd_members * even_members, comb(odd_members, 2) + comb(even_members, 2)
+    return sum(comb(odd, j) * comb(even + depth - j, even) for j in range(min(odd, depth) + 1))
 
 
 def gram_matrices(verma):
@@ -648,14 +651,6 @@ def gram_matrices(verma):
                 gram.append([sum(row[k] * v for k, v in col) for col in columns])
         grams[w] = gram
     return grams
-
-
-def _is_dominant_classical(index_set, xi):
-    members = list(index_set)
-    vals = [xi(h) for h in members]
-    return all(a >= b for a, b in zip(vals, vals[1:])) and all(
-        isinstance(v, int) for v in vals
-    )
 
 
 def _is_unitarizable_super(index_set, xi):
@@ -700,10 +695,10 @@ def irreducible_truncated(index_set, xi, depth):
     unit's Verma block in the quotient basis, which also checks that the
     radical is invariant, and ``_realize`` derives the other blocks.
     """
-    if any(not isinstance(v, int) for v in xi.coeffs.values()):
-        raise ValueError("highest weight must be integral")
     if index_set.flavor == "classical":
-        if not _is_dominant_classical(index_set, xi):
+        # weight coefficients are ints by type: dominance is the whole check
+        vals = [xi(h) for h in index_set]
+        if any(a < b for a, b in zip(vals, vals[1:])):
             raise ValueError("classical flavor needs a dominant integral weight")
     elif index_set.flavor == "super":
         if not _is_unitarizable_super(index_set, xi):
@@ -735,7 +730,7 @@ def irreducible_truncated(index_set, xi, depth):
         target = w + gen.weight_shift()
         if target not in dims:
             return None
-        res = verma._act(gen, w)
+        res = verma.act(gen, w)
         if res is None:
             return None
         images = [[row[csrc] for row in res[1]] for csrc in pivots[w]]

@@ -510,6 +510,16 @@ BAD_INPUT = {
         ["module", "build", "--m", "2", "--n", "1", "--kind", "verma", "--lam", "1", "--depth", "99999999999999999999"],
         "--depth must be at most 20, got 99999999999999999999",
     ),
+    # the size of a truncated Verma module is known before the build: V_(1)
+    # over gl(3|2) at depth 20 has 392,172 monomials, minutes of work
+    "module-build-verma-too-large": (
+        ["module", "build", "--m", "3", "--n", "2", "--kind", "verma", "--lam", "1", "--depth", "20"],
+        "--depth 20 truncates a Verma module of 392172 monomials here, above the 4000 allowed",
+    ),
+    "tensor-irreducible-factor-too-large": (
+        ["tensor", "--m", "3", "--n", "2", "--lam", "1", "--lam", "1", "--factor-kind", "irreducible", "--depth", "10"],
+        "--depth 10 truncates a Verma module of 23292 monomials here, above the 4000 allowed",
+    ),
     "module-build-no-lam": (["module", "build"], "--lam is required for kind polynomial"),
     # --depth sizes the verma and irreducible truncations; the other kinds
     # used to ignore it without a word

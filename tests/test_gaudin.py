@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from supergaudin.algebra import BasisElement, E, off_diagonal_units
+from supergaudin.duality import truncation_check
 from supergaudin.gaudin import (
     KINDS,
     HamiltonianFamily,
@@ -199,8 +200,8 @@ def test_apply_pair_examples():
     nat = NaturalModule(GL11)
     t2 = tensor_product([nat, nat])
     omega = _omega_spec(False, 1, 2, None)
-    assert _stored_block(t2, omega, Weight({2: 2})) == [[Fraction(1)]]
-    assert _stored_block(t2, omega, Weight({1: 2})) == [[Fraction(-1)]]
+    assert _stored_block(t2, omega, Weight({2: 2})) == ((Fraction(1),),)
+    assert _stored_block(t2, omega, Weight({1: 2})) == ((Fraction(-1),),)
 
 
 def test_pair_matrix_matches_word_oracle():
@@ -231,6 +232,25 @@ def test_quadratic_worked_case():
     assert mat_add(h1, h2) == [[Fraction(0)]]
     top = fam.matrix(1, Weight({2: 2}))
     assert top == [[Fraction(-1)]]
+
+
+REFUSALS = {
+    "z-point-count": (lambda t2: HamiltonianFamily(t2, [0, 1, 2]), "need one z point per tensor factor"),
+    "site-index": (lambda t2: HamiltonianFamily(t2, [0, 1]).terms(3), "site index out of range"),
+    "site-index-zero": (lambda t2: HamiltonianFamily(t2, [0, 1]).terms(0), "site index out of range"),
+    # a natural module has no highest weight to rebuild the band from
+    "truncation-without-highest-weight": (
+        lambda t2: truncation_check(t2.factors[0], GL11),
+        "truncation_check needs an irreducible realization",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_family_and_truncation_refusals_name_their_input(call, message):
+    nat = NaturalModule(GL11)
+    with pytest.raises(ValueError, match=message):
+        call(tensor_product([nat, nat]))
 
 
 def test_coincident_z_rejected():

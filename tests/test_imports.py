@@ -327,11 +327,22 @@ def test_realize_is_the_one_realization_path():
 
 def test_block_targets_are_summed_only_where_blocks_are_built():
     # every realization's _block hands back (target, block), so neither
-    # WeightModule._act nor a Lax entry derives the target again
+    # WeightModule.act nor a Lax entry derives the target again
     sources = _sources(PACKAGE_DIR)
     assert not _mentions(ast.parse(sources["laxmatrix.py"]), "weight_shift")
-    act = dict(_definitions(ast.parse(sources["modules.py"])))["WeightModule._act"]
+    act = dict(_definitions(ast.parse(sources["modules.py"])))["WeightModule.act"]
     assert not _mentions(act, "weight_shift")
+
+
+def test_weight_module_has_one_act():
+    # blocks are tuples where they are built, so act hands them out as
+    # they are: a second, copy-free _act would be a second way to read one
+    sources = _sources(PACKAGE_DIR)
+    definitions = dict(_definitions(ast.parse(sources["modules.py"])))
+    assert "WeightModule.act" in definitions
+    assert "WeightModule._act" not in definitions
+    callers = [name for name, source in sources.items() if _mentions(ast.parse(source), "_act")]
+    assert not callers, callers
 
 
 def _definitions(tree):
@@ -546,7 +557,7 @@ def test_the_caller_check_sees_uncalled_functions_and_methods():
 
 # TensorModule.basis_tuples has no caller in the package: it is a
 # read-only inspection accessor, and tests/test_shared_tensors.py pins
-# its copy semantics
+# that it hands out the stored tuple, which cannot be mutated
 CALLER_EXEMPT = ["modules.py:TensorModule.basis_tuples"]
 
 

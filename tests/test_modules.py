@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from supergaudin import modules
 from supergaudin.algebra import AlgebraElement, BasisElement, E, off_diagonal_units, supercommutator
+from supergaudin.gaudin import HamiltonianFamily, _block_terms
 from supergaudin.indices import HalfIndex, IndexSet
 from supergaudin.linalg import charpoly, is_zero_matrix, mat_mul, mat_sub
 from supergaudin.modules import (
     ExplicitModule,
     NaturalModule,
+    TensorModule,
     gram_matrices,
     irreducible_truncated,
     polynomial_module,
@@ -24,6 +26,7 @@ from supergaudin.modules import (
     singular_space,
     tensor_product,
     truncate_module,
+    verma_size,
     verma_truncated,
     _VermaBuilder,
 )
@@ -157,11 +160,11 @@ def test_truncated_verma_raises_exactly_where_it_does_not_represent(index_set, x
         for w in vm.weights():
             stored = vm.labels.get(w + gen.weight_shift(), ())
             if all(mm in stored for mono in vm.labels[w] for mm in ref.act(gen.key(), mono)):
-                vm._act(gen, w)
+                vm.act(gen, w)
                 continue
             refused += 1
             with pytest.raises(ValueError, match="leaves the depth-%d band" % depth):
-                vm._act(gen, w)
+                vm.act(gen, w)
     assert refused
 
 
@@ -566,7 +569,7 @@ def test_every_block_target_is_the_shifted_weight(name, data):
     w = data.draw(st.sampled_from(module.weights()))
     gen = data.draw(st.sampled_from(off_diagonal_units(module.index_set)))
     try:
-        res = module._act(gen, w)
+        res = module.act(gen, w)
     except ValueError as exc:
         # only the truncated Verma refuses, a block that leaves its band
         assert name == "verma" and "leaves the depth-2 band" in str(exc)
@@ -579,6 +582,75 @@ def test_every_block_target_is_the_shifted_weight(name, data):
         assert [v for v in module.weights() if v == target][0] is target
 
 
+def _handed_out(name, call, *args):
+    """call(*args), or None where the truncated Verma refuses a block that
+    leaves its band."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        assert name == "verma" and "leaves the depth-2 band" in str(exc)
+        return None
+
+
+def _is_tuple_of_tuples(block):
+    return type(block) is tuple and all(type(row) is tuple for row in block)
+
+
+@pytest.mark.parametrize("name", sorted(REALIZATIONS))
+def test_every_block_handed_out_is_a_tuple_of_tuples(name):
+    # blocks are cached and shared, so each is a tuple of row tuples from
+    # where it is built on, and act, stored and slot_act_sparse hand it out
+    # as it is; so do basis_tuples and a family's terms
+    module = realization(name)
+    units = [BasisElement(a, b) for a in module.index_set for b in module.index_set]
+    for w in module.weights():
+        for gen in units:
+            res = _handed_out(name, module.act, gen, w)
+            assert res is None or _is_tuple_of_tuples(res[1]), (gen, w)
+    tensor = module
+    if not isinstance(module, TensorModule):
+        tensor = tensor_product([module, NaturalModule(module.index_set)])
+    families = [HamiltonianFamily(tensor, [0, 1])]
+    if module.index_set.p == module.index_set.q == 0:
+        families.append(HamiltonianFamily(tensor, [0, 1], "cubicC"))
+    specs = set()
+    for fam in families:
+        for i in (1, 2):
+            assert type(fam.terms(i)) is tuple
+            specs.update(spec for _, spec in fam.terms(i))
+    for w in tensor.weights():
+        assert type(tensor.basis_tuples(w)) is tuple
+        for gen in units:
+            for slot in (0, 1):
+                res = _handed_out(name, tensor.slot_act_sparse, gen, slot, w)
+                assert res is None or _is_tuple_of_tuples(res[2]), (gen, slot, w)
+                assert res is None or all(map(_is_tuple_of_tuples, res[2])), (gen, slot, w)
+        space = _handed_out(name, singular_space, tensor, w)
+        bases = [None] + ([space.basis] if space is not None and space.dim else [])
+        for spec in specs:
+            for basis in bases:
+                res = _handed_out(name, tensor.stored, spec, _block_terms(tensor, spec), w, basis)
+                assert res is None or _is_tuple_of_tuples(res[1]), (spec, w, basis)
+
+
+@pytest.mark.parametrize(
+    "index_set",
+    [GL11, GL21, IndexSet.gl(0, 2, 0, 2), IndexSet.gl(0, 1, 0, 3), IndexSet.gl(1, 1, 1, 1), CL2, IndexSet.gl(0, 3, 0, 2)],
+)
+def test_verma_size_counts_the_builder_monomials(index_set):
+    builder = _VermaBuilder(index_set, Weight({}))
+    for depth in (0, 1, 2, 4, 6):
+        assert verma_size(index_set, depth) == len(builder.monomials(depth)), depth
+
+
+def test_verma_size_of_the_larger_flavors():
+    # the sizes the CLI's --depth budget weighs, V_(1) or any other weight
+    assert verma_size(IndexSet.gl(0, 2, 0, 2), 20) == 3048
+    assert verma_size(IndexSet.gl(0, 1, 0, 3), 20) == 11521
+    sizes = [verma_size(IndexSet.gl(0, 3, 0, 2), depth) for depth in (6, 10, 20)]
+    assert sizes == [2972, 23292, 392172]
+
+
 def test_explicit_module_refuses_a_block_target_outside_its_weights():
     dims = {eps(1): 1, eps("1/2"): 1}
     # E_{1,1/2} maps the e(1/2)-space to the e(1)-space
@@ -589,5 +661,5 @@ def test_explicit_module_refuses_a_block_target_outside_its_weights():
     fresh = eps(1) + Weight({})
     module = ExplicitModule(GL11, 0, dims, {(key, eps("1/2")): (fresh, [[1]])}, "explicit")
     target, block = module.act(BasisElement(1, "1/2"), eps("1/2"))
-    assert block == [[1]]
+    assert block == ((1,),)
     assert target is next(w for w in dims if w == fresh)

@@ -157,7 +157,7 @@ def test_stored_pair_matches_dense_reference_and_is_symmetric(case):
             if ref is None:
                 assert got is None
             else:
-                assert got == ref
+                assert got == tuple(map(tuple, ref))
                 assert dense_pair(tensor, central, j, i, w, levels) == ref
 
 

@@ -77,7 +77,7 @@ def test_basis_order_equals_the_sorted_enumeration(tensor):
     ref = old_basis(tensor.factors)
     assert set(tensor.weights()) == set(ref)
     for w, tups in ref.items():
-        assert tensor.basis_tuples(w) == tups
+        assert tensor.basis_tuples(w) == tuple(tups)
         assert tensor.dim(w) == len(tups)
 
 
@@ -236,9 +236,12 @@ def test_duality_setups_share_one_tensor_per_factor_list():
 
 
 def _mutate(res):
+    # a shared block is a tuple of row tuples: it takes no entry and no row
     if res is not None:
-        res[1][0][0] += 99
-        res[1].append(["junk"])
+        with pytest.raises(TypeError):
+            res[1][0][0] += 99
+        with pytest.raises(AttributeError):
+            res[1].append(["junk"])
 
 
 def test_mutating_returned_blocks_leaves_a_later_setup_unchanged(monkeypatch):
@@ -255,7 +258,8 @@ def test_mutating_returned_blocks_leaves_a_later_setup_unchanged(monkeypatch):
         members = list(tensor.index_set)
         gens = [BasisElement(a, b) for a in members for b in members]
         for w in tensor.weights():
-            tensor.basis_tuples(w).reverse()
+            with pytest.raises(AttributeError):
+                tensor.basis_tuples(w).reverse()
             for gen in gens:
                 _mutate(tensor.act(gen, w))
         for f in tensor.factors:
