@@ -27,6 +27,9 @@ class BasisElement:
     def __setattr__(self, name, value):
         raise AttributeError("BasisElement is immutable")
 
+    def __reduce__(self):
+        return (BasisElement, (self.row, self.col))
+
     @property
     def parity(self):
         return self.row.parity ^ self.col.parity
@@ -99,6 +102,9 @@ class AlgebraElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
+
+    def __reduce__(self):
+        return (AlgebraElement, (dict(self.terms), self.central))
 
     @classmethod
     def basis(cls, elem, coeff=1):

@@ -35,6 +35,9 @@ class HalfIndex:
     def __setattr__(self, name, value):
         raise AttributeError("HalfIndex is immutable")
 
+    def __reduce__(self):
+        return (HalfIndex, (self.doubled,))
+
     @property
     def parity(self):
         """0 for integer indices, 1 for half-odd-integer indices."""
@@ -86,6 +89,9 @@ class IndexSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("IndexSet is immutable")
+
+    def __reduce__(self):
+        return (IndexSet, (self.flavor, self.p, self.q, self.m, self.n))
 
     @classmethod
     def classical(cls, p, n):

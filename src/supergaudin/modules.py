@@ -293,9 +293,9 @@ class ExplicitModule(WeightModule):
     """A module given by explicit dims and off-diagonal blocks.
 
     ``blocks`` maps (gen key, w) to (target weight, block).  Each target
-    must be a weight of ``dims``, and the module's own weight object is
-    stored in its place, so blocks hold no weights of their own; each
-    block is stored as a tuple of row tuples.
+    must be a weight of ``dims``; weights are interned, so it is the
+    module's own weight object.  Each block is stored as a tuple of row
+    tuples.
 
     Immutable once built: polynomial modules are memoized process-wide and
     each one is the parent of the larger shapes built from it, so a
@@ -317,14 +317,14 @@ class ExplicitModule(WeightModule):
         init = object.__setattr__
         init(self, "index_set", index_set)
         init(self, "level", Fraction(level))
-        own = {w: w for w, d in dims.items() if d}
-        canonical = {}
+        kept = {w: d for w, d in dims.items() if d}
+        stored = {}
         for key, (target, block) in blocks.items():
-            if target not in own:
+            if target not in kept:
                 raise ValueError("block target %r is not a weight of the module" % (target,))
-            canonical[key] = (own[target], tuple(map(tuple, block)))
-        init(self, "_dims", {w: dims[w] for w in own})
-        init(self, "_blocks", canonical)
+            stored[key] = (target, tuple(map(tuple, block)))
+        init(self, "_dims", kept)
+        init(self, "_blocks", stored)
         init(self, "provenance", provenance)
         init(self, "highest_weight", highest_weight)
         init(self, "shape", shape)

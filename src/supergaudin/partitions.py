@@ -25,6 +25,9 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    def __reduce__(self):
+        return (Partition, (self.parts,))
+
     def __iter__(self):
         return iter(self.parts)
 
@@ -119,6 +122,9 @@ class GeneralizedPartition:
 
     def __setattr__(self, name, value):
         raise AttributeError("GeneralizedPartition is immutable")
+
+    def __reduce__(self):
+        return (GeneralizedPartition, (self.parts,))
 
     @property
     def depth(self):

@@ -3,14 +3,21 @@
 The level is the coefficient of the central dual generator and is kept as
 an exact rational: an ``int`` when it is integral, a ``Fraction`` otherwise
 (complex levels are rejected: every downstream exact test relies on
-rational arithmetic).  The public constructor validates its input; sums,
-differences and negatives of weights go through a trusted constructor that
-skips the checks their inputs have already passed.
+rational arithmetic).  There is one object per weight.  The public
+constructor validates its input; sums, differences and negatives of
+weights skip the checks their inputs have already passed.  Both end in the
+trusted constructor ``Weight._raw``, which looks the (coefficients, level)
+pair up in a process-wide intern table, so equal weights are the same
+object.  ``Weight`` keeps the identity ``__eq__`` and ``__hash__`` of
+``object``, so every dict keyed by weights, or by tuples of them, hashes
+in C.  The table keeps every weight the process has made, and each one is
+shared by all its users, so its coefficients are a read-only mapping.
 
 The weight formulas read the algebra off the ``IndexSet`` they are handed.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .indices import HalfIndex, idx
 from .partitions import Partition, frobenius_theta
@@ -31,12 +38,20 @@ def exact_scalar(x):
     return x.numerator if x.denominator == 1 else x
 
 
+# (frozenset of (doubled index, coefficient) pairs, level) -> its Weight
+_INTERNED = {}
+
+
 class Weight:
-    """Finitely supported integer functional on the Cartan plus a level."""
+    """Finitely supported integer functional on the Cartan plus a level.
 
-    __slots__ = ("coeffs", "level", "_hash")
+    Interned: ``Weight(coeffs, level)`` returns the one object for that
+    pair, so equality is identity.
+    """
 
-    def __init__(self, coeffs=None, level=0):
+    __slots__ = ("coeffs", "level")
+
+    def __new__(cls, coeffs=None, level=0):
         clean = {}
         for key, val in (coeffs or {}).items():
             if isinstance(key, HalfIndex):
@@ -56,20 +71,31 @@ class Weight:
             level = exact_scalar(level)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             raise ValueError("level must be an exact rational, got %r" % (level,))
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "_hash", hash((frozenset(clean.items()), level)))
+        return cls._raw(clean, level)
+
+    def __init__(self, coeffs=None, level=0):
+        """Does nothing: ``__new__`` validates and interns.  Defined so
+        that wrapping it counts the public constructions."""
 
     @classmethod
     def _raw(cls, clean, level):
         """Trusted constructor: ``clean`` maps nonzero doubled indices to
-        nonzero ints and ``level`` is an exact scalar (int when integral);
-        both are owned by the new weight."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "_hash", hash((frozenset(clean.items()), level)))
+        nonzero ints and ``level`` is an exact scalar (int when integral).
+        Returns the interned weight, which owns ``clean`` when it is new."""
+        key = (frozenset(clean.items()), level)
+        self = _INTERNED.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "coeffs", MappingProxyType(clean))
+            object.__setattr__(self, "level", level)
+            # a weight another thread interned meanwhile wins
+            self = _INTERNED.setdefault(key, self)
         return self
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling go through the constructor, so they
+        # hand back the interned weight itself
+        return (Weight, (self.coeffs.copy(), self.level))
 
     def __setattr__(self, name, value):
         raise AttributeError("Weight is immutable")
@@ -92,7 +118,7 @@ class Weight:
         return sum(v for d, v in self.coeffs.items() if d % 2) % 2
 
     def __add__(self, other):
-        coeffs = dict(self.coeffs)
+        coeffs = self.coeffs.copy()
         for d, v in other.coeffs.items():
             v += coeffs.get(d, 0)
             if v:
@@ -102,7 +128,7 @@ class Weight:
         return Weight._raw(coeffs, exact_scalar(self.level + other.level))
 
     def __sub__(self, other):
-        coeffs = dict(self.coeffs)
+        coeffs = self.coeffs.copy()
         for d, v in other.coeffs.items():
             v = coeffs.get(d, 0) - v
             if v:
@@ -113,16 +139,6 @@ class Weight:
 
     def __neg__(self):
         return Weight._raw({d: -v for d, v in self.coeffs.items()}, -self.level)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Weight)
-            and self.coeffs == other.coeffs
-            and self.level == other.level
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         if not self.coeffs and not self.level:
@@ -235,7 +251,7 @@ def unitarizable_weight(index_set, gen_lam):
         raise ValueError(
             "lam_%d = %d < -q = %d" % (d - p, gen_lam.part(d - p), -q)
         )
-    coeffs = dict(highest_weight(index_set, gen_lam.plus(), gen_lam.minus()).coeffs)
+    coeffs = highest_weight(index_set, gen_lam.plus(), gen_lam.minus()).coeffs.copy()
     for r in range(1, p + 1):
         coeffs[-2 * r] = coeffs.get(-2 * r, 0) - d
     for s in range(1, q + 1):

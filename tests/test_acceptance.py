@@ -4,6 +4,7 @@ Every test prints a PASS line on success (visible with -s or -rA); a
 failure fails the test the normal way.
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -415,26 +416,32 @@ def test_criterion_10_truncation():
 
 
 def test_criterion_11_determinism():
-    """`verify all` emits byte-identical JSON for a fixed seed."""
-    cmd = [
-        sys.executable,
-        "-m",
-        "supergaudin.cli",
-        "--json",
-        "verify",
-        "all",
-        "--m",
-        "1",
-        "--n",
-        "1",
-        "--ell",
-        "3",
-        "--seed",
-        "7",
-    ]
-    runs = [subprocess.run(cmd, capture_output=True, text=True) for _ in range(2)]
-    for r in runs:
-        assert r.returncode == 0, r.stdout + r.stderr
-    assert runs[0].stdout == runs[1].stdout
-    assert runs[0].stdout.strip()
-    report(11, "verify all is byte-identical across runs (seed 7)")
+    """`verify all` emits byte-identical JSON for a fixed seed, whatever
+    the string hash seed: weights hash by identity, so an iteration that
+    followed hash order would differ between these runs."""
+    for m, n in ((1, 1), (2, 1)):
+        cmd = [
+            sys.executable,
+            "-m",
+            "supergaudin.cli",
+            "--json",
+            "verify",
+            "all",
+            "--m",
+            str(m),
+            "--n",
+            str(n),
+            "--ell",
+            "3",
+            "--seed",
+            "7",
+        ]
+        runs = [
+            subprocess.run(cmd, capture_output=True, text=True, env=dict(os.environ, PYTHONHASHSEED=seed))
+            for seed in ("0", "1")
+        ]
+        for r in runs:
+            assert r.returncode == 0, r.stdout + r.stderr
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stdout.strip()
+    report(11, "verify all is byte-identical across runs and hash seeds (seed 7, gl(1|1) and gl(2|1))")

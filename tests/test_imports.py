@@ -345,6 +345,43 @@ def test_weight_module_has_one_act():
     assert not callers, callers
 
 
+def _allocates(node):
+    """``object.__new__(...)``: an allocation that skips the constructor."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    )
+
+
+def test_weights_are_interned():
+    # equal weights are one object, so Weight keeps object's identity
+    # __eq__ and __hash__ (dicts keyed by weights hash in C), and the
+    # intern table's lookup in Weight._raw is the one place a weight is
+    # allocated: no other package code calls object.__new__
+    sources = _sources(PACKAGE_DIR)
+    tree = ast.parse(sources["weights.py"])
+    definitions = dict(_definitions(tree))
+    bound = {item.name for item in definitions["Weight"].body if isinstance(item, ast.FunctionDef)} | {
+        t.id
+        for item in definitions["Weight"].body
+        if isinstance(item, ast.Assign)
+        for t in item.targets
+        if isinstance(t, ast.Name)
+    }
+    assert not bound & {"__eq__", "__hash__"}
+    found = [
+        "%s:%d" % (name, node.lineno)
+        for name, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if _allocates(node)
+    ]
+    inside = ["weights.py:%d" % node.lineno for node in ast.walk(definitions["Weight._raw"]) if _allocates(node)]
+    assert inside and found == inside, found
+
+
 def _definitions(tree):
     """(qualified name, node) for every top-level function and class and
     every non-dunder method of a top-level class."""

@@ -657,7 +657,7 @@ def test_explicit_module_refuses_a_block_target_outside_its_weights():
     key = BasisElement(1, "1/2").key()
     with pytest.raises(ValueError, match="not a weight of the module"):
         ExplicitModule(GL11, 0, dims, {(key, eps("1/2")): (eps(1) + eps(1), [[1]])}, "explicit")
-    # an equal target is replaced by the module's own weight object
+    # weights are interned, so an equal target is the module's own weight object
     fresh = eps(1) + Weight({})
     module = ExplicitModule(GL11, 0, dims, {(key, eps("1/2")): (fresh, [[1]])}, "explicit")
     target, block = module.act(BasisElement(1, "1/2"), eps("1/2"))
