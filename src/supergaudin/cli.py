@@ -142,11 +142,14 @@ MAX_VERMA_SIZE = 4000
 
 def _check_depth(iset, kind, depth):
     """--depth sizes the verma and irreducible truncations; refuse a given
-    --depth for any other kind, which would ignore it, one above MAX_DEPTH,
-    and one above MAX_VERMA_SIZE monomials over ``iset`` (``verma_size``)."""
+    --depth for any other kind, which would ignore it, a negative one, one
+    above MAX_DEPTH, and one above MAX_VERMA_SIZE monomials over ``iset``
+    (``verma_size``)."""
     if kind not in ("verma", "irreducible"):
         if _given("depth"):
             raise click.UsageError("--depth applies to the verma and irreducible kinds only, not %s" % kind)
+    elif depth < 0:
+        raise click.UsageError("--depth must be nonnegative, got %d" % depth)
     elif depth > MAX_DEPTH:
         raise click.UsageError("--depth must be at most %d, got %d" % (MAX_DEPTH, depth))
     elif verma_size(iset, depth) > MAX_VERMA_SIZE:

@@ -1,7 +1,7 @@
 """Exact linear-algebra kernels.
 
 These are the hot inner loops of the whole package: row elimination
-(singular spaces, Gram radicals, Krylov spans), dense matrix products
+(singular spaces, Verma radicals, Krylov spans), dense matrix products
 (commutator checks) and exact characteristic polynomials by Berkowitz's
 division-free recursion.  They are plain Python on Python ints and
 Fractions (the char poly clears denominators and then works on ints
@@ -72,9 +72,16 @@ def _row_primitive(row):
 
 def clear_denominators(row):
     """Scale a row of rationals to a primitive integer row whose leading
-    nonzero entry is positive (row-space safe)."""
-    den = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
-    return _row_primitive([int(x * den) if isinstance(x, Fraction) else x * den for x in row])
+    nonzero entry is positive (row-space safe).  Entries are ints or
+    Fractions, tested by exact type: ``Fraction`` is an ABC, and an
+    ``isinstance`` test on it costs a Python-level call per entry.  A row
+    of ints alone is not scaled, and comes back as the same list when it
+    is already primitive with a positive leading entry."""
+    dens = [x.denominator for x in row if type(x) is Fraction]
+    if not dens:
+        return _row_primitive(row)
+    den = lcm(*dens)
+    return _row_primitive([int(x * den) if type(x) is Fraction else x * den for x in row])
 
 
 class SpanBuilder:

@@ -11,19 +11,11 @@ Koszul signs of tensor products.
 """
 
 from fractions import Fraction
-from itertools import groupby
 from math import comb
 from operator import itemgetter
 from types import MappingProxyType
 
-from .algebra import (
-    AlgebraElement,
-    BasisElement,
-    bracket_units,
-    off_diagonal_units,
-    simple_raising_ops,
-    star_omega,
-)
+from .algebra import BasisElement, bracket_units, off_diagonal_units, simple_raising_ops
 from .indices import HalfIndex, IndexSet
 from .linalg import SpanBuilder, echelon_block, end_columns, mat_add, mat_mul, nullspace
 from .partitions import GeneralizedPartition, Partition, partition_from_hook_data
@@ -366,12 +358,12 @@ def _realize(index_set, level, dims, simple_block, provenance, **meta):
     every builder:
 
     * a polynomial module is a cyclic submodule of its Pieri ambient;
-    * a Gram quotient (``irreducible_truncated``) keeps the complete
-      weights.  Both factors of E_ac move the weight the same way, so the
-      middle weight's deficit height lies between those of the two ends,
-      both <= depth, and the middle weight is complete.  A middle weight
-      outside the Verma's cone has no space, and the factor block is 0
-      either way;
+    * an irreducible quotient (``irreducible_truncated``) keeps complete
+      weights only.  Both factors of E_ac move the weight the same way,
+      so the middle weight's deficit height lies between those of the two
+      ends, both <= depth, and the middle weight is complete.  A middle
+      weight outside the Verma's cone has no space, and one with a zero
+      quotient no block, and the factor block is 0 either way;
     * a truncation (``truncate_module``) keeps the weights supported on the
       smaller set, which are stable under its algebra.  From a truncated
       Verma every simple block at every kept weight is still read; if none
@@ -612,47 +604,6 @@ def verma_size(index_set, depth):
     return sum(comb(odd, j) * comb(even + depth - j, even) for j in range(min(odd, depth) + 1))
 
 
-def gram_matrices(verma):
-    """Contravariant form of the PBW basis on every complete weight space.
-
-    Returns {w: G_w} for every w in ``verma.complete``, where
-    G_w[M, N] = the coefficient of the empty monomial in omega(M) N v and
-    omega reverses a monomial and transposes each factor with the
-    star-structure signs.  Position 0 of a monomial acts last, so omega
-    applies it first: for M = (m0,) + M' and w' = w - shift(f_{m0}),
-
-        G_w[M, N] = sum_K G_{w'}[M', K] * A[K, N],
-
-    where column N of A is omega(f_{m0}) N v in the PBW basis of w'.  The
-    weight w' lies above w, so its deficit height is smaller; w being
-    complete, w' is complete too, and M' is an ordered monomial of w' that
-    indexes a row of G_{w'}.  Built in order of deficit height from
-    G_xi = [[1]], every G_{w'} is ready when G_w reads it.  The arithmetic
-    is the same exact integer arithmetic as letter by letter.
-    """
-    builder = verma._builder
-    omegas = [star_omega(AlgebraElement({key: 1})).terms for key in builder.gens]
-    grams = {}
-    for w in sorted(verma.complete, key=verma.complete.get):
-        monos = verma.labels[w]
-        if monos == ((),):
-            grams[w] = [[1]]
-            continue
-        gram = []
-        for m0, lefts in groupby(monos, key=itemgetter(0)):
-            above = w - builder.gen_shift[m0]
-            rows, index = grams[above], verma._index[above]
-            columns = [
-                [(index[k], v) for k, v in builder._elem_act(omegas[m0], right).items()]
-                for right in monos
-            ]
-            for left in lefts:
-                row = rows[index[left[1:]]]
-                gram.append([sum(row[k] * v for k, v in col) for col in columns])
-        grams[w] = gram
-    return grams
-
-
 def _is_unitarizable_super(index_set, xi):
     q, m, p, n = index_set.q, index_set.m, index_set.p, index_set.n
     plus_rows = [xi(2 * i) for i in range(1, m + 1)]
@@ -685,15 +636,90 @@ def _is_unitarizable_super(index_set, xi):
     return False
 
 
+def _quotient_coordinates(verma, echelon, key, target, monos):
+    """Coordinates in the quotient L_target of the unit ``key`` applied to
+    each of ``monos``: one column per monomial, read by ``echelon_block``
+    against the target's echelon basis, radical rows dropped.  The target
+    is complete, so every image monomial has a row there."""
+    index = verma._index[target]
+    act = verma._builder.act
+    images = []
+    for mono in monos:
+        vec = [0] * len(index)
+        for mm, v in act(key, mono).items():
+            vec[index[mm]] += v
+        images.append(vec)
+    skip, basis, cols = echelon[target]
+    return echelon_block(basis, cols, images)[skip:]
+
+
+def _radical_recursion(verma):
+    """The maximal submodule N of a truncated Verma, weight by weight.
+
+    N is the radical of the contravariant form, and the simple raising
+    units generate the raising subalgebra (Kac, Adv. Math. 26, 1977), so
+    in order of deficit height: N = 0 at the highest weight, and at every
+    other complete weight w
+
+        N_w = {x in M_w : e_i x in N_{w + alpha_i} for every simple i},
+
+    the ``nullspace`` of the stacked blocks of the e_i read in quotient
+    coordinates.  A target with zero quotient adds no row; a weight whose
+    targets all have zero quotient has L_w = 0 and is skipped unread.
+    These rows and the Gram matrix of w have the same kernel, and
+    ``nullspace`` depends on the row space alone, so the radical is the
+    one the Gram matrix gives (``tests/oracles.py`` keeps that matrix).
+
+    Returns ``(echelon, raising)``.  ``echelon`` maps each complete weight
+    with a nonzero quotient to ``(skip, basis, cols)``, an echelon basis
+    of the whole weight space: the ``skip`` radical vectors, each ending
+    at its own free column and zero at every other free column, then the
+    units at the pivot columns ``cols[skip:]``, which are the quotient
+    basis; ``cols`` holds each vector's echelon column.  ``raising`` maps
+    (simple raising key, w) to that unit's block on all of M_w, in the
+    target's quotient coordinates.
+    """
+    simple = [(gen.key(), gen.weight_shift()) for gen in simple_raising_ops(verma.index_set)]
+    echelon = {}
+    raising = {}
+    for w, height in sorted(verma.complete.items(), key=itemgetter(1)):
+        monos = verma.labels[w]
+        d = len(monos)
+        radical = []
+        if height:
+            rows = []
+            for key, shift in simple:
+                target = w + shift
+                if target in echelon:
+                    block = raising[(key, w)] = _quotient_coordinates(
+                        verma, echelon, key, target, monos
+                    )
+                    rows.extend(block)
+            if not rows:
+                continue
+            radical = nullspace(rows, d)
+        free = end_columns(radical)
+        pivots = sorted(set(range(d)).difference(free))
+        if pivots:
+            units = [[int(r == p) for r in range(d)] for p in pivots]
+            echelon[w] = (len(radical), radical + units, free + pivots)
+    return echelon, raising
+
+
 def irreducible_truncated(index_set, xi, depth):
-    """Irreducible quotient of the truncated Verma by the Gram radical.
+    """Irreducible quotient of the truncated Verma by its maximal submodule.
 
     Accepts unitarizable super-flavor weights and dominant-integral
     classical weights; anything else is rejected (the radical is not known
     to cut out the irreducible there).  The quotient keeps the complete
-    weights, of deficit height <= depth; ``block_of`` reads a simple
-    unit's Verma block in the quotient basis, which also checks that the
-    radical is invariant, and ``_realize`` derives the other blocks.
+    weights, of deficit height <= depth, with a nonzero quotient; only
+    those hold the full Verma space.  ``_radical_recursion`` reads the
+    radical off the simple raising units.  ``block_of`` hands out a simple
+    raising block from those rows, at the pivot columns, and reads any
+    other unit on the pivot monomials alone, in the target's quotient
+    basis.  That basis spans the whole target space, so every image has
+    coordinates; the radical's invariance is the theorem, checked by the
+    tests.  ``_realize`` derives the non-simple blocks.
     """
     if index_set.flavor == "classical":
         # weight coefficients are ints by type: dominance is the whole check
@@ -706,39 +732,21 @@ def irreducible_truncated(index_set, xi, depth):
     else:
         raise ValueError("unsupported flavor for irreducible realization")
     verma = verma_truncated(index_set, xi, depth)
-    # only the complete weight spaces, of deficit height <= depth, hold the
-    # full Verma space: gram_matrices covers exactly those, and quotient
-    # dimensions elsewhere would be wrong
-    grams = gram_matrices(verma)
-    full = [w for w in verma.weights() if w in verma.complete]
-    # the quotient basis of a w-space is its pivot units: the columns where
-    # no radical vector ends.  Each radical vector ends at its own free
-    # column and is zero at every other one (int_nullspace), so the radical
-    # first, at its free columns, then the units form an echelon basis
-    pivots = {}
-    echelon = {}
-    for w in full:
-        d = verma.dim(w)
-        radical = nullspace(grams[w], d)
-        free = end_columns(radical)
-        pivots[w] = sorted(set(range(d)).difference(free))
-        units = [[int(r == p) for r in range(d)] for p in pivots[w]]
-        echelon[w] = (len(radical), radical + units, free + pivots[w])
-    dims = {w: len(p) for w, p in pivots.items() if p}
+    echelon, raising = _radical_recursion(verma)
+    pivots = {w: cols[skip:] for w, (skip, _, cols) in echelon.items()}
+    dims = {w: len(pivots[w]) for w in verma.weights() if w in pivots}
 
     def block_of(gen, w):
         target = w + gen.weight_shift()
         if target not in dims:
             return None
-        res = verma.act(gen, w)
-        if res is None:
-            return None
-        images = [[row[csrc] for row in res[1]] for csrc in pivots[w]]
-        skip, basis, cols = echelon[target]
-        block = echelon_block(basis, cols, images)
-        if block is None:
-            raise RuntimeError("Gram radical is not invariant")
-        return target, block[skip:]
+        rows = raising.get((gen.key(), w))
+        if rows is not None:
+            return target, [[row[p] for p in pivots[w]] for row in rows]
+        monos = verma.labels[w]
+        return target, _quotient_coordinates(
+            verma, echelon, gen.key(), target, [monos[p] for p in pivots[w]]
+        )
 
     return _realize(
         index_set, xi.level, dims, block_of, "irreducible", highest_weight=xi, depth=depth

@@ -6,18 +6,28 @@ the reduced echelon form by Gauss-Jordan elimination, which the kernel
 basis is checked against, realizations with every block read off their
 source (polynomial modules so read off the Pieri ambient), the Verma
 straightening by two recursions, one that applies a unit and one that
-re-sorts a lowering generator into a monomial, the KZ curvature by
+re-sorts a lowering generator into a monomial, the Gram matrices of the
+contravariant form on a truncated Verma module, whose kernels the
+package's radical recursion is checked against, the KZ curvature by
 finite differences written out pair by pair, and the Lax terms read word
 by word through a table of distinct words."""
 
 from fractions import Fraction
 from functools import cache
+from itertools import groupby
 from math import gcd, lcm
+from operator import itemgetter
 
 import numpy as np
 import sympy
 
-from supergaudin.algebra import BasisElement, bracket_units, off_diagonal_units
+from supergaudin.algebra import (
+    AlgebraElement,
+    BasisElement,
+    bracket_units,
+    off_diagonal_units,
+    star_omega,
+)
 from supergaudin.linalg import SpanBuilder, echelon_block
 from supergaudin.modules import (
     ExplicitModule,
@@ -120,6 +130,48 @@ def int_rref(rows):
         work[rank] = _primitive(prow)
         pivots.append(col)
     return work[: len(pivots)], pivots
+
+
+def gram_matrices(verma):
+    """Contravariant form of the PBW basis on every complete weight space.
+
+    Returns {w: G_w} for every w in ``verma.complete``, where
+    G_w[M, N] = the coefficient of the empty monomial in omega(M) N v and
+    omega reverses a monomial and transposes each factor with the
+    star-structure signs.  Position 0 of a monomial acts last, so omega
+    applies it first: for M = (m0,) + M' and w' = w - shift(f_{m0}),
+
+        G_w[M, N] = sum_K G_{w'}[M', K] * A[K, N],
+
+    where column N of A is omega(f_{m0}) N v in the PBW basis of w'.  The
+    weight w' lies above w, so its deficit height is smaller; w being
+    complete, w' is complete too, and M' is an ordered monomial of w' that
+    indexes a row of G_{w'}.  Built in order of deficit height from
+    G_xi = [[1]], every G_{w'} is ready when G_w reads it.  The package
+    reads the radical off the simple raising units instead, in
+    ``modules._radical_recursion``; these kernels are its reference.
+    """
+    builder = verma._builder
+    omegas = [star_omega(AlgebraElement({key: 1})).terms for key in builder.gens]
+    grams = {}
+    for w in sorted(verma.complete, key=verma.complete.get):
+        monos = verma.labels[w]
+        if monos == ((),):
+            grams[w] = [[1]]
+            continue
+        gram = []
+        for m0, lefts in groupby(monos, key=itemgetter(0)):
+            above = w - builder.gen_shift[m0]
+            rows, index = grams[above], verma._index[above]
+            columns = [
+                [(index[k], v) for k, v in builder._elem_act(omegas[m0], right).items()]
+                for right in monos
+            ]
+            for left in lefts:
+                row = rows[index[left[1:]]]
+                gram.append([sum(row[k] * v for k, v in col) for col in columns])
+        grams[w] = gram
+    return grams
 
 
 def restrict_to_basis(mat, basis):

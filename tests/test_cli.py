@@ -229,6 +229,16 @@ MODULE_DIGESTS = {
         ["--kind", "irreducible", "--lam", "3,1", "--m", "2", "--n", "2", "--depth", "4"],
         "3dd6fa70e09d054b47e7c324ccbb7b90ca7dbd98dffe75deb135e81066730192",
     ),
+    # the heaviest module-oracle item (32 of its 153 complete weights have
+    # a nonzero quotient) and a deep gl(1|2) one (10 of 20)
+    "irreducible-gl(2|2)-2111-depth9": (
+        ["--kind", "irreducible", "--lam", "2,1,1,1", "--m", "2", "--n", "2", "--depth", "9"],
+        "2d0a01517063cc846c5cda5a2bbb77bdff94ea627bb363c8b6f26801a887b334",
+    ),
+    "irreducible-gl(1|2)-311-depth7": (
+        ["--kind", "irreducible", "--lam", "3,1,1", "--m", "1", "--n", "2", "--depth", "7"],
+        "2ac583fd7e39dc390da4aa2b1833fa5e05fd68eb5b50cd7fcbe396b82963b64f",
+    ),
 }
 
 
@@ -503,6 +513,12 @@ BAD_INPUT = {
     "module-negative-depth": (
         ["module", "build", "--lam", "2", "--kind", "irreducible", "--depth", "-1"],
         "depth must be nonnegative",
+    ),
+    # a negative --depth used to reach verma_truncated, whose message
+    # named no option
+    "tensor-negative-depth": (
+        ["tensor", "--factor-kind", "irreducible", "--lam", "1", "--lam", "1", "--depth", "-1"],
+        "--depth must be nonnegative, got -1",
     ),
     # with an even lowering generator the truncated Verma module grows
     # with its depth, so this build never ended

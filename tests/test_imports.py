@@ -263,6 +263,22 @@ def test_span_builder_is_the_one_row_elimination():
     assert _mentions(dict(_definitions(tree))["int_nullspace"], "SpanBuilder")
 
 
+def test_the_radical_recursion_is_the_one_quotient():
+    # irreducible_truncated reads its radical off the simple raising units
+    # through _radical_recursion; the Gram matrices are the tests' oracle,
+    # and no package module defines a gram_matrices beside the recursion
+    sources = _sources(PACKAGE_DIR)
+    found = [
+        name
+        for name, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "gram_matrices"
+    ]
+    assert not found, found
+    tree = ast.parse(sources["modules.py"])
+    assert _mentions(dict(_definitions(tree))["irreducible_truncated"], "_radical_recursion")
+
+
 def test_hamiltonian_family_is_the_one_family_constructor():
     # HamiltonianFamily owns the kind, convention, levels and flavor rules:
     # a quadratic_family, cubic_family or _build_family would be a second

@@ -14,13 +14,13 @@ from supergaudin import modules
 from supergaudin.algebra import AlgebraElement, BasisElement, E, off_diagonal_units, supercommutator
 from supergaudin.gaudin import HamiltonianFamily, _block_terms
 from supergaudin.indices import HalfIndex, IndexSet
-from supergaudin.linalg import charpoly, is_zero_matrix, mat_mul, mat_sub
+from supergaudin.linalg import charpoly, echelon_block, is_zero_matrix, mat_mul, mat_sub, nullspace
 from supergaudin.modules import (
     ExplicitModule,
     NaturalModule,
     TensorModule,
-    gram_matrices,
     irreducible_truncated,
+    polynomial_highest_weight,
     polynomial_module,
     polynomial_tensor,
     singular_space,
@@ -37,6 +37,7 @@ from supergaudin.verify import _oracle_dims
 
 from oracles import (
     ReferenceStraightening,
+    gram_matrices,
     hook_tableau_dimension,
     hook_weight_to_partition,
     realize_every_unit,
@@ -348,6 +349,89 @@ def test_gram_matrices_positive_semidefinite():
             assert is_psd(gram)
 
 
+# (q, m, p, n) of super index sets with p, q > 0
+UNITARIZABLE_SETS = [(1, 1, 1, 1), (1, 2, 1, 1), (1, 1, 1, 2), (2, 1, 1, 1)]
+POLYNOMIAL_SETS = [IndexSet.gl(0, 2, 0, 1), IndexSet.gl(0, 1, 0, 2), IndexSet.gl(0, 2, 0, 2), IndexSet.classical(0, 3)]
+
+
+@st.composite
+def irreducible_highest_weights(draw):
+    """(index set, highest weight, depth) that ``irreducible_truncated``
+    accepts: a unitarizable super weight, a dominant classical weight or
+    the hook weight of a polynomial module."""
+    kind = draw(st.sampled_from(["unitarizable", "classical", "hook"]))
+    if kind == "unitarizable":
+        iset = IndexSet.gl(*draw(st.sampled_from(UNITARIZABLE_SETS)))
+        parts = sorted(draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3)), reverse=True)
+        try:
+            xi = unitarizable_weight(iset, GeneralizedPartition(parts))
+        except ValueError:
+            reject()
+        return iset, xi, draw(st.integers(1, 3))
+    if kind == "classical":
+        iset = IndexSet.classical(0, draw(st.integers(2, 4)))
+        vals = sorted(draw(st.lists(st.integers(-1, 2), min_size=len(iset), max_size=len(iset))), reverse=True)
+        return iset, Weight({h.doubled: v for h, v in zip(iset, vals)}), draw(st.integers(1, 3))
+    iset = draw(st.sampled_from(POLYNOMIAL_SETS))
+    m = 0 if iset.flavor == "classical" else iset.m
+    lam = draw(st.sampled_from([lam for lam in all_partitions(4, 1) if lam.hook_ok(m, iset.n)]))
+    return iset, polynomial_highest_weight(iset, lam), draw(st.integers(1, 4))
+
+
+def recursion_radicals(verma):
+    """The radical ``_radical_recursion`` gives on every complete weight:
+    the leading rows of its echelon basis, or all of M_w where it found a
+    zero quotient."""
+    echelon, _ = modules._radical_recursion(verma)
+    out = {}
+    for w in verma.complete:
+        if w in echelon:
+            skip, basis = echelon[w][:2]
+            out[w] = basis[:skip]
+        else:
+            out[w] = nullspace([], verma.dim(w))
+    return echelon, out
+
+
+@settings(max_examples=40, deadline=None)
+@given(irreducible_highest_weights())
+def test_radical_recursion_equals_the_gram_kernels(case):
+    # the recursion reads N_w off the simple raising units; the oracle's
+    # Gram matrix of every complete weight must have the same kernel
+    verma = verma_truncated(*case)
+    _, radicals = recursion_radicals(verma)
+    grams = gram_matrices(verma)
+    assert radicals.keys() == grams.keys()
+    for w, gram in grams.items():
+        assert radicals[w] == nullspace(gram, verma.dim(w)), w
+
+
+@settings(max_examples=40, deadline=None)
+@given(irreducible_highest_weights())
+def test_every_simple_unit_maps_the_radical_into_the_radical(case):
+    # the recursion builds N_w from the raising units alone; a lowering
+    # unit, and a raising one read through the Verma module's own blocks,
+    # must still send each radical vector to zero in the target quotient
+    iset = case[0]
+    verma = verma_truncated(*case)
+    echelon, radicals = recursion_radicals(verma)
+    simple = [BasisElement(a, b) for a, b in iset.simple_pairs()]
+    simple += [BasisElement(b, a) for a, b in iset.simple_pairs()]
+    for gen in simple:
+        for w, radical in radicals.items():
+            target = w + gen.weight_shift()
+            if target not in echelon or not radical:
+                # no target space, one past the depth, or L_target = 0
+                continue
+            res = verma.act(gen, w)
+            if res is None:
+                continue
+            images = [[sum(x * v for x, v in zip(row, vec)) for row in res[1]] for vec in radical]
+            skip, basis, cols = echelon[target]
+            coords = echelon_block(basis, cols, images)
+            assert not any(map(any, coords[skip:])), (gen, w)
+
+
 def test_polynomial_matches_irreducible_small_grid():
     for m, n in ((1, 1), (2, 1)):
         iset = IndexSet.gl(0, m, 0, n)
@@ -420,11 +504,6 @@ def test_truncation_to_its_own_index_set_is_the_identity(module):
             for b in members:
                 gen = BasisElement(a, b)
                 assert same.act(gen, w) == module.act(gen, w), (gen, w)
-
-
-# (q, m, p, n) of super index sets with p, q > 0
-UNITARIZABLE_SETS = [(1, 1, 1, 1), (1, 2, 1, 1), (1, 1, 1, 2), (2, 1, 1, 1)]
-POLYNOMIAL_SETS = [IndexSet.gl(0, 2, 0, 1), IndexSet.gl(0, 1, 0, 2), IndexSet.gl(0, 2, 0, 2), IndexSet.classical(0, 3)]
 
 
 def smaller_sets(iset):

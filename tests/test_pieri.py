@@ -5,8 +5,9 @@ generated at the hook weight of lam.  The properties below check the
 result against the tableau oracle and the superalgebra relations, check
 the Pieri rule behind the construction (every singular space of
 V_{lam^-} (x) V is 1-dimensional and sits at the hook weight of a shape
-lam^- + one box), and check ``gram_matrices``, which builds each Gram
-matrix from the ones above it, against a letter-by-letter reference.
+lam^- + one box), and check the oracle ``gram_matrices``, which builds
+each Gram matrix from the ones above it, against a letter-by-letter
+reference.
 """
 
 from fractions import Fraction
@@ -20,7 +21,6 @@ from supergaudin.algebra import AlgebraElement, BasisElement, star_omega
 from supergaudin.indices import HalfIndex, IndexSet
 from supergaudin.modules import (
     NaturalModule,
-    gram_matrices,
     polynomial_highest_weight,
     polynomial_module,
     singular_space,
@@ -31,7 +31,8 @@ from supergaudin.partitions import Partition, all_partitions
 from supergaudin.verify import _oracle_dims
 from supergaudin.weights import Weight
 
-from oracles import ambient_polynomial_module
+import oracles
+from oracles import ambient_polynomial_module, gram_matrices
 from test_modules import relations_hold
 
 # (index set, m, n) with the oracle's hook parameters; classical gl(3)
@@ -229,7 +230,7 @@ def test_gram_matrices_read_the_rows_of_the_form_above(flavor, data):
     # share a weight space, so rows and columns differ
     verma, w = data.draw(verma_weight_spaces(VERMA_FLAVORS[flavor]))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modules, "star_omega", doubled_omega)
+        mp.setattr(oracles, "star_omega", doubled_omega)
         grams = gram_matrices(verma)
     assert grams[w] == reference_gram(verma, w, doubled_omega)
 
