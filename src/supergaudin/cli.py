@@ -139,6 +139,13 @@ def _given(name):
 MAX_DEPTH = 20
 MAX_VERMA_SIZE = 4000
 
+# ``verify all`` builds natural tensor powers of dimension (m + n)^ell for
+# the hamiltonians check and 2^ell for the cyclic one (on gl(1|1)); their
+# cost grows with the weight spaces: on a 2-vCPU VM (CPython 3.11) 2^7
+# takes 6 s, 3^5 5 s and 2^8 35 s.  The cap keeps ell = 3 for every
+# m + n <= 6 and ell = 5 for m + n = 3
+MAX_VERIFY_DIM = 243
+
 
 def _check_depth(iset, kind, depth):
     """--depth sizes the verma and irreducible truncations; refuse a given
@@ -170,6 +177,8 @@ def _module(iset, kind, lam, depth):
 def _tensor(iset, lams, kind, depth, ell):
     if lams and ell is not None:
         raise click.UsageError("give --lam factors or --ell, not both")
+    if ell is not None and ell < 1:
+        raise click.UsageError("--ell must be at least 1, got %d" % ell)
     if not lams and not ell:
         raise click.UsageError("need --lam factors or --ell for natural powers")
     if ell and kind != "natural" and _given("kind"):
@@ -483,9 +492,17 @@ def _resolve_duality(kwargs):
     shapes = [_parse_partition(t, "--lams") for t in lams.split(";")]
     if not all(shapes):
         raise click.UsageError("--lams has an empty factor")
-    setup = _checked(build_setup, shapes, m, n, _parse_partition(mu, "--mu"))
-    if setup.ell < 2:
+    if len(shapes) < 2:
         raise click.UsageError("--lams needs at least two factors")
+    mu = _parse_partition(mu, "--mu")
+    for flag, lam in [("--lams factor", lam) for lam in shapes] + [("--mu", mu)]:
+        if not lam.hook_ok(m, n):
+            text = ",".join(map(str, lam.parts))
+            raise click.UsageError("%s %s lies outside the (%d|%d) hook" % (flag, text, m, n))
+    boxes = sum(lam.size for lam in shapes)
+    if mu.size != boxes:
+        raise click.UsageError("--mu has %d boxes; the --lams factors have %d" % (mu.size, boxes))
+    setup = build_setup(shapes, m, n, mu)
     zs = _points(z, setup.ell) if z else None
     rng = random.Random(click.get_current_context().obj["seed"])
     kwargs["setup"] = setup
@@ -689,6 +706,13 @@ def verify(ctx, what, checks, m, n, ell, seed, tol):
     _index_set("super", 0, m, 0, n, None)
     if ell < 2:
         raise click.UsageError("--ell must be at least 2: the Hamiltonians need two sites")
+    base = max(m + n, 2)
+    # base >= 2, so an exponent past the cap's bit length is over it already
+    if base ** min(ell, MAX_VERIFY_DIM.bit_length()) > MAX_VERIFY_DIM:
+        raise click.UsageError(
+            "--ell %d with --m %d --n %d builds a natural tensor power of dimension %d^%d, above the %d allowed"
+            % (ell, m, n, base, ell, MAX_VERIFY_DIM)
+        )
     report = run_checks(
         names,
         seed=seed if seed is not None else ctx.obj["seed"],

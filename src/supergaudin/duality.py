@@ -10,11 +10,18 @@ set, as its factor modules read theirs.  Spectra are compared through
 exact characteristic polynomials, so the headline checks carry no
 tolerances at all.
 
+The classical side is gl(k) at the smallest rank every shape fits,
+k = max(mu_1, max_i lam^(i)_1, 1) (``build_setup``): the singular
+multiplicities and the quadratic and cubic blocks on the singular spaces
+come from the symmetric group acting on slots, so they are the same at
+every rank where all the shapes exist.
+
 Each side's tensor comes from ``polynomial_tensor``, memoized per (index
 set, partition list) for the life of the process, as polynomial modules
 are.  So one tensor, and with it one block store, serves every singular
-weight mu of a factor list: the setups for all mu share their slot blocks
-and the stored Omega^{(ij)} and cubic blocks T(a, b, c).
+weight mu of a factor list on the super side, and every mu of the same
+classical rank on the classical side: those setups share their slot
+blocks and the stored Omega^{(ij)} and cubic blocks T(a, b, c).
 """
 
 from fractions import Fraction
@@ -85,12 +92,30 @@ class DualitySetup:
 
 
 def build_setup(partitions, m, n, mu):
-    """Choose a provably sufficient classical rank and build both sides.
+    """Build both sides, the classical one at the smallest stable rank.
 
     mu must have as many boxes as the factors together: any other mu is
     not a weight of the tensor product, and its singular spaces would be
-    zero on both sides.  k = the total box count (at least 1) then keeps
-    every singular weight of the classical tensor product inside the band.
+    zero on both sides.  The classical rank is k = max(mu_1, max_i
+    lam^(i)_1, 1), the smallest at which every shape exists: the classical
+    index set is purely odd, so a shape is a gl(k) highest weight through
+    its conjugate parts, and it fits when its first part is at most k.
+    Every rank from k on gives the same singular dimensions and char polys:
+
+    - the singular space at mu is Hom(V_mu, V_lam^(1) (x) ... (x)
+      V_lam^(ell)), whose dimension is a Littlewood-Richardson coefficient,
+      the same at every rank where all the shapes fit;
+    - inside V^{(x)N}, N = |mu|, each factor is cut out by a Young
+      symmetrizer on its own slots, and Omega^{(ij)} acts as the signed sum
+      of the transpositions of one slot of factor i with one of factor j.
+      A cubic block T(a, b, c) is likewise a sum of signed permutations of
+      slots: three distinct slots give a 3-cycle, and a repeated one
+      contracts E_{tr} E_{st} = delta_{rs} E_{tt}, whose sum over t is the
+      identity on that slot, never a trace k.  So every member of every
+      kind is an element of the symmetric group algebra of the slots;
+    - by Schur-Weyl duality the singular space is a fixed multiplicity
+      space of that algebra, on which these elements act by matrices that
+      do not depend on k.
     """
     partitions = [Partition(p) if not isinstance(p, Partition) else p for p in partitions]
     mu = Partition(mu) if not isinstance(mu, Partition) else mu
@@ -100,7 +125,8 @@ def build_setup(partitions, m, n, mu):
     total = sum(lam.size for lam in partitions)
     if mu.size != total:
         raise ValueError("mu has %d boxes; the factors have %d" % (mu.size, total))
-    return DualitySetup(partitions, m, n, mu, max(total, 1))
+    k = max([lam.part(1) for lam in partitions] + [mu.part(1), 1])
+    return DualitySetup(partitions, m, n, mu, k)
 
 
 def _charpoly_report(fam_s, fam_c, sup, cla):

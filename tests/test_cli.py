@@ -9,7 +9,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from supergaudin.cli import main
+from supergaudin.cli import MAX_VERIFY_DIM, main
 from supergaudin.serialize import validate_document
 from supergaudin.verify import ALL_CHECKS
 
@@ -175,20 +175,22 @@ def test_central_convention_stdout_matches_the_recorded_digests(args, digest):
 # sha256 of `--json` stdout of the commands that print exact char polys,
 # recorded from the Hessenberg charpoly over Q that the integer Berkowitz
 # recursion replaced: a dim-10 and a dim-5 duality chain, a dim-2 one and
-# a dim-5 cubic spectrum
+# a dim-5 cubic spectrum.  The three duality digests were re-recorded when
+# the classical side moved to the smallest stable rank: only setup.k
+# changed (6 -> 3, 5 -> 2, 4 -> 3), char polys and weights did not
 DUALITY_DIGESTS = {
     "duality-gl(1|1)-dim10": (
         ["duality", "check", "--lams", "1;1;1;1;1;1", "--m", "1", "--n", "1", "--mu", "3,1,1,1",
          "--z", "0,1/2,2,3,9/2,6"],
-        "fb7e3d9a0a679060d2e6e37cac26df5631cefae2c6ea97acefe58da451e23997",
+        "7b08b1b97d51f2db13d4a8c42052f1f1ad2279f56d6e6b59e1d78cba4cb83a84",
     ),
     "duality-gl(2|1)-dim5": (
         ["duality", "check", "--lams", "1;1;1;1;1", "--m", "2", "--n", "1", "--mu", "2,2,1", "--z", "0,1/3,1,5/2,4"],
-        "9cddd8acb74260f61d7deb3484aa4fce0867eab0756e2193922f0ff4ba8dfd4a",
+        "471a345af10b104706933bf7e92ae9dc55a4cd68a2e3e67a422a5c2b7429a72a",
     ),
     "duality-gl(1|1)-dim2": (
         ["duality", "check", "--lams", "2;1;1", "--m", "1", "--n", "1", "--mu", "3,1", "--z", "0,1/2,3"],
-        "008ba74d5779f6648ef1bf0af6990a0f19df2bec55101d8982a4148dfac65dd3",
+        "e447c84923ccc96026efb4a86b0e2a112b2307eba6a9f27c81c65119a70b63eb",
     ),
     "spectrum-gl(2|1)-cubicC-dim5": (
         ["spectrum", "--m", "2", "--n", "1", "--ell", "5", "--factor-kind", "natural", "--mu", "2,2,1",
@@ -463,6 +465,11 @@ BAD_INPUT = {
     ),
     "duality-one-factor": (["duality", "check", "--lams", "1", "--mu", "1"], "at least two factors"),
     "verify-one-site": (["verify", "all", "--ell", "1", "--checks", "cyclic"], "--ell must be at least 2"),
+    # the natural tensor power would have 2^99 basis tuples: refused at once
+    "verify-huge-ell": (
+        ["verify", "all", "--ell", "99"],
+        "--ell 99 with --m 1 --n 1 builds a natural tensor power of dimension 2^99, above the 243 allowed",
+    ),
     "verify-negative-m": (["verify", "all", "--m", "-1"], "need p, q, m >= 0 and n >= 1"),
     "verify-zero-n": (["verify", "all", "--n", "0"], "need p, q, m >= 0 and n >= 1"),
     # a zero denominator in a rational list or a weight level
@@ -559,7 +566,8 @@ BAD_INPUT = {
         ["tensor", "--ell", "2", "--depth", "3"],
         "--depth applies to the verma and irreducible kinds only, not natural",
     ),
-    "tensor-zero-ell": (["tensor", "--ell", "0"], "need --lam factors or --ell for natural powers"),
+    "tensor-zero-ell": (["tensor", "--ell", "0"], "--ell must be at least 1, got 0"),
+    "tensor-negative-ell": (["tensor", "--ell", "-1"], "--ell must be at least 1, got -1"),
     "singular-no-target": (["singular", "--ell", "2", "--factor-kind", "natural"], "need --mu or --weight"),
     "hamiltonian-cubicC-central": (
         ["hamiltonian", "--ell", "2", "--factor-kind", "natural", "--kind", "cubicC", "--z", "0,1", "--mu", "1,1",
@@ -585,8 +593,26 @@ BAD_INPUT = {
     "verify-comma-checks": (["verify", "all", "--checks", " , "], "--checks names no check"),
     # a mu of another size is no weight of the tensor product: both
     # singular spaces are zero and the comparison would hold vacuously
-    "duality-check-mu-size": (["duality", "check", "--lams", "1;1", "--mu", "3"], "mu has 3 boxes; the factors have 2"),
-    "duality-cubic-mu-size": (["duality", "cubic", "--lams", "1;1", "--mu", "3"], "mu has 3 boxes; the factors have 2"),
+    "duality-check-mu-size": (
+        ["duality", "check", "--lams", "1;1", "--mu", "3"],
+        "--mu has 3 boxes; the --lams factors have 2",
+    ),
+    "duality-cubic-mu-size": (
+        ["duality", "cubic", "--lams", "1;1", "--mu", "3"],
+        "--mu has 3 boxes; the --lams factors have 2",
+    ),
+    # a shape outside the hook labels no polynomial gl(m|n)-module
+    **{
+        "duality-%s-%s-hook" % (cmd, which): (
+            ["duality", cmd, "--lams", lams, "--mu", mu],
+            "%s lies outside the (1|1) hook" % refused,
+        )
+        for cmd in ("check", "cubic")
+        for which, lams, mu, refused in (
+            ("lams", "2,2;1", "3,2", "--lams factor 2,2"),
+            ("mu", "2;2", "2,2", "--mu 2,2"),
+        )
+    },
     # squaring the segment direction in the clearance test overflowed
     **{
         "kz-%s-huge-waypoint" % cmd: (
@@ -793,6 +819,16 @@ def test_verify_help_names_the_checks_that_read_each_option():
         readers = _readers(param)
         suffix = "read by the %s check%s" % (readers, "s" if " and " in readers else "")
         assert helps[param].endswith(suffix), (param, helps[param])
+
+
+def test_verify_ell_cap_sits_between_the_largest_powers_allowed_and_refused():
+    # the largest natural powers allowed: 2^7, 3^5 and 6^3 (ell = 3 stays
+    # allowed up to m + n = 6), the smallest refused: 2^8, 3^6 and 7^3
+    for m, n, ell, allowed in ((1, 1, 7, True), (2, 1, 5, True), (3, 3, 3, True), (0, 1, 7, True),
+                               (1, 1, 8, False), (1, 2, 6, False), (4, 3, 3, False), (0, 1, 8, False)):
+        res = run("verify", "all", "--checks", "io", "--m", str(m), "--n", str(n), "--ell", str(ell))
+        assert res.exit_code == (0 if allowed else 2), (m, n, ell, res.output)
+        assert ("above the %d allowed" % MAX_VERIFY_DIM in res.output) is not allowed
 
 
 def test_natural_kind_takes_lam_one(tmp_path):

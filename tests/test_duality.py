@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supergaudin.duality import (
+    DualitySetup,
     build_setup,
     cubic_spectrum_match,
     spectrum_match,
@@ -28,11 +31,15 @@ from oracles import hook_tableau_dimension, hook_weight_to_partition
 
 def test_build_setup_examples():
     setup = build_setup([[1], [1]], 1, 1, [1, 1])
-    assert setup.k == 2
+    # every first part is 1, so gl(1) holds every shape: mu' = (2) is one row
+    assert setup.k == 1
     assert setup.super_weight == eps(1) + eps("1/2")
     assert setup.classical_weight == Weight({1: 2})
     assert [f.total_dim for f in setup.super_tensor.factors] == [2, 2]
-    assert [f.total_dim for f in setup.classical_tensor.factors] == [2, 2]
+    assert [f.total_dim for f in setup.classical_tensor.factors] == [1, 1]
+    twin = DualitySetup(setup.partitions, 1, 1, setup.mu, 2)
+    assert twin.classical_weight == setup.classical_weight
+    assert [f.total_dim for f in twin.classical_tensor.factors] == [2, 2]
 
     setup2 = build_setup([[1], [1]], 1, 1, [2])
     assert setup2.classical_weight == eps("1/2") + eps("3/2")
@@ -41,6 +48,44 @@ def test_build_setup_examples():
     # classical factors carry the conjugate highest weights
     assert setup3.classical_tensor.factors[0].highest_weight == eps("1/2") + eps("3/2")
     assert setup3.classical_weight == Weight({1: 2, 3: 1})
+
+
+# the shapes of one to three boxes and a small grid of rational points
+SHAPES = all_partitions(3, 1)
+Z_GRID = sorted({Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)})
+
+
+@st.composite
+def small_setups(draw):
+    """gl(m|n) with (m|n) <= (2|1), ell in {2, 3} hook factors of at most
+    three boxes in all, a hook mu of the same size and distinct points."""
+    m, n = draw(st.sampled_from(((0, 1), (1, 1), (2, 1))))
+    ell = draw(st.sampled_from((2, 3)))
+    fits = [lam for lam in SHAPES if lam.hook_ok(m, n)]
+    lams = []
+    for slot in range(ell):
+        budget = 3 - sum(lam.size for lam in lams) - (ell - slot - 1)
+        lams.append(draw(st.sampled_from([lam for lam in fits if lam.size <= budget])))
+    total = sum(lam.size for lam in lams)
+    mu = draw(st.sampled_from([nu for nu in all_partitions(total, total) if nu.hook_ok(m, n)]))
+    z = draw(st.lists(st.sampled_from(Z_GRID), min_size=ell, max_size=ell, unique=True))
+    return build_setup(lams, m, n, mu), z
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_setups())
+def test_duality_holds_at_the_smallest_rank_and_that_rank_is_stable(case):
+    """Super and classical char polys agree at k_min for the quadratic and
+    both cubic kinds, and gl(k_min + 1) gives the same classical ones."""
+    setup, z = case
+    lams, mu = setup.partitions, setup.mu
+    assert setup.k == max([lam.part(1) for lam in lams] + [mu.part(1), 1])
+    twin = DualitySetup(lams, setup.m, setup.n, mu, setup.k + 1)
+    for match in (spectrum_match, cubic_spectrum_match):
+        here, above = match(setup, z), match(twin, z)
+        assert here["equal"], here
+        del here["setup"], above["setup"]
+        assert above == here
 
 
 def test_build_setup_hook_errors():

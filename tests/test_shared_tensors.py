@@ -226,8 +226,11 @@ def test_duality_setups_share_one_tensor_per_factor_list():
     b = build_setup(parts, 1, 1, [3, 1])
     c = build_setup(parts, 2, 1, [2, 2])
     assert a.super_tensor is b.super_tensor and a.super_tensor is not c.super_tensor
-    # same partitions and the same k: one classical tensor for both flavors
-    assert a.classical_tensor is b.classical_tensor is c.classical_tensor
+    # same partitions and the same k: one classical tensor for both flavors;
+    # mu = (3, 1) needs gl(3), the others fit gl(2)
+    assert (a.k, b.k, c.k) == (2, 3, 2)
+    assert a.classical_tensor is c.classical_tensor is not b.classical_tensor
+    assert b.classical_tensor is build_setup(parts, 1, 1, [3, 1]).classical_tensor
     gl11 = FLAVORS["gl(1|1)"]
     assert list(a.super_tensor.factors) == [polynomial_module(gl11, Partition(p)) for p in parts]
     assert list(a.classical_tensor.factors) == [
