@@ -116,14 +116,22 @@ def _index_set(flavor, q, m, p, n, k):
         if given:
             raise click.UsageError("the %s flavor reads --p and --n only, not %s" % (flavor, " or ".join(given)))
         q = m = 0
+    for name, value in (("q", q), ("m", m), ("p", p)):
+        if value < 0:
+            raise click.UsageError("--%s must be nonnegative, got %d" % (name, value))
+    if n < 1:
+        raise click.UsageError("--n must be at least 1, got %d" % n)
     return _checked(IndexSet, flavor, p=p, q=q, m=m, n=n)
 
 
 def _shape(kind, text):
-    """The partition of one --lam; the natural module has shape 1 only."""
+    """The partition of one --lam; the natural module has shape 1 only,
+    and a polynomial module is never of the empty shape."""
     lam = _parse_partition(text, "--lam")
     if kind == "natural" and lam != Partition([1]):
         raise click.UsageError("--lam %s: the natural module is the module of shape 1" % (text,))
+    if kind == "polynomial" and not lam.size:
+        raise click.UsageError("--lam %s: the empty partition labels the trivial module" % (text,))
     return lam
 
 
@@ -132,12 +140,14 @@ def _given(name):
     return click.get_current_context().get_parameter_source(name) is not ParameterSource.DEFAULT
 
 
-# with an even lowering generator a truncated Verma module grows without
-# bound with its depth, the faster the larger the algebra: at depth 20 V_(1)
-# has 3,048 monomials over gl(2|2) and 392,172 over gl(3|2).  The size cap
-# clears every truncation in use (728 at most) and gl(2|2) at depth 20
+# --depth is a deficit height.  With an even lowering generator a truncated
+# Verma module grows without bound with it, the faster the larger the
+# algebra: at depth 20 V_(1) has 2,484 monomials over gl(2|2) and 96,672
+# over gl(3|2).  The size cap clears every truncation in use (372 at most,
+# gl(2|2) at depth 9) and gl(2|2) at depth 20
 MAX_DEPTH = 20
 MAX_VERMA_SIZE = 4000
+DEPTH_HELP = "deficit height of the Verma truncation"
 
 # ``verify all`` builds natural tensor powers of dimension (m + n)^ell for
 # the hamiltonians check and 2^ell for the cyclic one (on gl(1|1)); their
@@ -261,7 +271,7 @@ TENSOR_OPTIONS = [
         default="polynomial",
         show_default=True,
     ),
-    click.option("--depth", type=int, default=4, show_default=True),
+    click.option("--depth", type=int, default=4, show_default=True, help=DEPTH_HELP),
     click.option("--ell", type=int, default=None, help="tensor power of the natural module"),
 ]
 
@@ -345,7 +355,7 @@ def module():
     default="polynomial",
     show_default=True,
 )
-@click.option("--depth", type=int, default=4, show_default=True)
+@click.option("--depth", type=int, default=4, show_default=True, help=DEPTH_HELP)
 @click.option("--no-cache", is_flag=True)
 @click.pass_context
 def module_build(ctx, iset, lam, kind, depth, no_cache):

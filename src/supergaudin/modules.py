@@ -11,7 +11,6 @@ Koszul signs of tensor products.
 """
 
 from fractions import Fraction
-from math import comb
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -358,12 +357,12 @@ def _realize(index_set, level, dims, simple_block, provenance, **meta):
     every builder:
 
     * a polynomial module is a cyclic submodule of its Pieri ambient;
-    * an irreducible quotient (``irreducible_truncated``) keeps complete
-      weights only.  Both factors of E_ac move the weight the same way,
-      so the middle weight's deficit height lies between those of the two
-      ends, both <= depth, and the middle weight is complete.  A middle
-      weight outside the Verma's cone has no space, and one with a zero
-      quotient no block, and the factor block is 0 either way;
+    * an irreducible quotient (``irreducible_truncated``) keeps weights of
+      deficit height <= depth.  Both factors of E_ac move the weight the
+      same way, so the middle weight's height lies between those of the
+      two ends.  A middle weight outside the Verma's cone has no space,
+      and one with a zero quotient no block, and the factor block is 0
+      either way;
     * a truncation (``truncate_module``) keeps the weights supported on the
       smaller set, which are stable under its algebra.  From a truncated
       Verma every simple block at every kept weight is still read; if none
@@ -435,8 +434,9 @@ class _VermaBuilder:
     left to right onto the highest weight vector, so position 0 acts last.
     ``act`` is the one straightening recursion, with one memo: it applies
     any matrix unit, a lowering generator included, and reads its brackets
-    straight from ``bracket_units``.  ``monomials``
-    hands each monomial out with its weight, one sum onto its prefix's.
+    straight from ``bracket_units``.  ``monomials`` hands each monomial
+    out with its weight and its root height, each one sum onto its
+    prefix's.
     Coefficients are plain ints: the structure constants are integers and
     weight coefficients are integers, so no Fraction is ever needed.
     """
@@ -452,6 +452,7 @@ class _VermaBuilder:
                     lowering.append((ai - bi, ai, (a.doubled, b.doubled)))
         lowering.sort()
         self.gens = [key for _, _, key in lowering]
+        self.gen_height = [height for height, _, _ in lowering]
         self.gen_index = {key: i for i, key in enumerate(self.gens)}
         self.gen_parity = [((r & 1) ^ (c & 1)) for r, c in self.gens]
         self.gen_shift = [
@@ -506,36 +507,39 @@ class _VermaBuilder:
         return out
 
     def monomials(self, depth):
-        """All ordered monomials of length <= depth (odd generators square
-        to 0), as (monomial, weight) pairs; each weight is one sum onto the
-        weight of the monomial's prefix.  Stops at the first length with no
-        monomials, whatever the depth."""
-        frontier = [((), self.xi)]
+        """All ordered monomials of root height <= depth (odd generators
+        square to 0), as (monomial, weight, height) triples; the height of
+        a monomial is the sum of its generators' heights, which is the
+        deficit height of its weight.  The generators are sorted by height,
+        so each extension stops at the first one that overshoots."""
+        heights, parity, shift = self.gen_height, self.gen_parity, self.gen_shift
+        frontier = [((), self.xi, 0)]
         out = list(frontier)
-        for _ in range(depth):
-            if not frontier:
-                break
+        while frontier:
             nxt = []
-            for mono, w in frontier:
-                start = mono[-1] if mono else 0
-                for g in range(start, len(self.gens)):
-                    if self.gen_parity[g] and mono and mono[-1] == g:
+            for mono, w, h in frontier:
+                last = mono[-1] if mono else 0
+                for g in range(last, len(self.gens)):
+                    height = h + heights[g]
+                    if height > depth:
+                        break
+                    if parity[g] and mono and last == g:
                         continue
-                    nxt.append((mono + (g,), w + self.gen_shift[g]))
+                    nxt.append((mono + (g,), w + shift[g], height))
             out.extend(nxt)
             frontier = nxt
         return out
 
 
 class _TruncatedVerma(WeightModule):
-    """Span of the PBW monomials of length <= depth.
+    """Span of the PBW monomials of root height <= depth.
 
-    Weight spaces whose deficit height exceeds the depth hold only part of
-    the true Verma weight space; those are listed (per the contract) but
-    any action query whose result cannot be represented in the stored
-    basis raises instead of silently dropping terms.  ``labels`` maps each
-    weight to the sorted tuple of its monomials, and ``complete`` each
-    weight of deficit height <= depth to that height; both are read-only.
+    A weight's monomials all have its deficit height, so every listed
+    weight space is the whole Verma weight space.  ``labels`` maps each
+    weight to the sorted tuple of its monomials, and ``heights`` each
+    weight to its deficit height; both are read-only.  A lowering unit
+    from the top heights leaves the band, and ``_block`` refuses it
+    rather than silently dropping terms.
     """
 
     provenance = "verma"
@@ -549,8 +553,10 @@ class _TruncatedVerma(WeightModule):
         builder = _VermaBuilder(index_set, xi)
         init(self, "_builder", builder)
         by_weight = {}
-        for mono, w in builder.monomials(depth):
+        heights = {}
+        for mono, w, height in builder.monomials(depth):
             by_weight.setdefault(w, []).append(mono)
+            heights[w] = height
         labels = MappingProxyType({w: tuple(sorted(m)) for w, m in by_weight.items()})
         init(self, "labels", labels)
         init(self, "_dims", {w: len(m) for w, m in labels.items()})
@@ -559,15 +565,15 @@ class _TruncatedVerma(WeightModule):
             "_index",
             {w: {mono: i for i, mono in enumerate(monos)} for w, monos in labels.items()},
         )
-        heights = {w: deficit_height(index_set, xi, w) for w in labels}
-        complete = {w: h for w, h in heights.items() if h is not None and h <= depth}
-        init(self, "complete", MappingProxyType(complete))
+        init(self, "heights", MappingProxyType(heights))
 
     def _block(self, gen, w):
-        # a missing target reads as zero, which is wrong when the depth
-        # truncation cut it off: refuse at the first image monomial with no
-        # row in the target.  Every caller asks for each (gen, w) once, and
-        # the builder memoizes the straightening, so blocks are not cached
+        # a missing target reads as zero, which is wrong when the target
+        # lies above the depth: refuse at the first image monomial with no
+        # row there.  Only a lowering unit can get there; a raising one
+        # lands on a lower height, which is listed whole.  Every caller asks
+        # for each (gen, w) once, and the builder memoizes the
+        # straightening, so blocks are not cached
         target = w + gen.weight_shift()
         tind = self._index.get(target, {})
         monos = self.labels[w]
@@ -588,7 +594,7 @@ class _TruncatedVerma(WeightModule):
 
 
 def verma_truncated(index_set, xi, depth):
-    """Ordinary Verma module spanned by lowering monomials of length <= depth."""
+    """Ordinary Verma module on its weights of deficit height <= depth."""
     if depth < 0:
         raise ValueError("depth must be nonnegative, got %d" % depth)
     return _TruncatedVerma(index_set, xi, depth)
@@ -596,12 +602,20 @@ def verma_truncated(index_set, xi, depth):
 
 def verma_size(index_set, depth):
     """Dimension of ``verma_truncated(index_set, xi, depth)`` for any xi:
-    with E even and O odd lowering generators (E_ab is odd when exactly one
-    of a, b is), sum_{j <= min(O, depth)} C(O, j) C(E + depth - j, E)."""
-    odd_members = sum(h.parity for h in index_set)
-    even_members = len(index_set) - odd_members
-    odd, even = odd_members * even_members, comb(odd_members, 2) + comb(even_members, 2)
-    return sum(comb(odd, j) * comb(even + depth - j, even) for j in range(min(odd, depth) + 1))
+    the coefficients up to t^depth of prod_even 1 / (1 - t^h) prod_odd
+    (1 + t^h), over the lowering generators, h the height of each."""
+    builder = _VermaBuilder(index_set, Weight({}))
+    series = [1] + [0] * depth
+    for h, odd in zip(builder.gen_height, builder.gen_parity):
+        if odd:
+            # 1 + t^h: each generator once, so read the old coefficients
+            for t in range(depth, h - 1, -1):
+                series[t] += series[t - h]
+        else:
+            # 1 / (1 - t^h): each generator any number of times
+            for t in range(h, depth + 1):
+                series[t] += series[t - h]
+    return sum(series)
 
 
 def _is_unitarizable_super(index_set, xi):
@@ -639,8 +653,8 @@ def _is_unitarizable_super(index_set, xi):
 def _quotient_coordinates(verma, echelon, key, target, monos):
     """Coordinates in the quotient L_target of the unit ``key`` applied to
     each of ``monos``: one column per monomial, read by ``echelon_block``
-    against the target's echelon basis, radical rows dropped.  The target
-    is complete, so every image monomial has a row there."""
+    against the target's echelon basis, radical rows dropped.  A listed
+    weight space is whole, so every image monomial has a row there."""
     index = verma._index[target]
     act = verma._builder.act
     images = []
@@ -659,7 +673,7 @@ def _radical_recursion(verma):
     N is the radical of the contravariant form, and the simple raising
     units generate the raising subalgebra (Kac, Adv. Math. 26, 1977), so
     in order of deficit height: N = 0 at the highest weight, and at every
-    other complete weight w
+    other weight w
 
         N_w = {x in M_w : e_i x in N_{w + alpha_i} for every simple i},
 
@@ -670,8 +684,8 @@ def _radical_recursion(verma):
     ``nullspace`` depends on the row space alone, so the radical is the
     one the Gram matrix gives (``tests/oracles.py`` keeps that matrix).
 
-    Returns ``(echelon, raising)``.  ``echelon`` maps each complete weight
-    with a nonzero quotient to ``(skip, basis, cols)``, an echelon basis
+    Returns ``(echelon, raising)``.  ``echelon`` maps each weight with a
+    nonzero quotient to ``(skip, basis, cols)``, an echelon basis
     of the whole weight space: the ``skip`` radical vectors, each ending
     at its own free column and zero at every other free column, then the
     units at the pivot columns ``cols[skip:]``, which are the quotient
@@ -682,7 +696,7 @@ def _radical_recursion(verma):
     simple = [(gen.key(), gen.weight_shift()) for gen in simple_raising_ops(verma.index_set)]
     echelon = {}
     raising = {}
-    for w, height in sorted(verma.complete.items(), key=itemgetter(1)):
+    for w, height in sorted(verma.heights.items(), key=itemgetter(1)):
         monos = verma.labels[w]
         d = len(monos)
         radical = []
@@ -711,12 +725,11 @@ def irreducible_truncated(index_set, xi, depth):
 
     Accepts unitarizable super-flavor weights and dominant-integral
     classical weights; anything else is rejected (the radical is not known
-    to cut out the irreducible there).  The quotient keeps the complete
-    weights, of deficit height <= depth, with a nonzero quotient; only
-    those hold the full Verma space.  ``_radical_recursion`` reads the
-    radical off the simple raising units.  ``block_of`` hands out a simple
-    raising block from those rows, at the pivot columns, and reads any
-    other unit on the pivot monomials alone, in the target's quotient
+    to cut out the irreducible there).  The quotient keeps the weights of
+    deficit height <= depth with a nonzero quotient.  ``_radical_recursion``
+    reads the radical off the simple raising units.  ``block_of`` hands out
+    a simple raising block from those rows, at the pivot columns, and reads
+    any other unit on the pivot monomials alone, in the target's quotient
     basis.  That basis spans the whole target space, so every image has
     coordinates; the radical's invariance is the theorem, checked by the
     tests.  ``_realize`` derives the non-simple blocks.

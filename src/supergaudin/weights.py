@@ -12,6 +12,8 @@ object.  ``Weight`` keeps the identity ``__eq__`` and ``__hash__`` of
 ``object``, so every dict keyed by weights, or by tuples of them, hashes
 in C.  The table keeps every weight the process has made, and each one is
 shared by all its users, so its coefficients are a read-only mapping.
+Sums are memoized on the pair of operands, in ``_SUMS``: operands and
+results are interned and immutable, so an entry never goes stale.
 
 The weight formulas read the algebra off the ``IndexSet`` they are handed.
 """
@@ -40,6 +42,8 @@ def exact_scalar(x):
 
 # (frozenset of (doubled index, coefficient) pairs, level) -> its Weight
 _INTERNED = {}
+# (weight, weight) -> their sum
+_SUMS = {}
 
 
 class Weight:
@@ -118,14 +122,18 @@ class Weight:
         return sum(v for d, v in self.coeffs.items() if d % 2) % 2
 
     def __add__(self, other):
-        coeffs = self.coeffs.copy()
-        for d, v in other.coeffs.items():
-            v += coeffs.get(d, 0)
-            if v:
-                coeffs[d] = v
-            else:
-                del coeffs[d]
-        return Weight._raw(coeffs, exact_scalar(self.level + other.level))
+        out = _SUMS.get((self, other))
+        if out is None:
+            coeffs = self.coeffs.copy()
+            for d, v in other.coeffs.items():
+                v += coeffs.get(d, 0)
+                if v:
+                    coeffs[d] = v
+                else:
+                    del coeffs[d]
+            out = Weight._raw(coeffs, exact_scalar(self.level + other.level))
+            _SUMS[(self, other)] = out
+        return out
 
     def __sub__(self, other):
         coeffs = self.coeffs.copy()

@@ -6,9 +6,10 @@ the reduced echelon form by Gauss-Jordan elimination, which the kernel
 basis is checked against, realizations with every block read off their
 source (polynomial modules so read off the Pieri ambient), the Verma
 straightening by two recursions, one that applies a unit and one that
-re-sorts a lowering generator into a monomial, the Gram matrices of the
-contravariant form on a truncated Verma module, whose kernels the
-package's radical recursion is checked against, the KZ curvature by
+re-sorts a lowering generator into a monomial, the Verma module truncated
+by monomial length, whose quotient the height truncation is checked
+against, the Gram matrices of the contravariant form on a truncated Verma
+module, whose kernels the package's radical recursion is checked against, the KZ curvature by
 finite differences written out pair by pair, and the Lax terms read word
 by word through a table of distinct words."""
 
@@ -33,7 +34,9 @@ from supergaudin.modules import (
     ExplicitModule,
     NaturalModule,
     TensorModule,
+    _TruncatedVerma,
     _VermaBuilder,
+    deficit_height,
     polynomial_highest_weight,
     singular_space,
 )
@@ -133,9 +136,10 @@ def int_rref(rows):
 
 
 def gram_matrices(verma):
-    """Contravariant form of the PBW basis on every complete weight space.
+    """Contravariant form of the PBW basis on every weight space of
+    ``verma.heights``.
 
-    Returns {w: G_w} for every w in ``verma.complete``, where
+    Returns {w: G_w} for every w in ``verma.heights``, where
     G_w[M, N] = the coefficient of the empty monomial in omega(M) N v and
     omega reverses a monomial and transposes each factor with the
     star-structure signs.  Position 0 of a monomial acts last, so omega
@@ -144,9 +148,8 @@ def gram_matrices(verma):
         G_w[M, N] = sum_K G_{w'}[M', K] * A[K, N],
 
     where column N of A is omega(f_{m0}) N v in the PBW basis of w'.  The
-    weight w' lies above w, so its deficit height is smaller; w being
-    complete, w' is complete too, and M' is an ordered monomial of w' that
-    indexes a row of G_{w'}.  Built in order of deficit height from
+    weight w' lies above w, so its deficit height is smaller, and M' is an
+    ordered monomial of w' that indexes a row of G_{w'}.  Built in order of deficit height from
     G_xi = [[1]], every G_{w'} is ready when G_w reads it.  The package
     reads the radical off the simple raising units instead, in
     ``modules._radical_recursion``; these kernels are its reference.
@@ -154,7 +157,7 @@ def gram_matrices(verma):
     builder = verma._builder
     omegas = [star_omega(AlgebraElement({key: 1})).terms for key in builder.gens]
     grams = {}
-    for w in sorted(verma.complete, key=verma.complete.get):
+    for w in sorted(verma.heights, key=verma.heights.get):
         monos = verma.labels[w]
         if monos == ((),):
             grams[w] = [[1]]
@@ -172,6 +175,54 @@ def gram_matrices(verma):
                 gram.append([sum(row[k] * v for k, v in col) for col in columns])
         grams[w] = gram
     return grams
+
+
+def length_monomials(builder, depth):
+    """The ordered monomials of length <= depth (odd generators square to
+    0), as (monomial, weight) pairs, one length at a time; stops at the
+    first length with no monomials."""
+    frontier = [((), builder.xi)]
+    out = list(frontier)
+    for _ in range(depth):
+        if not frontier:
+            break
+        nxt = []
+        for mono, w in frontier:
+            start = mono[-1] if mono else 0
+            for g in range(start, len(builder.gens)):
+                if builder.gen_parity[g] and mono and mono[-1] == g:
+                    continue
+                nxt.append((mono + (g,), w + builder.gen_shift[g]))
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+class LengthTruncatedVerma(_TruncatedVerma):
+    """Span of the PBW monomials of length <= depth.
+
+    A weight of deficit height above the depth holds only part of its
+    Verma weight space here.  ``heights`` maps only the weights of deficit
+    height <= depth, read one by one by ``deficit_height``, whose spaces
+    are whole; the radical recursion and the quotient read those alone."""
+
+    def __init__(self, index_set, xi, depth):
+        init = object.__setattr__
+        init(self, "index_set", index_set)
+        init(self, "level", xi.level)
+        init(self, "highest_weight", xi)
+        init(self, "depth", depth)
+        builder = _VermaBuilder(index_set, xi)
+        init(self, "_builder", builder)
+        by_weight = {}
+        for mono, w in length_monomials(builder, depth):
+            by_weight.setdefault(w, []).append(mono)
+        labels = {w: tuple(sorted(m)) for w, m in by_weight.items()}
+        init(self, "labels", labels)
+        init(self, "_dims", {w: len(m) for w, m in labels.items()})
+        init(self, "_index", {w: {mono: i for i, mono in enumerate(m)} for w, m in labels.items()})
+        heights = {w: deficit_height(index_set, xi, w) for w in labels}
+        init(self, "heights", {w: h for w, h in heights.items() if h is not None and h <= depth})
 
 
 def restrict_to_basis(mat, basis):

@@ -223,6 +223,11 @@ MODULE_DIGESTS = {
         ["--kind", "verma", "--lam", "2", "--depth", "2"],
         "2e0b28110a3e75f39167a406438a9adc4fa5d399c53ba6eb2331491d39102682",
     ),
+    # depth is a deficit height: only whole weight spaces are listed
+    "verma-gl(2|1)-1-depth3": (
+        ["--kind", "verma", "--lam", "1", "--m", "2", "--n", "1", "--depth", "3"],
+        "b070f6719623fd4eb819c49c3a1c97744100ee5d2fc5ff671779a5ea05d7dff9",
+    ),
     "irreducible-gl(3)-21": (
         ["--kind", "irreducible", "--lam", "2,1", "--flavor", "classical", "--k", "3"],
         "9bbbe2185fe29d33579588c65e77d4994fc78d714a2eadd5e53535d405d42395",
@@ -231,8 +236,9 @@ MODULE_DIGESTS = {
         ["--kind", "irreducible", "--lam", "3,1", "--m", "2", "--n", "2", "--depth", "4"],
         "3dd6fa70e09d054b47e7c324ccbb7b90ca7dbd98dffe75deb135e81066730192",
     ),
-    # the heaviest module-oracle item (32 of its 153 complete weights have
-    # a nonzero quotient) and a deep gl(1|2) one (10 of 20)
+    # the heaviest module-oracle item (32 of the 153 weights of its
+    # truncated Verma have a nonzero quotient) and a deep gl(1|2) one (10
+    # of 20)
     "irreducible-gl(2|2)-2111-depth9": (
         ["--kind", "irreducible", "--lam", "2,1,1,1", "--m", "2", "--n", "2", "--depth", "9"],
         "2d0a01517063cc846c5cda5a2bbb77bdff94ea627bb363c8b6f26801a887b334",
@@ -394,7 +400,11 @@ BAD_INPUT = {
         "--levels applies only with --convention central",
     ),
     "tensor-polynomial-with-p": (["tensor", "--lam", "2", "--p", "1"], "polynomial modules need p = q = 0"),
-    "tensor-empty-partition": (["tensor", "--lam", "0"], "the empty partition labels the trivial module"),
+    "tensor-empty-partition": (["tensor", "--lam", "0"], "--lam 0: the empty partition labels the trivial module"),
+    "module-build-empty-partition": (
+        ["module", "build", "--kind", "polynomial", "--lam", "0"],
+        "--lam 0: the empty partition labels the trivial module",
+    ),
     "tensor-irreducible-wide": (
         ["tensor", "--lam", "2", "--factor-kind", "irreducible", "--flavor", "wide"],
         "unsupported flavor",
@@ -470,8 +480,11 @@ BAD_INPUT = {
         ["verify", "all", "--ell", "99"],
         "--ell 99 with --m 1 --n 1 builds a natural tensor power of dimension 2^99, above the 243 allowed",
     ),
-    "verify-negative-m": (["verify", "all", "--m", "-1"], "need p, q, m >= 0 and n >= 1"),
-    "verify-zero-n": (["verify", "all", "--n", "0"], "need p, q, m >= 0 and n >= 1"),
+    "verify-negative-m": (["verify", "all", "--m", "-1"], "--m must be nonnegative, got -1"),
+    "verify-zero-n": (["verify", "all", "--n", "0"], "--n must be at least 1, got 0"),
+    "module-build-negative-m": (["module", "build", "--m", "-1", "--lam", "1"], "--m must be nonnegative, got -1"),
+    "module-build-zero-n": (["module", "build", "--n", "0", "--lam", "1"], "--n must be at least 1, got 0"),
+    "tensor-negative-q": (["tensor", "--q", "-1", "--ell", "2"], "--q must be nonnegative, got -1"),
     # a zero denominator in a rational list or a weight level
     "hamiltonian-zero-denominator-z": (
         ["hamiltonian", "--ell", "2", "--z", "1/0,1", "--mu", "1,1"],
@@ -534,14 +547,15 @@ BAD_INPUT = {
         "--depth must be at most 20, got 99999999999999999999",
     ),
     # the size of a truncated Verma module is known before the build: V_(1)
-    # over gl(3|2) at depth 20 has 392,172 monomials, minutes of work
+    # over gl(3|2) to deficit height 20 has 96,672 monomials
     "module-build-verma-too-large": (
         ["module", "build", "--m", "3", "--n", "2", "--kind", "verma", "--lam", "1", "--depth", "20"],
-        "--depth 20 truncates a Verma module of 392172 monomials here, above the 4000 allowed",
+        "--depth 20 truncates a Verma module of 96672 monomials here, above the 4000 allowed",
     ),
+    # depth 10 holds 3,992 monomials over gl(3|2), under the cap; 11 is over
     "tensor-irreducible-factor-too-large": (
-        ["tensor", "--m", "3", "--n", "2", "--lam", "1", "--lam", "1", "--factor-kind", "irreducible", "--depth", "10"],
-        "--depth 10 truncates a Verma module of 23292 monomials here, above the 4000 allowed",
+        ["tensor", "--m", "3", "--n", "2", "--lam", "1", "--lam", "1", "--factor-kind", "irreducible", "--depth", "11"],
+        "--depth 11 truncates a Verma module of 6120 monomials here, above the 4000 allowed",
     ),
     "module-build-no-lam": (["module", "build"], "--lam is required for kind polynomial"),
     # --depth sizes the verma and irreducible truncations; the other kinds
@@ -705,11 +719,11 @@ BAD_INPUT = {
     # was refused as a hook violation
     "duality-check-negative-n": (
         ["duality", "check", "--lams", "1;1", "--mu", "1,1", "--m", "1", "--n", "-1"],
-        "need p, q, m >= 0 and n >= 1",
+        "--n must be at least 1, got -1",
     ),
     "duality-cubic-negative-m": (
         ["duality", "cubic", "--lams", "1;1", "--mu", "1,1", "--m", "-1"],
-        "need p, q, m >= 0 and n >= 1",
+        "--m must be nonnegative, got -1",
     ),
     # an empty field was skipped: 1,,1 read as 1,1
     "singular-mu-empty-field": (["singular", "--ell", "2", "--mu", "1,,1"], "--mu has an empty field"),

@@ -279,6 +279,18 @@ def test_the_radical_recursion_is_the_one_quotient():
     assert _mentions(dict(_definitions(tree))["irreducible_truncated"], "_radical_recursion")
 
 
+def test_the_truncated_verma_is_one_enumeration():
+    # _TruncatedVerma reads every weight and its deficit height off the one
+    # height-pruned enumeration; a deficit_height per weight would be a
+    # second path, and a second caller of monomials a second enumeration
+    tree = ast.parse(_sources(PACKAGE_DIR)["modules.py"])
+    truncated = dict(_definitions(tree))["_TruncatedVerma"]
+    assert not _mentions(truncated, "deficit_height")
+    inside = _mentions(truncated, "monomials")
+    assert inside
+    assert _mentions(tree, "monomials") == inside
+
+
 def test_hamiltonian_family_is_the_one_family_constructor():
     # HamiltonianFamily owns the kind, convention, levels and flavor rules:
     # a quadratic_family, cubic_family or _build_family would be a second

@@ -36,6 +36,7 @@ from supergaudin.weights import Weight, eps, unitarizable_weight
 from supergaudin.verify import _oracle_dims
 
 from oracles import (
+    LengthTruncatedVerma,
     ReferenceStraightening,
     gram_matrices,
     hook_tableau_dimension,
@@ -100,16 +101,17 @@ def test_verma_examples():
     any_weight = Weight({2: 5, 1: -3})
     vm0 = verma_truncated(GL11, any_weight, 0)
     assert dims_of(vm0) == {any_weight: 1}
+    # depth 1 keeps the highest weight and those one simple root below; the
+    # height-2 weight e(1) + e(1/2) is left out whole
     vm2 = verma_truncated(GL21, Weight({2: 2}), 1)
-    expected_partial = {
+    expected = {
         Weight({2: 2}): 1,
         eps(1) + eps(2): 1,
-        eps(1) + eps("1/2"): 1,
         Weight({2: 2, 4: -1, 1: 1}): 1,
     }
-    assert dims_of(vm2) == expected_partial
-    assert Weight({2: 2}) in vm2.complete and eps(1) + eps(2) in vm2.complete
-    assert eps(1) + eps("1/2") not in vm2.complete
+    assert dims_of(vm2) == expected
+    assert dict(vm2.heights) == {Weight({2: 2}): 0, eps(1) + eps(2): 1, Weight({2: 2, 4: -1, 1: 1}): 1}
+    assert dims_of(verma_truncated(GL21, Weight({2: 2}), 2))[eps(1) + eps("1/2")] == 2
 
 
 def test_verma_enumeration_stops_when_no_monomial_is_left():
@@ -127,7 +129,7 @@ def test_verma_enumeration_stops_when_no_monomial_is_left():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert dims_of(vm) == {eps(1): 1, eps("1/2"): 1}
-    assert set(vm.complete) == {eps(1), eps("1/2")}
+    assert dict(vm.heights) == {eps(1): 0, eps("1/2"): 1}
 
 
 def test_verma_out_of_band_query_is_refused():
@@ -189,7 +191,7 @@ def test_verma_straightening_matches_the_two_recursion_reference(index_set, data
     xi = Weight({d: data.draw(st.integers(-3, 3)) for d in members})
     builder, reference = _VermaBuilder(index_set, xi), ReferenceStraightening(index_set, xi)
     units = [(a, b) for a in members for b in members]
-    monos = [mono for mono, _ in builder.monomials(3)]
+    monos = [mono for mono, _, _ in builder.monomials(3)]
     for _ in range(data.draw(st.integers(1, 6))):
         mono = data.draw(st.sampled_from(monos))
         key = data.draw(st.sampled_from(units + [builder.gens[g] for g in mono]))
@@ -379,12 +381,12 @@ def irreducible_highest_weights(draw):
 
 
 def recursion_radicals(verma):
-    """The radical ``_radical_recursion`` gives on every complete weight:
+    """The radical ``_radical_recursion`` gives on every weight:
     the leading rows of its echelon basis, or all of M_w where it found a
     zero quotient."""
     echelon, _ = modules._radical_recursion(verma)
     out = {}
-    for w in verma.complete:
+    for w in verma.heights:
         if w in echelon:
             skip, basis = echelon[w][:2]
             out[w] = basis[:skip]
@@ -397,7 +399,7 @@ def recursion_radicals(verma):
 @given(irreducible_highest_weights())
 def test_radical_recursion_equals_the_gram_kernels(case):
     # the recursion reads N_w off the simple raising units; the oracle's
-    # Gram matrix of every complete weight must have the same kernel
+    # Gram matrix of every weight must have the same kernel
     verma = verma_truncated(*case)
     _, radicals = recursion_radicals(verma)
     grams = gram_matrices(verma)
@@ -724,10 +726,53 @@ def test_verma_size_counts_the_builder_monomials(index_set):
 
 def test_verma_size_of_the_larger_flavors():
     # the sizes the CLI's --depth budget weighs, V_(1) or any other weight
-    assert verma_size(IndexSet.gl(0, 2, 0, 2), 20) == 3048
-    assert verma_size(IndexSet.gl(0, 1, 0, 3), 20) == 11521
+    assert verma_size(IndexSet.gl(0, 2, 0, 2), 20) == 2484
+    assert verma_size(IndexSet.gl(0, 1, 0, 3), 20) == 5057
     sizes = [verma_size(IndexSet.gl(0, 3, 0, 2), depth) for depth in (6, 10, 20)]
-    assert sizes == [2972, 23292, 392172]
+    assert sizes == [473, 3992, 96672]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(STRAIGHTENING_SETS), st.data())
+def test_truncated_verma_lists_whole_weight_spaces_to_its_depth(index_set, data):
+    # every listed weight lies at deficit height <= depth and holds the
+    # whole Verma weight space: all the monomials the length truncation
+    # (which reaches every monomial of such a weight) has there
+    xi = Weight({h.doubled: data.draw(st.integers(-3, 3)) for h in index_set}, data.draw(st.integers(-2, 2)))
+    depth = data.draw(st.integers(0, 5))
+    verma = verma_truncated(index_set, xi, depth)
+    assert verma.total_dim == verma_size(index_set, depth)
+    assert dict(verma.heights) == {w: modules.deficit_height(index_set, xi, w) for w in verma.weights()}
+    assert max(verma.heights.values()) <= depth
+    reference = LengthTruncatedVerma(index_set, xi, depth)
+    assert dict(verma.labels) == {w: reference.labels[w] for w in reference.heights}
+
+
+HOOK_SETS = [IndexSet.gl(0, m, 0, n) for m in (1, 2) for n in (1, 2)]
+
+
+@st.composite
+def hook_weights_to_full_depth(draw):
+    """(gl(m|n) with (m|n) <= (2|2), the hook weight of a shape of <= 4
+    boxes, a depth from 0 up to the largest deficit height of a weight of
+    its module)."""
+    iset = draw(st.sampled_from(HOOK_SETS))
+    lam = draw(st.sampled_from([lam for lam in all_partitions(4, 1) if lam.hook_ok(iset.m, iset.n)]))
+    hw = polynomial_highest_weight(iset, lam)
+    full = max(modules.deficit_height(iset, hw, w) for w in _oracle_dims(lam, iset.m, iset.n))
+    return iset, hw, draw(st.integers(0, full))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hook_weights_to_full_depth())
+def test_irreducible_quotient_matches_the_one_read_over_the_length_truncation(case):
+    # the length truncation also lists parts of the weight spaces below
+    # the depth; the quotient read over it must come out the same
+    ours = module_to_json(irreducible_truncated(*case))
+    with patch.object(modules, "verma_truncated", side_effect=LengthTruncatedVerma) as reference:
+        theirs = module_to_json(irreducible_truncated(*case))
+    assert reference.call_count == 1
+    assert ours == theirs
 
 
 def test_explicit_module_refuses_a_block_target_outside_its_weights():

@@ -168,10 +168,11 @@ def test_monomials_carry_their_letter_by_letter_weights(flavor, data):
     iset = VERMA_FLAVORS[flavor]
     xi = Weight({h.doubled: data.draw(st.integers(-3, 3)) for h in iset}, data.draw(st.integers(-2, 2)))
     builder = modules._VermaBuilder(iset, xi)
-    pairs = builder.monomials(data.draw(st.integers(0, 3)))
-    assert len({mono for mono, _ in pairs}) == len(pairs)
-    for mono, w in pairs:
+    triples = builder.monomials(data.draw(st.integers(0, 3)))
+    assert len({mono for mono, _, _ in triples}) == len(triples)
+    for mono, w, height in triples:
         assert w == reference_mono_weight(builder, mono)
+        assert height == modules.deficit_height(iset, xi, w)
 
 
 @st.composite
@@ -180,9 +181,9 @@ def verma_weight_spaces(draw, iset):
     xi = Weight(coeffs, draw(st.integers(-2, 2)))
     depth = draw(st.integers(3, 4))
     verma = verma_truncated(iset, xi, depth)
-    # one of the three largest complete weight spaces: they lie deepest,
-    # so their Gram matrices come through the most steps of the recursion
-    spaces = sorted(verma.complete, key=lambda w: (-verma.dim(w), w.sort_key()))
+    # one of the three largest weight spaces: they lie deepest, so their
+    # Gram matrices come through the most steps of the recursion
+    spaces = sorted(verma.weights(), key=lambda w: (-verma.dim(w), w.sort_key()))
     return verma, draw(st.sampled_from(spaces[:3]))
 
 
@@ -202,7 +203,7 @@ def test_gram_matrices_cover_every_complete_weight(flavor, data):
     xi = Weight({h.doubled: data.draw(st.integers(-3, 3)) for h in iset}, data.draw(st.integers(-2, 2)))
     verma = verma_truncated(iset, xi, data.draw(st.integers(0, 3)))
     grams = gram_matrices(verma)
-    assert grams.keys() == set(verma.complete)
+    assert grams.keys() == set(verma.weights())
     for w, gram in grams.items():
         assert gram == reference_gram(verma, w)
     # the caller owns what it gets: scribbling over one result must not
