@@ -8,7 +8,22 @@ license): the same coefficients, and the same numpy operations in the
 same order, so that on the same right-hand side both step through the
 same floats.  There is no maximum step and no dense output, and the
 stepper holds ``fun`` as given, so it forms no reference cycle.
+
+A few of SciPy's expressions are written in a cheaper form that gives
+the same float:
+- the stage rows ``A[s, :s]`` are sliced once, at import, and the nodes
+  ``C`` read as Python floats: the same operands reach ``np.dot`` and the
+  same double products reach ``fun``;
+- the spacing of floats at t is ``math.nextafter(t, inf) - t``, the
+  difference ``np.nextafter`` gives, and positive at every finite t;
+- the 2-norm of a real vector v is ``np.sqrt(v.dot(v))``, which is what
+  ``np.linalg.norm`` computes for a real 1-D array, scalar type included.
+
+The stepper counts its right-hand-side calls (``nfev``, as SciPy counts
+them) and its accepted and rejected steps; the counts touch no float.
 """
+
+import math
 
 import numpy as np
 
@@ -34,6 +49,7 @@ C = np.array([
     1.0,
 ])
 N_STAGES = len(C)
+C_FLOATS = C.tolist()
 
 
 def _lower_triangle(rows):
@@ -76,6 +92,8 @@ A = _lower_triangle([
      -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
      6.43392746015763530355970484046e-1],
 ])
+# row s of A up to the diagonal, the stages that stage s combines, sliced once
+A_ROWS = [A[s, :s] for s in range(N_STAGES)]
 
 # weights of the order-8 solution
 B = np.array([
@@ -103,8 +121,13 @@ E5 = np.array([
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
+def _norm(x):
+    """The 2-norm of a real vector, as np.linalg.norm computes it."""
+    return np.sqrt(x.dot(x))
+
+
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    return _norm(x) / x.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
@@ -137,6 +160,8 @@ class DOP853:
     at t, it returns a message and sets ``status`` to "failed".  ``t`` and
     ``y`` are the current point.  rtol must be at least 100 EPS, as the
     KZ transport checks; SciPy's DOP853 would raise a smaller one to it.
+    ``nfev`` counts the calls of ``fun``, ``n_accepted`` and
+    ``n_rejected`` the steps.
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol):
@@ -156,6 +181,9 @@ class DOP853:
         self.status = "running"
         self.f = fun(t0, self.y)
         self.h_abs = _initial_step(fun, t0, self.y, t_bound, self.f, rtol, atol)
+        # f at t0 and at the trial Euler step
+        self.nfev = 2
+        self.n_accepted = self.n_rejected = 0
         self.K = np.empty((N_STAGES + 1, self.y.size))
 
     def step(self):
@@ -163,7 +191,8 @@ class DOP853:
         if self.status != "running":
             raise RuntimeError("the stepper has %s" % self.status)
         fun, t, y, K = self.fun, self.t, self.y, self.K
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        dot = np.dot
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = min_step if self.h_abs < min_step else self.h_abs
         rejected = False
         while True:
@@ -177,13 +206,15 @@ class DOP853:
             h = h_abs = t_new - t
             K[0] = self.f
             for s in range(1, N_STAGES):
-                dy = np.dot(K[:s].T, A[s, :s]) * h
-                K[s] = fun(t + C[s] * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, B)
+                dy = dot(K[:s].T, A_ROWS[s]) * h
+                K[s] = fun(t + C_FLOATS[s] * h, y + dy)
+            y_new = y + h * dot(K[:-1].T, B)
             f_new = K[-1] = fun(t + h, y_new)
+            # the stages after K[0], and f at the new point
+            self.nfev += N_STAGES
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            err5_norm_2 = np.linalg.norm(np.dot(K.T, E5) / scale) ** 2
-            err3_norm_2 = np.linalg.norm(np.dot(K.T, E3) / scale) ** 2
+            err5_norm_2 = _norm(dot(K.T, E5) / scale) ** 2
+            err3_norm_2 = _norm(dot(K.T, E3) / scale) ** 2
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0
             else:
@@ -199,6 +230,8 @@ class DOP853:
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
+            self.n_rejected += 1
+        self.n_accepted += 1
         self.t, self.y, self.f = t_new, y_new, f_new
         self.h_abs = h_abs * factor
         if t_new >= self.t_bound:

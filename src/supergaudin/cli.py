@@ -24,7 +24,7 @@ from .cache import DiskCache, content_key
 from .duality import build_setup, cubic_spectrum_match, spectrum_match
 from .gaudin import CONVENTIONS, KINDS, MAX_MODULUS, FloatRangeError, HamiltonianFamily, family_levels, joint_diagonalize, pairwise_commutator_residual
 from .indices import IndexSet
-from .kz import KZSystem, check_path, flatness_residual, integrate_path, monodromy
+from .kz import KZSystem, check_kappa, check_path, check_psi0, check_rel_tol, flatness_residual, integrate_path, monodromy
 from .linalg import charpoly
 from .modules import (
     NaturalModule,
@@ -57,6 +57,19 @@ def _checked(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+
+
+def _library_check(check):
+    """A callback that refuses the values ``check`` refuses, in its words,
+    under the option's name."""
+
+    def callback(ctx, param, value):
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc))
+
+    return callback
 
 
 def _fields(text, flag):
@@ -307,7 +320,7 @@ def _resolve_kz(kwargs):
 
 
 KZ_OPTIONS = [
-    click.option("--kappa", type=float, default=1.0, show_default=True),
+    click.option("--kappa", type=float, default=1.0, show_default=True, callback=_library_check(check_kappa)),
     click.option("--convention", type=click.Choice(CONVENTIONS), default="plain"),
     click.option("--levels", default=None),
 ]
@@ -605,6 +618,24 @@ def kz():
     """Knizhnik-Zamolodchikov equations."""
 
 
+REL_TOL_OPTION = click.option("--rel-tol", type=float, default=1e-10, show_default=True, callback=_library_check(check_rel_tol))
+
+
+def _psi0(ctx, param, value):
+    """--psi0: "singular", or a JSON list of numbers ``kz.check_psi0`` admits."""
+    if value == "singular":
+        return value
+    try:
+        # as floats, an integer too large for one reads as inf
+        vec = json.loads(value, parse_int=float)
+    except json.JSONDecodeError:
+        vec = None
+    # complex() would read a JSON true or "1" as a number
+    if not (isinstance(vec, list) and all(type(x) is float for x in vec)):
+        raise click.BadParameter("need 'singular' or a JSON list of numbers")
+    return _library_check(check_psi0)(ctx, param, vec)
+
+
 def _parse_path(text, flag, ell):
     """Waypoints of --path or --loop, checked by ``kz.check_path``."""
     try:
@@ -621,8 +652,8 @@ def _parse_path(text, flag, ell):
 @kz.command("solve")
 @with_kz
 @click.option("--path", "path_json", required=True, help="waypoints [[[re,im],...],...]")
-@click.option("--psi0", default="singular", help="'singular' (a singular vector at --mu or --weight) or a JSON list of one number per basis vector")
-@click.option("--rel-tol", type=float, default=1e-10, show_default=True)
+@click.option("--psi0", default="singular", callback=_psi0, help="'singular' (a singular vector at --mu or --weight) or a JSON list of one number per basis vector")
+@REL_TOL_OPTION
 @click.pass_context
 def kz_solve(ctx, system, path_json, psi0, rel_tol):
     """Integrate the KZ system along a path."""
@@ -631,18 +662,9 @@ def kz_solve(ctx, system, path_json, psi0, rel_tol):
         space = singular_space(system.tensor, system.mu)
         if not space.dim:
             raise click.UsageError("the singular space at %s is zero" % ("--weight" if _given("weight") else "--mu"))
-        vec = [complex(x) for x in space.basis[0]]
-    else:
-        try:
-            # as floats, an integer too large for one reads as inf
-            vec = json.loads(psi0, parse_int=float)
-        except json.JSONDecodeError:
-            vec = None
-        # complex() would read a JSON true or "1" as a number
-        if not (isinstance(vec, list) and all(type(x) is float for x in vec)):
-            raise click.UsageError("bad --psi0: need a JSON list of numbers")
+        psi0 = [complex(x) for x in space.basis[0]]
     try:
-        sol = integrate_path(system, path, vec, rel_tol=rel_tol)
+        sol = integrate_path(system, path, psi0, rel_tol=rel_tol)
     except (ValueError, RuntimeError) as exc:
         raise click.UsageError(str(exc))
     _emit(ctx, sol.to_json())
@@ -676,7 +698,7 @@ def kz_flatness(ctx, system, z, float_step):
 @kz.command("monodromy")
 @with_kz
 @click.option("--loop", "loop_json", required=True)
-@click.option("--rel-tol", type=float, default=1e-10, show_default=True)
+@REL_TOL_OPTION
 @click.pass_context
 def kz_monodromy(ctx, system, loop_json, rel_tol):
     """Transport matrix around a closed loop."""

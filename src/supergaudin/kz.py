@@ -53,6 +53,37 @@ from .gaudin import (
 DIAGONAL_CLEARANCE = 1e-3
 
 
+def check_kappa(kappa):
+    """kappa, refused unless finite and nonzero."""
+    if not (complex(kappa) and cmath.isfinite(complex(kappa))):
+        raise ValueError("kappa must be finite and nonzero, got %r" % (kappa,))
+    return kappa
+
+
+def check_rel_tol(rel_tol):
+    """A relative tolerance the stepper can meet: in [100 EPS, 1)."""
+    if not 100 * EPS <= rel_tol < 1:
+        # the stepper never finishes a step at 0 or nan, and would raise a
+        # tolerance below 100 EPS to that floor with only a warning
+        raise ValueError(
+            "rel_tol must be a number in (0, 1), at least 100 EPS = %g, got %r" % (100 * EPS, rel_tol)
+        )
+    return rel_tol
+
+
+def check_psi0(psi0):
+    """The entries of psi0 as complex numbers, each finite and of modulus
+    at most MAX_MODULUS."""
+    bounded = "psi0 needs finite entries of modulus at most %g" % MAX_MODULUS
+    try:
+        psi = [complex(c) for c in psi0]
+    except OverflowError:  # an int too large for a float
+        raise ValueError(bounded) from None
+    if not all(abs(c / MAX_MODULUS) <= 1 for c in psi):
+        raise ValueError(bounded)
+    return psi
+
+
 class KZSystem:
     """kappa d/dz_i psi = H^i psi on the mu weight space of a tensor product.
 
@@ -61,8 +92,7 @@ class KZSystem:
     """
 
     def __init__(self, tensor, mu, kappa=1, convention="plain", levels=None):
-        if not (complex(kappa) and cmath.isfinite(complex(kappa))):
-            raise ValueError("kappa must be finite and nonzero, got %r" % (kappa,))
+        check_kappa(kappa)
         self.levels = family_levels(tensor, convention, levels)
         self.tensor = tensor
         self.mu = mu
@@ -118,16 +148,32 @@ class KZSystem:
         omega, num, base, slope = self._live_pairs(p, np.asarray(q, dtype=complex) - p)
         d = self.dim
         flat = omega.reshape(len(num), d * d)
-        # the connection A = Ar + i Ai acts on [Re Psi; Im Psi] as the real
-        # block matrix [[Ar, -Ai], [Ai, Ar]], refilled in place on each call
+        # The connection A = Ar + i Ai is one gemm of the coefficients'
+        # real and imaginary parts with the stack, and acts on
+        # [Re Psi; Im Psi] as the real block matrix [[Ar, -Ai], [Ai, Ar]].
+        # The buffers are made once per segment.  Each call refills them
+        # with the ufuncs of num / (base + t * slope), in that order, and
+        # one matmul on the (2, P) x (P, d^2) shapes, so it gives the
+        # floats of the allocating form without its temporaries.
+        coef = np.empty(len(num), dtype=complex)
+        parts = np.empty((2, len(num)))
+        prod = np.empty((2, d * d))
+        re, im = prod.reshape(2, d, d)
         field = np.empty((2 * d, 2 * d))
+        top_left, top_right, bottom_left, bottom_right = field[:d, :d], field[:d, d:], field[d:, :d], field[d:, d:]
 
         def rhs(t, y):
-            coef = num / (base + t * slope)
-            re, im = (np.stack((coef.real, coef.imag)) @ flat).reshape(2, d, d)
-            field[:d, :d] = field[d:, d:] = re
-            field[d:, :d] = im
-            np.negative(im, out=field[:d, d:])
+            np.multiply(t, slope, out=coef)
+            np.add(base, coef, out=coef)
+            np.divide(num, coef, out=coef)
+            parts[0] = coef.real
+            parts[1] = coef.imag
+            np.matmul(parts, flat, out=prod)
+            top_left[...] = re
+            bottom_right[...] = re
+            bottom_left[...] = im
+            np.negative(im, out=top_right)
+            # a fresh array: the stepper keeps every value it is handed
             return (field @ y.reshape(2 * d, -1)).ravel()
 
         return rhs
@@ -216,12 +262,7 @@ def _transport(system, path, psi, rel_tol):
     run on [Re psi; Im psi], with the absolute tolerance set from the
     largest column norm at the segment start.
     """
-    if not 100 * EPS <= rel_tol < 1:
-        # the stepper never finishes a step at 0 or nan, and would raise a
-        # tolerance below 100 EPS to that floor with only a warning
-        raise ValueError(
-            "rel_tol must be a number in (0, 1), at least 100 EPS = %g, got %r" % (100 * EPS, rel_tol)
-        )
+    check_rel_tol(rel_tol)
     n = psi.size
     yield 0.0, path[0], psi
     for seg, (p, q) in enumerate(zip(path, path[1:])):
@@ -254,15 +295,9 @@ def integrate_path(system, path, psi0, rel_tol=1e-10):
     and psi0 system.dim finite entries of modulus at most MAX_MODULUS.
     """
     path = check_path(path, system.ell)
-    bounded = "psi0 needs finite entries of modulus at most %g" % MAX_MODULUS
-    try:
-        psi = [complex(c) for c in psi0]
-    except OverflowError:  # an int too large for a float
-        raise ValueError(bounded) from None
+    psi = check_psi0(psi0)
     if len(psi) != system.dim:
         raise ValueError("psi0 has the wrong dimension")
-    if not all(abs(c / MAX_MODULUS) <= 1 for c in psi):
-        raise ValueError(bounded)
     samples = []
     for t, z, vec in _transport(system, path, np.array(psi, dtype=complex)[:, None], rel_tol):
         vec = vec[:, 0].copy()

@@ -10,8 +10,9 @@ re-sorts a lowering generator into a monomial, the Verma module truncated
 by monomial length, whose quotient the height truncation is checked
 against, the Gram matrices of the contravariant form on a truncated Verma
 module, whose kernels the package's radical recursion is checked against, the KZ curvature by
-finite differences written out pair by pair, and the Lax terms read word
-by word through a table of distinct words."""
+finite differences written out pair by pair, the KZ right-hand side with
+every temporary allocated per call, and the Lax terms read word by word
+through a table of distinct words."""
 
 from fractions import Fraction
 from functools import cache
@@ -260,6 +261,26 @@ def flatness_residual_fd(system, point, h):
             resid = di_hj - dj_hi - (hi @ hj - hj @ hi) / kappa
             worst = max(worst, float(np.max(np.abs(resid))))
     return worst
+
+
+def segment_rhs(system, p, q):
+    """The right-hand side of ``KZSystem._segment_rhs`` along the segment
+    from p to q, allocating every temporary on each call: the
+    coefficients, their real and imaginary parts stacked for one matmul
+    with the stack of blocks, and the real block matrix of the
+    connection."""
+    p = np.asarray(p, dtype=complex)
+    omega, num, base, slope = system._live_pairs(p, np.asarray(q, dtype=complex) - p)
+    d = system.dim
+    flat = omega.reshape(len(num), d * d)
+
+    def rhs(t, y):
+        coef = num / (base + t * slope)
+        re, im = (np.stack((coef.real, coef.imag)) @ flat).reshape(2, d, d)
+        field = np.block([[re, -im], [im, re]])
+        return (field @ y.reshape(2 * d, -1)).ravel()
+
+    return rhs
 
 
 def realize_every_unit(index_set, level, dims, block_of, provenance, **meta):

@@ -172,6 +172,43 @@ def test_central_convention_stdout_matches_the_recorded_digests(args, digest):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
 
+# sha256 of `--json kz solve` stdout from a singular start, in both
+# conventions, on natural and on polynomial factors, each along a path of
+# two segments.  The printed floats are the stepper's own, so the digests
+# depend on numpy and hold on the machine they were recorded on, as the
+# verify-cli digests do
+SOLVE_PATH = json.dumps(
+    [[[0, 0], [0.5, 0], [2, 0]], [[0.5, 0.5], [0.5, 0], [2, 0]], [[1, 0], [0.5, 0], [2.5, 0.5]]]
+)
+SOLVE_PATH_2 = json.dumps([[[0, 0], [1, 0]], [[0, 0.4], [2, 0]], [[0.5, -0.5], [1, 0]]])
+KZ_SOLVE_DIGESTS = {
+    "central-natural": (
+        [*CENTRAL_SYSTEM, "--kappa", "3", "--path", SOLVE_PATH],
+        "3613392105cc1c12f30e77550d60262a8426d37d63c4ffe5ab948ad1e5b8f56b",
+    ),
+    "plain-natural": (
+        ["--ell", "3", "--factor-kind", "natural", "--mu", "2,1", "--kappa", "3", "--path", SOLVE_PATH],
+        "f26aa583bd445122aa8320f4ffe7604dc9484b5c2f526e9e6c541344979b00cd",
+    ),
+    "plain-polynomial": (
+        ["--m", "2", "--lam", "2", "--lam", "1,1", "--lam", "1", "--mu", "2,2,1", "--kappa", "3", "--path", SOLVE_PATH],
+        "921e9f8c3541ced63ec3eabc6fa2eac208c0d5aa6311aa8beb88718d5c9601a7",
+    ),
+    "central-polynomial": (
+        ["--lam", "2", "--lam", "1", "--mu", "2,1", "--convention", "central", "--levels", "1,2", "--kappa", "2",
+         "--path", SOLVE_PATH_2],
+        "3894882e397695e50c41cfbe22e1d639046a7c0f591ab9a5515e03c81049a7f6",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, digest", KZ_SOLVE_DIGESTS.values(), ids=KZ_SOLVE_DIGESTS.keys())
+def test_kz_solve_stdout_matches_the_recorded_digests(args, digest):
+    res = run("--json", "kz", "solve", *args)
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
 # sha256 of `--json` stdout of the commands that print exact char polys,
 # recorded from the Hessenberg charpoly over Q that the integer Berkowitz
 # recursion replaced: a dim-10 and a dim-5 duality chain, a dim-2 one and
@@ -384,8 +421,15 @@ BAD_INPUT = {
     ),
     "kz-infinite-kappa": (
         ["kz", "monodromy", *TWO_SITES, "--mu", "1,1", "--kappa", "inf", "--loop", LOOP],
-        "kappa must be finite and nonzero",
+        "Invalid value for '--kappa': kappa must be finite and nonzero, got inf",
     ),
+    **{
+        "kz-%s-zero-kappa" % cmd: (
+            ["kz", cmd, *TWO_SITES, "--mu", "1,1", "--kappa", "0", *extra],
+            "Invalid value for '--kappa': kappa must be finite and nonzero, got 0.0",
+        )
+        for cmd, extra in (("solve", ["--path", LOOP]), ("flatness", ["--z", "0,1"]), ("monodromy", ["--loop", LOOP]))
+    },
     # the plain convention and the cubic Hamiltonians read no levels
     "hamiltonian-plain-levels": (
         ["hamiltonian", "--ell", "3", "--z", "0,1,3", "--mu", "2,1", "--levels", "7,8,9"],
@@ -507,7 +551,7 @@ BAD_INPUT = {
     **{
         "kz-%s-rel-tol-%s" % (cmd, tol): (
             ["kz", cmd, *TWO_SITES, "--mu", "1,1", path, LOOP, "--rel-tol", tol],
-            "rel_tol must be a number in (0, 1)",
+            "Invalid value for '--rel-tol': rel_tol must be a number in (0, 1)",
         )
         for cmd, path in (("solve", "--path"), ("monodromy", "--loop"))
         for tol in ("0", "nan", "-1", "1e-16")
@@ -601,7 +645,10 @@ BAD_INPUT = {
         ["kz", "solve", "--lam", "2", "--lam", "1,1", "--m", "2", "--mu", "2,2", "--path", LOOP],
         "the singular space at --mu is zero",
     ),
-    "kz-solve-bad-psi0": (["kz", "solve", *TWO_SITES, "--mu", "1,1", "--psi0", "notjson", "--path", LOOP], "bad --psi0"),
+    "kz-solve-bad-psi0": (
+        ["kz", "solve", *TWO_SITES, "--mu", "1,1", "--psi0", "notjson", "--path", LOOP],
+        "Invalid value for '--psi0': need 'singular' or a JSON list of numbers",
+    ),
     "verify-unknown-check": (["verify", "all", "--checks", "nosuch"], "unknown checks: nosuch"),
     "verify-empty-checks": (["verify", "all", "--checks", ""], "--checks names no check"),
     "verify-comma-checks": (["verify", "all", "--checks", " , "], "--checks names no check"),
@@ -654,7 +701,7 @@ BAD_INPUT = {
     **{
         "kz-solve-psi0-%s" % name: (
             ["kz", "solve", *TWO_SITES, "--mu", "1,1", "--path", LOOP, "--psi0", psi0],
-            "bad --psi0: need a JSON list of numbers",
+            "Invalid value for '--psi0': need 'singular' or a JSON list of numbers",
         )
         for name, psi0 in (("bool", "[true, 1]"), ("string", '["1", 1]'), ("object", '{"1": 1}'))
     },
@@ -663,7 +710,7 @@ BAD_INPUT = {
     **{
         "kz-solve-psi0-%s" % name: (
             ["kz", "solve", *TWO_SITES, "--mu", "1,1", "--path", LOOP, "--psi0", psi0],
-            "psi0 needs finite entries of modulus at most 1e+100",
+            "Invalid value for '--psi0': psi0 needs finite entries of modulus at most 1e+100",
         )
         for name, psi0 in (
             ("nan", "[NaN, 1]"),

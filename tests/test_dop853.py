@@ -95,6 +95,47 @@ def test_steps_match_scipy_on_a_split_complex_state():
     _assert_same_steps(rhs, y0, 1e-10, 1e-12)
 
 
+def _counters(cls, fun, y0, rtol, atol):
+    """(the solver's nfev, the calls of fun counted from outside, the
+    accepted steps, the solver) after stepping through [0, 1]."""
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return fun(t, y)
+
+    solver = cls(counted, 0.0, y0, 1.0, rtol=rtol, atol=atol)
+    steps = 0
+    while solver.status == "running":
+        solver.step()
+        steps += 1
+    return solver.nfev, len(calls), steps, solver
+
+
+def test_the_counters_are_scipys():
+    # problems of the kinds above: plain steps, rejected steps, the rtol
+    # floor and the KZ right-hand side
+    scipy_dop853 = pytest.importorskip("scipy.integrate").DOP853
+    rng = np.random.default_rng(7)
+    system = three_site_system()
+    problems = [
+        (_linear(rng.normal(size=(6, 6))), rng.normal(size=6), 1e-10, 1e-12),
+        (_linear(np.array([[-1.0, 0.3], [0.0, -100.0]])), np.array([1.0, 1.0]), 1e-6, 1e-8),
+        (_linear(rng.normal(size=(4, 4))), rng.normal(size=4), 100 * dop853.EPS, 1e-18),
+        (system._segment_rhs((0.0, 1.1, 2.3), (0.4j, 1.1, 2.3 + 0.5j)), rng.normal(size=4 * system.dim), 1e-10, 1e-12),
+    ]
+    rejections = []
+    for fun, y0, rtol, atol in problems:
+        nfev, calls, steps, solver = _counters(dop853.DOP853, fun, y0, rtol, atol)
+        ref_nfev, ref_calls, ref_steps, _ = _counters(scipy_dop853, fun, y0, rtol, atol)
+        assert nfev == calls == ref_nfev == ref_calls
+        assert solver.n_accepted == steps == ref_steps
+        # two calls pick the first step, then twelve per attempted step
+        assert nfev == 2 + dop853.N_STAGES * (solver.n_accepted + solver.n_rejected)
+        rejections.append(solver.n_rejected)
+    assert rejections[0] == 0 and rejections[1] > 0
+
+
 def test_a_nan_right_hand_side_fails_instead_of_stepping_forever():
     solver = dop853.DOP853(lambda t, y: np.full_like(y, np.nan), 0.0, np.ones(3), 1.0, rtol=1e-6, atol=1e-8)
     assert solver.step() == dop853.TOO_SMALL_STEP

@@ -6,9 +6,12 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supergaudin._dop853 import DOP853
 from supergaudin.gaudin import HamiltonianFamily, joint_diagonalize
@@ -33,7 +36,7 @@ from supergaudin.modules import (
 from supergaudin.partitions import Partition
 from supergaudin.weights import Weight, eps
 
-from oracles import flatness_residual_fd, restrict_to_basis
+from oracles import flatness_residual_fd, restrict_to_basis, segment_rhs
 
 GL11 = IndexSet.gl(0, 1, 0, 1)
 # gl(1+1|1): c = 1, so its gauge factor is not 1 (gl(1|1) has c = 0)
@@ -339,6 +342,50 @@ def test_monodromy_equals_column_by_column_transport():
             e[k] = 1.0
             col = integrate_path(system, loop, e).final_psi
             assert float(np.max(np.abs(M[:, k] - col))) < 1e-9, (convention, k)
+
+
+@cache
+def rhs_systems():
+    """gl(1|1)^3, gl(2|1)^3, and gl(1+1|1)^3 in the central convention
+    with levels."""
+    gl11 = KZSystem(tensor_product([NaturalModule(GL11)] * 3), MU + eps("1/2"), kappa=3)
+    central = KZSystem(
+        tensor_product([NaturalModule(GL111)] * 3), Weight({-2: 1, 1: 1, 2: 1}),
+        kappa=3, convention="central", levels=[1, 2, 3],
+    )
+    return gl11, three_site_system(), central
+
+
+# z_i = i + a shift of modulus below 0.3 and dz_i of modulus at most 0.15:
+# every z_i - z_j keeps modulus above 0.4 - |dz_i - dz_j| >= 0.1 on the
+# segment
+SHIFTS = st.floats(-0.2, 0.2)
+STEPS = st.sampled_from([0, 0.15, -0.15, 0.15j, -0.15j])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_segment_rhs_gives_the_reference_floats_in_fresh_arrays(data):
+    # the right-hand side refills buffers made once per segment; the
+    # reference allocates every temporary per call.  Pairs with equal dz
+    # drop out, down to none when every site moves alike
+    system = data.draw(st.sampled_from(rhs_systems()))
+    p = [i + complex(data.draw(SHIFTS), data.draw(SHIFTS)) for i in range(system.ell)]
+    q = [z + data.draw(STEPS) for z in p]
+    rhs, ref = system._segment_rhs(p, q), segment_rhs(system, p, q)
+    width = 2 * system.dim * data.draw(st.integers(1, 3))
+    calls = [
+        (data.draw(st.floats(0, 1)), np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=width, max_size=width))))
+        for _ in range(2)
+    ]
+    first = rhs(*calls[0])
+    kept = first.copy()
+    for (t, y), out in zip(calls, (first, rhs(*calls[1]))):
+        expected = ref(t, y)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+    # the stepper keeps what it is handed: a later call must not write it
+    assert first.tobytes() == kept.tobytes()
 
 
 def test_hamiltonian_float_matches_exact():
