@@ -4,15 +4,18 @@ Everything prints one JSON document to stdout.  Exit codes: 0 on success,
 1 when a verification ran and failed (the report still prints), 2 on
 argument or validation errors.
 
-Each input is resolved once, before a command runs: ``with_flavor``,
-``with_tensor`` and ``with_kz`` hand the commands the index set, the
-tensor, the target weight and the KZ system, and every --z goes through
-``_points``.  Bad input exits 2 with a message before anything is
-computed or cached; any other exception keeps its traceback.
+Each option is parsed and bounded by its declared type (``click.IntRange``
+or ``Parsed``), so click's refusal names it.  ``with_flavor``,
+``with_tensor`` and ``with_kz`` resolve the index set, the tensor, the
+target weight and the KZ system once, before a command runs; ``_checked``
+names the options of the rules that relate several.  Bad input exits 2
+with a message before anything is computed or cached; any other
+exception keeps its traceback.
 """
 
 import functools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -51,64 +54,104 @@ def _emit(ctx, doc):
     click.echo(dumps(doc, pretty=not ctx.obj["compact"]))
 
 
-def _checked(fn, *args, **kwargs):
-    """fn(*args, **kwargs), its input-check ValueError as a usage error."""
+def _checked(options, fn, *args, errors=ValueError, **kwargs):
+    """fn(*args, **kwargs), with its ``errors`` turned into a usage error
+    whose message names ``options``, the options its rule relates, before
+    the library's own words."""
     try:
         return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    except errors as exc:
+        raise click.UsageError("%s: %s" % (options, exc))
 
 
-def _library_check(check):
-    """A callback that refuses the values ``check`` refuses, in its words,
-    under the option's name."""
+class Parsed(click.ParamType):
+    """An option value read by ``parse``, whose ValueError or TypeError
+    click prints in its words under the option's name."""
 
-    def callback(ctx, param, value):
+    def __init__(self, name, parse):
+        self.name, self.parse = name, parse
+
+    def convert(self, value, param, ctx):
         try:
-            return check(value)
-        except ValueError as exc:
-            raise click.BadParameter(str(exc))
-
-    return callback
+            return self.parse(value)
+        except (ValueError, TypeError) as exc:
+            self.fail(str(exc), param, ctx)
 
 
-def _fields(text, flag):
-    """The comma-separated fields of a value; an empty field is refused."""
+def _split(text):
+    """The comma-separated fields of ``text``; an empty field is refused, not skipped."""
     fields = text.split(",") if text.strip() else []
     if not all(map(str.strip, fields)):
-        raise click.UsageError("%s has an empty field: %r" % (flag, text))
+        raise ValueError("empty field in %r" % (text,))
     return fields
 
 
-def _parse_partition(text, flag):
+def _factors(text):
+    shapes = [PARTITION.parse(t) for t in text.split(";")]
+    if not all(shapes):
+        raise ValueError("empty factor in %r" % (text,))
+    if len(shapes) < 2:
+        raise ValueError("need at least two factors, got %r" % (text,))
+    return shapes
+
+
+def _rationals(text):
     try:
-        return Partition([int(x) for x in _fields(text, flag)])
-    except ValueError as exc:
-        raise click.UsageError("bad partition for %s: %s" % (flag, exc))
+        return [Fraction(x) for x in _split(text)]
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (text,))
 
 
-def _parse_fracs(text, flag):
+def _tolerance(value):
+    """A --tol value: finite and nonnegative, or a float gate holds vacuously."""
+    tol = float(value)
+    if not 0 <= tol < float("inf"):
+        raise ValueError("must be a finite number >= 0, got %r" % (tol,))
+    return tol
+
+
+def _psi0(text):
+    """--psi0: "singular", or a JSON list of numbers ``kz.check_psi0`` admits."""
+    if text == "singular":
+        return text
     try:
-        return [Fraction(x) for x in _fields(text, flag)]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError("bad rational list for %s: %s" % (flag, exc))
+        # as floats, an integer too large for one reads as inf
+        vec = json.loads(text, parse_int=float)
+    except json.JSONDecodeError:
+        vec = None
+    # complex() would read a JSON true or "1" as a number
+    if not (isinstance(vec, list) and all(type(x) is float for x in vec)):
+        raise ValueError("need 'singular' or a JSON list of numbers")
+    return check_psi0(vec)
 
+
+def _waypoints(text):
+    """Waypoints [[[re,im],...],...] of one length, checked by ``kz.check_path``;
+    ``integrate_path`` and ``monodromy`` check the length against the sites."""
+    try:
+        path = [tuple(complex(re, im) for re, im in wp) for wp in json.loads(text)]
+    except (TypeError, ValueError) as exc:
+        raise ValueError("need [[[re,im],...],...], got %r: %s" % (text, exc))
+    return check_path(path)
+
+
+# a partition, e.g. 2,1 (0 is the empty one), a ;-separated list of at
+# least two nonempty ones, e.g. 1;2,1, or rationals, e.g. 0,1/2,3
+PARTITION = Parsed("partition", lambda text: Partition(int(x) for x in _split(text)))
+FACTORS = Parsed("partitions", _factors)
+RATIONALS = Parsed("rationals", _rationals)
+TOLERANCE = Parsed("float", _tolerance)
+WEIGHT = Parsed("weight", lambda text: Weight.from_json(json.loads(text)))
+PATH = Parsed("path", _waypoints)
+PSI0 = Parsed("psi0", _psi0)
 
 # the float eigenbasis of a correct family diagonalizes it only to within
 # double-precision rounding, so spectrum refuses a tighter tolerance
 SPECTRUM_TOL_FLOOR = 1e-9
 
 
-def _tolerance(ctx, param, value):
-    """A --tol value: finite and nonnegative, or a float gate holds vacuously."""
-    if value is not None and not 0 <= value < float("inf"):
-        raise click.BadParameter("must be a finite number >= 0, got %r" % (value,))
-    return value
-
-
-def _points(text, ell):
-    """The --z points: one rational per tensor factor, pairwise distinct."""
-    zs = _parse_fracs(text, "--z")
+def _points(zs, ell):
+    """The --z points: one per tensor factor, pairwise distinct."""
     if len(zs) != ell:
         raise click.UsageError("--z needs %d points, got %d" % (ell, len(zs)))
     if len(set(zs)) != ell:
@@ -120,8 +163,6 @@ def _index_set(flavor, q, m, p, n, k):
     if k is not None:
         if flavor == "super":
             raise click.UsageError("--k is the rank of the classical and wide flavors; use --m and --n")
-        if k < 1:
-            raise click.UsageError("--k must be at least 1")
         n = k
     if flavor != "super":
         # the classical and wide flavors read p and n only
@@ -129,22 +170,25 @@ def _index_set(flavor, q, m, p, n, k):
         if given:
             raise click.UsageError("the %s flavor reads --p and --n only, not %s" % (flavor, " or ".join(given)))
         q = m = 0
-    for name, value in (("q", q), ("m", m), ("p", p)):
-        if value < 0:
-            raise click.UsageError("--%s must be nonnegative, got %d" % (name, value))
-    if n < 1:
-        raise click.UsageError("--n must be at least 1, got %d" % n)
-    return _checked(IndexSet, flavor, p=p, q=q, m=m, n=n)
+    return IndexSet(flavor, p=p, q=q, m=m, n=n)
 
 
-def _shape(kind, text):
+def _ranks(iset):
+    """The flavor and rank options that give ``iset``, as a refusal names them."""
+    return " ".join(["--flavor " + iset.flavor] + ["--%s %d" % item for item in iset.params().items()])
+
+
+def _spelled(lam):
+    return ",".join(map(str, lam.parts)) or "0"
+
+
+def _shape(kind, lam):
     """The partition of one --lam; the natural module has shape 1 only,
     and a polynomial module is never of the empty shape."""
-    lam = _parse_partition(text, "--lam")
     if kind == "natural" and lam != Partition([1]):
-        raise click.UsageError("--lam %s: the natural module is the module of shape 1" % (text,))
+        raise click.UsageError("--lam %s: the natural module is the module of shape 1" % _spelled(lam))
     if kind == "polynomial" and not lam.size:
-        raise click.UsageError("--lam %s: the empty partition labels the trivial module" % (text,))
+        raise click.UsageError("--lam %s: the empty partition labels the trivial module" % _spelled(lam))
     return lam
 
 
@@ -160,30 +204,34 @@ def _given(name):
 # gl(2|2) at depth 9) and gl(2|2) at depth 20
 MAX_DEPTH = 20
 MAX_VERMA_SIZE = 4000
-DEPTH_HELP = "deficit height of the Verma truncation"
+DEPTH_OPTION = click.option(
+    "--depth", type=click.IntRange(0, MAX_DEPTH), default=4, show_default=True, help="deficit height of the Verma truncation"
+)
 
-# ``verify all`` builds natural tensor powers of dimension (m + n)^ell for
-# the hamiltonians check and 2^ell for the cyclic one (on gl(1|1)); their
-# cost grows with the weight spaces: on a 2-vCPU VM (CPython 3.11) 2^7
-# takes 6 s, 3^5 5 s and 2^8 35 s.  The cap keeps ell = 3 for every
-# m + n <= 6 and ell = 5 for m + n = 3
-MAX_VERIFY_DIM = 243
+# The size of a tensor is its dimension, each factor counted as at least
+# 2, so a power of a one-dimensional module is bounded too.  On a 2-vCPU
+# VM (CPython 3.11) the slowest commands take 5-6 s at 2^7 and 3^5, and
+# at 2^8 ``spectrum`` takes 53 s and ``verify all`` 35 s, while ``tensor``
+# stays under 0.1 s up to 2^10.  The cap keeps ell = 3 for m + n <= 6
+MAX_TENSOR_DIM = 243
+
+
+def _check_tensor_dim(dims, options):
+    """Refuse, naming ``options``, a tensor whose factors have the
+    dimensions ``dims`` if its size is above MAX_TENSOR_DIM.  Each factor
+    counts at least 2, so a list cut at MAX_TENSOR_DIM factors is enough."""
+    if math.prod(max(dim, 2) for dim in dims) > MAX_TENSOR_DIM:
+        raise click.UsageError("%s builds a tensor of size above the %d allowed" % (options, MAX_TENSOR_DIM))
 
 
 def _check_depth(iset, kind, depth):
     """--depth sizes the verma and irreducible truncations; refuse a given
-    --depth for any other kind, which would ignore it, a negative one, one
-    above MAX_DEPTH, and one above MAX_VERMA_SIZE monomials over ``iset``
-    (``verma_size``)."""
+    --depth for any other kind, which would ignore it, and one above
+    MAX_VERMA_SIZE monomials over ``iset`` (``verma_size``)."""
     if kind not in ("verma", "irreducible"):
         if _given("depth"):
             raise click.UsageError("--depth applies to the verma and irreducible kinds only, not %s" % kind)
-    elif depth < 0:
-        raise click.UsageError("--depth must be nonnegative, got %d" % depth)
-    elif depth > MAX_DEPTH:
-        raise click.UsageError("--depth must be at most %d, got %d" % (MAX_DEPTH, depth))
-    elif verma_size(iset, depth) > MAX_VERMA_SIZE:
-        size = verma_size(iset, depth)
+    elif (size := verma_size(iset, depth)) > MAX_VERMA_SIZE:
         raise click.UsageError("--depth %d truncates a Verma module of %d monomials here, above the %d allowed" % (depth, size, MAX_VERMA_SIZE))
 
 
@@ -191,59 +239,54 @@ def _module(iset, kind, lam, depth):
     """One weight module of the given kind; lam is read by all but natural."""
     if kind == "natural":
         return NaturalModule(iset)
+    options = "--lam %s with %s" % (_spelled(lam), _ranks(iset))
     if kind == "polynomial":
-        return _checked(polynomial_module, iset, lam)
-    hw = _checked(polynomial_highest_weight, iset, lam)
-    return _checked(verma_truncated if kind == "verma" else irreducible_truncated, iset, hw, depth)
+        return _checked(options, polynomial_module, iset, lam)
+    hw = _checked(options, polynomial_highest_weight, iset, lam)
+    return _checked(options, verma_truncated if kind == "verma" else irreducible_truncated, iset, hw, depth)
 
 
 def _tensor(iset, lams, kind, depth, ell):
     if lams and ell is not None:
         raise click.UsageError("give --lam factors or --ell, not both")
-    if ell is not None and ell < 1:
-        raise click.UsageError("--ell must be at least 1, got %d" % ell)
-    if not lams and not ell:
+    if not lams and ell is None:
         raise click.UsageError("need --lam factors or --ell for natural powers")
     if ell and kind != "natural" and _given("kind"):
         raise click.UsageError("--ell builds natural powers; --factor-kind %s applies to --lam factors" % kind)
     _check_depth(iset, kind if lams else "natural", depth)
     if lams:
-        mods = [_module(iset, kind, _shape(kind, t), depth) for t in lams]
+        mods = [_module(iset, kind, _shape(kind, lam), depth) for lam in lams]
+        spelled = " ".join("--lam " + _spelled(lam) for lam in lams)
+        _check_tensor_dim([mod.total_dim for mod in mods], "%s with %s" % (spelled, _ranks(iset)))
     else:
+        _check_tensor_dim([len(iset)] * min(ell, MAX_TENSOR_DIM), "--ell %d with %s" % (ell, _ranks(iset)))
         mods = [NaturalModule(iset)] * ell
-    return _checked(tensor_product, mods)
+    return tensor_product(mods)
 
 
-def _target_weight(iset, mu, weight_json):
-    if mu is not None and weight_json is not None:
+def _target_weight(iset, mu, weight):
+    if mu is not None and weight is not None:
         raise click.UsageError("give --mu or --weight, not both")
-    if weight_json is not None:
-        try:
-            weight = Weight.from_json(json.loads(weight_json))
-        except ValueError as exc:
-            raise click.UsageError("bad --weight: %s" % (exc,))
+    if weight is not None:
         # an index outside the set names no Cartan element: its weight
         # space would silently read as zero
         outside = [h for h in weight.support() if h not in iset]
         if outside:
-            options = " ".join("--%s %d" % item for item in iset.params().items())
             raise click.UsageError(
-                "bad --weight: doubled index %d is outside the index set of --flavor %s %s"
-                % (outside[0].doubled, iset.flavor, options)
+                "bad --weight: doubled index %d is outside the index set of %s" % (outside[0].doubled, _ranks(iset))
             )
         return weight
     if mu is None:
         raise click.UsageError("need --mu or --weight")
-    return _checked(polynomial_highest_weight, iset, _parse_partition(mu, "--mu"))
+    return _checked("--mu %s with %s" % (_spelled(mu), _ranks(iset)), polynomial_highest_weight, iset, mu)
 
 
-def _levels(tens, convention, text):
+def _levels(tens, convention, levels):
     """--levels: one rational per tensor factor, read by the central
     convention only; the others would silently ignore it."""
-    if text is None:
+    if levels is None:
         return None
-    levels = _parse_fracs(text, "--levels")
-    _checked(family_levels, tens, convention, levels)
+    _checked("--levels", family_levels, tens, convention, levels)
     if convention != "central":
         raise click.UsageError("--levels applies only with --convention central")
     return levels
@@ -268,15 +311,15 @@ def _resolver(options, resolve):
 
 FLAVOR_OPTIONS = [
     click.option("--flavor", type=click.Choice(["super", "classical", "wide"]), default="super"),
-    click.option("--q", type=int, default=0, show_default=True),
-    click.option("--m", type=int, default=1, show_default=True),
-    click.option("--p", type=int, default=0, show_default=True),
-    click.option("--n", type=int, default=1, show_default=True),
-    click.option("--k", type=int, default=None, help="classical rank shorthand for --n"),
+    click.option("--q", type=click.IntRange(min=0), default=0, show_default=True),
+    click.option("--m", type=click.IntRange(min=0), default=1, show_default=True),
+    click.option("--p", type=click.IntRange(min=0), default=0, show_default=True),
+    click.option("--n", type=click.IntRange(min=1), default=1, show_default=True),
+    click.option("--k", type=click.IntRange(min=1), default=None, help="classical rank shorthand for --n"),
 ]
 
 TENSOR_OPTIONS = [
-    click.option("--lam", "lams", multiple=True, help="factor partition (repeatable)"),
+    click.option("--lam", "lams", type=PARTITION, multiple=True, help="factor partition (repeatable)"),
     click.option(
         "--factor-kind",
         "kind",
@@ -284,8 +327,8 @@ TENSOR_OPTIONS = [
         default="polynomial",
         show_default=True,
     ),
-    click.option("--depth", type=int, default=4, show_default=True, help=DEPTH_HELP),
-    click.option("--ell", type=int, default=None, help="tensor power of the natural module"),
+    DEPTH_OPTION,
+    click.option("--ell", type=click.IntRange(min=1), default=None, help="tensor power of the natural module"),
 ]
 
 
@@ -301,7 +344,10 @@ def with_tensor(target=False, mu_help=None, weight_help=None):
     also --mu/--weight, resolved to the ``target`` weight."""
     options = list(TENSOR_OPTIONS)
     if target:
-        options += [click.option("--mu", default=None, help=mu_help), click.option("--weight", default=None, help=weight_help)]
+        options += [
+            click.option("--mu", type=PARTITION, default=None, help=mu_help),
+            click.option("--weight", type=WEIGHT, default=None, help=weight_help),
+        ]
 
     def resolve(kwargs):
         iset = kwargs.pop("iset")
@@ -316,13 +362,16 @@ def with_tensor(target=False, mu_help=None, weight_help=None):
 def _resolve_kz(kwargs):
     tens, target, kappa, convention = (kwargs.pop(name) for name in ("tens", "target", "kappa", "convention"))
     levels = _levels(tens, convention, kwargs.pop("levels"))
-    kwargs["system"] = _checked(KZSystem, tens, target, kappa=kappa, convention=convention, levels=levels)
+    # a level is all that can lift a float entry above MAX_MODULUS
+    at = "--weight" if _given("weight") else "--mu"
+    options = at if levels is None else "%s with --levels" % at
+    kwargs["system"] = _checked(options, KZSystem, tens, target, kappa=kappa, convention=convention, levels=levels)
 
 
 KZ_OPTIONS = [
-    click.option("--kappa", type=float, default=1.0, show_default=True, callback=_library_check(check_kappa)),
+    click.option("--kappa", type=Parsed("float", lambda v: check_kappa(float(v))), default=1.0, show_default=True),
     click.option("--convention", type=click.Choice(CONVENTIONS), default="plain"),
-    click.option("--levels", default=None),
+    click.option("--levels", type=RATIONALS, default=None),
 ]
 
 
@@ -336,10 +385,9 @@ def with_kz(fn):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option(
     "--tol",
-    type=float,
+    type=TOLERANCE,
     default=1e-8,
     show_default=True,
-    callback=_tolerance,
     help="float tolerance, >= 0; spectrum needs >= %g" % SPECTRUM_TOL_FLOOR,
 )
 @click.option("--cache-dir", default=None, help="cache root (or SUPERGAUDIN_CACHE)")
@@ -361,14 +409,14 @@ def module():
 
 @module.command("build")
 @with_flavor
-@click.option("--lam", default=None, help="partition, e.g. 2,1")
+@click.option("--lam", type=PARTITION, default=None, help="partition, e.g. 2,1")
 @click.option(
     "--kind",
     type=click.Choice(["natural", "polynomial", "irreducible", "verma"]),
     default="polynomial",
     show_default=True,
 )
-@click.option("--depth", type=int, default=4, show_default=True, help=DEPTH_HELP)
+@DEPTH_OPTION
 @click.option("--no-cache", is_flag=True)
 @click.pass_context
 def module_build(ctx, iset, lam, kind, depth, no_cache):
@@ -381,7 +429,7 @@ def module_build(ctx, iset, lam, kind, depth, no_cache):
         "op": "module",
         "index_set": {"flavor": iset.flavor, **iset.params()},
         "kind": kind,
-        "lam": None if kind == "natural" else lam,
+        "lam": None if kind == "natural" else _spelled(shape),
         "depth": depth if kind in ("verma", "irreducible") else None,
     }
 
@@ -426,16 +474,17 @@ def singular(ctx, tens, target):
 @main.command()
 @with_tensor(target=True)
 @click.option("--kind", "ham_kind", type=click.Choice(KINDS), default="quadratic", show_default=True)
-@click.option("--z", required=True, help="rational points, e.g. 0,1,3")
+@click.option("--z", type=RATIONALS, required=True, help="rational points, e.g. 0,1,3")
 @click.option("--convention", type=click.Choice(CONVENTIONS), default="plain", show_default=True)
-@click.option("--levels", default=None, help="K scalars per factor")
+@click.option("--levels", type=RATIONALS, default=None, help="K scalars per factor")
 @click.option("--restrict-singular", is_flag=True, help="restrict to the singular subspace")
 @click.pass_context
 def hamiltonian(ctx, tens, target, ham_kind, z, convention, levels, restrict_singular):
     """Exact Hamiltonian matrices on one weight space."""
     zs = _points(z, len(tens.factors))
     levels = _levels(tens, convention, levels)
-    fam = _checked(HamiltonianFamily, tens, zs, ham_kind, convention, levels)
+    options = "--kind %s --convention %s with %s" % (ham_kind, convention, _ranks(tens.index_set))
+    fam = _checked(options, HamiltonianFamily, tens, zs, ham_kind, convention, levels)
     if restrict_singular:
         space = singular_space(tens, target)
         mats = [fam.restricted(i, space) for i in range(1, fam.ell + 1)]
@@ -458,7 +507,7 @@ def hamiltonian(ctx, tens, target, ham_kind, z, convention, levels, restrict_sin
 @main.command()
 @with_tensor(target=True)
 @click.option("--kind", "ham_kind", type=click.Choice(KINDS), default="quadratic", show_default=True)
-@click.option("--z", required=True)
+@click.option("--z", type=RATIONALS, required=True)
 @click.pass_context
 def spectrum(ctx, tens, target, ham_kind, z):
     """Joint spectrum on a singular weight space, with exact certificates."""
@@ -467,14 +516,13 @@ def spectrum(ctx, tens, target, ham_kind, z):
             "spectrum needs --tol >= %g, got %g" % (SPECTRUM_TOL_FLOOR, ctx.obj["tol"])
         )
     zs = _points(z, len(tens.factors))
-    fam = _checked(HamiltonianFamily, tens, zs, ham_kind)
+    fam = _checked("--kind %s with %s" % (ham_kind, _ranks(tens.index_set)), HamiltonianFamily, tens, zs, ham_kind)
     space = singular_space(tens, target)
     mats = [fam.restricted(i, space) for i in range(1, fam.ell + 1)]
     rng = random.Random(ctx.obj["seed"])
     try:
-        jd = joint_diagonalize(mats, rng, tol=ctx.obj["tol"])
-    except FloatRangeError as exc:
-        raise click.UsageError(str(exc))
+        # the entries grow only through the poles 1/(z_i - z_j)
+        jd = _checked("--z", joint_diagonalize, mats, rng, tol=ctx.obj["tol"], errors=FloatRangeError)
     except ValueError as exc:
         _emit(ctx, {"error": str(exc), "weight": target.to_json()})
         sys.exit(1)
@@ -506,27 +554,12 @@ def duality():
 def _resolve_duality(kwargs):
     from .verify import _sample_z
 
-    lams, m, n, mu, z, trials = (kwargs.pop(name) for name in ("lams", "m", "n", "mu", "z", "trials"))
-    if trials < 1:
-        raise click.UsageError("--trials must be at least 1")
-    if z and trials > 1:
+    shapes, m, n, mu, z, trials = (kwargs.pop(name) for name in ("lams", "m", "n", "mu", "z", "trials"))
+    if z is not None and trials > 1:
         raise click.UsageError("--trials above 1 samples points, so it cannot go with --z")
-    _index_set("super", 0, m, 0, n, None)
-    shapes = [_parse_partition(t, "--lams") for t in lams.split(";")]
-    if not all(shapes):
-        raise click.UsageError("--lams has an empty factor")
-    if len(shapes) < 2:
-        raise click.UsageError("--lams needs at least two factors")
-    mu = _parse_partition(mu, "--mu")
-    for flag, lam in [("--lams factor", lam) for lam in shapes] + [("--mu", mu)]:
-        if not lam.hook_ok(m, n):
-            text = ",".join(map(str, lam.parts))
-            raise click.UsageError("%s %s lies outside the (%d|%d) hook" % (flag, text, m, n))
-    boxes = sum(lam.size for lam in shapes)
-    if mu.size != boxes:
-        raise click.UsageError("--mu has %d boxes; the --lams factors have %d" % (mu.size, boxes))
-    setup = build_setup(shapes, m, n, mu)
-    zs = _points(z, setup.ell) if z else None
+    options = "--lams %s --mu %s with --m %d --n %d" % (";".join(map(_spelled, shapes)), _spelled(mu), m, n)
+    setup = _checked(options, build_setup, shapes, m, n, mu)
+    zs = None if z is None else _points(z, setup.ell)
     rng = random.Random(click.get_current_context().obj["seed"])
     kwargs["setup"] = setup
     kwargs["points"] = [zs or _sample_z(rng, setup.ell) for _ in range(trials)]
@@ -534,12 +567,12 @@ def _resolve_duality(kwargs):
 
 with_duality = _resolver(
     [
-        click.option("--lams", required=True, help="factor partitions, e.g. '1;2,1'"),
-        click.option("--m", type=int, default=1, show_default=True),
-        click.option("--n", type=int, default=1, show_default=True),
-        click.option("--mu", required=True, help="master singular partition"),
-        click.option("--z", default=None, help="rational points; sampled when omitted"),
-        click.option("--trials", type=int, default=1, show_default=True),
+        click.option("--lams", type=FACTORS, required=True, help="factor partitions, e.g. '1;2,1'"),
+        click.option("--m", type=click.IntRange(min=0), default=1, show_default=True),
+        click.option("--n", type=click.IntRange(min=1), default=1, show_default=True),
+        click.option("--mu", type=PARTITION, required=True, help="master singular partition"),
+        click.option("--z", type=RATIONALS, default=None, help="rational points; sampled when omitted"),
+        click.option("--trials", type=click.IntRange(min=1), default=1, show_default=True),
     ],
     _resolve_duality,
 )
@@ -580,7 +613,7 @@ def _pf_to_json(terms):
 @click.argument("action", type=click.Choice(["expand"]))
 @with_tensor()
 @click.option("--k-power", "kpow", type=click.IntRange(1, 3), default=2, show_default=True)
-@click.option("--z", required=True)
+@click.option("--z", type=RATIONALS, required=True)
 @click.pass_context
 def lax(ctx, action, tens, kpow, z):
     """Supertrace expansion of Lax powers; checks the closed forms."""
@@ -591,7 +624,8 @@ def lax(ctx, action, tens, kpow, z):
     if kpow > 1:
         # the closed forms are read off the quadratic (k = 2) or cubic
         # families, whose checks refuse what has no closed form
-        closed = _checked(s22_closed if kpow == 2 else s33_closed, tens, zs)
+        options = "--k-power %d with %s" % (kpow, _ranks(tens.index_set))
+        closed = _checked(options, s22_closed if kpow == 2 else s33_closed, tens, zs)
     expansion = lax_str_expansion(tens, zs, kpow)
     weights_doc = []
     matches = True
@@ -618,78 +652,47 @@ def kz():
     """Knizhnik-Zamolodchikov equations."""
 
 
-REL_TOL_OPTION = click.option("--rel-tol", type=float, default=1e-10, show_default=True, callback=_library_check(check_rel_tol))
-
-
-def _psi0(ctx, param, value):
-    """--psi0: "singular", or a JSON list of numbers ``kz.check_psi0`` admits."""
-    if value == "singular":
-        return value
-    try:
-        # as floats, an integer too large for one reads as inf
-        vec = json.loads(value, parse_int=float)
-    except json.JSONDecodeError:
-        vec = None
-    # complex() would read a JSON true or "1" as a number
-    if not (isinstance(vec, list) and all(type(x) is float for x in vec)):
-        raise click.BadParameter("need 'singular' or a JSON list of numbers")
-    return _library_check(check_psi0)(ctx, param, vec)
-
-
-def _parse_path(text, flag, ell):
-    """Waypoints of --path or --loop, checked by ``kz.check_path``."""
-    try:
-        data = json.loads(text)
-        path = [tuple(complex(re, im) for re, im in wp) for wp in data]
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise click.UsageError("bad %s (need [[[re,im],...],...]): %s" % (flag, exc))
-    try:
-        return check_path(path, ell)
-    except ValueError as exc:
-        raise click.UsageError("bad %s: %s" % (flag, exc))
+REL_TOL_OPTION = click.option("--rel-tol", type=Parsed("float", lambda v: check_rel_tol(float(v))), default=1e-10, show_default=True)
 
 
 @kz.command("solve")
 @with_kz
-@click.option("--path", "path_json", required=True, help="waypoints [[[re,im],...],...]")
-@click.option("--psi0", default="singular", callback=_psi0, help="'singular' (a singular vector at --mu or --weight) or a JSON list of one number per basis vector")
+@click.option("--path", type=PATH, required=True, help="waypoints [[[re,im],...],...]")
+@click.option("--psi0", type=PSI0, default="singular", help="'singular' (a singular vector at --mu or --weight) or a JSON list of one number per basis vector")
 @REL_TOL_OPTION
 @click.pass_context
-def kz_solve(ctx, system, path_json, psi0, rel_tol):
+def kz_solve(ctx, system, path, psi0, rel_tol):
     """Integrate the KZ system along a path."""
-    path = _parse_path(path_json, "--path", system.ell)
+    at = "--weight" if _given("weight") else "--mu"
     if psi0 == "singular":
         space = singular_space(system.tensor, system.mu)
         if not space.dim:
-            raise click.UsageError("the singular space at %s is zero" % ("--weight" if _given("weight") else "--mu"))
+            raise click.UsageError("the singular space at %s is zero" % at)
         psi0 = [complex(x) for x in space.basis[0]]
-    try:
-        sol = integrate_path(system, path, psi0, rel_tol=rel_tol)
-    except (ValueError, RuntimeError) as exc:
-        raise click.UsageError(str(exc))
+    elif len(psi0) != system.dim:
+        message = "--psi0: psi0 has the wrong dimension, %d entries for the weight space of dimension %d at %s"
+        raise click.UsageError(message % (len(psi0), system.dim, at))
+    sol = _checked("--path", integrate_path, system, path, psi0, rel_tol=rel_tol, errors=(ValueError, RuntimeError))
     _emit(ctx, sol.to_json())
 
 
 @kz.command("flatness")
 @with_kz
-@click.option("--z", required=True)
+@click.option("--z", type=RATIONALS, required=True)
 @click.option("--float-step", type=float, default=None, help="finite-difference cross-check step")
 @click.pass_context
 def kz_flatness(ctx, system, z, float_step):
     """Curvature residual of the KZ connection (exact by default)."""
     zs = _points(z, system.ell)
-    try:
-        if float_step is None:
-            resid = flatness_residual(system, zs)
-            doc = {"mode": "exact", "residual": frac_str(resid), "zero": resid == 0}
-        else:
-            points = [complex(float(x), 0.0) for x in zs if abs(x) <= MAX_MODULUS]
-            if len(set(points)) < len(zs):
-                raise click.UsageError("--float-step needs --z points of modulus at most %g, distinct as floats" % MAX_MODULUS)
-            resid = flatness_residual(system, points, h=float_step)
-            doc = {"mode": "float", "residual": resid, "zero": resid <= ctx.obj["tol"]}
-    except ValueError as exc:
-        raise click.UsageError(str(exc) if float_step is None else "%s, with --float-step %r" % (exc, float_step))
+    if float_step is None:
+        resid = flatness_residual(system, zs)
+        doc = {"mode": "exact", "residual": frac_str(resid), "zero": resid == 0}
+    else:
+        points = [complex(float(x), 0.0) for x in zs if abs(x) <= MAX_MODULUS]
+        if len(set(points)) < len(zs):
+            raise click.UsageError("--float-step needs --z points of modulus at most %g, distinct as floats" % MAX_MODULUS)
+        resid = _checked("--float-step %r with --z" % float_step, flatness_residual, system, points, h=float_step)
+        doc = {"mode": "float", "residual": resid, "zero": resid <= ctx.obj["tol"]}
     _emit(ctx, doc)
     if not doc["zero"]:
         sys.exit(1)
@@ -697,16 +700,12 @@ def kz_flatness(ctx, system, z, float_step):
 
 @kz.command("monodromy")
 @with_kz
-@click.option("--loop", "loop_json", required=True)
+@click.option("--loop", type=PATH, required=True)
 @REL_TOL_OPTION
 @click.pass_context
-def kz_monodromy(ctx, system, loop_json, rel_tol):
+def kz_monodromy(ctx, system, loop, rel_tol):
     """Transport matrix around a closed loop."""
-    loop = _parse_path(loop_json, "--loop", system.ell)
-    try:
-        mat = monodromy(system, loop, rel_tol=rel_tol)
-    except (ValueError, RuntimeError) as exc:
-        raise click.UsageError(str(exc))
+    mat = _checked("--loop", monodromy, system, loop, rel_tol=rel_tol, errors=(ValueError, RuntimeError))
     doc = {
         "dim": system.dim,
         "matrix": [[[round(c.real, 12), round(c.imag, 12)] for c in row] for row in mat],
@@ -714,39 +713,37 @@ def kz_monodromy(ctx, system, loop_json, rel_tol):
     _emit(ctx, doc)
 
 
+def _check_names(text):
+    """--checks: the check names, stray commas dropped, each one known."""
+    from .verify import CHECKS_BY_NAME
+
+    names = [c.strip() for c in text.split(",") if c.strip()]
+    if not names:
+        raise ValueError("no check named in %r" % (text,))
+    unknown = [c for c in names if c not in CHECKS_BY_NAME]
+    if unknown:
+        raise ValueError("unknown checks: %s" % ", ".join(unknown))
+    return names
+
+
 @main.command()
 @click.argument("what", type=click.Choice(["all"]))
-@click.option("--checks", default=None, help="comma-separated check names")
-@click.option("--m", type=int, default=1, show_default=True, help="read by the hamiltonians, modules and duality checks")
-@click.option("--n", type=int, default=1, show_default=True, help="read by the hamiltonians, modules and duality checks")
-@click.option("--ell", type=int, default=3, show_default=True, help="read by the hamiltonians and cyclic checks")
+@click.option("--checks", type=Parsed("checks", _check_names), default=None, help="comma-separated check names")
+@click.option("--m", type=click.IntRange(min=0), default=1, show_default=True, help="read by the hamiltonians, modules and duality checks")
+@click.option("--n", type=click.IntRange(min=1), default=1, show_default=True, help="read by the hamiltonians, modules and duality checks")
+@click.option("--ell", type=click.IntRange(min=2), default=3, show_default=True, help="read by the hamiltonians and cyclic checks")
 @click.option("--seed", type=int, default=None, help="overrides the global seed")
-@click.option("--tol", type=float, default=None, callback=_tolerance, help="overrides the global tolerance; read by the kz check")
+@click.option("--tol", type=TOLERANCE, default=None, help="overrides the global tolerance; read by the kz check")
 @click.pass_context
 def verify(ctx, what, checks, m, n, ell, seed, tol):
     """Run the invariant suite; exit 1 on any failure."""
-    from .verify import CHECKS_BY_NAME, run_checks
+    from .verify import run_checks
 
-    names = None
-    if checks is not None:
-        names = [c.strip() for c in checks.split(",") if c.strip()]
-        if not names:
-            raise click.UsageError("--checks names no check")
-        unknown = [c for c in names if c not in CHECKS_BY_NAME]
-        if unknown:
-            raise click.UsageError("unknown checks: %s" % ", ".join(unknown))
-    _index_set("super", 0, m, 0, n, None)
-    if ell < 2:
-        raise click.UsageError("--ell must be at least 2: the Hamiltonians need two sites")
-    base = max(m + n, 2)
-    # base >= 2, so an exponent past the cap's bit length is over it already
-    if base ** min(ell, MAX_VERIFY_DIM.bit_length()) > MAX_VERIFY_DIM:
-        raise click.UsageError(
-            "--ell %d with --m %d --n %d builds a natural tensor power of dimension %d^%d, above the %d allowed"
-            % (ell, m, n, base, ell, MAX_VERIFY_DIM)
-        )
+    # the hamiltonians check builds the natural power of gl(m|n), the
+    # cyclic one that of gl(1|1)
+    _check_tensor_dim([m + n] * min(ell, MAX_TENSOR_DIM), "--ell %d with --m %d --n %d" % (ell, m, n))
     report = run_checks(
-        names,
+        checks,
         seed=seed if seed is not None else ctx.obj["seed"],
         m=m,
         n=n,

@@ -9,7 +9,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from supergaudin.cli import MAX_VERIFY_DIM, main
+from supergaudin.cli import MAX_TENSOR_DIM, main
 from supergaudin.serialize import validate_document
 from supergaudin.verify import ALL_CHECKS
 
@@ -475,7 +475,7 @@ BAD_INPUT = {
     # the weight schema's additionalProperties: false; an unknown key was silently dropped
     "weight-unknown-key": (
         ["spectrum", "--m", "1", "--n", "1", "--ell", "2", "--z", "0,1", "--weight", '{"level":"0","coeffs":[[1,1]],"x":1}'],
-        "bad --weight",
+        "Invalid value for '--weight': malformed weight document {'level': '0', 'coeffs': [[1, 1]], 'x': 1}",
     ),
     "weight-and-mu": (
         ["singular", *TWO_SITES, "--mu", "2", "--weight", '{"coeffs":[[2,2]],"level":"0"}'],
@@ -483,7 +483,7 @@ BAD_INPUT = {
     ),
     "tensor-lam-and-ell": (["tensor", "--lam", "1", "--ell", "3"], "give --lam factors or --ell, not both"),
     "tensor-super-k": (["tensor", "--flavor", "super", "--k", "3", "--lam", "1"], "--k is the rank"),
-    "tensor-classical-zero-k": (["tensor", "--flavor", "classical", "--k", "0", "--ell", "2"], "--k must be at least 1"),
+    "tensor-classical-zero-k": (["tensor", "--flavor", "classical", "--k", "0", "--ell", "2"], "Invalid value for '--k': 0 is not in the range x>=1"),
     # the classical and wide flavors read --p and --n only
     "tensor-classical-m-q": (
         ["tensor", "--flavor", "classical", "--k", "2", "--ell", "2", "--m", "5", "--q", "2"],
@@ -511,36 +511,58 @@ BAD_INPUT = {
         ["duality", "cubic", "--lams", "1;1", "--mu", "2", "--z", "0,0"],
         "pairwise distinct",
     ),
-    "duality-zero-trials": (["duality", "check", "--lams", "1;1", "--mu", "2", "--trials", "0"], "--trials must be at least 1"),
+    "duality-zero-trials": (["duality", "check", "--lams", "1;1", "--mu", "2", "--trials", "0"], "Invalid value for '--trials': 0 is not in the range x>=1"),
     # more trials at the given points would repeat one report
     "duality-trials-with-z": (
         ["duality", "check", "--lams", "1;1", "--mu", "1,1", "--z", "0,1", "--trials", "3"],
         "--trials above 1 samples points, so it cannot go with --z",
     ),
     "duality-one-factor": (["duality", "check", "--lams", "1", "--mu", "1"], "at least two factors"),
-    "verify-one-site": (["verify", "all", "--ell", "1", "--checks", "cyclic"], "--ell must be at least 2"),
+    # an empty --z was read as no --z, and the points were sampled
+    "duality-empty-z": (["duality", "check", "--lams", "1;1", "--mu", "1,1", "--z", ""], "--z needs 2 points, got 0"),
+    "verify-one-site": (
+        ["verify", "all", "--ell", "1", "--checks", "cyclic"],
+        "Invalid value for '--ell': 1 is not in the range x>=2",
+    ),
     # the natural tensor power would have 2^99 basis tuples: refused at once
     "verify-huge-ell": (
         ["verify", "all", "--ell", "99"],
-        "--ell 99 with --m 1 --n 1 builds a natural tensor power of dimension 2^99, above the 243 allowed",
+        "--ell 99 with --m 1 --n 1 builds a tensor of size above the 243 allowed",
     ),
-    "verify-negative-m": (["verify", "all", "--m", "-1"], "--m must be nonnegative, got -1"),
-    "verify-zero-n": (["verify", "all", "--n", "0"], "--n must be at least 1, got 0"),
-    "module-build-negative-m": (["module", "build", "--m", "-1", "--lam", "1"], "--m must be nonnegative, got -1"),
-    "module-build-zero-n": (["module", "build", "--n", "0", "--lam", "1"], "--n must be at least 1, got 0"),
-    "tensor-negative-q": (["tensor", "--q", "-1", "--ell", "2"], "--q must be nonnegative, got -1"),
+    # tensor used to build any power: --ell 16 held 65,536 basis tuples in a
+    # 59 MB process, and the memory doubles with each factor
+    **{
+        "tensor-huge-ell-%s" % ell: (
+            ["tensor", "--ell", ell],
+            "--ell %s with --flavor super --q 0 --m 1 --p 0 --n 1 builds a tensor of size above the 243 allowed" % ell,
+        )
+        for ell in ("99", "99999999999999999999")
+    },
+    # V_(3) over gl(2|1) has dimension 7, and 7^3 = 343
+    "tensor-huge-factors": (
+        ["tensor", "--m", "2", "--lam", "3", "--lam", "3", "--lam", "3"],
+        "--lam 3 --lam 3 --lam 3 with --flavor super --q 0 --m 2 --p 0 --n 1 builds a tensor of size above the 243 allowed",
+    ),
+    "verify-negative-m": (["verify", "all", "--m", "-1"], "Invalid value for '--m': -1 is not in the range x>=0"),
+    "verify-zero-n": (["verify", "all", "--n", "0"], "Invalid value for '--n': 0 is not in the range x>=1"),
+    "module-build-negative-m": (
+        ["module", "build", "--m", "-1", "--lam", "1"],
+        "Invalid value for '--m': -1 is not in the range x>=0",
+    ),
+    "module-build-zero-n": (["module", "build", "--n", "0", "--lam", "1"], "Invalid value for '--n': 0 is not in the range x>=1"),
+    "tensor-negative-q": (["tensor", "--q", "-1", "--ell", "2"], "Invalid value for '--q': -1 is not in the range x>=0"),
     # a zero denominator in a rational list or a weight level
     "hamiltonian-zero-denominator-z": (
         ["hamiltonian", "--ell", "2", "--z", "1/0,1", "--mu", "1,1"],
-        "bad rational list for --z",
+        "Invalid value for '--z': zero denominator in '1/0,1'",
     ),
     "hamiltonian-zero-denominator-level": (
         ["hamiltonian", *TWO_SITES, "--z", "0,1", "--mu", "1,1", "--convention", "central", "--levels", "1,1/0"],
-        "bad rational list for --levels",
+        "Invalid value for '--levels': zero denominator in '1,1/0'",
     ),
     "duality-zero-denominator-z": (
         ["duality", "check", "--lams", "1;1", "--mu", "1,1", "--z", "0,1/0"],
-        "bad rational list for --z",
+        "Invalid value for '--z': zero denominator in '0,1/0'",
     ),
     "weight-zero-denominator-level": (
         ["singular", "--ell", "2", "--factor-kind", "natural", "--weight", '{"coeffs":[[2,2]],"level":"1/0"}'],
@@ -576,19 +598,19 @@ BAD_INPUT = {
     },
     "module-negative-depth": (
         ["module", "build", "--lam", "2", "--kind", "irreducible", "--depth", "-1"],
-        "depth must be nonnegative",
+        "Invalid value for '--depth': -1 is not in the range 0<=x<=20",
     ),
     # a negative --depth used to reach verma_truncated, whose message
     # named no option
     "tensor-negative-depth": (
         ["tensor", "--factor-kind", "irreducible", "--lam", "1", "--lam", "1", "--depth", "-1"],
-        "--depth must be nonnegative, got -1",
+        "Invalid value for '--depth': -1 is not in the range 0<=x<=20",
     ),
     # with an even lowering generator the truncated Verma module grows
     # with its depth, so this build never ended
     "module-build-huge-depth": (
         ["module", "build", "--m", "2", "--n", "1", "--kind", "verma", "--lam", "1", "--depth", "99999999999999999999"],
-        "--depth must be at most 20, got 99999999999999999999",
+        "Invalid value for '--depth': 99999999999999999999 is not in the range 0<=x<=20",
     ),
     # the size of a truncated Verma module is known before the build: V_(1)
     # over gl(3|2) to deficit height 20 has 96,672 monomials
@@ -624,15 +646,18 @@ BAD_INPUT = {
         ["tensor", "--ell", "2", "--depth", "3"],
         "--depth applies to the verma and irreducible kinds only, not natural",
     ),
-    "tensor-zero-ell": (["tensor", "--ell", "0"], "--ell must be at least 1, got 0"),
-    "tensor-negative-ell": (["tensor", "--ell", "-1"], "--ell must be at least 1, got -1"),
+    "tensor-zero-ell": (["tensor", "--ell", "0"], "Invalid value for '--ell': 0 is not in the range x>=1"),
+    "tensor-negative-ell": (["tensor", "--ell", "-1"], "Invalid value for '--ell': -1 is not in the range x>=1"),
     "singular-no-target": (["singular", "--ell", "2", "--factor-kind", "natural"], "need --mu or --weight"),
     "hamiltonian-cubicC-central": (
         ["hamiltonian", "--ell", "2", "--factor-kind", "natural", "--kind", "cubicC", "--z", "0,1", "--mu", "1,1",
          "--convention", "central"],
         "cubic Hamiltonians exist only in the plain convention",
     ),
-    "kz-solve-bad-path": (["kz", "solve", *TWO_SITES, "--mu", "1,1", "--path", "{"], "bad --path"),
+    "kz-solve-bad-path": (
+        ["kz", "solve", *TWO_SITES, "--mu", "1,1", "--path", "{"],
+        "Invalid value for '--path': need [[[re,im],...],...], got '{'",
+    ),
     # the natural square has the weight 2 e(1/2) but no singular vector there
     "kz-solve-zero-singular-space": (
         ["kz", "solve", "--ell", "2", "--factor-kind", "natural", "--weight", '{"coeffs":[[1,2]],"level":"0"}',
@@ -649,44 +674,62 @@ BAD_INPUT = {
         ["kz", "solve", *TWO_SITES, "--mu", "1,1", "--psi0", "notjson", "--path", LOOP],
         "Invalid value for '--psi0': need 'singular' or a JSON list of numbers",
     ),
-    "verify-unknown-check": (["verify", "all", "--checks", "nosuch"], "unknown checks: nosuch"),
-    "verify-empty-checks": (["verify", "all", "--checks", ""], "--checks names no check"),
-    "verify-comma-checks": (["verify", "all", "--checks", " , "], "--checks names no check"),
+    # the length of a --psi0 list is checked against the weight space
+    **{
+        "kz-solve-psi0-length-%d" % len(psi0): (
+            ["kz", "solve", *TWO_SITES, "--mu", "1,1", "--path", LOOP, "--psi0", json.dumps(psi0)],
+            "--psi0: psi0 has the wrong dimension, %d entries for the weight space of dimension 2 at --mu" % len(psi0),
+        )
+        for psi0 in ([1, 2, 3], [])
+    },
+    "verify-unknown-check": (["verify", "all", "--checks", "nosuch"], "Invalid value for '--checks': unknown checks: nosuch"),
+    "verify-empty-checks": (["verify", "all", "--checks", ""], "Invalid value for '--checks': no check named in ''"),
+    "verify-comma-checks": (["verify", "all", "--checks", " , "], "Invalid value for '--checks': no check named in ' , '"),
     # a mu of another size is no weight of the tensor product: both
     # singular spaces are zero and the comparison would hold vacuously
     "duality-check-mu-size": (
         ["duality", "check", "--lams", "1;1", "--mu", "3"],
-        "--mu has 3 boxes; the --lams factors have 2",
+        "--lams 1;1 --mu 3 with --m 1 --n 1: mu has 3 boxes; the factors have 2",
     ),
     "duality-cubic-mu-size": (
         ["duality", "cubic", "--lams", "1;1", "--mu", "3"],
-        "--mu has 3 boxes; the --lams factors have 2",
+        "--lams 1;1 --mu 3 with --m 1 --n 1: mu has 3 boxes; the factors have 2",
     ),
     # a shape outside the hook labels no polynomial gl(m|n)-module
     **{
         "duality-%s-%s-hook" % (cmd, which): (
             ["duality", cmd, "--lams", lams, "--mu", mu],
-            "%s lies outside the (1|1) hook" % refused,
+            "--lams %s --mu %s with --m 1 --n 1: hook condition violated: %s = Partition([2, 2]) lies outside the (1|1) hook"
+            % (lams, mu, refused),
         )
         for cmd in ("check", "cubic")
         for which, lams, mu, refused in (
-            ("lams", "2,2;1", "3,2", "--lams factor 2,2"),
-            ("mu", "2;2", "2,2", "--mu 2,2"),
+            ("lams", "2,2;1", "3,2", "factor"),
+            ("mu", "2;2", "2,2", "mu"),
         )
     },
+    # the hook rule of a polynomial shape names the shape's option and the ranks
+    "singular-mu-outside-the-hook": (
+        ["singular", "--ell", "3", "--m", "2", "--n", "1", "--mu", "3,2,2"],
+        "--mu 3,2,2 with --flavor super --q 0 --m 2 --p 0 --n 1: hook condition violated",
+    ),
+    "tensor-classical-lam-outside-the-hook": (
+        ["tensor", "--flavor", "classical", "--k", "2", "--lam", "3"],
+        "--lam 3 with --flavor classical --p 0 --n 2: hook condition violated",
+    ),
     # squaring the segment direction in the clearance test overflowed
     **{
         "kz-%s-huge-waypoint" % cmd: (
             ["kz", cmd, "--ell", "2", "--factor-kind", "natural", "--mu", "1,1", flag,
              json.dumps([[[0, 0], [1, 0]], [[1e308, 0], [1, 0]], [[0, 0], [1, 0]]])],
-            "bad %s: waypoint 1 has a coordinate of modulus above 1e+100" % flag,
+            "Invalid value for '%s': waypoint 1 has a coordinate of modulus above 1e+100" % flag,
         )
         for cmd, flag in (("solve", "--path"), ("monodromy", "--loop"))
     },
     # JSON true and false were read as 1 and 0
     "weight-bool-coefficients": (
         ["hamiltonian", *TWO_SITES, "--z", "0,1", "--weight", '{"level":"0","coeffs":[[1,true],[2,true]]}'],
-        "bad --weight: malformed weight document",
+        "Invalid value for '--weight': malformed weight document {'level': '0', 'coeffs': [[1, True], [2, True]]}",
     ),
     "weight-bool-level": (
         ["hamiltonian", *TWO_SITES, "--z", "0,1", "--weight", '{"level":false,"coeffs":[[1,1],[2,1]]}'],
@@ -742,7 +785,7 @@ BAD_INPUT = {
     # a step that carries a point onto another overflows the residual
     "kz-flatness-float-step-onto-a-point": (
         ["kz", "flatness", "--ell", "2", "--mu", "1,1", "--z", "0,1", "--float-step", "-1"],
-        "the float residual at sites 1, 2 is not finite, with --float-step -1.0",
+        "--float-step -1.0 with --z: the float residual at sites 1, 2 is not finite",
     ),
     # an exact entry too large for a float was an OverflowError traceback
     # (exit 1), or numpy's "must not contain infs or NaNs" (exit 1)
@@ -766,34 +809,42 @@ BAD_INPUT = {
     # was refused as a hook violation
     "duality-check-negative-n": (
         ["duality", "check", "--lams", "1;1", "--mu", "1,1", "--m", "1", "--n", "-1"],
-        "--n must be at least 1, got -1",
+        "Invalid value for '--n': -1 is not in the range x>=1",
     ),
     "duality-cubic-negative-m": (
         ["duality", "cubic", "--lams", "1;1", "--mu", "1,1", "--m", "-1"],
-        "--m must be nonnegative, got -1",
+        "Invalid value for '--m': -1 is not in the range x>=0",
     ),
     # an empty field was skipped: 1,,1 read as 1,1
-    "singular-mu-empty-field": (["singular", "--ell", "2", "--mu", "1,,1"], "--mu has an empty field"),
-    "singular-mu-trailing-comma": (["singular", "--ell", "2", "--mu", "1,1,"], "--mu has an empty field"),
+    "singular-mu-empty-field": (["singular", "--ell", "2", "--mu", "1,,1"], "Invalid value for '--mu': empty field in '1,,1'"),
+    "singular-mu-trailing-comma": (["singular", "--ell", "2", "--mu", "1,1,"], "Invalid value for '--mu': empty field in '1,1,'"),
     "hamiltonian-z-empty-field": (
         ["hamiltonian", "--ell", "2", "--mu", "1,1", "--z", "0,,1"],
-        "--z has an empty field",
+        "Invalid value for '--z': empty field in '0,,1'",
     ),
     "hamiltonian-levels-empty-field": (
         ["hamiltonian", *TWO_SITES, "--z", "0,1", "--mu", "2", "--convention", "central", "--levels", "1,,2"],
-        "--levels has an empty field",
+        "Invalid value for '--levels': empty field in '1,,2'",
     ),
-    "tensor-lam-empty-field": (["tensor", "--lam", "2,,1"], "--lam has an empty field"),
+    "tensor-lam-empty-field": (["tensor", "--lam", "2,,1"], "Invalid value for '--lam': empty field in '2,,1'"),
     # an empty factor was refused as "the empty partition labels the
     # trivial module", naming no option
     **{
         "duality-empty-factor-%d" % k: (
             ["duality", "check", "--lams", lams, "--mu", "1,1"],
-            "--lams has an empty factor",
+            "Invalid value for '--lams': empty factor in %r" % lams,
         )
         for k, lams in enumerate(("1;;1", "1;0", ";1,1"))
     },
 }
+
+
+def refused_option_line(output):
+    """The last ``Error:`` line of a refusal, which must name an option (the
+    usage line above it always does, through its ``--help``)."""
+    line = [line for line in output.splitlines() if line.startswith("Error:")][-1]
+    assert "--" in line, output
+    return line
 
 
 # a refusal prints its message alone, with no RuntimeWarning before it
@@ -802,7 +853,7 @@ BAD_INPUT = {
 def test_bad_factor_weight_and_level_input_exits_two(tmp_path, args, message):
     res = run("--cache-dir", str(tmp_path), *args)
     assert res.exit_code == 2, res.output
-    assert message in res.output
+    assert message in refused_option_line(res.output)
     assert not list(tmp_path.rglob("*.json"))  # nothing reached the disk cache
 
 
@@ -889,7 +940,7 @@ def test_verify_ell_cap_sits_between_the_largest_powers_allowed_and_refused():
                                (1, 1, 8, False), (1, 2, 6, False), (4, 3, 3, False), (0, 1, 8, False)):
         res = run("verify", "all", "--checks", "io", "--m", str(m), "--n", str(n), "--ell", str(ell))
         assert res.exit_code == (0 if allowed else 2), (m, n, ell, res.output)
-        assert ("above the %d allowed" % MAX_VERIFY_DIM in res.output) is not allowed
+        assert ("above the %d allowed" % MAX_TENSOR_DIM in res.output) is not allowed
 
 
 def test_natural_kind_takes_lam_one(tmp_path):

@@ -324,6 +324,31 @@ def test_hamiltonian_family_is_the_one_family_constructor():
     assert sorted(choices) == ["CONVENTIONS", "CONVENTIONS", "KINDS", "KINDS"], choices
 
 
+# the CLI options that take a rank, a size or a count
+BOUNDED_OPTIONS = {"--q", "--m", "--p", "--n", "--k", "--ell", "--depth", "--trials"}
+
+
+def test_cli_options_are_parsed_where_they_are_declared():
+    # each option owns its parsing and its bound: a field splitter or a
+    # range check by hand in cli.py would be a second owner, and a rank,
+    # size or count of plain type=int would take any value
+    tree = ast.parse(_sources(PACKAGE_DIR)["cli.py"])
+    defined = {qualname for qualname, _ in _definitions(tree)}
+    assert not defined & {"_fields", "_parse_partition", "_parse_fracs"}, defined
+    assert not _mentions(tree, "MAX_VERIFY_DIM")
+    declared = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "option"):
+            continue
+        spelled = {a.value for a in node.args if isinstance(a, ast.Constant)} & BOUNDED_OPTIONS
+        if spelled:
+            kind = next((k.value for k in node.keywords if k.arg == "type"), None)
+            declared.append((spelled.pop(), ast.dump(kind) if kind is not None else None))
+    assert {option for option, _ in declared} == BOUNDED_OPTIONS
+    plain = [(option, kind) for option, kind in declared if kind in (None, ast.dump(ast.Name("int", ast.Load())))]
+    assert not plain, plain
+
+
 def test_verma_straightening_is_one_recursion():
     # _VermaBuilder.act straightens every unit, a lowering generator
     # included, so no second recursion (an insert) commutes in modules.py
@@ -622,8 +647,9 @@ def test_the_caller_check_sees_uncalled_functions_and_methods():
 
 # TensorModule.basis_tuples has no caller in the package: it is a
 # read-only inspection accessor, and tests/test_shared_tensors.py pins
-# that it hands out the stored tuple, which cannot be mutated
-CALLER_EXEMPT = ["modules.py:TensorModule.basis_tuples"]
+# that it hands out the stored tuple, which cannot be mutated.  click
+# calls Parsed.convert, the hook of every click.ParamType, on each value
+CALLER_EXEMPT = ["cli.py:Parsed.convert", "modules.py:TensorModule.basis_tuples"]
 
 
 def test_every_package_definition_has_a_caller_outside_the_tests():
