@@ -8,9 +8,11 @@ Each option is parsed and bounded by its declared type (``click.IntRange``
 or ``Parsed``), so click's refusal names it.  ``with_flavor``,
 ``with_tensor`` and ``with_kz`` resolve the index set, the tensor, the
 target weight and the KZ system once, before a command runs; ``_checked``
-names the options of the rules that relate several.  Bad input exits 2
-with a message before anything is computed or cached; any other
-exception keeps its traceback.
+names the options of the rules that relate several.  A tensor factor is
+the polynomial module V_lam of a ``--lam``, or the natural module of an
+``--ell`` power; only ``module build`` prints truncated modules.  Bad
+input exits 2 with a message before anything is computed or cached; any
+other exception keeps its traceback.
 """
 
 import functools
@@ -125,6 +127,13 @@ def _psi0(text):
     return check_psi0(vec)
 
 
+def _weight(text):
+    try:
+        return Weight.from_json(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise ValueError("need a JSON weight document, got %r: %s" % (text, exc))
+
+
 def _waypoints(text):
     """Waypoints [[[re,im],...],...] of one length, checked by ``kz.check_path``;
     ``integrate_path`` and ``monodromy`` check the length against the sites."""
@@ -141,7 +150,7 @@ PARTITION = Parsed("partition", lambda text: Partition(int(x) for x in _split(te
 FACTORS = Parsed("partitions", _factors)
 RATIONALS = Parsed("rationals", _rationals)
 TOLERANCE = Parsed("float", _tolerance)
-WEIGHT = Parsed("weight", lambda text: Weight.from_json(json.loads(text)))
+WEIGHT = Parsed("weight", _weight)
 PATH = Parsed("path", _waypoints)
 PSI0 = Parsed("psi0", _psi0)
 
@@ -204,9 +213,6 @@ def _given(name):
 # gl(2|2) at depth 9) and gl(2|2) at depth 20
 MAX_DEPTH = 20
 MAX_VERMA_SIZE = 4000
-DEPTH_OPTION = click.option(
-    "--depth", type=click.IntRange(0, MAX_DEPTH), default=4, show_default=True, help="deficit height of the Verma truncation"
-)
 
 # The size of a tensor is its dimension, each factor counted as at least
 # 2, so a power of a one-dimensional module is bounded too.  On a 2-vCPU
@@ -224,17 +230,6 @@ def _check_tensor_dim(dims, options):
         raise click.UsageError("%s builds a tensor of size above the %d allowed" % (options, MAX_TENSOR_DIM))
 
 
-def _check_depth(iset, kind, depth):
-    """--depth sizes the verma and irreducible truncations; refuse a given
-    --depth for any other kind, which would ignore it, and one above
-    MAX_VERMA_SIZE monomials over ``iset`` (``verma_size``)."""
-    if kind not in ("verma", "irreducible"):
-        if _given("depth"):
-            raise click.UsageError("--depth applies to the verma and irreducible kinds only, not %s" % kind)
-    elif (size := verma_size(iset, depth)) > MAX_VERMA_SIZE:
-        raise click.UsageError("--depth %d truncates a Verma module of %d monomials here, above the %d allowed" % (depth, size, MAX_VERMA_SIZE))
-
-
 def _module(iset, kind, lam, depth):
     """One weight module of the given kind; lam is read by all but natural."""
     if kind == "natural":
@@ -246,16 +241,13 @@ def _module(iset, kind, lam, depth):
     return _checked(options, verma_truncated if kind == "verma" else irreducible_truncated, iset, hw, depth)
 
 
-def _tensor(iset, lams, kind, depth, ell):
+def _tensor(iset, lams, ell):
     if lams and ell is not None:
         raise click.UsageError("give --lam factors or --ell, not both")
     if not lams and ell is None:
         raise click.UsageError("need --lam factors or --ell for natural powers")
-    if ell and kind != "natural" and _given("kind"):
-        raise click.UsageError("--ell builds natural powers; --factor-kind %s applies to --lam factors" % kind)
-    _check_depth(iset, kind if lams else "natural", depth)
     if lams:
-        mods = [_module(iset, kind, _shape(kind, lam), depth) for lam in lams]
+        mods = [_module(iset, "polynomial", _shape("polynomial", lam), None) for lam in lams]
         spelled = " ".join("--lam " + _spelled(lam) for lam in lams)
         _check_tensor_dim([mod.total_dim for mod in mods], "%s with %s" % (spelled, _ranks(iset)))
     else:
@@ -320,14 +312,6 @@ FLAVOR_OPTIONS = [
 
 TENSOR_OPTIONS = [
     click.option("--lam", "lams", type=PARTITION, multiple=True, help="factor partition (repeatable)"),
-    click.option(
-        "--factor-kind",
-        "kind",
-        type=click.Choice(["natural", "polynomial", "irreducible"]),
-        default="polynomial",
-        show_default=True,
-    ),
-    DEPTH_OPTION,
     click.option("--ell", type=click.IntRange(min=1), default=None, help="tensor power of the natural module"),
 ]
 
@@ -351,7 +335,7 @@ def with_tensor(target=False, mu_help=None, weight_help=None):
 
     def resolve(kwargs):
         iset = kwargs.pop("iset")
-        kwargs["tens"] = _tensor(iset, *(kwargs.pop(name) for name in ("lams", "kind", "depth", "ell")))
+        kwargs["tens"] = _tensor(iset, *(kwargs.pop(name) for name in ("lams", "ell")))
         if target:
             kwargs["target"] = _target_weight(iset, kwargs.pop("mu"), kwargs.pop("weight"))
 
@@ -416,14 +400,21 @@ def module():
     default="polynomial",
     show_default=True,
 )
-@DEPTH_OPTION
+@click.option(
+    "--depth", type=click.IntRange(0, MAX_DEPTH), default=4, show_default=True, help="deficit height of the Verma truncation"
+)
 @click.option("--no-cache", is_flag=True)
 @click.pass_context
 def module_build(ctx, iset, lam, kind, depth, no_cache):
     """Build one weight module and print its JSON realization."""
     if kind != "natural" and lam is None:
         raise click.UsageError("--lam is required for kind %s" % kind)
-    _check_depth(iset, kind, depth)
+    # --depth sizes the verma and irreducible truncations; any other kind would ignore it
+    if kind not in ("verma", "irreducible"):
+        if _given("depth"):
+            raise click.UsageError("--depth applies to the verma and irreducible kinds only, not %s" % kind)
+    elif (size := verma_size(iset, depth)) > MAX_VERMA_SIZE:
+        raise click.UsageError("--depth %d truncates a Verma module of %d monomials here, above the %d allowed" % (depth, size, MAX_VERMA_SIZE))
     shape = None if lam is None else _shape(kind, lam)
     descriptor = {
         "op": "module",
@@ -557,7 +548,13 @@ def _resolve_duality(kwargs):
     shapes, m, n, mu, z, trials = (kwargs.pop(name) for name in ("lams", "m", "n", "mu", "z", "trials"))
     if z is not None and trials > 1:
         raise click.UsageError("--trials above 1 samples points, so it cannot go with --z")
-    options = "--lams %s --mu %s with --m %d --n %d" % (";".join(map(_spelled, shapes)), _spelled(mu), m, n)
+    spelled = ";".join(map(_spelled, shapes))
+    # the super tensor is bounded before either side is built (its factors
+    # are memoized for build_setup, which refuses a shape off the hook)
+    super_set = IndexSet.gl(0, m, 0, n)
+    dims = [polynomial_module(super_set, lam).total_dim for lam in shapes if lam.hook_ok(m, n)]
+    _check_tensor_dim(dims, "--lams %s with --m %d --n %d" % (spelled, m, n))
+    options = "--lams %s --mu %s with --m %d --n %d" % (spelled, _spelled(mu), m, n)
     setup = _checked(options, build_setup, shapes, m, n, mu)
     zs = None if z is None else _points(z, setup.ell)
     rng = random.Random(click.get_current_context().obj["seed"])
@@ -572,7 +569,9 @@ with_duality = _resolver(
         click.option("--n", type=click.IntRange(min=1), default=1, show_default=True),
         click.option("--mu", type=PARTITION, required=True, help="master singular partition"),
         click.option("--z", type=RATIONALS, default=None, help="rational points; sampled when omitted"),
-        click.option("--trials", type=click.IntRange(min=1), default=1, show_default=True),
+        # every trial's points are drawn, and its report held, before the document
+        # prints: a cubic trial on gl(1|1)^7 takes 0.3 s on a 2-vCPU VM, 30 about 9 s
+        click.option("--trials", type=click.IntRange(1, 30), default=1, show_default=True),
     ],
     _resolve_duality,
 )

@@ -30,11 +30,11 @@ def test_module_build_and_schema(tmp_path):
 
 
 def test_tensor_and_singular():
-    res = run("--json", "tensor", "--ell", "2", "--factor-kind", "natural")
+    res = run("--json", "tensor", "--ell", "2")
     assert res.exit_code == 0
     doc = json.loads(res.output)
     assert doc["total_dim"] == 4
-    res = run("--json", "singular", "--ell", "2", "--factor-kind", "natural", "--mu", "1,1")
+    res = run("--json", "singular", "--ell", "2", "--mu", "1,1")
     doc = json.loads(res.output)
     assert doc["dim"] == 1 and doc["ambient_dim"] == 2
 
@@ -43,7 +43,7 @@ def test_hamiltonian_document():
     res = run(
         "--json",
         "hamiltonian",
-        "--ell", "2", "--factor-kind", "natural",
+        "--ell", "2",
         "--kind", "quadratic", "--z", "0,1", "--mu", "1,1",
     )
     assert res.exit_code == 0, res.output
@@ -56,7 +56,7 @@ def test_spectrum_worked_case():
     res = run(
         "--json",
         "spectrum",
-        "--ell", "2", "--factor-kind", "natural",
+        "--ell", "2",
         "--kind", "quadratic", "--z", "0,1", "--mu", "1,1",
     )
     assert res.exit_code == 0, res.output
@@ -80,7 +80,7 @@ def test_duality_check_and_cubic():
 def test_lax_expand():
     res = run(
         "--json", "lax", "expand",
-        "--ell", "2", "--factor-kind", "natural", "--k-power", "2", "--z", "0,1",
+        "--ell", "2", "--k-power", "2", "--z", "0,1",
     )
     assert res.exit_code == 0, res.output
     doc = json.loads(res.output)
@@ -91,7 +91,7 @@ def test_lax_flavor_k_is_the_classical_rank():
     # --k belongs to the flavor options; the Lax power is --k-power only
     res = run(
         "--json", "lax", "expand", "--flavor", "classical", "--k", "3",
-        "--ell", "2", "--factor-kind", "natural", "--z", "0,1",
+        "--ell", "2", "--z", "0,1",
     )
     assert res.exit_code == 0, res.output
     doc = json.loads(res.output)
@@ -126,7 +126,7 @@ def test_lax_expand_stdout_matches_the_recorded_digests(flavor, z, kpow):
     ell = str(len(z.split(",")))
     res = run(
         "--json", "lax", "expand", *LAX_FLAVORS[flavor],
-        "--ell", ell, "--factor-kind", "natural", "--k-power", str(kpow), "--z", z,
+        "--ell", ell, "--k-power", str(kpow), "--z", z,
     )
     assert res.exit_code == 0, res.output
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == LAX_DIGESTS[flavor, z, kpow]
@@ -136,7 +136,7 @@ def test_lax_expand_stdout_matches_the_recorded_digests(flavor, z, kpow):
 # recorded while K and the iota pull-back were scalar factors of the words
 # that TensorModule.apply read; now gaudin expands them into words itself
 CENTRAL_SYSTEM = [
-    "--p", "1", "--m", "1", "--n", "1", "--ell", "3", "--factor-kind", "natural",
+    "--p", "1", "--m", "1", "--n", "1", "--ell", "3",
     "--weight", '{"level":"0","coeffs":[[-2,1],[1,1],[2,1]]}',
     "--convention", "central", "--levels", "1,2,3",
 ]
@@ -187,7 +187,7 @@ KZ_SOLVE_DIGESTS = {
         "3613392105cc1c12f30e77550d60262a8426d37d63c4ffe5ab948ad1e5b8f56b",
     ),
     "plain-natural": (
-        ["--ell", "3", "--factor-kind", "natural", "--mu", "2,1", "--kappa", "3", "--path", SOLVE_PATH],
+        ["--ell", "3", "--mu", "2,1", "--kappa", "3", "--path", SOLVE_PATH],
         "f26aa583bd445122aa8320f4ffe7604dc9484b5c2f526e9e6c541344979b00cd",
     ),
     "plain-polynomial": (
@@ -230,7 +230,7 @@ DUALITY_DIGESTS = {
         "e447c84923ccc96026efb4a86b0e2a112b2307eba6a9f27c81c65119a70b63eb",
     ),
     "spectrum-gl(2|1)-cubicC-dim5": (
-        ["spectrum", "--m", "2", "--n", "1", "--ell", "5", "--factor-kind", "natural", "--mu", "2,2,1",
+        ["spectrum", "--m", "2", "--n", "1", "--ell", "5", "--mu", "2,2,1",
          "--z", "0,1/3,1,5/2,4", "--kind", "cubicC"],
         "fdc9cbb95f9ed0ae0be64580a0aa8d40365e8ad90aa8f9e97f2d3d93cc56b0d1",
     ),
@@ -298,17 +298,17 @@ def test_kz_commands():
     path = json.dumps([[[0, 0], [1, 0]], [[0, 0.5], [2, 0]]])
     res = run(
         "--json", "kz", "solve",
-        "--ell", "2", "--factor-kind", "natural", "--mu", "1,1",
+        "--ell", "2", "--mu", "1,1",
         "--path", path, "--psi0", "singular",
     )
     assert res.exit_code == 0, res.output
     doc = json.loads(res.output)
     validate_document(doc, "kz_solution.schema.json")
-    res = run("--json", "kz", "flatness", "--ell", "2", "--factor-kind", "natural", "--mu", "1,1", "--z", "0,1")
+    res = run("--json", "kz", "flatness", "--ell", "2", "--mu", "1,1", "--z", "0,1")
     assert res.exit_code == 0
     assert json.loads(res.output) == {"mode": "exact", "residual": "0", "zero": True}
     loop = json.dumps([[[0, 0], [1, 0]], [[0, 0.4], [2, 0]], [[0, 0], [1, 0]]])
-    res = run("--json", "kz", "monodromy", "--ell", "2", "--factor-kind", "natural", "--mu", "1,1", "--loop", loop)
+    res = run("--json", "kz", "monodromy", "--ell", "2", "--mu", "1,1", "--loop", loop)
     assert res.exit_code == 0, res.output
 
 
@@ -316,7 +316,7 @@ def test_restricted_hamiltonian_has_the_spectrum_charpolys():
     from supergaudin.linalg import charpoly
     from supergaudin.serialize import frac_str, matrix_from_triplets
 
-    tensor = ["--ell", "3", "--factor-kind", "natural", "--mu", "2,1", "--z", "0,1,3"]
+    tensor = ["--ell", "3", "--mu", "2,1", "--z", "0,1,3"]
     for kind in ("quadratic", "cubicC", "cubicD"):
         res = run("--json", "hamiltonian", *tensor, "--kind", kind, "--restrict-singular")
         assert res.exit_code == 0, res.output
@@ -333,7 +333,7 @@ def test_restricted_hamiltonian_has_the_spectrum_charpolys():
 def test_lax_expand_third_power_matches_its_closed_form():
     res = run(
         "--json", "lax", "expand",
-        "--ell", "2", "--factor-kind", "natural", "--k-power", "3", "--z", "0,1",
+        "--ell", "2", "--k-power", "3", "--z", "0,1",
     )
     assert res.exit_code == 0, res.output
     doc = json.loads(res.output)
@@ -343,7 +343,7 @@ def test_lax_expand_third_power_matches_its_closed_form():
 
 
 def test_kz_solve_takes_a_psi0_list_of_the_space_dimension():
-    system = ["--ell", "2", "--factor-kind", "natural", "--mu", "1,1"]
+    system = ["--ell", "2", "--mu", "1,1"]
     path = json.dumps([[[0, 0], [1, 0]], [[0, 0.5], [2, 0]]])
     res = run("--json", "kz", "solve", *system, "--path", path, "--psi0", "[1, 0]")
     assert res.exit_code == 0, res.output
@@ -358,7 +358,7 @@ def test_kz_solve_takes_a_psi0_list_of_the_space_dimension():
 
 def test_kz_flatness_float_step_cross_check():
     res = run(
-        "--json", "kz", "flatness", "--ell", "2", "--factor-kind", "natural",
+        "--json", "kz", "flatness", "--ell", "2",
         "--mu", "1,1", "--z", "0,1", "--float-step", "1e-5",
     )
     assert res.exit_code == 0, res.output
@@ -394,6 +394,9 @@ def test_exit_code_two_on_bad_input():
 
 LOOP = json.dumps([[[0, 0], [1, 0]], [[0, 0.4], [2, 0]], [[0, 0], [1, 0]]])
 TWO_SITES = ["--lam", "1", "--lam", "1"]
+# e(1/2) + e(1) + 3 e(2): in V_4 (x) V over gl(2|1) it holds (3 e(2) + e(1/2)) (x) e(1),
+# whose first factor lies five steps below the top of V_4
+DEEP = '{"level":"0","coeffs":[[1,1],[2,1],[4,3]]}'
 BAD_INPUT = {
     "hamiltonian-too-few-levels": (
         ["hamiltonian", *TWO_SITES, "--z", "0,1", "--mu", "2", "--convention", "central", "--levels", "1"],
@@ -449,23 +452,23 @@ BAD_INPUT = {
         ["module", "build", "--kind", "polynomial", "--lam", "0"],
         "--lam 0: the empty partition labels the trivial module",
     ),
-    "tensor-irreducible-wide": (
-        ["tensor", "--lam", "2", "--factor-kind", "irreducible", "--flavor", "wide"],
+    "module-build-irreducible-wide": (
+        ["module", "build", "--kind", "irreducible", "--lam", "2", "--flavor", "wide"],
         "unsupported flavor",
     ),
     "weight-number": (["singular", *TWO_SITES, "--weight", "5"], "malformed weight document"),
     "weight-list": (["singular", *TWO_SITES, "--weight", "[1]"], "malformed weight document"),
     "weight-coeffs-number": (["singular", *TWO_SITES, "--weight", '{"coeffs":5}'], "malformed weight document"),
     "weight-non-integral": (
-        ["singular", "--ell", "2", "--factor-kind", "natural", "--weight", '{"coeffs":[[2,1.5],[1,0.5]],"level":"0"}'],
+        ["singular", "--ell", "2", "--weight", '{"coeffs":[[2,1.5],[1,0.5]],"level":"0"}'],
         "malformed weight document",
     ),
     "weight-infinite-coefficient": (
-        ["singular", "--ell", "2", "--factor-kind", "natural", "--weight", '{"coeffs":[[2,Infinity]],"level":"0"}'],
+        ["singular", "--ell", "2", "--weight", '{"coeffs":[[2,Infinity]],"level":"0"}'],
         "malformed weight document",
     ),
     "weight-infinite-level": (
-        ["singular", "--ell", "2", "--factor-kind", "natural", "--weight", '{"coeffs":[[2,2]],"level":Infinity}'],
+        ["singular", "--ell", "2", "--weight", '{"coeffs":[[2,2]],"level":Infinity}'],
         "malformed weight document",
     ),
     "weight-repeated-index": (
@@ -477,11 +480,17 @@ BAD_INPUT = {
         ["spectrum", "--m", "1", "--n", "1", "--ell", "2", "--z", "0,1", "--weight", '{"level":"0","coeffs":[[1,1]],"x":1}'],
         "Invalid value for '--weight': malformed weight document {'level': '0', 'coeffs': [[1, 1]], 'x': 1}",
     ),
+    # the decoder's words alone did not show what was read
+    "weight-not-json": (
+        ["singular", *TWO_SITES, "--weight", "nope"],
+        "Invalid value for '--weight': need a JSON weight document, got 'nope': Expecting value",
+    ),
     "weight-and-mu": (
         ["singular", *TWO_SITES, "--mu", "2", "--weight", '{"coeffs":[[2,2]],"level":"0"}'],
         "give --mu or --weight, not both",
     ),
     "tensor-lam-and-ell": (["tensor", "--lam", "1", "--ell", "3"], "give --lam factors or --ell, not both"),
+    "tensor-no-factors": (["tensor"], "need --lam factors or --ell for natural powers"),
     "tensor-super-k": (["tensor", "--flavor", "super", "--k", "3", "--lam", "1"], "--k is the rank"),
     "tensor-classical-zero-k": (["tensor", "--flavor", "classical", "--k", "0", "--ell", "2"], "Invalid value for '--k': 0 is not in the range x>=1"),
     # the classical and wide flavors read --p and --n only
@@ -491,15 +500,11 @@ BAD_INPUT = {
     ),
     "tensor-wide-default-m": (["tensor", "--flavor", "wide", "--k", "2", "--ell", "2", "--m", "1"], "not --m"),
     # the natural module has shape 1: any other --lam would be ignored
-    "tensor-natural-lam": (
-        ["tensor", "--factor-kind", "natural", "--lam", "3", "--lam", "2,1"],
-        "the natural module is the module of shape 1",
-    ),
     "module-natural-lam": (["module", "build", "--kind", "natural", "--lam", "2"], "the natural module is the module of shape 1"),
-    "lax-repeated-point": (["lax", "expand", "--ell", "2", "--factor-kind", "natural", "--z", "0,0"], "pairwise distinct"),
-    "lax-too-few-points": (["lax", "expand", "--ell", "2", "--factor-kind", "natural", "--z", "0"], "--z needs 2 points"),
+    "lax-repeated-point": (["lax", "expand", "--ell", "2", "--z", "0,0"], "pairwise distinct"),
+    "lax-too-few-points": (["lax", "expand", "--ell", "2", "--z", "0"], "--z needs 2 points"),
     "lax-cubic-needs-p-q-zero": (
-        ["lax", "expand", "--k-power", "3", "--q", "1", "--p", "1", "--ell", "2", "--factor-kind", "natural", "--z", "0,1"],
+        ["lax", "expand", "--k-power", "3", "--q", "1", "--p", "1", "--ell", "2", "--z", "0,1"],
         "cubic Hamiltonians need p = q = 0",
     ),
     "lax-one-site": (["lax", "expand", "--lam", "1", "--z", "0"], "need at least two sites"),
@@ -511,7 +516,13 @@ BAD_INPUT = {
         ["duality", "cubic", "--lams", "1;1", "--mu", "2", "--z", "0,0"],
         "pairwise distinct",
     ),
-    "duality-zero-trials": (["duality", "check", "--lams", "1;1", "--mu", "2", "--trials", "0"], "Invalid value for '--trials': 0 is not in the range x>=1"),
+    **{
+        "duality-%s-trials" % name: (
+            ["duality", "check", "--lams", "1;1", "--mu", "2", "--trials", trials],
+            "Invalid value for '--trials': %s is not in the range 1<=x<=30" % trials,
+        )
+        for name, trials in (("zero", "0"), ("too-many", "31"))
+    },
     # more trials at the given points would repeat one report
     "duality-trials-with-z": (
         ["duality", "check", "--lams", "1;1", "--mu", "1,1", "--z", "0,1", "--trials", "3"],
@@ -537,6 +548,23 @@ BAD_INPUT = {
             "--ell %s with --flavor super --q 0 --m 1 --p 0 --n 1 builds a tensor of size above the 243 allowed" % ell,
         )
         for ell in ("99", "99999999999999999999")
+    },
+    # V_(2,1) over gl(2|2) has dimension 20, and 20^2 = 400; truncated
+    # factors were small enough to pass, and printed "dim": 0 at this mu,
+    # whose singular space is a line
+    "spectrum-factors-above-the-cap": (
+        ["spectrum", "--m", "2", "--n", "2", "--lam", "2,1", "--lam", "2,1", "--mu", "2,2,2", "--z", "0,1"],
+        "--lam 2,1 --lam 2,1 with --flavor super --q 0 --m 2 --p 0 --n 2 builds a tensor of size above the 243 allowed",
+    ),
+    # the classical side of eight (1) factors is a gl(7) tensor power of
+    # 5,764,801 tuples: under a 1.5 GB address-space limit its build ended
+    # in a MemoryError traceback
+    **{
+        "duality-%s-super-tensor-above-the-cap" % cmd: (
+            ["duality", cmd, "--lams", "1;1;1;1;1;1;1;1", "--mu", "7,1", "--z", "0,1,2,3,4,5,6,7"],
+            "--lams 1;1;1;1;1;1;1;1 with --m 1 --n 1 builds a tensor of size above the 243 allowed",
+        )
+        for cmd in ("check", "cubic")
     },
     # V_(3) over gl(2|1) has dimension 7, and 7^3 = 343
     "tensor-huge-factors": (
@@ -565,7 +593,7 @@ BAD_INPUT = {
         "Invalid value for '--z': zero denominator in '0,1/0'",
     ),
     "weight-zero-denominator-level": (
-        ["singular", "--ell", "2", "--factor-kind", "natural", "--weight", '{"coeffs":[[2,2]],"level":"1/0"}'],
+        ["singular", "--ell", "2", "--weight", '{"coeffs":[[2,2]],"level":"1/0"}'],
         "malformed weight document",
     ),
     # 0 and nan used to step forever, -1 ended in the stepper's own error,
@@ -600,12 +628,6 @@ BAD_INPUT = {
         ["module", "build", "--lam", "2", "--kind", "irreducible", "--depth", "-1"],
         "Invalid value for '--depth': -1 is not in the range 0<=x<=20",
     ),
-    # a negative --depth used to reach verma_truncated, whose message
-    # named no option
-    "tensor-negative-depth": (
-        ["tensor", "--factor-kind", "irreducible", "--lam", "1", "--lam", "1", "--depth", "-1"],
-        "Invalid value for '--depth': -1 is not in the range 0<=x<=20",
-    ),
     # with an even lowering generator the truncated Verma module grows
     # with its depth, so this build never ended
     "module-build-huge-depth": (
@@ -618,11 +640,6 @@ BAD_INPUT = {
         ["module", "build", "--m", "3", "--n", "2", "--kind", "verma", "--lam", "1", "--depth", "20"],
         "--depth 20 truncates a Verma module of 96672 monomials here, above the 4000 allowed",
     ),
-    # depth 10 holds 3,992 monomials over gl(3|2), under the cap; 11 is over
-    "tensor-irreducible-factor-too-large": (
-        ["tensor", "--m", "3", "--n", "2", "--lam", "1", "--lam", "1", "--factor-kind", "irreducible", "--depth", "11"],
-        "--depth 11 truncates a Verma module of 6120 monomials here, above the 4000 allowed",
-    ),
     "module-build-no-lam": (["module", "build"], "--lam is required for kind polynomial"),
     # --depth sizes the verma and irreducible truncations; the other kinds
     # used to ignore it without a word
@@ -634,23 +651,37 @@ BAD_INPUT = {
         ["module", "build", "--kind", "natural", "--depth", "4"],
         "--depth applies to the verma and irreducible kinds only, not natural",
     ),
+    # a tensor factor is V_lam, or the natural module of an --ell power: a
+    # factor kind or depth is no option of a tensor command.  A truncated
+    # factor is not a module: spectrum-truncated-factors printed "dim": 0
+    # where the singular space is a line, and singular-factor-kind read
+    # ambient_dim 2 of 3
     "hamiltonian-polynomial-depth": (
         ["hamiltonian", *TWO_SITES, "--m", "1", "--n", "1", "--mu", "2", "--z", "0,1", "--depth", "5"],
-        "--depth applies to the verma and irreducible kinds only, not polynomial",
+        "No such option '--depth'",
     ),
     "lax-polynomial-depth": (
         ["lax", "expand", *TWO_SITES, "--m", "1", "--n", "1", "--z", "0,1", "--depth", "5"],
-        "--depth applies to the verma and irreducible kinds only, not polynomial",
+        "No such option '--depth'",
     ),
     "tensor-natural-power-depth": (
         ["tensor", "--ell", "2", "--depth", "3"],
-        "--depth applies to the verma and irreducible kinds only, not natural",
+        "No such option '--depth'",
+    ),
+    "spectrum-truncated-factors": (
+        ["spectrum", "--lam", "4", "--lam", "1", "--m", "2", "--mu", "4,1", "--z", "0,1", "--depth", "0"],
+        "No such option '--depth'",
+    ),
+    "tensor-factor-kind": (["tensor", "--ell", "2", "--factor-kind", "natural"], "No such option '--factor-kind'"),
+    "singular-factor-kind": (
+        ["singular", "--lam", "4", "--lam", "1", "--m", "2", "--weight", DEEP, "--factor-kind", "irreducible"],
+        "No such option '--factor-kind'",
     ),
     "tensor-zero-ell": (["tensor", "--ell", "0"], "Invalid value for '--ell': 0 is not in the range x>=1"),
     "tensor-negative-ell": (["tensor", "--ell", "-1"], "Invalid value for '--ell': -1 is not in the range x>=1"),
-    "singular-no-target": (["singular", "--ell", "2", "--factor-kind", "natural"], "need --mu or --weight"),
+    "singular-no-target": (["singular", "--ell", "2"], "need --mu or --weight"),
     "hamiltonian-cubicC-central": (
-        ["hamiltonian", "--ell", "2", "--factor-kind", "natural", "--kind", "cubicC", "--z", "0,1", "--mu", "1,1",
+        ["hamiltonian", "--ell", "2", "--kind", "cubicC", "--z", "0,1", "--mu", "1,1",
          "--convention", "central"],
         "cubic Hamiltonians exist only in the plain convention",
     ),
@@ -660,7 +691,7 @@ BAD_INPUT = {
     ),
     # the natural square has the weight 2 e(1/2) but no singular vector there
     "kz-solve-zero-singular-space": (
-        ["kz", "solve", "--ell", "2", "--factor-kind", "natural", "--weight", '{"coeffs":[[1,2]],"level":"0"}',
+        ["kz", "solve", "--ell", "2", "--weight", '{"coeffs":[[1,2]],"level":"0"}',
          "--path", LOOP],
         "the singular space at --weight is zero",
     ),
@@ -720,7 +751,7 @@ BAD_INPUT = {
     # squaring the segment direction in the clearance test overflowed
     **{
         "kz-%s-huge-waypoint" % cmd: (
-            ["kz", cmd, "--ell", "2", "--factor-kind", "natural", "--mu", "1,1", flag,
+            ["kz", cmd, "--ell", "2", "--mu", "1,1", flag,
              json.dumps([[[0, 0], [1, 0]], [[1e308, 0], [1, 0]], [[0, 0], [1, 0]]])],
             "Invalid value for '%s': waypoint 1 has a coordinate of modulus above 1e+100" % flag,
         )
@@ -858,7 +889,7 @@ def test_bad_factor_weight_and_level_input_exits_two(tmp_path, args, message):
 
 
 def test_kz_bad_input_exits_two_with_a_message():
-    system = ["--ell", "2", "--factor-kind", "natural", "--mu", "1,1"]
+    system = ["--ell", "2", "--mu", "1,1"]
     short = json.dumps([[[0, 0]], [[1, 0]], [[0, 0]]])
     long = json.dumps([[[0, 0], [1, 0], [5, 0]], [[0, 0.4], [2, 0], [5, 0]], [[0, 0], [1, 0], [5, 0]]])
     for loop in (short, long):
@@ -907,11 +938,25 @@ def test_every_leaf_command_has_help():
         assert res.exit_code == 0, (path, res.output)
 
 
+def test_tensor_commands_read_whole_polynomial_factors():
+    # an irreducible factor truncated by --depth missed vectors: singular
+    # read ambient_dim 2 at DEEP, and hamiltonian --restrict-singular ended
+    # in a "subspace is not invariant" traceback with V_(2,1) at depth 2
+    res = run("--json", "singular", "--lam", "4", "--lam", "1", "--m", "2", "--weight", DEEP)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["ambient_dim"] == 3
+    res = run(
+        "--json", "hamiltonian", "--m", "2", "--n", "1", "--lam", "2,1", "--lam", "1", "--lam", "1",
+        "--mu", "2,2,1", "--z", "0,1,2", "--restrict-singular",
+    )
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["dim"] == 2
+
+
 def test_verma_and_irreducible_kinds_read_depth():
     for cmd in (
         ["module", "build", "--no-cache", "--kind", "verma", "--lam", "2", "--m", "2"],
         ["module", "build", "--no-cache", "--kind", "irreducible", "--lam", "2", "--m", "2"],
-        ["tensor", "--lam", "2", "--lam", "1", "--m", "2", "--factor-kind", "irreducible"],
     ):
         outputs = [run("--json", *cmd, *depth) for depth in ([], ["--depth", "0"], ["--depth", "4"])]
         assert all(res.exit_code == 0 for res in outputs), [res.output for res in outputs]
@@ -944,7 +989,7 @@ def test_verify_ell_cap_sits_between_the_largest_powers_allowed_and_refused():
 
 
 def test_natural_kind_takes_lam_one(tmp_path):
-    assert run("--json", "tensor", *TWO_SITES, "--factor-kind", "natural").output == run("--json", "tensor", "--ell", "2", "--factor-kind", "natural").output
+    assert run("--json", "tensor", *TWO_SITES).output == run("--json", "tensor", "--ell", "2").output
     build = ["--json", "--cache-dir", str(tmp_path), "module", "build", "--kind", "natural"]
     first = run(*build, "--lam", "1")
     assert first.exit_code == 0, first.output

@@ -25,9 +25,6 @@ def _path(*waypoints):
 W = '{"level":"0","coeffs":[[1,1],[2,1]]}'  # e(1/2) + e(1)
 # e(-1) + e(1): singular once p = 1, and the central shift reads p and q
 WC = '{"level":"0","coeffs":[[-2,1],[2,1]]}'
-# e(1/2) + e(1) + 3 e(2): in V_4 (x) V it holds (3 e(2) + e(1/2)) (x) e(1),
-# whose first factor lies five steps below the top of V_4
-DEEP = '{"level":"0","coeffs":[[1,1],[2,1],[4,3]]}'
 # e(1/2) + e(3/2): off the index set, and refused, below n = 2
 WN = '{"level":"0","coeffs":[[1,1],[3,1]]}'
 POINTS = {2: "0,1", 3: "0,1,3"}
@@ -38,7 +35,7 @@ LOOPS = {ell: json.dumps([[[x, y]] + [[z, 0] for z in (1, 3)[: ell - 1]] for x, 
 
 
 def nat(ell, target):
-    return ["--ell", str(ell), "--factor-kind", "natural", *target]
+    return ["--ell", str(ell), *target]
 
 
 # the commands with a tensor and a target weight: (command words, what
@@ -78,10 +75,6 @@ case("module build", "--lam", ["module", "build", "--lam", "1"], "2")
 case("module build", "--kind", ["module", "build", "--lam", "1"], "irreducible")
 case("module build", "--depth", ["module", "build", "--lam", "1", "--kind", "verma"], "2")
 case("tensor", "--lam", ["tensor", "--lam", "1", "--lam", "1"], "2")
-case("tensor", "--factor-kind", ["tensor", "--lam", "4", "--m", "2"], "irreducible")
-# --ell builds natural powers, so another factor kind is refused there
-case("tensor", "--factor-kind", ["tensor", "--ell", "2"], "irreducible")
-case("tensor", "--depth", ["tensor", "--lam", "4", "--m", "2", "--factor-kind", "irreducible"], "3")
 case("tensor", "--ell", ["tensor", "--ell", "2"], "3")
 
 for name, (head, tail, central) in WEIGHT_COMMANDS.items():
@@ -100,18 +93,9 @@ for name, (head, tail, central) in WEIGHT_COMMANDS.items():
     case(name, "--ell", mu, "3", **companions)
     case(name, "--mu", mu, "2")
     case(name, "--weight", head + nat(2, ["--weight", W]) + tail(2), '{"level":"0","coeffs":[[2,2]]}')
-# at DEEP an irreducible V_4 truncated at --depth 4 misses a vector
-for name in ("singular", "hamiltonian", "kz monodromy"):
-    head, tail, _ = WEIGHT_COMMANDS[name]
-    deep = head + ["--lam", "4", "--lam", "1", "--m", "2", "--weight", DEEP]
-    case(name, "--factor-kind", deep + tail(2), "irreducible")
-    case(name, "--depth", deep + ["--factor-kind", "irreducible"] + tail(2), "5")
 for name in ("singular", "hamiltonian"):
     head, tail, _ = WEIGHT_COMMANDS[name]
     case(name, "--n", head + nat(2, ["--n", "2", "--weight", WN]) + tail(2), "1")
-# at --depth 0 the factors keep their top weights only
-POLY41 = ["--lam", "4", "--lam", "1", "--m", "2", "--mu", "4,1", "--factor-kind", "irreducible"]
-case("spectrum", "--depth", ["spectrum", *POLY41, "--z", "0,1"], "0")
 
 HAM = ["hamiltonian", *nat(2, ["--mu", "1,1", "--z", "0,1"])]
 case("hamiltonian", "--kind", HAM, "cubicC")
@@ -137,9 +121,6 @@ for name in ("duality check", "duality cubic"):
 LAX = ["lax", "expand", *nat(2, ["--z", "0,1"])]
 flavor_cases("lax", LAX)
 case("lax", "--lam", ["lax", "expand", "--lam", "1", "--lam", "1", "--z", "0,1"], "2")
-LAX21 = ["lax", "expand", "--lam", "2", "--lam", "1", "--m", "2", "--z", "0,1"]
-case("lax", "--factor-kind", LAX21, "irreducible")
-case("lax", "--depth", LAX21 + ["--factor-kind", "irreducible"], "1")
 case("lax", "--ell", LAX, "3", **{"--z": "0,1,3"})
 case("lax", "--k-power", LAX, "3")
 case("lax", "--z", LAX, "0,2")
@@ -179,19 +160,13 @@ EXEMPT = {
     ("verify", "--tol"): "read only by the kz check",
 }
 # the exact curvature of the KZ connection is 0 on every valid system
-for opt in ("--flavor", "--q", "--m", "--p", "--n", "--lam", "--factor-kind", "--depth", "--ell", "--mu", "--weight",
-            "--kappa", "--levels", "--z"):
+for opt in ("--flavor", "--q", "--m", "--p", "--n", "--lam", "--ell", "--mu", "--weight", "--kappa", "--levels", "--z"):
     EXEMPT["kz flatness", opt] = "the residual is 0 on every valid system; kz monodromy reads these options"
 # the odd index n - 1/2 comes last in the order, so a weight space that a
 # smaller n holds keeps its singular vectors and its Gaudin blocks
 EXEMPT["spectrum", "--n"] = "no singular space a smaller n holds changes; singular shows --n where only n = 2 holds"
 for name in ("kz solve", "kz monodromy"):
     EXEMPT[name, "--n"] = "no weight space a smaller n holds changes, and KZ refuses a weight the tensor lacks"
-# singular vectors sit at the top of a tensor, which every kind realizes
-# alike at the default --depth; a --depth that cuts into the top removes
-# the target weight, which KZ refuses
-for key in (("spectrum", "--factor-kind"), ("kz solve", "--factor-kind"), ("kz solve", "--depth")):
-    EXEMPT[key] = "reads singular vectors only; singular, hamiltonian and kz monodromy show it at a deep weight"
 
 
 def _leaf_options():

@@ -349,6 +349,28 @@ def test_cli_options_are_parsed_where_they_are_declared():
     assert not plain, plain
 
 
+def test_tensor_factors_are_whole_polynomial_or_natural_modules():
+    # a tensor factor is V_lam or the natural module: a factor kind or a
+    # depth on a tensor command would bring back truncated factors, which
+    # are not modules; only module build prints a truncation
+    tree = ast.parse(_sources(PACKAGE_DIR)["cli.py"])
+    definitions = dict(_definitions(tree))
+    tensor = definitions["_tensor"]
+    for name in ("irreducible_truncated", "verma_truncated"):
+        assert not _mentions(tensor, name), name
+    kinds = {n.value for n in ast.walk(tensor) if isinstance(n, ast.Constant) and n.value in ("irreducible", "verma")}
+    assert not kinds, kinds
+    declared = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "option":
+            for arg in node.args:
+                if isinstance(arg, ast.Constant) and arg.value in ("--factor-kind", "--depth"):
+                    declared.setdefault(arg.value, []).append(node)
+    assert "--factor-kind" not in declared
+    (depth,) = declared["--depth"]
+    assert depth in definitions["module_build"].decorator_list
+
+
 def test_verma_straightening_is_one_recursion():
     # _VermaBuilder.act straightens every unit, a lowering generator
     # included, so no second recursion (an insert) commutes in modules.py

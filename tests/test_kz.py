@@ -134,6 +134,14 @@ def test_nonsingular_start_keeps_order_one_raising_ratio():
     assert singular_preservation(sol) > 0.1
 
 
+def test_integrate_path_refuses_a_psi0_of_another_dimension():
+    # the CLI refuses these first, by --psi0; the library keeps its own check
+    t2, system = two_site_system()
+    for psi0 in ([1.0], [1.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="psi0 has the wrong dimension"):
+            integrate_path(system, [(0, 1), (0.5j, 2)], psi0)
+
+
 def test_zero_start_stays_zero():
     t2, system = two_site_system()
     sol = integrate_path(system, [(0, 1), (0.5j, 2)], [0.0, 0.0], rel_tol=1e-10)

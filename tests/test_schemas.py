@@ -32,9 +32,9 @@ PATH = json.dumps([[[0, 0], [1, 0]], [[0, 0.5], [2, 0]]])
 COMMANDS = {
     "module-polynomial": ("module.schema.json", ["module", "build", "--m", "2", "--n", "1", "--lam", "2,1", "--no-cache"]),
     "module-irreducible": ("module.schema.json", ["module", "build", "--kind", "irreducible", "--lam", "2", "--depth", "2", "--no-cache"]),
-    "hamiltonian": ("hamiltonian.schema.json", ["hamiltonian", "--ell", "2", "--factor-kind", "natural", "--z", "0,1", "--mu", "1,1"]),
+    "hamiltonian": ("hamiltonian.schema.json", ["hamiltonian", "--ell", "2", "--z", "0,1", "--mu", "1,1"]),
     "duality-report": ("duality_report.schema.json", ["duality", "check", "--lams", "1;1", "--m", "1", "--n", "1", "--mu", "1,1", "--z", "0,1"]),
-    "kz-solution": ("kz_solution.schema.json", ["kz", "solve", "--ell", "2", "--factor-kind", "natural", "--mu", "1,1", "--path", PATH]),
+    "kz-solution": ("kz_solution.schema.json", ["kz", "solve", "--ell", "2", "--mu", "1,1", "--path", PATH]),
     "verify-report": ("verify_report.schema.json", ["verify", "all", "--checks", "io", "--seed", "3"]),
 }
 
